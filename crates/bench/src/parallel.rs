@@ -17,10 +17,10 @@ use std::time::Instant;
 
 use gea_cluster::FascicleParams;
 use gea_core::mine::{generate_metadata, mine, MinedCluster, Miner};
-use gea_core::populate::populate;
+use gea_core::populate::{materialize_populate, populate};
 use gea_core::sumy::aggregate;
 use gea_core::ExecConfig;
-use gea_exec::{aggregate_sharded, mine_sharded, populate_sharded};
+use gea_exec::{aggregate_sharded, mine_sharded, populate_columnar_sharded};
 use gea_sage::library::LibraryId;
 
 use crate::workloads::populate_workload;
@@ -165,7 +165,10 @@ pub fn run(cfg: &ParallelConfig) -> Vec<ParallelRow> {
     let ((serial_pop, serial_ms), (sharded_pop, sharded_ms)) = time_pair(
         cfg.repetitions,
         || populate("hits", &sumy, &w.table),
-        || populate_sharded("hits", &sumy, &w.table, &exec),
+        || {
+            let (libs, _, stats) = populate_columnar_sharded(&sumy, &w.table, &exec);
+            (materialize_populate("hits", &sumy, &w.table, &libs), stats)
+        },
     );
     rows.push(row(
         "populate",

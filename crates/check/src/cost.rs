@@ -7,13 +7,11 @@
 //! pipeline with per-verb transfer functions and charges each command a
 //! cost in abstract *row-visit* units via [`CostModel`] — deliberately
 //! hardware-free, so a budget (`gea-server --max-cost`) means the same
-//! thing on every host. The model's relative weights are calibrated,
-//! best-effort, from the repo's `BENCH_*.json` trajectory; absent or
-//! malformed bench files fall back to the built-in coefficients.
+//! thing on every host: the coefficients are built in, never read from a
+//! host-local file.
 //!
 //! Consumers: `gea-cli --check --cost`, the server `check` verb's cost
-//! section, the `--max-cost`/`EBUDGET` admission gate, and `gea-opt`'s
-//! index-vs-scan `populate` oracle.
+//! section, and the `--max-cost`/`EBUDGET` admission gate.
 
 use std::collections::BTreeMap;
 
@@ -147,68 +145,22 @@ pub struct CostModel {
     pub mine_weight: u64,
     /// Cost per row written to or read from the filesystem.
     pub io_weight: u64,
-    /// Cost per library tested by the `populate` operator's full scan.
+    /// Cost per library tested by the `populate` operator's scan.
     pub populate_scan_weight: u64,
-    /// Cost per library touched while *building* a populate index; the
-    /// indexed probe then verifies only the candidate subset.
-    pub populate_index_weight: u64,
     /// Cost multiplier for `xprofiler`'s pooled two-sided comparison.
     pub xprofiler_weight: u64,
 }
 
 impl CostModel {
-    /// The built-in coefficients (used when no bench trajectory is
-    /// available, and as the base the calibration adjusts).
+    /// The built-in coefficients.
     pub fn default_coefficients() -> CostModel {
         CostModel {
             scan_weight: 1,
             mine_weight: 8,
             io_weight: 2,
             populate_scan_weight: 2,
-            populate_index_weight: 1,
             xprofiler_weight: 4,
         }
-    }
-
-    /// Calibrate from the repo's bench trajectory, best-effort: reads
-    /// `BENCH_populate.json` under `dir` and, if it carries both a scan
-    /// and an indexed variant, sets the populate weights to their
-    /// observed ratio (clamped to `1..=16`). Any missing or malformed
-    /// file silently keeps the defaults — the bench data tunes the model,
-    /// it is never load-bearing.
-    pub fn calibrated(dir: &std::path::Path) -> CostModel {
-        let mut model = CostModel::default_coefficients();
-        let Ok(text) = std::fs::read_to_string(dir.join("BENCH_populate.json")) else {
-            return model;
-        };
-        let scan = variant_wall_ms(&text, "scan").or_else(|| variant_wall_ms(&text, "columnar"));
-        let indexed = variant_wall_ms(&text, "indexed");
-        if let (Some(scan), Some(indexed)) = (scan, indexed) {
-            if indexed > 0.0 && scan > 0.0 {
-                let ratio = (scan / indexed).clamp(1.0, 16.0);
-                model.populate_scan_weight = ratio.round() as u64;
-                model.populate_index_weight = 1;
-            }
-        }
-        model
-    }
-
-    /// The oracle `gea-opt`'s index-vs-scan `populate` rule consults:
-    /// with `constraints` SUMY conditions over `libraries` candidates,
-    /// is building a top-entropy index predicted cheaper than the full
-    /// scan? Both plans are byte-identical; a wrong answer here costs
-    /// time, never correctness.
-    pub fn populate_prefers_index(&self, libraries: u64, constraints: u64) -> bool {
-        let scan = libraries
-            .saturating_mul(constraints.max(1))
-            .saturating_mul(self.populate_scan_weight);
-        // Fixed setup charge, a build pass over the candidates, then a
-        // verify pass on roughly an eighth of them (the index prunes the
-        // rest). The setup charge keeps tiny inputs on the scan path.
-        let indexed = 256u64
-            .saturating_add(libraries.saturating_mul(self.populate_index_weight))
-            .saturating_add(libraries / 8 * constraints.max(1));
-        indexed < scan
     }
 }
 
@@ -471,25 +423,6 @@ fn cost_command(
     });
 }
 
-/// Extract the `wall_ms` of the first bench row whose `variant` contains
-/// `needle`, with a hand-rolled scan (the workspace carries no JSON
-/// dependency and the bench format is flat).
-fn variant_wall_ms(text: &str, needle: &str) -> Option<f64> {
-    for row in text.split("\"variant\"").skip(1) {
-        let name_end = row.find("\"wall_ms\"")?;
-        if !row[..name_end].contains(needle) {
-            continue;
-        }
-        let tail = &row[name_end + "\"wall_ms\"".len()..];
-        let tail = tail.trim_start_matches([':', ' ']);
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(tail.len());
-        return tail[..end].parse().ok();
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,43 +515,5 @@ mod tests {
         assert_eq!(report.per_command.len(), 1);
         assert_eq!(report.per_command[0].verb, "dataset");
         assert_eq!(report.per_command[0].index, 3, "indexes are script lines");
-    }
-
-    #[test]
-    fn bench_calibration_parses_and_survives_garbage() {
-        let dir = std::env::temp_dir().join(format!("gea_cost_cal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_populate.json"),
-            r#"{"rows":[{"variant":"scan_serial","wall_ms":80.0,"identical":true},
-                        {"variant":"indexed","wall_ms":10.0,"identical":true}]}"#,
-        )
-        .unwrap();
-        let model = CostModel::calibrated(&dir);
-        assert_eq!(model.populate_scan_weight, 8);
-        assert_eq!(model.populate_index_weight, 1);
-        // Garbage file: defaults survive.
-        std::fs::write(dir.join("BENCH_populate.json"), "not json at all").unwrap();
-        assert_eq!(
-            CostModel::calibrated(&dir),
-            CostModel::default_coefficients()
-        );
-        // Missing file: defaults survive.
-        let _ = std::fs::remove_file(dir.join("BENCH_populate.json"));
-        assert_eq!(
-            CostModel::calibrated(&dir),
-            CostModel::default_coefficients()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn index_oracle_prefers_scan_on_tiny_inputs() {
-        let model = CostModel::default_coefficients();
-        // One constraint over few candidates: the build pass cannot pay
-        // for itself.
-        assert!(!model.populate_prefers_index(8, 1));
-        // Many constraints over many candidates: pruning wins.
-        assert!(model.populate_prefers_index(10_000, 4));
     }
 }

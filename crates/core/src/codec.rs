@@ -1,0 +1,224 @@
+//! The one little-endian byte codec: primitive writers and a
+//! bounds-checked reader, shared by the `session.gea` snapshot
+//! ([`crate::persist`]) and the router's scatter partials
+//! (`gea_server::xcodec`).
+//!
+//! Both formats carry untrusted bytes (a file on disk, a frame off the
+//! wire), so the reader is total: every short read, implausible count or
+//! bad string is a [`CodecError`], never a panic, and element counts are
+//! validated against the bytes actually remaining *before* anything is
+//! allocated for them ([`Cur::ensure_elems`]). `f64` travels as its
+//! IEEE-754 bits, so every float round-trips bit-exactly.
+
+/// Strings are capped at 1 MiB, matching the corpus binary format's cap.
+const MAX_STR: usize = 1 << 20;
+
+/// A decode failure: the bytes did not match the expected shape. Each
+/// format converts it into its own error type with `From`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodecError(pub String);
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+impl From<CodecError> for String {
+    fn from(e: CodecError) -> String {
+        e.0
+    }
+}
+
+/// Append one byte.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+/// Append a `u32`, little-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a `u64`, little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append an `f64` as its IEEE-754 bits, little-endian.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// Append a `u32`-length-prefixed UTF-8 string.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Append a `u64`-length-prefixed byte blob.
+pub fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// A bounds-checked little-endian reader. The `what` argument of each
+/// method names the field being read, for the error message.
+pub struct Cur<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cur<'a> {
+    /// Start reading at the front of `buf`.
+    pub fn new(buf: &'a [u8]) -> Cur<'a> {
+        Cur { buf, pos: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Whether every byte has been consumed.
+    pub fn done(&self) -> bool {
+        self.remaining() == 0
+    }
+
+    /// The unread tail, without consuming it.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Consume exactly `n` bytes.
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
+        if self.remaining() < n {
+            return Err(CodecError(format!(
+                "truncated input: {what} needs {n} bytes, {} left",
+                self.remaining()
+            )));
+        }
+        let slice = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// Reject an element count that could not possibly fit in the bytes
+    /// remaining (each element occupies at least `min_size` bytes). Call
+    /// it before allocating for `n` elements.
+    pub fn ensure_elems(&self, n: usize, min_size: usize, what: &str) -> Result<(), CodecError> {
+        match n.checked_mul(min_size) {
+            Some(total) if total <= self.remaining() => Ok(()),
+            _ => Err(CodecError(format!(
+                "implausible {what} count {n} for {} remaining bytes",
+                self.remaining()
+            ))),
+        }
+    }
+
+    /// Read a `u32` element count and check it with [`Cur::ensure_elems`].
+    pub fn count(&mut self, min_size: usize, what: &str) -> Result<usize, CodecError> {
+        let n = self.u32(what)? as usize;
+        self.ensure_elems(n, min_size, what)?;
+        Ok(n)
+    }
+
+    /// Read one byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    /// Read a little-endian `u32`.
+    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+        let bytes = self.take(4, what)?;
+        Ok(u32::from_le_bytes(
+            bytes.try_into().expect("take returned 4 bytes"),
+        ))
+    }
+
+    /// Read a little-endian `u64`.
+    pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
+        let bytes = self.take(8, what)?;
+        Ok(u64::from_le_bytes(
+            bytes.try_into().expect("take returned 8 bytes"),
+        ))
+    }
+
+    /// Read an `f64` from its IEEE-754 bits.
+    pub fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// Read a `u32`-length-prefixed UTF-8 string.
+    pub fn string(&mut self, what: &str) -> Result<String, CodecError> {
+        let len = self.u32(what)? as usize;
+        if len > MAX_STR {
+            return Err(CodecError(format!("{what} length {len} implausible")));
+        }
+        let bytes = self.take(len, what)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(format!("non-utf8 {what}: {e}")))
+    }
+
+    /// Read a `u64`-length-prefixed byte blob.
+    pub fn blob(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
+        let len = self.u64(what)?;
+        let len = usize::try_from(len)
+            .map_err(|_| CodecError(format!("{what} length {len} implausible")))?;
+        self.take(len, what)
+    }
+
+    /// Require that nothing is left over.
+    pub fn finish(self, what: &str) -> Result<(), CodecError> {
+        if self.done() {
+            Ok(())
+        } else {
+            Err(CodecError(format!(
+                "{} trailing bytes after {what}",
+                self.remaining()
+            )))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn primitives_round_trip() {
+        let mut out = Vec::new();
+        put_u8(&mut out, 7);
+        put_u32(&mut out, 0xdead_beef);
+        put_u64(&mut out, u64::MAX - 1);
+        put_f64(&mut out, -0.0);
+        put_f64(&mut out, f64::NAN);
+        put_str(&mut out, "uni→code");
+        put_blob(&mut out, &[1, 2, 3]);
+        let mut cur = Cur::new(&out);
+        assert_eq!(cur.u8("a").unwrap(), 7);
+        assert_eq!(cur.u32("b").unwrap(), 0xdead_beef);
+        assert_eq!(cur.u64("c").unwrap(), u64::MAX - 1);
+        assert_eq!(cur.f64("d").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(cur.f64("e").unwrap().to_bits(), f64::NAN.to_bits());
+        assert_eq!(cur.string("f").unwrap(), "uni→code");
+        assert_eq!(cur.blob("g").unwrap(), &[1, 2, 3]);
+        cur.finish("test").unwrap();
+    }
+
+    #[test]
+    fn short_reads_and_implausible_counts_are_errors() {
+        let mut cur = Cur::new(&[1, 2, 3]);
+        assert!(cur.u32("x").is_err());
+        assert_eq!(cur.remaining(), 3, "a failed read consumes nothing");
+        assert!(Cur::new(&[0xff; 4]).count(1, "elem").is_err());
+        assert!(Cur::new(&[0xff; 12]).string("s").is_err());
+        assert!(Cur::new(&[0xff; 8]).blob("b").is_err());
+        assert!(Cur::new(&[0]).finish("blob").is_err());
+        // usize overflow in the size product is rejected, not wrapped.
+        assert!(Cur::new(&[0; 8])
+            .ensure_elems(usize::MAX, 2, "elem")
+            .is_err());
+    }
+}

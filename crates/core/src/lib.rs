@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod admin;
+pub mod codec;
 pub mod compare;
 pub mod enum_table;
 pub mod gap;
@@ -63,9 +64,9 @@ pub use lineage::{Lineage, NodeKind};
 pub use mem::ApproxMem;
 pub use mine::{materialize_cluster, mine, mine_groups, MinedCluster, Miner};
 pub use persist::{
-    corpus_fingerprint, load_results, load_session, load_session_verified, remove_spill,
-    save_results, save_session, session_from_snapshot_bytes, snapshot_to_bytes, spill_session,
-    PersistError, SpillFile,
+    corpus_fingerprint, load_session, load_session_verified, remove_spill, save_results,
+    save_session, session_from_snapshot_bytes, snapshot_to_bytes, spill_session, PersistError,
+    SpillFile,
 };
 pub use populate::{populate, populate_columnar, populate_indexed, populate_scan, PopulateIndex};
 pub use session::{

@@ -4,12 +4,12 @@
 //! back days later, browse the lineage (Figure 4.18) and continue. Two
 //! layers provide that here:
 //!
-//! * The browsable layer: [`save_results`] writes a session's materialized
-//!   relational tables (as CSV with schema sidecars) and the lineage DAG to
-//!   a directory; [`load_results`] reads them back into a [`Database`] +
-//!   [`Lineage`] pair. Dematerialized tables (contents-only deletes)
-//!   round-trip as empty tables whose lineage metadata still describes how
-//!   to regenerate them.
+//! * The browsable layer: [`save_results`] exports a session's
+//!   materialized relational tables (as CSV with schema sidecars) and the
+//!   lineage DAG to a directory, for reading outside the toolkit. It is
+//!   write-only: sessions are restored from the snapshot below.
+//!   Dematerialized tables (contents-only deletes) export as empty tables
+//!   whose lineage metadata still describes how to regenerate them.
 //! * The fidelity-complete layer: [`save_session`] additionally writes a
 //!   versioned binary snapshot (`session.gea`) holding *everything* a
 //!   [`GeaSession`] owns — raw corpus, cleaned base matrix, cleaning
@@ -37,6 +37,7 @@ use gea_sage::library::{LibraryMeta, LibraryProperty, NeoplasticState, TissueSou
 use gea_sage::tag::{Tag, TagUniverse};
 use gea_sage::ExpressionMatrix;
 
+use crate::codec::{put_blob, put_f64, put_str, put_u32, put_u64, put_u8, CodecError, Cur};
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
 use crate::interval::Interval;
@@ -56,6 +57,12 @@ pub enum PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> PersistError {
         PersistError::Io(e)
+    }
+}
+
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> PersistError {
+        PersistError::Malformed(e.0)
     }
 }
 
@@ -195,63 +202,6 @@ fn write_lineage(lineage: &Lineage, out: &mut impl Write) -> std::io::Result<()>
         writeln!(out, "end")?;
     }
     Ok(())
-}
-
-/// A reloaded session snapshot: the relational tables and the operation
-/// history. (The in-memory analysis structures are regenerable from these
-/// via the lineage metadata, which is the thesis's own recovery story for
-/// contents-only deletes.)
-#[derive(Debug)]
-pub struct LoadedResults {
-    /// The reloaded tables.
-    pub database: Database,
-    /// The reloaded operation history.
-    pub lineage: Lineage,
-}
-
-/// Load a directory written by [`save_results`].
-pub fn load_results(dir: &Path) -> Result<LoadedResults, PersistError> {
-    let mut database = Database::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("schema") {
-            continue;
-        }
-        let stem = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .ok_or_else(|| malformed("non-utf8 file name"))?;
-        let name = decode_name(stem)?;
-        let schema_text = fs::read_to_string(&path)?;
-        let mut cols = Vec::new();
-        for line in schema_text.lines() {
-            let mut parts = line.split('\t');
-            let col = parts.next().ok_or_else(|| malformed("empty schema line"))?;
-            let dtype = parse_dtype(
-                parts
-                    .next()
-                    .ok_or_else(|| malformed(format!("schema line {line:?} missing type")))?,
-            )?;
-            cols.push((col.to_string(), dtype));
-        }
-        let pairs: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let schema = Schema::from_pairs(&pairs)
-            .map_err(|e| malformed(format!("bad schema for {name:?}: {e}")))?;
-        let csv_path = dir.join(format!("{stem}.csv"));
-        let mut file = fs::File::open(&csv_path)?;
-        let table = import_csv(schema, &mut file)
-            .map_err(|e| malformed(format!("bad csv for {name:?}: {e}")))?;
-        database.create_or_replace(&name, table);
-    }
-
-    // Lineage: replay records in id order so parent references resolve.
-    let lineage_path = dir.join("lineage.txt");
-    let lineage = if lineage_path.exists() {
-        parse_lineage(&fs::read_to_string(&lineage_path)?)?
-    } else {
-        Lineage::new()
-    };
-    Ok(LoadedResults { database, lineage })
 }
 
 /// Parse the tagged-record lineage text back into a replayed [`Lineage`].
@@ -397,22 +347,10 @@ pub fn describe_node(node: &LineageNode) -> String {
 pub const SNAPSHOT_FILE: &str = "session.gea";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
-/// Snapshot format history:
-///
-/// * **v1** — raw body; fascicle records carry no mining provenance.
-/// * **v2** — body is LZSS-compressed ([`lz_compress`]); fascicle records
-///   append the mining backend name and its resolved parameters.
-///
-/// Writers always emit the newest version; the loader accepts both, so
-/// pre-backend snapshots keep restoring (their fascicles report backend
-/// `"fascicles"` with no parameters).
+/// The one snapshot version written and read: LZSS-compressed body
+/// ([`lz_compress`]); fascicle records carry the mining backend name and
+/// its resolved parameters.
 const SNAPSHOT_VERSION: u32 = 2;
-/// Oldest snapshot version the loader still accepts.
-const SNAPSHOT_MIN_VERSION: u32 = 1;
-/// Strings in the snapshot are capped at 1 MiB, matching the corpus binary
-/// format's own cap.
-const MAX_STR: usize = 1 << 20;
-
 /// FNV-1a 64-bit over the snapshot body — cheap, dependency-free, and more
 /// than enough to catch truncation and bit rot (this is an integrity
 /// check, not an authenticity one).
@@ -425,7 +363,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-// ----- LZSS body compression (snapshot v2) --------------------------------
+// ----- LZSS body compression ----------------------------------------------
 //
 // Dependency-free and fully deterministic: the encoder keeps a single-slot
 // table of the most recent position of every 3-byte prefix, so identical
@@ -526,8 +464,8 @@ fn lz_inflate(data: &[u8]) -> Result<Vec<u8>, PersistError> {
         let mut bit = 0;
         while bit < 8 && out.len() < raw_len {
             if flags & (1 << bit) != 0 {
-                let offset = u16::from_le_bytes(cur.take(2, "lz match offset")?.try_into().unwrap())
-                    as usize;
+                let offset = cur.take(2, "lz match offset")?;
+                let offset = u16::from_le_bytes([offset[0], offset[1]]) as usize;
                 let len = cur.u8("lz match length")? as usize + LZ_MIN_MATCH;
                 if offset == 0 || offset > out.len() {
                     return Err(malformed(format!(
@@ -550,118 +488,8 @@ fn lz_inflate(data: &[u8]) -> Result<Vec<u8>, PersistError> {
             bit += 1;
         }
     }
-    if !cur.done() {
-        return Err(malformed(format!(
-            "{} trailing bytes after compressed body",
-            cur.remaining()
-        )));
-    }
+    cur.finish("compressed body")?;
     Ok(out)
-}
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// A bounds-checked little-endian reader over the snapshot body. Every
-/// decode failure surfaces as [`PersistError::Malformed`]; a corrupt file
-/// can never panic or over-allocate (element counts are validated against
-/// the bytes actually remaining before any allocation).
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn done(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], PersistError> {
-        if self.remaining() < n {
-            return Err(malformed(format!(
-                "truncated snapshot: {what} needs {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reject an element count that could not possibly fit in the bytes
-    /// remaining (each element occupies at least `min_size` bytes).
-    fn ensure_elems(&self, n: usize, min_size: usize, what: &str) -> Result<(), PersistError> {
-        match n.checked_mul(min_size) {
-            Some(total) if total <= self.remaining() => Ok(()),
-            _ => Err(malformed(format!(
-                "implausible {what} count {n} for {} remaining bytes",
-                self.remaining()
-            ))),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, PersistError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn str_(&mut self, what: &str) -> Result<String, PersistError> {
-        let len = self.u32(what)? as usize;
-        if len > MAX_STR {
-            return Err(malformed(format!("{what} length {len} implausible")));
-        }
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| malformed(format!("non-utf8 {what}: {e}")))
-    }
-
-    fn blob(&mut self, what: &str) -> Result<&'a [u8], PersistError> {
-        let len = self.u64(what)?;
-        let len = usize::try_from(len)
-            .map_err(|_| malformed(format!("{what} length {len} implausible")))?;
-        self.take(len, what)
-    }
 }
 
 fn state_code(s: NeoplasticState) -> u8 {
@@ -722,8 +550,8 @@ fn put_library_meta(out: &mut Vec<u8>, meta: &LibraryMeta) {
 
 fn read_library_meta(cur: &mut Cur) -> Result<LibraryMeta, PersistError> {
     Ok(LibraryMeta {
-        name: cur.str_("library name")?,
-        tissue: TissueType::parse(&cur.str_("library tissue")?),
+        name: cur.string("library name")?,
+        tissue: TissueType::parse(&cur.string("library tissue")?),
         state: parse_state_code(cur.u8("library state")?)?,
         source: parse_source_code(cur.u8("library source")?)?,
     })
@@ -753,7 +581,7 @@ fn put_enum_table(out: &mut Vec<u8>, table: &EnumTable) {
 }
 
 fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, PersistError> {
-    let name = cur.str_("enum table name")?;
+    let name = cur.string("enum table name")?;
     let n_tags = cur.u32("enum tag count")? as usize;
     let n_libs = cur.u32("enum library count")? as usize;
     cur.ensure_elems(n_tags, 4, "enum tag")?;
@@ -810,9 +638,8 @@ fn put_sumy_table(out: &mut Vec<u8>, table: &SumyTable) {
 }
 
 fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, PersistError> {
-    let name = cur.str_("sumy table name")?;
-    let n = cur.u32("sumy row count")? as usize;
-    cur.ensure_elems(n, 44, "sumy row")?;
+    let name = cur.string("sumy table name")?;
+    let n = cur.count(44, "sumy row")?;
     let mut rows: Vec<SumyRow> = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = read_tag(cur, "sumy tag")?;
@@ -829,11 +656,10 @@ fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, PersistError> {
         let range = Interval::new(lo, hi).map_err(|e| malformed(format!("bad sumy range: {e}")))?;
         let average = cur.f64("sumy average")?;
         let std_dev = cur.f64("sumy std dev")?;
-        let n_extras = cur.u32("sumy extras count")? as usize;
-        cur.ensure_elems(n_extras, 12, "sumy extra")?;
+        let n_extras = cur.count(12, "sumy extra")?;
         let mut extras = std::collections::BTreeMap::new();
         for _ in 0..n_extras {
-            let k = cur.str_("sumy extra name")?;
+            let k = cur.string("sumy extra name")?;
             let v = cur.f64("sumy extra value")?;
             extras.insert(k, v);
         }
@@ -872,7 +698,7 @@ fn put_gap_table(out: &mut Vec<u8>, table: &GapTable) {
 }
 
 fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
-    let name = cur.str_("gap table name")?;
+    let name = cur.string("gap table name")?;
     let n_cols = cur.u32("gap column count")? as usize;
     if n_cols == 0 {
         return Err(malformed("gap table without columns"));
@@ -880,7 +706,7 @@ fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
     cur.ensure_elems(n_cols, 4, "gap column")?;
     let mut columns = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
-        columns.push(cur.str_("gap column name")?);
+        columns.push(cur.string("gap column name")?);
     }
     let n = cur.u32("gap row count")? as usize;
     cur.ensure_elems(n, 8 + n_cols, "gap row")?;
@@ -906,7 +732,7 @@ fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
     Ok(GapTable::new(&name, columns, rows))
 }
 
-fn put_fascicle(out: &mut Vec<u8>, rec: &FascicleRecord, version: u32) {
+fn put_fascicle(out: &mut Vec<u8>, rec: &FascicleRecord) {
     put_str(out, &rec.name);
     put_str(out, &rec.dataset);
     put_u32(out, rec.members.len() as u32);
@@ -922,54 +748,41 @@ fn put_fascicle(out: &mut Vec<u8>, rec: &FascicleRecord, version: u32) {
     for &p in &rec.purity {
         put_u8(out, property_code(p));
     }
-    if version >= 2 {
-        put_str(out, &rec.backend);
-        put_u32(out, rec.params.len() as u32);
-        for (k, v) in &rec.params {
-            put_str(out, k);
-            put_str(out, v);
-        }
+    put_str(out, &rec.backend);
+    put_u32(out, rec.params.len() as u32);
+    for (k, v) in &rec.params {
+        put_str(out, k);
+        put_str(out, v);
     }
 }
 
-fn read_fascicle(cur: &mut Cur, version: u32) -> Result<FascicleRecord, PersistError> {
-    let name = cur.str_("fascicle name")?;
-    let dataset = cur.str_("fascicle dataset")?;
-    let n_members = cur.u32("fascicle member count")? as usize;
-    cur.ensure_elems(n_members, 4, "fascicle member")?;
+fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, PersistError> {
+    let name = cur.string("fascicle name")?;
+    let dataset = cur.string("fascicle dataset")?;
+    let n_members = cur.count(4, "fascicle member")?;
     let mut members = Vec::with_capacity(n_members);
     for _ in 0..n_members {
-        members.push(cur.str_("fascicle member")?);
+        members.push(cur.string("fascicle member")?);
     }
-    let n_tags = cur.u32("fascicle tag count")? as usize;
-    cur.ensure_elems(n_tags, 4, "fascicle tag")?;
+    let n_tags = cur.count(4, "fascicle tag")?;
     let mut compact_tags = Vec::with_capacity(n_tags);
     for _ in 0..n_tags {
         compact_tags.push(read_tag(cur, "fascicle tag")?);
     }
-    let sumy_name = cur.str_("fascicle sumy name")?;
-    let n_props = cur.u32("fascicle purity count")? as usize;
-    cur.ensure_elems(n_props, 1, "fascicle purity")?;
+    let sumy_name = cur.string("fascicle sumy name")?;
+    let n_props = cur.count(1, "fascicle purity")?;
     let mut purity = Vec::with_capacity(n_props);
     for _ in 0..n_props {
         purity.push(parse_property_code(cur.u8("fascicle purity")?)?);
     }
-    // v1 snapshots predate pluggable backends: everything they mined came
-    // from the original Fascicles path.
-    let (backend, params) = if version >= 2 {
-        let backend = cur.str_("fascicle backend")?;
-        let n_params = cur.u32("fascicle param count")? as usize;
-        cur.ensure_elems(n_params, 8, "fascicle param")?;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            let k = cur.str_("fascicle param key")?;
-            let v = cur.str_("fascicle param value")?;
-            params.push((k, v));
-        }
-        (backend, params)
-    } else {
-        ("fascicles".to_string(), Vec::new())
-    };
+    let backend = cur.string("fascicle backend")?;
+    let n_params = cur.count(8, "fascicle param")?;
+    let mut params = Vec::with_capacity(n_params);
+    for _ in 0..n_params {
+        let k = cur.string("fascicle param key")?;
+        let v = cur.string("fascicle param value")?;
+        params.push((k, v));
+    }
     Ok(FascicleRecord {
         name,
         dataset,
@@ -1011,8 +824,7 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
         1 => Some(cur.f64("report scale")?),
         other => return Err(malformed(format!("bad report scale flag {other}"))),
     };
-    let n = cur.u32("report fraction count")? as usize;
-    cur.ensure_elems(n, 8, "report fraction")?;
+    let n = cur.count(8, "report fraction")?;
     let mut removed_fraction_per_library = Vec::with_capacity(n);
     for _ in 0..n {
         removed_fraction_per_library.push(cur.f64("report fraction")?);
@@ -1028,7 +840,7 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
     })
 }
 
-fn encode_session(session: &GeaSession, version: u32) -> Result<Vec<u8>, PersistError> {
+fn encode_session(session: &GeaSession) -> Result<Vec<u8>, PersistError> {
     let mut out = Vec::new();
     put_report(&mut out, session.cleaning_report());
     let mut corpus_blob = Vec::new();
@@ -1049,7 +861,7 @@ fn encode_session(session: &GeaSession, version: u32) -> Result<Vec<u8>, Persist
     }
     put_u32(&mut out, session.fascicle_records().len() as u32);
     for rec in session.fascicle_records().values() {
-        put_fascicle(&mut out, rec, version);
+        put_fascicle(&mut out, rec);
     }
     let db = session.database();
     put_u32(&mut out, db.len() as u32);
@@ -1087,52 +899,46 @@ pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
     Ok(fnv1a(&out))
 }
 
-fn decode_session(body: &[u8], version: u32) -> Result<SessionSnapshot, PersistError> {
+fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
     let mut cur = Cur::new(body);
     let report = read_report(&mut cur)?;
     let corpus_blob = cur.blob("corpus blob")?;
     let corpus = read_corpus_binary(&mut &corpus_blob[..])
         .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
     let base = read_enum_table(&mut cur)?;
-    let n_enums = cur.u32("enum map count")? as usize;
-    cur.ensure_elems(n_enums, 12, "enum map entry")?;
+    let n_enums = cur.count(12, "enum map entry")?;
     let mut enums = std::collections::BTreeMap::new();
     for _ in 0..n_enums {
         let table = read_enum_table(&mut cur)?;
         enums.insert(table.name.clone(), table);
     }
-    let n_sumys = cur.u32("sumy map count")? as usize;
-    cur.ensure_elems(n_sumys, 8, "sumy map entry")?;
+    let n_sumys = cur.count(8, "sumy map entry")?;
     let mut sumys = std::collections::BTreeMap::new();
     for _ in 0..n_sumys {
         let table = read_sumy_table(&mut cur)?;
         sumys.insert(table.name.clone(), table);
     }
-    let n_gaps = cur.u32("gap map count")? as usize;
-    cur.ensure_elems(n_gaps, 12, "gap map entry")?;
+    let n_gaps = cur.count(12, "gap map entry")?;
     let mut gaps = std::collections::BTreeMap::new();
     for _ in 0..n_gaps {
         let table = read_gap_table(&mut cur)?;
         gaps.insert(table.name.clone(), table);
     }
-    let n_fascicles = cur.u32("fascicle map count")? as usize;
-    cur.ensure_elems(n_fascicles, 16, "fascicle map entry")?;
+    let n_fascicles = cur.count(16, "fascicle map entry")?;
     let mut fascicles = std::collections::BTreeMap::new();
     for _ in 0..n_fascicles {
-        let rec = read_fascicle(&mut cur, version)?;
+        let rec = read_fascicle(&mut cur)?;
         fascicles.insert(rec.name.clone(), rec);
     }
-    let n_tables = cur.u32("db table count")? as usize;
-    cur.ensure_elems(n_tables, 16, "db table")?;
+    let n_tables = cur.count(16, "db table")?;
     let mut db = Database::new();
     for _ in 0..n_tables {
-        let name = cur.str_("db table name")?;
-        let n_cols = cur.u32("db column count")? as usize;
-        cur.ensure_elems(n_cols, 8, "db column")?;
+        let name = cur.string("db table name")?;
+        let n_cols = cur.count(8, "db column")?;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let col = cur.str_("db column name")?;
-            let dtype = parse_dtype(&cur.str_("db column type")?)?;
+            let col = cur.string("db column name")?;
+            let dtype = parse_dtype(&cur.string("db column type")?)?;
             cols.push((col, dtype));
         }
         let pairs: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
@@ -1147,12 +953,7 @@ fn decode_session(body: &[u8], version: u32) -> Result<SessionSnapshot, PersistE
     let lineage_text = std::str::from_utf8(lineage_text)
         .map_err(|e| malformed(format!("non-utf8 lineage: {e}")))?;
     let lineage = parse_lineage(lineage_text)?;
-    if !cur.done() {
-        return Err(malformed(format!(
-            "{} trailing bytes after snapshot body",
-            cur.remaining()
-        )));
-    }
+    cur.finish("snapshot body")?;
     Ok(SessionSnapshot {
         corpus,
         base,
@@ -1173,7 +974,7 @@ fn decode_session(body: &[u8], version: u32) -> Result<SessionSnapshot, PersistE
 /// path) ship these bytes and install them with
 /// [`session_from_snapshot_bytes`], reusing the spill format end to end.
 pub fn snapshot_to_bytes(session: &GeaSession) -> Result<(Vec<u8>, u64), PersistError> {
-    let raw = encode_session(session, SNAPSHOT_VERSION)?;
+    let raw = encode_session(session)?;
     let body = lz_compress(&raw);
     // The fingerprint covers the *stored* (compressed) bytes, so integrity
     // is checked before any decompression of untrusted input — and it only
@@ -1202,11 +1003,11 @@ pub fn session_from_snapshot_bytes(
         return Err(malformed("bad magic; not a GEA session snapshot"));
     }
     let version = cur.u32("snapshot version")?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(malformed(format!("unsupported snapshot version {version}")));
     }
     let stored = cur.u64("snapshot fingerprint")?;
-    let body = &bytes[cur.pos..];
+    let body = cur.rest();
     if fnv1a(body) != stored {
         return Err(malformed("fingerprint mismatch; snapshot is corrupt"));
     }
@@ -1217,12 +1018,7 @@ pub fn session_from_snapshot_bytes(
             )));
         }
     }
-    // v1 stored the body raw; v2 compresses it.
-    let snapshot = if version >= 2 {
-        decode_session(&lz_inflate(body)?, version)?
-    } else {
-        decode_session(body, version)?
-    };
+    let snapshot = decode_session(&lz_inflate(body)?)?;
     Ok(GeaSession::from_snapshot(snapshot))
 }
 
@@ -1349,8 +1145,28 @@ mod tests {
         }
     }
 
+    /// Re-import one exported table: the CSV under the exported schema
+    /// sidecar's column list.
+    fn reimport(dir: &Path, name: &str, schema: &Schema) -> gea_relstore::Table {
+        let stem = encode_name(name);
+        let sidecar = fs::read_to_string(dir.join(format!("{stem}.schema"))).unwrap();
+        let exported: Vec<(&str, DataType)> = sidecar
+            .lines()
+            .map(|l| l.split_once('\t').unwrap())
+            .map(|(col, dtype)| (col, parse_dtype(dtype).unwrap()))
+            .collect();
+        let declared: Vec<(&str, DataType)> = schema
+            .columns()
+            .iter()
+            .map(|c| (c.name.as_str(), c.dtype))
+            .collect();
+        assert_eq!(exported, declared, "schema sidecar of {name:?} differs");
+        let mut csv = fs::File::open(dir.join(format!("{stem}.csv"))).unwrap();
+        import_csv(schema.clone(), &mut csv).unwrap()
+    }
+
     #[test]
-    fn session_results_roundtrip() {
+    fn exported_results_reimport_identically() {
         let (corpus, _) = generate(&GeneratorConfig::demo(42));
         let mut session = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
         session
@@ -1359,56 +1175,42 @@ mod tests {
         let names = mine_with_sweep(&mut session, "brainP");
         assert!(!names.is_empty());
         session.comment(&names[0], "persisted comment").unwrap();
+        // A contents-only delete exports as an empty table whose lineage
+        // node is still there, marked dematerialized.
+        let dropped = names.last().unwrap();
+        session.delete(dropped, false).unwrap();
 
-        let dir = temp_dir("roundtrip");
+        let dir = temp_dir("export");
         save_results(&session, &dir).unwrap();
-        let loaded = load_results(&dir).unwrap();
 
-        // Every materialized table survives with identical contents.
+        // Every table's CSV re-imports with identical contents.
         for name in session.database().names() {
             let original = session.database().get(name).unwrap();
-            let reloaded = loaded
-                .database
-                .get(name)
-                .unwrap_or_else(|_| panic!("table {name:?} missing after reload"));
-            assert_eq!(reloaded, original, "table {name:?} differs");
+            let reloaded = reimport(&dir, name, original.schema());
+            assert_eq!(&reloaded, original, "table {name:?} differs");
         }
-        // Lineage structure and comments survive.
-        assert_eq!(loaded.lineage.len(), session.lineage().len());
-        let node = loaded.lineage.find_by_name(&names[0]).unwrap();
-        assert_eq!(node.comment, "persisted comment");
-        assert_eq!(node.operation, "Fascicles");
         assert_eq!(
-            loaded.lineage.render_tree(),
-            session.lineage().render_tree()
+            reimport(
+                &dir,
+                dropped,
+                session.database().get(dropped).unwrap().schema()
+            )
+            .n_rows(),
+            0
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dematerialized_nodes_survive_as_metadata() {
-        let (corpus, _) = generate(&GeneratorConfig::demo(42));
-        let mut session = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
-        session
-            .create_tissue_dataset("Ebrain", &TissueType::Brain)
-            .unwrap();
-        let names = mine_with_sweep(&mut session, "brainQ");
-        session.delete(&names[0], false).unwrap(); // contents-only
-
-        let dir = temp_dir("demat");
-        save_results(&session, &dir).unwrap();
-        let loaded = load_results(&dir).unwrap();
-        let node = loaded.lineage.find_by_name(&names[0]).unwrap();
+        // lineage.txt is the same text the snapshot embeds, and replays to
+        // the same history.
+        let lineage = parse_lineage(&fs::read_to_string(dir.join("lineage.txt")).unwrap()).unwrap();
+        assert_eq!(lineage.render_tree(), session.lineage().render_tree());
+        let node = lineage.find_by_name(&names[0]).unwrap();
+        assert_eq!(node.operation, "Fascicles");
+        if dropped != &names[0] {
+            assert_eq!(node.comment, "persisted comment");
+        }
+        let node = lineage.find_by_name(dropped).unwrap();
         assert!(!node.materialized);
-        assert_eq!(loaded.database.get(&names[0]).unwrap().n_rows(), 0);
-        let described = describe_node(node);
-        assert!(described.contains("Fascicles"));
+        assert!(describe_node(node).contains("Fascicles"));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn loading_missing_directory_fails() {
-        assert!(load_results(Path::new("/nonexistent/gea")).is_err());
     }
 
     /// The deterministic rich session of `tests/server_smoke.rs`: on demo
@@ -1640,38 +1442,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load() {
-        let session = rich_session();
-        let dir = temp_dir("v1compat");
-        fs::create_dir_all(&dir).unwrap();
-        // Hand-write a version-1 snapshot: raw (uncompressed) body in the
-        // v1 fascicle layout, fingerprint over the raw bytes.
-        let body = encode_session(&session, 1).unwrap();
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, 1);
-        put_u64(&mut out, fnv1a(&body));
-        out.extend_from_slice(&body);
-        fs::write(dir.join(SNAPSHOT_FILE), &out).unwrap();
-
-        let restored = load_session(&dir).unwrap();
-        // Everything except backend provenance round-trips; v1 records
-        // restore with the legacy backend tag and no parameters.
-        assert_eq!(restored.base(), session.base());
-        assert_eq!(restored.enum_tables(), session.enum_tables());
-        assert_eq!(
-            restored.fascicle_records().keys().collect::<Vec<_>>(),
-            session.fascicle_records().keys().collect::<Vec<_>>()
-        );
-        for rec in restored.fascicle_records().values() {
-            assert_eq!(rec.backend, "fascicles");
-            assert!(rec.params.is_empty());
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_snapshots_carry_backend_provenance() {
+    fn snapshots_carry_backend_provenance() {
         let session = rich_session();
         let dir = temp_dir("v2prov");
         save_session(&session, &dir).unwrap();

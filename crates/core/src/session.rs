@@ -506,7 +506,11 @@ impl GeaSession {
             + self.fascicles.approx_bytes()
     }
 
-    fn check_name_free(&self, name: &str) -> Result<(), GeaError> {
+    /// Whether `name` is free to define: not `SAGE` and not already an
+    /// ENUM, SUMY or GAP table. Every defining operation runs this first;
+    /// it is public so executors that validate before computing
+    /// (`gea-exec`'s scatter seam) fail in the same order.
+    pub fn check_name_free(&self, name: &str) -> Result<(), GeaError> {
         if name == "SAGE"
             || self.enums.contains_key(name)
             || self.sumys.contains_key(name)
@@ -844,20 +848,6 @@ impl GeaSession {
         dataset: &str,
         populate_fn: impl FnOnce(&SumyTable, &EnumTable) -> Vec<LibraryId>,
     ) -> Result<usize, GeaError> {
-        self.populate_from_sumy_traced(name, sumy, dataset, None, populate_fn)
-    }
-
-    /// [`GeaSession::populate_from_sumy_with`] with an optional optimizer
-    /// rule name recorded as a lineage param (`optimizer`), the same
-    /// wire-invisible annotation the compare/fusion fast paths leave.
-    pub fn populate_from_sumy_traced(
-        &mut self,
-        name: &str,
-        sumy: &str,
-        dataset: &str,
-        optimizer: Option<&str>,
-        populate_fn: impl FnOnce(&SumyTable, &EnumTable) -> Vec<LibraryId>,
-    ) -> Result<usize, GeaError> {
         self.check_name_free(name)?;
         let sumy_table = self.sumy(sumy)?.clone();
         let table = self.enum_table(dataset)?.clone();
@@ -870,13 +860,10 @@ impl GeaSession {
             .iter()
             .filter_map(|n| self.node(n))
             .collect();
-        let mut params = vec![
+        let params = vec![
             ("sumy".to_string(), sumy.to_string()),
             ("dataset".to_string(), dataset.to_string()),
         ];
-        if let Some(rule) = optimizer {
-            params.push(("optimizer".to_string(), rule.to_string()));
-        }
         self.record_node(name, NodeKind::Enum, "populate", params, &parents)?;
         self.db.create_or_replace(
             name,
@@ -934,15 +921,14 @@ impl GeaSession {
         fascicle: &str,
         property: LibraryProperty,
     ) -> Result<ControlGroupInputs, GeaError> {
-        let record = self.fascicle(fascicle)?.clone();
-        let fas_enum = self.enum_table(fascicle)?.clone();
-        if !fas_enum.is_pure(property) {
+        let record = self.fascicle(fascicle)?;
+        if !self.enum_table(fascicle)?.is_pure(property) {
             return Err(GeaError::NotPure {
                 fascicle: fascicle.to_string(),
                 property,
             });
         }
-        let dataset = self.enum_table(&record.dataset)?.clone();
+        let dataset = self.enum_table(&record.dataset)?;
         let members: std::collections::HashSet<&str> =
             record.members.iter().map(|s| s.as_str()).collect();
 

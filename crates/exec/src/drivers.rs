@@ -1,12 +1,16 @@
 //! The sharded parallel drivers: byte-identical fan-out/merge versions of
-//! `aggregate`, `populate` (scan, columnar, indexed), and `mine`.
+//! `aggregate`, `populate` and `mine`, over plain tables.
 //!
 //! Every driver follows the same shape: build a [`ShardPlan`] over the
 //! operator's natural axis, run one job per shard on the scoped pool
 //! ([`run_jobs`]), with each job executing the *serial* per-item code from
 //! `gea-core`, then merge in shard order. See each driver's comment for
 //! why its merge reproduces the serial result exactly — including the
-//! deterministic work counters in [`PopulateStats`].
+//! deterministic work counters in [`PopulateStats`]. Each per-shard job
+//! is a named kernel ([`materialize_groups`], [`converge_seeds`],
+//! [`PopulateScan::prune`]) that the [`crate::scatter`] seam calls for
+//! its partials too, so the pool here and the router's `xpart` run one
+//! implementation.
 
 use std::mem::MaybeUninit;
 use std::sync::Mutex;
@@ -14,17 +18,13 @@ use std::time::Instant;
 
 use gea_cluster::ToleranceVector;
 use gea_core::mine::{materialize_cluster, mine_groups, MinedCluster, Miner};
-use gea_core::populate::{
-    columnar_prune_with, index_probe, library_satisfies, materialize_populate, resolve_conditions,
-    PopulateIndex, PopulateStats,
-};
+use gea_core::populate::{columnar_prune_with, resolve_conditions, PopulateStats};
 use gea_core::sumy::{aggregate_rows_range_with, aggregate_tag_rows_with, SumyRow, SumyTable};
 use gea_core::{EnumTable, ExecConfig};
-use gea_mine::isa::{converge_seed, dedupe_modules, IsaParams, IsaScores};
+use gea_mine::isa::{converge_seed, dedupe_modules, IsaModule, IsaParams, IsaScores};
 use gea_mine::simplex::{
     assign_range, clr_embed, groups_from_assignment, kmedoids_with, SimplexParams,
 };
-use gea_relstore::index::intersect_row_lists;
 use gea_sage::library::LibraryId;
 use gea_sage::tag::TagId;
 use gea_sage::ExpressionMatrix;
@@ -44,7 +44,7 @@ use crate::ExecStats;
 /// shards inline instead of paying the scheduler to interleave them.
 /// Results are byte-identical at any worker count (that is the crate's
 /// contract), so the clamp is invisible except in wall time.
-fn run_sharded<T: Send>(
+pub(crate) fn run_sharded<T: Send>(
     cfg: &ExecConfig,
     plan: &ShardPlan,
     job: impl Fn(usize, usize, usize) -> T + Sync,
@@ -76,13 +76,12 @@ fn run_sharded<T: Send>(
 /// reallocations: one exact-capacity allocation, then a move-extend per
 /// shard. (The old `flatten().collect()` merge could not size the output
 /// up front, so it grew — and re-copied — the accumulated rows.) Used by
-/// the cluster-materialization drivers; the aggregate drivers go one step
-/// further and skip the merge entirely ([`fill_rows_sharded`]).
+/// the mining drivers; the aggregate drivers go one step further and
+/// skip the merge entirely ([`fill_rows_sharded`]).
 ///
-/// Public because this *is* the determinism seam: concatenation in
-/// shard-index order equals serial iteration order, whether the shards
-/// were computed by this process's pool or shipped back from remote
-/// backends (`gea-router` scatter/gather reuses it unchanged).
+/// This *is* the determinism argument: concatenation in shard-index
+/// order equals serial iteration order, whether the shards were computed
+/// by this process's pool or shipped back from remote backends.
 pub fn merge_shards<T>(shards: Vec<Vec<T>>) -> Vec<T> {
     let total = shards.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
@@ -173,53 +172,68 @@ pub fn aggregate_tags_sharded(
     tags: &[TagId],
     cfg: &ExecConfig,
 ) -> (SumyTable, ExecStats) {
+    let (rows, stats) = tag_rows_sharded(matrix, tags, cfg);
+    (SumyTable::new(name, rows), stats)
+}
+
+/// The rows of [`aggregate_tags_sharded`] before they are named: the
+/// in-process sink of the `groups` seam, which names the three tables
+/// only when it installs them.
+pub(crate) fn tag_rows_sharded(
+    matrix: &ExpressionMatrix,
+    tags: &[TagId],
+    cfg: &ExecConfig,
+) -> (Vec<SumyRow>, ExecStats) {
     assert!(
         matrix.n_libraries() > 0,
         "cannot aggregate an ENUM table with no libraries"
     );
     let plan = ShardPlan::new(tags.len(), cfg.shards);
-    let (rows, stats) = fill_rows_sharded(cfg, &plan, tags.len(), |lo, hi, sink| {
+    fill_rows_sharded(cfg, &plan, tags.len(), |lo, hi, sink| {
         aggregate_tag_rows_with(matrix, &tags[lo..hi], sink)
-    });
-    (SumyTable::new(name, rows), stats)
+    })
 }
 
-/// Sharded [`gea_core::populate::populate_scan`]: partition the libraries;
-/// each shard tests its range with the serial [`library_satisfies`] check
-/// (early exit per library, one comparison charged per evaluated
-/// condition). A library's qualification and comparison count depend only
-/// on its own cells, so concatenated hits are the serial hit order and
-/// summed shard comparisons equal the serial total.
-pub fn populate_scan_sharded(
-    sumy: &SumyTable,
-    table: &EnumTable,
-    cfg: &ExecConfig,
-) -> (Vec<LibraryId>, PopulateStats, ExecStats) {
-    let resolved = resolve_conditions(sumy, table);
-    let plan = ShardPlan::for_libraries(table, cfg.shards);
-    let (shards, exec) = run_sharded(cfg, &plan, |_, lo, hi| {
-        let mut comparisons = 0u64;
-        let hits: Vec<LibraryId> = (lo..hi)
-            .map(|l| LibraryId(l as u32))
-            .filter(|&lib| library_satisfies(table, &resolved, lib, None, &mut comparisons))
-            .collect();
-        (hits, comparisons)
-    });
-    let mut stats = PopulateStats {
-        candidates: table.n_libraries(),
-        ..PopulateStats::default()
-    };
-    let mut hits = Vec::new();
-    for (shard_hits, comparisons) in shards {
-        hits.extend(shard_hits);
-        stats.comparisons += comparisons;
+/// A `populate` qualification ready to prune library ranges: the SUMY's
+/// conditions resolved once against the table's universe, plus candidate
+/// buffers kept warm across ranges.
+pub(crate) struct PopulateScan<'a> {
+    table: &'a EnumTable,
+    conditions: Vec<(Option<TagId>, f64, f64)>,
+    scratch: ScratchPool<Vec<u32>>,
+}
+
+impl<'a> PopulateScan<'a> {
+    pub(crate) fn new(sumy: &SumyTable, table: &'a EnumTable) -> PopulateScan<'a> {
+        PopulateScan {
+            table,
+            conditions: resolve_conditions(sumy, table),
+            scratch: ScratchPool::new(),
+        }
     }
-    (hits, stats, exec)
+
+    pub(crate) fn n_libraries(&self) -> usize {
+        self.table.n_libraries()
+    }
+
+    /// Prune the library range `[lo, hi)` with the serial columnar kernel:
+    /// the surviving libraries (ascending) and the condition rows read.
+    pub(crate) fn prune(&self, lo: usize, hi: usize) -> (Vec<LibraryId>, usize) {
+        let mut candidates = self.scratch.take();
+        let rows_processed =
+            columnar_prune_with(&self.conditions, self.table, lo, hi, &mut candidates);
+        let hits = candidates
+            .iter()
+            .map(|&l| LibraryId((lo + l as usize) as u32))
+            .collect();
+        self.scratch.put(candidates);
+        (hits, rows_processed)
+    }
 }
 
 /// Sharded [`gea_core::populate::populate_columnar`]: partition the
 /// libraries; each shard runs the serial pruning loop
-/// ([`columnar_prune_range`]) over its range, stopping when *its*
+/// ([`PopulateScan::prune`]) over its range, stopping when *its*
 /// candidates empty. Pruning decisions are per-library, so each range
 /// survives exactly the libraries the global loop would; and since the
 /// global loop stops only when every range is empty, the serial
@@ -231,20 +245,10 @@ pub fn populate_columnar_sharded(
     table: &EnumTable,
     cfg: &ExecConfig,
 ) -> (Vec<LibraryId>, PopulateStats, ExecStats) {
-    let resolved = resolve_conditions(sumy, table);
-    let n = table.n_libraries();
-    let plan = ShardPlan::for_libraries(table, cfg.shards);
-    let scratch: ScratchPool<Vec<u32>> = ScratchPool::new();
-    let (shards, exec) = run_sharded(cfg, &plan, |_, lo, hi| {
-        let mut candidates = scratch.take();
-        let rows_processed = columnar_prune_with(&resolved, table, lo, hi, &mut candidates);
-        let hits: Vec<LibraryId> = candidates
-            .iter()
-            .map(|&l| LibraryId((lo + l as usize) as u32))
-            .collect();
-        scratch.put(candidates);
-        (hits, rows_processed)
-    });
+    let scan = PopulateScan::new(sumy, table);
+    let n = scan.n_libraries();
+    let plan = ShardPlan::new(n, cfg.shards);
+    let (shards, exec) = run_sharded(cfg, &plan, |_, lo, hi| scan.prune(lo, hi));
     let mut hits = Vec::new();
     let mut max_rows = 0usize;
     for (shard_hits, rows_processed) in shards {
@@ -259,61 +263,22 @@ pub fn populate_columnar_sharded(
     (hits, stats, exec)
 }
 
-/// Sharded [`gea_core::populate::populate_indexed`]: the index probe and
-/// candidate-list intersection stay serial (they are cheap and
-/// order-sensitive); the surviving candidate list is partitioned and
-/// verified in parallel with the serial per-candidate check. Falls back to
-/// [`populate_scan_sharded`] when no index hits, like the serial driver.
-pub fn populate_indexed_sharded(
-    sumy: &SumyTable,
+/// Materialize `(libraries, tags)` groups as clusters numbered from
+/// `first`, in group order — the per-range kernel of `mine`, and the tail
+/// of the miners whose search is not range-shaped.
+pub(crate) fn materialize_groups(
     table: &EnumTable,
-    index: &PopulateIndex,
-    cfg: &ExecConfig,
-) -> (Vec<LibraryId>, PopulateStats, ExecStats) {
-    let resolved = resolve_conditions(sumy, table);
-    let (hit_lists, covered) = index_probe(sumy, index);
-    let indexes_hit = hit_lists.len();
-    if indexes_hit == 0 {
-        return populate_scan_sharded(sumy, table, cfg);
-    }
-    let candidates = intersect_row_lists(hit_lists);
-    let mut stats = PopulateStats {
-        indexes_hit,
-        candidates: candidates.len(),
-        comparisons: 0,
-    };
-    let plan = ShardPlan::new(candidates.len(), cfg.shards);
-    let (shards, exec) = run_sharded(cfg, &plan, |_, lo, hi| {
-        let mut comparisons = 0u64;
-        let hits: Vec<LibraryId> = candidates[lo..hi]
-            .iter()
-            .map(|&r| LibraryId(r as u32))
-            .filter(|&lib| {
-                library_satisfies(table, &resolved, lib, Some(&covered), &mut comparisons)
-            })
-            .collect();
-        (hits, comparisons)
-    });
-    let mut hits = Vec::new();
-    for (shard_hits, comparisons) in shards {
-        hits.extend(shard_hits);
-        stats.comparisons += comparisons;
-    }
-    (hits, stats, exec)
-}
-
-/// Sharded [`gea_core::populate::populate`] (the macro-operation): the
-/// sharded columnar pruning (matching the serial macro's evaluation
-/// strategy — identical hits either way) followed by the same serial
-/// materialization ([`materialize_populate`]) of the result ENUM table.
-pub fn populate_sharded(
-    name: &str,
-    sumy: &SumyTable,
-    table: &EnumTable,
-    cfg: &ExecConfig,
-) -> (EnumTable, ExecStats) {
-    let (libs, _, exec) = populate_columnar_sharded(sumy, table, cfg);
-    (materialize_populate(name, sumy, table, &libs), exec)
+    base_name: &str,
+    first: usize,
+    groups: impl IntoIterator<Item = (Vec<usize>, Vec<usize>)>,
+) -> Vec<MinedCluster> {
+    groups
+        .into_iter()
+        .enumerate()
+        .map(|(off, (records, attrs))| {
+            materialize_cluster(table, base_name, first + off, records, attrs)
+        })
+        .collect()
 }
 
 /// Sharded [`gea_core::mine::mine`]: the clustering pass
@@ -332,23 +297,40 @@ pub fn mine_sharded(
     let groups = mine_groups(table, miner, tolerance);
     let plan = ShardPlan::new(groups.len(), cfg.shards);
     let (shards, stats) = run_sharded(cfg, &plan, |_, lo, hi| {
-        groups[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(off, (records, attrs))| {
-                materialize_cluster(table, base_name, lo + off, records.clone(), attrs.clone())
-            })
-            .collect::<Vec<_>>()
+        materialize_groups(table, base_name, lo, groups[lo..hi].iter().cloned())
     });
     (merge_shards(shards), stats)
 }
 
+/// The per-range kernel of ISA: converge the seeds `[lo, hi)` with the
+/// serial `converge_seed`, dead ones kept in place.
+pub(crate) fn converge_seeds(
+    scores: &IsaScores,
+    params: &IsaParams,
+    lo: usize,
+    hi: usize,
+) -> Vec<Option<IsaModule>> {
+    (lo..hi)
+        .map(|seed| converge_seed(scores, seed, params.seeds, params))
+        .collect()
+}
+
+/// The gather half of ISA: dedupe the seed-order module list and
+/// materialize the surviving clusters.
+pub(crate) fn isa_clusters(
+    table: &EnumTable,
+    base_name: &str,
+    modules: Vec<Option<IsaModule>>,
+) -> Vec<MinedCluster> {
+    materialize_groups(table, base_name, 0, dedupe_modules(modules))
+}
+
 /// Sharded [`gea_mine::IsaBackend`]: the z-scored views are built once
 /// (read-only, shared), the *seed range* is partitioned, and each shard
-/// iterates its seeds with the serial [`converge_seed`]. Seeds never
-/// interact, so concatenating the per-shard module lists in shard order is
-/// the serial seed order; the shared [`dedupe_modules`] then collapses
-/// duplicates identically — byte-identical to `IsaBackend::mine`.
+/// iterates its seeds with [`converge_seeds`]. Seeds never interact, so
+/// concatenating the per-shard module lists in shard order is the serial
+/// seed order; the shared `dedupe_modules` then collapses duplicates
+/// identically — byte-identical to `IsaBackend::mine`.
 pub fn isa_mine_sharded(
     table: &EnumTable,
     base_name: &str,
@@ -358,18 +340,9 @@ pub fn isa_mine_sharded(
     let scores = IsaScores::build(table);
     let plan = ShardPlan::new(params.seeds, cfg.shards);
     let (shards, stats) = run_sharded(cfg, &plan, |_, lo, hi| {
-        (lo..hi)
-            .map(|seed| converge_seed(&scores, seed, params.seeds, params))
-            .collect::<Vec<_>>()
+        converge_seeds(&scores, params, lo, hi)
     });
-    let modules: Vec<_> = shards.into_iter().flatten().collect();
-    let groups = dedupe_modules(modules);
-    let clusters = groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, (records, attrs))| materialize_cluster(table, base_name, i, records, attrs))
-        .collect();
-    (clusters, stats)
+    (isa_clusters(table, base_name, merge_shards(shards)), stats)
 }
 
 /// Sharded [`gea_mine::SimplexBackend`]: medoid initialization and updates
@@ -398,10 +371,5 @@ pub fn simplex_mine_sharded(
         shards.into_iter().flatten().collect()
     });
     let groups = groups_from_assignment(table.n_tags(), medoids.len(), &assign);
-    let clusters = groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, (records, attrs))| materialize_cluster(table, base_name, i, records, attrs))
-        .collect();
-    (clusters, total)
+    (materialize_groups(table, base_name, 0, groups), total)
 }

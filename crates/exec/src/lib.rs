@@ -1,10 +1,10 @@
 //! # gea-exec — the sharded parallel execution engine
 //!
 //! Every operator in `gea-core` is single-threaded; this crate fans the
-//! embarrassingly parallel ones — `mine` materialization, `populate`
-//! (all three evaluation strategies), and `aggregate` — across a
-//! hand-rolled scoped worker pool, one contiguous shard per job, and
-//! merges the shard results with an order-stable reduction.
+//! embarrassingly parallel ones — `mine` materialization, ISA seeds,
+//! `populate` qualification and `aggregate` — across a hand-rolled scoped
+//! worker pool, one contiguous shard per job, and merges the shard
+//! results with an order-stable reduction.
 //!
 //! The contract is **byte identity**: for any shard count and any thread
 //! count, a sharded driver returns exactly the bits the serial operator
@@ -20,6 +20,13 @@
 //! * shards are merged by concatenation in shard-index order, which by
 //!   construction is the serial iteration order.
 //!
+//! Two layers: [`drivers`] shards operators over plain tables, and
+//! [`scatter`] is the session-level seam — `prepare → partial(range) →
+//! install` per scan-shaped macro operation — that the in-process pool
+//! ([`scatter::run`]) and `gea-server`'s router-facing `xpart`/`xapply`
+//! verbs both call, so one server, a sharded one and a routed fleet run
+//! one implementation of each per-shard computation.
+//!
 //! The pool is built on [`std::thread::scope`] — the build is offline, so
 //! no rayon — and sized by [`ExecConfig`] (re-exported from `gea-core`),
 //! which defaults to the machine's available parallelism.
@@ -27,28 +34,19 @@
 #![warn(missing_docs)]
 
 pub mod drivers;
-pub mod parts;
 pub mod pool;
+pub mod scatter;
 pub mod scratch;
-pub mod session_ext;
 pub mod shard;
 
 pub use drivers::{
     aggregate_sharded, aggregate_tags_sharded, isa_mine_sharded, merge_shards, mine_sharded,
-    populate_columnar_sharded, populate_indexed_sharded, populate_scan_sharded, populate_sharded,
-    simplex_mine_sharded,
+    populate_columnar_sharded, simplex_mine_sharded,
 };
 pub use gea_core::session::{ExecConfig, ExecEvent};
-pub use parts::{
-    aggregate_rows_part, isa_clusters_from_modules, isa_modules_part, mine_clusters_part,
-    populate_hits_part,
-};
 pub use pool::run_jobs;
+pub use scatter::{mine_with_backend_sharded, Partial, Prepared, ScatterOp};
 pub use scratch::ScratchPool;
-pub use session_ext::{
-    calculate_fascicles_sharded, form_control_groups_sharded, mine_with_backend_sharded,
-    populate_session_sharded,
-};
 pub use shard::ShardPlan;
 
 /// Wall/busy accounting for one sharded execution. `busy_us` sums the

@@ -1,7 +1,5 @@
 //! Contiguous, stable-order input partitioning.
 
-use gea_core::EnumTable;
-
 /// A partition of `n` items (tag rows, libraries, clusters — anything
 /// indexed `0..n`) into at most `k` contiguous half-open ranges of
 /// near-equal size, in stable ascending order.
@@ -35,19 +33,6 @@ impl ShardPlan {
         ShardPlan { n, bounds }
     }
 
-    /// Partition an ENUM table's tag rows — the axis the rotated layout
-    /// stores contiguously, and the natural sharding axis for
-    /// tag-at-a-time operators like `aggregate`.
-    pub fn for_tag_rows(table: &EnumTable, shards: usize) -> ShardPlan {
-        ShardPlan::new(table.n_tags(), shards)
-    }
-
-    /// Partition an ENUM table's libraries — the sharding axis for
-    /// library-at-a-time operators like `populate`.
-    pub fn for_libraries(table: &EnumTable, shards: usize) -> ShardPlan {
-        ShardPlan::new(table.n_libraries(), shards)
-    }
-
     /// Number of shards in the plan (at least 1).
     pub fn len(&self) -> usize {
         self.bounds.len()
@@ -68,6 +53,16 @@ impl ShardPlan {
     /// The `i`-th half-open range `[lo, hi)`.
     pub fn range(&self, i: usize) -> (usize, usize) {
         self.bounds[i]
+    }
+
+    /// The `i`-th range, or `None` at or past [`ShardPlan::len`]. The
+    /// shard count is clamped to the item count, so when there are fewer
+    /// items than requested shards the trailing shards do not exist — a
+    /// backend asked for shard 2 of 3 over a 2-cluster mine gets `None`
+    /// and contributes nothing, exactly as if the serial loop had never
+    /// reached it.
+    pub fn get(&self, i: usize) -> Option<(usize, usize)> {
+        self.bounds.get(i).copied()
     }
 
     /// All ranges in shard order.
@@ -111,6 +106,15 @@ mod tests {
         let plan = ShardPlan::new(0, 8);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.range(0), (0, 0));
+    }
+
+    #[test]
+    fn shards_past_a_clamped_plan_do_not_exist() {
+        // 2 items over 5 shards: the plan clamps to 2.
+        let plan = ShardPlan::new(2, 5);
+        assert_eq!(plan.get(1), Some((1, 2)));
+        assert_eq!(plan.get(2), None);
+        assert_eq!(plan.get(4), None);
     }
 
     #[test]

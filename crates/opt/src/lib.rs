@@ -107,19 +107,6 @@ pub const RULE_FUSE_GAP_TOPGAP: &str = "fuse-gap-topgap";
 /// intermediate re-validation round.
 pub const RULE_FUSE_POPULATE_SELECT: &str = "fuse-populate-select";
 
-/// A standalone `populate P S D` has its access path — index probe versus
-/// columnar scan — chosen at execution time by `gea-check`'s abstract cost
-/// oracle over the *live* table sizes, instead of always scanning.
-///
-/// Sound because all three populate kernels (`populate_scan`,
-/// `populate_columnar`, `populate_indexed`) return the same hit list
-/// (property-tested in `gea-core`), and everything the reply and lineage
-/// derive from — materialization, naming, error discipline — is the shared
-/// bookkeeping of `populate_from_sumy_with`. The rewrite changes *which*
-/// kernel runs, never *what* it returns; the oracle consults only
-/// deterministic default coefficients, so replicas decide identically.
-pub const RULE_POPULATE_ACCESS_PATH: &str = "populate-access-path";
-
 /// TOMBSTONE — `compare N G1 G2 op q` ≢ `compare N G2 G1 op q`.
 ///
 /// Plausible because union/intersection are set-commutative over *tags*;
@@ -172,11 +159,6 @@ pub const RULES: &[Rule] = &[
         name: RULE_FUSE_POPULATE_SELECT,
         status: RuleStatus::Shipped,
         summary: "fuse adjacent populate P S D ; select X P libs into one step",
-    },
-    Rule {
-        name: RULE_POPULATE_ACCESS_PATH,
-        status: RuleStatus::Shipped,
-        summary: "choose populate's access path (index probe vs columnar scan) by cost oracle",
     },
     Rule {
         name: TOMB_COMMUTE_COMPARE,
@@ -276,22 +258,6 @@ pub enum Step {
         /// Which rule installed this step.
         rule: &'static str,
     },
-    /// A standalone `populate name sumy dataset` whose access path (index
-    /// probe vs columnar scan) the executor picks with the cost oracle
-    /// ([`RULE_POPULATE_ACCESS_PATH`]). The choice needs live table sizes,
-    /// so it is deferred to execution; the step only records the names.
-    PopulateAccessPath {
-        /// Position in the source pipeline.
-        index: usize,
-        /// The populated ENUM name.
-        name: String,
-        /// The SUMY whose intensional definition drives populate.
-        sumy: String,
-        /// The dataset populate qualifies libraries from.
-        dataset: String,
-        /// Which rule installed this step.
-        rule: &'static str,
-    },
     /// Fused `populate name sumy dataset ; select select_name name libs`
     /// ([`RULE_FUSE_POPULATE_SELECT`]).
     FusedPopulateSelect {
@@ -318,9 +284,7 @@ impl Step {
     /// Source-pipeline positions this step covers, in execution order.
     pub fn indices(&self) -> Vec<usize> {
         match self {
-            Step::Exec { index, .. }
-            | Step::CompareSelf { index, .. }
-            | Step::PopulateAccessPath { index, .. } => vec![*index],
+            Step::Exec { index, .. } | Step::CompareSelf { index, .. } => vec![*index],
             Step::FusedGapTopGap {
                 gap_index,
                 top_index,
@@ -426,28 +390,6 @@ pub fn rewrite_command(index: usize, cmd: &GqlCommand) -> Option<(Step, Rewrite)
                     rule,
                     index,
                     detail,
-                },
-            ))
-        }
-        GqlCommand::Populate {
-            name,
-            from: Some((sumy, dataset)),
-        } => {
-            let rule = RULE_POPULATE_ACCESS_PATH;
-            Some((
-                Step::PopulateAccessPath {
-                    index,
-                    name: name.clone(),
-                    sumy: sumy.clone(),
-                    dataset: dataset.clone(),
-                    rule,
-                },
-                Rewrite {
-                    rule,
-                    index,
-                    detail: format!(
-                        "populate {name}: access path (index vs scan) chosen by cost oracle"
-                    ),
                 },
             ))
         }
@@ -606,7 +548,7 @@ mod tests {
 
     #[test]
     fn registry_has_shipped_and_tombstoned_rules() {
-        assert_eq!(shipped_rules().len(), 6);
+        assert_eq!(shipped_rules().len(), 5);
         assert!(tombstoned_rules().len() >= 3);
         for r in RULES {
             assert!(rule(r.name).is_some());
@@ -672,50 +614,17 @@ mod tests {
         // topgap names a different gap.
         let plan = optimize(&cmds(&["gap g s1 s2", "topgap other 5"]));
         assert!(plan.is_identity());
-        // select reads a different source: no fusion — the standalone
-        // populate falls through to the access-path rule instead.
+        // select reads a different source: no fusion, and a standalone
+        // populate is executed literally.
         let plan = optimize(&cmds(&["populate P S D", "select X D libA"]));
-        assert_eq!(plan.rewrites.len(), 1);
-        assert_eq!(plan.rewrites[0].rule, RULE_POPULATE_ACCESS_PATH);
-        assert!(matches!(&plan.steps[1], Step::Exec { index: 1, .. }));
+        assert!(plan.is_identity());
+        assert!(rewrite_command(0, &cmd("populate P S D")).is_none());
         // a command between breaks adjacency.
         let plan = optimize(&cmds(&["gap g s1 s2", "tissues", "topgap g 5"]));
         assert!(plan.is_identity());
-        // lineage-repopulate form (no from-clause) never fuses with select
-        // and never takes the access-path fast path either.
+        // lineage-repopulate form (no from-clause) never fuses with select.
         let plan = optimize(&cmds(&["populate P", "select X P libA"]));
         assert!(plan.is_identity());
-    }
-
-    #[test]
-    fn standalone_populate_takes_the_access_path_step() {
-        let (step, rw) = rewrite_command(3, &cmd("populate P S D")).expect("rewrite");
-        assert_eq!(rw.rule, RULE_POPULATE_ACCESS_PATH);
-        match step {
-            Step::PopulateAccessPath {
-                index,
-                name,
-                sumy,
-                dataset,
-                rule,
-            } => {
-                assert_eq!(index, 3);
-                assert_eq!(
-                    (name.as_str(), sumy.as_str(), dataset.as_str()),
-                    ("P", "S", "D")
-                );
-                assert_eq!(rule, RULE_POPULATE_ACCESS_PATH);
-            }
-            other => panic!("planned as {other:?}"),
-        }
-        // The lineage-repopulate form carries no SUMY/dataset to choose an
-        // access path for.
-        assert!(rewrite_command(0, &cmd("populate P")).is_none());
-        // Fusion still wins when the select is adjacent: the fused step
-        // covers both commands and the access-path rule stays out.
-        let plan = optimize(&cmds(&["populate P S D", "select X P libA"]));
-        assert_eq!(plan.rewrites.len(), 1);
-        assert_eq!(plan.rewrites[0].rule, RULE_FUSE_POPULATE_SELECT);
     }
 
     #[test]

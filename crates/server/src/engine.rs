@@ -10,15 +10,17 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use gea_cluster::FascicleParams;
 use gea_core::relational::{enum_to_relation, gap_to_relation, sumy_to_relation};
 use gea_core::search::{library_info_by_id, library_info_by_name, tag_frequency};
 use gea_core::session::{GeaError, GeaSession};
 use gea_core::topgap::{series_means, TopGapOrder};
+use gea_exec::scatter::{self, ScatterOp};
+use gea_mine::MineBackend;
 use gea_sage::library::LibraryId;
 use gea_sage::library::LibraryProperty;
 
 use crate::gql::{GqlCommand, ShowKind};
+use crate::EffectTable;
 
 /// A failed command: a stable machine-readable code plus a human message,
 /// rendered on the wire as `ERR <code> <message>`.
@@ -98,6 +100,144 @@ impl From<gea_core::persist::PersistError> for EngineError {
 
 fn not_found(message: String) -> EngineError {
     EngineError::new("ENOTFOUND", message)
+}
+
+/// Look `algo` up in the gea-mine registry and resolve the `key=value`
+/// parameters against its typed schema.
+fn resolve_backend(
+    algo: &str,
+    params: &[(String, gea_mine::ParamValue)],
+) -> Result<(&'static dyn MineBackend, gea_mine::ResolvedParams), EngineError> {
+    let backend = gea_mine::backend(algo).ok_or_else(|| {
+        EngineError::new(
+            "EQUERY",
+            format!(
+                "unknown mining backend {algo:?}; available: {}",
+                gea_mine::backend_names()
+            ),
+        )
+    })?;
+    let resolved = gea_mine::resolve_params(backend.params(), params)
+        .map_err(|e| EngineError::new("EQUERY", e))?;
+    Ok((backend, resolved))
+}
+
+/// The one mapping from GQL to the scatter seam: `Some` exactly for the
+/// commands the [`EffectTable`] marks scatterable. The in-process write
+/// path, `xpart` and `xapply` all start here, so a command scatters
+/// everywhere or nowhere.
+pub(crate) fn scatter_op(cmd: &GqlCommand) -> Result<Option<ScatterOp>, EngineError> {
+    if !EffectTable::of(cmd).scatterable {
+        return Ok(None);
+    }
+    Ok(Some(match cmd {
+        GqlCommand::Mine {
+            dataset,
+            out,
+            k_pct,
+            min_records,
+            batch,
+        } => ScatterOp::Fascicles {
+            dataset: dataset.clone(),
+            out: out.clone(),
+            k_pct: *k_pct,
+            min_records: *min_records,
+            batch: *batch,
+        },
+        // The only backend the table scatters is the range-sharded one.
+        GqlCommand::MineWith {
+            dataset,
+            out,
+            algo,
+            params,
+        } => ScatterOp::Isa {
+            dataset: dataset.clone(),
+            out: out.clone(),
+            params: resolve_backend(algo, params)?.1,
+        },
+        GqlCommand::Populate {
+            name,
+            from: Some((sumy, dataset)),
+        } => ScatterOp::Populate {
+            name: name.clone(),
+            sumy: sumy.clone(),
+            dataset: dataset.clone(),
+        },
+        GqlCommand::Groups(fascicle) => ScatterOp::Groups {
+            fascicle: fascicle.clone(),
+            property: LibraryProperty::Cancer,
+        },
+        other => {
+            return Err(EngineError::new(
+                "EUNKNOWN",
+                format!(
+                    "{} is marked scatterable but has no scatter op",
+                    other.verb()
+                ),
+            ))
+        }
+    }))
+}
+
+/// Run a scatterable operation on the session's own pool and render its
+/// reply — byte-identical to the serial macro operation.
+pub(crate) fn execute_scatter(
+    session: &mut GeaSession,
+    op: &ScatterOp,
+) -> Result<String, EngineError> {
+    let created = scatter::run(session, op)?;
+    render_scattered(session, op, &created)
+}
+
+/// Reply for a just-installed scatterable operation; `created` is what
+/// `scatter::run` / `scatter::install` returned. The in-process path and
+/// `xapply` both render here.
+pub(crate) fn render_scattered(
+    session: &GeaSession,
+    op: &ScatterOp,
+    created: &[String],
+) -> Result<String, EngineError> {
+    match op {
+        ScatterOp::Fascicles { .. } => render_mined(session, created, None),
+        ScatterOp::Isa { .. } => render_mined(session, created, Some(gea_mine::IsaBackend.name())),
+        ScatterOp::Populate {
+            name,
+            sumy,
+            dataset,
+        } => render_populate_created(session, name, sumy, dataset),
+        ScatterOp::Groups { .. } => match created {
+            [inside, outside, contrast] => Ok(format!(
+                "SUMY tables created:\n  in fascicle:      {inside}\n  outside fascicle: {outside}\n  contrast (normal): {contrast}"
+            )),
+            _ => Err(EngineError::new(
+                "EUNKNOWN",
+                "groups did not report its three tables",
+            )),
+        },
+    }
+}
+
+/// Reply for just-mined tables: fascicles of the bare `mine`, clusters of
+/// `mine … with <algo>`.
+fn render_mined(
+    session: &GeaSession,
+    names: &[String],
+    algo: Option<&str>,
+) -> Result<String, EngineError> {
+    let mut text = match algo {
+        None => format!("{} fascicle(s):\n", names.len()),
+        Some(a) => format!("{} cluster(s) via {a}:\n", names.len()),
+    };
+    for f in names {
+        let r = session.fascicle(f)?;
+        let _ = writeln!(
+            text,
+            "  {f}: {} libraries, {} compact tags",
+            r.members.len(),
+            r.compact_tags.len()
+        );
+    }
+    Ok(text)
 }
 
 /// Execute a command, choosing the read or write path by
@@ -291,6 +431,9 @@ pub fn execute_read(session: &GeaSession, cmd: &GqlCommand) -> Result<String, En
 /// Execute a mutating command. Read commands are delegated to
 /// [`execute_read`], so this is a complete single-session entry point.
 pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<String, EngineError> {
+    if let Some(op) = scatter_op(cmd)? {
+        return execute_scatter(session, &op);
+    }
     let out = match cmd {
         GqlCommand::Dataset { name, tissue } => {
             session.create_tissue_dataset(name, tissue)?;
@@ -331,83 +474,19 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
                 t.n_libraries()
             )
         }
-        GqlCommand::Mine {
-            dataset,
-            out,
-            k_pct,
-            min_records,
-            batch,
-        } => {
-            let n_tags = session.enum_table(dataset)?.n_tags();
-            // Route through the sharded executor: byte-identical to the
-            // serial path, parallel across the session's ExecConfig.
-            let names = gea_exec::calculate_fascicles_sharded(
-                session,
-                dataset,
-                out,
-                0.10,
-                &FascicleParams {
-                    min_compact_attrs: n_tags * k_pct / 100,
-                    min_records: *min_records,
-                    batch_size: *batch,
-                },
-            )?;
-            let mut text = format!("{} fascicle(s):\n", names.len());
-            for f in names {
-                let r = session.fascicle(&f).unwrap();
-                let _ = writeln!(
-                    text,
-                    "  {f}: {} libraries, {} compact tags",
-                    r.members.len(),
-                    r.compact_tags.len()
-                );
-            }
-            text
-        }
         GqlCommand::MineWith {
             dataset,
             out,
             algo,
             params,
         } => {
-            // Pluggable mining backends (`with isa`, `with simplex`, …):
-            // look the algorithm up in the gea-mine registry, resolve the
-            // key=value parameters against its typed schema, and run the
-            // backend's sharded driver. (`with fascicles` never reaches
-            // here — the parser desugars it to the bare `Mine` arm above,
-            // keeping that path byte-identical to the historic toolkit.)
-            let backend = gea_mine::backend(algo).ok_or_else(|| {
-                EngineError::new(
-                    "EQUERY",
-                    format!(
-                        "unknown mining backend {algo:?}; available: {}",
-                        gea_mine::backend_names()
-                    ),
-                )
-            })?;
-            let resolved = gea_mine::resolve_params(backend.params(), params)
-                .map_err(|e| EngineError::new("EQUERY", e))?;
+            // `with isa` took the scatter seam above and the parser
+            // desugars `with fascicles` to the bare `mine`; what reaches
+            // here mines whole, through its backend's own sharded driver.
+            let (backend, resolved) = resolve_backend(algo, params)?;
             let names =
                 gea_exec::mine_with_backend_sharded(session, dataset, out, backend, &resolved)?;
-            let mut text = format!("{} cluster(s) via {algo}:\n", names.len());
-            for f in names {
-                let r = session.fascicle(&f).unwrap();
-                let _ = writeln!(
-                    text,
-                    "  {f}: {} libraries, {} compact tags",
-                    r.members.len(),
-                    r.compact_tags.len()
-                );
-            }
-            text
-        }
-        GqlCommand::Groups(fascicle) => {
-            let groups =
-                gea_exec::form_control_groups_sharded(session, fascicle, LibraryProperty::Cancer)?;
-            format!(
-                "SUMY tables created:\n  in fascicle:      {}\n  outside fascicle: {}\n  contrast (normal): {}",
-                groups.in_fascicle, groups.outside_fascicle, groups.contrast
-            )
+            render_mined(session, &names, Some(algo))?
         }
         GqlCommand::Gap { name, sumy1, sumy2 } => {
             session.create_gap(name, sumy1, sumy2)?;
@@ -442,15 +521,6 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
         GqlCommand::Populate { name, from: None } => {
             session.regenerate(name)?;
             format!("re-materialized {name} from its lineage")
-        }
-        GqlCommand::Populate {
-            name,
-            from: Some((sumy, dataset)),
-        } => {
-            // The thesis's populate operator, routed through the sharded
-            // scan driver (byte-identical to the serial operator).
-            gea_exec::populate_session_sharded(session, name, sumy, dataset)?;
-            render_populate_created(session, name, sumy, dataset)?
         }
         GqlCommand::Load(dir) => {
             // Restore the saved session *in place* — the `save`/`load`
@@ -601,6 +671,57 @@ mod tests {
         assert_eq!(err.code, "ENOTFOUND");
         let err = run(&mut s, "dataset Eb brain").unwrap_err();
         assert_eq!(err.code, "ECONFLICT");
+    }
+
+    /// One line per verb and per form-dependent shape (both `populate`
+    /// forms, the three `mine` spellings): the scatter mapping must be
+    /// `Some` exactly where the verb-effect table says scatterable, so
+    /// the router's dispatch and every executor agree on the set.
+    #[test]
+    fn scatter_ops_exist_exactly_for_scatterable_commands() {
+        for line in [
+            "tissues",
+            "dataset e brain",
+            "custom c L1 L2",
+            "select s e L1",
+            "project p e ACGTACGTAC",
+            "mine e m 50 3 6",
+            "mine e m with isa seeds=4",
+            "mine e m with simplex",
+            "fascicles",
+            "purity m_1",
+            "groups m_1",
+            "gap g s1 s2",
+            "topgap g 5",
+            "compare c2 g1 g2 union 1",
+            "show gap g 10",
+            "plot e ACGTACGTAC m_1",
+            "library L1",
+            "tagfreq e ACGTACGTAC",
+            "export g out.csv",
+            "comment g \"note\"",
+            "delete g",
+            "populate e2",
+            "populate e2 s1 e",
+            "check dataset x brain ; select y x L1",
+            "lineage",
+            "cleaning",
+            "xprofiler e",
+            "save dir",
+            "load dir",
+        ] {
+            let Request::Gql(cmd) = parse(line).unwrap().unwrap() else {
+                panic!("{line} is not an algebra command");
+            };
+            let op = scatter_op(&cmd).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(op.is_some(), EffectTable::of(&cmd).scatterable, "{line}");
+        }
+        // A scatterable form with bad parameters is an error, not a
+        // silent fall-through to whole execution.
+        let Request::Gql(bad) = parse("mine e m with isa seeds=0").unwrap().unwrap() else {
+            panic!("not an algebra command");
+        };
+        assert_eq!(scatter_op(&bad).unwrap_err().code, "EQUERY");
     }
 
     #[test]

@@ -20,64 +20,11 @@
 
 use gea_core::session::GeaSession;
 use gea_core::topgap::TopGapOrder;
+use gea_exec::ScatterOp;
 use gea_opt::{Plan, Step};
 
 use crate::engine::{self, EngineError};
 use crate::gql::GqlCommand;
-
-/// Index budget for the access-path fast path: range indexes on this many
-/// highest-entropy tags, estimated with this many histogram bins (the
-/// Table 3.1/3.2 reproduction's operating point).
-const ACCESS_PATH_INDEXES: usize = 4;
-const ACCESS_PATH_ENTROPY_BINS: usize = 16;
-
-/// Execute a [`Step::PopulateAccessPath`]: consult the `gea-check` cost
-/// oracle on the *live* table sizes and route qualification through either
-/// the index-probe kernel or the sharded columnar scan (the literal
-/// engine's path). All kernels return the same hit list (property-tested
-/// in `gea-core`), and reply rendering plus lineage bookkeeping are shared,
-/// so the reply is byte-identical either way. The oracle uses the default
-/// coefficients only — never `BENCH_*.json` calibration — so every replica
-/// of a routed write makes the same choice. When either input name does
-/// not resolve, the sizes read as zero and the oracle picks the scan path,
-/// which reproduces the literal error discipline byte-for-byte.
-fn run_populate_access_path(
-    session: &mut GeaSession,
-    name: &str,
-    sumy: &str,
-    dataset: &str,
-    rule: &'static str,
-) -> Result<String, EngineError> {
-    let model = gea_check::CostModel::default_coefficients();
-    let libraries = session
-        .enum_table(dataset)
-        .map(|t| t.n_libraries() as u64)
-        .unwrap_or(0);
-    let constraints = session
-        .sumy(sumy)
-        .map(|s| s.rows().len() as u64)
-        .unwrap_or(0);
-    if model.populate_prefers_index(libraries, constraints) {
-        let cfg = session.exec_config();
-        let mut noted = None;
-        session.populate_from_sumy_traced(name, sumy, dataset, Some(rule), |s, t| {
-            let index = gea_core::populate::PopulateIndex::build_top_entropy(
-                t,
-                ACCESS_PATH_INDEXES,
-                ACCESS_PATH_ENTROPY_BINS,
-            );
-            let (libs, _pstats, exec) = gea_exec::populate_indexed_sharded(s, t, &index, &cfg);
-            noted = Some(exec);
-            libs
-        })?;
-        if let Some(stats) = noted {
-            session.note_exec(stats.event("populate"));
-        }
-    } else {
-        gea_exec::populate_session_sharded(session, name, sumy, dataset)?;
-    }
-    engine::render_populate_created(session, name, sumy, dataset)
-}
 
 /// Per-command outcomes, tagged with the source-pipeline index.
 pub type StepOutputs = Vec<(usize, Result<String, EngineError>)>;
@@ -99,13 +46,6 @@ pub fn run_rewritten(session: &mut GeaSession, step: &Step) -> Result<String, En
             session.compare_gaps_self_rewritten(name, gap, *op, *query, rule)?;
             Ok(engine::render_compare_created(session, name, *query))
         }
-        Step::PopulateAccessPath {
-            name,
-            sumy,
-            dataset,
-            rule,
-            ..
-        } => run_populate_access_path(session, name, sumy, dataset, rule),
         fused => {
             debug_assert!(false, "fused step in single-command context: {fused:?}");
             Err(EngineError::new(
@@ -126,36 +66,8 @@ fn run_step(
     out: &mut StepOutputs,
 ) -> bool {
     match step {
-        Step::Exec { index, cmd } => {
-            let r = engine::execute(session, cmd);
-            let failed = r.is_err();
-            out.push((*index, r));
-            !(stop_on_error && failed)
-        }
-        Step::CompareSelf {
-            index,
-            name,
-            gap,
-            op,
-            query,
-            rule,
-        } => {
-            let r = session
-                .compare_gaps_self_rewritten(name, gap, *op, *query, rule)
-                .map(|()| engine::render_compare_created(session, name, *query))
-                .map_err(EngineError::from);
-            let failed = r.is_err();
-            out.push((*index, r));
-            !(stop_on_error && failed)
-        }
-        Step::PopulateAccessPath {
-            index,
-            name,
-            sumy,
-            dataset,
-            rule,
-        } => {
-            let r = run_populate_access_path(session, name, sumy, dataset, rule);
+        Step::Exec { index, .. } | Step::CompareSelf { index, .. } => {
+            let r = run_rewritten(session, step);
             let failed = r.is_err();
             out.push((*index, r));
             !(stop_on_error && failed)
@@ -219,10 +131,12 @@ fn run_step(
             libraries,
             rule,
         } => {
-            let populated = gea_exec::populate_session_sharded(session, name, sumy, dataset)
-                .map_err(EngineError::from)
-                .and_then(|_| engine::render_populate_created(session, name, sumy, dataset));
-            match populated {
+            let populate = ScatterOp::Populate {
+                name: name.clone(),
+                sumy: sumy.clone(),
+                dataset: dataset.clone(),
+            };
+            match engine::execute_scatter(session, &populate) {
                 Err(e) => {
                     out.push((*populate_index, Err(e)));
                     if stop_on_error {

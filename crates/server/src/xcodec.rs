@@ -3,11 +3,13 @@
 //! A router scattering a macro operation across backends needs each
 //! backend's *partial result* shipped back over the line protocol and
 //! re-fed to the applying backend. Partials are encoded here as compact
-//! little-endian binary (strings as length-prefixed UTF-8, `f64` via
-//! `to_bits` so every float round-trips bit-exactly), hex-armored onto
-//! the single-line wire. The router treats the blobs as opaque: its only
-//! codec work is [`frame`]/[`unframe`] — concatenating per-shard blobs
-//! in shard order with `u32` length prefixes — plus the hex armor.
+//! little-endian binary with `gea_core::codec`'s primitives (strings as
+//! length-prefixed UTF-8, `f64` via `to_bits` so every float round-trips
+//! bit-exactly; element counts checked against the bytes remaining before
+//! anything is allocated for them), hex-armored onto the single-line
+//! wire. The router treats the blobs as opaque: its only codec work is
+//! [`frame`]/[`unframe`] — concatenating per-shard blobs in shard order
+//! with `u32` length prefixes — plus the hex armor.
 //!
 //! Bit-exact `f64` transport matters: the whole distributed design rests
 //! on byte-identical replies, and a decimal round-trip of a standard
@@ -15,9 +17,11 @@
 
 use std::collections::BTreeMap;
 
+use gea_core::codec::{put_f64, put_str, put_u32, put_u64, put_u8, Cur};
 use gea_core::mine::MinedCluster;
 use gea_core::sumy::{SumyRow, SumyTable};
 use gea_core::Interval;
+use gea_exec::{Partial, ScatterOp};
 use gea_mine::isa::IsaModule;
 use gea_sage::library::LibraryId;
 use gea_sage::tag::{Tag, TagId};
@@ -61,7 +65,7 @@ fn hex_nibble(b: u8) -> Result<u8, CodecError> {
 
 /// Concatenate blobs in shard order, each prefixed with its `u32` length.
 /// The frame order **is** the merge order: `xapply` decodes the blobs in
-/// sequence and hands them to `gea_exec::merge_shards` unchanged.
+/// sequence and `gea_exec::scatter::install` merges them unchanged.
 pub fn frame(blobs: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = blobs.iter().map(|b| 4 + b.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -77,80 +81,10 @@ pub fn unframe(bytes: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
     let mut cur = Cur::new(bytes);
     let mut out = Vec::new();
     while !cur.done() {
-        let len = cur.u32()? as usize;
-        out.push(cur.take(len)?.to_vec());
+        let len = cur.u32("frame length")? as usize;
+        out.push(cur.take(len, "framed blob")?.to_vec());
     }
     Ok(out)
-}
-
-// --- primitive writers -----------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-// --- primitive reader ------------------------------------------------------
-
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(bytes: &'a [u8]) -> Cur<'a> {
-        Cur { bytes, pos: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.bytes.len() - self.pos < n {
-            return Err("truncated blob".to_string());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        if self.done() {
-            Ok(())
-        } else {
-            Err("trailing bytes after blob".to_string())
-        }
-    }
 }
 
 // --- SUMY rows -------------------------------------------------------------
@@ -170,18 +104,18 @@ fn put_row(out: &mut Vec<u8>, row: &SumyRow) {
 }
 
 fn read_row(cur: &mut Cur) -> Result<SumyRow, CodecError> {
-    let tag = Tag::from_code(cur.u32()?).ok_or("tag code out of range")?;
-    let tag_no = cur.u32()?;
-    let lo = cur.f64()?;
-    let hi = cur.f64()?;
+    let tag = Tag::from_code(cur.u32("row tag")?).ok_or("tag code out of range")?;
+    let tag_no = cur.u32("row tag number")?;
+    let lo = cur.f64("row range lo")?;
+    let hi = cur.f64("row range hi")?;
     let range = Interval::new(lo, hi).map_err(|e| format!("bad interval: {e}"))?;
-    let average = cur.f64()?;
-    let std_dev = cur.f64()?;
-    let n_extras = cur.u32()? as usize;
+    let average = cur.f64("row average")?;
+    let std_dev = cur.f64("row std dev")?;
+    let n_extras = cur.count(12, "row extra")?;
     let mut extras = BTreeMap::new();
     for _ in 0..n_extras {
-        let k = cur.string()?;
-        let v = cur.f64()?;
+        let k = cur.string("row extra name")?;
+        let v = cur.f64("row extra value")?;
         extras.insert(k, v);
     }
     Ok(SumyRow {
@@ -202,7 +136,7 @@ fn put_rows(out: &mut Vec<u8>, rows: &[SumyRow]) {
 }
 
 fn read_rows(cur: &mut Cur) -> Result<Vec<SumyRow>, CodecError> {
-    let n = cur.u32()? as usize;
+    let n = cur.count(44, "row")?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         rows.push(read_row(cur)?);
@@ -227,14 +161,14 @@ pub fn decode_rows3(bytes: &[u8]) -> Result<[Vec<SumyRow>; 3], CodecError> {
     let a = read_rows(&mut cur)?;
     let b = read_rows(&mut cur)?;
     let c = read_rows(&mut cur)?;
-    cur.finish()?;
+    cur.finish("rows blob")?;
     Ok([a, b, c])
 }
 
 // --- mined clusters --------------------------------------------------------
 
 /// Encode a shard's materialized clusters (`mine` scatter partial).
-pub fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
+fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, clusters.len() as u32);
     for c in clusters {
@@ -254,23 +188,23 @@ pub fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
 }
 
 /// Decode a blob produced by [`encode_clusters`].
-pub fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
+fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.u32()? as usize;
+    let n = cur.count(20, "cluster")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = cur.string()?;
-        let n_libs = cur.u32()? as usize;
+        let name = cur.string("cluster name")?;
+        let n_libs = cur.count(4, "cluster library")?;
         let mut libraries = Vec::with_capacity(n_libs);
         for _ in 0..n_libs {
-            libraries.push(LibraryId(cur.u32()?));
+            libraries.push(LibraryId(cur.u32("cluster library")?));
         }
-        let n_tags = cur.u32()? as usize;
+        let n_tags = cur.count(4, "cluster tag")?;
         let mut compact_tags = Vec::with_capacity(n_tags);
         for _ in 0..n_tags {
-            compact_tags.push(TagId(cur.u32()?));
+            compact_tags.push(TagId(cur.u32("cluster tag")?));
         }
-        let sumy_name = cur.string()?;
+        let sumy_name = cur.string("cluster sumy name")?;
         let rows = read_rows(&mut cur)?;
         out.push(MinedCluster {
             name,
@@ -279,7 +213,7 @@ pub fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
             sumy: SumyTable::new(&sumy_name, rows),
         });
     }
-    cur.finish()?;
+    cur.finish("clusters blob")?;
     Ok(out)
 }
 
@@ -288,14 +222,14 @@ pub fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
 /// Encode a shard's converged-seed results (`mine … with isa` partial).
 /// `None` seeds are kept in place: the gather-side dedupe consumes the
 /// full seed-order list, exactly like the in-process driver.
-pub fn encode_modules(modules: &[Option<IsaModule>]) -> Vec<u8> {
+fn encode_modules(modules: &[Option<IsaModule>]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, modules.len() as u32);
     for m in modules {
         match m {
-            None => out.push(0),
+            None => put_u8(&mut out, 0),
             Some(m) => {
-                out.push(1);
+                put_u8(&mut out, 1);
                 put_u32(&mut out, m.libs.len() as u32);
                 for &l in &m.libs {
                     put_u64(&mut out, l as u64);
@@ -304,7 +238,7 @@ pub fn encode_modules(modules: &[Option<IsaModule>]) -> Vec<u8> {
                 for &t in &m.tags {
                     put_u64(&mut out, t as u64);
                 }
-                out.push(m.converged as u8);
+                put_u8(&mut out, m.converged as u8);
             }
         }
     }
@@ -312,41 +246,40 @@ pub fn encode_modules(modules: &[Option<IsaModule>]) -> Vec<u8> {
 }
 
 /// Decode a blob produced by [`encode_modules`].
-pub fn decode_modules(bytes: &[u8]) -> Result<Vec<Option<IsaModule>>, CodecError> {
+fn decode_modules(bytes: &[u8]) -> Result<Vec<Option<IsaModule>>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.u32()? as usize;
+    let n = cur.count(1, "module")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let flag = cur.take(1)?[0];
-        if flag == 0 {
+        if cur.u8("module flag")? == 0 {
             out.push(None);
             continue;
         }
-        let n_libs = cur.u32()? as usize;
+        let n_libs = cur.count(8, "module library")?;
         let mut libs = Vec::with_capacity(n_libs);
         for _ in 0..n_libs {
-            libs.push(cur.u64()? as usize);
+            libs.push(cur.u64("module library")? as usize);
         }
-        let n_tags = cur.u32()? as usize;
+        let n_tags = cur.count(8, "module tag")?;
         let mut tags = Vec::with_capacity(n_tags);
         for _ in 0..n_tags {
-            tags.push(cur.u64()? as usize);
+            tags.push(cur.u64("module tag")? as usize);
         }
-        let converged = cur.take(1)?[0] != 0;
+        let converged = cur.u8("module converged flag")? != 0;
         out.push(Some(IsaModule {
             libs,
             tags,
             converged,
         }));
     }
-    cur.finish()?;
+    cur.finish("modules blob")?;
     Ok(out)
 }
 
 // --- populate hits ---------------------------------------------------------
 
 /// Encode a shard's qualifying libraries (`populate` scatter partial).
-pub fn encode_libs(libs: &[LibraryId]) -> Vec<u8> {
+fn encode_libs(libs: &[LibraryId]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + libs.len() * 4);
     put_u32(&mut out, libs.len() as u32);
     for l in libs {
@@ -356,15 +289,39 @@ pub fn encode_libs(libs: &[LibraryId]) -> Vec<u8> {
 }
 
 /// Decode a blob produced by [`encode_libs`].
-pub fn decode_libs(bytes: &[u8]) -> Result<Vec<LibraryId>, CodecError> {
+fn decode_libs(bytes: &[u8]) -> Result<Vec<LibraryId>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.u32()? as usize;
+    let n = cur.count(4, "library")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(LibraryId(cur.u32()?));
+        out.push(LibraryId(cur.u32("library")?));
     }
-    cur.finish()?;
+    cur.finish("libraries blob")?;
     Ok(out)
+}
+
+// --- scatter partials ------------------------------------------------------
+
+/// Encode one shard's [`Partial`]. The blob carries no kind tag: the
+/// command travels with it, and [`decode_partial`] reads the kind off the
+/// op.
+pub fn encode_partial(partial: &Partial) -> Vec<u8> {
+    match partial {
+        Partial::Clusters(clusters) => encode_clusters(clusters),
+        Partial::Modules(modules) => encode_modules(modules),
+        Partial::Hits(libs) => encode_libs(libs),
+        Partial::Rows3(rows) => encode_rows3(rows),
+    }
+}
+
+/// Decode a blob as the kind of [`Partial`] that `op` produces.
+pub fn decode_partial(op: &ScatterOp, bytes: &[u8]) -> Result<Partial, CodecError> {
+    Ok(match op {
+        ScatterOp::Fascicles { .. } => Partial::Clusters(decode_clusters(bytes)?),
+        ScatterOp::Isa { .. } => Partial::Modules(decode_modules(bytes)?),
+        ScatterOp::Populate { .. } => Partial::Hits(decode_libs(bytes)?),
+        ScatterOp::Groups { .. } => Partial::Rows3(decode_rows3(bytes)?),
+    })
 }
 
 #[cfg(test)]
@@ -446,5 +403,21 @@ mod tests {
         let back3 = decode_rows3(&encode_rows3(&rows3)).unwrap();
         assert_eq!(back3, rows3);
         assert!(decode_rows3(&encode_libs(&libs)).is_err());
+    }
+
+    #[test]
+    fn implausible_counts_are_rejected_before_allocating() {
+        // A count of u32::MAX with no bytes behind it: every decoder must
+        // refuse up front instead of reserving gigabytes.
+        let huge = u32::MAX.to_le_bytes();
+        assert!(decode_libs(&huge).is_err());
+        assert!(decode_modules(&huge).is_err());
+        assert!(decode_clusters(&huge).is_err());
+        assert!(decode_rows3(&huge).is_err());
+        let mut nested = encode_modules(&[]);
+        nested[0] = 1; // one module ...
+        nested.push(1); // ... present ...
+        nested.extend_from_slice(&huge); // ... with 4 billion libraries
+        assert!(decode_modules(&nested).is_err());
     }
 }

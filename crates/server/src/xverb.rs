@@ -5,37 +5,31 @@
 //!
 //! * `xpart <i> <k> :: <command>` — compute shard *i* of *k*'s partial
 //!   result for a scatterable write (`mine`, `mine … with isa`,
-//!   `populate … from`, `groups`) under a **read** lock, replying with a
-//!   hex-armored opaque blob. Nothing is installed, so a failure here
-//!   mutates no state anywhere.
+//!   `populate … from`, `groups`) under a **read** lock — the scatter
+//!   seam's `prepare` + `partial` — replying with a hex-armored opaque
+//!   blob. Nothing is installed, so a failure here mutates no state
+//!   anywhere.
 //! * `xstage <hex>` / `xreset` — append bytes to (or clear) the
 //!   connection's staging buffer. Request lines are capped, so large
 //!   payloads arrive in chunks.
 //! * `xapply <k> :: <command>` — interpret the staged bytes as the `k`
-//!   length-framed per-shard partials in shard order, merge them with
-//!   the exact in-process shard merge (`gea_exec::merge_shards`), and
-//!   install the result through the very session methods the engine's
-//!   own write path uses — the reply text, lineage, and all derived
-//!   state are byte-identical to a single-process execution.
+//!   length-framed per-shard partials in shard order and hand them to the
+//!   seam's `install`, the very function the engine's own write path
+//!   ends in — the reply text, lineage, and all derived state are
+//!   byte-identical to a single-process execution.
 //! * `xsnapshot <session>` / `xadopt <session> <fingerprint>` /
 //!   `xgen <session>` — the rebalance plane: a session's spill-format
 //!   snapshot is read out under generation observation, shipped, and
 //!   adopted elsewhere under a fingerprint check, with `xgen` letting
 //!   the router refuse on generation drift exactly like spill does.
 
-use std::collections::VecDeque;
-use std::fmt::Write as _;
-
-use gea_cluster::FascicleParams;
-use gea_core::mine::Miner;
 use gea_core::persist;
-use gea_core::session::{ExecConfig, GeaSession};
-use gea_core::sumy::{SumyRow, SumyTable};
-use gea_mine::isa::IsaParams;
-use gea_sage::library::LibraryProperty;
+use gea_core::session::ExecConfig;
+use gea_exec::scatter::{self, ScatterOp};
+use gea_exec::ShardPlan;
 
 use crate::engine::{self, EngineError};
-use crate::gql::{self, GqlCommand, Request};
+use crate::gql::{self, Request};
 use crate::server::{enforce_budget, live_entry, Shared};
 use crate::xcodec;
 
@@ -81,13 +75,19 @@ fn xstage(rest: &str, staged: &mut Vec<u8>) -> Result<String, EngineError> {
     Ok(format!("staged {} bytes", staged.len()))
 }
 
-/// Parse the `<command>` tail of `xpart`/`xapply` into a GQL command.
-fn parse_command(text: &str) -> Result<GqlCommand, EngineError> {
-    match gql::parse(text) {
-        Ok(Some(Request::Gql(cmd))) => Ok(cmd),
-        Ok(_) => Err(eparse(format!("{text:?} is not an algebra command"))),
-        Err(e) => Err(eparse(e.0)),
-    }
+/// Parse the `<command>` tail of `xpart`/`xapply` into its scatter op.
+fn parse_scatter_op(text: &str) -> Result<ScatterOp, EngineError> {
+    let cmd = match gql::parse(text) {
+        Ok(Some(Request::Gql(cmd))) => cmd,
+        Ok(_) => return Err(eparse(format!("{text:?} is not an algebra command"))),
+        Err(e) => return Err(eparse(e.0)),
+    };
+    engine::scatter_op(&cmd)?.ok_or_else(|| {
+        EngineError::new(
+            "EQUERY",
+            format!("{} is not a scatterable command", cmd.verb()),
+        )
+    })
 }
 
 fn xpart(rest: &str, current: &str, shared: &Shared) -> Result<String, EngineError> {
@@ -105,121 +105,19 @@ fn xpart(rest: &str, current: &str, shared: &Shared) -> Result<String, EngineErr
     if shards == 0 || shard >= shards {
         return Err(eparse(format!("shard {shard} of {shards} is out of range")));
     }
-    let cmd = parse_command(text)?;
+    let op = parse_scatter_op(text)?;
     let entry = live_entry(shared, current)?;
     let session = entry.read_with_deadline(shared.config.lock_timeout)?;
-    let blob = compute_part(&session, &cmd, shard, shards)?;
+    let prepared = scatter::prepare(&session, &op)?;
+    // The plan clamps to the item count: past its end this backend has
+    // nothing to compute and ships the op's empty partial.
+    let (lo, hi) = ShardPlan::new(prepared.n_items(), shards)
+        .get(shard)
+        .unwrap_or((0, 0));
+    let blob = xcodec::encode_partial(&prepared.partial(lo, hi));
+    drop(prepared);
     drop(session);
     Ok(xcodec::hex_encode(&blob))
-}
-
-/// Compute one shard's partial for a scatterable command. Read-only: the
-/// partial kernels in `gea_exec::parts` are exactly the per-shard jobs of
-/// the in-process sharded drivers.
-fn compute_part(
-    session: &GeaSession,
-    cmd: &GqlCommand,
-    shard: usize,
-    shards: usize,
-) -> Result<Vec<u8>, EngineError> {
-    match cmd {
-        GqlCommand::Mine {
-            dataset,
-            out,
-            k_pct,
-            min_records,
-            batch,
-        } => {
-            let table = session.enum_table(dataset)?.clone();
-            let tol = gea_core::mine::generate_metadata(&table, 0.10);
-            let params = FascicleParams {
-                min_compact_attrs: table.n_tags() * k_pct / 100,
-                min_records: *min_records,
-                batch_size: *batch,
-            };
-            let clusters = gea_exec::mine_clusters_part(
-                &table,
-                out,
-                &Miner::Fascicles(params),
-                Some(&tol),
-                shard,
-                shards,
-            );
-            Ok(xcodec::encode_clusters(&clusters))
-        }
-        GqlCommand::MineWith {
-            dataset,
-            out,
-            algo,
-            params,
-        } if algo == "isa" => {
-            let (backend, resolved) = resolve_backend(algo, params)?;
-            let _ = backend;
-            let table = session.enum_table(dataset)?.clone();
-            let modules = gea_exec::isa_modules_part(
-                &table,
-                &IsaParams::from_resolved(&resolved),
-                shard,
-                shards,
-            );
-            Ok(xcodec::encode_modules(&modules))
-        }
-        GqlCommand::Populate {
-            name: _,
-            from: Some((sumy, dataset)),
-        } => {
-            let sumy_table = session.sumy(sumy)?;
-            let table = session.enum_table(dataset)?;
-            let hits = gea_exec::populate_hits_part(sumy_table, table, shard, shards);
-            Ok(xcodec::encode_libs(&hits))
-        }
-        GqlCommand::Groups(fascicle) => {
-            let inputs = session.control_group_inputs(fascicle, LibraryProperty::Cancer)?;
-            let rows = [
-                gea_exec::aggregate_rows_part(
-                    &inputs.in_members.matrix,
-                    &inputs.compact_ids,
-                    shard,
-                    shards,
-                ),
-                gea_exec::aggregate_rows_part(
-                    &inputs.outside.matrix,
-                    &inputs.compact_ids,
-                    shard,
-                    shards,
-                ),
-                gea_exec::aggregate_rows_part(
-                    &inputs.contrast.matrix,
-                    &inputs.compact_ids,
-                    shard,
-                    shards,
-                ),
-            ];
-            Ok(xcodec::encode_rows3(&rows))
-        }
-        other => Err(EngineError::new(
-            "EQUERY",
-            format!("{} is not a scatterable command", other.verb()),
-        )),
-    }
-}
-
-fn resolve_backend(
-    algo: &str,
-    params: &[(String, gea_mine::ParamValue)],
-) -> Result<(&'static dyn gea_mine::MineBackend, gea_mine::ResolvedParams), EngineError> {
-    let backend = gea_mine::backend(algo).ok_or_else(|| {
-        EngineError::new(
-            "EQUERY",
-            format!(
-                "unknown mining backend {algo:?}; available: {}",
-                gea_mine::backend_names()
-            ),
-        )
-    })?;
-    let resolved = gea_mine::resolve_params(backend.params(), params)
-        .map_err(|e| EngineError::new("EQUERY", e))?;
-    Ok((backend, resolved))
 }
 
 fn xapply(
@@ -232,7 +130,10 @@ fn xapply(
         .split_once(" :: ")
         .ok_or_else(|| eparse("usage: xapply <k> :: <command>"))?;
     let shards: usize = head.trim().parse().map_err(|_| eparse("bad shard count"))?;
-    let cmd = parse_command(text)?;
+    if shards == 0 {
+        return Err(eparse("xapply needs at least one shard"));
+    }
+    let op = parse_scatter_op(text)?;
     let bytes = std::mem::take(staged);
     let blobs = xcodec::unframe(&bytes).map_err(eparse)?;
     if blobs.len() != shards {
@@ -241,134 +142,19 @@ fn xapply(
             blobs.len()
         )));
     }
+    let parts = blobs
+        .iter()
+        .map(|blob| xcodec::decode_partial(&op, blob))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(eparse)?;
     let entry = live_entry(shared, current)?;
     let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
-    let result = apply_merged(&mut session, &cmd, blobs);
+    let result = scatter::install(&mut session, &op, parts)
+        .map_err(EngineError::from)
+        .and_then(|created| engine::render_scattered(&session, &op, &created));
     drop(session);
     enforce_budget(shared);
     result
-}
-
-/// Merge the per-shard partials in shard order and install the result via
-/// the same session methods the engine's write path calls — reply text
-/// and lineage identical by construction.
-fn apply_merged(
-    session: &mut GeaSession,
-    cmd: &GqlCommand,
-    blobs: Vec<Vec<u8>>,
-) -> Result<String, EngineError> {
-    match cmd {
-        GqlCommand::Mine {
-            dataset,
-            out: _,
-            k_pct,
-            min_records,
-            batch,
-        } => {
-            let parts = blobs
-                .iter()
-                .map(|b| xcodec::decode_clusters(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(eparse)?;
-            let clusters = gea_exec::merge_shards(parts);
-            let table = session.enum_table(dataset)?.clone();
-            let params = FascicleParams {
-                min_compact_attrs: table.n_tags() * k_pct / 100,
-                min_records: *min_records,
-                batch_size: *batch,
-            };
-            let names =
-                session.install_mined_fascicles(dataset, 0.10, &params, &table, clusters)?;
-            Ok(render_mined(session, &names, None))
-        }
-        GqlCommand::MineWith {
-            dataset,
-            out,
-            algo,
-            params,
-        } if algo == "isa" => {
-            let (backend, resolved) = resolve_backend(algo, params)?;
-            let parts = blobs
-                .iter()
-                .map(|b| xcodec::decode_modules(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(eparse)?;
-            let modules = gea_exec::merge_shards(parts);
-            let table = session.enum_table(dataset)?.clone();
-            let clusters = gea_exec::isa_clusters_from_modules(&table, out, modules);
-            let mut lineage_params = vec![("tissue_dataset".to_string(), dataset.to_string())];
-            lineage_params.extend(resolved.to_strings());
-            let names = session.install_mined_clusters(
-                dataset,
-                "ISA",
-                lineage_params,
-                backend.name(),
-                resolved.to_strings(),
-                &table,
-                clusters,
-            )?;
-            Ok(render_mined(session, &names, Some(algo)))
-        }
-        GqlCommand::Populate {
-            name,
-            from: Some((sumy, dataset)),
-        } => {
-            let parts = blobs
-                .iter()
-                .map(|b| xcodec::decode_libs(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(eparse)?;
-            let merged = gea_exec::merge_shards(parts);
-            session.populate_from_sumy_with(name, sumy, dataset, |_, _| merged)?;
-            engine::render_populate_created(session, name, sumy, dataset)
-        }
-        GqlCommand::Groups(fascicle) => {
-            let mut triple: [Vec<Vec<SumyRow>>; 3] = Default::default();
-            for blob in &blobs {
-                let [a, b, c] = xcodec::decode_rows3(blob).map_err(eparse)?;
-                triple[0].push(a);
-                triple[1].push(b);
-                triple[2].push(c);
-            }
-            // The serial aggregator is called in-fascicle, outside,
-            // contrast — the exact order the partials were encoded in.
-            let mut merged: VecDeque<Vec<SumyRow>> =
-                triple.into_iter().map(gea_exec::merge_shards).collect();
-            let groups = session.form_control_groups_with(
-                fascicle,
-                LibraryProperty::Cancer,
-                |name, _, _| {
-                    SumyTable::new(name, merged.pop_front().expect("three aggregator calls"))
-                },
-            )?;
-            Ok(format!(
-                "SUMY tables created:\n  in fascicle:      {}\n  outside fascicle: {}\n  contrast (normal): {}",
-                groups.in_fascicle, groups.outside_fascicle, groups.contrast
-            ))
-        }
-        other => Err(EngineError::new(
-            "EQUERY",
-            format!("{} is not a scatterable command", other.verb()),
-        )),
-    }
-}
-
-/// The engine's mined-table reply, reproduced byte for byte.
-fn render_mined(session: &GeaSession, names: &[String], algo: Option<&str>) -> String {
-    let mut text = match algo {
-        None => format!("{} fascicle(s):\n", names.len()),
-        Some(a) => format!("{} cluster(s) via {a}:\n", names.len()),
-    };
-    for f in names {
-        let r = session.fascicle(f).unwrap();
-        let _ = writeln!(
-            text,
-            "  {f}: {} libraries, {} compact tags",
-            r.members.len(),
-            r.compact_tags.len()
-        );
-    }
-    text
 }
 
 fn xsnapshot(rest: &str, shared: &Shared) -> Result<String, EngineError> {

@@ -2,11 +2,12 @@
 # CI gate for the GEA workspace. Run from the repo root:
 #
 #     scripts/ci.sh          # full gate
-#     scripts/ci.sh quick    # skip clippy + bench smoke
+#     scripts/ci.sh quick    # skip clippy + bench smokes
 #
-# Steps: release build, workspace tests, formatting, lints, and a bench
+# Steps: release build, workspace tests, formatting, lints, a bench
 # smoke (the loopback server integration test under --release, which
-# exercises the mine -> gap -> topgap pipeline end to end over TCP).
+# exercises the mine -> gap -> topgap pipeline end to end over TCP), and
+# the repo benchmark's quick identity tier.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,7 +58,7 @@ done
 demo_plan="$(./target/release/gea-cli --plan examples/scripts/optimizer_demo.gql)"
 echo "$demo_plan"
 for rule in self-union-intersect self-intersect-double self-minus-empty \
-            fuse-gap-topgap fuse-populate-select populate-access-path; do
+            fuse-gap-topgap fuse-populate-select; do
     if ! grep -q "$rule" <<< "$demo_plan"; then
         echo "optimizer_demo.gql plan no longer fires rule '$rule'" >&2
         exit 1
@@ -112,6 +113,14 @@ if [ "$mode" != "quick" ]; then
 
     step "bench smoke: server loopback pipeline (release)"
     cargo test --release --test server_smoke -- --nocapture
+
+    # The repo benchmark is a separately-locked crate that compiles
+    # against this workspace's public API; its identity tier (every wire
+    # set-up byte-identical to the in-process oracle, no failed operation,
+    # BENCHMARK.json equal to the declared names) catches an API removal
+    # or a behaviour change here instead of in the next benchmark run.
+    step "repo benchmark: quick identity tier"
+    bash benchmark/run.sh --quick > /dev/null
 fi
 
 printf '\nCI gate passed (%s).\n' "$mode"

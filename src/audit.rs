@@ -133,17 +133,11 @@ pub fn shipped_pipeline(all_libraries: &[String], full: bool) -> Vec<GqlCommand>
         // against the never-created `Q`.
         "populate Q no_such_sumy Eb",
         "select Y Q SAGE_nope",
-        // populate-access-path, success shape: a standalone populate (no
-        // adjacent select) routed through the cost oracle — on demo-sized
-        // inputs the index probe wins, and the hit list must still match
-        // the serial scan byte-for-byte.
-        "populate R f_1CancerFasTbl Eb",
-        "comment R \"access-path oracle probe\"",
-        // populate-access-path, error shapes: unknown SUMY reads as size
-        // zero (oracle picks the scan route) and a taken name errors in
-        // the shared bookkeeping — both must reproduce the literal error.
+        // Standalone populates no rule touches, on their error paths: an
+        // unknown SUMY, and a taken name (`P` exists since the fusion
+        // above) — plain engine shapes the optimized side must leave be.
         "populate R2 no_such_sumy Eb",
-        "populate R f_1CancerFasTbl Eb",
+        "populate P f_1CancerFasTbl Eb",
     ]));
     cmds
 }

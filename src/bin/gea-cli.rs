@@ -20,8 +20,7 @@
 //!   world-typing, dataflow, and parameter domains — exiting 1 if any
 //!   error-severity diagnostic fires (`--machine` emits JSON lines).
 //!   `--cost` appends the abstract cost interpretation (predicted row
-//!   intervals and cost units per command, coefficients calibrated from
-//!   `BENCH_*.json` when present); `--fix` mechanically applies the
+//!   intervals and cost units per command); `--fix` mechanically applies the
 //!   analyzer's suggestions (nearest-name replacements, parameter-domain
 //!   clamps) to fixpoint, rewriting the file in place, and comments out
 //!   error lines it cannot repair;
@@ -123,9 +122,7 @@ fn main() -> io::Result<()> {
             println!("{}", report.render());
         }
         if cost && report.is_clean() {
-            // Calibrate the per-verb coefficients from any BENCH_*.json in
-            // the working directory; silently falls back to the defaults.
-            let model = gea::check::CostModel::calibrated(std::path::Path::new("."));
+            let model = gea::check::CostModel::default_coefficients();
             let seed = gea::check::CostSeed::script_default();
             println!("{}", gea::check::cost_script(&model, &seed, &text).render());
         }

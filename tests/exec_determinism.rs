@@ -9,14 +9,12 @@ use proptest::prelude::*;
 
 use gea::cluster::FascicleParams;
 use gea::core::mine::{generate_metadata, mine, MinedCluster, Miner};
-use gea::core::populate::{
-    populate, populate_columnar, populate_indexed, populate_scan, PopulateIndex,
-};
+use gea::core::populate::{materialize_populate, populate, populate_columnar};
 use gea::core::sumy::aggregate;
 use gea::core::{EnumTable, ExecConfig};
 use gea::exec::{
     aggregate_sharded, isa_mine_sharded, mine_sharded, populate_columnar_sharded,
-    populate_indexed_sharded, populate_scan_sharded, populate_sharded, simplex_mine_sharded,
+    simplex_mine_sharded,
 };
 use gea::mine::isa::IsaParams;
 use gea::mine::simplex::SimplexParams;
@@ -97,7 +95,6 @@ proptest! {
     fn populate_sharded_is_byte_identical(
         values in matrix_values(),
         subset_mask in prop::collection::vec(any::<bool>(), 14),
-        m in 0usize..6,
     ) {
         let table = small_enum(values);
         let ids: Vec<LibraryId> = table
@@ -110,22 +107,15 @@ proptest! {
         prop_assume!(!ids.is_empty());
         let sub = table.with_libraries("sub", &ids);
         let sumy = aggregate("def", &sub.matrix);
-        let index = PopulateIndex::build_top_entropy(&table, m, 8);
 
-        let scan = populate_scan(&sumy, &table);
         let columnar = populate_columnar(&sumy, &table);
-        let indexed = populate_indexed(&sumy, &table, &index);
         let macro_op = populate("hits", &sumy, &table);
 
         for &(shards, threads) in GRID {
             let cfg = exec(shards, threads);
-            let (hits, stats, _) = populate_scan_sharded(&sumy, &table, &cfg);
-            prop_assert_eq!((hits, stats), scan.clone(), "scan shards={} threads={}", shards, threads);
             let (hits, stats, _) = populate_columnar_sharded(&sumy, &table, &cfg);
+            let out = materialize_populate("hits", &sumy, &table, &hits);
             prop_assert_eq!((hits, stats), columnar.clone(), "columnar shards={} threads={}", shards, threads);
-            let (hits, stats, _) = populate_indexed_sharded(&sumy, &table, &index, &cfg);
-            prop_assert_eq!((hits, stats), indexed.clone(), "indexed shards={} threads={}", shards, threads);
-            let (out, _) = populate_sharded("hits", &sumy, &table, &cfg);
             prop_assert_eq!(&out, &macro_op, "populate shards={} threads={}", shards, threads);
         }
     }

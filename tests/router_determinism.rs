@@ -4,8 +4,10 @@
 //! (`mine`, `groups`, `populate <name> <sumy> <dataset>`), the replicated
 //! writes (table algebra, simplex mining, `delete`), the session-affine
 //! reads (`show`, `topgap`, `lineage`, `check`), and the error paths
-//! (EPARSE, ENOTFOUND, ENOSESSION). A `rebalance` from 2 to 3 backends
-//! mid-script must not perturb a single subsequent byte either.
+//! (EPARSE, ENOTFOUND, ECONFLICT, ENOSESSION). A `rebalance` from 2 to 3
+//! backends mid-script must not perturb a single subsequent byte either,
+//! and below the wire every replica's `session.gea` snapshot must
+//! fingerprint like the single server's.
 //!
 //! Transcripts are captured raw off the socket (status line + payload
 //! lines), so this proves identity of the actual bytes on the wire, not
@@ -131,6 +133,18 @@ fn main_script() -> Vec<&'static str> {
         "gap gx missing1 missing2",
         "bogus cmd",
         "mine",
+        // Scattered verbs fail like the single server does, check for
+        // check: a taken name wins over a missing input, and a missing
+        // input is found before anything is computed.
+        "populate P no_such_sumy E",
+        "populate P a_1CancerFasTbl nosuchE",
+        "populate Q no_such_sumy E",
+        "mine E a 50 3 6",
+        "mine nosuchE z 50 3 6",
+        "mine E m with isa seeds=6 t_tags=0.8 t_libs=0.8",
+        "mine nosuchE z with isa seeds=6",
+        "groups a_1",
+        "groups nosuch_1",
         "ping",
     ]
 }
@@ -148,6 +162,17 @@ fn follow_up_script() -> Vec<&'static str> {
     ]
 }
 
+/// The fingerprint of session `s`'s snapshot on the server at `addr`,
+/// asked directly (`xsnapshot` replies `<generation> <fingerprint>` and
+/// then the hex-armored bytes).
+fn snapshot_fingerprint(addr: SocketAddr) -> String {
+    let mut direct = Transcript::connect(addr);
+    direct.send("xsnapshot s");
+    let header = direct.text.lines().nth(1).expect("xsnapshot header line");
+    let fingerprint = header.split_whitespace().nth(1).expect("fingerprint");
+    fingerprint.to_string()
+}
+
 #[test]
 fn router_matches_single_server_over_1_2_3_backends() {
     let script = main_script();
@@ -156,6 +181,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
     let (ref_addr, ref_handle, ref_join) = spawn_backend();
     let mut reference = Transcript::connect(ref_addr);
     reference.run(&script);
+    let ref_fingerprint = snapshot_fingerprint(ref_addr);
     ref_handle.shutdown();
 
     for n_backends in 1..=3usize {
@@ -164,11 +190,12 @@ fn router_matches_single_server_over_1_2_3_backends() {
         let mut joins = Vec::new();
         for _ in 0..n_backends {
             let (addr, handle, join) = spawn_backend();
-            backends.push(addr.to_string());
+            backends.push(addr);
             handles.push(handle);
             joins.push(join);
         }
-        let (router_addr, router_handle, router_join) = spawn_router(backends, 0);
+        let (router_addr, router_handle, router_join) =
+            spawn_router(backends.iter().map(|a| a.to_string()).collect(), 0);
 
         let mut routed = Transcript::connect(router_addr);
         // The admin plane answers locally and is not part of the
@@ -187,6 +214,16 @@ fn router_matches_single_server_over_1_2_3_backends() {
             routed.text, reference.text,
             "wire transcript diverged over {n_backends} backend(s)"
         );
+        // Routed ≡ direct below the wire too: tables, fascicle records
+        // and lineage (params included) of every replica snapshot to the
+        // bytes the single server's session does.
+        for &backend in &backends {
+            assert_eq!(
+                snapshot_fingerprint(backend),
+                ref_fingerprint,
+                "snapshot of backend {backend} (of {n_backends}) diverged from the single server"
+            );
+        }
 
         router_handle.shutdown();
         router_join.join().expect("router thread");

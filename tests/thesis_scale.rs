@@ -9,7 +9,7 @@
 use gea::cluster::FascicleParams;
 use gea::core::session::GeaSession;
 use gea::core::ExecConfig;
-use gea::exec::{calculate_fascicles_sharded, form_control_groups_sharded};
+use gea::exec::scatter::{run, ScatterOp};
 use gea::sage::clean::CleaningConfig;
 use gea::sage::generate::{generate, GeneratorConfig};
 use gea::sage::library::LibraryProperty;
@@ -160,8 +160,17 @@ fn thesis_scale_pipeline_sharded() {
         let names_serial = serial
             .calculate_fascicles("deepBrain", &base, 0.10, &params)
             .unwrap();
-        let names_sharded =
-            calculate_fascicles_sharded(&mut sharded, "deepBrain", &base, 0.10, &params).unwrap();
+        let names_sharded = run(
+            &mut sharded,
+            &ScatterOp::Fascicles {
+                dataset: "deepBrain".into(),
+                out: base.clone(),
+                k_pct: pct,
+                min_records: 3,
+                batch: 6,
+            },
+        )
+        .unwrap();
         assert_eq!(names_serial, names_sharded, "names diverged at pct {pct}");
         for name in &names_serial {
             assert_eq!(serial.sumy(name).unwrap(), sharded.sumy(name).unwrap());
@@ -201,8 +210,22 @@ fn thesis_scale_pipeline_sharded() {
     let ga = serial
         .form_control_groups(&fascicle, LibraryProperty::Cancer)
         .unwrap();
-    let gb = form_control_groups_sharded(&mut sharded, &fascicle, LibraryProperty::Cancer).unwrap();
-    assert_eq!(ga, gb);
+    let gb = run(
+        &mut sharded,
+        &ScatterOp::Groups {
+            fascicle: fascicle.clone(),
+            property: LibraryProperty::Cancer,
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        gb,
+        [
+            ga.in_fascicle.clone(),
+            ga.outside_fascicle.clone(),
+            ga.contrast.clone()
+        ]
+    );
     for n in [&ga.in_fascicle, &ga.outside_fascicle, &ga.contrast] {
         assert_eq!(serial.sumy(n).unwrap(), sharded.sumy(n).unwrap());
     }
