@@ -10,7 +10,7 @@
 //! only does so after re-replicating every known session (see
 //! [`crate::Router`]'s health loop).
 
-use std::io::{self};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -121,8 +121,7 @@ impl BackendPool {
     }
 }
 
-/// Resolve and connect with a bounded timeout, so a black-holed backend
-/// cannot hang a handler.
+/// Resolve and connect with a bounded timeout.
 fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let mut last = io::Error::new(io::ErrorKind::AddrNotAvailable, "no address resolved");
     let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
@@ -149,14 +148,22 @@ pub(crate) struct BackendConn {
     pub(crate) admission: u64,
 }
 
+/// Request lines a pipelined exchange keeps in flight on one connection.
+/// Writing a whole batch before reading anything is only safe while the
+/// replies not yet read fit the socket buffers — a backend blocked writing
+/// a reply stops reading requests, and both ends wait forever. Every line
+/// of a staged transfer answers with one short frame (`staged N bytes`),
+/// so a window of this many lines leaves well under a kilobyte of replies
+/// unread however large the transfer is; at the 64 KiB line ceiling it is
+/// at most 1 MiB of requests ahead of the backend.
+pub(crate) const WINDOW: usize = 16;
+
 impl BackendConn {
+    /// Connect within `timeout`, so a black-holed backend cannot hang a
+    /// handler, and speak the protocol over that very socket.
     pub(crate) fn connect(addr: &str, timeout: Duration) -> io::Result<BackendConn> {
-        let stream = connect_timeout(addr, timeout)?;
-        // Hand the connected stream to GeaClient by address reuse: the
-        // client re-connects internally, so just connect directly.
-        drop(stream);
         Ok(BackendConn {
-            client: GeaClient::connect(addr)?,
+            client: GeaClient::from_stream(connect_timeout(addr, timeout)?)?,
             session: "default".to_string(),
             admission: 0,
         })
@@ -165,6 +172,41 @@ impl BackendConn {
     /// One request/reply round trip.
     pub(crate) fn request(&mut self, line: &str) -> io::Result<Reply> {
         self.client.request(line)
+    }
+
+    /// First half of a pipelined exchange: write the first [`WINDOW`]
+    /// lines in one write and return without reading, so the caller can
+    /// start the same exchange on other backends before waiting on this
+    /// one. [`BackendConn::gather`] with the same lines must follow.
+    pub(crate) fn send<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<()> {
+        self.client.send_batch(&lines[..lines.len().min(WINDOW)])
+    }
+
+    /// Second half: read one reply per line, sending each line beyond the
+    /// first window as a reply makes room for it. The outcome of the
+    /// exchange is the first `ERR` among the replies if there is one —
+    /// where a sender waiting on every reply would have stopped — and the
+    /// last line's reply otherwise.
+    pub(crate) fn gather<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Reply> {
+        let mut unsent = lines.iter().skip(WINDOW);
+        let mut outcome: Option<Reply> = None;
+        for _ in lines {
+            let reply = self.client.recv()?;
+            if let Some(line) = unsent.next() {
+                self.client.send_batch(std::slice::from_ref(line))?;
+            }
+            if !matches!(outcome, Some(Err(_))) {
+                outcome = Some(reply);
+            }
+        }
+        outcome.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty exchange"))
+    }
+
+    /// [`BackendConn::send`] then [`BackendConn::gather`] on this one
+    /// connection.
+    pub(crate) fn exchange<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Reply> {
+        self.send(lines)?;
+        self.gather(lines)
     }
 }
 

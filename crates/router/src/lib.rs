@@ -30,13 +30,32 @@
 //! * Unparseable lines are forwarded raw to the home backend so parse
 //!   errors are byte-identical too.
 //!
+//! **Round-trip budget.** A handler reaches its backends through one
+//! send-then-gather fan-out: the request goes out to every participating
+//! backend before any reply is read, so replicas work concurrently and a
+//! phase costs one round trip — the slowest backend's — whatever the
+//! backend count. A broadcast write is one phase. A scattered write is
+//! two: compute (`xpart` on every backend) and apply, where `xreset`,
+//! every `xstage` chunk and `xapply` are *pipelined* on each connection
+//! (a bounded window of lines in flight, replies read as it slides) and
+//! count as one round trip however large the merged payload is. With the
+//! client's own hop that is three round trips for a scattered write.
+//! Pipelining the commit behind its chunks is safe because the backend's
+//! staging fails closed (see `gea_server`'s x-verb notes): a refused
+//! chunk turns the commit into an `ERR` that installs nothing, and that
+//! chunk's `ERR` is the reply relayed. Replies are gathered in slot order,
+//! so the relayed reply is still the lowest surviving slot's.
+//!
 //! Failure model: any transport error marks the backend down pool-wide,
 //! and a scatter whose compute phase loses a backend aborts with a single
 //! `ERR EBACKEND` — the compute phase is read-only, so nothing was
-//! mutated anywhere. A down backend is probed with exponential backoff
-//! and re-admitted only after every known session has been re-replicated
-//! onto it from a healthy source (`xsnapshot`/`xadopt`, the same snapshot
-//! format the spill path uses, with the same generation-drift refusal).
+//! mutated anywhere. A backend lost in the apply phase is simply behind:
+//! the survivors' reply is relayed and the resync below catches it up. A
+//! down backend is probed with exponential backoff and re-admitted only
+//! after every known session has been re-replicated onto it from a
+//! healthy source (`xsnapshot`, then the same pipelined staged transfer
+//! ending in `xadopt`; the snapshot format the spill path uses, with the
+//! same generation-drift refusal).
 //!
 //! The `rebalance <k>` admin verb grows or shrinks the active prefix at
 //! runtime, shipping session snapshots to newly activated backends under
@@ -56,6 +75,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use gea_server::gql::{self, GqlCommand, Request, SessionCtl};
+use gea_server::linebuf::LineBuf;
 use gea_server::wire::{self, Reply};
 use gea_server::{xcodec, EffectTable};
 
@@ -335,19 +355,15 @@ const READ_POLL: Duration = Duration::from_millis(250);
 /// Requests longer than this are malformed (mirrors the server).
 const MAX_LINE: usize = 64 * 1024;
 
-/// Raw bytes staged per `xstage` line: hex doubles it and the verb prefix
-/// rides along, so this keeps every staging line under the server's
-/// 64 KiB line ceiling.
-const RAW_CHUNK: usize = 24 * 1024;
-
-/// Hex characters shipped per `xstage` line when relaying an already-hex
-/// snapshot (must stay even so byte boundaries are preserved).
+/// Hex characters shipped per `xstage` line: with the verb prefix it
+/// keeps every staging line under the server's 64 KiB line ceiling (and
+/// it must stay even so byte boundaries are preserved).
 const HEX_CHUNK: usize = 48 * 1024;
 
 fn serve_connection(mut stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     stream.set_read_timeout(Some(READ_POLL))?;
-    let mut pending: Vec<u8> = Vec::new();
+    let mut pending = LineBuf::default();
     let mut chunk = [0u8; 4096];
     // The client's current session, mirroring what a single server's
     // connection state would be: updated only when `open`/`use` succeeds.
@@ -358,9 +374,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<RouterShared>) -> std::i
     let mut conns: Vec<Option<BackendConn>> = (0..shared.pool.len()).map(|_| None).collect();
     loop {
         let line = loop {
-            if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = pending.drain(..=pos).collect();
-                break String::from_utf8_lossy(&raw).into_owned();
+            if let Some(line) = pending.take_line() {
+                break line;
             }
             if pending.len() > MAX_LINE {
                 wire::write_err(&mut writer, "EPARSE", "request line too long")?;
@@ -368,7 +383,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<RouterShared>) -> std::i
             }
             match stream.read(&mut chunk) {
                 Ok(0) => return Ok(()),
-                Ok(n) => pending.extend_from_slice(&chunk[..n]),
+                Ok(n) => pending.extend(&chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -484,11 +499,7 @@ fn route(
         Request::Shutdown => {
             // Stop the whole deployment: backends first, then this router.
             let _t = shared.topo.read().unwrap_or_else(|e| e.into_inner());
-            for i in shared.healthy_actives() {
-                if let Ok(conn) = ensure_conn(conns, shared, i) {
-                    let _ = conn.request("shutdown");
-                }
-            }
+            fan_out(conns, shared, &shared.healthy_actives(), |_| &["shutdown"]);
             (Some(Ok("shutting down".to_string())), After::StopRouter)
         }
         // Server-wide or filesystem-touching one-shots: one copy suffices
@@ -550,53 +561,98 @@ fn ensure_conn<'a>(
             }
         }
     }
-    Ok(conns[i].as_mut().expect("just ensured"))
+    conns[i].as_mut().ok_or(())
 }
 
-/// One request on backend `i`, with transport failures downgrading the
-/// backend pool-wide and poisoning this handler's connection to it.
-fn request_on(
+/// Send-then-gather, the one way a handler reaches its backends: write
+/// each slot's request lines to its backend, and only when every backend
+/// has its work read the replies, in slot order. The backends therefore
+/// work concurrently and the wait is the slowest one's, not the sum,
+/// while the caller still sees the replies in slot order — the order the
+/// relay rule (lowest surviving slot) is defined on.
+///
+/// `lines_for(pos)` is the batch for `slots[pos]`; a batch of several
+/// lines is pipelined and folds to one reply as [`BackendConn::gather`]
+/// describes. `None` is a transport loss at any point: the backend is
+/// marked down pool-wide and this handler's connection to it dropped.
+/// Every backend that was written to is read from, whatever happened to
+/// the others, so no connection is left with an unread reply.
+fn fan_out<'a, S: AsRef<str> + 'a>(
     conns: &mut [Option<BackendConn>],
     shared: &RouterShared,
-    i: usize,
-    line: &str,
-) -> Result<Reply, ()> {
-    let conn = ensure_conn(conns, shared, i)?;
-    match conn.request(line) {
-        Ok(reply) => Ok(reply),
-        Err(_) => {
-            conns[i] = None;
-            shared.pool.mark_down(i);
-            Err(())
-        }
-    }
-}
-
-/// Align backend `i`'s server-side current session with the client's.
-/// Returns the engine's error reply if the `use` itself fails (which is
-/// byte-identical to what the data command would have answered on a
-/// single server, since both render `no_session(current)`).
-fn align_session(
-    conns: &mut [Option<BackendConn>],
-    shared: &RouterShared,
-    i: usize,
-    current: &str,
-) -> Result<Option<Reply>, ()> {
-    {
-        let conn = ensure_conn(conns, shared, i)?;
-        if conn.session == current {
-            return Ok(None);
-        }
-    }
-    match request_on(conns, shared, i, &format!("use {current}"))? {
-        Ok(_) => {
-            if let Some(conn) = conns[i].as_mut() {
-                conn.session = current.to_string();
+    slots: &[usize],
+    lines_for: impl Fn(usize) -> &'a [S],
+) -> Vec<Option<Reply>> {
+    let lose = |conns: &mut [Option<BackendConn>], i: usize| {
+        conns[i] = None;
+        shared.pool.mark_down(i);
+    };
+    for (pos, &i) in slots.iter().enumerate() {
+        if let Ok(conn) = ensure_conn(conns, shared, i) {
+            if conn.send(lines_for(pos)).is_err() {
+                lose(conns, i);
             }
-            Ok(None)
         }
-        Err(e) => Ok(Some(Err(e))),
     }
+    // A slot still has its connection exactly when its batch went out.
+    slots
+        .iter()
+        .enumerate()
+        .map(|(pos, &i)| {
+            let reply = conns[i].as_mut()?.gather(lines_for(pos)).ok();
+            if reply.is_none() {
+                lose(conns, i);
+            }
+            reply
+        })
+        .collect()
+}
+
+/// The relay rule: replicas are identical, so every survivor answers the
+/// same bytes, and the client is sent the lowest surviving slot's.
+fn relay(replies: Vec<Option<Reply>>) -> Option<Reply> {
+    replies.into_iter().flatten().next()
+}
+
+/// Align the server-side current session of the connections to `slots`
+/// with the client's. `Ok(Some(reply))` is the engine's own error reply
+/// if a `use` fails (byte-identical to what the data command would have
+/// answered on a single server, since both render `no_session(current)`);
+/// `Err(i)` names a backend lost at the transport level.
+fn align_sessions(
+    conns: &mut [Option<BackendConn>],
+    shared: &RouterShared,
+    slots: &[usize],
+    current: &str,
+) -> Result<Option<Reply>, usize> {
+    let mut stale = Vec::new();
+    for &i in slots {
+        if ensure_conn(conns, shared, i).map_err(|()| i)?.session != current {
+            stale.push(i);
+        }
+    }
+    if stale.is_empty() {
+        return Ok(None);
+    }
+    let line = format!("use {current}");
+    let replies = fan_out(conns, shared, &stale, |_| std::slice::from_ref(&line));
+    let mut failure = None;
+    for (&i, reply) in stale.iter().zip(replies) {
+        match reply {
+            Some(Ok(_)) => {
+                if let Some(conn) = conns[i].as_mut() {
+                    conn.session = current.to_string();
+                }
+            }
+            Some(err) => {
+                failure.get_or_insert(Ok(Some(err)));
+            }
+            None => {
+                failure.get_or_insert(Err(i));
+            }
+        }
+    }
+    failure.unwrap_or(Ok(None))
 }
 
 /// Forward one line to the session-affine home backend, optionally
@@ -612,18 +668,19 @@ fn forward_home(
     if healthy.is_empty() {
         return ebackend("no healthy backend available");
     }
-    let i = healthy[(fnv1a(current) % healthy.len() as u64) as usize];
+    let home = [healthy[(fnv1a(current) % healthy.len() as u64) as usize]];
+    let unreachable = || ebackend(format!("backend {} unreachable", shared.pool.addr(home[0])));
     if align {
-        match align_session(conns, shared, i, current) {
+        match align_sessions(conns, shared, &home, current) {
             Ok(None) => {}
             Ok(Some(err)) => return err,
-            Err(()) => return ebackend(format!("backend {} unreachable", shared.pool.addr(i))),
+            Err(_) => return unreachable(),
         }
     }
-    match request_on(conns, shared, i, line) {
-        Ok(reply) => reply,
-        Err(()) => ebackend(format!("backend {} unreachable", shared.pool.addr(i))),
-    }
+    relay(fan_out(conns, shared, &home, |_| {
+        std::slice::from_ref(&line)
+    }))
+    .unwrap_or_else(unreachable)
 }
 
 /// Session-registry control: broadcast to every healthy active backend so
@@ -653,20 +710,15 @@ fn session_ctl(
         ctl,
         SessionCtl::OpenDemo { .. } | SessionCtl::OpenDir { .. } | SessionCtl::Use(_)
     );
-    let mut relay: Option<Reply> = None;
-    for i in healthy {
-        if let Ok(reply) = request_on(conns, shared, i, line) {
-            if reply.is_ok() && attaches {
-                if let Some(conn) = conns[i].as_mut() {
-                    conn.session = target.clone();
-                }
-            }
-            if relay.is_none() {
-                relay = Some(reply);
+    let replies = fan_out(conns, shared, &healthy, |_| std::slice::from_ref(&line));
+    if attaches {
+        for (&i, reply) in healthy.iter().zip(&replies) {
+            if let (Some(Ok(_)), Some(conn)) = (reply, conns[i].as_mut()) {
+                conn.session = target.clone();
             }
         }
     }
-    let Some(reply) = relay else {
+    let Some(reply) = relay(replies) else {
         return ebackend("no healthy backend available");
     };
     if reply.is_ok() {
@@ -701,12 +753,10 @@ fn write_cmd(
     }
     // Align every participating backend connection up front; an alignment
     // error is the engine's own (byte-identical) reply.
-    for &i in &healthy {
-        match align_session(conns, shared, i, current) {
-            Ok(None) => {}
-            Ok(Some(err)) => return err,
-            Err(()) => return ebackend(format!("backend {} unreachable", shared.pool.addr(i))),
-        }
+    match align_sessions(conns, shared, &healthy, current) {
+        Ok(None) => {}
+        Ok(Some(err)) => return err,
+        Err(i) => return ebackend(format!("backend {} unreachable", shared.pool.addr(i))),
     }
     if healthy.len() > 1 && scatterable(cmd) {
         scatter(cmd, conns, shared, &healthy)
@@ -715,30 +765,44 @@ fn write_cmd(
     }
 }
 
-/// Broadcast one raw line to the given backends in slot order, relaying
-/// the first surviving reply (replicas are identical, so every survivor
-/// answers the same bytes).
+/// Broadcast one raw line to the given backends so every replica executes
+/// it identically.
 fn broadcast_raw(
     line: &str,
     conns: &mut [Option<BackendConn>],
     shared: &RouterShared,
     slots: &[usize],
 ) -> Reply {
-    let mut relay: Option<Reply> = None;
-    for &i in slots {
-        if let Ok(reply) = request_on(conns, shared, i, line) {
-            if relay.is_none() {
-                relay = Some(reply);
-            }
-        }
-    }
-    relay.unwrap_or_else(|| ebackend("no healthy backend available"))
+    relay(fan_out(conns, shared, slots, |_| {
+        std::slice::from_ref(&line)
+    }))
+    .unwrap_or_else(|| ebackend("no healthy backend available"))
+}
+
+/// The one staged transfer: the request lines that replace a backend
+/// connection's staging buffer with the bytes `hex` armours and then
+/// commit them (`xapply …` or `xadopt …`). The lines are meant to be
+/// pipelined — the backend's staging fails closed, so a refused chunk
+/// turns the commit into an `ERR` that installs nothing.
+fn staged_transfer(hex: &str, commit: String) -> Vec<String> {
+    let mut lines = Vec::with_capacity(2 + hex.len().div_ceil(HEX_CHUNK));
+    lines.push("xreset".to_string());
+    // Lossy only for a payload that was never hex, which the backend
+    // then refuses.
+    lines.extend(
+        hex.as_bytes()
+            .chunks(HEX_CHUNK)
+            .map(|chunk| format!("xstage {}", String::from_utf8_lossy(chunk))),
+    );
+    lines.push(commit);
+    lines
 }
 
 /// The scatter/gather protocol: each backend computes one contiguous
 /// shard of the command (`xpart`, read-only), the router frames the
 /// partial blobs in shard order, and every backend installs the identical
-/// merged result (`xstage` + `xapply`).
+/// merged result (`xstage` + `xapply`). Each phase is one
+/// [`fan_out`], i.e. one round trip however many backends take part.
 fn scatter(
     cmd: &GqlCommand,
     conns: &mut [Option<BackendConn>],
@@ -748,110 +812,37 @@ fn scatter(
     let canonical = cmd.canonical();
     let k = healthy.len();
 
-    // Compute phase: one shard per backend, in parallel. This phase only
-    // reads, so a lost backend aborts the whole command with nothing
-    // mutated anywhere.
-    let mut taken: Vec<(usize, BackendConn)> = Vec::with_capacity(k);
-    for &i in healthy {
-        match ensure_conn(conns, shared, i) {
-            Ok(_) => taken.push((i, conns[i].take().expect("just ensured"))),
-            Err(()) => {
-                // Put already-taken conns back before failing.
-                for (j, conn) in taken {
-                    conns[j] = Some(conn);
-                }
-                return ebackend(format!("backend {} unreachable", shared.pool.addr(i)));
-            }
-        }
-    }
-    let results: Vec<std::io::Result<Reply>> = std::thread::scope(|s| {
-        let handles: Vec<_> = taken
-            .iter_mut()
-            .enumerate()
-            .map(|(slot, (_i, conn))| {
-                let line = format!("xpart {slot} {k} :: {canonical}");
-                s.spawn(move || conn.request(&line))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(std::io::Error::other("scatter thread panicked")))
-            })
-            .collect()
-    });
-    let mut lost: Option<usize> = None;
-    for ((i, conn), res) in taken.into_iter().zip(&results) {
-        if res.is_ok() {
-            conns[i] = Some(conn);
-        } else {
-            shared.pool.mark_down(i);
-            lost.get_or_insert(i);
-        }
-    }
-    if let Some(i) = lost {
+    // Compute phase: one shard per backend. This phase only reads, so a
+    // lost backend aborts the whole command with nothing mutated anywhere.
+    let xparts: Vec<String> = (0..k)
+        .map(|slot| format!("xpart {slot} {k} :: {canonical}"))
+        .collect();
+    let partials = fan_out(conns, shared, healthy, |slot| &xparts[slot..=slot]);
+    if let Some(slot) = partials.iter().position(Option::is_none) {
         return ebackend(format!(
             "backend {} lost mid-scatter; no partial results were applied",
-            shared.pool.addr(i)
+            shared.pool.addr(healthy[slot])
         ));
     }
     // An engine error is deterministic across identical replicas: relay
     // the lowest slot's.
     let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(k);
-    for res in &results {
-        match res.as_ref().expect("transport losses handled above") {
-            Err((code, msg)) => return Err((code.clone(), msg.clone())),
-            Ok(payload) => match xcodec::hex_decode(payload.trim()) {
-                Ok(blob) => blobs.push(blob),
-                Err(e) => return ebackend(format!("malformed scatter partial: {e}")),
-            },
+    for partial in partials.into_iter().flatten() {
+        match xcodec::hex_decode(partial?.trim()) {
+            Ok(blob) => blobs.push(blob),
+            Err(e) => return ebackend(format!("malformed scatter partial: {e}")),
         }
     }
-    let staged = xcodec::frame(&blobs);
 
     // Apply phase: every replica installs the same merged result. A
     // backend lost here is re-synced by the health thread on
     // re-admission, so survivors may proceed.
-    let mut relay: Option<Reply> = None;
-    for &i in healthy {
-        if conns[i].is_none() {
-            continue;
-        }
-        let applied = apply_on(conns, shared, i, &staged, k, &canonical);
-        if let Some(reply) = applied {
-            if relay.is_none() {
-                relay = Some(reply);
-            }
-        }
-    }
-    relay.unwrap_or_else(|| ebackend("all backends lost during scatter apply"))
-}
-
-/// Stage the framed shard blobs on backend `i` and apply the merge.
-/// `None` means the backend was lost at the transport level.
-fn apply_on(
-    conns: &mut [Option<BackendConn>],
-    shared: &RouterShared,
-    i: usize,
-    staged: &[u8],
-    k: usize,
-    canonical: &str,
-) -> Option<Reply> {
-    match request_on(conns, shared, i, "xreset") {
-        Ok(Ok(_)) => {}
-        Ok(Err(e)) => return Some(Err(e)),
-        Err(()) => return None,
-    }
-    for chunk in staged.chunks(RAW_CHUNK) {
-        let line = format!("xstage {}", xcodec::hex_encode(chunk));
-        match request_on(conns, shared, i, &line) {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => return Some(Err(e)),
-            Err(()) => return None,
-        }
-    }
-    request_on(conns, shared, i, &format!("xapply {k} :: {canonical}")).ok()
+    let lines = staged_transfer(
+        &xcodec::hex_encode(&xcodec::frame(&blobs)),
+        format!("xapply {k} :: {canonical}"),
+    );
+    relay(fan_out(conns, shared, healthy, |_| &lines))
+        .unwrap_or_else(|| ebackend("all backends lost during scatter apply"))
 }
 
 /// `rebalance <k>`: resize the active prefix. Growing ships every known
@@ -943,14 +934,11 @@ fn sync_backend(
                 ))
             }
         };
-        tgt.request("xreset").map_err(|_| lost(target))??;
-        for chunk in hex.as_bytes().chunks(HEX_CHUNK) {
-            let chunk = std::str::from_utf8(chunk).expect("hex is ASCII");
-            tgt.request(&format!("xstage {chunk}"))
-                .map_err(|_| lost(target))??;
-        }
-        tgt.request(&format!("xadopt {name} {fingerprint}"))
-            .map_err(|_| lost(target))??;
+        tgt.exchange(&staged_transfer(
+            hex,
+            format!("xadopt {name} {fingerprint}"),
+        ))
+        .map_err(|_| lost(target))??;
         // Generation drift check: if the source moved while we shipped,
         // the snapshot is stale — refuse, exactly like a spill whose
         // entry advanced between snapshot and commit.
@@ -1084,6 +1072,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A staged transfer far larger than the loopback socket buffers, with
+    /// many more lines than the in-flight window, neither deadlocks nor
+    /// loses a byte. The commit line here is one more `xstage`, whose
+    /// reply reports everything the backend has staged.
+    #[test]
+    fn a_staged_transfer_larger_than_the_socket_buffers_completes() {
+        let server = gea_server::Server::bind(gea_server::ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..gea_server::ServerConfig::default()
+        })
+        .expect("bind backend");
+        let addr = server.local_addr().to_string();
+        let handle = server.handle();
+        let serving = std::thread::spawn(move || server.run().expect("serve backend"));
+
+        const RAW: usize = 16 * 1024 * 1024 + HEX_CHUNK / 2;
+        let hex = "5a".repeat(RAW);
+        let (body, tail) = hex.split_at(hex.len() - HEX_CHUNK);
+        let lines = staged_transfer(body, format!("xstage {tail}"));
+        assert!(lines.len() > 10 * backend::WINDOW, "{} lines", lines.len());
+
+        // A deadlock must fail the test, not hang the suite.
+        let (done, outcome) = mpsc::channel();
+        let transfer = std::thread::spawn(move || {
+            let mut conn =
+                BackendConn::connect(&addr, Duration::from_secs(2)).expect("connect backend");
+            let _ = done.send(conn.exchange(&lines).expect("transport"));
+            conn.request("xreset").expect("transport").expect("xreset");
+        });
+        let reply = outcome
+            .recv_timeout(Duration::from_secs(120))
+            .expect("staged transfer deadlocked");
+        assert_eq!(reply, Ok(format!("staged {RAW} bytes")));
+
+        transfer.join().expect("transfer thread");
+        handle.shutdown();
+        serving.join().expect("backend thread");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A blocking client for the GQL wire protocol, used by the `gea-client`
-//! binary and the integration tests.
+//! binary, `gea-router`'s backend connections and the integration tests.
 
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -22,10 +22,25 @@ pub struct GeaClient {
     writer: TcpStream,
 }
 
+fn single_line(line: &str) -> io::Result<()> {
+    if line.contains(['\n', '\r']) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "request must be a single line",
+        ));
+    }
+    Ok(())
+}
+
 impl GeaClient {
     /// Connect to a server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<GeaClient> {
-        let stream = TcpStream::connect(addr)?;
+        GeaClient::from_stream(TcpStream::connect(addr)?)
+    }
+
+    /// Speak the protocol over an already-connected stream — for callers
+    /// that need their own connect policy (a deadline, say).
+    pub fn from_stream(stream: TcpStream) -> io::Result<GeaClient> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(GeaClient {
@@ -39,17 +54,10 @@ impl GeaClient {
     /// failures (including the server closing the connection before
     /// replying) are the outer `io::Error`.
     pub fn request(&mut self, line: &str) -> io::Result<Reply> {
-        if line.contains(['\n', '\r']) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "request must be a single line",
-            ));
-        }
+        single_line(line)?;
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
-        wire::read_reply(&mut self.reader)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })
+        self.recv()
     }
 
     /// [`GeaClient::request`], flattening a server `ERR` into an
@@ -57,5 +65,38 @@ impl GeaClient {
     pub fn expect_ok(&mut self, line: &str) -> io::Result<String> {
         self.request(line)?
             .map_err(|(code, message)| io::Error::other(format!("{code} {message}")))
+    }
+
+    /// Write every line in one `write`, reading nothing: the server answers
+    /// them in order, one frame each, and [`GeaClient::recv`] collects the
+    /// frames. A line with an embedded newline is `InvalidInput` before any
+    /// byte is written. The caller bounds the batch: replies left unread
+    /// pile up in the socket buffers, and a server blocked writing one
+    /// stops reading requests.
+    pub fn send_batch<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(lines.iter().map(|l| l.as_ref().len() + 1).sum());
+        for line in lines {
+            single_line(line.as_ref())?;
+            buf.extend_from_slice(line.as_ref().as_bytes());
+            buf.push(b'\n');
+        }
+        self.writer.write_all(&buf)?;
+        self.writer.flush()
+    }
+
+    /// Read the next reply frame of a batch sent with
+    /// [`GeaClient::send_batch`].
+    pub fn recv(&mut self) -> io::Result<Reply> {
+        wire::read_reply(&mut self.reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+        })
+    }
+
+    /// The batched call: `lines.len()` requests in one write, then as many
+    /// reply frames, in request order. An `ERR` reply is an element of the
+    /// result, not a failure of the batch.
+    pub fn request_batch<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<Reply>> {
+        self.send_batch(lines)?;
+        lines.iter().map(|_| self.recv()).collect()
     }
 }

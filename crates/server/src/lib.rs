@@ -47,6 +47,7 @@ pub mod client;
 pub mod engine;
 pub use gea_check::gql;
 pub use gea_check::{Effect, EffectTable, Scatter, VerbEffect};
+pub mod linebuf;
 pub mod metrics;
 pub mod optexec;
 pub mod registry;

@@ -50,6 +50,7 @@ use gea_sage::generate::{generate, GeneratorConfig};
 use crate::cache::{Admission, CacheScope, ResponseCache};
 use crate::engine::{self, EngineError};
 use crate::gql::{self, GqlCommand, Request, SessionCtl};
+use crate::linebuf::LineBuf;
 use crate::metrics::Metrics;
 use crate::optexec;
 use crate::registry::{
@@ -483,18 +484,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<(
     // reassembled here instead of BufReader because a timed-out read_line
     // could lose a partial line.
     stream.set_read_timeout(Some(READ_POLL))?;
-    let mut pending: Vec<u8> = Vec::new();
+    let mut pending = LineBuf::default();
     let mut chunk = [0u8; 4096];
     // Each connection is attached to one named session; `use` switches it.
     let mut current = "default".to_string();
     // Staging buffer for the backend verbs (`xstage`/`xapply`/`xadopt`):
     // per-connection, so concurrent routers never interleave payloads.
-    let mut staged: Vec<u8> = Vec::new();
+    let mut staged = crate::xverb::Staging::default();
     loop {
         let line = loop {
-            if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = pending.drain(..=pos).collect();
-                break String::from_utf8_lossy(&raw).into_owned();
+            if let Some(line) = pending.take_line() {
+                break line;
             }
             if pending.len() > MAX_LINE {
                 wire::write_err(&mut writer, "EPARSE", "request line too long")?;
@@ -504,7 +504,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<(
                 Ok(0) => {
                     return Ok(()); // client hung up
                 }
-                Ok(n) => pending.extend_from_slice(&chunk[..n]),
+                Ok(n) => pending.extend(&chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),

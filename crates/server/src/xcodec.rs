@@ -31,9 +31,11 @@ pub type CodecError = String;
 
 /// Hex-armor bytes for single-line transport.
 pub fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0x0f) as usize] as char);
     }
     out
 }
@@ -343,8 +345,19 @@ mod tests {
 
     #[test]
     fn hex_roundtrip() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
+        // Every byte value, then 64 KiB of xorshift noise: the armour is
+        // the `{:02x}` spelling of each byte, and decodes back.
+        let mut bytes: Vec<u8> = (0..=255).collect();
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        bytes.extend((0..64 * 1024).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        }));
+        let spelled: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&bytes), spelled);
+        assert_eq!(hex_decode(&spelled).unwrap(), bytes);
         assert!(hex_decode("0g").is_err());
         assert!(hex_decode("abc").is_err());
     }

@@ -22,6 +22,16 @@
 //!   snapshot is read out under generation observation, shipped, and
 //!   adopted elsewhere under a fingerprint check, with `xgen` letting
 //!   the router refuse on generation drift exactly like spill does.
+//!
+//! **Staging verbs may be pipelined, so staging fails closed.** A router
+//! writes `xreset`, every `xstage` chunk and the commit line (`xapply` or
+//! `xadopt`) back to back and reads the replies afterwards, so the commit
+//! arrives before the sender knows whether every chunk was accepted. A
+//! failed `xstage` therefore *poisons* the connection's [`Staging`]
+//! buffer: until the next `xreset`, further `xstage`, `xapply` and
+//! `xadopt` lines answer `ERR` and install nothing. The sender finds the
+//! first `ERR` among the gathered replies — the chunk's own — exactly as
+//! if it had stopped there.
 
 use gea_core::persist;
 use gea_core::session::ExecConfig;
@@ -37,12 +47,60 @@ fn eparse(msg: impl Into<String>) -> EngineError {
     EngineError::new("EPARSE", msg.into())
 }
 
+/// One connection's staging buffer: the bytes `xstage` has accumulated
+/// for the next `xapply`/`xadopt`, or the fact that a chunk was refused.
+#[derive(Default)]
+pub(crate) struct Staging {
+    bytes: Vec<u8>,
+    poisoned: bool,
+}
+
+impl Staging {
+    fn check(&self) -> Result<(), EngineError> {
+        if self.poisoned {
+            return Err(eparse(
+                "staging buffer is poisoned by a failed xstage; xreset first",
+            ));
+        }
+        Ok(())
+    }
+
+    /// `xstage <hex>`: append one chunk, or poison the buffer if the chunk
+    /// is refused.
+    fn push(&mut self, hex: &str) -> Result<String, EngineError> {
+        self.check()?;
+        let chunk = if hex.is_empty() {
+            Err("usage: xstage <hex>".to_string())
+        } else {
+            xcodec::hex_decode(hex)
+        };
+        match chunk {
+            Ok(bytes) => {
+                self.bytes.extend_from_slice(&bytes);
+                Ok(format!("staged {} bytes", self.bytes.len()))
+            }
+            Err(e) => {
+                self.bytes = Vec::new();
+                self.poisoned = true;
+                Err(eparse(e))
+            }
+        }
+    }
+
+    /// Hand the staged bytes to a commit verb, leaving the buffer empty.
+    /// A poisoned buffer stays poisoned: only `xreset` reopens it.
+    fn take(&mut self) -> Result<Vec<u8>, EngineError> {
+        self.check()?;
+        Ok(std::mem::take(&mut self.bytes))
+    }
+}
+
 /// Intercept an `x*` request line. Returns `None` when the line is not a
 /// backend verb (including `xprofiler`, which is ordinary GQL) so the
 /// normal parse path handles it.
 pub(crate) fn handle(
     line: &str,
-    staged: &mut Vec<u8>,
+    staged: &mut Staging,
     current: &str,
     shared: &Shared,
 ) -> Option<(&'static str, Result<String, EngineError>)> {
@@ -52,9 +110,9 @@ pub(crate) fn handle(
         None => (trimmed, ""),
     };
     match verb {
-        "xstage" => Some(("xstage", xstage(rest, staged))),
+        "xstage" => Some(("xstage", staged.push(rest))),
         "xreset" => {
-            staged.clear();
+            *staged = Staging::default();
             Some(("xreset", Ok("staging cleared".to_string())))
         }
         "xpart" => Some(("xpart", xpart(rest, current, shared))),
@@ -64,15 +122,6 @@ pub(crate) fn handle(
         "xgen" => Some(("xgen", xgen(rest, shared))),
         _ => None,
     }
-}
-
-fn xstage(rest: &str, staged: &mut Vec<u8>) -> Result<String, EngineError> {
-    if rest.is_empty() {
-        return Err(eparse("usage: xstage <hex>"));
-    }
-    let bytes = xcodec::hex_decode(rest).map_err(eparse)?;
-    staged.extend_from_slice(&bytes);
-    Ok(format!("staged {} bytes", staged.len()))
 }
 
 /// Parse the `<command>` tail of `xpart`/`xapply` into its scatter op.
@@ -122,7 +171,7 @@ fn xpart(rest: &str, current: &str, shared: &Shared) -> Result<String, EngineErr
 
 fn xapply(
     rest: &str,
-    staged: &mut Vec<u8>,
+    staged: &mut Staging,
     current: &str,
     shared: &Shared,
 ) -> Result<String, EngineError> {
@@ -134,7 +183,7 @@ fn xapply(
         return Err(eparse("xapply needs at least one shard"));
     }
     let op = parse_scatter_op(text)?;
-    let bytes = std::mem::take(staged);
+    let bytes = staged.take()?;
     let blobs = xcodec::unframe(&bytes).map_err(eparse)?;
     if blobs.len() != shards {
         return Err(eparse(format!(
@@ -173,7 +222,7 @@ fn xsnapshot(rest: &str, shared: &Shared) -> Result<String, EngineError> {
     ))
 }
 
-fn xadopt(rest: &str, staged: &mut Vec<u8>, shared: &Shared) -> Result<String, EngineError> {
+fn xadopt(rest: &str, staged: &mut Staging, shared: &Shared) -> Result<String, EngineError> {
     let mut it = rest.split_whitespace();
     let (name, fingerprint) = match (it.next(), it.next(), it.next()) {
         (Some(n), Some(fp), None) => (
@@ -183,7 +232,7 @@ fn xadopt(rest: &str, staged: &mut Vec<u8>, shared: &Shared) -> Result<String, E
         ),
         _ => return Err(eparse("usage: xadopt <session> <fingerprint>")),
     };
-    let bytes = std::mem::take(staged);
+    let bytes = staged.take()?;
     let mut session = persist::session_from_snapshot_bytes(&bytes, Some(fingerprint))?;
     session.set_exec_config(ExecConfig::with_threads(shared.config.threads));
     // A fresh adoption supersedes any spilled state under the name,

@@ -1,15 +1,20 @@
 //! Degradation-path smoke tests for `gea-router`: a backend killed under
 //! the router surfaces one coded `ERR EBACKEND` (no hang, no partial
-//! reply) and leaves every replica unmutated; a restarted backend is
-//! re-admitted by the health thread only after a full session resync, and
-//! participates in scatters again with byte-identical replica state.
+//! reply) and leaves every replica unmutated; a backend lost between the
+//! compute and apply phases of a scatter costs the client nothing; a
+//! restarted backend is re-admitted by the health thread only after a
+//! full session resync, and participates in scatters again with
+//! byte-identical replica state.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gea_router::{Router, RouterConfig, RouterHandle};
-use gea_server::{GeaClient, Server, ServerConfig, ServerHandle};
+use gea_server::{wire, GeaClient, Server, ServerConfig, ServerHandle};
 
 fn spawn_backend_at(addr: &str) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
     let server = Server::bind(ServerConfig {
@@ -181,4 +186,166 @@ fn restarted_backend_is_readmitted_with_identical_state() {
     join_a.join().expect("backend a thread");
     handle_b2.shutdown();
     join_b2.join().expect("backend b2 thread");
+}
+
+/// What the fault-injecting relay in front of a backend does next.
+const RELAY: u8 = 0;
+/// Answer the next `xpart`, then close the connection it arrived on.
+const DIE_AFTER_XPART: u8 = 1;
+/// Close every connection as soon as it is accepted.
+const DEAD: u8 = 2;
+/// Stop accepting and wait for the connections to end.
+const STOP: u8 = 3;
+
+/// A line-level relay in front of a backend: each accepted connection
+/// gets its own backend connection, so per-connection server state
+/// (current session, staging buffer) behaves exactly as without the
+/// relay. The mode byte scripts the fault.
+struct FaultRelay {
+    addr: SocketAddr,
+    mode: Arc<AtomicU8>,
+    accepting: JoinHandle<()>,
+}
+
+impl FaultRelay {
+    fn spawn(backend: SocketAddr) -> FaultRelay {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let addr = listener.local_addr().expect("relay address");
+        let mode = Arc::new(AtomicU8::new(RELAY));
+        let accept_mode = Arc::clone(&mode);
+        let accepting = std::thread::spawn(move || {
+            let mut connections = Vec::new();
+            for stream in listener.incoming() {
+                match accept_mode.load(Ordering::SeqCst) {
+                    STOP => break,
+                    DEAD => continue,
+                    _ => {}
+                }
+                let stream = stream.expect("accept");
+                let mode = Arc::clone(&accept_mode);
+                connections.push(std::thread::spawn(move || {
+                    relay_connection(stream, backend, &mode)
+                }));
+            }
+            for connection in connections {
+                connection.join().expect("relay connection thread");
+            }
+        });
+        FaultRelay {
+            addr,
+            mode,
+            accepting,
+        }
+    }
+
+    fn set(&self, mode: u8) {
+        self.mode.store(mode, Ordering::SeqCst);
+    }
+
+    /// Call once the router is gone: its closed connections are what ends
+    /// the relay's connection threads.
+    fn stop(self) {
+        self.set(STOP);
+        let _ = TcpStream::connect(self.addr);
+        self.accepting.join().expect("relay accept thread");
+    }
+}
+
+fn relay_connection(stream: TcpStream, backend: SocketAddr, mode: &AtomicU8) {
+    let Ok(mut upstream) = GeaClient::connect(backend) else {
+        return;
+    };
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    for line in BufReader::new(stream).lines() {
+        let Ok(line) = line else { return };
+        let Ok(reply) = upstream.request(&line) else {
+            return;
+        };
+        let written = match reply {
+            Ok(payload) => wire::write_ok(&mut writer, &payload),
+            Err((code, msg)) => wire::write_err(&mut writer, &code, &msg),
+        };
+        if written.is_err() {
+            return;
+        }
+        if line.starts_with("xpart ")
+            && mode
+                .compare_exchange(DIE_AFTER_XPART, DEAD, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            return;
+        }
+    }
+}
+
+/// `xsnapshot <session>`'s fingerprint, asked of a backend directly.
+fn fingerprint(backend: SocketAddr, session: &str) -> String {
+    let mut direct = GeaClient::connect(backend).expect("connect backend");
+    let snap = direct
+        .expect_ok(&format!("xsnapshot {session}"))
+        .expect("xsnapshot");
+    let header = snap.lines().next().expect("snapshot header");
+    header
+        .split_whitespace()
+        .nth(1)
+        .expect("fingerprint")
+        .to_string()
+}
+
+/// A backend that answers its `xpart` and then dies is lost in the apply
+/// phase, after the point of no return: the survivor installs the merged
+/// result and its reply is the client's, the lost backend is marked down,
+/// and re-admission brings its replica back to the survivor's bytes.
+#[test]
+fn backend_lost_after_compute_is_resynced_behind_a_normal_reply() {
+    let (addr_a, handle_a, join_a) = spawn_backend_at("127.0.0.1:0");
+    let (addr_b, handle_b, join_b) = spawn_backend_at("127.0.0.1:0");
+    let relay_b = FaultRelay::spawn(addr_b);
+    let (router_addr, router_handle, router_join) = spawn_router(
+        vec![addr_a.to_string(), relay_b.addr.to_string()],
+        Duration::from_millis(100),
+    );
+
+    let mut client = GeaClient::connect(router_addr).expect("connect client");
+    client.expect_ok("open s demo 42").expect("open session");
+    client.expect_ok("dataset E brain").expect("dataset");
+
+    relay_b.set(DIE_AFTER_XPART);
+    let mined = client
+        .expect_ok("mine E a 50 3 6")
+        .expect("the survivor's reply, not an error");
+    assert!(mined.contains("fascicle"), "{mined}");
+    assert_eq!(
+        relay_b.mode.load(Ordering::SeqCst),
+        DEAD,
+        "the fault never fired"
+    );
+    let listing = client.expect_ok("backends").expect("health listing");
+    assert!(listing.contains("down"), "{listing}");
+    // B computed its shard but never installed the merge.
+    assert_ne!(fingerprint(addr_a, "s"), fingerprint(addr_b, "s"));
+
+    // Writes keep landing on the survivor; then B comes back.
+    client.expect_ok("groups a_1").expect("groups on survivor");
+    relay_b.set(RELAY);
+    wait_until(
+        "lost backend to be re-admitted",
+        Duration::from_secs(30),
+        || {
+            client
+                .expect_ok("backends")
+                .is_ok_and(|listing| !listing.contains("down"))
+        },
+    );
+    assert_eq!(fingerprint(addr_a, "s"), fingerprint(addr_b, "s"));
+
+    router_handle.shutdown();
+    router_join.join().expect("router thread");
+    relay_b.stop();
+    handle_a.shutdown();
+    join_a.join().expect("backend a thread");
+    handle_b.shutdown();
+    join_b.join().expect("backend b thread");
 }
