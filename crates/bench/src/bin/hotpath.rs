@@ -1,4 +1,4 @@
-//! Tiered hot-path kernel bench: the `aggregate`/`populate` perf
+//! Tiered hot-path kernel bench: the `aggregate`/`populate`/`clean` perf
 //! trajectories with bit-identity gates.
 //!
 //! ```text
@@ -9,11 +9,13 @@
 //! only enforces the identity gates — it writes nothing, so it is safe
 //! for every CI run and cannot flake on a loaded host. `--full` runs the
 //! thesis-scale corpus with interleaved repetitions and writes
-//! `BENCH_aggregate.json` and `BENCH_populate.json` into `--out-dir`
-//! (default: the working directory). Both tiers exit non-zero if any
-//! kernel variant's output diverges from its scalar oracle.
+//! `BENCH_aggregate.json`, `BENCH_populate.json` and `BENCH_clean.json`
+//! into `--out-dir` (default: the working directory). Both tiers exit
+//! non-zero if any kernel variant's output diverges from its oracle.
 
-use gea_bench::hotpath::{run_aggregate, run_populate, to_json, HotpathConfig, HotpathRow};
+use gea_bench::hotpath::{
+    run_aggregate, run_clean, run_populate, to_json, HotpathConfig, HotpathRow,
+};
 
 fn usage() -> ! {
     eprintln!("usage: hotpath [--kick-tires | --full] [--threads N] [--out-dir PATH]");
@@ -68,12 +70,18 @@ fn main() {
 
     let agg = run_aggregate(&cfg);
     let pop = run_populate(&cfg);
-    let ok = report("aggregate", &agg) & report("populate", &pop);
+    let (raw_corpus, cln) = run_clean(&cfg);
+    let ok = report("aggregate", &agg) & report("populate", &pop) & report("clean", &cln);
 
     if cfg.tier == gea_bench::hotpath::Tier::Full {
-        for (op, rows) in [("aggregate", &agg), ("populate", &pop)] {
+        let matrix_corpus = cfg.corpus_json();
+        for (op, corpus, rows) in [
+            ("aggregate", &matrix_corpus, &agg),
+            ("populate", &matrix_corpus, &pop),
+            ("clean", &raw_corpus, &cln),
+        ] {
             let path = format!("{out_dir}/BENCH_{op}.json");
-            if let Err(e) = std::fs::write(&path, to_json(op, &cfg, rows)) {
+            if let Err(e) = std::fs::write(&path, to_json(op, &cfg, corpus, rows)) {
                 eprintln!("hotpath: writing {path}: {e}");
                 std::process::exit(1);
             }

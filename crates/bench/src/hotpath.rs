@@ -1,9 +1,9 @@
-//! Tiered hot-path kernel benchmark behind `BENCH_aggregate.json` and
-//! `BENCH_populate.json`.
+//! Tiered hot-path kernel benchmark behind `BENCH_aggregate.json`,
+//! `BENCH_populate.json` and `BENCH_clean.json`.
 //!
 //! Where `parallel` measures serial-vs-sharded wall time per operator,
-//! this experiment records the *perf trajectory* of the two columnar hot
-//! paths — three variants per operator, every later variant checked
+//! this experiment records the *perf trajectory* of the hot paths —
+//! the variants of each operator, every later variant checked
 //! bit-identical against the first:
 //!
 //! * `aggregate`: the pre-blocking scalar reference kernel
@@ -13,6 +13,11 @@
 //! * `populate`: the library-at-a-time scan ([`populate_scan`]), the
 //!   selection-vector columnar pruner ([`populate_columnar`]), and the
 //!   sharded driver ([`gea_exec::populate_columnar_sharded`]).
+//! * `clean`: the §4.2 rule asked tag by tag
+//!   ([`gea_sage::clean::reference`]) and the one-census form every
+//!   session open runs ([`gea_sage::clean::clean`]). Its corpus is a raw
+//!   generated one (demo at kick-tires, thesis scale at full), not the
+//!   synthetic matrix the other two share.
 //!
 //! Two tiers: **kick-tires** (seconds-scale corpus, one repetition —
 //! identity gate only, for every CI run) and **full** (thesis-scale
@@ -27,6 +32,8 @@ use gea_core::populate::{populate_columnar, populate_scan, PopulateStats};
 use gea_core::sumy::{aggregate, reference, SumyTable};
 use gea_core::ExecConfig;
 use gea_exec::{aggregate_sharded, populate_columnar_sharded};
+use gea_sage::clean::{clean, CleaningConfig};
+use gea_sage::generate::{generate, GeneratorConfig};
 use gea_sage::library::LibraryId;
 use gea_sage::tag::TagId;
 
@@ -100,13 +107,23 @@ impl HotpathConfig {
             seed: 7,
         }
     }
+
+    /// The synthetic matrix the `aggregate` and `populate` rows share, as
+    /// the JSON document describes it.
+    pub fn corpus_json(&self) -> String {
+        format!(
+            "{{\"n_tags\": {}, \"n_libs\": {}, \"n_members\": {}, \"member_width\": {}, \"seed\": {}}}",
+            self.n_tags, self.n_libs, self.n_members, self.member_width, self.seed
+        )
+    }
 }
 
 /// One variant's measurement within an operator's trajectory.
 #[derive(Debug, Clone)]
 pub struct HotpathRow {
     /// Variant name (`reference`/`blocked`/`sharded` for aggregate;
-    /// `scan`/`columnar`/`sharded` for populate).
+    /// `scan`/`columnar`/`sharded` for populate; `definition`/`census`
+    /// for clean).
     pub variant: &'static str,
     /// Minimum wall time over the repetitions, milliseconds.
     pub wall_ms: f64,
@@ -233,8 +250,50 @@ pub fn run_populate(cfg: &HotpathConfig) -> Vec<HotpathRow> {
         .collect()
 }
 
-/// Render one operator's trajectory as its `BENCH_<op>.json` document.
-pub fn to_json(op: &str, cfg: &HotpathConfig, rows: &[HotpathRow]) -> String {
+/// The `clean` trajectory: the §4.2 rule as one `max_count` question per
+/// union tag (the oracle) → one sorted census of the raw corpus. Identity
+/// is the cleaned matrix and the cleaning report, both bit for bit. The
+/// corpus is the demo one at kick-tires and the thesis-scale one at full,
+/// generated from `cfg.seed`; returned beside the rows is its description
+/// for the JSON document.
+pub fn run_clean(cfg: &HotpathConfig) -> (String, Vec<HotpathRow>) {
+    let (generator, config) = match cfg.tier {
+        Tier::KickTires => ("demo", GeneratorConfig::demo(cfg.seed)),
+        Tier::Full => ("thesis_scale", GeneratorConfig::thesis_scale(cfg.seed)),
+    };
+    let (corpus, _) = generate(&config);
+    let cleaning = CleaningConfig::default();
+    let mut variants: Vec<Variant<'_, _>> = vec![
+        (
+            "definition",
+            Box::new(|| gea_sage::clean::reference::clean(&corpus, &cleaning)),
+        ),
+        ("census", Box::new(|| clean(&corpus, &cleaning))),
+    ];
+    let measured = interleave(cfg.repetitions, &mut variants);
+    let oracle = measured[0].1.clone();
+    let entries: usize = corpus.iter().map(|(_, l)| l.unique_tags()).sum();
+    let described = format!(
+        "{{\"generator\": \"{generator}\", \"seed\": {}, \"n_libs\": {}, \"entries\": {entries}, \"raw_union_tags\": {}, \"kept_tags\": {}}}",
+        cfg.seed,
+        corpus.len(),
+        oracle.1.raw_union_tags,
+        oracle.1.kept_tags
+    );
+    let rows = measured
+        .into_iter()
+        .map(|(variant, out, wall_ms)| HotpathRow {
+            variant,
+            wall_ms,
+            identical: out == oracle,
+        })
+        .collect();
+    (described, rows)
+}
+
+/// Render one operator's trajectory as its `BENCH_<op>.json` document;
+/// `corpus` is the JSON object describing what the rows ran over.
+pub fn to_json(op: &str, cfg: &HotpathConfig, corpus: &str, rows: &[HotpathRow]) -> String {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -243,10 +302,7 @@ pub fn to_json(op: &str, cfg: &HotpathConfig, rows: &[HotpathRow]) -> String {
     out.push_str(&format!("  \"tier\": \"{}\",\n", cfg.tier.name()));
     out.push_str(&format!("  \"host_parallelism\": {host},\n"));
     out.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    out.push_str(&format!(
-        "  \"corpus\": {{\"n_tags\": {}, \"n_libs\": {}, \"n_members\": {}, \"member_width\": {}, \"seed\": {}}},\n",
-        cfg.n_tags, cfg.n_libs, cfg.n_members, cfg.member_width, cfg.seed
-    ));
+    out.push_str(&format!("  \"corpus\": {corpus},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -287,7 +343,7 @@ mod tests {
             ["reference", "blocked", "sharded"]
         );
         assert!(rows.iter().all(|r| r.identical), "divergence: {rows:?}");
-        let json = to_json("aggregate", &cfg, &rows);
+        let json = to_json("aggregate", &cfg, &cfg.corpus_json(), &rows);
         assert!(json.contains("\"experiment\": \"aggregate_hotpath\""));
         assert!(json.contains("\"tier\": \"kick-tires\""));
         assert!(!json.contains("\"identical\": false"));
@@ -302,7 +358,21 @@ mod tests {
             ["scan", "columnar", "sharded"]
         );
         assert!(rows.iter().all(|r| r.identical), "divergence: {rows:?}");
-        let json = to_json("populate", &cfg, &rows);
+        let json = to_json("populate", &cfg, &cfg.corpus_json(), &rows);
         assert!(json.contains("\"experiment\": \"populate_hotpath\""));
+    }
+
+    #[test]
+    fn clean_trajectory_is_identical_and_renders() {
+        let cfg = tiny();
+        let (corpus, rows) = run_clean(&cfg);
+        assert_eq!(
+            rows.iter().map(|r| r.variant).collect::<Vec<_>>(),
+            ["definition", "census"]
+        );
+        assert!(rows.iter().all(|r| r.identical), "divergence: {rows:?}");
+        let json = to_json("clean", &cfg, &corpus, &rows);
+        assert!(json.contains("\"experiment\": \"clean_hotpath\""));
+        assert!(json.contains("\"generator\": \"demo\", \"seed\": 11"));
     }
 }

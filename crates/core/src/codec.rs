@@ -32,36 +32,49 @@ impl From<CodecError> for String {
     }
 }
 
+/// Where the primitive writers put their bytes: a buffer that keeps them,
+/// or a hash that folds them and keeps nothing.
+pub trait ByteSink {
+    /// Take the next bytes of the encoding.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 /// Append one byte.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+pub fn put_u8(out: &mut impl ByteSink, v: u8) {
+    out.put(&[v]);
 }
 
 /// Append a `u32`, little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(out: &mut impl ByteSink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append a `u64`, little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64(out: &mut impl ByteSink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// Append an `f64` as its IEEE-754 bits, little-endian.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub fn put_f64(out: &mut impl ByteSink, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 /// Append a `u32`-length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
+pub fn put_str(out: &mut impl ByteSink, s: &str) {
     put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
 /// Append a `u64`-length-prefixed byte blob.
-pub fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+pub fn put_blob(out: &mut impl ByteSink, bytes: &[u8]) {
     put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
+    out.put(bytes);
 }
 
 /// A bounds-checked little-endian reader. The `what` argument of each

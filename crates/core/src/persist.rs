@@ -37,7 +37,9 @@ use gea_sage::library::{LibraryMeta, LibraryProperty, NeoplasticState, TissueSou
 use gea_sage::tag::{Tag, TagUniverse};
 use gea_sage::ExpressionMatrix;
 
-use crate::codec::{put_blob, put_f64, put_str, put_u32, put_u64, put_u8, CodecError, Cur};
+use crate::codec::{
+    put_blob, put_f64, put_str, put_u32, put_u64, put_u8, ByteSink, CodecError, Cur,
+};
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
 use crate::interval::Interval;
@@ -355,12 +357,54 @@ const SNAPSHOT_VERSION: u32 = 2;
 /// than enough to catch truncation and bit rot (this is an integrity
 /// check, not an authenticity one).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.put(bytes);
+    hash.0
+}
+
+/// The running FNV-1a state. It folds byte by byte, so it is a sink the
+/// encoders can write straight into: what [`corpus_fingerprint`] hashes is
+/// never materialized.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl ByteSink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.put(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A sink that only counts: the length a blob will have, ahead of its bytes.
+struct ByteCount(u64);
+
+impl Write for ByteCount {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0 += bytes.len() as u64;
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 // ----- LZSS body compression ----------------------------------------------
@@ -541,7 +585,7 @@ fn parse_property_code(c: u8) -> Result<LibraryProperty, PersistError> {
     })
 }
 
-fn put_library_meta(out: &mut Vec<u8>, meta: &LibraryMeta) {
+fn put_library_meta(out: &mut impl ByteSink, meta: &LibraryMeta) {
     put_str(out, &meta.name);
     put_str(out, meta.tissue.name());
     put_u8(out, state_code(meta.state));
@@ -562,7 +606,7 @@ fn read_tag(cur: &mut Cur, what: &str) -> Result<Tag, PersistError> {
     Tag::from_code(code).ok_or_else(|| malformed(format!("{what}: tag code {code} out of range")))
 }
 
-fn put_enum_table(out: &mut Vec<u8>, table: &EnumTable) {
+fn put_enum_table(out: &mut impl ByteSink, table: &EnumTable) {
     put_str(out, &table.name);
     let m = &table.matrix;
     put_u32(out, m.n_tags() as u32);
@@ -890,13 +934,19 @@ fn encode_session(session: &GeaSession) -> Result<Vec<u8>, PersistError> {
 /// configuration share this value no matter how their derived tables later
 /// diverge — the key the server's cross-session response cache shares
 /// pure-read replies under.
+///
+/// The bytes hashed are those [`encode_session`] writes for the two parts
+/// (corpus blob, then base table), fed to the hash as they are produced; the
+/// blob's length prefix precedes its bytes, so the corpus is encoded twice,
+/// once to count and once to hash.
 pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
-    let mut out = Vec::new();
-    let mut corpus_blob = Vec::new();
-    write_corpus_binary(session.corpus(), &mut corpus_blob)?;
-    put_blob(&mut out, &corpus_blob);
-    put_enum_table(&mut out, session.base());
-    Ok(fnv1a(&out))
+    let mut blob_len = ByteCount(0);
+    write_corpus_binary(session.corpus(), &mut blob_len)?;
+    let mut hash = Fnv1a::new();
+    put_u64(&mut hash, blob_len.0);
+    write_corpus_binary(session.corpus(), &mut hash)?;
+    put_enum_table(&mut hash, session.base());
+    Ok(hash.0)
 }
 
 fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
@@ -1318,6 +1368,26 @@ mod tests {
         assert_eq!(fp1, fp2, "same session must fingerprint identically");
         fs::remove_dir_all(&d1).unwrap();
         fs::remove_dir_all(&d2).unwrap();
+    }
+
+    #[test]
+    fn corpus_fingerprint_hashes_the_snapshot_bytes_of_its_two_parts() {
+        // The streamed hash against the materialized form it replaced:
+        // the corpus blob and the base table exactly as `encode_session`
+        // lays them out.
+        let session = rich_session();
+        let mut corpus_blob = Vec::new();
+        write_corpus_binary(session.corpus(), &mut corpus_blob).unwrap();
+        let mut bytes = Vec::new();
+        put_blob(&mut bytes, &corpus_blob);
+        put_enum_table(&mut bytes, session.base());
+        assert_eq!(corpus_fingerprint(&session).unwrap(), fnv1a(&bytes));
+
+        // Pinned: the server's cross-session cache key for `open … demo 42`
+        // (thesis-scale seed 42 is pinned in `tests/thesis_scale.rs`).
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let demo = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        assert_eq!(corpus_fingerprint(&demo).unwrap(), 0x57db_2385_ae02_b849);
     }
 
     #[test]

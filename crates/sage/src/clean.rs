@@ -15,10 +15,33 @@
 //!
 //! On the thesis's data this takes the union from ~350,000 tags down to
 //! ~60,000, removing 5–15 % of each library's distinct tags.
+//!
+//! # One census, not one question per tag
+//!
+//! Steps 1 and 2 ask, for every union tag, "what is the largest count any
+//! library gave it?". Asked tag by tag ([`SageCorpus::max_count`]) that is
+//! one map probe per library per tag — libraries × union, 31 million probes
+//! at thesis scale (100 × 312,957), and the rule asks twice. But the answer
+//! to all of them at once is already in the corpus: its `(tag, count)`
+//! entries (504,654 at that scale), sorted by tag, with each run of equal
+//! tags folded to its maximum ([`SageCorpus::tag_census`]). That vector *is*
+//! the union (its tags), the keep set (`max > tolerance`) and the
+//! frequency-1 population (`max <= 1`) — the same integers compared with
+//! the same thresholds, so it is the definition evaluated in a different
+//! order, not an approximation of it, and the cost is
+//! O(entries · log entries). Each library is then walked once; a surviving
+//! entry's row id is resolved once and serves the removed fraction, the
+//! surviving total and the scaled fill. [`reference::clean`] keeps the
+//! tag-by-tag form as the oracle the tests and the `hotpath` bench hold
+//! this one to, bit for bit.
+
+#[doc(hidden)]
+pub mod reference;
 
 use crate::corpus::SageCorpus;
 use crate::library::LibraryId;
 use crate::matrix::ExpressionMatrix;
+use crate::tag::{TagId, TagUniverse};
 
 /// Estimated mRNA transcripts per cell; the normalization target (§4.2).
 pub const MRNAS_PER_CELL: f64 = 300_000.0;
@@ -75,60 +98,58 @@ impl CleaningReport {
 /// Run the §4.2 cleaning pipeline over a raw corpus, producing the cleaned,
 /// normalized expression matrix and a report of what was removed.
 pub fn clean(corpus: &SageCorpus, config: &CleaningConfig) -> (ExpressionMatrix, CleaningReport) {
-    let raw_union = corpus.tag_union();
-    let raw_union_tags = raw_union.len();
-
-    // Step 2: keep a tag iff some library saw it more than `min_tolerance`
-    // times.
-    let kept = raw_union
-        .filter(|_, tag| corpus.max_count(tag) > config.min_tolerance)
-        .0;
-
-    // Frequency-1 census over the raw union, for the report.
-    let freq1 = raw_union
-        .iter()
-        .filter(|&(_, tag)| corpus.max_count(tag) <= 1)
-        .count();
+    // Steps 1 and 2 off one census: the union is its length, a tag is kept
+    // iff some library saw it more than `min_tolerance` times, and the
+    // report's frequency-1 population is the tags that never exceed 1. The
+    // census is dropped at the end of this block, before the matrix below
+    // is allocated, so the two never coexist.
+    let (raw_union_tags, freq1, kept) = {
+        let census = corpus.tag_census();
+        let freq1 = census.iter().filter(|&&(_, max)| max <= 1).count();
+        let kept = TagUniverse::from_tags(
+            census
+                .iter()
+                .filter(|&&(_, max)| max > config.min_tolerance)
+                .map(|&(tag, _)| tag),
+        );
+        (census.len(), freq1, kept)
+    };
     let freq1_union_fraction = if raw_union_tags == 0 {
         0.0
     } else {
         freq1 as f64 / raw_union_tags as f64
     };
 
-    // Per-library removal fractions.
-    let mut removed_fraction_per_library = Vec::with_capacity(corpus.len());
-    for (_, lib) in corpus.iter() {
-        let before = lib.unique_tags();
-        let after = lib.tags().filter(|&t| kept.id_of(t).is_some()).count();
-        let frac = if before == 0 {
-            0.0
-        } else {
-            1.0 - after as f64 / before as f64
-        };
-        removed_fraction_per_library.push(frac);
-    }
-
-    // Build the matrix over kept tags, then normalize per library.
+    // Each library is walked once: every surviving entry's row id is
+    // resolved here and serves the removal fraction, the surviving total
+    // and the scaled fill.
     let metas = corpus.iter().map(|(_, l)| l.meta.clone()).collect();
     let mut matrix = ExpressionMatrix::zeroed(kept, metas);
+    let mut removed_fraction_per_library = Vec::with_capacity(corpus.len());
+    let mut survivors: Vec<(TagId, u32)> = Vec::new();
     for (lib_id, lib) in corpus.iter() {
+        survivors.clear();
+        survivors.extend(
+            lib.iter()
+                .filter_map(|(tag, count)| matrix.id_of(tag).map(|tid| (tid, count))),
+        );
+        let before = lib.unique_tags();
+        removed_fraction_per_library.push(if before == 0 {
+            0.0
+        } else {
+            1.0 - survivors.len() as f64 / before as f64
+        });
         // Step 3: scale factor from *surviving* counts, so library totals in
         // the matrix land exactly on the target. ("We scale up the data sets
         // by proportionally increasing the count of genes that exist in the
         // library, and the genes that do not exist will remain as zero.")
-        let surviving_total: u64 = lib
-            .iter()
-            .filter(|&(t, _)| matrix.id_of(t).is_some())
-            .map(|(_, c)| c as u64)
-            .sum();
+        let surviving_total: u64 = survivors.iter().map(|&(_, c)| c as u64).sum();
         let factor = match config.scale_to {
             Some(target) if surviving_total > 0 => target / surviving_total as f64,
             _ => 1.0,
         };
-        for (tag, count) in lib.iter() {
-            if let Some(tid) = matrix.id_of(tag) {
-                matrix.set(tid, lib_id, count as f64 * factor);
-            }
+        for &(tid, count) in &survivors {
+            matrix.set(tid, lib_id, count as f64 * factor);
         }
     }
 

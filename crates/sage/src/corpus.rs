@@ -6,8 +6,6 @@
 //! collection and answers the descriptive queries of §4.4.4.2 (library
 //! information, tissue-type membership, frequency census).
 
-use std::collections::BTreeMap;
-
 use crate::library::{LibraryId, LibraryMeta, NeoplasticState, SageLibrary, TissueType};
 use crate::tag::{Tag, TagUniverse};
 
@@ -97,13 +95,36 @@ impl SageCorpus {
         TagUniverse::from_tags(self.libraries.iter().flat_map(|l| l.tags()))
     }
 
+    /// The raw union with each tag's maximum per-library count, sorted by
+    /// tag and duplicate-free: every library's `(tag, count)` entries
+    /// gathered, sorted and folded. One pass over the corpus's entries
+    /// answers what [`SageCorpus::max_count`] answers one tag at a time —
+    /// the cleaning rule (§4.2) and the frequency-1 census both read it.
+    pub fn tag_census(&self) -> Vec<(Tag, u32)> {
+        let entries = self.libraries.iter().map(|l| l.unique_tags()).sum();
+        let mut census: Vec<(Tag, u32)> = Vec::with_capacity(entries);
+        for lib in &self.libraries {
+            census.extend(lib.iter());
+        }
+        census.sort_unstable();
+        census.dedup_by(|next, kept| {
+            let same_tag = next.0 == kept.0;
+            if same_tag {
+                kept.1 = kept.1.max(next.1);
+            }
+            same_tag
+        });
+        census
+    }
+
     /// Total observed count of `tag` summed over every library.
     pub fn global_count(&self, tag: Tag) -> u64 {
         self.libraries.iter().map(|l| l.count(tag) as u64).sum()
     }
 
     /// Maximum per-library count of `tag` over every library. The cleaning
-    /// rule keeps a tag iff this exceeds the tolerance.
+    /// rule keeps a tag iff this exceeds the tolerance; this is the point
+    /// query, [`SageCorpus::tag_census`] the whole-corpus form.
     pub fn max_count(&self, tag: Tag) -> u32 {
         self.libraries
             .iter()
@@ -114,7 +135,6 @@ impl SageCorpus {
 
     /// Descriptive statistics for the whole corpus.
     pub fn stats(&self) -> CorpusStats {
-        let union = self.tag_union();
         let mut per_library = Vec::with_capacity(self.libraries.len());
         for lib in &self.libraries {
             per_library.push(LibraryStats {
@@ -124,19 +144,13 @@ impl SageCorpus {
                 freq1_tags: lib.tags_with_frequency(1),
             });
         }
-        // Census of tags whose count is exactly 1 in every library where they
-        // appear at all — the error-candidate population of §4.2.
-        let mut max_count: BTreeMap<Tag, u32> = BTreeMap::new();
-        for lib in &self.libraries {
-            for (tag, count) in lib.iter() {
-                let entry = max_count.entry(tag).or_insert(0);
-                *entry = (*entry).max(count);
-            }
-        }
-        let union_tags_max_freq1 = max_count.values().filter(|&&c| c <= 1).count();
+        // Tags whose count is exactly 1 in every library where they appear
+        // at all — the error-candidate population of §4.2.
+        let census = self.tag_census();
+        let union_tags_max_freq1 = census.iter().filter(|&&(_, max)| max <= 1).count();
         CorpusStats {
             libraries: self.libraries.len(),
-            union_tags: union.len(),
+            union_tags: census.len(),
             union_tags_max_freq1,
             per_library,
         }

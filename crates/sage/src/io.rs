@@ -18,7 +18,9 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 use crate::corpus::SageCorpus;
-use crate::library::{LibraryMeta, NeoplasticState, SageLibrary, TissueSource, TissueType};
+use crate::library::{
+    CountOverflow, LibraryMeta, NeoplasticState, SageLibrary, TissueSource, TissueType,
+};
 use crate::tag::Tag;
 
 /// Errors raised by the readers.
@@ -70,8 +72,27 @@ pub fn write_library_text(lib: &SageLibrary, w: &mut impl Write) -> io::Result<(
     out.flush()
 }
 
+/// One line of a library text: `None` for a blank or `#` line, the
+/// `(tag, count)` of a data line, or why the line does not parse.
+fn parse_count_line(line: &str) -> Result<Option<(Tag, u32)>, String> {
+    let mut fields = line.split_whitespace();
+    let Some(tag_s) = fields.next().filter(|f| !f.starts_with('#')) else {
+        return Ok(None);
+    };
+    let count_s = fields.next().ok_or("missing count")?;
+    if fields.next().is_some() {
+        return Err("more than two fields".into());
+    }
+    let tag = tag_s.parse::<Tag>().map_err(|e| e.to_string())?;
+    let count = count_s
+        .parse::<u32>()
+        .map_err(|e| format!("bad count: {e}"))?;
+    Ok(Some((tag, count)))
+}
+
 /// Parse one library from `TAG<TAB>count` lines. Blank lines and lines
-/// starting with `#` are skipped.
+/// starting with `#` are skipped; repeated tags accumulate, and a tag whose
+/// counts sum past `u32::MAX` is malformed input.
 pub fn read_library_text(
     meta: LibraryMeta,
     r: &mut impl Read,
@@ -79,28 +100,30 @@ pub fn read_library_text(
 ) -> Result<SageLibrary, IoError> {
     let mut text = String::new();
     r.read_to_string(&mut text)?;
-    let mut lib = SageLibrary::new(meta);
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let tag_s = parts
-            .next()
-            .ok_or_else(|| malformed(context, format!("line {}: empty", lineno + 1)))?;
-        let count_s = parts
-            .next()
-            .ok_or_else(|| malformed(context, format!("line {}: missing count", lineno + 1)))?;
-        let tag: Tag = tag_s
-            .parse()
-            .map_err(|e| malformed(context, format!("line {}: {e}", lineno + 1)))?;
-        let count: u32 = count_s
-            .parse()
-            .map_err(|e| malformed(context, format!("line {}: bad count: {e}", lineno + 1)))?;
-        lib.add(tag, count);
+    let mut pairs = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let parsed = parse_count_line(line)
+            .map_err(|detail| malformed(context, format!("line {}: {detail}", i + 1)))?;
+        pairs.extend(parsed);
     }
-    Ok(lib)
+    SageLibrary::try_from_counts(meta, pairs).map_err(|overflow| {
+        // Rare path: find the line that tips this tag's sum over.
+        let CountOverflow(tag) = overflow;
+        let mut sum = 0u64;
+        let lineno = text
+            .lines()
+            .enumerate()
+            .filter_map(|(i, line)| match parse_count_line(line) {
+                Ok(Some((t, count))) if t == tag => Some((i + 1, count)),
+                _ => None,
+            })
+            .find(|&(_, count)| {
+                sum += u64::from(count);
+                sum > u64::from(u32::MAX)
+            })
+            .map_or(0, |(lineno, _)| lineno);
+        malformed(context, format!("line {lineno}: {overflow}"))
+    })
 }
 
 fn state_token(s: NeoplasticState) -> &'static str {
@@ -312,6 +335,44 @@ mod tests {
         let bad = b"NOTATAG\t5\n";
         let err = read_library_text(meta, &mut bad.as_slice(), "test").unwrap_err();
         assert!(matches!(err, IoError::Malformed { .. }));
+    }
+
+    fn malformed_detail(text: &str) -> String {
+        let meta = small_corpus().meta(crate::library::LibraryId(0)).clone();
+        match read_library_text(meta, &mut text.as_bytes(), "test").unwrap_err() {
+            IoError::Malformed { detail, .. } => detail,
+            other => panic!("expected Malformed, got {other}"),
+        }
+    }
+
+    #[test]
+    fn text_reader_rejects_a_count_that_overflows() {
+        // Two lines for one tag summing past u32::MAX: the line that tips
+        // the sum over is named, never a wrapped or saturated count.
+        let detail =
+            malformed_detail("# lib\nAAAAAAAAAA\t4294967295\nCCCCCCCCCC\t3\n\nAAAAAAAAAA\t1\n");
+        assert_eq!(detail, "line 5: counts of AAAAAAAAAA sum past 4294967295");
+        // A single count beyond u32 was already rejected, as a bad count.
+        assert!(malformed_detail("AAAAAAAAAA\t4294967296\n").starts_with("line 1: bad count"));
+    }
+
+    #[test]
+    fn text_reader_rejects_a_third_field() {
+        assert_eq!(
+            malformed_detail("AAAAAAAAAA\t5\nCCCCCCCCCC\t5\tjunk\n"),
+            "line 2: more than two fields"
+        );
+        assert_eq!(malformed_detail("AAAAAAAAAA\n"), "line 1: missing count");
+    }
+
+    #[test]
+    fn text_reader_accumulates_repeated_tags() {
+        let meta = small_corpus().meta(crate::library::LibraryId(0)).clone();
+        let text = b"CCCCCCCCCC\t2\nAAAAAAAAAA\t4\nCCCCCCCCCC\t3\nGGGGGGGGGG\t0\n";
+        let lib = read_library_text(meta, &mut text.as_slice(), "test").unwrap();
+        assert_eq!(lib.count("CCCCCCCCCC".parse().unwrap()), 5);
+        assert_eq!(lib.unique_tags(), 2);
+        assert_eq!(lib.total_tags(), 9);
     }
 
     #[test]

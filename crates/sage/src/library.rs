@@ -205,6 +205,19 @@ impl LibraryMeta {
     }
 }
 
+/// The counts of one tag summed past `u32::MAX`
+/// ([`SageLibrary::try_from_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountOverflow(pub Tag);
+
+impl fmt::Display for CountOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "counts of {} sum past {}", self.0, u32::MAX)
+    }
+}
+
+impl std::error::Error for CountOverflow {}
+
 /// A raw SAGE library: tag → observed count.
 ///
 /// Counts are kept sparse and sorted by tag; a library only records the tags
@@ -226,23 +239,57 @@ impl SageLibrary {
         }
     }
 
-    /// Create a library from `(tag, count)` pairs. Duplicate tags accumulate;
-    /// zero counts are dropped.
+    /// Create a library from `(tag, count)` pairs. Duplicate tags accumulate
+    /// (saturating at `u32::MAX`); zero counts are dropped.
     pub fn from_counts<I>(meta: LibraryMeta, pairs: I) -> SageLibrary
     where
         I: IntoIterator<Item = (Tag, u32)>,
     {
-        let mut lib = SageLibrary::new(meta);
-        for (tag, count) in pairs {
-            lib.add(tag, count);
-        }
-        lib
+        SageLibrary::fold_counts(meta, pairs).0
     }
 
-    /// Add `count` observations of `tag`.
+    /// [`SageLibrary::from_counts`] for counts that arrive from outside the
+    /// program: a tag whose counts sum past `u32::MAX` is an error, not a
+    /// saturated entry.
+    pub fn try_from_counts<I>(meta: LibraryMeta, pairs: I) -> Result<SageLibrary, CountOverflow>
+    where
+        I: IntoIterator<Item = (Tag, u32)>,
+    {
+        match SageLibrary::fold_counts(meta, pairs) {
+            (lib, None) => Ok(lib),
+            (_, Some(tag)) => Err(CountOverflow(tag)),
+        }
+    }
+
+    /// The one bulk construction path: collect, sort by tag, sum each tag's
+    /// run in place, and build the map from the sorted pairs in one go.
+    /// Returns the first tag whose sum saturated, if any.
+    fn fold_counts<I>(meta: LibraryMeta, pairs: I) -> (SageLibrary, Option<Tag>)
+    where
+        I: IntoIterator<Item = (Tag, u32)>,
+    {
+        let mut sorted: Vec<(Tag, u32)> = pairs.into_iter().filter(|&(_, c)| c > 0).collect();
+        sorted.sort_by_key(|&(tag, _)| tag);
+        let mut overflowed = None;
+        sorted.dedup_by(|next, kept| {
+            let same_tag = next.0 == kept.0;
+            if same_tag {
+                kept.1 = kept.1.checked_add(next.1).unwrap_or_else(|| {
+                    overflowed.get_or_insert(kept.0);
+                    u32::MAX
+                });
+            }
+            same_tag
+        });
+        let counts = sorted.into_iter().collect();
+        (SageLibrary { meta, counts }, overflowed)
+    }
+
+    /// Add `count` observations of `tag`, saturating at `u32::MAX`.
     pub fn add(&mut self, tag: Tag, count: u32) {
         if count > 0 {
-            *self.counts.entry(tag).or_insert(0) += count;
+            let entry = self.counts.entry(tag).or_insert(0);
+            *entry = entry.saturating_add(count);
         }
     }
 
@@ -311,6 +358,29 @@ mod tests {
         assert_eq!(lib.count(tag("CCCCCCCCCC")), 0);
         assert_eq!(lib.unique_tags(), 1);
         assert_eq!(lib.total_tags(), 5);
+    }
+
+    #[test]
+    fn counts_never_wrap() {
+        let a = tag("AAAAAAAAAA");
+        let c = tag("CCCCCCCCCC");
+        let pairs = [(c, 7), (a, u32::MAX - 1), (a, 1), (a, 1)];
+        // In-memory construction saturates ...
+        let lib = SageLibrary::from_counts(meta(), pairs);
+        assert_eq!(lib.count(a), u32::MAX);
+        assert_eq!(lib.count(c), 7);
+        let mut lib = SageLibrary::new(meta());
+        lib.add(a, u32::MAX);
+        lib.add(a, 5);
+        assert_eq!(lib.count(a), u32::MAX);
+        // ... and the checked form names the tag instead.
+        assert_eq!(
+            SageLibrary::try_from_counts(meta(), pairs),
+            Err(CountOverflow(a))
+        );
+        // A sum of exactly u32::MAX is not an overflow.
+        let lib = SageLibrary::try_from_counts(meta(), [(a, u32::MAX - 1), (a, 1)]).unwrap();
+        assert_eq!(lib.count(a), u32::MAX);
     }
 
     #[test]

@@ -162,12 +162,12 @@ impl FromStr for Tag {
     type Err = TagParseError;
 
     fn from_str(s: &str) -> Result<Tag, TagParseError> {
-        let chars: Vec<char> = s.chars().collect();
-        if chars.len() != TAG_LEN {
-            return Err(TagParseError::WrongLength(chars.len()));
+        let len = s.chars().count();
+        if len != TAG_LEN {
+            return Err(TagParseError::WrongLength(len));
         }
         let mut code = 0u32;
-        for c in chars {
+        for c in s.chars() {
             code = (code << 2) | Base::from_char(c)? as u32;
         }
         Ok(Tag(code))

@@ -3,13 +3,13 @@
 
 use proptest::prelude::*;
 
-use gea_sage::clean::{clean, CleaningConfig};
+use gea_sage::clean::{clean, reference, CleaningConfig, MRNAS_PER_CELL};
 use gea_sage::corpus::{library_meta, SageCorpus};
 use gea_sage::io::{
     read_corpus_binary, read_library_text, write_corpus_binary, write_library_text,
 };
 use gea_sage::library::{NeoplasticState, SageLibrary, TissueSource};
-use gea_sage::tag::{Tag, TAG_SPACE};
+use gea_sage::tag::{Tag, TagUniverse, TAG_SPACE};
 use gea_sage::TissueType;
 
 fn arbitrary_library(name: String, pairs: Vec<(u32, u32)>) -> SageLibrary {
@@ -40,7 +40,90 @@ fn corpus_strategy() -> impl Strategy<Value = SageCorpus> {
     })
 }
 
+/// The three normalization settings the differential tests cover.
+const SCALES: [Option<f64>; 3] = [None, Some(10_000.0), Some(MRNAS_PER_CELL)];
+
+/// `clean` against the §4.2 rule as stated (`reference::clean`: one
+/// `max_count` question per union tag), matrix and report, bit for bit.
+fn assert_clean_matches_definition(corpus: &SageCorpus, tolerances: std::ops::Range<u32>) {
+    for min_tolerance in tolerances {
+        for scale_to in SCALES {
+            let config = CleaningConfig {
+                min_tolerance,
+                scale_to,
+            };
+            assert_eq!(
+                clean(corpus, &config),
+                reference::clean(corpus, &config),
+                "tolerance {min_tolerance}, scale_to {scale_to:?}"
+            );
+        }
+    }
+}
+
+fn tag(s: &str) -> Tag {
+    s.parse().unwrap()
+}
+
+#[test]
+fn clean_matches_definition_on_degenerate_inputs() {
+    // Empty corpus.
+    assert_clean_matches_definition(&SageCorpus::new(), 0..3);
+    let (matrix, report) = clean(&SageCorpus::new(), &CleaningConfig::default());
+    assert_eq!((matrix.n_tags(), matrix.n_libraries()), (0, 0));
+    assert_eq!(report.raw_union_tags, 0);
+    assert_eq!(report.freq1_union_fraction, 0.0);
+    assert!(report.removed_fraction_per_library.is_empty());
+
+    // A library with no tags beside one with some; tolerance 0 keeps every
+    // tag, tolerance 9 removes every tag.
+    let mut corpus = SageCorpus::new();
+    corpus.add(arbitrary_library("empty".to_string(), vec![]));
+    corpus.add(SageLibrary::from_counts(
+        corpus.meta(gea_sage::LibraryId(0)).clone(),
+        [(tag("AAAAAAAAAA"), 9), (tag("CCCCCCCCCC"), 1)],
+    ));
+    assert_clean_matches_definition(&corpus, 0..11);
+
+    let keep_all = CleaningConfig {
+        min_tolerance: 0,
+        scale_to: None,
+    };
+    let (matrix, report) = clean(&corpus, &keep_all);
+    assert_eq!(matrix.n_tags(), 2);
+    assert_eq!(report.removed_fraction_per_library, vec![0.0, 0.0]);
+
+    let remove_all = CleaningConfig {
+        min_tolerance: 9,
+        scale_to: Some(MRNAS_PER_CELL),
+    };
+    let (matrix, report) = clean(&corpus, &remove_all);
+    assert_eq!(matrix.n_tags(), 0);
+    assert_eq!(report.raw_union_tags, 2);
+    assert_eq!(report.removed_fraction_per_library, vec![0.0, 1.0]);
+    for lib in matrix.library_ids() {
+        assert_eq!(matrix.library_total(lib), 0.0);
+    }
+}
+
 proptest! {
+    #[test]
+    fn clean_matches_definition(corpus in corpus_strategy()) {
+        assert_clean_matches_definition(&corpus, 0..5);
+    }
+
+    #[test]
+    fn tag_census_is_the_union_with_max_counts(corpus in corpus_strategy()) {
+        let census = corpus.tag_census();
+        // Sorted and duplicate-free.
+        prop_assert!(census.windows(2).all(|w| w[0].0 < w[1].0));
+        let tags = TagUniverse::from_tags(census.iter().map(|&(tag, _)| tag));
+        prop_assert_eq!(tags, corpus.tag_union());
+        for &(tag, max) in &census {
+            prop_assert_eq!(max, corpus.max_count(tag), "tag {}", tag);
+        }
+    }
+
     #[test]
     fn library_text_roundtrip(pairs in prop::collection::vec((0u32..10_000, 1u32..500), 0..40)) {
         let lib = arbitrary_library("L".to_string(), pairs);
@@ -48,6 +131,18 @@ proptest! {
         write_library_text(&lib, &mut buf).unwrap();
         let back = read_library_text(lib.meta.clone(), &mut buf.as_slice(), "prop").unwrap();
         prop_assert_eq!(back, lib);
+    }
+
+    #[test]
+    fn from_counts_is_add_per_pair(pairs in prop::collection::vec((0u32..50, 0u32..500), 0..60)) {
+        // The bulk path (sort, fold runs, build) against the incremental
+        // one: duplicates accumulate, zero counts never create an entry.
+        let bulk = arbitrary_library("L".to_string(), pairs.clone());
+        let mut one_by_one = SageLibrary::new(bulk.meta.clone());
+        for (code, count) in pairs {
+            one_by_one.add(Tag::from_code(code).unwrap(), count);
+        }
+        prop_assert_eq!(bulk, one_by_one);
     }
 
     #[test]
@@ -128,6 +223,12 @@ proptest! {
         prop_assert_eq!(stats.libraries, corpus.len());
         prop_assert_eq!(stats.per_library.len(), corpus.len());
         prop_assert!(stats.union_tags_max_freq1 <= stats.union_tags);
+        let union = corpus.tag_union();
+        prop_assert_eq!(stats.union_tags, union.len());
+        prop_assert_eq!(
+            stats.union_tags_max_freq1,
+            union.iter().filter(|&(_, tag)| corpus.max_count(tag) <= 1).count()
+        );
         let f = stats.freq1_fraction();
         prop_assert!((0.0..=1.0).contains(&f));
         for (i, ls) in stats.per_library.iter().enumerate() {

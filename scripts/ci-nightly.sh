@@ -4,10 +4,11 @@
 #     scripts/ci-nightly.sh
 #
 # Runs everything tier-1 skips because of wall-clock cost: the
-# `#[ignore]`d thesis-scale pipeline (a multi-minute corpus at the
-# thesis's published scale) and the full cache-transparency battery
-# under --release. Assumes scripts/ci.sh already passed; this lane is
-# additive, not a substitute.
+# `#[ignore]`d thesis-scale pipeline (100 libraries, a raw union of
+# 312,957 tags at seed 42 — seconds under --release, so scripts/ci.sh
+# runs it too; kept here so this lane stands alone) and the full
+# cache-transparency battery under --release. Assumes scripts/ci.sh
+# already passed; this lane is additive, not a substitute.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,10 +38,10 @@ step "serial-vs-sharded speedup (release) -> BENCH_parallel.json"
 # runners and is not a failure.
 cargo run --release -p gea-bench --bin parallel -- --threads 4
 
-step "hot-path kernel trajectories (release) -> BENCH_aggregate.json, BENCH_populate.json"
+step "hot-path kernel trajectories (release) -> BENCH_aggregate.json, BENCH_populate.json, BENCH_clean.json"
 # Full tier: thesis-scale corpus, interleaved repetitions, one JSON per
-# operator recording the scalar-reference -> blocked -> sharded
-# trajectory with its bit-identity verdicts.
+# operator recording the scalar-reference -> blocked -> sharded (for
+# clean: definition -> census) trajectory with its bit-identity verdicts.
 cargo run --release -p gea-bench --bin hotpath -- --full --threads 4
 
 step "mining-backend comparison (release) -> BENCH_mine_backends.json"

@@ -6,8 +6,9 @@
 #
 # Steps: release build, workspace tests, formatting, lints, a bench
 # smoke (the loopback server integration test under --release, which
-# exercises the mine -> gap -> topgap pipeline end to end over TCP), and
-# the repo benchmark's quick identity tier.
+# exercises the mine -> gap -> topgap pipeline end to end over TCP), the
+# thesis-scale pipeline under --release, and the repo benchmark's quick
+# identity tier.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -85,7 +86,8 @@ cargo test -q --test exec_determinism --test mine_backends
 
 # Kick-tires tier of the hot-path kernel bench: the aggregate and
 # populate perf trajectories (scalar reference -> blocked kernel ->
-# sharded driver) re-verified bit-identical on a seconds-scale corpus.
+# sharded driver) and the clean one (the 4.2 rule tag by tag -> one
+# census) re-verified bit-identical on a seconds-scale corpus.
 # No timing gate — wall times on a loaded CI host prove nothing; the
 # nightly lane runs the full tier and records the numbers.
 step "hot-path kernel identity (kick-tires)"
@@ -113,6 +115,13 @@ if [ "$mode" != "quick" ]; then
 
     step "bench smoke: server loopback pipeline (release)"
     cargo test --release --test server_smoke -- --nocapture
+
+    # The #[ignore]d thesis-scale tier: the serial and sharded pipelines
+    # plus open-equals-the-definition on the 100-library corpus. Seconds
+    # under --release now that opening a session is tens of milliseconds;
+    # still ignored in the debug workspace run above.
+    step "thesis-scale pipeline, serial + sharded (release)"
+    cargo test --release --test thesis_scale -- --ignored
 
     # The repo benchmark is a separately-locked crate that compiles
     # against this workspace's public API; its identity tier (every wire

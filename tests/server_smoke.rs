@@ -207,6 +207,64 @@ fn sessions_are_isolated_and_closable() {
     serving.join().expect("server thread");
 }
 
+/// A corpus file is outside input: a tag whose lines sum past `u32::MAX`
+/// (which `open … dir` used to wrap to a small count in release builds) and
+/// a count line with a third field are each refused with one `ERR EIO`
+/// naming the line, no session is created, and the server keeps serving.
+#[test]
+fn open_dir_rejects_overflowing_and_three_field_count_lines() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_depth: 4,
+        lock_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let serving = thread::spawn(move || server.run().expect("serve"));
+
+    let dir = std::env::temp_dir().join(format!("gea_bad_corpus_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("sageName.txt"),
+        "SAGE_bad\tbrain\tcancer\tbulk\tlib_000.sage\n",
+    )
+    .unwrap();
+    let open = format!("open s dir {}", dir.display());
+
+    let mut client = GeaClient::connect(addr).unwrap();
+    for (text, expected) in [
+        (
+            "AAAAAAAAAA\t4294967295\nCCCCCCCCCC\t7\nAAAAAAAAAA\t2\n",
+            "line 3: counts of AAAAAAAAAA sum past 4294967295",
+        ),
+        ("AAAAAAAAAA\t5\tjunk\n", "line 1: more than two fields"),
+    ] {
+        std::fs::write(dir.join("lib_000.sage"), text).unwrap();
+        let (code, message) = client.request(&open).unwrap().unwrap_err();
+        assert_eq!(code, "EIO");
+        assert!(message.contains(expected), "{message}");
+        assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+        assert_eq!(
+            client.request("tissues").unwrap().unwrap_err().0,
+            "ENOSESSION"
+        );
+    }
+
+    // The same directory with a well-formed file opens.
+    std::fs::write(dir.join("lib_000.sage"), "AAAAAAAAAA\t5\nAAAAAAAAAA\t2\n").unwrap();
+    client
+        .request(&open)
+        .unwrap()
+        .expect("open well-formed dir");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    handle.shutdown();
+    serving.join().expect("server thread");
+}
+
 /// The `check` verb validates a pipeline against the *live* session's
 /// symbol table without mutating it: a table created over the wire
 /// resolves, a fresh session rejects the same reference, and checking a
