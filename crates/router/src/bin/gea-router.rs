@@ -5,6 +5,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use gea_router::{Router, RouterConfig};
+use gea_server::front::signals;
 
 fn usage() -> String {
     "usage: gea-router [options]\n\
@@ -77,47 +78,6 @@ fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
     Ok(config)
 }
 
-/// SIGINT/SIGTERM handling without external crates: a signal flips an
-/// atomic; a watcher thread turns that into a graceful shutdown.
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-
-    #[cfg(unix)]
-    pub fn install() {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    #[cfg(not(unix))]
-    pub fn install() {}
-
-    pub fn watch(handle: gea_router::RouterHandle) {
-        std::thread::Builder::new()
-            .name("gea-router-signals".to_string())
-            .spawn(move || loop {
-                if SIGNALLED.load(Ordering::SeqCst) {
-                    handle.shutdown();
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            })
-            .ok();
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = match parse_args(&args) {
@@ -139,8 +99,7 @@ fn main() -> ExitCode {
         router.local_addr(),
         config.backends.len()
     );
-    sig::install();
-    sig::watch(router.handle());
+    signals::watch("router", router.handle());
     match router.run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -1,7 +1,9 @@
 //! # gea-router — a distributed shard router over `gea-server` backends
 //!
 //! One front end speaking the exact GQL line protocol, fanned out over N
-//! `gea-server` backends. The deployment model is **replication plus
+//! `gea-server` backends. Clients are met by the connection front end the
+//! server uses ([`gea_server::front`]; DESIGN.md, "Front-end note"); this
+//! crate is what answers a line. The deployment model is **replication plus
 //! scatter**: every active backend holds an identical replica of every
 //! session (writes are broadcast in a fixed order), and the expensive
 //! scan-shaped verbs — `mine`, `populate <name> <sumy> <dataset>`, and
@@ -67,16 +69,14 @@ pub use backend::BackendPool;
 use backend::{probe, BackendConn};
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+use gea_server::front::{self, After, Front};
 use gea_server::gql::{self, GqlCommand, Request, SessionCtl};
-use gea_server::linebuf::LineBuf;
-use gea_server::wire::{self, Reply};
+use gea_server::wire::Reply;
 use gea_server::{xcodec, EffectTable};
 
 /// Router tuning knobs.
@@ -118,24 +118,7 @@ impl Default for RouterConfig {
 }
 
 /// A handle for stopping a running router from another thread.
-#[derive(Clone)]
-pub struct RouterHandle {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// Request shutdown and wake the acceptor.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
+pub type RouterHandle = front::Handle;
 
 /// State shared by every client handler and the health thread.
 struct RouterShared {
@@ -154,7 +137,7 @@ struct RouterShared {
     /// between its resync and its re-admission.
     topo: RwLock<()>,
     config: RouterConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: RouterHandle,
 }
 
 impl RouterShared {
@@ -195,8 +178,7 @@ impl RouterShared {
 
 /// A bound, not-yet-running router.
 pub struct Router {
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
+    front: Front,
     shared: Arc<RouterShared>,
 }
 
@@ -210,8 +192,7 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let front = Front::bind(&config.addr)?;
         let n = config.backends.len();
         let active = if config.active == 0 {
             n
@@ -225,91 +206,35 @@ impl Router {
             locks: Mutex::new(HashMap::new()),
             topo: RwLock::new(()),
             config,
-            shutdown: Arc::clone(&shutdown),
+            shutdown: front.handle(),
         });
-        Ok(Router {
-            listener,
-            shutdown,
-            shared,
-        })
+        Ok(Router { front, shared })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
+        self.front.local_addr()
     }
 
     /// A shutdown handle to stop the router from another thread.
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            flag: Arc::clone(&self.shutdown),
-            addr: self.local_addr(),
-        }
+        self.front.handle()
     }
 
     /// Serve until shutdown is requested. Blocks the calling thread; the
     /// worker pool and the health thread are joined before returning.
     pub fn run(self) -> std::io::Result<()> {
-        let Router {
-            listener,
-            shutdown,
-            shared,
-        } = self;
-        let workers = shared.config.workers.max(1);
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            mpsc::sync_channel(shared.config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let rx = Arc::clone(&rx);
+        let Router { front, shared } = self;
+        let health = {
             let shared = Arc::clone(&shared);
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("gea-router-worker-{i}"))
-                    .spawn(move || loop {
-                        let stream = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        let Ok(stream) = stream else { break };
-                        let _ = serve_connection(stream, &shared);
-                    })?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            pool.push(
-                std::thread::Builder::new()
-                    .name("gea-router-health".to_string())
-                    .spawn(move || health_loop(&shared))?,
-            );
-        }
-
-        for stream in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut stream)) => {
-                    let _ =
-                        wire::write_err(&mut stream, "EBUSY", "router saturated; try again later");
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
-        shutdown.store(true, Ordering::SeqCst);
-        drop(tx);
-        for worker in pool {
-            let _ = worker.join();
-        }
-        Ok(())
+            std::thread::Builder::new()
+                .name("gea-router-health".to_string())
+                .spawn(move || health_loop(&shared))?
+        };
+        let (workers, queue_depth) = (shared.config.workers, shared.config.queue_depth);
+        let served = front.run("router", workers, queue_depth, shared);
+        let _ = health.join();
+        served
     }
 }
 
@@ -335,125 +260,56 @@ fn scatterable(cmd: &GqlCommand) -> bool {
     EffectTable::of(cmd).scatterable
 }
 
-/// What the connection loop does after answering a request.
-enum After {
-    Continue,
-    CloseConnection,
-    StopRouter,
-}
-
 /// How a transport-level backend loss renders to the client: one coded
 /// error, never a hang or a partial reply.
 fn ebackend(msg: impl Into<String>) -> Reply {
     Err(("EBACKEND".to_string(), msg.into()))
 }
 
-/// How often a worker blocked on an idle connection re-checks the
-/// shutdown flag (mirrors the server).
-const READ_POLL: Duration = Duration::from_millis(250);
-
-/// Requests longer than this are malformed (mirrors the server).
-const MAX_LINE: usize = 64 * 1024;
-
-/// Hex characters shipped per `xstage` line: with the verb prefix it
-/// keeps every staging line under the server's 64 KiB line ceiling (and
-/// it must stay even so byte boundaries are preserved).
+/// Hex characters shipped per `xstage` line: with the verb prefix every
+/// staging line stays under the front end's line ceiling, and it must
+/// stay even so byte boundaries are preserved.
 const HEX_CHUNK: usize = 48 * 1024;
+const _: () = assert!(HEX_CHUNK.is_multiple_of(2) && HEX_CHUNK + 64 < front::MAX_LINE);
 
-fn serve_connection(mut stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let mut pending = LineBuf::default();
-    let mut chunk = [0u8; 4096];
-    // The client's current session, mirroring what a single server's
-    // connection state would be: updated only when `open`/`use` succeeds.
-    let mut current = "default".to_string();
-    // Lazily-established connections to each backend, owned by this
-    // handler so backend-side per-connection state (current session,
-    // staging buffer) is never shared across clients.
-    let mut conns: Vec<Option<BackendConn>> = (0..shared.pool.len()).map(|_| None).collect();
-    loop {
-        let line = loop {
-            if let Some(line) = pending.take_line() {
-                break line;
-            }
-            if pending.len() > MAX_LINE {
-                wire::write_err(&mut writer, "EPARSE", "request line too long")?;
-                return Ok(());
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => return Ok(()),
-                Ok(n) => pending.extend(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        };
-        let line = line.trim_end_matches(['\n', '\r']).to_string();
+/// One client connection's state.
+struct ClientConn {
+    /// The client's current session, mirroring what a single server's
+    /// connection state would be: updated only when `open`/`use` succeeds.
+    current: String,
+    /// Lazily-established connections to each backend, owned by this
+    /// handler so backend-side per-connection state (current session,
+    /// staging buffer) is never shared across clients.
+    conns: Vec<Option<BackendConn>>,
+}
 
+impl front::Service for RouterShared {
+    type Conn = ClientConn;
+
+    fn open(&self) -> ClientConn {
+        ClientConn {
+            current: "default".to_string(),
+            conns: (0..self.pool.len()).map(|_| None).collect(),
+        }
+    }
+
+    fn answer(&self, conn: &mut ClientConn, line: &str) -> (Option<Reply>, After) {
         // Router admin verbs, answered locally (they are not GQL).
         let mut fields = line.split_whitespace();
-        match fields.next() {
-            Some("backends") if fields.next().is_none() => {
-                wire::write_ok(&mut writer, &render_backends(shared))?;
-                continue;
-            }
-            Some("rebalance") => {
-                let arg = fields.next();
-                let reply = match (arg, fields.next()) {
-                    (Some(k), None) => match k.parse::<usize>() {
-                        Ok(k) => rebalance(shared, k),
-                        Err(_) => Err((
-                            "EPARSE".to_string(),
-                            "usage: rebalance <active-backends>".to_string(),
-                        )),
-                    },
+        match (fields.next(), fields.next(), fields.next()) {
+            (Some("backends"), None, _) => (Some(Ok(render_backends(self))), After::Continue),
+            (Some("rebalance"), k, extra) => {
+                let reply = match (k.and_then(|k| k.parse().ok()), extra) {
+                    (Some(k), None) => rebalance(self, k),
                     _ => Err((
                         "EPARSE".to_string(),
                         "usage: rebalance <active-backends>".to_string(),
                     )),
                 };
-                write_reply(&mut writer, reply)?;
-                continue;
+                (Some(reply), After::Continue)
             }
-            _ => {}
+            _ => route(line, &mut conn.current, &mut conn.conns, self),
         }
-
-        let (reply, after) = route(&line, &mut current, &mut conns, shared);
-        if let Some(reply) = reply {
-            write_reply(&mut writer, reply)?;
-        }
-        match after {
-            After::Continue => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            After::CloseConnection => return Ok(()),
-            After::StopRouter => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                if let Ok(addr) = writer.local_addr() {
-                    let _ = TcpStream::connect(addr);
-                }
-                return Ok(());
-            }
-        }
-    }
-}
-
-fn write_reply(writer: &mut TcpStream, reply: Reply) -> std::io::Result<()> {
-    match reply {
-        Ok(payload) => wire::write_ok(writer, &payload),
-        Err((code, msg)) => wire::write_err(writer, &code, &msg),
     }
 }
 
@@ -500,7 +356,7 @@ fn route(
             // Stop the whole deployment: backends first, then this router.
             let _t = shared.topo.read().unwrap_or_else(|e| e.into_inner());
             fan_out(conns, shared, &shared.healthy_actives(), |_| &["shutdown"]);
-            (Some(Ok("shutting down".to_string())), After::StopRouter)
+            (Some(Ok("shutting down".to_string())), After::Stop)
         }
         // Server-wide or filesystem-touching one-shots: one copy suffices
         // and the reply is identical to a single server's.
@@ -962,7 +818,7 @@ fn sync_backend(
 /// a long health interval never delays [`Router::run`]'s join.
 fn sleep_interruptible(shared: &RouterShared, total: Duration) {
     let mut left = total;
-    while left > Duration::ZERO && !shared.shutdown.load(Ordering::SeqCst) {
+    while left > Duration::ZERO && !shared.shutdown.is_shutting_down() {
         let step = left.min(Duration::from_millis(100));
         std::thread::sleep(step);
         left = left.saturating_sub(step);
@@ -971,11 +827,11 @@ fn sleep_interruptible(shared: &RouterShared, total: Duration) {
 
 fn health_loop(shared: &RouterShared) {
     let interval = shared.config.health_interval;
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.is_shutting_down() {
         sleep_interruptible(shared, interval);
         let active = shared.active.load(Ordering::SeqCst);
         for i in 0..shared.pool.len() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.is_shutting_down() {
                 return;
             }
             if shared.pool.is_up(i) {
@@ -1026,6 +882,7 @@ fn health_loop(shared: &RouterShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn scatterable_covers_exactly_the_scan_shaped_verbs() {

@@ -263,7 +263,10 @@ pub fn write_corpus_binary(corpus: &SageCorpus, w: &mut impl Write) -> io::Resul
     out.flush()
 }
 
-/// Read a corpus from the binary format.
+/// Read a corpus from the binary format. The blob is what `session.gea`,
+/// spill files and router resync carry, so it is checked like the text
+/// format: repeated tags accumulate, and a tag whose counts sum past
+/// `u32::MAX` is malformed input.
 pub fn read_corpus_binary(r: &mut impl Read) -> Result<SageCorpus, IoError> {
     let context = "binary corpus";
     let mut reader = io::BufReader::new(r);
@@ -286,19 +289,24 @@ pub fn read_corpus_binary(r: &mut impl Read) -> Result<SageCorpus, IoError> {
         let state = parse_state(&read_str(&mut reader, context)?, context)?;
         let source = parse_source(&read_str(&mut reader, context)?, context)?;
         let n_tags = read_u32(&mut reader, context)?;
-        let mut lib = SageLibrary::new(LibraryMeta {
+        let meta = LibraryMeta {
             name,
             tissue,
             state,
             source,
-        });
+        };
+        // `n_tags` is unchecked input: the vector grows with the entries
+        // actually read, never with the count claimed.
+        let mut pairs = Vec::new();
         for _ in 0..n_tags {
             let code = read_u32(&mut reader, context)?;
             let count = read_u32(&mut reader, context)?;
             let tag = Tag::from_code(code)
                 .ok_or_else(|| malformed(context, format!("tag code {code} out of range")))?;
-            lib.add(tag, count);
+            pairs.push((tag, count));
         }
+        let lib = SageLibrary::try_from_counts(meta, pairs)
+            .map_err(|overflow| malformed(context, overflow.to_string()))?;
         corpus.add(lib);
     }
     Ok(corpus)
@@ -354,6 +362,36 @@ mod tests {
         assert_eq!(detail, "line 5: counts of AAAAAAAAAA sum past 4294967295");
         // A single count beyond u32 was already rejected, as a bad count.
         assert!(malformed_detail("AAAAAAAAAA\t4294967296\n").starts_with("line 1: bad count"));
+    }
+
+    #[test]
+    fn binary_reader_rejects_a_count_that_overflows() {
+        // A hand-built blob: one library, two entries for tag code 0
+        // summing past u32::MAX. The tag is named, never saturated.
+        let mut blob = Vec::new();
+        blob.extend_from_slice(BINARY_MAGIC);
+        write_u32(&mut blob, BINARY_VERSION).unwrap();
+        write_u32(&mut blob, 1).unwrap();
+        for field in ["lib", "brain", "cancer", "bulk"] {
+            write_str(&mut blob, field).unwrap();
+        }
+        write_u32(&mut blob, 2).unwrap();
+        for count in [u32::MAX, 1] {
+            write_u32(&mut blob, 0).unwrap();
+            write_u32(&mut blob, count).unwrap();
+        }
+        match read_corpus_binary(&mut blob.as_slice()).unwrap_err() {
+            IoError::Malformed { detail, .. } => {
+                assert_eq!(detail, "counts of AAAAAAAAAA sum past 4294967295");
+            }
+            other => panic!("expected Malformed, got {other}"),
+        }
+        // Repeated entries that fit still accumulate.
+        let at = blob.len() - 12;
+        blob[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        let corpus = read_corpus_binary(&mut blob.as_slice()).unwrap();
+        let (_, lib) = corpus.iter().next().unwrap();
+        assert_eq!(lib.count(Tag::from_code(0).unwrap()), u32::MAX);
     }
 
     #[test]

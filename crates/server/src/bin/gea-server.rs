@@ -27,69 +27,13 @@
 //! with the `shutdown` protocol command, SIGINT, or SIGTERM — all three
 //! drain in-flight requests (and spills) before exiting.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use gea_core::session::GeaSession;
 use gea_sage::clean::CleaningConfig;
 use gea_sage::generate::{generate, GeneratorConfig};
-use gea_server::{Server, ServerConfig, ServerHandle};
-
-/// Set by the async signal handler, polled by the watcher thread — the
-/// handler itself must stay async-signal-safe, so all it does is store.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-mod sig {
-    use super::{Ordering, SIGNALLED};
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    type SigHandler = extern "C" fn(i32);
-
-    extern "C" {
-        fn signal(signum: i32, handler: SigHandler) -> usize;
-    }
-
-    extern "C" fn on_signal(_signum: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-
-    /// Route SIGINT and SIGTERM into the flag.
-    pub fn install() {
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    /// No signal routing off Unix; `shutdown` still works.
-    pub fn install() {}
-}
-
-/// Install the handlers and spawn a watcher that turns the flag into a
-/// graceful [`ServerHandle::shutdown`] — workers finish their in-flight
-/// requests (including eviction spills) before the process exits.
-fn watch_signals(handle: ServerHandle) {
-    sig::install();
-    let _ = std::thread::Builder::new()
-        .name("gea-signals".to_string())
-        .spawn(move || loop {
-            if SIGNALLED.load(Ordering::SeqCst) {
-                eprintln!("gea-server: termination signal received; draining");
-                handle.shutdown();
-                return;
-            }
-            if handle.is_shutting_down() {
-                return; // server stopped some other way; watcher done
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        });
-}
+use gea_server::front::signals;
+use gea_server::{Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -218,7 +162,7 @@ fn main() {
             }
         }
     }
-    watch_signals(server.handle());
+    signals::watch("server", server.handle());
     eprintln!("gea-server: listening on {}", server.local_addr());
     if let Err(e) = server.run() {
         eprintln!("gea-server: {e}");

@@ -3,7 +3,7 @@
 //! The thesis ships GEA as a single-user Swing GUI; this crate turns the
 //! same [`GeaSession`](gea_core::session::GeaSession) algebra into a shared
 //! network service, the way Simcluster and THEA serve enumeration-data
-//! analysis to many analysts at once. It contains four layers, each usable
+//! analysis to many analysts at once. It contains five layers, each usable
 //! on its own:
 //!
 //! * [`gql`] — the **GEA Query Language**: a line-oriented textual grammar
@@ -16,14 +16,15 @@
 //! * [`engine`] — the **executor**: runs a parsed command against a
 //!   session, split into a read path (`&GeaSession`, shareable under a read
 //!   lock) and a write path (`&mut GeaSession`).
-//! * [`server`] — the **runtime**: a `std::net` TCP listener, a bounded
-//!   worker-thread pool, a [`registry`] of named generation-stamped
-//!   sessions (readers share, writers exclude and bump the generation),
-//!   condvar-parked per-request lock deadlines, a [`cache`] of read
-//!   replies keyed on `(session, generation, command)`, a session
-//!   eviction policy (idle timeout + LRU byte budget, surfacing
-//!   `EEVICTED`), graceful shutdown, and [`metrics`] exposed by the
-//!   `stats` command.
+//! * [`front`] — the **connection front end** `gea-server` and
+//!   `gea-router` share: listener, bounded worker-thread pool, request-line
+//!   reader, graceful shutdown, signal handling.
+//! * [`server`] — the **runtime** behind it: a [`registry`] of named
+//!   generation-stamped sessions (readers share, writers exclude and bump
+//!   the generation), condvar-parked per-request lock deadlines, a
+//!   [`cache`] of read replies keyed on `(session, generation, command)`,
+//!   a session eviction policy (idle timeout + LRU byte budget, surfacing
+//!   `EEVICTED`), and [`metrics`] exposed by the `stats` command.
 //! * [`client`] — a blocking **client library** (used by the `gea-client`
 //!   binary and the integration tests).
 //!
@@ -45,6 +46,7 @@
 pub mod cache;
 pub mod client;
 pub mod engine;
+pub mod front;
 pub use gea_check::gql;
 pub use gea_check::{Effect, EffectTable, Scatter, VerbEffect};
 pub mod linebuf;

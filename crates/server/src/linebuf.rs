@@ -1,7 +1,6 @@
-//! Request-line reassembly for the connection loops of `gea-server` and
-//! `gea-router`.
+//! Request-line reassembly for the connection loop ([`crate::front`]).
 //!
-//! Both loops read with a poll timeout (so an idle connection notices
+//! The loop reads with a poll timeout (so an idle connection notices
 //! shutdown) and therefore cannot use `BufReader::read_line`, which may
 //! lose a partial line on a timed-out read. [`LineBuf`] keeps the bytes
 //! received so far and remembers how far they have been searched, so a

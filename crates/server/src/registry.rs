@@ -657,86 +657,14 @@ impl SessionRegistry {
             .sum()
     }
 
-    /// Run one eviction pass: the idle sweep, then the budget pass.
-    /// Returns the evicted entries (name, entry, reason) so the caller
-    /// can purge cached replies and count evictions.
-    pub fn sweep(&self, policy: &EvictionPolicy) -> Vec<(String, SharedSession, EvictReason)> {
-        let mut out = Vec::new();
-        if let Some(idle) = policy.idle_timeout {
-            out.extend(
-                self.sweep_idle(idle)
-                    .into_iter()
-                    .map(|(n, e)| (n, e, EvictReason::IdleTimeout)),
-            );
-        }
-        if let Some(budget) = policy.session_budget {
-            out.extend(
-                self.enforce_budget(budget)
-                    .into_iter()
-                    .map(|(n, e)| (n, e, EvictReason::OverBudget)),
-            );
-        }
-        out
-    }
-
-    /// Evict every session idle longer than `timeout`. Sessions whose
-    /// lock is currently held are skipped (a long mine is not idle).
-    pub fn sweep_idle(&self, timeout: Duration) -> Vec<(String, SharedSession)> {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<String> = inner
-            .live
-            .iter()
-            .filter(|(_, e)| !e.is_busy() && e.idle_for() > timeout)
-            .map(|(n, _)| n.clone())
-            .collect();
-        victims
-            .into_iter()
-            .filter_map(|name| {
-                let entry = inner.live.remove(&name)?;
-                inner
-                    .evicted
-                    .insert(name.clone(), Tombstone::Evicted(EvictReason::IdleTimeout));
-                Some((name, entry))
-            })
-            .collect()
-    }
-
-    /// Evict least-recently-used sessions until the total approximate
-    /// footprint is within `budget` (or nothing evictable remains).
-    /// Busy sessions are skipped.
-    pub fn enforce_budget(&self, budget: u64) -> Vec<(String, SharedSession)> {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::new();
-        loop {
-            let total: u64 = inner.live.values().map(|e| e.approx_bytes()).sum();
-            if total <= budget {
-                break;
-            }
-            // Oldest last_used among the non-busy entries.
-            let Some(victim) = inner
-                .live
-                .iter()
-                .filter(|(_, e)| !e.is_busy())
-                .max_by_key(|(_, e)| e.idle_for())
-                .map(|(n, _)| n.clone())
-            else {
-                break;
-            };
-            let entry = inner.live.remove(&victim).expect("victim is live");
-            inner
-                .evicted
-                .insert(victim.clone(), Tombstone::Evicted(EvictReason::OverBudget));
-            out.push((victim, entry));
-        }
-        out
-    }
-
-    /// A read-only eviction pass: which sessions the policy would evict
-    /// right now, and why. The idle sweep's victims come first, then the
-    /// budget pass's in LRU order (busy sessions skipped, victims already
-    /// chosen by the idle pass not double-counted). Nothing is removed —
-    /// the spill path snapshots each candidate to disk first and then
-    /// commits individually via [`SessionRegistry::evict_to_spill`].
+    /// The one victim selection, read-only: which sessions the policy
+    /// would evict right now, and why. The idle sweep's victims come
+    /// first (a session whose lock is held is not idle), then the budget
+    /// pass's in LRU order (busy sessions skipped, victims already chosen
+    /// by the idle pass not double-counted). Nothing is removed — the
+    /// caller commits each victim individually via
+    /// [`SessionRegistry::evict`], or, having snapshotted it to disk, via
+    /// [`SessionRegistry::evict_to_spill`]; both re-check at the commit.
     pub fn eviction_candidates(
         &self,
         policy: &EvictionPolicy,
@@ -800,8 +728,8 @@ impl SessionRegistry {
         true
     }
 
-    /// Evict one entry without persistence (the fallback when its spill
-    /// failed), with the same still-same-entry and not-busy checks as
+    /// Evict one entry without persistence, leaving an `EEVICTED`
+    /// tombstone, with the same still-same-entry and not-busy checks as
     /// [`SessionRegistry::evict_to_spill`].
     pub fn evict(&self, name: &str, entry: &SharedSession, reason: EvictReason) -> bool {
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
@@ -1182,18 +1110,40 @@ mod tests {
         );
     }
 
+    /// One eviction pass as the server runs it without a spill directory:
+    /// choose read-only, commit each victim with the re-check.
+    fn evict_pass(reg: &SessionRegistry, policy: &EvictionPolicy) -> Vec<String> {
+        reg.eviction_candidates(policy)
+            .into_iter()
+            .filter(|(name, entry, reason)| reg.evict(name, entry, *reason))
+            .map(|(name, _, _)| name)
+            .collect()
+    }
+
+    fn idle(timeout: Duration) -> EvictionPolicy {
+        EvictionPolicy {
+            session_budget: None,
+            idle_timeout: Some(timeout),
+        }
+    }
+
+    fn budget(bytes: u64) -> EvictionPolicy {
+        EvictionPolicy {
+            session_budget: Some(bytes),
+            idle_timeout: None,
+        }
+    }
+
     #[test]
     fn idle_sweep_evicts_and_leaves_a_tombstone() {
         let reg = SessionRegistry::new();
         reg.open("a", demo_session());
         std::thread::sleep(Duration::from_millis(30));
         assert!(
-            reg.sweep_idle(Duration::from_secs(60)).is_empty(),
+            evict_pass(&reg, &idle(Duration::from_secs(60))).is_empty(),
             "fresh session survives a long timeout"
         );
-        let evicted = reg.sweep_idle(Duration::from_millis(10));
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].0, "a");
+        assert_eq!(evict_pass(&reg, &idle(Duration::from_millis(10))), ["a"]);
         assert!(reg.is_empty());
         assert!(matches!(
             reg.lookup("a"),
@@ -1210,13 +1160,20 @@ mod tests {
         let reg = SessionRegistry::new();
         reg.open("a", demo_session());
         let shared = reg.get("a").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        // Chosen while quiescent, busy by the time of the commit: skipped,
+        // not dropped.
+        let chosen = reg.eviction_candidates(&idle(Duration::from_millis(1)));
+        assert_eq!(chosen.len(), 1);
         let guard = shared.write_with_deadline(Duration::from_secs(1)).unwrap();
+        assert!(!reg.evict(&chosen[0].0, &chosen[0].1, chosen[0].2));
         std::thread::sleep(Duration::from_millis(20));
         assert!(
-            reg.sweep_idle(Duration::from_millis(1)).is_empty(),
+            evict_pass(&reg, &idle(Duration::from_millis(1))).is_empty(),
             "a session holding its lock is not idle"
         );
         drop(guard);
+        assert!(matches!(reg.lookup("a"), Lookup::Found(_)));
     }
 
     #[test]
@@ -1237,9 +1194,8 @@ mod tests {
         }
         let per_session = reg.total_bytes() / 3;
         // Budget for roughly one session: the two least recently used go.
-        let evicted = reg.enforce_budget(per_session + per_session / 2);
-        let names: Vec<&str> = evicted.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["old", "mid"], "LRU order violated");
+        let evicted = evict_pass(&reg, &budget(per_session + per_session / 2));
+        assert_eq!(evicted, ["old", "mid"], "LRU order violated");
         assert_eq!(reg.len(), 1);
         assert!(reg.get("new").is_some());
         assert!(matches!(
@@ -1247,7 +1203,7 @@ mod tests {
             Lookup::Evicted(EvictReason::OverBudget)
         ));
         // A generous budget evicts nothing further.
-        assert!(reg.enforce_budget(u64::MAX).is_empty());
+        assert!(evict_pass(&reg, &budget(u64::MAX)).is_empty());
         // Closing an evicted name clears the tombstone without error.
         reg.close("mid");
         assert!(matches!(reg.lookup("mid"), Lookup::Missing));

@@ -1,15 +1,10 @@
-//! The server runtime: a `std::net` TCP listener feeding a bounded pool
-//! of worker threads, each owning one client connection at a time.
+//! The server runtime: what `gea-server` answers on each connection the
+//! shared front end ([`crate::front`]; DESIGN.md, "Front-end note") hands
+//! it.
 //!
-//! Every accepted connection is pushed onto a bounded queue; when the
-//! queue and all workers are busy the connection is refused with a
-//! one-line `ERR EBUSY` instead of queueing unboundedly. Commands run
-//! against [`SessionRegistry`] sessions under read or write locks chosen
-//! by [`GqlCommand::is_read`], with a per-request lock deadline so writers
-//! stuck behind a long mine surface as `ERR ETIMEOUT`. Shutdown is
-//! cooperative: the `shutdown` command (or [`ServerHandle::shutdown`])
-//! raises a flag and wakes the acceptor; workers finish their current
-//! request, then drain.
+//! Commands run against [`SessionRegistry`] sessions under read or write
+//! locks chosen by [`GqlCommand::is_read`], with a per-request lock
+//! deadline so writers stuck behind a long mine surface as `ERR ETIMEOUT`.
 //!
 //! Two policies layer on top of the request loop:
 //!
@@ -34,12 +29,9 @@
 //!
 //! LOCK ORDER: registry map mutex -> entry gate mutex -> entry session RwLock; never two entries at once; atomics, cache, and metrics are lock-free and safe under any guard.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gea_core::persist;
@@ -49,15 +41,16 @@ use gea_sage::generate::{generate, GeneratorConfig};
 
 use crate::cache::{Admission, CacheScope, ResponseCache};
 use crate::engine::{self, EngineError};
+use crate::front::{self, After, Front};
 use crate::gql::{self, GqlCommand, Request, SessionCtl};
-use crate::linebuf::LineBuf;
 use crate::metrics::Metrics;
 use crate::optexec;
 use crate::registry::{
     Adopt, EvictReason, EvictionPolicy, Lookup, SessionEntry, SessionRegistry, SharedSession,
     SpillRecord,
 };
-use crate::wire;
+use crate::wire::Reply;
+use crate::xverb::{self, Staging};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -127,26 +120,7 @@ impl ServerConfig {
 }
 
 /// A handle for stopping a running server from another thread.
-#[derive(Clone)]
-pub struct ServerHandle {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl ServerHandle {
-    /// Request shutdown and wake the acceptor.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        // The acceptor blocks in accept(); a throwaway connection wakes it
-        // so it can observe the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
+pub type ServerHandle = front::Handle;
 
 /// Everything a worker needs to answer requests; shared across the pool,
 /// the eviction sweeper, and the backend-verb handler (`crate::xverb`).
@@ -155,138 +129,64 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) cache: ResponseCache,
     pub(crate) config: ServerConfig,
-    pub(crate) shutdown: Arc<AtomicBool>,
-}
-
-impl Shared {
-    /// Account evicted sessions: bump the metric and purge their cached
-    /// replies.
-    fn note_evicted(&self, evicted: &[(String, SharedSession, EvictReason)]) {
-        if evicted.is_empty() {
-            return;
-        }
-        self.metrics.sessions_evicted_add(evicted.len() as u64);
-        for (_, entry, _) in evicted {
-            self.cache.purge_entry(entry.id());
-        }
-    }
+    pub(crate) shutdown: ServerHandle,
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
-    registry: Arc<SessionRegistry>,
-    shutdown: Arc<AtomicBool>,
+    front: Front,
     shared: Arc<Shared>,
 }
 
 impl Server {
     /// Bind the listener. No thread is spawned until [`Server::run`].
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let registry = Arc::new(SessionRegistry::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let front = Front::bind(&config.addr)?;
         let shared = Arc::new(Shared {
-            registry: Arc::clone(&registry),
+            registry: Arc::new(SessionRegistry::new()),
             metrics: Arc::new(Metrics::new()),
             cache: ResponseCache::new(config.cache_bytes),
             config,
-            shutdown: Arc::clone(&shutdown),
+            shutdown: front.handle(),
         });
-        Ok(Server {
-            listener,
-            registry,
-            shutdown,
-            shared,
-        })
+        Ok(Server { front, shared })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
+        self.front.local_addr()
     }
 
     /// The session registry, for pre-opening sessions before serving.
     pub fn registry(&self) -> &Arc<SessionRegistry> {
-        &self.registry
+        &self.shared.registry
     }
 
     /// A shutdown handle to stop the server from another thread.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            flag: Arc::clone(&self.shutdown),
-            addr: self.local_addr(),
-        }
+        self.front.handle()
     }
 
     /// Serve until shutdown is requested. Blocks the calling thread; the
     /// worker pool (and the eviction sweeper, if any) is joined before
     /// returning.
     pub fn run(self) -> std::io::Result<()> {
-        let Server {
-            listener,
-            registry: _,
-            shutdown,
-            shared,
-        } = self;
-        let workers = shared.config.workers.max(1);
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            mpsc::sync_channel(shared.config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(&shared);
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("gea-worker-{i}"))
-                    .spawn(move || loop {
-                        let stream = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        let Ok(stream) = stream else { break };
-                        shared.metrics.connection_opened();
-                        let _ = serve_connection(stream, &shared);
-                        shared.metrics.connection_closed();
-                    })?,
-            );
-        }
-        if shared.config.eviction_policy().is_active() {
-            let shared = Arc::clone(&shared);
-            pool.push(
+        let Server { front, shared } = self;
+        let policy_active = shared.config.eviction_policy().is_active();
+        let sweeper = policy_active
+            .then(|| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name("gea-sweeper".to_string())
-                    .spawn(move || sweeper(&shared))?,
-            );
+                    .spawn(move || sweeper(&shared))
+            })
+            .transpose()?;
+        let (workers, queue_depth) = (shared.config.workers, shared.config.queue_depth);
+        let served = front.run("server", workers, queue_depth, shared);
+        if let Some(sweeper) = sweeper {
+            let _ = sweeper.join();
         }
-
-        for stream in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut stream)) => {
-                    shared.metrics.connection_rejected();
-                    let _ =
-                        wire::write_err(&mut stream, "EBUSY", "server saturated; try again later");
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
-        shutdown.store(true, Ordering::SeqCst);
-        drop(tx);
-        for worker in pool {
-            let _ = worker.join();
-        }
-        Ok(())
+        served
     }
 }
 
@@ -296,7 +196,7 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 fn sweeper(shared: &Shared) {
     let policy = shared.config.eviction_policy();
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.is_shutting_down() {
         std::thread::sleep(SWEEP_INTERVAL);
         evict_pass(shared, &policy);
     }
@@ -307,23 +207,27 @@ fn sweeper(shared: &Shared) {
 /// locked is no longer a good victim anyway.
 const SPILL_LOCK_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Run one eviction pass under `policy`. Without a spill directory this
-/// is the registry's destructive sweep; with one, each candidate is
-/// persisted first and only then committed out of the registry.
+/// Run one eviction pass under `policy`: the registry names the victims
+/// read-only, and each is committed out of it on its own, re-checked at
+/// the commit — with a spill directory after being persisted there, so a
+/// session that turned busy since it was chosen is skipped, not dropped.
 fn evict_pass(shared: &Shared, policy: &EvictionPolicy) {
     if !policy.is_active() {
         return;
     }
-    match &shared.config.spill_dir {
-        None => {
-            let evicted = shared.registry.sweep(policy);
-            shared.note_evicted(&evicted);
+    for (name, entry, reason) in shared.registry.eviction_candidates(policy) {
+        match &shared.config.spill_dir {
+            Some(dir) => spill_one(shared, &name, &entry, reason, dir),
+            None => evict_one(shared, &name, &entry, reason),
         }
-        Some(dir) => {
-            for (name, entry, reason) in shared.registry.eviction_candidates(policy) {
-                spill_one(shared, &name, &entry, reason, dir);
-            }
-        }
+    }
+}
+
+/// Evict one candidate without persistence and purge its cached replies.
+fn evict_one(shared: &Shared, name: &str, entry: &SharedSession, reason: EvictReason) {
+    if shared.registry.evict(name, entry, reason) {
+        shared.metrics.sessions_evicted_add(1);
+        shared.cache.purge_entry(entry.id());
     }
 }
 
@@ -369,10 +273,7 @@ fn spill_one(
         }
         Err(_) => {
             shared.metrics.spill_error();
-            if shared.registry.evict(name, entry, reason) {
-                shared.metrics.sessions_evicted_add(1);
-                shared.cache.purge_entry(entry.id());
-            }
+            evict_one(shared, name, entry, reason);
         }
     }
 }
@@ -463,118 +364,63 @@ fn prefetch_spilled(shared: &Shared, name: &str, record: &SpillRecord) -> Result
     }
 }
 
-/// What the connection loop does after answering a request.
-enum After {
-    Continue,
-    CloseConnection,
-    StopServer,
+/// One client connection's state.
+pub(crate) struct Conn {
+    /// The named session the connection is attached to; `use` switches it.
+    current: String,
+    /// Staging buffer for the backend verbs (`xstage`/`xapply`/`xadopt`):
+    /// per-connection, so concurrent routers never interleave payloads.
+    staged: Staging,
 }
 
-/// How often a worker blocked on an idle connection re-checks the
-/// shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(250);
+impl front::Service for Shared {
+    type Conn = Conn;
 
-/// Requests longer than this are malformed; the connection is dropped
-/// rather than buffering without bound.
-const MAX_LINE: usize = 64 * 1024;
+    fn open(&self) -> Conn {
+        self.metrics.connection_opened();
+        Conn {
+            current: "default".to_string(),
+            staged: Staging::default(),
+        }
+    }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    // Reads poll so an idle connection notices shutdown; lines are
-    // reassembled here instead of BufReader because a timed-out read_line
-    // could lose a partial line.
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let mut pending = LineBuf::default();
-    let mut chunk = [0u8; 4096];
-    // Each connection is attached to one named session; `use` switches it.
-    let mut current = "default".to_string();
-    // Staging buffer for the backend verbs (`xstage`/`xapply`/`xadopt`):
-    // per-connection, so concurrent routers never interleave payloads.
-    let mut staged = crate::xverb::Staging::default();
-    loop {
-        let line = loop {
-            if let Some(line) = pending.take_line() {
-                break line;
-            }
-            if pending.len() > MAX_LINE {
-                wire::write_err(&mut writer, "EPARSE", "request line too long")?;
-                return Ok(());
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Ok(()); // client hung up
-                }
-                Ok(n) => pending.extend(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return Ok(()); // server draining; sever idle connection
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        };
+    fn answer(&self, conn: &mut Conn, line: &str) -> (Option<Reply>, After) {
         let started = Instant::now();
         // Backend verbs (the router's scatter/rebalance plane) bypass the
         // GQL grammar; `xprofiler` and friends fall through to it.
-        if let Some((verb, result)) = crate::xverb::handle(&line, &mut staged, &current, shared) {
-            shared
-                .metrics
-                .record(verb, started.elapsed(), result.is_ok());
-            match result {
-                Ok(payload) => wire::write_ok(&mut writer, &payload)?,
-                Err(e) => wire::write_err(&mut writer, e.code, &e.message)?,
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            continue;
-        }
-        let req = match gql::parse(&line) {
-            Ok(None) => continue,
-            Ok(Some(req)) => req,
-            Err(e) => {
-                shared.metrics.record("parse", started.elapsed(), false);
-                wire::write_err(&mut writer, "EPARSE", &e.0)?;
-                continue;
-            }
+        let (verb, result, after) = match xverb::handle(line, &mut conn.staged, &conn.current, self)
+        {
+            Some((verb, result)) => (verb, result, After::Continue),
+            None => match gql::parse(line) {
+                Ok(None) => return (None, After::Continue),
+                Ok(Some(req)) => {
+                    let (result, after) = answer_request(&req, &mut conn.current, self);
+                    (req.verb(), result, after)
+                }
+                Err(e) => (
+                    "parse",
+                    Err(EngineError::new("EPARSE", e.0)),
+                    After::Continue,
+                ),
+            },
         };
-        let verb = req.verb();
-        let (result, after) = answer(&req, &mut current, shared);
-        shared
-            .metrics
-            .record(verb, started.elapsed(), result.is_ok());
-        match result {
-            Ok(payload) => wire::write_ok(&mut writer, &payload)?,
-            Err(e) => wire::write_err(&mut writer, e.code, &e.message)?,
-        }
-        match after {
-            After::Continue => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(()); // draining: current request done, close
-                }
-            }
-            After::CloseConnection => return Ok(()),
-            After::StopServer => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                // Wake the acceptor (it may be blocked in accept()).
-                if let Ok(addr) = writer.local_addr() {
-                    let _ = TcpStream::connect(addr);
-                }
-                return Ok(());
-            }
-        }
+        self.metrics.record(verb, started.elapsed(), result.is_ok());
+        let reply = result.map_err(|e| (e.code.to_string(), e.message));
+        (Some(reply), after)
+    }
+
+    fn closed(&self) {
+        self.metrics.connection_closed();
+    }
+
+    fn refused(&self) {
+        self.metrics.connection_rejected();
     }
 }
 
 /// Execute one request against the registry. Pure with respect to the
-/// connection: all I/O stays in [`serve_connection`].
-fn answer(
+/// connection: all I/O stays in [`crate::front`].
+fn answer_request(
     req: &Request,
     current: &mut String,
     shared: &Shared,
@@ -593,7 +439,7 @@ fn answer(
             Ok("bye".to_string())
         }
         Request::Shutdown => {
-            after = After::StopServer;
+            after = After::Stop;
             Ok("shutting down".to_string())
         }
         Request::GenCorpus { seed, dir } => gen_corpus(*seed, dir),

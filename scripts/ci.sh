@@ -101,9 +101,11 @@ step "router loopback smoke: 2 backends byte-identical to a single server"
 cargo run --release -p gea-bench --bin router -- --smoke
 
 # Hot-path invariants: unwrap()/expect( stays within the per-file budget
-# in scripts/lint-allowlist.txt (ratcheted both ways), and every
-# lock-order comment quotes the canonical line in registry.rs verbatim.
-step "invariant lints (panic budget + lock-order sync)"
+# in scripts/lint-allowlist.txt (ratcheted both ways), every lock-order
+# comment quotes the canonical line in registry.rs verbatim, and the
+# accept loop, worker hand-off, polled read and signal handler exist in
+# front.rs only.
+step "invariant lints (panic budget + lock-order sync + one front end)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"
@@ -115,6 +117,12 @@ if [ "$mode" != "quick" ]; then
 
     step "bench smoke: server loopback pipeline (release)"
     cargo test --release --test server_smoke -- --nocapture
+
+    # The shared connection front end's contract (line reassembly, the
+    # line ceiling, EBUSY, drain on shutdown), on both daemons, with the
+    # timing an optimized build has.
+    step "front-end conformance: server and router (release)"
+    cargo test --release --test front_conformance
 
     # The #[ignore]d thesis-scale tier: the serial and sharded pipelines
     # plus open-equals-the-definition on the 100-library corpus. Seconds

@@ -14,6 +14,12 @@
 #    other occurrence in the server/router sources must quote it verbatim,
 #    so the discipline documented at an acquisition site can never drift
 #    from the one the registry implements.
+#
+# 3. One connection front end. Binding a listener, the accept loop, the
+#    bounded hand-off to the worker pool, the polled read and the signal
+#    handler live in crates/server/src/front.rs and nowhere else in the
+#    non-test code of either daemon (bins included), so a second copy of
+#    the inbound half cannot grow back beside it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,7 +45,9 @@ budget_for() {
                    END { if (!found) print "-" }' "$allowlist"
 }
 
-for file in crates/server/src/*.rs crates/server/src/bin/*.rs crates/router/src/*.rs; do
+sources="crates/server/src/*.rs crates/server/src/bin/*.rs crates/router/src/*.rs crates/router/src/bin/*.rs"
+
+for file in $sources; do
     n="$(nontest_panics "$file")"
     budget="$(budget_for "$file")"
     if [ "$budget" = "-" ]; then
@@ -74,7 +82,7 @@ if [ "$(printf '%s\n' "$canon" | wc -l)" -ne 1 ] || [ -z "$canon" ]; then
     exit 1
 fi
 refs=0
-for file in crates/server/src/*.rs crates/server/src/bin/*.rs crates/router/src/*.rs; do
+for file in $sources; do
     [ "$file" = "crates/server/src/registry.rs" ] && continue
     while IFS= read -r line; do
         refs=$((refs + 1))
@@ -91,6 +99,22 @@ if [ "$refs" -eq 0 ]; then
     echo "lint: no file outside registry.rs quotes the canonical 'LOCK ORDER:' line" >&2
     fail=1
 fi
+
+# One front end: each construct below occurs, before the first
+# #[cfg(test)], in front.rs and in no other file.
+front="crates/server/src/front.rs"
+for construct in 'TcpListener::bind' '.incoming()' 'sync_channel' 'set_read_timeout' 'extern "C"'; do
+    for file in $sources; do
+        hits="$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -cF -- "$construct" || true)"
+        if [ "$file" = "$front" ] && [ "$hits" -eq 0 ]; then
+            echo "lint: $front no longer contains '$construct' — the front-end check is looking for the wrong thing" >&2
+            fail=1
+        elif [ "$file" != "$front" ] && [ "$hits" -gt 0 ]; then
+            echo "lint: $file has '$construct' in non-test code; the connection front end is $front" >&2
+            fail=1
+        fi
+    done
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2
