@@ -1,5 +1,5 @@
-//! The one little-endian byte codec: primitive writers and a
-//! bounds-checked reader, shared by the `session.gea` snapshot
+//! The one little-endian byte codec: primitive writers, a bounds-checked
+//! reader and the SUMY row layout, shared by the `session.gea` snapshot
 //! ([`crate::persist`]) and the router's scatter partials
 //! (`gea_server::xcodec`).
 //!
@@ -9,6 +9,13 @@
 //! validated against the bytes actually remaining *before* anything is
 //! allocated for them ([`Cur::ensure_elems`]). `f64` travels as its
 //! IEEE-754 bits, so every float round-trips bit-exactly.
+
+use std::collections::BTreeMap;
+
+use gea_sage::tag::Tag;
+
+use crate::interval::Interval;
+use crate::sumy::SumyRow;
 
 /// Strings are capped at 1 MiB, matching the corpus binary format's cap.
 const MAX_STR: usize = 1 << 20;
@@ -75,6 +82,67 @@ pub fn put_str(out: &mut impl ByteSink, s: &str) {
 pub fn put_blob(out: &mut impl ByteSink, bytes: &[u8]) {
     put_u64(out, bytes.len() as u64);
     out.put(bytes);
+}
+
+/// Append a `u32` row count and then each SUMY row: tag code, tag number,
+/// range ends, average, standard deviation, and the counted extras. The one
+/// SUMY row layout — a snapshot's SUMY tables and a scatter partial's rows
+/// are these bytes.
+pub fn put_sumy_rows(out: &mut impl ByteSink, rows: &[SumyRow]) {
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_u32(out, row.tag.code());
+        put_u32(out, row.tag_no);
+        put_f64(out, row.range.lo());
+        put_f64(out, row.range.hi());
+        put_f64(out, row.average);
+        put_f64(out, row.std_dev);
+        put_u32(out, row.extras.len() as u32);
+        for (k, &v) in &row.extras {
+            put_str(out, k);
+            put_f64(out, v);
+        }
+    }
+}
+
+/// Read rows written by [`put_sumy_rows`]: the count is checked against the
+/// bytes remaining before anything is allocated, tag codes against the tag
+/// range, range ends against [`Interval::new`]. `ascending` also requires
+/// strictly ascending tags — what a whole table has, and the only thing
+/// that keeps duplicates from `SumyTable::new`, which panics on them; one
+/// shard's share of a scattered aggregation is exempt.
+pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, CodecError> {
+    let n = cur.count(44, "sumy row")?;
+    let mut rows: Vec<SumyRow> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let tag = cur.tag("sumy tag")?;
+        if ascending && rows.last().is_some_and(|prev| tag <= prev.tag) {
+            return Err(CodecError("sumy rows out of order".to_string()));
+        }
+        let tag_no = cur.u32("sumy tag number")?;
+        let lo = cur.f64("sumy range lo")?;
+        let hi = cur.f64("sumy range hi")?;
+        let range =
+            Interval::new(lo, hi).map_err(|e| CodecError(format!("bad sumy range: {e}")))?;
+        let average = cur.f64("sumy average")?;
+        let std_dev = cur.f64("sumy std dev")?;
+        let n_extras = cur.count(12, "sumy extra")?;
+        let mut extras = BTreeMap::new();
+        for _ in 0..n_extras {
+            let k = cur.string("sumy extra name")?;
+            let v = cur.f64("sumy extra value")?;
+            extras.insert(k, v);
+        }
+        rows.push(SumyRow {
+            tag,
+            tag_no,
+            range,
+            average,
+            std_dev,
+            extras,
+        });
+    }
+    Ok(rows)
 }
 
 /// A bounds-checked little-endian reader. The `what` argument of each
@@ -157,6 +225,13 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(
             bytes.try_into().expect("take returned 8 bytes"),
         ))
+    }
+
+    /// Read a tag code and check it against the tag range.
+    pub fn tag(&mut self, what: &str) -> Result<Tag, CodecError> {
+        let code = self.u32(what)?;
+        Tag::from_code(code)
+            .ok_or_else(|| CodecError(format!("{what}: tag code {code} out of range")))
     }
 
     /// Read an `f64` from its IEEE-754 bits.

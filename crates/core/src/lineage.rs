@@ -8,9 +8,10 @@
 //! derived from (a GAP table has two SUMY parents, so it "appears under
 //! both SUMY tables" in the explorer view).
 //!
-//! Deletion supports the thesis's two modes: *contents only* (free storage,
-//! keep the metadata so the table can be regenerated) and *cascade* (drop
-//! the node, its metadata, and everything derived from it).
+//! Deletion supports the thesis's two modes: *contents only* (mark the node
+//! dematerialized — its relational export is then empty — and keep the
+//! metadata so the table can be regenerated) and *cascade* (drop the node,
+//! its metadata, and everything derived from it).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -194,7 +195,7 @@ impl Lineage {
 
     /// Contents-only delete: mark the table dematerialized but keep its
     /// metadata for regeneration. Returns the table names whose contents
-    /// should be dropped from the database (just this one).
+    /// no longer show (just this one).
     pub fn delete_contents(&mut self, id: NodeId) -> Result<Vec<String>, LineageError> {
         let node = self
             .nodes
@@ -216,7 +217,7 @@ impl Lineage {
 
     /// Cascade delete: remove the node, its metadata, "and all other tables
     /// generated from it". Returns the removed table names so the caller
-    /// can drop them from the database.
+    /// can drop the tables themselves.
     pub fn delete_cascade(&mut self, id: NodeId) -> Result<Vec<String>, LineageError> {
         if !self.nodes.contains_key(&id.0) {
             return Err(LineageError::NotFound(id.0));

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use gea_relstore::{Database, Table, Value};
 use gea_sage::corpus::SageCorpus;
 use gea_sage::library::{LibraryMeta, SageLibrary};
 use gea_sage::tag::TagUniverse;
@@ -34,8 +33,8 @@ const ALLOC_OVERHEAD: usize = 32;
 ///
 /// Estimates are additive over components and never zero for an owning
 /// container, so a registry summing them gets a monotone signal: growing
-/// a session (new ENUM/SUMY/GAP tables, mined fascicles, materialized
-/// relations) strictly grows its reported size.
+/// a session (new ENUM/SUMY/GAP tables, mined fascicles) strictly grows
+/// its reported size.
 pub trait ApproxMem {
     /// Approximate number of heap bytes reachable through `self`.
     fn approx_bytes(&self) -> usize;
@@ -116,52 +115,6 @@ impl ApproxMem for GapTable {
     }
 }
 
-impl ApproxMem for Value {
-    fn approx_bytes(&self) -> usize {
-        match self {
-            Value::Text(s) => string_bytes(s) + 8,
-            _ => std::mem::size_of::<Value>(),
-        }
-    }
-}
-
-impl ApproxMem for Table {
-    fn approx_bytes(&self) -> usize {
-        let header: usize = self
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| string_bytes(&c.name))
-            .sum();
-        let cells: usize = (0..self.n_cols())
-            .map(|c| {
-                self.column(c)
-                    .iter()
-                    .map(ApproxMem::approx_bytes)
-                    .sum::<usize>()
-            })
-            .sum();
-        ALLOC_OVERHEAD + header + cells
-    }
-}
-
-impl ApproxMem for Database {
-    fn approx_bytes(&self) -> usize {
-        ALLOC_OVERHEAD
-            + self
-                .names()
-                .iter()
-                .map(|n| {
-                    string_bytes(n)
-                        + self
-                            .get(n)
-                            .map(ApproxMem::approx_bytes)
-                            .unwrap_or(ALLOC_OVERHEAD)
-                })
-                .sum::<usize>()
-    }
-}
-
 impl ApproxMem for Lineage {
     fn approx_bytes(&self) -> usize {
         ALLOC_OVERHEAD
@@ -212,7 +165,6 @@ impl ApproxMem for GeaSession {
     fn approx_bytes(&self) -> usize {
         self.corpus().approx_bytes()
             + self.base().approx_bytes()
-            + self.database().approx_bytes()
             + self.lineage().approx_bytes()
             + self.named_tables_bytes()
     }
@@ -248,6 +200,5 @@ mod tests {
         let s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
         assert!(s.base().approx_bytes() > s.base().matrix.universe().approx_bytes());
         assert!(s.lineage().approx_bytes() > 0);
-        assert!(s.database().approx_bytes() > 0);
     }
 }

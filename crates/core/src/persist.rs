@@ -4,20 +4,22 @@
 //! back days later, browse the lineage (Figure 4.18) and continue. Two
 //! layers provide that here:
 //!
-//! * The browsable layer: [`save_results`] exports a session's
-//!   materialized relational tables (as CSV with schema sidecars) and the
-//!   lineage DAG to a directory, for reading outside the toolkit. It is
-//!   write-only: sessions are restored from the snapshot below.
-//!   Dematerialized tables (contents-only deletes) export as empty tables
-//!   whose lineage metadata still describes how to regenerate them.
+//! * The browsable layer: [`save_results`] exports the relational form of
+//!   a session's tables ([`GeaSession::relation`], one at a time, as CSV
+//!   with schema sidecars) and the lineage DAG to a directory, for reading
+//!   outside the toolkit. It is write-only: sessions are restored from the
+//!   snapshot below. Dematerialized tables (contents-only deletes) export
+//!   as empty tables whose lineage metadata still describes how to
+//!   regenerate them.
 //! * The fidelity-complete layer: [`save_session`] additionally writes a
 //!   versioned binary snapshot (`session.gea`) holding *everything* a
 //!   [`GeaSession`] owns — raw corpus, cleaned base matrix, cleaning
-//!   report, derived ENUM/SUMY/GAP tables, fascicle records, relational
-//!   database, and lineage — and [`load_session`] reassembles a live
-//!   session from it. This is the format the server's eviction spill/
-//!   restore path uses ([`spill_session`]): replies answered by a restored
-//!   session are byte-identical to the pre-eviction ones.
+//!   report, derived ENUM/SUMY/GAP tables, fascicle records and lineage,
+//!   each once: the relational form is derived from these, so it is not
+//!   stored — and [`load_session`] reassembles a live session from it. This
+//!   is the format the server's eviction spill/restore path uses
+//!   ([`spill_session`]): replies answered by a restored session are
+//!   byte-identical to the pre-eviction ones.
 //!
 //! The snapshot carries an FNV-1a fingerprint over its body; truncated,
 //! bit-flipped, or version-skewed files load as
@@ -27,25 +29,23 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use gea_relstore::csv::{export_csv, import_csv};
-use gea_relstore::schema::Schema;
+use gea_relstore::csv::export_csv;
 use gea_relstore::value::DataType;
-use gea_relstore::Database;
 use gea_sage::clean::CleaningReport;
 use gea_sage::io::{read_corpus_binary, write_corpus_binary};
 use gea_sage::library::{LibraryMeta, LibraryProperty, NeoplasticState, TissueSource, TissueType};
-use gea_sage::tag::{Tag, TagUniverse};
+use gea_sage::tag::TagUniverse;
 use gea_sage::ExpressionMatrix;
 
 use crate::codec::{
-    put_blob, put_f64, put_str, put_u32, put_u64, put_u8, ByteSink, CodecError, Cur,
+    put_blob, put_f64, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, ByteSink,
+    CodecError, Cur,
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
-use crate::interval::Interval;
 use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
 use crate::session::{FascicleRecord, GeaSession, SessionSnapshot};
-use crate::sumy::{SumyRow, SumyTable};
+use crate::sumy::SumyTable;
 
 /// Errors raised by persistence.
 #[derive(Debug)]
@@ -115,16 +115,6 @@ fn dtype_token(d: DataType) -> &'static str {
     }
 }
 
-fn parse_dtype(token: &str) -> Result<DataType, PersistError> {
-    Ok(match token {
-        "INT" => DataType::Int,
-        "FLOAT" => DataType::Float,
-        "TEXT" => DataType::Text,
-        "BOOL" => DataType::Bool,
-        other => return Err(malformed(format!("unknown type {other:?}"))),
-    })
-}
-
 /// Percent-encode a table name into a safe file stem.
 fn encode_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
@@ -155,32 +145,26 @@ fn decode_name(stem: &str) -> Result<String, PersistError> {
     Ok(out)
 }
 
-/// Save the session's materialized tables and lineage into `dir`.
+/// Save the relational form of the session's tables and its lineage into
+/// `dir`, converting and writing one table at a time.
 pub fn save_results(session: &GeaSession, dir: &Path) -> Result<(), PersistError> {
-    save_database_and_lineage(session.database(), session.lineage(), dir)
-}
-
-/// Save an explicit database + lineage pair.
-pub fn save_database_and_lineage(
-    db: &Database,
-    lineage: &Lineage,
-    dir: &Path,
-) -> Result<(), PersistError> {
     fs::create_dir_all(dir)?;
     // Tables: CSV + schema sidecar.
-    for name in db.names() {
-        let table = db.get(name).expect("listed name exists");
+    for name in session.relation_names() {
+        let Some(table) = session.relation(name) else {
+            continue;
+        };
         let stem = encode_name(name);
         let mut schema_file = fs::File::create(dir.join(format!("{stem}.schema")))?;
         for col in table.schema().columns() {
             writeln!(schema_file, "{}\t{}", col.name, dtype_token(col.dtype))?;
         }
         let mut csv_file = fs::File::create(dir.join(format!("{stem}.csv")))?;
-        export_csv(table, &mut csv_file)?;
+        export_csv(&table, &mut csv_file)?;
     }
     // Lineage.
     let mut out = fs::File::create(dir.join("lineage.txt"))?;
-    write_lineage(lineage, &mut out)?;
+    write_lineage(session.lineage(), &mut out)?;
     Ok(())
 }
 
@@ -349,10 +333,12 @@ pub fn describe_node(node: &LineageNode) -> String {
 pub const SNAPSHOT_FILE: &str = "session.gea";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
-/// The one snapshot version written and read: LZSS-compressed body
-/// ([`lz_compress`]); fascicle records carry the mining backend name and
-/// its resolved parameters.
-const SNAPSHOT_VERSION: u32 = 2;
+/// The one snapshot version written and read. The LZSS-compressed body
+/// ([`lz_compress`]) is, in order: cleaning report, corpus blob, base ENUM
+/// table, then the counted ENUM, SUMY and GAP tables and fascicle records
+/// (each with its mining backend and resolved parameters), then the lineage
+/// text blob.
+const SNAPSHOT_VERSION: u32 = 3;
 /// FNV-1a 64-bit over the snapshot body — cheap, dependency-free, and more
 /// than enough to catch truncation and bit rot (this is an integrity
 /// check, not an authenticity one).
@@ -601,11 +587,6 @@ fn read_library_meta(cur: &mut Cur) -> Result<LibraryMeta, PersistError> {
     })
 }
 
-fn read_tag(cur: &mut Cur, what: &str) -> Result<Tag, PersistError> {
-    let code = cur.u32(what)?;
-    Tag::from_code(code).ok_or_else(|| malformed(format!("{what}: tag code {code} out of range")))
-}
-
 fn put_enum_table(out: &mut impl ByteSink, table: &EnumTable) {
     put_str(out, &table.name);
     let m = &table.matrix;
@@ -631,7 +612,7 @@ fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, PersistError> {
     cur.ensure_elems(n_tags, 4, "enum tag")?;
     let mut tags = Vec::with_capacity(n_tags);
     for _ in 0..n_tags {
-        let tag = read_tag(cur, "enum tag")?;
+        let tag = cur.tag("enum tag")?;
         // Universe order is sorted and duplicate-free by construction;
         // enforcing it here means `TagUniverse::from_tags` below assigns
         // the same ids the rows were written under.
@@ -665,58 +646,12 @@ fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, PersistError> {
 
 fn put_sumy_table(out: &mut Vec<u8>, table: &SumyTable) {
     put_str(out, &table.name);
-    put_u32(out, table.rows().len() as u32);
-    for row in table.rows() {
-        put_u32(out, row.tag.code());
-        put_u32(out, row.tag_no);
-        put_f64(out, row.range.lo());
-        put_f64(out, row.range.hi());
-        put_f64(out, row.average);
-        put_f64(out, row.std_dev);
-        put_u32(out, row.extras.len() as u32);
-        for (k, &v) in &row.extras {
-            put_str(out, k);
-            put_f64(out, v);
-        }
-    }
+    put_sumy_rows(out, table.rows());
 }
 
 fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, PersistError> {
     let name = cur.string("sumy table name")?;
-    let n = cur.count(44, "sumy row")?;
-    let mut rows: Vec<SumyRow> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = read_tag(cur, "sumy tag")?;
-        // Rows are written in tag order; rejecting disorder here also
-        // rejects duplicates, which `SumyTable::new` would panic on.
-        if let Some(prev) = rows.last() {
-            if tag <= prev.tag {
-                return Err(malformed("sumy rows out of order"));
-            }
-        }
-        let tag_no = cur.u32("sumy tag number")?;
-        let lo = cur.f64("sumy range lo")?;
-        let hi = cur.f64("sumy range hi")?;
-        let range = Interval::new(lo, hi).map_err(|e| malformed(format!("bad sumy range: {e}")))?;
-        let average = cur.f64("sumy average")?;
-        let std_dev = cur.f64("sumy std dev")?;
-        let n_extras = cur.count(12, "sumy extra")?;
-        let mut extras = std::collections::BTreeMap::new();
-        for _ in 0..n_extras {
-            let k = cur.string("sumy extra name")?;
-            let v = cur.f64("sumy extra value")?;
-            extras.insert(k, v);
-        }
-        rows.push(SumyRow {
-            tag,
-            tag_no,
-            range,
-            average,
-            std_dev,
-            extras,
-        });
-    }
-    Ok(SumyTable::new(&name, rows))
+    Ok(SumyTable::new(&name, read_sumy_rows(cur, true)?))
 }
 
 fn put_gap_table(out: &mut Vec<u8>, table: &GapTable) {
@@ -756,7 +691,7 @@ fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
     cur.ensure_elems(n, 8 + n_cols, "gap row")?;
     let mut rows: Vec<GapRow> = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = read_tag(cur, "gap tag")?;
+        let tag = cur.tag("gap tag")?;
         if let Some(prev) = rows.last() {
             if tag <= prev.tag {
                 return Err(malformed("gap rows out of order"));
@@ -811,7 +746,7 @@ fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, PersistError> {
     let n_tags = cur.count(4, "fascicle tag")?;
     let mut compact_tags = Vec::with_capacity(n_tags);
     for _ in 0..n_tags {
-        compact_tags.push(read_tag(cur, "fascicle tag")?);
+        compact_tags.push(cur.tag("fascicle tag")?);
     }
     let sumy_name = cur.string("fascicle sumy name")?;
     let n_props = cur.count(1, "fascicle purity")?;
@@ -907,21 +842,6 @@ fn encode_session(session: &GeaSession) -> Result<Vec<u8>, PersistError> {
     for rec in session.fascicle_records().values() {
         put_fascicle(&mut out, rec);
     }
-    let db = session.database();
-    put_u32(&mut out, db.len() as u32);
-    for name in db.names() {
-        let table = db.get(name).expect("listed name exists");
-        put_str(&mut out, name);
-        let cols = table.schema().columns();
-        put_u32(&mut out, cols.len() as u32);
-        for col in cols {
-            put_str(&mut out, &col.name);
-            put_str(&mut out, dtype_token(col.dtype));
-        }
-        let mut csv = Vec::new();
-        export_csv(table, &mut csv)?;
-        put_blob(&mut out, &csv);
-    }
     let mut lineage_text = Vec::new();
     write_lineage(session.lineage(), &mut lineage_text)?;
     put_blob(&mut out, &lineage_text);
@@ -980,25 +900,6 @@ fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
         let rec = read_fascicle(&mut cur)?;
         fascicles.insert(rec.name.clone(), rec);
     }
-    let n_tables = cur.count(16, "db table")?;
-    let mut db = Database::new();
-    for _ in 0..n_tables {
-        let name = cur.string("db table name")?;
-        let n_cols = cur.count(8, "db column")?;
-        let mut cols = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let col = cur.string("db column name")?;
-            let dtype = parse_dtype(&cur.string("db column type")?)?;
-            cols.push((col, dtype));
-        }
-        let pairs: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let schema = Schema::from_pairs(&pairs)
-            .map_err(|e| malformed(format!("bad schema for {name:?}: {e}")))?;
-        let csv = cur.blob("db csv blob")?;
-        let table = import_csv(schema, &mut &csv[..])
-            .map_err(|e| malformed(format!("bad csv for {name:?}: {e}")))?;
-        db.create_or_replace(&name, table);
-    }
     let lineage_text = cur.blob("lineage blob")?;
     let lineage_text = std::str::from_utf8(lineage_text)
         .map_err(|e| malformed(format!("non-utf8 lineage: {e}")))?;
@@ -1008,7 +909,6 @@ fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
         corpus,
         base,
         report,
-        db,
         lineage,
         enums,
         sumys,
@@ -1153,6 +1053,8 @@ pub fn remove_spill(path: &Path) {
 mod tests {
     use super::*;
     use gea_cluster::FascicleParams;
+    use gea_relstore::csv::import_csv;
+    use gea_relstore::schema::Schema;
     use gea_sage::clean::CleaningConfig;
     use gea_sage::generate::{generate, GeneratorConfig};
     use gea_sage::TissueType;
@@ -1200,15 +1102,14 @@ mod tests {
     fn reimport(dir: &Path, name: &str, schema: &Schema) -> gea_relstore::Table {
         let stem = encode_name(name);
         let sidecar = fs::read_to_string(dir.join(format!("{stem}.schema"))).unwrap();
-        let exported: Vec<(&str, DataType)> = sidecar
+        let exported: Vec<(&str, &str)> = sidecar
             .lines()
             .map(|l| l.split_once('\t').unwrap())
-            .map(|(col, dtype)| (col, parse_dtype(dtype).unwrap()))
             .collect();
-        let declared: Vec<(&str, DataType)> = schema
+        let declared: Vec<(&str, &str)> = schema
             .columns()
             .iter()
-            .map(|c| (c.name.as_str(), c.dtype))
+            .map(|c| (c.name.as_str(), dtype_token(c.dtype)))
             .collect();
         assert_eq!(exported, declared, "schema sidecar of {name:?} differs");
         let mut csv = fs::File::open(dir.join(format!("{stem}.csv"))).unwrap();
@@ -1234,18 +1135,15 @@ mod tests {
         save_results(&session, &dir).unwrap();
 
         // Every table's CSV re-imports with identical contents.
-        for name in session.database().names() {
-            let original = session.database().get(name).unwrap();
+        let db = session.database();
+        assert_eq!(db.names(), session.relation_names());
+        for name in db.names() {
+            let original = db.get(name).unwrap();
             let reloaded = reimport(&dir, name, original.schema());
             assert_eq!(&reloaded, original, "table {name:?} differs");
         }
         assert_eq!(
-            reimport(
-                &dir,
-                dropped,
-                session.database().get(dropped).unwrap().schema()
-            )
-            .n_rows(),
+            reimport(&dir, dropped, db.get(dropped).unwrap().schema()).n_rows(),
             0
         );
         // lineage.txt is the same text the snapshot embeds, and replays to
@@ -1266,7 +1164,7 @@ mod tests {
     /// The deterministic rich session of `tests/server_smoke.rs`: on demo
     /// seed 42 the 50% mine finds exactly one fascicle pure on cancer, so
     /// every layer of session state (corpus, base, ENUM/SUMY/GAP maps,
-    /// fascicles, db, lineage, comments) gets populated.
+    /// fascicles, lineage, comments) gets populated.
     fn rich_session() -> GeaSession {
         use crate::topgap::TopGapOrder;
         use gea_sage::library::LibraryProperty;
@@ -1439,13 +1337,19 @@ mod tests {
             load_session(&dir),
             Err(PersistError::Malformed(_))
         ));
-        let mut bad_version = clean.clone();
-        bad_version[4..8].copy_from_slice(&99u32.to_le_bytes());
-        fs::write(&path, &bad_version).unwrap();
-        match load_session(&dir) {
-            Err(PersistError::Malformed(m)) => assert!(m.contains("version"), "{m}"),
-            Err(other) => panic!("expected version rejection, got {other:?}"),
-            Ok(_) => panic!("version-skewed snapshot loaded"),
+        // Version 2, the layout before this one, is refused like any other:
+        // there is one version, not a reader per past layout.
+        for version in [99u32, 2] {
+            let mut bad_version = clean.clone();
+            bad_version[4..8].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bad_version).unwrap();
+            match load_session(&dir) {
+                Err(PersistError::Malformed(m)) => {
+                    assert_eq!(m, format!("unsupported snapshot version {version}"))
+                }
+                Err(other) => panic!("expected version rejection, got {other:?}"),
+                Ok(_) => panic!("version-skewed snapshot loaded"),
+            }
         }
 
         // A foreign file is malformed, and a missing one is Io.
@@ -1514,7 +1418,7 @@ mod tests {
     #[test]
     fn snapshots_carry_backend_provenance() {
         let session = rich_session();
-        let dir = temp_dir("v2prov");
+        let dir = temp_dir("prov");
         save_session(&session, &dir).unwrap();
         let restored = load_session(&dir).unwrap();
         for (name, rec) in restored.fascicle_records() {

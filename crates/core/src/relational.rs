@@ -1,11 +1,15 @@
-//! Relational materialization — the Appendix IV schemas.
+//! The relational form of a GEA table — the Appendix IV schemas.
 //!
-//! GEA persists every structure in the underlying DBMS: SUMY tables as
+//! The thesis keeps every structure in the underlying DBMS: SUMY tables as
 //! `SummaryTable(TagName, TagNo, Minimum, Maximum, Range, Average, STDV)`,
 //! GAP tables as `GapTable(TagName, TagNo, GapValue…)`, and ENUM tables in
 //! the rotated physical layout of §4.6.1 (`TAGS(TagName, TagNo, Lib_a …)`).
-//! These conversions are lossless both ways, which is what lets the lineage
-//! feature drop a table's contents and regenerate them later.
+//! Here the typed tables are the store and these conversions are the
+//! export: [`crate::session::GeaSession::relation`] builds a relation when
+//! `save` asks for one, and nothing keeps it (DESIGN.md, "Storage note").
+//! Each conversion is a schema (column names only — what an install checks)
+//! plus rows, and is lossless both ways (`tests/properties.rs`), which is
+//! what makes a view derived on demand equal to a stored copy.
 
 use gea_relstore::schema::{Column, Schema};
 use gea_relstore::table::{Table, TableError};
@@ -43,9 +47,9 @@ impl std::fmt::Display for ConvertError {
 
 impl std::error::Error for ConvertError {}
 
-/// Materialize a SUMY table with the Appendix IV `SummaryTable` schema.
-pub fn sumy_to_relation(sumy: &SumyTable) -> Result<Table, ConvertError> {
-    let schema = Schema::from_pairs(&[
+/// The Appendix IV `SummaryTable` schema, the same for every SUMY table.
+pub fn sumy_schema() -> Result<Schema, ConvertError> {
+    Schema::from_pairs(&[
         ("TagName", DataType::Text),
         ("TagNo", DataType::Int),
         ("Minimum", DataType::Float),
@@ -54,8 +58,12 @@ pub fn sumy_to_relation(sumy: &SumyTable) -> Result<Table, ConvertError> {
         ("Average", DataType::Float),
         ("STDV", DataType::Float),
     ])
-    .map_err(TableError::Schema)?;
-    let mut table = Table::new(schema);
+    .map_err(|e| TableError::Schema(e).into())
+}
+
+/// Materialize a SUMY table under [`sumy_schema`].
+pub fn sumy_to_relation(sumy: &SumyTable) -> Result<Table, ConvertError> {
+    let mut table = Table::new(sumy_schema()?);
     for row in sumy.rows() {
         table.push_row(vec![
             row.tag.to_string().into(),
@@ -105,18 +113,26 @@ pub fn sumy_from_relation(name: &str, table: &Table) -> Result<SumyTable, Conver
     Ok(SumyTable::new(name, rows))
 }
 
-/// Materialize a GAP table (`TagName, TagNo, GapValue…`, one column per
-/// gap).
-pub fn gap_to_relation(gap: &GapTable) -> Result<Table, ConvertError> {
+/// `TagName, TagNo`, then one FLOAT column per name in `floats` — the
+/// shape GAP and ENUM relations share. Fails on a repeated name.
+fn tag_keyed_schema<'a>(floats: impl Iterator<Item = &'a str>) -> Result<Schema, ConvertError> {
     let mut cols = vec![
         Column::new("TagName", DataType::Text),
         Column::new("TagNo", DataType::Int),
     ];
-    for c in &gap.columns {
-        cols.push(Column::new(c, DataType::Float));
-    }
-    let schema = Schema::new(cols).map_err(TableError::Schema)?;
-    let mut table = Table::new(schema);
+    cols.extend(floats.map(|name| Column::new(name, DataType::Float)));
+    Schema::new(cols).map_err(|e| TableError::Schema(e).into())
+}
+
+/// A GAP table's schema (`TagName, TagNo, GapValue…`, one column per gap).
+/// A self-`union` doubles every qualified column, and is refused here.
+pub fn gap_schema(gap: &GapTable) -> Result<Schema, ConvertError> {
+    tag_keyed_schema(gap.columns.iter().map(String::as_str))
+}
+
+/// Materialize a GAP table under [`gap_schema`].
+pub fn gap_to_relation(gap: &GapTable) -> Result<Table, ConvertError> {
+    let mut table = Table::new(gap_schema(gap)?);
     for row in gap.rows() {
         let mut values: Vec<Value> = vec![row.tag.to_string().into(), row.tag_no.into()];
         for g in &row.gaps {
@@ -164,18 +180,15 @@ pub fn gap_from_relation(name: &str, table: &Table) -> Result<GapTable, ConvertE
     Ok(GapTable::new(name, columns, rows))
 }
 
-/// Materialize an ENUM table in the rotated physical layout of Figure 4.30:
-/// one row per tag, one FLOAT column per library.
+/// An ENUM table's schema in the rotated physical layout of Figure 4.30:
+/// one FLOAT column per library.
+pub fn enum_schema(table: &EnumTable) -> Result<Schema, ConvertError> {
+    tag_keyed_schema(table.libraries().iter().map(|meta| meta.name.as_str()))
+}
+
+/// Materialize an ENUM table under [`enum_schema`]: one row per tag.
 pub fn enum_to_relation(table: &EnumTable) -> Result<Table, ConvertError> {
-    let mut cols = vec![
-        Column::new("TagName", DataType::Text),
-        Column::new("TagNo", DataType::Int),
-    ];
-    for meta in table.libraries() {
-        cols.push(Column::new(&meta.name, DataType::Float));
-    }
-    let schema = Schema::new(cols).map_err(TableError::Schema)?;
-    let mut out = Table::new(schema);
+    let mut out = Table::new(enum_schema(table)?);
     for tid in table.matrix.tag_ids() {
         let mut row: Vec<Value> = vec![table.matrix.tag_of(tid).to_string().into(), tid.0.into()];
         row.extend(table.matrix.tag_row(tid).iter().map(|&v| Value::Float(v)));

@@ -1,8 +1,10 @@
 //! The GEA analysis session — the toolkit's front door.
 //!
 //! A [`GeaSession`] owns the cleaned data set, the named intermediate
-//! tables (ENUM / SUMY / GAP), the lineage DAG, and the relational database
-//! the tables are materialized into. Its methods are the thesis's *macro
+//! tables (ENUM / SUMY / GAP) and the lineage DAG. The typed tables are the
+//! one copy of every table; their relational form (Appendix IV) is a view,
+//! [`GeaSession::relation`], built from them and the lineage when `save`
+//! exports it. Its methods are the thesis's *macro
 //! operations* (§4.1): "immediately after the mining operation, both the
 //! SUMY table and the corresponding ENUM table are created with an
 //! automatic invocation of the populate operation. … the output of an
@@ -13,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use gea_cluster::{FascicleParams, ToleranceVector};
-use gea_relstore::Database;
+use gea_relstore::{Database, Table};
 use gea_sage::clean::{clean, CleaningConfig, CleaningReport};
 use gea_sage::corpus::SageCorpus;
 use gea_sage::library::{LibraryId, LibraryProperty};
@@ -23,9 +25,12 @@ use gea_sage::TissueType;
 use crate::compare::{compare_gaps, compare_gaps_self, CompareOp, CompareQuery};
 use crate::enum_table::EnumTable;
 use crate::gap::{diff, GapTable};
-use crate::lineage::{Lineage, LineageError, NodeId, NodeKind};
+use crate::lineage::{Lineage, LineageError, LineageNode, NodeId, NodeKind};
 use crate::mine::{generate_metadata, mine, MinedCluster, Miner};
-use crate::relational::{enum_to_relation, gap_to_relation, sumy_to_relation};
+use crate::relational::{
+    enum_schema, enum_to_relation, gap_schema, gap_to_relation, sumy_schema, sumy_to_relation,
+    ConvertError,
+};
 use crate::sumy::{aggregate_tags, SumyTable};
 use crate::topgap::{tag_distribution, top_gaps, TagPlotPoint, TopGapOrder};
 
@@ -129,6 +134,15 @@ impl From<LineageError> for GeaError {
     }
 }
 
+/// A table whose relational schema is invalid (a repeated column name) is
+/// refused at install time, under the code and text the wire has always
+/// carried for it.
+impl From<ConvertError> for GeaError {
+    fn from(e: ConvertError) -> GeaError {
+        GeaError::EmptyGroup(e.to_string())
+    }
+}
+
 impl fmt::Display for GeaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -221,8 +235,6 @@ pub struct SessionSnapshot {
     pub base: EnumTable,
     /// The cleaning report.
     pub report: CleaningReport,
-    /// Materialized relational tables.
-    pub db: Database,
     /// The lineage DAG.
     pub lineage: Lineage,
     /// Derived ENUM tables by name.
@@ -240,7 +252,6 @@ pub struct GeaSession {
     corpus: SageCorpus,
     base: EnumTable,
     report: CleaningReport,
-    db: Database,
     lineage: Lineage,
     enums: BTreeMap<String, EnumTable>,
     sumys: BTreeMap<String, SumyTable>,
@@ -250,6 +261,20 @@ pub struct GeaSession {
     exec: ExecConfig,
     exec_events: Vec<ExecEvent>,
 }
+
+/// The lineage operations that construct a *data set* — the root and the
+/// selections of it. They are the nodes with no relational form: the
+/// thesis stores data sets once, in the corpus, and every table an
+/// operator derives from them (fascicle, `populate` result, SUMY, GAP,
+/// top-gap, comparison) in DB2.
+const DATASET_OPS: [&str; 6] = [
+    "clean",
+    "load_matrix",
+    "select_tissue",
+    "custom_dataset",
+    "select_libraries",
+    "project_tags",
+];
 
 impl GeaSession {
     /// Open a session: run the §4.2 cleaning pipeline over a raw corpus and
@@ -283,7 +308,6 @@ impl GeaSession {
             corpus,
             base,
             report,
-            db: Database::new(),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -328,7 +352,6 @@ impl GeaSession {
                 min_tolerance: 0,
                 scale_to: None,
             },
-            db: Database::new(),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -353,7 +376,6 @@ impl GeaSession {
             corpus: snapshot.corpus,
             base: snapshot.base,
             report: snapshot.report,
-            db: snapshot.db,
             lineage: snapshot.lineage,
             enums: snapshot.enums,
             sumys: snapshot.sumys,
@@ -429,9 +451,50 @@ impl GeaSession {
         &self.lineage
     }
 
-    /// The relational database of materialized tables.
-    pub fn database(&self) -> &Database {
-        &self.db
+    /// The lineage node of a table that has a relational form: every node
+    /// except the root and the data sets ([`DATASET_OPS`]).
+    fn relation_node(&self, id: NodeId) -> Option<&LineageNode> {
+        let node = self.lineage.get(id).ok()?;
+        (!DATASET_OPS.contains(&node.operation.as_str())).then_some(node)
+    }
+
+    /// Names of the tables that have a relational form, sorted.
+    pub fn relation_names(&self) -> Vec<&str> {
+        self.nodes
+            .iter()
+            .filter(|(_, &id)| self.relation_node(id).is_some())
+            .map(|(name, _)| name.as_str())
+            .collect()
+    }
+
+    /// The relational form of one table, converted from its typed table on
+    /// every call (`None` for a name outside [`Self::relation_names`]). The
+    /// node's kind picks the identity a fascicle's shared ENUM/SUMY name
+    /// means; a node whose contents were deleted yields its schema with no
+    /// rows. Every install checks the schema first, so a conversion can only
+    /// fail for a table a hand-made snapshot slipped past them.
+    pub fn relation(&self, name: &str) -> Option<Table> {
+        let node = self.relation_node(self.node(name)?)?;
+        use NodeKind::{Compare, Enum, Fascicle, Gap, Sumy, TopGap};
+        let relation = match (node.kind, node.materialized) {
+            (Gap | TopGap | Compare, true) => gap_to_relation(self.gaps.get(name)?),
+            (Gap | TopGap | Compare, false) => gap_schema(self.gaps.get(name)?).map(Table::new),
+            (Sumy, true) => sumy_to_relation(self.sumys.get(name)?),
+            (Sumy, false) => sumy_schema().map(Table::new),
+            (Enum | Fascicle, true) => enum_to_relation(self.enums.get(name)?),
+            (Enum | Fascicle, false) => enum_schema(self.enums.get(name)?).map(Table::new),
+        };
+        relation.ok()
+    }
+
+    /// Every relation of the session as one relational database — a view
+    /// folded from [`Self::relation_names`] and [`Self::relation`] on each
+    /// call, not a copy the session keeps.
+    pub fn database(&self) -> Database {
+        self.relation_names()
+            .into_iter()
+            .filter_map(|name| Some((name.to_string(), self.relation(name)?)))
+            .collect()
     }
 
     /// Look up an ENUM table (the root `SAGE` included).
@@ -497,7 +560,7 @@ impl GeaSession {
     /// Approximate heap bytes held by the named derived tables (ENUM,
     /// SUMY, GAP) and fascicle records — the part of the session only it
     /// can see; [`crate::mem::ApproxMem`] for `GeaSession` adds the
-    /// corpus, base matrix, database, and lineage on top.
+    /// corpus, base matrix, and lineage on top.
     pub fn named_tables_bytes(&self) -> usize {
         use crate::mem::ApproxMem;
         self.enums.approx_bytes()
@@ -705,11 +768,11 @@ impl GeaSession {
 
     /// Install the clusters of a completed `mine` pass over `table` (the
     /// current contents of `dataset`) as fascicles: lineage nodes, the
-    /// per-fascicle ENUM/SUMY tables, relational materialization, and the
-    /// fascicle records. Split out of [`GeaSession::calculate_fascicles`]
-    /// so parallel front-ends (`gea-exec`) can run the mine itself on
-    /// their own executor and hand the clusters back for bookkeeping that
-    /// is identical to the serial path.
+    /// per-fascicle ENUM/SUMY tables, and the fascicle records. Split out of
+    /// [`GeaSession::calculate_fascicles`] so parallel front-ends
+    /// (`gea-exec`) can run the mine itself on their own executor and hand
+    /// the clusters back for bookkeeping that is identical to the serial
+    /// path.
     pub fn install_mined_fascicles(
         &mut self,
         dataset: &str,
@@ -749,8 +812,8 @@ impl GeaSession {
     }
 
     /// Backend-generic form of [`GeaSession::install_mined_fascicles`]:
-    /// the same bookkeeping (lineage node, ENUM/SUMY materialization,
-    /// relational table, fascicle record), parameterized over the lineage
+    /// the same bookkeeping (relational-schema check, lineage node, ENUM and
+    /// SUMY tables, fascicle record), parameterized over the lineage
     /// operation label and the backend provenance recorded on each
     /// fascicle. `gea-exec`'s backend drivers (`isa`, `simplex`) call
     /// this directly; the Fascicles path delegates here with its historic
@@ -774,6 +837,11 @@ impl GeaSession {
         let mut names = Vec::with_capacity(clusters.len());
         for cluster in clusters {
             self.check_name_free(&cluster.name)?;
+            // The fascicle's ENUM identity: member libraries × compact tags.
+            let members_enum = table
+                .with_libraries(&cluster.name, &cluster.libraries)
+                .select_tags(&cluster.name, &cluster.compact_tags);
+            enum_schema(&members_enum)?;
             self.record_node(
                 &cluster.name,
                 NodeKind::Fascicle,
@@ -781,10 +849,6 @@ impl GeaSession {
                 lineage_params.clone(),
                 &[parent],
             )?;
-            // The fascicle's ENUM identity: member libraries × compact tags.
-            let members_enum = table
-                .with_libraries(&cluster.name, &cluster.libraries)
-                .select_tags(&cluster.name, &cluster.compact_tags);
             let record = FascicleRecord {
                 name: cluster.name.clone(),
                 dataset: dataset.to_string(),
@@ -803,10 +867,6 @@ impl GeaSession {
                 backend: backend.to_string(),
                 params: backend_params.clone(),
             };
-            self.db.create_or_replace(
-                &cluster.name,
-                enum_to_relation(&members_enum).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-            );
             self.enums.insert(cluster.name.clone(), members_enum);
             self.sumys.insert(cluster.name.clone(), cluster.sumy);
             self.fascicles.insert(cluster.name.clone(), record);
@@ -838,8 +898,8 @@ impl GeaSession {
     /// sharded drivers. The callback must return exactly the hit list
     /// [`crate::populate::populate_scan`] returns (the columnar pruning
     /// kernel and the sharded drivers all do — same predicate, same
-    /// ascending order) — the bookkeeping (lineage, relational
-    /// materialization, naming) is shared, so results are identical by
+    /// ascending order) — the bookkeeping (relational-schema check,
+    /// lineage, naming) is shared, so results are identical by
     /// construction whenever the hits are.
     pub fn populate_from_sumy_with(
         &mut self,
@@ -856,6 +916,7 @@ impl GeaSession {
         if result.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("populate({sumy}, {dataset})")));
         }
+        enum_schema(&result)?;
         let parents: Vec<NodeId> = [sumy, dataset]
             .iter()
             .filter_map(|n| self.node(n))
@@ -865,10 +926,6 @@ impl GeaSession {
             ("dataset".to_string(), dataset.to_string()),
         ];
         self.record_node(name, NodeKind::Enum, "populate", params, &parents)?;
-        self.db.create_or_replace(
-            name,
-            enum_to_relation(&result).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         let hits = result.n_libraries();
         self.enums.insert(name.to_string(), result);
         Ok(hits)
@@ -1018,10 +1075,6 @@ impl GeaSession {
                 vec![("property".to_string(), property.to_string())],
                 &[parent],
             )?;
-            self.db.create_or_replace(
-                &sumy.name,
-                sumy_to_relation(sumy).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-            );
             if let Some(t) = enum_table {
                 self.enums.insert(t.name.clone(), (*t).clone());
             }
@@ -1034,8 +1087,8 @@ impl GeaSession {
 
     // ----- gaps (§4.3.1.2 steps 6–7, Figures 4.9/4.12) ----------------------
 
-    /// `GAP = diff(SUMY₁, SUMY₂)`, materialized and recorded under both
-    /// parents.
+    /// `GAP = diff(SUMY₁, SUMY₂)`, recorded under both parents. (Its one
+    /// column, `Gap`, cannot collide, so there is no schema to refuse.)
     pub fn create_gap(
         &mut self,
         name: &str,
@@ -1063,10 +1116,6 @@ impl GeaSession {
             ],
             &parents,
         )?;
-        self.db.create_or_replace(
-            name,
-            gap_to_relation(&gap).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         self.gaps.insert(name.to_string(), gap);
         Ok(())
     }
@@ -1084,6 +1133,7 @@ impl GeaSession {
         if self.gaps.contains_key(&top_name) {
             return Err(GeaError::NameTaken(top_name));
         }
+        gap_schema(&top)?;
         let parent = self.node(gap).into_iter().collect::<Vec<_>>();
         self.record_node(
             &top_name,
@@ -1092,10 +1142,6 @@ impl GeaSession {
             vec![("x".to_string(), x.to_string())],
             &parent,
         )?;
-        self.db.create_or_replace(
-            &top_name,
-            gap_to_relation(&top).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         self.gaps.insert(top_name.clone(), top);
         Ok(top_name)
     }
@@ -1114,6 +1160,7 @@ impl GeaSession {
         let g1 = self.gap(first)?;
         let g2 = self.gap(second)?;
         let result = compare_gaps(name, g1, g2, op, query).ok_or(GeaError::QueryNotApplicable)?;
+        gap_schema(&result)?;
         let parents: Vec<NodeId> = [first, second]
             .iter()
             .filter_map(|n| self.node(n))
@@ -1128,10 +1175,6 @@ impl GeaSession {
             ],
             &parents,
         )?;
-        self.db.create_or_replace(
-            name,
-            gap_to_relation(&result).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         self.gaps.insert(name.to_string(), result);
         Ok(())
     }
@@ -1159,6 +1202,7 @@ impl GeaSession {
         // resolution reproduces the same error.
         let g = self.gap(gap)?;
         let result = compare_gaps_self(name, g, op, query).ok_or(GeaError::QueryNotApplicable)?;
+        gap_schema(&result)?;
         // Same duplicated parent list the serial path builds from
         // `[first, second]` when both name the same table.
         let parents: Vec<NodeId> = [gap, gap].iter().filter_map(|n| self.node(n)).collect();
@@ -1173,10 +1217,6 @@ impl GeaSession {
             ],
             &parents,
         )?;
-        self.db.create_or_replace(
-            name,
-            gap_to_relation(&result).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         self.gaps.insert(name.to_string(), result);
         Ok(())
     }
@@ -1232,10 +1272,6 @@ impl GeaSession {
             ],
             &parents,
         )?;
-        self.db.create_or_replace(
-            name,
-            gap_to_relation(&gap).map_err(|e| GeaError::EmptyGroup(e.to_string()))?,
-        );
         self.gaps.insert(name.to_string(), gap);
 
         // Phase 2 — calculate_top_gap's commit sequence. A failure here
@@ -1256,10 +1292,6 @@ impl GeaSession {
             &parent,
         ) {
             return Ok(Err(e));
-        }
-        match gap_to_relation(&top).map_err(|e| GeaError::EmptyGroup(e.to_string())) {
-            Ok(rel) => self.db.create_or_replace(&top_name, rel),
-            Err(e) => return Ok(Err(e)),
         }
         self.gaps.insert(top_name.clone(), top);
         Ok(Ok(top_name))
@@ -1290,73 +1322,42 @@ impl GeaSession {
         Ok(())
     }
 
-    /// Regenerate a contents-only-deleted table from its recorded state —
-    /// "if the user wants to re-generate the content of the table, the
-    /// stored metadata can be used directly" (§4.4.2). The intensional
-    /// definition survives the truncation, so re-materialization is a pure
-    /// replay.
+    /// Regenerate a contents-only-deleted table — "if the user wants to
+    /// re-generate the content of the table, the stored metadata can be
+    /// used directly" (§4.4.2). The typed table outlives the delete, so
+    /// this only marks the node materialized again and [`Self::relation`]
+    /// shows its rows once more; on a live table it changes nothing.
     pub fn regenerate(&mut self, table: &str) -> Result<(), GeaError> {
         let id = self.node(table).ok_or(GeaError::NotFound {
             kind: "lineage",
             name: table.to_string(),
         })?;
-        let node = self.lineage.get(id)?;
-        if node.materialized {
-            return Ok(()); // nothing to do
-        }
-        // Re-materialize the same identity that was originally stored: the
-        // node's kind disambiguates names shared by a fascicle's ENUM and
-        // SUMY forms.
-        let missing = || GeaError::NotFound {
-            kind: "table",
-            name: table.to_string(),
-        };
-        let relation = match node.kind {
-            NodeKind::Gap | NodeKind::TopGap | NodeKind::Compare => {
-                let g = self.gaps.get(table).ok_or_else(missing)?;
-                gap_to_relation(g).map_err(|e| GeaError::EmptyGroup(e.to_string()))?
-            }
-            NodeKind::Sumy => {
-                let t = self.sumys.get(table).ok_or_else(missing)?;
-                sumy_to_relation(t).map_err(|e| GeaError::EmptyGroup(e.to_string()))?
-            }
-            NodeKind::Enum | NodeKind::Fascicle => {
-                let e = self.enums.get(table).ok_or_else(missing)?;
-                enum_to_relation(e).map_err(|e| GeaError::EmptyGroup(e.to_string()))?
-            }
-        };
-        self.db.create_or_replace(table, relation);
         self.lineage.rematerialize(id)?;
         Ok(())
     }
 
-    /// Delete a table: cascade removes it and everything derived from it;
-    /// otherwise only the materialized contents are dropped (the metadata
-    /// survives for regeneration).
+    /// Delete a table: cascade removes it and everything derived from it.
+    /// Otherwise only the lineage node is marked dematerialized: the
+    /// browsable export shows the table empty and the metadata survives for
+    /// [`Self::regenerate`], but no storage is freed — the typed table,
+    /// which every operator reads, stays.
     pub fn delete(&mut self, table: &str, cascade: bool) -> Result<Vec<String>, GeaError> {
         let id = self.node(table).ok_or(GeaError::NotFound {
             kind: "lineage",
             name: table.to_string(),
         })?;
-        let removed = if cascade {
-            let names = self.lineage.delete_cascade(id)?;
-            for n in &names {
-                self.nodes.remove(n);
-                self.enums.remove(n);
-                self.sumys.remove(n);
-                self.gaps.remove(n);
-                self.fascicles.remove(n);
-                let _ = self.db.drop_table(n);
-            }
-            names
-        } else {
-            let names = self.lineage.delete_contents(id)?;
-            for n in &names {
-                let _ = self.db.truncate(n);
-            }
-            names
-        };
-        Ok(removed)
+        if !cascade {
+            return Ok(self.lineage.delete_contents(id)?);
+        }
+        let names = self.lineage.delete_cascade(id)?;
+        for n in &names {
+            self.nodes.remove(n);
+            self.enums.remove(n);
+            self.sumys.remove(n);
+            self.gaps.remove(n);
+            self.fascicles.remove(n);
+        }
+        Ok(names)
     }
 }
 
@@ -1630,6 +1631,36 @@ mod tests {
     }
 
     #[test]
+    fn data_sets_have_no_relational_form() {
+        // Every data-set constructor, then the rule: none of them is a
+        // relation, before or after a contents-only delete and regenerate
+        // (which at one time added the data set to the database).
+        let (mut s, _) = session();
+        s.create_tissue_dataset("Ebrain", &TissueType::Brain)
+            .unwrap();
+        let table = s.enum_table("Ebrain").unwrap();
+        let lib = table.library_names()[0].to_string();
+        let tag = table.matrix.tag_of(table.matrix.tag_ids().next().unwrap());
+        s.create_custom_dataset("Ecustom", &[&lib]).unwrap();
+        s.select_dataset_libraries("Eselect", "Ebrain", &[&lib])
+            .unwrap();
+        s.project_dataset_tags("Eproject", "Ebrain", &[tag])
+            .unwrap();
+        s.delete("Ebrain", false).unwrap();
+        s.regenerate("Ebrain").unwrap();
+        assert_eq!(s.lineage().len(), 5);
+        assert_eq!(s.relation_names(), Vec::<&str>::new());
+        assert!(s.database().is_empty());
+        for name in ["SAGE", "Ebrain", "Ecustom", "Eselect", "Eproject", "ghost"] {
+            assert!(s.relation(name).is_none(), "{name} has a relation");
+        }
+        let (corpus, _) = generate(&GeneratorConfig::demo(103));
+        let (matrix, _) = gea_sage::clean::clean(&corpus, &CleaningConfig::default());
+        let s = GeaSession::open_matrix(matrix, "microarray test").unwrap();
+        assert!(s.relation_names().is_empty());
+    }
+
+    #[test]
     fn top_gap_derivation() {
         let (mut s, truth) = session();
         s.create_tissue_dataset("Ebrain", &TissueType::Brain)
@@ -1655,7 +1686,7 @@ mod tests {
             .unwrap();
         assert_eq!(top_name, "g_10");
         assert!(s.gap("g_10").unwrap().len() <= 10);
-        // Materialized into the database as well.
+        // And it has a relational form.
         assert!(s.database().exists("g_10"));
     }
 }

@@ -115,6 +115,16 @@ impl Database {
     }
 }
 
+/// A database folded from `(name, table)` pairs; a repeated name keeps the
+/// last table, as [`Database::create_or_replace`] would.
+impl FromIterator<(String, Table)> for Database {
+    fn from_iter<I: IntoIterator<Item = (String, Table)>>(pairs: I) -> Database {
+        Database {
+            tables: pairs.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -414,7 +414,7 @@ pub fn execute_read(session: &GeaSession, cmd: &GqlCommand) -> Result<String, En
             gea_core::persist::save_session(session, std::path::Path::new(dir))?;
             format!(
                 "saved {} table(s) and full session snapshot to {dir}",
-                session.database().len()
+                session.relation_names().len()
             )
         }
         other => {
@@ -534,7 +534,7 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
             session.set_exec_config(exec);
             let mut out = format!(
                 "restored session from {dir}: {} table(s); operation history:\n",
-                session.database().len()
+                session.relation_names().len()
             );
             out.push_str(&session.lineage().render_tree());
             out

@@ -3,28 +3,25 @@
 //! A router scattering a macro operation across backends needs each
 //! backend's *partial result* shipped back over the line protocol and
 //! re-fed to the applying backend. Partials are encoded here as compact
-//! little-endian binary with `gea_core::codec`'s primitives (strings as
-//! length-prefixed UTF-8, `f64` via `to_bits` so every float round-trips
-//! bit-exactly; element counts checked against the bytes remaining before
-//! anything is allocated for them), hex-armored onto the single-line
-//! wire. The router treats the blobs as opaque: its only codec work is
-//! [`frame`]/[`unframe`] — concatenating per-shard blobs in shard order
-//! with `u32` length prefixes — plus the hex armor.
+//! little-endian binary with `gea_core::codec`'s primitives and its SUMY
+//! row layout (strings as length-prefixed UTF-8, `f64` via `to_bits` so
+//! every float round-trips bit-exactly; element counts checked against the
+//! bytes remaining before anything is allocated for them), hex-armored
+//! onto the single-line wire. The router treats the blobs as opaque: its
+//! only codec work is [`frame`]/[`unframe`] — concatenating per-shard blobs
+//! in shard order with `u32` length prefixes — plus the hex armor.
 //!
 //! Bit-exact `f64` transport matters: the whole distributed design rests
 //! on byte-identical replies, and a decimal round-trip of a standard
 //! deviation would be the one place the bits could drift.
 
-use std::collections::BTreeMap;
-
-use gea_core::codec::{put_f64, put_str, put_u32, put_u64, put_u8, Cur};
+use gea_core::codec::{put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, Cur};
 use gea_core::mine::MinedCluster;
 use gea_core::sumy::{SumyRow, SumyTable};
-use gea_core::Interval;
 use gea_exec::{Partial, ScatterOp};
 use gea_mine::isa::IsaModule;
 use gea_sage::library::LibraryId;
-use gea_sage::tag::{Tag, TagId};
+use gea_sage::tag::TagId;
 
 /// A decode failure: the blob did not match the expected shape.
 pub type CodecError = String;
@@ -91,68 +88,13 @@ pub fn unframe(bytes: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
 
 // --- SUMY rows -------------------------------------------------------------
 
-fn put_row(out: &mut Vec<u8>, row: &SumyRow) {
-    put_u32(out, row.tag.code());
-    put_u32(out, row.tag_no);
-    put_f64(out, row.range.lo());
-    put_f64(out, row.range.hi());
-    put_f64(out, row.average);
-    put_f64(out, row.std_dev);
-    put_u32(out, row.extras.len() as u32);
-    for (k, v) in &row.extras {
-        put_str(out, k);
-        put_f64(out, *v);
-    }
-}
-
-fn read_row(cur: &mut Cur) -> Result<SumyRow, CodecError> {
-    let tag = Tag::from_code(cur.u32("row tag")?).ok_or("tag code out of range")?;
-    let tag_no = cur.u32("row tag number")?;
-    let lo = cur.f64("row range lo")?;
-    let hi = cur.f64("row range hi")?;
-    let range = Interval::new(lo, hi).map_err(|e| format!("bad interval: {e}"))?;
-    let average = cur.f64("row average")?;
-    let std_dev = cur.f64("row std dev")?;
-    let n_extras = cur.count(12, "row extra")?;
-    let mut extras = BTreeMap::new();
-    for _ in 0..n_extras {
-        let k = cur.string("row extra name")?;
-        let v = cur.f64("row extra value")?;
-        extras.insert(k, v);
-    }
-    Ok(SumyRow {
-        tag,
-        tag_no,
-        range,
-        average,
-        std_dev,
-        extras,
-    })
-}
-
-fn put_rows(out: &mut Vec<u8>, rows: &[SumyRow]) {
-    put_u32(out, rows.len() as u32);
-    for row in rows {
-        put_row(out, row);
-    }
-}
-
-fn read_rows(cur: &mut Cur) -> Result<Vec<SumyRow>, CodecError> {
-    let n = cur.count(44, "row")?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(read_row(cur)?);
-    }
-    Ok(rows)
-}
-
 /// Encode the three per-shard row vectors of a scattered `groups`
 /// aggregation (in-fascicle, outside, contrast — in the exact order the
 /// serial aggregator is called).
 pub fn encode_rows3(rows: &[Vec<SumyRow>; 3]) -> Vec<u8> {
     let mut out = Vec::new();
     for part in rows {
-        put_rows(&mut out, part);
+        put_sumy_rows(&mut out, part);
     }
     out
 }
@@ -160,9 +102,11 @@ pub fn encode_rows3(rows: &[Vec<SumyRow>; 3]) -> Vec<u8> {
 /// Decode a blob produced by [`encode_rows3`].
 pub fn decode_rows3(bytes: &[u8]) -> Result<[Vec<SumyRow>; 3], CodecError> {
     let mut cur = Cur::new(bytes);
-    let a = read_rows(&mut cur)?;
-    let b = read_rows(&mut cur)?;
-    let c = read_rows(&mut cur)?;
+    // One shard's share of each aggregation: the merged table, not the
+    // shard, owes ascending tags.
+    let a = read_sumy_rows(&mut cur, false)?;
+    let b = read_sumy_rows(&mut cur, false)?;
+    let c = read_sumy_rows(&mut cur, false)?;
     cur.finish("rows blob")?;
     Ok([a, b, c])
 }
@@ -184,7 +128,7 @@ fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
             put_u32(&mut out, t.0);
         }
         put_str(&mut out, &c.sumy.name);
-        put_rows(&mut out, c.sumy.rows());
+        put_sumy_rows(&mut out, c.sumy.rows());
     }
     out
 }
@@ -207,7 +151,7 @@ fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
             compact_tags.push(TagId(cur.u32("cluster tag")?));
         }
         let sumy_name = cur.string("cluster sumy name")?;
-        let rows = read_rows(&mut cur)?;
+        let rows = read_sumy_rows(&mut cur, true)?;
         out.push(MinedCluster {
             name,
             libraries,
@@ -329,6 +273,9 @@ pub fn decode_partial(op: &ScatterOp, bytes: &[u8]) -> Result<Partial, CodecErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gea_core::Interval;
+    use gea_sage::tag::Tag;
+    use std::collections::BTreeMap;
 
     fn row(tag_no: u32) -> SumyRow {
         let mut extras = BTreeMap::new();
@@ -416,6 +363,25 @@ mod tests {
         let back3 = decode_rows3(&encode_rows3(&rows3)).unwrap();
         assert_eq!(back3, rows3);
         assert!(decode_rows3(&encode_libs(&libs)).is_err());
+    }
+
+    #[test]
+    fn a_cluster_table_with_a_repeated_tag_is_refused() {
+        // `SumyTable::new` panics on a repeated tag, so the decoder has to
+        // say no first. No encoder writes this blob; spell it by hand.
+        let mut blob = Vec::new();
+        put_u32(&mut blob, 1);
+        put_str(&mut blob, "brain_1");
+        put_u32(&mut blob, 0);
+        put_u32(&mut blob, 0);
+        put_str(&mut blob, "brain_1");
+        put_sumy_rows(&mut blob, &[row(3), row(3)]);
+        let err = decode_clusters(&blob).unwrap_err();
+        assert!(err.contains("out of order"), "{err}");
+        // One shard's share of a `groups` is not a table and is not held
+        // to table order.
+        let share = [vec![row(3), row(3)], Vec::new(), Vec::new()];
+        assert_eq!(decode_rows3(&encode_rows3(&share)).unwrap(), share);
     }
 
     #[test]

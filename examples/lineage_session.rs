@@ -1,7 +1,8 @@
 //! The lineage feature (thesis §4.4.2, Figure 4.18): record a multi-step
 //! analysis, annotate it, browse the history tree, and use the two deletion
-//! modes — contents-only (free storage, keep metadata for regeneration) and
-//! cascade (drop a subtree of derived results).
+//! modes — contents-only (the relational export shows the table empty, the
+//! metadata stays for regeneration; DESIGN.md "Storage note") and cascade
+//! (drop a subtree of derived results).
 //!
 //! ```text
 //! cargo run --release --example lineage_session
@@ -86,9 +87,9 @@ fn main() {
     }
     println!("  user comment: {}", node.comment);
 
-    // Contents-only delete: the GAP table's rows are dropped from the
-    // database but its metadata (and the in-memory definition) survive, so
-    // it could be regenerated.
+    // Contents-only delete: the GAP table's relational form loses its rows
+    // but its metadata (and the typed table every operator reads) survive,
+    // so it can be regenerated.
     let dropped = session.delete(&top, false).unwrap();
     println!("\ncontents-only delete of {dropped:?} — metadata kept:");
     println!(

@@ -104,8 +104,9 @@ cargo run --release -p gea-bench --bin router -- --smoke
 # in scripts/lint-allowlist.txt (ratcheted both ways), every lock-order
 # comment quotes the canonical line in registry.rs verbatim, and the
 # accept loop, worker hand-off, polled read and signal handler exist in
-# front.rs only.
-step "invariant lints (panic budget + lock-order sync + one front end)"
+# front.rs only; and the session keeps one copy of every table (no
+# relational catalog beside the typed tables, no CSV read back by persist).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Invariant lints for the server/router hot paths, run by scripts/ci.sh.
+# Invariant lints for the server/router hot paths and the session's table
+# store, run by scripts/ci.sh.
 #
 # 1. unwrap()/expect( ban in non-test code under crates/server/src and
 #    crates/router/src. A worker thread that panics takes its connection
@@ -20,6 +21,14 @@
 #    handler live in crates/server/src/front.rs and nowhere else in the
 #    non-test code of either daemon (bins included), so a second copy of
 #    the inbound half cannot grow back beside it.
+#
+# 4. One table representation. The typed ENUM/SUMY/GAP tables are the
+#    store; the relational form is a view GeaSession::relation builds for
+#    `save`. So, in non-test code: crates/core/src/session.rs maintains no
+#    catalog (no create_or_replace / drop_table / .truncate( call, no field
+#    of type Database), crates/core/src/persist.rs parses no CSV back
+#    (no import_csv), and in crates/core/src a *_to_relation( call occurs
+#    in relational.rs and in the view function only.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,6 +48,12 @@ nontest_panics() {
         END { print c + 0 }
     ' "$1"
 }
+
+# A file up to its first #[cfg(test)].
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
+# Lines of a file's non-test code matching a grep pattern (-F or -E).
+nontest_hits() { nontest "$2" | grep -c "$1" -- "$3" || true; }
 
 budget_for() {
     awk -v f="$1" '$1 !~ /^#/ && $2 == f { print $1; found = 1 }
@@ -105,7 +120,7 @@ fi
 front="crates/server/src/front.rs"
 for construct in 'TcpListener::bind' '.incoming()' 'sync_channel' 'set_read_timeout' 'extern "C"'; do
     for file in $sources; do
-        hits="$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -cF -- "$construct" || true)"
+        hits="$(nontest_hits -F "$file" "$construct")"
         if [ "$file" = "$front" ] && [ "$hits" -eq 0 ]; then
             echo "lint: $front no longer contains '$construct' — the front-end check is looking for the wrong thing" >&2
             fail=1
@@ -115,6 +130,42 @@ for construct in 'TcpListener::bind' '.incoming()' 'sync_channel' 'set_read_time
         fi
     done
 done
+
+# One table representation: no relational copy kept beside the typed
+# tables, no second reader of one.
+session="crates/core/src/session.rs"
+for construct in 'create_or_replace' 'drop_table' '.truncate('; do
+    if [ "$(nontest_hits -F "$session" "$construct")" -gt 0 ]; then
+        echo "lint: $session has '$construct' in non-test code; the session keeps no relational catalog" >&2
+        fail=1
+    fi
+done
+if [ "$(nontest_hits -E "$session" '^ +(pub )?[a-z_]+: *([a-z_]+::)*Database,')" -gt 0 ]; then
+    echo "lint: $session has a field of type Database; the relational form is a view, not state" >&2
+    fail=1
+fi
+if [ "$(nontest_hits -F crates/core/src/persist.rs 'import_csv')" -gt 0 ]; then
+    echo "lint: crates/core/src/persist.rs has 'import_csv' in non-test code; snapshots do not store relations" >&2
+    fail=1
+fi
+# session.rs converts inside `pub fn relation(` (which ends at the next doc
+# comment) and nowhere else; no other file but relational.rs converts.
+for file in crates/core/src/*.rs; do
+    [ "$file" = "crates/core/src/relational.rs" ] && continue
+    hits="$(nontest "$file" | awk '
+        /pub fn relation\(/ { view = 1 }
+        view && /^    \/\/\// { view = 0 }
+        !view && /_to_relation\(/ { n++ }
+        END { print n + 0 }')"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $file converts a table to a relation outside relational.rs and GeaSession::relation ($hits site(s))" >&2
+        fail=1
+    fi
+done
+if [ "$(nontest_hits -F "$session" '_to_relation(')" -eq 0 ]; then
+    echo "lint: $session no longer contains '_to_relation(' — the one-representation check is looking for the wrong thing" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2
