@@ -662,21 +662,6 @@ impl GeaSession {
         dataset: &str,
         library_names: &[&str],
     ) -> Result<(), GeaError> {
-        self.select_dataset_libraries_traced(name, dataset, library_names, None)
-    }
-
-    /// [`GeaSession::select_dataset_libraries`] with an optional optimizer
-    /// trace: when the selection ran as part of a fused plan step, the rule
-    /// name is recorded as a lineage param (`optimizer`). Params never
-    /// appear in the rendered lineage tree, so traced and untraced runs are
-    /// wire-identical; the trace survives in snapshots for provenance.
-    pub fn select_dataset_libraries_traced(
-        &mut self,
-        name: &str,
-        dataset: &str,
-        library_names: &[&str],
-        optimizer: Option<&str>,
-    ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
         let source = self.enum_table(dataset)?;
         let table = source.select_libraries(name, |m| library_names.contains(&m.name.as_str()));
@@ -687,14 +672,16 @@ impl GeaSession {
             kind: "ENUM",
             name: dataset.to_string(),
         })?;
-        let mut params = vec![
-            ("dataset".to_string(), dataset.to_string()),
-            ("libraries".to_string(), library_names.join(",")),
-        ];
-        if let Some(rule) = optimizer {
-            params.push(("optimizer".to_string(), rule.to_string()));
-        }
-        self.record_node(name, NodeKind::Enum, "select_libraries", params, &[parent])?;
+        self.record_node(
+            name,
+            NodeKind::Enum,
+            "select_libraries",
+            vec![
+                ("dataset".to_string(), dataset.to_string()),
+                ("libraries".to_string(), library_names.join(",")),
+            ],
+            &[parent],
+        )?;
         self.enums.insert(name.to_string(), table);
         Ok(())
     }
@@ -1219,82 +1206,6 @@ impl GeaSession {
         )?;
         self.gaps.insert(name.to_string(), result);
         Ok(())
-    }
-
-    /// The optimizer's fused `gap` + `topgap` step: derive the diff *and*
-    /// its top-`x` in one pass, reading the just-computed table instead of
-    /// re-validating and re-looking it up.
-    ///
-    /// Two-phase outcome mirroring the serial command pair:
-    ///
-    /// * outer `Err` — the `gap` phase failed; nothing was installed (the
-    ///   paired `topgap` would then have run against whatever `name`
-    ///   previously meant, which is the *caller's* fallback to arrange);
-    /// * `Ok(Err(_))` — the gap was created and committed, but the top
-    ///   name was already taken (the only failure `calculate_top_gap` can
-    ///   hit once its source exists); the gap stays, as it would serially;
-    /// * `Ok(Ok(top_name))` — both tables installed.
-    ///
-    /// Both lineage nodes carry the wire-invisible `optimizer` param.
-    pub fn create_gap_with_top(
-        &mut self,
-        name: &str,
-        first_sumy: &str,
-        second_sumy: &str,
-        x: usize,
-        order: TopGapOrder,
-        rule: &str,
-    ) -> Result<Result<String, GeaError>, GeaError> {
-        // Phase 1 — create_gap, step for step.
-        self.check_name_free(name)?;
-        if self.gaps.contains_key(name) {
-            return Err(GeaError::NameTaken(name.to_string()));
-        }
-        let s1 = self.sumy(first_sumy)?;
-        let s2 = self.sumy(second_sumy)?;
-        let gap = diff(name, s1, s2);
-        // The fusion: the top-x derives from the diff still in hand —
-        // `calculate_top_gap`'s source lookup and its (here unreachable)
-        // not-found error are skipped entirely.
-        let top = top_gaps(&gap, x, order);
-        let parents: Vec<NodeId> = [first_sumy, second_sumy]
-            .iter()
-            .filter_map(|n| self.node(n))
-            .collect();
-        self.record_node(
-            name,
-            NodeKind::Gap,
-            "diff",
-            vec![
-                ("sumy1".to_string(), first_sumy.to_string()),
-                ("sumy2".to_string(), second_sumy.to_string()),
-                ("optimizer".to_string(), rule.to_string()),
-            ],
-            &parents,
-        )?;
-        self.gaps.insert(name.to_string(), gap);
-
-        // Phase 2 — calculate_top_gap's commit sequence. A failure here
-        // leaves phase 1 installed, exactly as the serial pair would.
-        let top_name = top.name.clone();
-        if self.gaps.contains_key(&top_name) {
-            return Ok(Err(GeaError::NameTaken(top_name)));
-        }
-        let parent = self.node(name).into_iter().collect::<Vec<_>>();
-        if let Err(e) = self.record_node(
-            &top_name,
-            NodeKind::TopGap,
-            "top_gap",
-            vec![
-                ("x".to_string(), x.to_string()),
-                ("optimizer".to_string(), rule.to_string()),
-            ],
-            &parent,
-        ) {
-            return Ok(Err(e));
-        }
-        self.gaps.insert(top_name.clone(), top);
-        Ok(Ok(top_name))
     }
 
     // ----- inspection -------------------------------------------------------

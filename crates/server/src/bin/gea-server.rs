@@ -4,7 +4,7 @@
 //! gea-server [--addr HOST:PORT] [--workers N] [--queue N]
 //!            [--lock-timeout-ms MS] [--demo SEED]
 //!            [--cache-bytes N] [--session-budget N] [--idle-timeout-ms MS]
-//!            [--spill-dir PATH] [--threads N] [--no-opt] [--max-cost UNITS]
+//!            [--spill-dir PATH] [--threads N] [--max-cost UNITS]
 //! ```
 //!
 //! `--demo SEED` pre-opens the session named `default` from a generated
@@ -17,15 +17,12 @@
 //! eviction and restored transparently on their next use. `--threads N`
 //! sizes the sharded executor for mine/populate/aggregate inside each
 //! session (0, the default, means available parallelism; 1 forces the
-//! serial path — results are byte-identical either way). `--no-opt`
-//! disables the algebraic optimizer (`gea-opt`): commands execute
-//! literally and response-cache keys fall back to the plain canonical
-//! spelling instead of the rewrite-normalized one. `--max-cost UNITS`
-//! enables the static budget gate: commands whose predicted cost (the
-//! `gea-check` abstract cost model over the session's live table sizes)
-//! exceeds UNITS answer `ERR EBUDGET` before execution. Stop the server
-//! with the `shutdown` protocol command, SIGINT, or SIGTERM — all three
-//! drain in-flight requests (and spills) before exiting.
+//! serial path — results are byte-identical either way). `--max-cost
+//! UNITS` enables the static budget gate: commands whose predicted cost
+//! (the `gea-check` abstract cost model over the session's live table
+//! sizes) exceeds UNITS answer `ERR EBUDGET` before execution. Stop the
+//! server with the `shutdown` protocol command, SIGINT, or SIGTERM — all
+//! three drain in-flight requests (and spills) before exiting.
 
 use std::time::Duration;
 
@@ -40,7 +37,7 @@ fn usage() -> ! {
         "usage: gea-server [--addr HOST:PORT] [--workers N] [--queue N] \
          [--lock-timeout-ms MS] [--demo SEED] [--cache-bytes N] \
          [--session-budget N] [--idle-timeout-ms MS] [--spill-dir PATH] \
-         [--threads N] [--no-opt] [--max-cost UNITS]"
+         [--threads N] [--max-cost UNITS]"
     );
     std::process::exit(2);
 }
@@ -110,7 +107,6 @@ fn parse_args() -> (ServerConfig, Option<u64>) {
                     usage()
                 }
             },
-            "--no-opt" => config.optimize = false,
             "--max-cost" => match value("--max-cost").parse() {
                 Ok(n) => config.max_cost = Some(n),
                 Err(e) => {

@@ -1,13 +1,17 @@
 //! Generation-stamped response cache for read-only GQL replies.
 //!
-//! Replies to cacheable read verbs are stored under the key
-//! `(scope, generation, normalized command line)`. Because a session's
+//! Replies to cacheable read verbs are stored one slot per
+//! `(scope, normalized command line)`, and each slot remembers the session
+//! generation its reply was computed under. Because a session's
 //! generation bumps on every write-lock acquisition
 //! ([`crate::registry::SessionEntry::generation`]), a cached reply is
 //! *structurally* invalidated by any write: the next lookup carries the
-//! new generation and simply misses. No invalidation traffic, no session
-//! lock on the hit path — a hit is a map probe under the cache's own
-//! mutex.
+//! new generation, finds a slot stamped with an older one, and misses. No
+//! invalidation traffic, no session lock on the hit path — a hit is a map
+//! probe under the cache's own mutex. The recomputed reply then *replaces*
+//! the stale slot, so a write never strands dead replies: the cache holds
+//! at most one slot per command per scope, and the byte budget holds live
+//! text.
 //!
 //! The scope component names *whose* replies a slot holds. The default
 //! scope, [`CacheScope::Entry`], carries the session's entry id (unique
@@ -24,8 +28,7 @@
 //! private entry scope.
 //!
 //! Capacity is a byte budget over command + reply text. Insertions over
-//! budget evict least-recently-hit slots first (stale generations are
-//! never hit again, so they age out fastest) — but eviction is guarded by
+//! budget evict least-recently-hit slots first — but eviction is guarded by
 //! a **scan-resistant admission filter** ([`FrequencySketch`], a
 //! TinyLFU-style count-min sketch of access frequencies): an insertion
 //! that would evict a slot whose command is accessed *more often* than
@@ -33,9 +36,9 @@
 //! client iterating `library 0`, `library 1`, … once each) therefore
 //! churns only against itself; the hot replies it would have flushed
 //! under plain LRU keep hitting. Frequencies are keyed on
-//! `(scope, command)` with the generation deliberately excluded, so a
-//! command's popularity survives write invalidations and the recomputed
-//! reply re-admits immediately.
+//! `(scope, command)` like the slots themselves, so a command's
+//! popularity survives write invalidations and the recomputed reply
+//! re-admits immediately.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
@@ -57,12 +60,14 @@ pub enum CacheScope {
 #[derive(PartialEq, Eq, Hash, Clone)]
 struct Key {
     scope: CacheScope,
-    generation: u64,
     command: String,
 }
 
 struct Slot {
     reply: String,
+    /// The session generation the reply was computed under; a lookup hits
+    /// only at exactly this generation.
+    generation: u64,
     cost: usize,
     /// Logical LRU timestamp: the cache clock at the last hit/insert.
     /// Unique per slot (the clock ticks on every hit and insert), so it
@@ -160,8 +165,7 @@ impl FrequencySketch {
     }
 }
 
-/// FNV-1a over the scope and command. The generation is deliberately
-/// excluded — see the module doc.
+/// FNV-1a over the scope and command — the slot key, see the module doc.
 fn freq_hash(scope: CacheScope, command: &str) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -212,9 +216,15 @@ pub enum Admission {
         /// How many least-recently-hit slots were evicted to fit it.
         evicted: u64,
     },
-    /// The reply was too large relative to the budget and was not cached
-    /// (counted in the `cache_rejected` stat by the caller).
+    /// The reply was too large relative to the budget, or would have
+    /// evicted a more popular slot, and was not cached (counted in the
+    /// `cache_rejected` stat by the caller).
     Rejected,
+    /// A reply computed under a *newer* generation is already resident for
+    /// this command (the caller is a slow reader that lost a race with a
+    /// write and a faster reader); nothing was stored and nothing should
+    /// be counted.
+    Superseded,
     /// The cache is disabled (zero budget); nothing was stored and nothing
     /// should be counted.
     Disabled,
@@ -248,10 +258,12 @@ impl ResponseCache {
         self.budget > 0
     }
 
-    /// Look up the reply cached for `command` under `scope` at
-    /// `generation`. A hit refreshes the slot's LRU stamp. Every lookup —
-    /// hit or miss — records an access in the frequency sketch, which is
-    /// what lets a popular command out-rank a one-off scan at admission.
+    /// Look up the reply cached for `command` under `scope`, which hits
+    /// only if it was computed at exactly `generation`. A hit refreshes the
+    /// slot's LRU stamp; a miss leaves a slot of another generation alone.
+    /// Every lookup — hit or miss — records an access in the frequency
+    /// sketch, which is what lets a popular command out-rank a one-off scan
+    /// at admission.
     pub fn get(&self, scope: CacheScope, generation: u64, command: &str) -> Option<String> {
         if self.budget == 0 {
             return None;
@@ -262,10 +274,12 @@ impl ResponseCache {
         let clock = inner.clock;
         let key = Key {
             scope,
-            generation,
             command: command.to_string(),
         };
-        let slot = inner.map.get_mut(&key)?;
+        let slot = inner
+            .map
+            .get_mut(&key)
+            .filter(|slot| slot.generation == generation)?;
         let stale = slot.stamp;
         slot.stamp = clock;
         let reply = slot.reply.clone();
@@ -274,12 +288,13 @@ impl ResponseCache {
         Some(reply)
     }
 
-    /// Store a reply, evicting least-recently-hit slots until it fits —
-    /// unless a would-be victim's command is accessed more often than the
-    /// newcomer, in which case the newcomer is rejected instead (scan
-    /// resistance; see the module doc). Replies costing more than 1/4 of
-    /// the budget are rejected at admission instead of churning the whole
-    /// LRU to store them.
+    /// Store a reply computed under `generation`, replacing the command's
+    /// resident slot unless that one is *newer*, and evicting
+    /// least-recently-hit slots until it fits — unless a would-be victim's
+    /// command is accessed more often than the newcomer, in which case the
+    /// newcomer is rejected instead (scan resistance; see the module doc).
+    /// Replies costing more than 1/4 of the budget are rejected at
+    /// admission instead of churning the whole LRU to store them.
     pub fn insert(
         &self,
         scope: CacheScope,
@@ -298,14 +313,17 @@ impl ResponseCache {
         let hash = freq_hash(scope, &command);
         inner.sketch.record(hash);
         let newcomer = inner.sketch.estimate(hash);
-        let key = Key {
-            scope,
-            generation,
-            command,
-        };
-        // Credit a slot being replaced under the same key *before* the
-        // eviction pass, so a same-key refresh near budget does not evict
-        // unrelated slots.
+        let key = Key { scope, command };
+        // A slow reader must not overwrite a fresher reply.
+        if inner
+            .map
+            .get(&key)
+            .is_some_and(|resident| resident.generation > generation)
+        {
+            return Admission::Superseded;
+        }
+        // Credit the slot being replaced *before* the eviction pass, so a
+        // refresh near budget does not evict unrelated slots.
         if let Some(old) = inner.map.remove(&key) {
             inner.bytes -= old.cost;
             inner.order.remove(&old.stamp);
@@ -314,12 +332,7 @@ impl ResponseCache {
         // newcomer's access frequency matches or beats every victim's:
         // one slot whose command out-ranks the newcomer vetoes the whole
         // insertion, and nothing is evicted. Ties go to the newcomer, so
-        // equally cold traffic still behaves like plain LRU. Note that a
-        // *stale-generation twin* of the newcomer (same scope and command,
-        // older generation — dead weight, since generations only move
-        // forward) shares the newcomer's frequency hash, so it always ties
-        // and can always be reclaimed; a hot command's own reinserts sweep
-        // out its previous generations.
+        // equally cold traffic still behaves like plain LRU.
         let mut victims: Vec<(u64, Key)> = Vec::new();
         let mut freed = 0usize;
         for (&stamp, victim) in inner.order.iter() {
@@ -347,7 +360,15 @@ impl ResponseCache {
         inner.clock += 1;
         let stamp = inner.clock;
         inner.order.insert(stamp, key.clone());
-        inner.map.insert(key, Slot { reply, cost, stamp });
+        inner.map.insert(
+            key,
+            Slot {
+                reply,
+                generation,
+                cost,
+                stamp,
+            },
+        );
         inner.bytes += cost;
         Admission::Stored { evicted }
     }
@@ -421,9 +442,10 @@ mod tests {
         assert_eq!(cache.get(e(1), 0, "lineage"), None);
         cache.insert(e(1), 0, "lineage".into(), "node 0".into());
         assert_eq!(cache.get(e(1), 0, "lineage"), Some("node 0".to_string()));
-        // A bumped generation is a structural miss; the old slot lingers
-        // until LRU reclaims it but can never be served again.
+        // A bumped generation is a structural miss, and the miss leaves
+        // the slot alone: it still answers a reader at its own generation.
         assert_eq!(cache.get(e(1), 1, "lineage"), None);
+        assert_eq!(cache.get(e(1), 0, "lineage"), Some("node 0".to_string()));
         // Another session's entry id never collides.
         assert_eq!(cache.get(e(2), 0, "lineage"), None);
         assert_eq!(cache.len(), 1);
@@ -598,10 +620,10 @@ mod tests {
 
     #[test]
     fn popularity_survives_generation_bumps() {
-        // The frequency hash excludes the generation, so a write
-        // invalidation does not reset a command's standing: the recomputed
-        // reply re-admits immediately (sweeping out its own stale slot)
-        // and resists a scan from its first post-write insert.
+        // Frequencies are keyed like the slots, without the generation, so
+        // a write invalidation does not reset a command's standing: the
+        // recomputed reply replaces its own stale slot and resists a scan
+        // from its first post-write insert.
         let payload = "v".repeat(20);
         let slot = SLOT_OVERHEAD + 3 + payload.len();
         let cache = ResponseCache::new(4 * slot);
@@ -621,15 +643,15 @@ mod tests {
         }
 
         // A write bumps the generation; the re-read misses structurally
-        // and the recomputed reply is re-inserted under generation 1. The
-        // gen-0 slot is the LRU victim and ties with its own twin, so the
-        // insert reclaims it rather than being vetoed by it.
+        // and the reply recomputed under generation 1 takes over the gen-0
+        // slot in place — at budget, without evicting a neighbour.
         assert_eq!(cache.get(e(1), 1, "hot"), None);
         assert_eq!(
             cache.insert(e(1), 1, "hot".into(), payload.clone()),
-            Admission::Stored { evicted: 1 }
+            Admission::Stored { evicted: 0 }
         );
         assert!(cache.get(e(1), 1, "hot").is_some());
+        assert_eq!(cache.len(), 4);
 
         // And it still out-ranks a fresh cold scan.
         let mut rejected = 0;
@@ -645,6 +667,48 @@ mod tests {
             cache.get(e(1), 1, "hot").is_some(),
             "generation bump reset the command's scan resistance"
         );
+    }
+
+    #[test]
+    fn a_write_strands_no_slots() {
+        // Ten writes, each followed by a re-read of the same three lines
+        // (the `mixed_rw` shape): the cache holds one slot per command, not
+        // one per command per generation.
+        let cache = ResponseCache::new(1 << 20);
+        let lines = ["lineage", "fascicles", "show gap g 5"];
+        for generation in 0..10 {
+            for line in lines {
+                assert_eq!(cache.get(e(1), generation, line), None);
+                assert_eq!(
+                    cache.insert(e(1), generation, line.into(), format!("r{generation}")),
+                    Admission::Stored { evicted: 0 }
+                );
+                assert_eq!(
+                    cache.get(e(1), generation, line),
+                    Some(format!("r{generation}"))
+                );
+            }
+            assert_eq!(cache.len(), lines.len());
+        }
+        let one = SLOT_OVERHEAD + "r9".len();
+        let text: usize = lines.iter().map(|l| l.len()).sum();
+        assert_eq!(cache.bytes(), lines.len() * one + text);
+    }
+
+    #[test]
+    fn an_older_generation_never_displaces_a_newer_slot() {
+        // A reader that computed its reply before a write, but inserts it
+        // after a faster reader cached the post-write reply, is refused.
+        let cache = ResponseCache::new(4096);
+        cache.insert(e(1), 6, "lineage".into(), "after".into());
+        let before = cache.bytes();
+        assert_eq!(
+            cache.insert(e(1), 5, "lineage".into(), "before the write".into()),
+            Admission::Superseded
+        );
+        assert_eq!(cache.get(e(1), 6, "lineage"), Some("after".to_string()));
+        assert_eq!(cache.get(e(1), 5, "lineage"), None);
+        assert_eq!((cache.len(), cache.bytes()), (1, before));
     }
 
     #[test]

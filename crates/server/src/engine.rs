@@ -181,10 +181,7 @@ pub(crate) fn scatter_op(cmd: &GqlCommand) -> Result<Option<ScatterOp>, EngineEr
 
 /// Run a scatterable operation on the session's own pool and render its
 /// reply — byte-identical to the serial macro operation.
-pub(crate) fn execute_scatter(
-    session: &mut GeaSession,
-    op: &ScatterOp,
-) -> Result<String, EngineError> {
+fn execute_scatter(session: &mut GeaSession, op: &ScatterOp) -> Result<String, EngineError> {
     let created = scatter::run(session, op)?;
     render_scattered(session, op, &created)
 }
@@ -548,14 +545,14 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
 // Shared success-reply rendering
 //
 // These helpers are the single source of the engine's reply text for the
-// commands the optimizer can rewrite or fuse. `optexec` calls the same
-// functions after running a fast-path step, so optimized replies are
-// byte-identical to literal execution *by construction* (and the rule audit
-// re-proves it empirically).
+// commands they name. `optexec` calls `render_compare_created` after
+// running a rewritten self-compare, so its reply is byte-identical to
+// literal execution *by construction* (and the rule audit re-proves it
+// empirically).
 // ---------------------------------------------------------------------------
 
 /// Reply for a just-created GAP table (`gap` command).
-pub(crate) fn render_gap_created(session: &GeaSession, name: &str) -> String {
+fn render_gap_created(session: &GeaSession, name: &str) -> String {
     let g = session.gap(name).unwrap();
     format!(
         "{name}: {} tags, {} non-NULL gaps",
@@ -565,7 +562,7 @@ pub(crate) fn render_gap_created(session: &GeaSession, name: &str) -> String {
 }
 
 /// Reply for a just-derived top-gap table (`topgap` command).
-pub(crate) fn render_topgap_created(session: &GeaSession, top: &str) -> String {
+fn render_topgap_created(session: &GeaSession, top: &str) -> String {
     let mut out = format!("{top}:\n");
     let mut rows = session.gap(top).unwrap().rows().to_vec();
     rows.sort_by(|a, b| {
@@ -600,7 +597,7 @@ pub(crate) fn render_compare_created(
 }
 
 /// Reply for a just-created library selection (`select` command).
-pub(crate) fn render_select_created(
+fn render_select_created(
     session: &GeaSession,
     name: &str,
     dataset: &str,
@@ -614,7 +611,7 @@ pub(crate) fn render_select_created(
 }
 
 /// Reply for a just-populated ENUM table (`populate` operator form).
-pub(crate) fn render_populate_created(
+fn render_populate_created(
     session: &GeaSession,
     name: &str,
     sumy: &str,

@@ -22,9 +22,10 @@
 //! * [`server`] — the **runtime** behind it: a [`registry`] of named
 //!   generation-stamped sessions (readers share, writers exclude and bump
 //!   the generation), condvar-parked per-request lock deadlines, a
-//!   [`cache`] of read replies keyed on `(session, generation, command)`,
-//!   a session eviction policy (idle timeout + LRU byte budget, surfacing
-//!   `EEVICTED`), and [`metrics`] exposed by the `stats` command.
+//!   [`cache`] of read replies, one slot per `(session, command)` stamped
+//!   with the generation it was computed under, a session eviction policy
+//!   (idle timeout + LRU byte budget, surfacing `EEVICTED`), and
+//!   [`metrics`] exposed by the `stats` command.
 //! * [`client`] — a blocking **client library** (used by the `gea-client`
 //!   binary and the integration tests).
 //!

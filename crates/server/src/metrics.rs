@@ -84,28 +84,79 @@ pub struct ExecOpStat {
     pub cpu_us: u64,
 }
 
+/// The plain monotonic counters of the `stats` reply, declared once:
+/// [`Counter::TABLE`] pairs each variant with its `stats` key, in reply
+/// order, and is all that [`Metrics::render`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Connections accepted and handed to a worker.
+    ConnectionsTotal,
+    /// Connections turned away because the worker queue was full.
+    ConnectionsRejected,
+    /// Requests observed.
+    RequestsTotal,
+    /// Requests that returned `ERR`.
+    ErrorsTotal,
+    /// Cacheable reads served from the response cache.
+    CacheHits,
+    /// Cacheable reads that were not in the response cache and executed.
+    CacheMisses,
+    /// Cached replies evicted to make room for an insertion.
+    CacheEvictions,
+    /// Replies refused at cache admission for being oversized.
+    CacheRejected,
+    /// Commands rejected by the `--max-cost` budget gate (`EBUDGET`).
+    BudgetRejected,
+    /// Commands `gea-opt` rewrote onto a fast-path step.
+    OptRewrites,
+    /// Cacheable commands whose canonical cache key differed from their
+    /// literal spelling — algebraically-equal commands unified onto one slot.
+    OptKeyUnified,
+    /// Sessions evicted by the registry's policy.
+    SessionsEvicted,
+    /// Sessions persisted to the spill directory before eviction.
+    SessionsSpilled,
+    /// Spilled sessions transparently restored on their next use.
+    SessionsRestored,
+    /// Spill or restore attempts that failed (I/O error or corrupt snapshot).
+    SpillErrors,
+    /// Spilled sessions whose restore was kicked onto a background thread.
+    SessionsPrefetched,
+    /// Sharded operator executions.
+    ExecParallelOps,
+    /// Summed fan-out of those executions.
+    ExecShards,
+}
+
+impl Counter {
+    /// Every counter with its `stats` key, in reply (and discriminant) order.
+    pub const TABLE: [(Counter, &'static str); 18] = [
+        (Counter::ConnectionsTotal, "connections_total"),
+        (Counter::ConnectionsRejected, "connections_rejected"),
+        (Counter::RequestsTotal, "requests_total"),
+        (Counter::ErrorsTotal, "errors_total"),
+        (Counter::CacheHits, "cache_hits"),
+        (Counter::CacheMisses, "cache_misses"),
+        (Counter::CacheEvictions, "cache_evictions"),
+        (Counter::CacheRejected, "cache_rejected"),
+        (Counter::BudgetRejected, "budget_rejected"),
+        (Counter::OptRewrites, "opt_rewrites"),
+        (Counter::OptKeyUnified, "opt_key_unified"),
+        (Counter::SessionsEvicted, "sessions_evicted"),
+        (Counter::SessionsSpilled, "sessions_spilled"),
+        (Counter::SessionsRestored, "sessions_restored"),
+        (Counter::SpillErrors, "spill_errors"),
+        (Counter::SessionsPrefetched, "sessions_prefetched"),
+        (Counter::ExecParallelOps, "exec_parallel_ops"),
+        (Counter::ExecShards, "exec_shards"),
+    ];
+}
+
 /// The server's shared metrics sink.
 pub struct Metrics {
     started: Instant,
     connections_active: AtomicU64,
-    connections_total: AtomicU64,
-    requests_total: AtomicU64,
-    errors_total: AtomicU64,
-    rejected_total: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_rejected: AtomicU64,
-    budget_rejected: AtomicU64,
-    opt_rewrites: AtomicU64,
-    opt_key_unified: AtomicU64,
-    sessions_evicted: AtomicU64,
-    sessions_spilled: AtomicU64,
-    sessions_restored: AtomicU64,
-    spill_errors: AtomicU64,
-    sessions_prefetched: AtomicU64,
-    exec_parallel_ops: AtomicU64,
-    exec_shards: AtomicU64,
+    counters: [AtomicU64; Counter::TABLE.len()],
     per_cmd: Mutex<BTreeMap<&'static str, CmdStat>>,
     per_exec: Mutex<BTreeMap<&'static str, ExecOpStat>>,
 }
@@ -122,33 +173,26 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             connections_active: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            errors_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            cache_rejected: AtomicU64::new(0),
-            budget_rejected: AtomicU64::new(0),
-            opt_rewrites: AtomicU64::new(0),
-            opt_key_unified: AtomicU64::new(0),
-            sessions_evicted: AtomicU64::new(0),
-            sessions_spilled: AtomicU64::new(0),
-            sessions_restored: AtomicU64::new(0),
-            spill_errors: AtomicU64::new(0),
-            sessions_prefetched: AtomicU64::new(0),
-            exec_parallel_ops: AtomicU64::new(0),
-            exec_shards: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             per_cmd: Mutex::new(BTreeMap::new()),
             per_exec: Mutex::new(BTreeMap::new()),
         }
     }
 
+    /// Add `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// A counter's value so far.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
     /// A connection was accepted and handed to a worker.
     pub fn connection_opened(&self) {
         self.connections_active.fetch_add(1, Ordering::Relaxed);
-        self.connections_total.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::ConnectionsTotal, 1);
     }
 
     /// A connection finished.
@@ -156,121 +200,29 @@ impl Metrics {
         self.connections_active.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A connection was turned away because the worker queue was full.
-    pub fn connection_rejected(&self) {
-        self.rejected_total.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one request's verb, latency, and outcome.
     pub fn record(&self, verb: &'static str, elapsed: Duration, ok: bool) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::RequestsTotal, 1);
         if !ok {
-            self.errors_total.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::ErrorsTotal, 1);
         }
         let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
         let mut map = self.per_cmd.lock().unwrap_or_else(|e| e.into_inner());
         map.entry(verb).or_insert_with(CmdStat::new).record(us, ok);
     }
 
-    /// A cacheable read was served from the response cache.
-    pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A cacheable read was not in the response cache and executed.
-    pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` cached replies were evicted to make room for an insertion.
-    pub fn cache_evictions_add(&self, n: u64) {
-        self.cache_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A reply was refused at cache admission for being oversized.
-    pub fn cache_rejected(&self) {
-        self.cache_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A command was rejected by the `--max-cost` budget gate before
-    /// execution (`EBUDGET`).
-    pub fn budget_rejected(&self) {
-        self.budget_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The optimizer rewrote a command onto a fast-path step.
-    pub fn opt_rewrite(&self) {
-        self.opt_rewrites.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A cacheable command's canonical cache key differed from its literal
-    /// spelling — algebraically-equal commands unified onto one slot.
-    pub fn opt_key_unified(&self) {
-        self.opt_key_unified.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Optimizer rewrites applied so far.
-    pub fn opt_rewrites(&self) -> u64 {
-        self.opt_rewrites.load(Ordering::Relaxed)
-    }
-
-    /// `n` sessions were evicted by the registry's policy.
-    pub fn sessions_evicted_add(&self, n: u64) {
-        self.sessions_evicted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A session was persisted to the spill directory before eviction.
-    pub fn session_spilled(&self) {
-        self.sessions_spilled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A spilled session was transparently restored on its next use.
-    pub fn session_restored(&self) {
-        self.sessions_restored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A spill or restore attempt failed (I/O error or corrupt snapshot).
-    pub fn spill_error(&self) {
-        self.spill_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A spilled session's restore was kicked onto a background thread.
-    pub fn session_prefetched(&self) {
-        self.sessions_prefetched.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A sharded operator ran: `op` names it (`mine`, `populate`,
     /// `aggregate`), `shards` is the fan-out, and `wall_us`/`cpu_us` are the
     /// parallel section's wall-clock and summed per-worker busy time.
     pub fn exec_op(&self, op: &'static str, shards: u64, wall_us: u64, cpu_us: u64) {
-        self.exec_parallel_ops.fetch_add(1, Ordering::Relaxed);
-        self.exec_shards.fetch_add(shards, Ordering::Relaxed);
+        self.add(Counter::ExecParallelOps, 1);
+        self.add(Counter::ExecShards, shards);
         let mut map = self.per_exec.lock().unwrap_or_else(|e| e.into_inner());
         let stat = map.entry(op).or_default();
         stat.count += 1;
         stat.shards += shards;
         stat.wall_us += wall_us;
         stat.cpu_us += cpu_us;
-    }
-
-    /// Background restores kicked off so far.
-    pub fn sessions_prefetched(&self) -> u64 {
-        self.sessions_prefetched.load(Ordering::Relaxed)
-    }
-
-    /// Response-cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Response-cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Total requests observed so far.
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total.load(Ordering::Relaxed)
     }
 
     /// Render the `stats` reply: gauges first, then one line per verb with
@@ -283,80 +235,9 @@ impl Metrics {
             "connections_active {}",
             self.connections_active.load(Ordering::Relaxed)
         );
-        let _ = writeln!(
-            out,
-            "connections_total {}",
-            self.connections_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "connections_rejected {}",
-            self.rejected_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "requests_total {}", self.requests_total());
-        let _ = writeln!(
-            out,
-            "errors_total {}",
-            self.errors_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "cache_hits {}", self.cache_hits());
-        let _ = writeln!(out, "cache_misses {}", self.cache_misses());
-        let _ = writeln!(
-            out,
-            "cache_evictions {}",
-            self.cache_evictions.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "cache_rejected {}",
-            self.cache_rejected.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "budget_rejected {}",
-            self.budget_rejected.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "opt_rewrites {}", self.opt_rewrites());
-        let _ = writeln!(
-            out,
-            "opt_key_unified {}",
-            self.opt_key_unified.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sessions_evicted {}",
-            self.sessions_evicted.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sessions_spilled {}",
-            self.sessions_spilled.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sessions_restored {}",
-            self.sessions_restored.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "spill_errors {}",
-            self.spill_errors.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sessions_prefetched {}",
-            self.sessions_prefetched.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "exec_parallel_ops {}",
-            self.exec_parallel_ops.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "exec_shards {}",
-            self.exec_shards.load(Ordering::Relaxed)
-        );
+        for (counter, key) in Counter::TABLE {
+            let _ = writeln!(out, "{key} {}", self.get(counter));
+        }
         {
             let execs = self.per_exec.lock().unwrap_or_else(|e| e.into_inner());
             for (op, stat) in execs.iter() {
@@ -405,7 +286,7 @@ mod tests {
         m.record("mine", Duration::from_millis(12), true);
         m.connection_closed();
 
-        assert_eq!(m.requests_total(), 4);
+        assert_eq!(m.get(Counter::RequestsTotal), 4);
         let text = m.render();
         assert!(text.contains("requests_total 4"), "{text}");
         assert!(text.contains("errors_total 1"), "{text}");
@@ -426,6 +307,47 @@ mod tests {
         assert!(gap.quantile_us(1.0) >= 900);
     }
 
+    /// The `stats` reply's key order is a contract (`benchmark/src/layers.rs`
+    /// and operators' scripts scrape it by key; diffs read it by line).
+    #[test]
+    fn stats_keys_keep_their_order() {
+        for (i, (counter, _)) in Counter::TABLE.iter().enumerate() {
+            assert_eq!(*counter as usize, i, "{counter:?} is out of table order");
+        }
+        let m = Metrics::new();
+        m.exec_op("mine", 2, 50, 90);
+        m.record("gap", Duration::from_micros(3), true);
+        let text = m.render();
+        let keys: Vec<&str> = text.lines().map(|l| l.split(' ').next().unwrap()).collect();
+        assert_eq!(
+            keys,
+            [
+                "uptime_seconds",
+                "connections_active",
+                "connections_total",
+                "connections_rejected",
+                "requests_total",
+                "errors_total",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+                "cache_rejected",
+                "budget_rejected",
+                "opt_rewrites",
+                "opt_key_unified",
+                "sessions_evicted",
+                "sessions_spilled",
+                "sessions_restored",
+                "spill_errors",
+                "sessions_prefetched",
+                "exec_parallel_ops",
+                "exec_shards",
+                "exec",
+                "cmd",
+            ]
+        );
+    }
+
     #[test]
     fn quantiles_on_empty_stat_are_zero() {
         let s = CmdStat::new();
@@ -435,18 +357,16 @@ mod tests {
     #[test]
     fn cache_and_eviction_counters_render() {
         let m = Metrics::new();
-        m.cache_hit();
-        m.cache_hit();
-        m.cache_miss();
-        m.cache_evictions_add(3);
-        m.cache_rejected();
-        m.sessions_evicted_add(1);
-        m.session_spilled();
-        m.session_spilled();
-        m.session_restored();
-        m.spill_error();
-        assert_eq!(m.cache_hits(), 2);
-        assert_eq!(m.cache_misses(), 1);
+        m.add(Counter::CacheHits, 2);
+        m.add(Counter::CacheMisses, 1);
+        m.add(Counter::CacheEvictions, 3);
+        m.add(Counter::CacheRejected, 1);
+        m.add(Counter::SessionsEvicted, 1);
+        m.add(Counter::SessionsSpilled, 2);
+        m.add(Counter::SessionsRestored, 1);
+        m.add(Counter::SpillErrors, 1);
+        assert_eq!(m.get(Counter::CacheHits), 2);
+        assert_eq!(m.get(Counter::CacheMisses), 1);
         let text = m.render();
         assert!(text.contains("cache_hits 2"), "{text}");
         assert!(text.contains("cache_misses 1"), "{text}");
@@ -461,11 +381,10 @@ mod tests {
     #[test]
     fn optimizer_counters_render() {
         let m = Metrics::new();
-        m.opt_rewrite();
-        m.opt_rewrite();
-        m.opt_key_unified();
-        m.budget_rejected();
-        assert_eq!(m.opt_rewrites(), 2);
+        m.add(Counter::OptRewrites, 2);
+        m.add(Counter::OptKeyUnified, 1);
+        m.add(Counter::BudgetRejected, 1);
+        assert_eq!(m.get(Counter::OptRewrites), 2);
         let text = m.render();
         assert!(text.contains("opt_rewrites 2"), "{text}");
         assert!(text.contains("opt_key_unified 1"), "{text}");
@@ -475,11 +394,11 @@ mod tests {
     #[test]
     fn prefetch_and_exec_counters_render() {
         let m = Metrics::new();
-        m.session_prefetched();
+        m.add(Counter::SessionsPrefetched, 1);
         m.exec_op("populate", 4, 120, 400);
         m.exec_op("populate", 4, 80, 300);
         m.exec_op("mine", 2, 50, 90);
-        assert_eq!(m.sessions_prefetched(), 1);
+        assert_eq!(m.get(Counter::SessionsPrefetched), 1);
         let text = m.render();
         assert!(text.contains("sessions_prefetched 1"), "{text}");
         assert!(text.contains("exec_parallel_ops 3"), "{text}");

@@ -8,10 +8,11 @@
 //!
 //! Two policies layer on top of the request loop:
 //!
-//! * a [`ResponseCache`]: cacheable read replies are stored under
-//!   `(session entry, generation, normalized command)` and served on a
-//!   repeat without touching the session lock — any write bumps the
-//!   generation, so stale replies structurally miss;
+//! * a [`ResponseCache`]: cacheable read replies are stored one slot per
+//!   `(session entry, normalized command)`, stamped with the generation
+//!   they were computed under, and served on a repeat without touching
+//!   the session lock — any write bumps the generation, so stale replies
+//!   structurally miss and the recomputed reply replaces them;
 //! * an [`EvictionPolicy`]: a background sweeper (plus an eager check
 //!   after every write) evicts sessions idle past a timeout or, in LRU
 //!   order, whatever pushes the registry over its byte budget. Without a
@@ -43,7 +44,7 @@ use crate::cache::{Admission, CacheScope, ResponseCache};
 use crate::engine::{self, EngineError};
 use crate::front::{self, After, Front};
 use crate::gql::{self, GqlCommand, Request, SessionCtl};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::optexec;
 use crate::registry::{
     Adopt, EvictReason, EvictionPolicy, Lookup, SessionEntry, SessionRegistry, SharedSession,
@@ -81,10 +82,6 @@ pub struct ServerConfig {
     /// Worker threads for sharded mine/populate/aggregate inside each
     /// session (`gea-exec`); 0 means available parallelism.
     pub threads: usize,
-    /// Run the algebraic optimizer (`gea-opt`): fast-path rewrites on the
-    /// write path and canonical (algebra-unified) response-cache keys.
-    /// `false` executes and caches every command literally.
-    pub optimize: bool,
     /// Static cost budget in `gea-check` abstract units: commands whose
     /// predicted cost exceeds it are rejected with `EBUDGET` before
     /// execution. `None` disables the gate.
@@ -103,7 +100,6 @@ impl Default for ServerConfig {
             idle_timeout: None,
             spill_dir: None,
             threads: 0,
-            optimize: true,
             max_cost: None,
         }
     }
@@ -226,7 +222,7 @@ fn evict_pass(shared: &Shared, policy: &EvictionPolicy) {
 /// Evict one candidate without persistence and purge its cached replies.
 fn evict_one(shared: &Shared, name: &str, entry: &SharedSession, reason: EvictReason) {
     if shared.registry.evict(name, entry, reason) {
-        shared.metrics.sessions_evicted_add(1);
+        shared.metrics.add(Counter::SessionsEvicted, 1);
         shared.cache.purge_entry(entry.id());
     }
 }
@@ -262,8 +258,8 @@ fn spill_one(
                 .registry
                 .evict_to_spill(name, entry, generation, record)
             {
-                shared.metrics.session_spilled();
-                shared.metrics.sessions_evicted_add(1);
+                shared.metrics.add(Counter::SessionsSpilled, 1);
+                shared.metrics.add(Counter::SessionsEvicted, 1);
                 shared.cache.purge_entry(entry.id());
             } else {
                 // A request slipped in between snapshot and commit: the
@@ -272,7 +268,7 @@ fn spill_one(
             }
         }
         Err(_) => {
-            shared.metrics.spill_error();
+            shared.metrics.add(Counter::SpillErrors, 1);
             evict_one(shared, name, entry, reason);
         }
     }
@@ -311,7 +307,7 @@ fn restore_spilled_inner(
             session.set_exec_config(ExecConfig::with_threads(threads));
             match registry.adopt_restored(name, session, &record.path) {
                 Adopt::Installed(entry) => {
-                    metrics.session_restored();
+                    metrics.add(Counter::SessionsRestored, 1);
                     persist::remove_spill(&record.path);
                     Ok(entry)
                 }
@@ -326,7 +322,7 @@ fn restore_spilled_inner(
             if let Lookup::Found(entry) = registry.lookup(name) {
                 return Ok(entry);
             }
-            metrics.spill_error();
+            metrics.add(Counter::SpillErrors, 1);
             registry.downgrade_spill(name, &record.path);
             Err(EngineError::new(
                 "EEVICTED",
@@ -357,7 +353,7 @@ fn prefetch_spilled(shared: &Shared, name: &str, record: &SpillRecord) -> Result
         });
     match spawned {
         Ok(_) => {
-            shared.metrics.session_prefetched();
+            shared.metrics.add(Counter::SessionsPrefetched, 1);
             Ok(())
         }
         Err(_) => restore_spilled(shared, name, record).map(|_| ()),
@@ -414,7 +410,7 @@ impl front::Service for Shared {
     }
 
     fn refused(&self) {
-        self.metrics.connection_rejected();
+        self.metrics.add(Counter::ConnectionsRejected, 1);
     }
 }
 
@@ -624,7 +620,7 @@ fn enforce_max_cost(
     let model = gea_check::CostModel::default_coefficients();
     let report = gea_check::cost_pipeline(&model, &seed, std::slice::from_ref(cmd));
     if report.total > max {
-        shared.metrics.budget_rejected();
+        shared.metrics.add(Counter::BudgetRejected, 1);
         return Err(EngineError::new(
             "EBUDGET",
             format!(
@@ -639,20 +635,16 @@ fn enforce_max_cost(
 fn run_gql(cmd: &GqlCommand, current: &str, shared: &Shared) -> Result<String, EngineError> {
     let entry = live_entry(shared, current)?;
     if cmd.is_read() {
-        // The cache key is the command's *canonical* spelling. With the
-        // optimizer on, canonicalization runs through gea-opt, so
-        // algebraically-equal commands (whose replies the rule audit
-        // proves byte-identical) unify onto one slot.
+        // The cache key is the *canonical* spelling of the command's
+        // algebraic canonical form (gea-opt), so algebraically-equal
+        // commands (whose replies the rule audit proves byte-identical)
+        // unify onto one slot.
         let key = cmd.is_cacheable().then(|| {
-            if shared.config.optimize {
-                let key = gea_opt::cache_key(cmd);
-                if key != cmd.canonical() {
-                    shared.metrics.opt_key_unified();
-                }
-                key
-            } else {
-                cmd.canonical()
+            let (key, unified) = gea_opt::cache_key_unified(cmd);
+            if unified {
+                shared.metrics.add(Counter::OptKeyUnified, 1);
             }
+            key
         });
         if let Some(key) = &key {
             // The hit path never touches the session lock: the reply was
@@ -666,10 +658,10 @@ fn run_gql(cmd: &GqlCommand, current: &str, shared: &Shared) -> Result<String, E
                 // A hit is still session activity: refresh the idle stamp
                 // here, since this path never acquires the session lock.
                 entry.touch();
-                shared.metrics.cache_hit();
+                shared.metrics.add(Counter::CacheHits, 1);
                 return Ok(reply);
             }
-            shared.metrics.cache_miss();
+            shared.metrics.add(Counter::CacheMisses, 1);
         }
         let session = entry.read_with_deadline(shared.config.lock_timeout)?;
         enforce_max_cost(shared, &session, cmd)?;
@@ -685,25 +677,23 @@ fn run_gql(cmd: &GqlCommand, current: &str, shared: &Shared) -> Result<String, E
                 key,
                 reply.clone(),
             ) {
-                Admission::Stored { evicted } => shared.metrics.cache_evictions_add(evicted),
-                Admission::Rejected => shared.metrics.cache_rejected(),
-                Admission::Disabled => {}
+                Admission::Stored { evicted } => {
+                    shared.metrics.add(Counter::CacheEvictions, evicted)
+                }
+                Admission::Rejected => shared.metrics.add(Counter::CacheRejected, 1),
+                Admission::Superseded | Admission::Disabled => {}
             }
         }
         result
     } else {
-        // Single-command rewrite: the wire protocol carries one command
-        // per request, so only gea-opt's non-fusing rules can fire here.
-        let rewritten = shared
-            .config
-            .optimize
-            .then(|| gea_opt::rewrite_command(0, cmd))
-            .flatten();
+        // The one way a command reaches a session, here as in `gea-cli`:
+        // rewritten if a gea-opt rule matches, the literal engine otherwise.
+        let rewritten = gea_opt::rewrite_command(0, cmd);
         let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
         enforce_max_cost(shared, &session, cmd)?;
         let result = match &rewritten {
             Some((step, _)) => {
-                shared.metrics.opt_rewrite();
+                shared.metrics.add(Counter::OptRewrites, 1);
                 optexec::run_rewritten(&mut session, step)
             }
             None => engine::execute_write(&mut session, cmd),

@@ -64,12 +64,6 @@ step "router experiment (release) -> BENCH_router.json"
 # multi-core runners; the JSON records host_parallelism for that reason.
 cargo run --release -p gea-bench --bin router
 
-step "optimizer experiment (release) -> BENCH_optimizer.json"
-# Rewrites fired x cache hit-rate delta from key unification x
-# end-to-end latency on the brain case study and the optimizer demo.
-# Exits non-zero if any optimized transcript diverges from serial.
-cargo run --release -p gea-bench --bin optimizer
-
 step "static-analysis latency (release) -> BENCH_check.json"
 # The full gea-check pass (diagnostics + abstract cost interpretation)
 # timed over every example script — the latency the server's pre-flight

@@ -29,7 +29,6 @@ cargo test -q --workspace
 step "gea-check lint: example GQL scripts"
 ./target/release/gea-cli --check examples/scripts/brain_case_study.gql
 ./target/release/gea-cli --check examples/scripts/mine_backends.gql
-./target/release/gea-cli --check examples/scripts/optimizer_demo.gql
 if ./target/release/gea-cli --check examples/scripts/ill_typed.gql; then
     echo "ill_typed.gql passed the checker but must be rejected" >&2
     exit 1
@@ -47,30 +46,11 @@ cp examples/scripts/brain_case_study.gql target/fix-gate/clean.gql
 ./target/release/gea-cli --check target/fix-gate/clean.gql --fix
 cmp examples/scripts/brain_case_study.gql target/fix-gate/clean.gql
 
-# Every well-typed example script must also survive the optimizer's
-# planner (syntactic canonicalization + rewrite detection, no session),
-# and the demo script's plan must name every shipped rule — so a rule
-# that silently stops firing breaks the gate, not just the docs.
-step "gea-opt plan: example GQL scripts"
-for script in examples/scripts/*.gql; do
-    [ "$script" = "examples/scripts/ill_typed.gql" ] && continue
-    ./target/release/gea-cli --plan "$script" > /dev/null
-done
-demo_plan="$(./target/release/gea-cli --plan examples/scripts/optimizer_demo.gql)"
-echo "$demo_plan"
-for rule in self-union-intersect self-intersect-double self-minus-empty \
-            fuse-gap-topgap fuse-populate-select; do
-    if ! grep -q "$rule" <<< "$demo_plan"; then
-        echo "optimizer_demo.gql plan no longer fires rule '$rule'" >&2
-        exit 1
-    fi
-done
-
 # Kick-tires tier of the rule audit: every shipped rewrite rule proved
-# observationally equivalent to literal serial execution (wire replies +
-# lineage) on the pinned shard/thread grid, and every tombstoned
-# non-rule proved still refuted. The nightly lane runs the full
-# enumeration; this tier keeps the oracle itself from rotting.
+# observationally equivalent to the literal engine (wire replies +
+# lineage) on the pinned shard/thread grid and seen to fire, and every
+# tombstoned non-rule proved still refuted. The nightly lane runs the
+# full enumeration; this tier keeps the oracle itself from rotting.
 step "gea-opt rule audit (kick-tires)"
 ./target/release/gea-opt-audit --kick-tires
 
@@ -104,9 +84,11 @@ cargo run --release -p gea-bench --bin router -- --smoke
 # in scripts/lint-allowlist.txt (ratcheted both ways), every lock-order
 # comment quotes the canonical line in registry.rs verbatim, and the
 # accept loop, worker hand-off, polled read and signal handler exist in
-# front.rs only; and the session keeps one copy of every table (no
-# relational catalog beside the typed tables, no CSV read back by persist).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation)"
+# front.rs only; the session keeps one copy of every table (no
+# relational catalog beside the typed tables, no CSV read back by persist);
+# and a command reaches a session one way (no batch planner, no second
+# executor, no flag or config field that would choose between two).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Invariant lints for the server/router hot paths and the session's table
-# store, run by scripts/ci.sh.
+# Invariant lints for the server/router hot paths, the session's table
+# store and the command path, run by scripts/ci.sh.
 #
 # 1. unwrap()/expect( ban in non-test code under crates/server/src and
 #    crates/router/src. A worker thread that panics takes its connection
@@ -29,6 +29,14 @@
 #    of type Database), crates/core/src/persist.rs parses no CSV back
 #    (no import_csv), and in crates/core/src a *_to_relation( call occurs
 #    in relational.rs and in the view function only.
+#
+# 5. One executor. A parsed command reaches a session one way from every
+#    front end: gea_opt::rewrite_command, then optexec::run_rewritten or
+#    engine::execute. So, in non-test code under crates/opt/src,
+#    crates/server/src and src/ (bins included): no batch planner or second
+#    executor (run_plan, optimize_checked, Fused, stop_on_error), no switch
+#    between two (set_optimize, a ServerConfig `optimize` field, --no-opt or
+#    --plan in gea-cli's or gea-server's argument parser).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -164,6 +172,32 @@ for file in crates/core/src/*.rs; do
 done
 if [ "$(nontest_hits -F "$session" '_to_relation(')" -eq 0 ]; then
     echo "lint: $session no longer contains '_to_relation(' — the one-representation check is looking for the wrong thing" >&2
+    fail=1
+fi
+
+# One executor: no planner, no second executor, no switch between two.
+for file in crates/opt/src/*.rs crates/server/src/*.rs crates/server/src/bin/*.rs src/*.rs src/bin/*.rs; do
+    for construct in 'run_plan' 'optimize_checked' 'Fused' 'stop_on_error' 'set_optimize'; do
+        if [ "$(nontest_hits -F "$file" "$construct")" -gt 0 ]; then
+            echo "lint: $file has '$construct' in non-test code; a command runs one way (rewrite_command, then run_rewritten or engine::execute)" >&2
+            fail=1
+        fi
+    done
+done
+if [ "$(nontest_hits -E crates/server/src/server.rs '^ +pub optimize:')" -gt 0 ]; then
+    echo "lint: ServerConfig has an 'optimize' field; there is one executor and nothing to switch" >&2
+    fail=1
+fi
+for bin in src/bin/gea-cli.rs crates/server/src/bin/gea-server.rs; do
+    for flag in '--no-opt' '--plan'; do
+        if [ "$(nontest_hits -F "$bin" "$flag")" -gt 0 ]; then
+            echo "lint: $bin mentions '$flag'; there is one executor and no planner to show" >&2
+            fail=1
+        fi
+    done
+done
+if [ "$(nontest_hits -F crates/server/src/optexec.rs 'pub fn run_rewritten(')" -eq 0 ]; then
+    echo "lint: crates/server/src/optexec.rs no longer contains 'pub fn run_rewritten(' — the one-executor check is looking for the wrong thing" >&2
     fail=1
 fi
 

@@ -29,12 +29,10 @@
 //!   skips the gate. A clean script's output is byte-identical with and
 //!   without the gate — the analyzer never touches a session.
 //!
-//! The algebraic optimizer (the `gea-opt` crate) sits between the two:
-//! batch pipelines and single commands are rewritten (self-compare fast
-//! paths, adjacent-step fusion) before execution, with wire output
-//! byte-identical to literal execution — `--no-opt` is the escape hatch,
-//! and `gea-cli --plan file.gql` prints which rewrites would fire, one
-//! per line, without executing anything.
+//! Every mode runs a line the way `gea-server` runs a request — parse,
+//! `gea-opt`'s single-command rewrite if one matches, else the engine —
+//! so a script saves the same bytes here as over the wire (DESIGN.md,
+//! "Optimizer note").
 
 use std::io::{self, BufRead, IsTerminal, Read, Write};
 
@@ -43,7 +41,7 @@ use gea::cli::Cli;
 fn usage() -> ! {
     eprintln!(
         "usage: gea-cli [--script file.gql] [--check file.gql [--machine] [--cost] [--fix]] \
-         [--plan file.gql] [--no-preflight] [--no-opt]"
+         [--no-preflight]"
     );
     std::process::exit(2);
 }
@@ -55,12 +53,10 @@ fn read_file(path: &str) -> io::Result<String> {
 fn main() -> io::Result<()> {
     let mut script: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut plan: Option<String> = None;
     let mut machine = false;
     let mut cost = false;
     let mut fix = false;
     let mut preflight = true;
-    let mut optimize = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -72,29 +68,14 @@ fn main() -> io::Result<()> {
                 Some(path) => check = Some(path),
                 None => usage(),
             },
-            "--plan" => match args.next() {
-                Some(path) => plan = Some(path),
-                None => usage(),
-            },
             "--machine" => machine = true,
             "--cost" => cost = true,
             "--fix" => fix = true,
             "--no-preflight" => preflight = false,
-            "--no-opt" => optimize = false,
             _ => usage(),
         }
     }
 
-    if let Some(path) = plan {
-        match gea::cli::plan_script(&read_file(&path)?) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("ERR {e}");
-                std::process::exit(1);
-            }
-        }
-        return Ok(());
-    }
     if let Some(path) = check {
         let mut text = read_file(&path)?;
         let report = if fix {
@@ -129,21 +110,21 @@ fn main() -> io::Result<()> {
         std::process::exit(if report.is_clean() { 0 } else { 1 });
     }
     if let Some(path) = script {
-        return batch(&read_file(&path)?, preflight, optimize);
+        return batch(&read_file(&path)?, preflight);
     }
     if !io::stdin().is_terminal() {
         let mut text = String::new();
         io::stdin().lock().read_to_string(&mut text)?;
-        return batch(&text, preflight, optimize);
+        return batch(&text, preflight);
     }
-    interactive(optimize)
+    interactive()
 }
 
 /// Run a script until EOF or the first error; errors exit non-zero (with
 /// their 1-based script line) so shell pipelines and CI notice. Unless
 /// disabled, the static analyzer gates execution first: a script with
 /// static errors is refused before any command runs.
-fn batch(text: &str, preflight: bool, optimize: bool) -> io::Result<()> {
+fn batch(text: &str, preflight: bool) -> io::Result<()> {
     if preflight {
         let report = gea::check::check_script(text);
         if !report.is_clean() {
@@ -153,7 +134,6 @@ fn batch(text: &str, preflight: bool, optimize: bool) -> io::Result<()> {
         }
     }
     let mut cli = Cli::new();
-    cli.set_optimize(optimize);
     for (line_no, outcome) in cli.run_script(text) {
         match outcome {
             Ok(output) => print_ok(&output),
@@ -166,9 +146,8 @@ fn batch(text: &str, preflight: bool, optimize: bool) -> io::Result<()> {
     Ok(())
 }
 
-fn interactive(optimize: bool) -> io::Result<()> {
+fn interactive() -> io::Result<()> {
     let mut cli = Cli::new();
-    cli.set_optimize(optimize);
     let stdin = io::stdin();
     let mut stdout = io::stdout();
     println!("GEA — Gene Expression Analyzer. Type `help` for commands.");

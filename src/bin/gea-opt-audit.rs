@@ -1,7 +1,7 @@
 //! The nightly rule audit — `cargo run --release --bin gea-opt-audit`.
 //!
 //! Runs the full observational-equivalence audit of every shipped
-//! optimizer rule (three corpus seeds × all 13 thesis queries × the
+//! `gea-opt` rule (three corpus seeds × all 13 thesis queries × the
 //! shards {1,2,3,7} × threads {1,4} grid) plus the tombstone-rejection
 //! pass, and exits non-zero on any divergence. `--kick-tires` drops to
 //! the single-seed, query-subset tier `scripts/ci.sh` uses on every push;
@@ -34,10 +34,7 @@ fn main() {
     for d in &report.divergences {
         println!("DIVERGENCE {d}");
     }
-    let silent: Vec<&str> = gea::opt::shipped_rules()
-        .into_iter()
-        .filter(|r| !report.rules_fired.contains(r))
-        .collect();
+    let silent = report.silent_rules();
     for r in &silent {
         println!("DIVERGENCE shipped rule {r} never fired in the audit pipeline");
     }

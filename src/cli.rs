@@ -6,47 +6,31 @@
 //! ([`gea_server::engine`]) to a single in-process session: the same
 //! parser and formatting drive the REPL, batch scripts, and the TCP wire
 //! protocol, so a transcript that works here works against `gea-server`
-//! verbatim. Errors come back as `<CODE> <message>` strings matching the
-//! wire protocol's `ERR` line (`EPARSE bad seed: …`, `ENOTFOUND no GAP
-//! table named "g1"`, …).
+//! verbatim — and a `save` after it writes the same bytes, because a
+//! command reaches the session one way from every front end
+//! ([`gea_server::optexec::execute`]: `gea-opt`'s single-command rewrite
+//! if one matches, else the engine). Errors come back as
+//! `<CODE> <message>` strings matching the wire protocol's `ERR` line
+//! (`EPARSE bad seed: …`, `ENOTFOUND no GAP table named "g1"`, …).
 //!
 //! Run it interactively with `cargo run --release --bin gea-cli`.
 
-use gea_check::SymbolSeed;
 use gea_core::session::GeaSession;
 use gea_sage::clean::CleaningConfig;
 use gea_sage::generate::{generate, GeneratorConfig};
-use gea_server::gql::{self, GqlCommand, Request, SessionCtl};
-use gea_server::{engine, optexec};
+use gea_server::gql::{self, Request, SessionCtl};
+use gea_server::optexec;
 
 /// The interpreter state: an optional open session.
+#[derive(Default)]
 pub struct Cli {
     session: Option<GeaSession>,
-    optimize: bool,
-}
-
-impl Default for Cli {
-    fn default() -> Cli {
-        Cli::new()
-    }
 }
 
 impl Cli {
-    /// Create an interpreter with no session. The algebraic optimizer
-    /// (`gea-opt`) is on by default; `set_optimize(false)` is the
-    /// `--no-opt` escape hatch.
+    /// Create an interpreter with no session.
     pub fn new() -> Cli {
-        Cli {
-            session: None,
-            optimize: true,
-        }
-    }
-
-    /// Enable or disable the algebraic optimizer. Off, every command
-    /// executes literally; on, rewritable commands take the fast path —
-    /// with byte-identical replies either way (see `tests/opt_audit.rs`).
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
+        Cli::default()
     }
 
     fn session(&mut self) -> Result<&mut GeaSession, String> {
@@ -83,11 +67,14 @@ impl Cli {
     /// means quit; `Err` carries a `<CODE> <message>` string matching the
     /// wire protocol's `ERR` framing.
     pub fn execute(&mut self, line: &str) -> Result<Option<String>, String> {
-        let req = match gql::parse(line) {
-            Ok(None) => return Ok(Some(String::new())),
-            Ok(Some(req)) => req,
-            Err(e) => return Err(format!("EPARSE {e}")),
-        };
+        match gql::parse(line) {
+            Ok(None) => Ok(Some(String::new())),
+            Ok(Some(req)) => self.run(req),
+            Err(e) => Err(format!("EPARSE {e}")),
+        }
+    }
+
+    fn run(&mut self, req: Request) -> Result<Option<String>, String> {
         let out = match req {
             Request::Help => gql::HELP.to_string(),
             Request::Quit => return Ok(None),
@@ -124,149 +111,40 @@ impl Cli {
                         .to_string(),
                 );
             }
-            Request::Gql(cmd) => {
-                let optimize = self.optimize;
-                let session = self.session()?;
-                let rewritten = optimize
-                    .then(|| gea_opt::rewrite_command(0, &cmd))
-                    .flatten();
-                let result = match &rewritten {
-                    Some((step, _)) => optexec::run_rewritten(session, step),
-                    None => engine::execute(session, &cmd),
-                };
-                result.map_err(|e| format!("{} {}", e.code, e.message))?
-            }
+            Request::Gql(cmd) => optexec::execute(self.session()?, &cmd)
+                .map_err(|e| format!("{} {}", e.code, e.message))?,
         };
         Ok(Some(out))
     }
 
-    /// Flush a pending GQL pipeline through the optimizer (when enabled)
-    /// and the plan executor, mapping within-pipeline indices back to
-    /// 1-based source lines. Returns `false` when the script must halt
-    /// (batch semantics: first error stops execution).
-    fn flush_pipeline(
-        &mut self,
-        pending: &mut Vec<(usize, GqlCommand)>,
-        out: &mut Vec<(usize, Result<String, String>)>,
-    ) -> bool {
-        if pending.is_empty() {
-            return true;
-        }
-        let optimize = self.optimize;
-        let session = match self.session() {
-            Ok(s) => s,
-            Err(e) => {
-                out.push((pending[0].0, Err(e)));
-                pending.clear();
-                return false;
-            }
-        };
-        let cmds: Vec<GqlCommand> = pending.iter().map(|(_, c)| c.clone()).collect();
-        let plan = if optimize {
-            gea_opt::optimize_checked(&SymbolSeed::from_session(session), &cmds)
-        } else {
-            gea_opt::Plan::identity(&cmds)
-        };
-        let results = optexec::run_plan(session, &plan, true);
-        let halted = results.last().is_some_and(|(_, r)| r.is_err());
-        for (i, r) in results {
-            out.push((
-                pending[i].0,
-                r.map_err(|e| format!("{} {}", e.code, e.message)),
-            ));
-        }
-        pending.clear();
-        !halted
-    }
-
-    /// Execute a whole script in batch mode (first error halts).
-    /// Consecutive GQL commands form a pipeline that runs through the
-    /// optimizer as a unit — fusions only fire across adjacent commands —
-    /// while session-control lines execute singly between pipelines.
-    /// Returns `(1-based source line, outcome)` pairs in source order; on
-    /// a halt the last entry carries the error.
+    /// Execute a whole script in batch mode: each line runs exactly as
+    /// [`Cli::execute`] runs it, blank and `#` lines are skipped, and the
+    /// first error (or `quit`) halts. Returns `(1-based source line,
+    /// outcome)` pairs in source order; on a halt the last entry carries
+    /// the error.
     pub fn run_script(&mut self, text: &str) -> Vec<(usize, Result<String, String>)> {
         let mut out = Vec::new();
-        let mut pending: Vec<(usize, GqlCommand)> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
-            let n = idx + 1;
             let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
+            if line.starts_with('#') {
                 continue;
             }
-            match gql::parse(line) {
-                Ok(Some(Request::Gql(cmd))) => pending.push((n, cmd)),
-                Ok(Some(Request::Quit)) => {
-                    self.flush_pipeline(&mut pending, &mut out);
-                    return out;
-                }
-                Ok(None) => {}
-                Ok(Some(_)) => {
-                    if !self.flush_pipeline(&mut pending, &mut out) {
-                        return out;
-                    }
-                    match self.execute(line) {
-                        Ok(Some(reply)) => out.push((n, Ok(reply))),
-                        Ok(None) => return out,
-                        Err(e) => {
-                            out.push((n, Err(e)));
-                            return out;
-                        }
-                    }
-                }
+            let outcome = match gql::parse(line) {
+                Ok(None) => continue,
+                Ok(Some(req)) => self.run(req),
+                Err(e) => Err(format!("EPARSE {e}")),
+            };
+            match outcome {
+                Ok(Some(reply)) => out.push((idx + 1, Ok(reply))),
+                Ok(None) => break,
                 Err(e) => {
-                    self.flush_pipeline(&mut pending, &mut out);
-                    out.push((n, Err(format!("EPARSE {e}"))));
-                    return out;
+                    out.push((idx + 1, Err(e)));
+                    break;
                 }
             }
         }
-        self.flush_pipeline(&mut pending, &mut out);
         out
     }
-}
-
-/// Plan a script without executing it: parse, group consecutive GQL
-/// commands into pipelines, run the (purely syntactic) optimizer over
-/// each, and render every rewrite with its source line. This is the
-/// `gea-cli --plan` view used by CI to lint example scripts through the
-/// optimizer; it needs no session.
-pub fn plan_script(text: &str) -> Result<String, String> {
-    let mut lines = Vec::new();
-    let mut pending: Vec<(usize, GqlCommand)> = Vec::new();
-    let mut total = 0usize;
-    fn flush(pending: &mut Vec<(usize, GqlCommand)>, lines: &mut Vec<String>, total: &mut usize) {
-        if pending.is_empty() {
-            return;
-        }
-        let cmds: Vec<GqlCommand> = pending.iter().map(|(_, c)| c.clone()).collect();
-        let plan = gea_opt::optimize(&cmds);
-        for rw in &plan.rewrites {
-            lines.push(format!(
-                "line {}: {} {}",
-                pending[rw.index].0, rw.rule, rw.detail
-            ));
-            *total += 1;
-        }
-        pending.clear();
-    }
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match gql::parse(line) {
-            Ok(Some(Request::Gql(cmd))) => pending.push((idx + 1, cmd)),
-            Ok(_) => flush(&mut pending, &mut lines, &mut total),
-            Err(e) => return Err(format!("line {}: EPARSE {e}", idx + 1)),
-        }
-    }
-    flush(&mut pending, &mut lines, &mut total);
-    lines.push(format!(
-        "{total} rewrite{} planned",
-        if total == 1 { "" } else { "s" }
-    ));
-    Ok(lines.join("\n"))
 }
 
 #[cfg(test)]
@@ -449,32 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_scripts_are_equivalent_with_and_without_the_optimizer() {
-        let script = "load-demo 42\n\
-             dataset Eb brain\n\
-             mine Eb f 50 3 6\n\
-             groups f_1\n\
-             # fusion candidate: adjacent gap + topgap\n\
-             gap ga f_1CancerFasTbl f_1NormalTable\n\
-             topgap ga 5\n\
-             compare cd ga ga difference 4\n\
-             show gap ga_5 3\n";
-        let mut plain = Cli::new();
-        plain.set_optimize(false);
-        let want = plain.run_script(script);
-        let mut opt = Cli::new();
-        let got = opt.run_script(script);
-        assert_eq!(want, got);
-        assert!(want.iter().all(|(_, r)| r.is_ok()), "{want:?}");
-        // The rewrites really fired on the optimized side.
-        let plan = plan_script(script).unwrap();
-        assert!(plan.contains(gea_opt::RULE_FUSE_GAP_TOPGAP), "{plan}");
-        assert!(plan.contains(gea_opt::RULE_SELF_MINUS), "{plan}");
-        // And the worlds agree afterwards.
-        assert_eq!(plain.execute("lineage"), opt.execute("lineage"));
-    }
-
-    #[test]
     fn batch_halts_at_the_first_error_with_its_source_line() {
         let script = "load-demo 42\n\
              dataset Eb brain\n\
@@ -498,42 +350,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_script_reports_rewrites_without_a_session() {
-        let plan = plan_script(
-            "gap g a b\ntopgap g 5\ncompare c g g union 2\n# comment\npopulate P s D\nselect S P L1\n",
-        )
-        .unwrap();
-        assert!(plan.contains("line 1: fuse-gap-topgap"), "{plan}");
-        assert!(plan.contains("line 3: self-union-intersect"), "{plan}");
-        assert!(plan.contains("line 5: fuse-populate-select"), "{plan}");
-        assert!(plan.ends_with("3 rewrites planned"), "{plan}");
-        assert!(plan_script("gap g\n").is_err());
-        assert_eq!(plan_script("tissues\n").unwrap(), "0 rewrites planned");
-    }
-
-    #[test]
     fn interactive_rewrites_preserve_single_command_replies() {
-        let mut plain = Cli::new();
-        plain.set_optimize(false);
-        let mut opt = Cli::new();
-        for cli in [&mut plain, &mut opt] {
-            run(cli, "load-demo 42");
-            run(cli, "dataset Eb brain");
-            run(cli, "mine Eb f 50 3 6");
-            run(cli, "groups f_1");
-            run(cli, "gap ga f_1CancerFasTbl f_1NormalTable");
-        }
+        // Ground truth: the literal engine on a session of its own.
+        let mut plain = crate::audit::open_session(42, 1, 1);
+        let mut literal = |line: &str| {
+            gea_server::engine::execute(&mut plain, &crate::audit::parse_lines(&[line])[0])
+                .map(Some)
+                .map_err(|e| format!("{} {}", e.code, e.message))
+        };
+        let mut cli = Cli::new();
+        run(&mut cli, "load-demo 42");
         // Self-difference succeeds; self-union errors (duplicate qualified
         // columns) — byte-identical replies either way.
-        assert_eq!(
-            plain.execute("compare cd ga ga difference 4"),
-            opt.execute("compare cd ga ga difference 4")
-        );
-        assert_eq!(
-            plain.execute("compare cu ga ga union 2"),
-            opt.execute("compare cu ga ga union 2")
-        );
-        assert_eq!(plain.execute("lineage"), opt.execute("lineage"));
+        for line in [
+            "dataset Eb brain",
+            "mine Eb f 50 3 6",
+            "groups f_1",
+            "gap ga f_1CancerFasTbl f_1NormalTable",
+            "compare cd ga ga difference 4",
+            "compare cu ga ga union 2",
+            "lineage",
+        ] {
+            assert_eq!(literal(line), cli.execute(line), "{line}");
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! * [`check`] — the world-typed static analyzer for GQL scripts (and the
 //!   home of the GQL grammar itself), behind `gea-cli --check` and the
 //!   server's `check` verb;
-//! * [`opt`] — the equivalence-tested algebraic optimizer: rewrite rules
-//!   audited for wire-level byte identity (ruler-style), plan fusion, and
-//!   canonical ResponseCache keys;
+//! * [`opt`] — equivalence-tested algebraic rewrites for single commands:
+//!   self-compare fast paths audited for wire-level byte identity
+//!   (ruler-style, by [`audit`]) and canonical ResponseCache keys;
 //! * [`server`] — the GQL grammar and executor shared by the [`cli`]
 //!   interpreter, plus the concurrent TCP query server (`gea-server`) and
 //!   its client library (`gea-client`).

@@ -1,13 +1,16 @@
 //! Spawn helpers shared by the integration tests: a `gea-server` or a
 //! `gea-router` serving on a loopback port from a background thread.
 
+// Each test binary compiles its own copy and few use both daemons.
+#![allow(dead_code)]
+
 use std::net::SocketAddr;
 use std::sync::mpsc::{self, Receiver};
 use std::time::Duration;
 
 use gea_router::{Router, RouterConfig};
 use gea_server::front::Handle;
-use gea_server::{Server, ServerConfig};
+use gea_server::{GeaClient, Server, ServerConfig};
 
 /// A daemon serving from a background thread.
 pub struct Daemon {
@@ -50,6 +53,12 @@ impl Daemon {
 pub fn spawn_server(config: ServerConfig) -> Daemon {
     let server = Server::bind(config).expect("bind server");
     Daemon::serving(server.local_addr(), server.handle(), move || server.run())
+}
+
+/// [`spawn_server`], plus a client connected to it.
+pub fn serve(config: ServerConfig) -> (GeaClient, Daemon) {
+    let daemon = spawn_server(config);
+    (GeaClient::connect(daemon.addr).expect("connect"), daemon)
 }
 
 /// Route `config` (its `addr` should name port 0) from a background thread.

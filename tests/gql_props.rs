@@ -6,9 +6,10 @@
 //!
 //! The optimizer's algebraic canonicalization (`gea::opt`) rides the same
 //! battery: whatever the parser accepts — including mutated and truncated
-//! spellings — `canonicalize_cmd`/`cache_key`/`optimize` must not panic,
-//! and canonicalization must be a fixpoint (optimized cache keys would
-//! otherwise split or alias entries, breaking cross-spelling unification).
+//! spellings — `canonicalize_cmd`/`cache_key`/`rewrite_command` must not
+//! panic, and canonicalization must be a fixpoint (optimized cache keys
+//! would otherwise split or alias entries, breaking cross-spelling
+//! unification).
 
 use proptest::prelude::*;
 
@@ -175,8 +176,8 @@ proptest! {
                     "cache key not invariant under canonicalization for {:?}",
                     line
                 );
-                // Planning whatever parses must never panic either.
-                let _ = gea::opt::optimize(std::slice::from_ref(&cmd));
+                // Nor must matching whatever parses against the rules.
+                let _ = gea::opt::rewrite_command(0, &cmd);
             }
         }
     }

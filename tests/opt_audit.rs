@@ -1,16 +1,14 @@
 //! The optimizer rule audit, as a tier-1 test battery.
 //!
-//! Every shipped rewrite rule must be observationally equivalent to
-//! literal serial execution — byte-identical wire replies (success *and*
-//! error lines) and an identical post-run `lineage` world view — on every
-//! point of the shards {1,2,3,7} × threads {1,4} grid. Every tombstoned
+//! Every shipped rewrite rule must be observationally equivalent to the
+//! literal engine — byte-identical wire replies (success *and* error
+//! lines) and an identical post-run `lineage` world view — on every point
+//! of the shards {1,2,3,7} × threads {1,4} grid. Every tombstoned
 //! candidate must be *rejected* by the same oracle when applied on
-//! purpose. The oracle lives in `gea::audit` so this battery and the
+//! purpose. The audit lives in `gea::audit` so this battery and the
 //! nightly `gea-opt-audit` bin share one implementation; the default tier
 //! here is kick-tires (one seed, the query subset), and `GEA_OPT_AUDIT=full`
 //! upgrades to the nightly enumeration in place.
-
-use std::collections::BTreeSet;
 
 use gea::audit::{self, AUDIT_GRID};
 
@@ -20,15 +18,12 @@ fn shipped_rules_pass_the_observational_equivalence_audit() {
     let report = audit::audit_shipped(full);
     assert!(
         report.divergences.is_empty(),
-        "optimizer diverged from serial execution:\n{}",
+        "shipped execution diverged from the engine:\n{}",
         report.divergences.join("\n")
     );
     // The audit is vacuous unless every shipped rule actually fired.
-    let shipped: BTreeSet<&str> = gea::opt::shipped_rules().into_iter().collect();
-    assert_eq!(
-        report.rules_fired, shipped,
-        "rules fired in the audit pipeline != shipped rules"
-    );
+    assert_eq!(gea::opt::shipped_rules().len(), 3);
+    assert_eq!(report.silent_rules(), Vec::<&str>::new());
     assert_eq!(
         report.configs,
         AUDIT_GRID.len() * audit::audit_seeds(full).len()
@@ -44,8 +39,7 @@ fn tombstoned_rules_are_rejected_by_the_oracle() {
         "tombstoned rules survived the oracle:\n{}",
         failures.join("\n")
     );
-    // The tombstones this PR documents stay in-tree, each with its
-    // refutation recorded.
+    // The tombstones stay in-tree, each with its refutation recorded.
     assert_eq!(gea::opt::tombstoned_rules().len(), 3);
     for name in gea::opt::tombstoned_rules() {
         let rule = gea::opt::rule(name).expect("registered rule");

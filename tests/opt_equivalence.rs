@@ -1,46 +1,59 @@
-//! Differential equivalence battery for the optimizer: randomized
-//! multi-verb GQL scripts over randomized corpora, executed twice —
-//! optimized and `--no-opt` — must produce byte-identical wire output,
-//! including the lineage-visible world state afterwards. One battery runs
-//! at the batch-pipeline level (where fusion fires), one over two live
-//! TCP servers (where single-command rewrites and canonical cache keys
-//! fire), and one proves cache-key unification: two algebraically-equal
+//! Differential equivalence battery for `gea-opt`: randomized multi-verb
+//! GQL streams over randomized corpora must produce byte-identical wire
+//! output — including the lineage-visible world state afterwards — from
+//! the front ends (which rewrite self-compares and canonicalize cache
+//! keys) and from the literal engine alone on the same corpus. One battery
+//! runs batch scripts through `Cli::run_script`, one drives a live TCP
+//! server, and one proves cache-key unification: two algebraically-equal
 //! spellings of a command share a single cache entry, with the hit
 //! counted.
 
-use std::thread;
+mod common;
+
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use gea::audit;
 use gea::cli::Cli;
-use gea_server::{GeaClient, Server, ServerConfig};
+use gea_core::session::GeaSession;
+use gea_server::wire::Reply;
+use gea_server::{engine, GeaClient, ServerConfig};
 
 const ROUNDS_PER_CORPUS: usize = 6;
 const STEPS_PER_ROUND: usize = 10;
 
-fn spawn(optimize: bool, cache_bytes: usize) -> (GeaClient, gea_server::server::ServerHandle) {
-    let config = ServerConfig {
+const PRELUDE: [&str; 5] = [
+    "dataset Eb brain",
+    "mine Eb f 50 3 6",
+    "groups f_1",
+    "gap ga f_1CancerFasTbl f_1NormalTable",
+    "gap gb f_1CancerFasTbl f_1CanNotInFasTbl",
+];
+
+fn serve() -> (GeaClient, common::Daemon) {
+    common::serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue_depth: 4,
         lock_timeout: Duration::from_secs(30),
-        cache_bytes,
-        optimize,
         ..ServerConfig::default()
-    };
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::spawn(move || server.run().expect("serve"));
-    (GeaClient::connect(addr).expect("connect"), handle)
+    })
 }
 
-/// One randomized GQL step. Most draws yield a single command; the fusion
-/// draws yield adjacent pairs so the batch optimizer has something to
-/// fuse. Errors (name conflicts, inapplicable queries, unknown names) are
-/// drawn on purpose — equivalence covers error replies too.
+/// Ground truth: the literal engine on an in-process session, framed the
+/// way the wire frames it (payloads flattened through `lines()`).
+fn engine_reply(session: &mut GeaSession, line: &str) -> Reply {
+    engine::execute(session, &audit::parse_lines(&[line])[0])
+        .map(|payload| payload.lines().collect::<Vec<_>>().join("\n"))
+        .map_err(|e| (e.code.to_string(), e.message))
+}
+
+/// One randomized GQL step. Most draws yield a single command; some yield
+/// an adjacent `gap` + `topgap` pair. Errors (name conflicts, inapplicable
+/// queries, unknown names) are drawn on purpose — equivalence covers error
+/// replies too.
 fn random_steps(rng: &mut SmallRng, round: usize, step: usize) -> Vec<String> {
     let ops = ["union", "intersect", "difference"];
     let op = ops[rng.gen_range(0..ops.len())];
@@ -54,12 +67,12 @@ fn random_steps(rng: &mut SmallRng, round: usize, step: usize) -> Vec<String> {
         // Two-operand compare: must never be rewritten (commutation is
         // tombstoned).
         3 => vec![format!("compare {n} ga gb {op} {q}")],
-        // Fusion pair: gap + topgap on the fresh name.
+        // An adjacent pair: gap + topgap on the fresh name.
         4 | 5 => vec![
             format!("gap {n} f_1CancerFasTbl f_1NormalTable"),
             format!("topgap {n} {}", rng.gen_range(1..6usize)),
         ],
-        // Fusion pair with a phase-1 conflict: `ga` always exists.
+        // The same pair with a name conflict: `ga` always exists.
         6 => vec![
             "gap ga f_1CancerFasTbl f_1NormalTable".to_string(),
             format!("topgap ga {}", rng.gen_range(1..4usize)),
@@ -72,25 +85,33 @@ fn random_steps(rng: &mut SmallRng, round: usize, step: usize) -> Vec<String> {
     }
 }
 
-/// The batch-level differential: the same randomized scripts through two
-/// interpreters, optimizer on vs off, on the same corpus. Every reply —
-/// including errors and batch truncation points — must match, and so must
-/// the lineage afterwards.
+/// The batch-level differential: the same randomized scripts through the
+/// batch interpreter and through the literal engine, on the same corpus.
+/// Every reply — including the error a batch halts on, and where it halts
+/// — must match, and so must the lineage afterwards.
 #[test]
 fn randomized_batch_scripts_match_with_and_without_the_optimizer() {
     for corpus_seed in [42u64, 7] {
-        let mut plain = Cli::new();
-        plain.set_optimize(false);
-        let mut opt = Cli::new();
-        let prelude = format!(
-            "load-demo {corpus_seed}\n\
-             dataset Eb brain\n\
-             mine Eb f 50 3 6\n\
-             groups f_1\n\
-             gap ga f_1CancerFasTbl f_1NormalTable\n\
-             gap gb f_1CancerFasTbl f_1CanNotInFasTbl\n"
-        );
-        assert_eq!(plain.run_script(&prelude), opt.run_script(&prelude));
+        let mut plain = audit::open_session(corpus_seed, 1, 1);
+        let mut cli = Cli::new();
+        let outcomes = cli.run_script(&format!("load-demo {corpus_seed}\n"));
+        assert!(outcomes.iter().all(|(_, r)| r.is_ok()), "{outcomes:?}");
+        // The literal engine in batch mode: halt at the first error.
+        let mut literal = |script: &str| {
+            let mut out = Vec::new();
+            for (idx, line) in script.lines().enumerate() {
+                let outcome = engine::execute(&mut plain, &audit::parse_lines(&[line])[0])
+                    .map_err(|e| format!("{} {}", e.code, e.message));
+                let halt = outcome.is_err();
+                out.push((idx + 1, outcome));
+                if halt {
+                    break;
+                }
+            }
+            out
+        };
+        let prelude = PRELUDE.join("\n");
+        assert_eq!(literal(&prelude), cli.run_script(&prelude));
 
         let mut rng = SmallRng::seed_from_u64(0x0717_0000 + corpus_seed);
         for round in 0..ROUNDS_PER_CORPUS {
@@ -101,35 +122,31 @@ fn randomized_batch_scripts_match_with_and_without_the_optimizer() {
                     script.push('\n');
                 }
             }
-            let want = plain.run_script(&script);
-            let got = opt.run_script(&script);
+            let want = literal(&script);
+            let got = cli.run_script(&script);
             assert_eq!(want, got, "corpus {corpus_seed} round {round}:\n{script}");
         }
-        // World state (the `stats`-visible lineage) agrees at the end.
-        assert_eq!(plain.execute("lineage"), opt.execute("lineage"));
-        assert_eq!(plain.execute("cleaning"), opt.execute("cleaning"));
+        // World state (the lineage) agrees at the end.
+        for probe in ["lineage", "cleaning"] {
+            assert_eq!(literal(probe), cli.run_script(probe));
+        }
     }
 }
 
-/// The wire-level differential: the same single-command stream against an
-/// optimizing server and a `--no-opt` server. Self-compare rewrites and
-/// canonical cache keys are live on one side only; every reply must still
-/// match byte-for-byte.
+/// The wire-level differential: the same single-command stream against a
+/// server — self-compare rewrites and canonical cache keys live — and the
+/// literal engine in process; every reply must match byte-for-byte.
 #[test]
-fn optimized_server_replies_match_unoptimized_server() {
-    let (mut opt, opt_handle) = spawn(true, 8 * 1024 * 1024);
-    let (mut plain, plain_handle) = spawn(false, 8 * 1024 * 1024);
-    for client in [&mut opt, &mut plain] {
-        client.expect_ok("open eq demo 42").expect("open");
-        client.expect_ok("dataset Eb brain").expect("dataset");
-        client.expect_ok("mine Eb f 50 3 6").expect("mine");
-        client.expect_ok("groups f_1").expect("groups");
-        client
-            .expect_ok("gap ga f_1CancerFasTbl f_1NormalTable")
-            .expect("gap ga");
-        client
-            .expect_ok("gap gb f_1CancerFasTbl f_1CanNotInFasTbl")
-            .expect("gap gb");
+fn server_replies_match_the_in_process_engine() {
+    let (mut client, daemon) = serve();
+    let mut plain = audit::open_session(42, 1, 1);
+    client.expect_ok("open eq demo 42").expect("open");
+    for line in PRELUDE {
+        assert_eq!(
+            client.request(line).expect("transport"),
+            engine_reply(&mut plain, line),
+            "{line}"
+        );
     }
 
     let mut rng = SmallRng::seed_from_u64(0xEC_41);
@@ -137,27 +154,28 @@ fn optimized_server_replies_match_unoptimized_server() {
     for round in 0..4 {
         for step in 0..STEPS_PER_ROUND {
             for line in random_steps(&mut rng, round, step) {
-                let a = opt.request(&line).expect("opt transport");
-                let b = plain.request(&line).expect("plain transport");
-                assert_eq!(a, b, "replies diverged on {line:?}");
+                let got = client.request(&line).expect("transport");
+                assert_eq!(
+                    got,
+                    engine_reply(&mut plain, &line),
+                    "replies diverged on {line:?}"
+                );
                 compared += 1;
             }
         }
     }
     assert!(compared > 0);
     assert_eq!(
-        opt.expect_ok("lineage").unwrap(),
-        plain.expect_ok("lineage").unwrap()
+        client.request("lineage").unwrap(),
+        engine_reply(&mut plain, "lineage")
     );
     // The comparison is only meaningful if rewrites actually fired.
-    let stats = opt.expect_ok("stats").expect("stats");
-    let rewrites: u64 = counter(&stats, "opt_rewrites");
-    assert!(rewrites > 0, "no rewrites fired on the optimizing server");
-    let plain_stats = plain.expect_ok("stats").expect("stats");
-    assert_eq!(counter(&plain_stats, "opt_rewrites"), 0);
-
-    opt_handle.shutdown();
-    plain_handle.shutdown();
+    let stats = client.expect_ok("stats").expect("stats");
+    assert!(
+        counter(&stats, "opt_rewrites") > 0,
+        "no rewrites fired on the server"
+    );
+    daemon.stop();
 }
 
 fn counter(stats: &str, key: &str) -> u64 {
@@ -171,39 +189,35 @@ fn counter(stats: &str, key: &str) -> u64 {
 
 /// Cache-key unification: `check compare c ga ga union 2` and
 /// `check compare c ga ga intersect 2` are algebraically equal (the
-/// self-union rewrite), so on an optimizing server the second spelling
-/// must be served from the first one's cache entry — one stored entry,
-/// one hit, and the unification counted in `stats`.
+/// self-union rewrite), so the second spelling must be served from the
+/// first one's cache entry — one stored entry, one hit, and the
+/// unification counted in `stats`.
 #[test]
 fn algebraically_equal_commands_share_one_cache_entry() {
     let union_spelling = "check compare c ga ga union 2";
     let intersect_spelling = "check compare c ga ga intersect 2";
 
-    // Ground truth first: an unoptimized server answers both spellings
+    // Ground truth first: the engine answers both spellings
     // byte-identically, so serving one from the other's entry is sound.
-    let (mut plain, plain_handle) = spawn(false, 8 * 1024 * 1024);
-    plain.expect_ok("open truth demo 42").expect("open");
-    let a = plain.expect_ok(union_spelling).expect("union check");
-    let b = plain
-        .expect_ok(intersect_spelling)
-        .expect("intersect check");
-    assert_eq!(a, b, "spellings are not observationally equal");
-    // Without the optimizer the two spellings are distinct cache keys:
-    // two misses, no unification.
-    let stats = plain.expect_ok("stats").expect("stats");
-    assert_eq!(counter(&stats, "cache_hits"), 0);
-    assert_eq!(counter(&stats, "opt_key_unified"), 0);
-    plain_handle.shutdown();
+    let mut plain = audit::open_session(42, 1, 1);
+    let truth = engine_reply(&mut plain, union_spelling).expect("union check");
+    assert_eq!(
+        engine_reply(&mut plain, intersect_spelling),
+        Ok(truth.clone()),
+        "spellings are not observationally equal"
+    );
 
-    let (mut opt, opt_handle) = spawn(true, 8 * 1024 * 1024);
-    opt.expect_ok("open eq demo 42").expect("open");
-    let hits0 = counter(&opt.expect_ok("stats").unwrap(), "cache_hits");
-    let first = opt.expect_ok(union_spelling).expect("first spelling");
-    let misses_after_first = counter(&opt.expect_ok("stats").unwrap(), "cache_misses");
-    let second = opt.expect_ok(intersect_spelling).expect("second spelling");
+    let (mut client, daemon) = serve();
+    client.expect_ok("open eq demo 42").expect("open");
+    let hits0 = counter(&client.expect_ok("stats").unwrap(), "cache_hits");
+    let first = client.expect_ok(union_spelling).expect("first spelling");
+    let misses_after_first = counter(&client.expect_ok("stats").unwrap(), "cache_misses");
+    let second = client
+        .expect_ok(intersect_spelling)
+        .expect("second spelling");
     assert_eq!(first, second);
-    assert_eq!(first, a, "optimizing server disagrees with ground truth");
-    let stats = opt.expect_ok("stats").expect("stats");
+    assert_eq!(first, truth, "server disagrees with ground truth");
+    let stats = client.expect_ok("stats").expect("stats");
     assert_eq!(
         counter(&stats, "cache_hits"),
         hits0 + 1,
@@ -218,5 +232,5 @@ fn algebraically_equal_commands_share_one_cache_entry() {
         counter(&stats, "opt_key_unified") >= 1,
         "unification not counted: {stats}"
     );
-    opt_handle.shutdown();
+    daemon.stop();
 }

@@ -3,31 +3,27 @@
 //! closed — a refused `xstage` turns the commit line that was already on
 //! the wire behind it into an `ERR` that installs nothing.
 
+mod common;
+
 use std::io::{BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::thread::JoinHandle;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use gea_server::wire::{self, Reply};
-use gea_server::{xcodec, GeaClient, Server, ServerConfig, ServerHandle};
+use gea_server::{xcodec, GeaClient, ServerConfig};
 
-fn spawn_server() -> (SocketAddr, ServerHandle, JoinHandle<()>) {
-    let server = Server::bind(ServerConfig {
+fn spawn_server() -> common::Daemon {
+    common::spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         lock_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
     })
-    .expect("bind server");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve"));
-    (addr, handle, join)
 }
 
 #[test]
 fn batched_requests_answer_in_order_and_stay_framed() {
-    let (addr, handle, join) = spawn_server();
-    let mut client = GeaClient::connect(addr).expect("connect");
+    let server = spawn_server();
+    let mut client = GeaClient::connect(server.addr).expect("connect");
 
     // Multi-line replies, an ERR in the middle, and single-line replies
     // after it: one reply per request, in request order.
@@ -66,8 +62,7 @@ fn batched_requests_answer_in_order_and_stay_framed() {
     );
 
     drop(client);
-    handle.shutdown();
-    join.join().expect("server thread");
+    server.stop();
 }
 
 /// Write `lines` in one `write`, then read one reply per line.
@@ -110,8 +105,8 @@ fn snapshot(stream: &mut TcpStream, session: &str) -> (String, String) {
 
 #[test]
 fn a_refused_chunk_poisons_staging_until_xreset() {
-    let (addr, handle, join) = spawn_server();
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let server = spawn_server();
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let ask = |stream: &mut TcpStream, line: &str| pipelined(stream, &[line.to_string()]).remove(0);
 
@@ -175,6 +170,5 @@ fn a_refused_chunk_poisons_staging_until_xreset() {
     assert_eq!(snapshot(&mut stream, "copy").0, fingerprint);
 
     drop(stream);
-    handle.shutdown();
-    join.join().expect("server thread");
+    server.stop();
 }

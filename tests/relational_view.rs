@@ -5,6 +5,10 @@
 //! The golden digests below were captured at the last commit that stored
 //! the mirror (`dc7d075`), from the same pipeline, with
 //! `gea-cli --no-opt --script` and an FNV-1a over each file `save` wrote.
+//! That flag is gone: what it selected — one command at a time, a
+//! self-compare rewritten, everything else through the engine — is what
+//! every front end now runs (`tests/router_determinism.rs`,
+//! `every_front_end_saves_the_same_bytes`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -13,43 +13,44 @@
 //! lines), so this proves identity of the actual bytes on the wire, not
 //! of some parsed form.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gea_router::{Router, RouterConfig, RouterHandle};
-use gea_server::{Server, ServerConfig, ServerHandle};
+use common::Daemon;
+use gea_router::RouterConfig;
+use gea_server::ServerConfig;
 
-fn spawn_backend() -> (SocketAddr, ServerHandle, JoinHandle<()>) {
-    let server = Server::bind(ServerConfig {
+fn spawn_backend() -> Daemon {
+    common::spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         lock_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
     })
-    .expect("bind backend");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve backend"));
-    (addr, handle, join)
 }
 
-fn spawn_router(
-    backends: Vec<String>,
-    active: usize,
-) -> (SocketAddr, RouterHandle, JoinHandle<()>) {
-    let router = Router::bind(RouterConfig {
+fn spawn_backends(n: usize) -> Vec<Daemon> {
+    (0..n).map(|_| spawn_backend()).collect()
+}
+
+fn spawn_router(backends: &[Daemon], active: usize) -> Daemon {
+    common::spawn_router(RouterConfig {
         addr: "127.0.0.1:0".to_string(),
-        backends,
+        backends: backends.iter().map(|b| b.addr.to_string()).collect(),
         active,
         health_interval: Duration::from_millis(100),
         ..RouterConfig::default()
     })
-    .expect("bind router");
-    let addr = router.local_addr();
-    let handle = router.handle();
-    let join = std::thread::spawn(move || router.run().expect("serve router"));
-    (addr, handle, join)
+}
+
+/// Stop the router, then every backend behind it.
+fn stop_fleet(router: Daemon, backends: Vec<Daemon>) {
+    router.stop();
+    for backend in &backends {
+        backend.stop();
+    }
 }
 
 /// One persistent connection; every request's raw reply frame (status
@@ -178,29 +179,20 @@ fn router_matches_single_server_over_1_2_3_backends() {
     let script = main_script();
 
     // Reference: one plain server.
-    let (ref_addr, ref_handle, ref_join) = spawn_backend();
-    let mut reference = Transcript::connect(ref_addr);
+    let single = spawn_backend();
+    let mut reference = Transcript::connect(single.addr);
     reference.run(&script);
-    let ref_fingerprint = snapshot_fingerprint(ref_addr);
-    ref_handle.shutdown();
+    let ref_fingerprint = snapshot_fingerprint(single.addr);
+    single.stop();
 
     for n_backends in 1..=3usize {
-        let mut backends = Vec::new();
-        let mut handles = Vec::new();
-        let mut joins = Vec::new();
-        for _ in 0..n_backends {
-            let (addr, handle, join) = spawn_backend();
-            backends.push(addr);
-            handles.push(handle);
-            joins.push(join);
-        }
-        let (router_addr, router_handle, router_join) =
-            spawn_router(backends.iter().map(|a| a.to_string()).collect(), 0);
+        let backends = spawn_backends(n_backends);
+        let router = spawn_router(&backends, 0);
 
-        let mut routed = Transcript::connect(router_addr);
+        let mut routed = Transcript::connect(router.addr);
         // The admin plane answers locally and is not part of the
         // transcript comparison.
-        let mut admin = Transcript::connect(router_addr);
+        let mut admin = Transcript::connect(router.addr);
         admin.send("backends");
         assert_eq!(
             admin.text.lines().next(),
@@ -217,25 +209,17 @@ fn router_matches_single_server_over_1_2_3_backends() {
         // Routed ≡ direct below the wire too: tables, fascicle records
         // and lineage (params included) of every replica snapshot to the
         // bytes the single server's session does.
-        for &backend in &backends {
+        for backend in &backends {
             assert_eq!(
-                snapshot_fingerprint(backend),
+                snapshot_fingerprint(backend.addr),
                 ref_fingerprint,
-                "snapshot of backend {backend} (of {n_backends}) diverged from the single server"
+                "snapshot of backend {} (of {n_backends}) diverged from the single server",
+                backend.addr
             );
         }
 
-        router_handle.shutdown();
-        router_join.join().expect("router thread");
-        for handle in &handles {
-            handle.shutdown();
-        }
-        for join in joins {
-            join.join().expect("backend thread");
-        }
+        stop_fleet(router, backends);
     }
-
-    ref_join.join().expect("reference backend thread");
 }
 
 /// Satellite of the effect/cost-table work: `check` is classified by the
@@ -266,27 +250,18 @@ fn check_diagnostics_are_byte_identical_on_every_backend_and_mutate_nothing() {
         "check mine E big 150 0 6",
     ];
 
-    let mut backends = Vec::new();
-    let mut handles = Vec::new();
-    let mut joins = Vec::new();
-    for _ in 0..3 {
-        let (addr, handle, join) = spawn_backend();
-        backends.push(addr);
-        handles.push(handle);
-        joins.push(join);
-    }
-    let (router_addr, router_handle, router_join) =
-        spawn_router(backends.iter().map(|a| a.to_string()).collect(), 0);
+    let backends = spawn_backends(3);
+    let router = spawn_router(&backends, 0);
 
     // Replicate a session with real tables onto every backend.
-    let mut routed = Transcript::connect(router_addr);
+    let mut routed = Transcript::connect(router.addr);
     routed.run(&prelude);
 
     // Each backend answers the same checks directly, with identical
     // lineage on both sides of the analysis.
     let mut check_replies: Vec<String> = Vec::new();
     let mut lineages: Vec<String> = Vec::new();
-    for &addr in &backends {
+    for addr in backends.iter().map(|b| b.addr) {
         let mut direct = Transcript::connect(addr);
         direct.send("use s");
         direct.text.clear();
@@ -322,14 +297,7 @@ fn check_diagnostics_are_byte_identical_on_every_backend_and_mutate_nothing() {
     assert!(check_replies[0].contains("error[undefined-name]"));
     assert!(check_replies[0].contains("error[param-domain]"));
 
-    router_handle.shutdown();
-    router_join.join().expect("router thread");
-    for handle in &handles {
-        handle.shutdown();
-    }
-    for join in joins {
-        join.join().expect("backend thread");
-    }
+    stop_fleet(router, backends);
 }
 
 #[test]
@@ -338,30 +306,22 @@ fn rebalance_2_to_3_preserves_byte_identity() {
     let after = follow_up_script();
 
     // Reference: one plain server runs both halves back to back.
-    let (ref_addr, ref_handle, ref_join) = spawn_backend();
-    let mut reference = Transcript::connect(ref_addr);
+    let single = spawn_backend();
+    let mut reference = Transcript::connect(single.addr);
     reference.run(&before);
     reference.run(&after);
-    ref_handle.shutdown();
+    single.stop();
 
     // Router: 3 configured backends, only 2 active for the first half.
-    let mut backends = Vec::new();
-    let mut handles = Vec::new();
-    let mut joins = Vec::new();
-    for _ in 0..3 {
-        let (addr, handle, join) = spawn_backend();
-        backends.push(addr.to_string());
-        handles.push(handle);
-        joins.push(join);
-    }
-    let (router_addr, router_handle, router_join) = spawn_router(backends, 2);
+    let backends = spawn_backends(3);
+    let router = spawn_router(&backends, 2);
 
-    let mut routed = Transcript::connect(router_addr);
+    let mut routed = Transcript::connect(router.addr);
     routed.run(&before);
 
     // Grow to 3: the standby gets every session shipped as a snapshot
     // (the spill wire format) under a generation check.
-    let mut admin = Transcript::connect(router_addr);
+    let mut admin = Transcript::connect(router.addr);
     admin.send("rebalance 3");
     assert!(
         admin.text.contains("rebalanced to 3 active backend(s)"),
@@ -380,13 +340,71 @@ fn rebalance_2_to_3_preserves_byte_identity() {
         "transcript diverged after rebalancing 2 -> 3"
     );
 
-    router_handle.shutdown();
-    router_join.join().expect("router thread");
-    for handle in &handles {
-        handle.shutdown();
+    stop_fleet(router, backends);
+}
+
+/// Below the wire too: the same lines through `gea-cli`'s batch mode, one
+/// `gea-server`, and a `gea-router` over two backends `save` the same
+/// bytes — `lineage.txt` (params included) and the `session.gea`
+/// snapshot. A command runs one way from every front end, so there is no
+/// front-end-specific lineage param (the retired batch planner stamped
+/// `optimizer fuse-…` on the adjacent pairs below) to tell them apart.
+#[test]
+fn every_front_end_saves_the_same_bytes() {
+    let lines = [
+        "dataset Eb brain",
+        "mine Eb f 50 3 6",
+        "groups f_1",
+        "gap ga f_1CancerFasTbl f_1NormalTable",
+        "topgap ga 5",
+        "populate P f_1CancerFasTbl Eb",
+        "select S P SAGE_brain_C00",
+        "compare cd ga ga difference 4",
+    ];
+    let root = std::env::temp_dir().join(format!("gea_front_ends_{}", std::process::id()));
+    let dir = |front: &str| root.join(front).display().to_string();
+
+    let mut cli = gea::cli::Cli::new();
+    let script = format!("load-demo 42\n{}\nsave {}\n", lines.join("\n"), dir("cli"));
+    let outcomes = cli.run_script(&script);
+    assert_eq!(outcomes.len(), lines.len() + 2, "{outcomes:?}");
+    assert!(outcomes.iter().all(|(_, r)| r.is_ok()), "{outcomes:?}");
+
+    let served = |addr: SocketAddr, front: &str| {
+        let mut client = Transcript::connect(addr);
+        client.send("open s demo 42");
+        client.run(&lines);
+        client.send(&format!("save {}", dir(front)));
+        assert!(!client.text.contains("ERR "), "{front}: {}", client.text);
+        client.text
+    };
+    let single = spawn_backend();
+    let direct = served(single.addr, "server");
+    single.stop();
+    let backends = spawn_backends(2);
+    let router = spawn_router(&backends, 0);
+    let routed = served(router.addr, "router");
+    stop_fleet(router, backends);
+    let before_save = |text: &str| text[..text.rfind("OK ").expect("save reply")].to_string();
+    assert_eq!(before_save(&direct), before_save(&routed));
+
+    for file in ["lineage.txt", "session.gea"] {
+        let read = |front: &str| {
+            std::fs::read(root.join(front).join(file))
+                .unwrap_or_else(|e| panic!("{front}/{file}: {e}"))
+        };
+        let cli_bytes = read("cli");
+        assert!(
+            cli_bytes == read("server"),
+            "{file}: gea-cli --script and gea-server saved different bytes"
+        );
+        assert!(
+            cli_bytes == read("router"),
+            "{file}: gea-cli --script and gea-router saved different bytes"
+        );
     }
-    for join in joins {
-        join.join().expect("backend thread");
-    }
-    ref_join.join().expect("reference backend thread");
+    let lineage = std::fs::read_to_string(root.join("cli").join("lineage.txt")).unwrap();
+    assert!(lineage.contains("optimizer\tself-minus-empty"), "{lineage}");
+    assert!(!lineage.contains("fuse-"), "{lineage}");
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -6,6 +6,8 @@
 //! full session resync, and participates in scatters again with
 //! byte-identical replica state.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -13,38 +15,26 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gea_router::{Router, RouterConfig, RouterHandle};
-use gea_server::{wire, GeaClient, Server, ServerConfig, ServerHandle};
+use common::Daemon;
+use gea_router::RouterConfig;
+use gea_server::{wire, GeaClient, ServerConfig};
 
-fn spawn_backend_at(addr: &str) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
-    let server = Server::bind(ServerConfig {
+fn spawn_backend_at(addr: &str) -> Daemon {
+    common::spawn_server(ServerConfig {
         addr: addr.to_string(),
         lock_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
     })
-    .expect("bind backend");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve backend"));
-    (addr, handle, join)
 }
 
-fn spawn_router(
-    backends: Vec<String>,
-    health_interval: Duration,
-) -> (SocketAddr, RouterHandle, JoinHandle<()>) {
-    let router = Router::bind(RouterConfig {
+fn spawn_router(backends: Vec<String>, health_interval: Duration) -> Daemon {
+    common::spawn_router(RouterConfig {
         addr: "127.0.0.1:0".to_string(),
         backends,
         health_interval,
         connect_timeout: Duration::from_millis(500),
         ..RouterConfig::default()
     })
-    .expect("bind router");
-    let addr = router.local_addr();
-    let handle = router.handle();
-    let join = std::thread::spawn(move || router.run().expect("serve router"));
-    (addr, handle, join)
 }
 
 fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
@@ -63,22 +53,22 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 /// applied anything — and the survivors keep serving.
 #[test]
 fn backend_killed_mid_scatter_surfaces_one_ebackend() {
-    let (addr_a, handle_a, join_a) = spawn_backend_at("127.0.0.1:0");
-    let (addr_b, handle_b, join_b) = spawn_backend_at("127.0.0.1:0");
+    let backend_a = spawn_backend_at("127.0.0.1:0");
+    let backend_b = spawn_backend_at("127.0.0.1:0");
+    let (addr_a, addr_b) = (backend_a.addr, backend_b.addr);
     // A huge health interval: the *request path* must discover the loss
     // and fail fast, with no health thread to clean up after it.
-    let (router_addr, router_handle, router_join) = spawn_router(
+    let router = spawn_router(
         vec![addr_a.to_string(), addr_b.to_string()],
         Duration::from_secs(3600),
     );
 
-    let mut client = GeaClient::connect(router_addr).expect("connect client");
+    let mut client = GeaClient::connect(router.addr).expect("connect client");
     client.expect_ok("open s demo 42").expect("open session");
     client.expect_ok("dataset E brain").expect("dataset");
 
     // Kill backend B with the router still believing it is up.
-    handle_b.shutdown();
-    join_b.join().expect("backend b thread");
+    backend_b.stop();
 
     // The scatter discovers the loss: exactly one coded error, the
     // connection survives, and nothing was applied anywhere.
@@ -101,10 +91,8 @@ fn backend_killed_mid_scatter_surfaces_one_ebackend() {
     let listing = client.expect_ok("backends").expect("health listing");
     assert!(listing.contains("down"), "{listing}");
 
-    router_handle.shutdown();
-    router_join.join().expect("router thread");
-    handle_a.shutdown();
-    join_a.join().expect("backend a thread");
+    router.stop();
+    backend_a.stop();
 }
 
 /// A restarted backend is probed back to life, resynced (every known
@@ -112,21 +100,21 @@ fn backend_killed_mid_scatter_surfaces_one_ebackend() {
 /// again and its replica is byte-identical to the survivor's.
 #[test]
 fn restarted_backend_is_readmitted_with_identical_state() {
-    let (addr_a, handle_a, join_a) = spawn_backend_at("127.0.0.1:0");
-    let (addr_b, handle_b, join_b) = spawn_backend_at("127.0.0.1:0");
-    let (router_addr, router_handle, router_join) = spawn_router(
+    let backend_a = spawn_backend_at("127.0.0.1:0");
+    let backend_b = spawn_backend_at("127.0.0.1:0");
+    let (addr_a, addr_b) = (backend_a.addr, backend_b.addr);
+    let router = spawn_router(
         vec![addr_a.to_string(), addr_b.to_string()],
         Duration::from_millis(100),
     );
 
-    let mut client = GeaClient::connect(router_addr).expect("connect client");
+    let mut client = GeaClient::connect(router.addr).expect("connect client");
     client.expect_ok("open s demo 42").expect("open session");
     client.expect_ok("dataset E brain").expect("dataset");
     client.expect_ok("mine E a 50 3 6").expect("mine over both");
 
     // Kill B; the health thread notices within its probe interval.
-    handle_b.shutdown();
-    join_b.join().expect("backend b thread");
+    backend_b.stop();
     wait_until(
         "health thread to mark the backend down",
         Duration::from_secs(10),
@@ -145,7 +133,7 @@ fn restarted_backend_is_readmitted_with_identical_state() {
 
     // Restart B on the same address; re-admission requires the resync to
     // have completed, not just the probe to succeed.
-    let (_, handle_b2, join_b2) = spawn_backend_at(&addr_b.to_string());
+    let backend_b2 = spawn_backend_at(&addr_b.to_string());
     wait_until(
         "restarted backend to be re-admitted",
         Duration::from_secs(30),
@@ -180,12 +168,9 @@ fn restarted_backend_is_readmitted_with_identical_state() {
         assert_eq!(a, b, "replicas diverged on {probe:?}");
     }
 
-    router_handle.shutdown();
-    router_join.join().expect("router thread");
-    handle_a.shutdown();
-    join_a.join().expect("backend a thread");
-    handle_b2.shutdown();
-    join_b2.join().expect("backend b2 thread");
+    router.stop();
+    backend_a.stop();
+    backend_b2.stop();
 }
 
 /// What the fault-injecting relay in front of a backend does next.
@@ -300,15 +285,16 @@ fn fingerprint(backend: SocketAddr, session: &str) -> String {
 /// and re-admission brings its replica back to the survivor's bytes.
 #[test]
 fn backend_lost_after_compute_is_resynced_behind_a_normal_reply() {
-    let (addr_a, handle_a, join_a) = spawn_backend_at("127.0.0.1:0");
-    let (addr_b, handle_b, join_b) = spawn_backend_at("127.0.0.1:0");
+    let backend_a = spawn_backend_at("127.0.0.1:0");
+    let backend_b = spawn_backend_at("127.0.0.1:0");
+    let (addr_a, addr_b) = (backend_a.addr, backend_b.addr);
     let relay_b = FaultRelay::spawn(addr_b);
-    let (router_addr, router_handle, router_join) = spawn_router(
+    let router = spawn_router(
         vec![addr_a.to_string(), relay_b.addr.to_string()],
         Duration::from_millis(100),
     );
 
-    let mut client = GeaClient::connect(router_addr).expect("connect client");
+    let mut client = GeaClient::connect(router.addr).expect("connect client");
     client.expect_ok("open s demo 42").expect("open session");
     client.expect_ok("dataset E brain").expect("dataset");
 
@@ -341,11 +327,8 @@ fn backend_lost_after_compute_is_resynced_behind_a_normal_reply() {
     );
     assert_eq!(fingerprint(addr_a, "s"), fingerprint(addr_b, "s"));
 
-    router_handle.shutdown();
-    router_join.join().expect("router thread");
+    router.stop();
     relay_b.stop();
-    handle_a.shutdown();
-    join_a.join().expect("backend a thread");
-    handle_b.shutdown();
-    join_b.join().expect("backend b thread");
+    backend_a.stop();
+    backend_b.stop();
 }

@@ -5,25 +5,18 @@
 //! command sequence — including error replies. A divergence means a stale
 //! or wrongly-keyed cache entry was served.
 
-use std::thread;
+mod common;
+
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use gea_server::client::reply_evicted;
-use gea_server::{GeaClient, Server, ServerConfig};
+use gea_server::ServerConfig;
 
 const INTERLEAVINGS: usize = 100;
 const STEPS_PER_INTERLEAVING: usize = 8;
-
-fn spawn(config: ServerConfig) -> (GeaClient, gea_server::server::ServerHandle) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::spawn(move || server.run().expect("serve"));
-    (GeaClient::connect(addr).expect("connect"), handle)
-}
 
 fn config(cache_bytes: usize) -> ServerConfig {
     ServerConfig {
@@ -83,8 +76,8 @@ fn random_command(rng: &mut SmallRng, iter: usize, step: usize, live: &mut Vec<S
 
 #[test]
 fn cache_is_transparent_over_randomized_interleavings() {
-    let (mut cached, cached_handle) = spawn(config(8 * 1024 * 1024));
-    let (mut plain, plain_handle) = spawn(config(0));
+    let (mut cached, cached_handle) = common::serve(config(8 * 1024 * 1024));
+    let (mut plain, plain_handle) = common::serve(config(0));
 
     for client in [&mut cached, &mut plain] {
         client.expect_ok("open battery demo 11").expect("open");
@@ -131,8 +124,8 @@ fn cache_is_transparent_over_randomized_interleavings() {
         "disabled cache served a hit: {plain_stats}"
     );
 
-    cached_handle.shutdown();
-    plain_handle.shutdown();
+    cached_handle.stop();
+    plain_handle.stop();
 }
 
 /// Extract a numeric counter from a `stats` reply.
@@ -153,7 +146,7 @@ fn counter(stats: &str, key: &str) -> u64 {
 /// scope without affecting its twin.
 #[test]
 fn pristine_twin_sessions_share_cached_replies() {
-    let (mut client, handle) = spawn(config(8 * 1024 * 1024));
+    let (mut client, handle) = common::serve(config(8 * 1024 * 1024));
 
     client.expect_ok("open a demo 99").expect("open a");
     client.expect_ok("open b demo 99").expect("open b");
@@ -211,7 +204,7 @@ fn pristine_twin_sessions_share_cached_replies() {
         "new pristine twin missed the shared entry"
     );
 
-    handle.shutdown();
+    handle.stop();
 }
 
 /// Admission is scan-resistant: a one-pass cold scan of distinct reads
@@ -224,7 +217,7 @@ fn pristine_twin_sessions_share_cached_replies() {
 /// let the same scan evict the hot entry.
 #[test]
 fn admission_is_scan_resistant() {
-    let (mut client, handle) = spawn(config(4 * 1024));
+    let (mut client, handle) = common::serve(config(4 * 1024));
     client.expect_ok("open adm demo 42").expect("open");
 
     // Prime the hot entry and prove it hits. The miss, the insert, and
@@ -286,7 +279,7 @@ fn admission_is_scan_resistant() {
         "oversized entry was not size-rejected"
     );
 
-    handle.shutdown();
+    handle.stop();
 }
 
 #[test]
@@ -296,7 +289,7 @@ fn eviction_round_trips_through_the_client() {
     // installed, so eviction is deterministic: open succeeds, the next
     // use of the name answers EEVICTED.
     cfg.session_budget = Some(1);
-    let (mut client, handle) = spawn(cfg);
+    let (mut client, handle) = common::serve(cfg);
 
     client.expect_ok("open alpha demo 42").expect("open alpha");
     let reply = client.request("tissues").expect("transport");
@@ -311,5 +304,5 @@ fn eviction_round_trips_through_the_client() {
     assert_eq!(reply.as_ref().unwrap_err().0, "ENOSESSION");
     assert!(!reply_evicted(&reply));
 
-    handle.shutdown();
+    handle.stop();
 }

@@ -6,6 +6,8 @@
 //! trip. `EEVICTED` remains only for the degraded case: a spill file
 //! that can no longer be read back.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -14,7 +16,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use gea_server::{GeaClient, Server, ServerConfig};
+use gea_server::ServerConfig;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -25,14 +27,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
-}
-
-fn spawn(config: ServerConfig) -> (GeaClient, gea_server::server::ServerHandle) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::spawn(move || server.run().expect("serve"));
-    (GeaClient::connect(addr).expect("connect"), handle)
 }
 
 fn plain_config() -> ServerConfig {
@@ -91,8 +85,8 @@ const READ_SCRIPT: &[&str] = &[
 
 #[test]
 fn spilled_sessions_restore_transparently_and_byte_identical() {
-    let (mut spilly, spill_handle) = spawn(spill_config(temp_dir("transparent")));
-    let (mut reference, ref_handle) = spawn(plain_config());
+    let (mut spilly, spill_handle) = common::serve(spill_config(temp_dir("transparent")));
+    let (mut reference, ref_handle) = common::serve(plain_config());
 
     for client in [&mut spilly, &mut reference] {
         client.expect_ok("open t demo 42").expect("open");
@@ -119,14 +113,14 @@ fn spilled_sessions_restore_transparently_and_byte_identical() {
     assert!(stat(&stats, "sessions_restored") >= 1, "{stats}");
     assert_eq!(stat(&stats, "spill_errors"), 0, "{stats}");
 
-    spill_handle.shutdown();
-    ref_handle.shutdown();
+    spill_handle.stop();
+    ref_handle.stop();
 }
 
 #[test]
 fn corrupt_spill_file_degrades_to_eevicted_without_panicking() {
     let dir = temp_dir("corrupt");
-    let (mut client, handle) = spawn(spill_config(dir.clone()));
+    let (mut client, handle) = common::serve(spill_config(dir.clone()));
 
     // The eager budget check inside `open` spills the fresh session
     // synchronously, so the snapshot is on disk when the reply returns.
@@ -162,13 +156,13 @@ fn corrupt_spill_file_degrades_to_eevicted_without_panicking() {
     client.expect_ok("open frag demo 42").expect("re-open");
     assert!(client.request("tissues").unwrap().is_ok());
 
-    handle.shutdown();
+    handle.stop();
 }
 
 #[test]
 fn save_load_round_trips_a_session_over_the_wire() {
     let dir = temp_dir("saveload");
-    let (mut client, handle) = spawn(plain_config());
+    let (mut client, handle) = common::serve(plain_config());
 
     client.expect_ok("open rt demo 42").expect("open");
     for line in WRITE_SCRIPT {
@@ -203,7 +197,7 @@ fn save_load_round_trips_a_session_over_the_wire() {
     // The divergent dataset is gone: `load` replaced, not merged.
     assert!(client.request("tagfreq F AAAAAAAAAA").unwrap().is_err());
 
-    handle.shutdown();
+    handle.stop();
 }
 
 /// `use` of a spilled name must not pay for the restore inline: it kicks
@@ -212,7 +206,7 @@ fn save_load_round_trips_a_session_over_the_wire() {
 /// touching the session.
 #[test]
 fn use_of_spilled_session_prefetches_in_the_background() {
-    let (mut client, handle) = spawn(spill_config(temp_dir("prefetch")));
+    let (mut client, handle) = common::serve(spill_config(temp_dir("prefetch")));
 
     // The 1-byte budget spills the session as soon as `open` returns.
     client.expect_ok("open p demo 42").expect("open");
@@ -243,7 +237,7 @@ fn use_of_spilled_session_prefetches_in_the_background() {
     let stats = client.expect_ok("stats").expect("stats");
     assert_eq!(stat(&stats, "spill_errors"), 0, "{stats}");
 
-    handle.shutdown();
+    handle.stop();
 }
 
 /// One randomized command, weighted toward reads with enough writes to
@@ -289,8 +283,8 @@ fn spill_battery_randomized_interleavings_stay_byte_identical() {
     const INTERLEAVINGS: usize = 25;
     const STEPS: usize = 8;
 
-    let (mut spilly, spill_handle) = spawn(spill_config(temp_dir("battery")));
-    let (mut reference, ref_handle) = spawn(plain_config());
+    let (mut spilly, spill_handle) = common::serve(spill_config(temp_dir("battery")));
+    let (mut reference, ref_handle) = common::serve(plain_config());
     for client in [&mut spilly, &mut reference] {
         client.expect_ok("open battery demo 11").expect("open");
     }
@@ -319,6 +313,6 @@ fn spill_battery_randomized_interleavings_stay_byte_identical() {
     assert!(stat(&stats, "sessions_restored") >= 1, "{stats}");
     assert_eq!(stat(&stats, "spill_errors"), 0, "{stats}");
 
-    spill_handle.shutdown();
-    ref_handle.shutdown();
+    spill_handle.stop();
+    ref_handle.stop();
 }
