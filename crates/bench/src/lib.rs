@@ -9,7 +9,6 @@
 
 pub mod baselines;
 pub mod hotpath;
-pub mod mine_backends;
 pub mod parallel;
 pub mod populate_experiment;
 pub mod router;

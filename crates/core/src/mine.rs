@@ -107,10 +107,24 @@ pub fn mine(
     miner: &Miner,
     tolerance: Option<&ToleranceVector>,
 ) -> Vec<MinedCluster> {
-    mine_groups(table, miner, tolerance)
+    materialize_groups(table, base_name, 0, mine_groups(table, miner, tolerance))
+}
+
+/// Materialize `(records, attrs)` groups as clusters numbered from `first`
+/// (zero-based), in group order — the tail every miner shares, and the
+/// per-range kernel of the sharded `mine`, whose range starts at `first`.
+pub fn materialize_groups(
+    table: &EnumTable,
+    base_name: &str,
+    first: usize,
+    groups: impl IntoIterator<Item = (Vec<usize>, Vec<usize>)>,
+) -> Vec<MinedCluster> {
+    groups
         .into_iter()
         .enumerate()
-        .map(|(i, (records, attrs))| materialize_cluster(table, base_name, i, records, attrs))
+        .map(|(off, (records, attrs))| {
+            materialize_cluster(table, base_name, first + off, records, attrs)
+        })
         .collect()
 }
 

@@ -395,11 +395,14 @@ impl Write for ByteCount {
 
 // ----- LZSS body compression ----------------------------------------------
 //
-// Dependency-free and fully deterministic: the encoder keeps a single-slot
-// table of the most recent position of every 3-byte prefix, so identical
-// input always yields identical output (a requirement — the snapshot
-// fingerprint is computed over the *stored* bytes, and re-spilling an
-// unchanged session must reproduce the same fingerprint).
+// Dependency-free and fully deterministic: the encoder keeps a fixed
+// table of `LZ_SLOTS` recent positions, indexed by a multiplicative hash of
+// the 3-byte prefix there, so identical input always yields identical
+// output (a requirement — the snapshot fingerprint is computed over the
+// *stored* bytes, and re-spilling an unchanged session must reproduce the
+// same fingerprint). A slot is only a candidate: the byte compare that
+// measures the match also rejects a colliding or never-written slot
+// (which reads as position 0), so collisions cost ratio, not correctness.
 //
 // Stream layout: `u64 LE raw_len`, then token groups. Each group is one
 // flag byte followed by up to eight tokens, LSB first; a clear bit is a
@@ -414,14 +417,20 @@ const LZ_MAX_OFFSET: usize = 65535;
 /// this bound is corruption, rejected before any allocation.
 const LZ_MAX_EXPANSION: usize = 128;
 
-fn lz_key(buf: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], 0])
+/// Match-table slots: 2^16, a 512 KiB table whatever the input.
+const LZ_SLOTS: usize = 1 << 16;
+
+/// The table slot of the 3-byte prefix at `buf[i..]` (Knuth's
+/// multiplicative hash, top 16 bits).
+fn lz_slot(buf: &[u8], i: usize) -> usize {
+    let key = u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], 0]);
+    (key.wrapping_mul(2_654_435_761) >> 16) as usize
 }
 
 fn lz_compress(raw: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(raw.len() / 2 + 16);
     put_u64(&mut out, raw.len() as u64);
-    let mut table: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    let mut table = vec![0usize; LZ_SLOTS];
     let mut i = 0;
     while i < raw.len() {
         let flag_pos = out.len();
@@ -431,32 +440,31 @@ fn lz_compress(raw: &[u8]) -> Vec<u8> {
         while bit < 8 && i < raw.len() {
             let mut emitted = false;
             if i + LZ_MIN_MATCH <= raw.len() {
-                let key = lz_key(raw, i);
-                if let Some(&prev) = table.get(&key) {
-                    let offset = i - prev;
-                    if offset <= LZ_MAX_OFFSET {
-                        let limit = (raw.len() - i).min(LZ_MAX_MATCH);
-                        let mut len = 0;
-                        while len < limit && raw[prev + len] == raw[i + len] {
-                            len += 1;
+                let slot = lz_slot(raw, i);
+                let prev = table[slot];
+                let offset = i - prev;
+                if (1..=LZ_MAX_OFFSET).contains(&offset) {
+                    let limit = (raw.len() - i).min(LZ_MAX_MATCH);
+                    let mut len = 0;
+                    while len < limit && raw[prev + len] == raw[i + len] {
+                        len += 1;
+                    }
+                    if len >= LZ_MIN_MATCH {
+                        flags |= 1 << bit;
+                        out.extend_from_slice(&(offset as u16).to_le_bytes());
+                        out.push((len - LZ_MIN_MATCH) as u8);
+                        // Refresh the table for every covered position
+                        // so long runs keep finding nearby matches.
+                        let stop = (i + len).min(raw.len().saturating_sub(LZ_MIN_MATCH - 1));
+                        for j in i..stop {
+                            table[lz_slot(raw, j)] = j;
                         }
-                        if len >= LZ_MIN_MATCH {
-                            flags |= 1 << bit;
-                            out.extend_from_slice(&(offset as u16).to_le_bytes());
-                            out.push((len - LZ_MIN_MATCH) as u8);
-                            // Refresh the table for every covered position
-                            // so long runs keep finding nearby matches.
-                            let stop = (i + len).min(raw.len().saturating_sub(LZ_MIN_MATCH - 1));
-                            for j in i..stop {
-                                table.insert(lz_key(raw, j), j);
-                            }
-                            i += len;
-                            emitted = true;
-                        }
+                        i += len;
+                        emitted = true;
                     }
                 }
                 if !emitted {
-                    table.insert(key, i);
+                    table[slot] = i;
                 }
             }
             if !emitted {
@@ -1374,6 +1382,15 @@ mod tests {
             b"no repeats here: qwertyuiop".to_vec(),
             // Overlapping match territory: run-length data.
             [b"aaaaab".as_slice(), &[b'a'; 500], b"tail".as_slice()].concat(),
+            // Over a megabyte, zero-heavy like a snapshot body (a sparse
+            // f64 matrix): far more distinct prefixes than table slots
+            // would hold without collisions, and offsets past the window.
+            (0..150_000u64)
+                .flat_map(|i| {
+                    let cell = if i % 7 == 0 { i * 2_654_435_761 } else { 0 };
+                    cell.to_le_bytes()
+                })
+                .collect(),
         ];
         for raw in &cases {
             let c1 = lz_compress(raw);

@@ -160,8 +160,8 @@ pub fn columnar_prune_range(
 /// every library's dead flag. Survivor order (ascending), the early-empty
 /// break, the implicit-zero handling for absent tags, and the
 /// rows-processed count are exactly the original mask loop's; `candidates`
-/// is cleared before use so pooled scratch buffers can be handed in
-/// dirty (`gea-exec`'s per-shard scratch pool does).
+/// is cleared before use, so a caller looping over ranges can hand the
+/// same buffer in dirty.
 pub fn columnar_prune_with(
     resolved: &[(Option<TagId>, f64, f64)],
     table: &EnumTable,

@@ -31,7 +31,7 @@ use crate::relational::{
     enum_schema, enum_to_relation, gap_schema, gap_to_relation, sumy_schema, sumy_to_relation,
     ConvertError,
 };
-use crate::sumy::{aggregate_tags, SumyTable};
+use crate::sumy::{aggregate_tag_rows, SumyRow, SumyTable};
 use crate::topgap::{tag_distribution, top_gaps, TagPlotPoint, TopGapOrder};
 
 /// Parallel-execution knobs carried by a session: how many worker threads
@@ -207,7 +207,7 @@ pub struct ControlGroups {
 /// selections the SUMY aggregations run over. Computed under `&self`, so
 /// shard-scoped front-ends (the router's scatter verbs) can evaluate any
 /// tag range of the aggregations under a shared read lock and hand the
-/// merged rows back to [`GeaSession::form_control_groups_with`].
+/// merged rows back to [`GeaSession::install_control_groups`].
 #[derive(Debug, Clone)]
 pub struct ControlGroupInputs {
     /// The three result-table names.
@@ -569,15 +569,20 @@ impl GeaSession {
             + self.fascicles.approx_bytes()
     }
 
-    /// Whether `name` is free to define: not `SAGE` and not already an
-    /// ENUM, SUMY or GAP table. Every defining operation runs this first;
-    /// it is public so executors that validate before computing
+    /// Whether `name` is free to define: not `SAGE`, not already an ENUM,
+    /// SUMY or GAP table, and not a lineage node — the last adds nothing in
+    /// a session built through these methods (every node names a table),
+    /// but a restored snapshot is taken at its word, and with it the
+    /// lineage cannot refuse a name this accepts: an install that
+    /// validates first commits whole. Every defining operation runs this
+    /// first; it is public so executors that validate before computing
     /// (`gea-exec`'s scatter seam) fail in the same order.
     pub fn check_name_free(&self, name: &str) -> Result<(), GeaError> {
         if name == "SAGE"
             || self.enums.contains_key(name)
             || self.sumys.contains_key(name)
             || self.gaps.contains_key(name)
+            || self.nodes.contains_key(name)
         {
             return Err(GeaError::NameTaken(name.to_string()));
         }
@@ -747,37 +752,24 @@ impl GeaSession {
         width_fraction: f64,
         params: &FascicleParams,
     ) -> Result<Vec<String>, GeaError> {
-        let table = self.enum_table(dataset)?.clone();
-        let tol = generate_metadata(&table, width_fraction);
-        let clusters = mine(&table, out, &Miner::Fascicles(params.clone()), Some(&tol));
-        self.install_mined_fascicles(dataset, width_fraction, params, &table, clusters)
+        let table = self.enum_table(dataset)?;
+        let tol = generate_metadata(table, width_fraction);
+        let clusters = mine(table, out, &Miner::Fascicles(params.clone()), Some(&tol));
+        self.install_mined_fascicles(dataset, width_fraction, params, clusters)
     }
 
-    /// Install the clusters of a completed `mine` pass over `table` (the
-    /// current contents of `dataset`) as fascicles: lineage nodes, the
-    /// per-fascicle ENUM/SUMY tables, and the fascicle records. Split out of
-    /// [`GeaSession::calculate_fascicles`] so parallel front-ends
-    /// (`gea-exec`) can run the mine itself on their own executor and hand
-    /// the clusters back for bookkeeping that is identical to the serial
-    /// path.
+    /// Install the clusters of a completed fascicle `mine` pass over
+    /// `dataset` under the thesis miner's historic lineage labels — the
+    /// install half of [`GeaSession::calculate_fascicles`], which parallel
+    /// front-ends (`gea-exec`) call with clusters mined on their own
+    /// executor. See [`GeaSession::install_mined_clusters`].
     pub fn install_mined_fascicles(
         &mut self,
         dataset: &str,
         width_fraction: f64,
         params: &FascicleParams,
-        table: &EnumTable,
         clusters: Vec<MinedCluster>,
     ) -> Result<Vec<String>, GeaError> {
-        let lineage_params = vec![
-            ("tissue_dataset".to_string(), dataset.to_string()),
-            (
-                "compact_attrs".to_string(),
-                params.min_compact_attrs.to_string(),
-            ),
-            ("width_fraction".to_string(), width_fraction.to_string()),
-            ("batch".to_string(), params.batch_size.to_string()),
-            ("min_size".to_string(), params.min_records.to_string()),
-        ];
         let backend_params = vec![
             (
                 "compact_attrs".to_string(),
@@ -787,26 +779,28 @@ impl GeaSession {
             ("batch".to_string(), params.batch_size.to_string()),
             ("min_size".to_string(), params.min_records.to_string()),
         ];
+        let mut lineage_params = vec![("tissue_dataset".to_string(), dataset.to_string())];
+        lineage_params.extend(backend_params.iter().cloned());
         self.install_mined_clusters(
             dataset,
             "Fascicles",
             lineage_params,
             "fascicles",
             backend_params,
-            table,
             clusters,
         )
     }
 
-    /// Backend-generic form of [`GeaSession::install_mined_fascicles`]:
-    /// the same bookkeeping (relational-schema check, lineage node, ENUM and
-    /// SUMY tables, fascicle record), parameterized over the lineage
-    /// operation label and the backend provenance recorded on each
-    /// fascicle. `gea-exec`'s backend drivers (`isa`, `simplex`) call
-    /// this directly; the Fascicles path delegates here with its historic
-    /// labels, so its lineage and tables are byte-identical to before the
-    /// backend subsystem existed.
-    #[allow(clippy::too_many_arguments)]
+    /// Install mined clusters as fascicles of `dataset`, whole or not at
+    /// all. The clusters are results — ids within `dataset`'s current
+    /// table, which this looks up itself — and the install runs in two
+    /// phases. First every cluster, in order, is validated: its name free
+    /// in the session and among the clusters before it, its member ENUM
+    /// (member libraries × compact tags) built from the borrowed source,
+    /// its relational schema accepted. Only then does each get its lineage
+    /// node (labelled `operation`), ENUM and SUMY tables and a fascicle
+    /// record carrying the backend provenance — so the first error is
+    /// reported with nothing installed. Returns the names in order.
     pub fn install_mined_clusters(
         &mut self,
         dataset: &str,
@@ -814,28 +808,24 @@ impl GeaSession {
         lineage_params: Vec<(String, String)>,
         backend: &str,
         backend_params: Vec<(String, String)>,
-        table: &EnumTable,
         clusters: Vec<MinedCluster>,
     ) -> Result<Vec<String>, GeaError> {
+        let table = self.enum_table(dataset)?;
         let parent = self.node(dataset).ok_or_else(|| GeaError::NotFound {
             kind: "ENUM",
             name: dataset.to_string(),
         })?;
-        let mut names = Vec::with_capacity(clusters.len());
+        let mut staged: Vec<(EnumTable, SumyTable, FascicleRecord)> =
+            Vec::with_capacity(clusters.len());
         for cluster in clusters {
             self.check_name_free(&cluster.name)?;
-            // The fascicle's ENUM identity: member libraries × compact tags.
+            if staged.iter().any(|(_, _, r)| r.name == cluster.name) {
+                return Err(GeaError::NameTaken(cluster.name));
+            }
             let members_enum = table
                 .with_libraries(&cluster.name, &cluster.libraries)
                 .select_tags(&cluster.name, &cluster.compact_tags);
             enum_schema(&members_enum)?;
-            self.record_node(
-                &cluster.name,
-                NodeKind::Fascicle,
-                operation,
-                lineage_params.clone(),
-                &[parent],
-            )?;
             let record = FascicleRecord {
                 name: cluster.name.clone(),
                 dataset: dataset.to_string(),
@@ -849,15 +839,27 @@ impl GeaSession {
                     .iter()
                     .map(|&t| table.matrix.tag_of(t))
                     .collect(),
-                sumy_name: cluster.name.clone(),
+                sumy_name: cluster.name,
                 purity: Vec::new(),
                 backend: backend.to_string(),
                 params: backend_params.clone(),
             };
-            self.enums.insert(cluster.name.clone(), members_enum);
-            self.sumys.insert(cluster.name.clone(), cluster.sumy);
-            self.fascicles.insert(cluster.name.clone(), record);
-            names.push(cluster.name);
+            staged.push((members_enum, cluster.sumy, record));
+        }
+        let mut names = Vec::with_capacity(staged.len());
+        for (members_enum, sumy, record) in staged {
+            let name = record.name.clone();
+            self.record_node(
+                &name,
+                NodeKind::Fascicle,
+                operation,
+                lineage_params.clone(),
+                &[parent],
+            )?;
+            self.enums.insert(name.clone(), members_enum);
+            self.sumys.insert(name.clone(), sumy);
+            self.fascicles.insert(name.clone(), record);
+            names.push(name);
         }
         Ok(names)
     }
@@ -875,31 +877,34 @@ impl GeaSession {
         sumy: &str,
         dataset: &str,
     ) -> Result<usize, GeaError> {
-        self.populate_from_sumy_with(name, sumy, dataset, |s, t| {
-            crate::populate::populate_columnar(s, t).0
-        })
+        self.check_name_free(name)?;
+        let (hits, _) =
+            crate::populate::populate_columnar(self.sumy(sumy)?, self.enum_table(dataset)?);
+        self.install_populate(name, sumy, dataset, &hits)
     }
 
-    /// [`GeaSession::populate_from_sumy`] with a pluggable evaluation of
-    /// the populate operator, so `gea-exec` can route the scan through its
-    /// sharded drivers. The callback must return exactly the hit list
-    /// [`crate::populate::populate_scan`] returns (the columnar pruning
-    /// kernel and the sharded drivers all do — same predicate, same
-    /// ascending order) — the bookkeeping (relational-schema check,
-    /// lineage, naming) is shared, so results are identical by
-    /// construction whenever the hits are.
-    pub fn populate_from_sumy_with(
+    /// Install a completed `populate`: `hits` is the qualification's result
+    /// — the libraries of `dataset` satisfying `sumy`, ascending, exactly
+    /// what [`crate::populate::populate_scan`] returns (the columnar kernel
+    /// and `gea-exec`'s sharded drivers all do). Looks both tables up
+    /// itself, materializes the ENUM and does the bookkeeping
+    /// (relational-schema check, lineage, naming), so every executor's
+    /// result is identical by construction whenever the hits are. Returns
+    /// the number of libraries installed.
+    pub fn install_populate(
         &mut self,
         name: &str,
         sumy: &str,
         dataset: &str,
-        populate_fn: impl FnOnce(&SumyTable, &EnumTable) -> Vec<LibraryId>,
+        hits: &[LibraryId],
     ) -> Result<usize, GeaError> {
         self.check_name_free(name)?;
-        let sumy_table = self.sumy(sumy)?.clone();
-        let table = self.enum_table(dataset)?.clone();
-        let libs = populate_fn(&sumy_table, &table);
-        let result = crate::populate::materialize_populate(name, &sumy_table, &table, &libs);
+        let result = crate::populate::materialize_populate(
+            name,
+            self.sumy(sumy)?,
+            self.enum_table(dataset)?,
+            hits,
+        );
         if result.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("populate({sumy}, {dataset})")));
         }
@@ -913,9 +918,9 @@ impl GeaSession {
             ("dataset".to_string(), dataset.to_string()),
         ];
         self.record_node(name, NodeKind::Enum, "populate", params, &parents)?;
-        let hits = result.n_libraries();
+        let n_libraries = result.n_libraries();
         self.enums.insert(name.to_string(), result);
-        Ok(hits)
+        Ok(n_libraries)
     }
 
     // ----- purity and control groups (§4.3.1.2 steps 4–5) ------------------
@@ -932,8 +937,7 @@ impl GeaSession {
     /// The Figure 4.8 purity check: which properties all member libraries
     /// share. The result is remembered on the fascicle record.
     pub fn purity_check(&mut self, fascicle: &str) -> Result<Vec<LibraryProperty>, GeaError> {
-        let table = self.enum_table(fascicle)?.clone();
-        let purity = table.pure_properties();
+        let purity = self.enum_table(fascicle)?.pure_properties();
         let record = self.fascicles.get_mut(fascicle).ok_or(GeaError::NotFound {
             kind: "fascicle",
             name: fascicle.to_string(),
@@ -951,7 +955,11 @@ impl GeaSession {
         fascicle: &str,
         property: LibraryProperty,
     ) -> Result<ControlGroups, GeaError> {
-        self.form_control_groups_with(fascicle, property, aggregate_tags)
+        let inputs = self.control_group_inputs(fascicle, property)?;
+        // SUMY tables over the compact tags only.
+        let rows = [&inputs.in_members, &inputs.outside, &inputs.contrast]
+            .map(|table| aggregate_tag_rows(&table.matrix, &inputs.compact_ids));
+        self.commit_control_groups(fascicle, property, inputs, rows)
     }
 
     /// Compute the side-effect-free inputs of the `formSUM` macro operation:
@@ -1021,54 +1029,59 @@ impl GeaSession {
         })
     }
 
-    /// [`GeaSession::form_control_groups`] with a pluggable aggregator.
-    /// The serial path passes [`aggregate_tags`]; `gea-exec` passes its
-    /// sharded equivalent (byte-identical output, parallel evaluation).
-    /// The aggregator sees `(table name, matrix, compact tag ids)` exactly
-    /// as `aggregate_tags` would.
-    pub fn form_control_groups_with(
+    /// Install a completed `formSUM`: `rows` are the aggregation's results
+    /// — the in-fascicle, outside and contrast SUMY rows over the
+    /// fascicle's compact tags, in that order, as
+    /// [`GeaSession::form_control_groups`] computes them from
+    /// [`GeaSession::control_group_inputs`] (`gea-exec` computes them
+    /// shard by shard). Re-validates and re-selects against the session as
+    /// it now is, then installs the three SUMY tables and the two ENUMs.
+    pub fn install_control_groups(
         &mut self,
         fascicle: &str,
         property: LibraryProperty,
-        mut aggregate: impl FnMut(
-            &str,
-            &gea_sage::ExpressionMatrix,
-            &[gea_sage::tag::TagId],
-        ) -> SumyTable,
+        rows: [Vec<SumyRow>; 3],
+    ) -> Result<ControlGroups, GeaError> {
+        let inputs = self.control_group_inputs(fascicle, property)?;
+        self.commit_control_groups(fascicle, property, inputs, rows)
+    }
+
+    /// The commit half of `formSUM`. `inputs` were validated by
+    /// [`GeaSession::control_group_inputs`] against this very state — the
+    /// fascicle is recorded, the three (distinct) names are free — so no
+    /// node is refused and the commit is whole.
+    fn commit_control_groups(
+        &mut self,
+        fascicle: &str,
+        property: LibraryProperty,
+        inputs: ControlGroupInputs,
+        rows: [Vec<SumyRow>; 3],
     ) -> Result<ControlGroups, GeaError> {
         let ControlGroupInputs {
             names,
-            compact_ids,
-            in_members,
             outside,
             contrast,
-        } = self.control_group_inputs(fascicle, property)?;
-
-        // SUMY tables over the compact tags only.
-        let sumy_in = aggregate(&names.in_fascicle, &in_members.matrix, &compact_ids);
-        let sumy_out = aggregate(&names.outside_fascicle, &outside.matrix, &compact_ids);
-        let sumy_contrast = aggregate(&names.contrast, &contrast.matrix, &compact_ids);
-
+            ..
+        } = inputs;
         let parent = self.node(fascicle).expect("fascicle recorded");
-        for (sumy, enum_table) in [
-            (&sumy_in, None),
-            (&sumy_out, Some(&outside)),
-            (&sumy_contrast, Some(&contrast)),
-        ] {
+        let sumy_names = [&names.in_fascicle, &names.outside_fascicle, &names.contrast];
+        let sumys: Vec<SumyTable> = sumy_names
+            .into_iter()
+            .zip(rows)
+            .map(|(name, rows)| SumyTable::new(name, rows))
+            .collect();
+        for sumy in sumys {
             self.record_node(
-                &sumy.name.clone(),
+                &sumy.name,
                 NodeKind::Sumy,
                 "aggregate",
                 vec![("property".to_string(), property.to_string())],
                 &[parent],
             )?;
-            if let Some(t) = enum_table {
-                self.enums.insert(t.name.clone(), (*t).clone());
-            }
+            self.sumys.insert(sumy.name.clone(), sumy);
         }
-        self.sumys.insert(sumy_in.name.clone(), sumy_in);
-        self.sumys.insert(sumy_out.name.clone(), sumy_out);
-        self.sumys.insert(sumy_contrast.name.clone(), sumy_contrast);
+        self.enums.insert(outside.name.clone(), outside);
+        self.enums.insert(contrast.name.clone(), contrast);
         Ok(names)
     }
 
@@ -1539,6 +1552,39 @@ mod tests {
         ));
         assert!(s.populate_from_sumy("Q", "ghost", "Ebrain").is_err());
         assert!(s.populate_from_sumy("Q", &f, "ghost").is_err());
+    }
+
+    #[test]
+    fn a_refused_mine_install_commits_nothing() {
+        let (mut s, _) = session();
+        s.create_tissue_dataset("Ebrain", &TissueType::Brain)
+            .unwrap();
+        // `x_3` is a table; `y_2` is only a lineage node, as a hand-made
+        // snapshot could restore one.
+        s.create_tissue_dataset("x_3", &TissueType::Brain).unwrap();
+        s.record_node("y_2", NodeKind::Enum, "stray", Vec::new(), &[])
+            .unwrap();
+        let before = (s.lineage().len(), s.enum_tables().len());
+        for (base, taken) in [("x", "x_3"), ("y", "y_2")] {
+            let table = s.enum_table("Ebrain").unwrap();
+            let clusters = crate::mine::materialize_groups(
+                table,
+                base,
+                0,
+                vec![(vec![0, 1], vec![0, 1, 2]); 3],
+            );
+            let refused = s.install_mined_clusters(
+                "Ebrain",
+                "Test",
+                Vec::new(),
+                "test",
+                Vec::new(),
+                clusters,
+            );
+            assert!(matches!(refused, Err(GeaError::NameTaken(n)) if n == taken));
+            assert_eq!((s.lineage().len(), s.enum_tables().len()), before);
+            assert!(s.fascicle_names().is_empty() && s.sumy_tables().is_empty());
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use gea_cluster::ToleranceVector;
-use gea_core::mine::{materialize_cluster, mine_groups, MinedCluster, Miner};
-use gea_core::populate::{columnar_prune_with, resolve_conditions, PopulateStats};
+use gea_core::mine::{materialize_groups, mine_groups, MinedCluster, Miner};
+use gea_core::populate::{columnar_prune_range, resolve_conditions, PopulateStats};
 use gea_core::sumy::{aggregate_rows_range_with, aggregate_tag_rows_with, SumyRow, SumyTable};
 use gea_core::{EnumTable, ExecConfig};
 use gea_mine::isa::{converge_seed, dedupe_modules, IsaModule, IsaParams, IsaScores};
@@ -30,7 +30,6 @@ use gea_sage::tag::TagId;
 use gea_sage::ExpressionMatrix;
 
 use crate::pool::run_jobs;
-use crate::scratch::ScratchPool;
 use crate::shard::ShardPlan;
 use crate::ExecStats;
 
@@ -195,12 +194,10 @@ pub(crate) fn tag_rows_sharded(
 }
 
 /// A `populate` qualification ready to prune library ranges: the SUMY's
-/// conditions resolved once against the table's universe, plus candidate
-/// buffers kept warm across ranges.
+/// conditions resolved once against the table's universe.
 pub(crate) struct PopulateScan<'a> {
     table: &'a EnumTable,
     conditions: Vec<(Option<TagId>, f64, f64)>,
-    scratch: ScratchPool<Vec<u32>>,
 }
 
 impl<'a> PopulateScan<'a> {
@@ -208,7 +205,6 @@ impl<'a> PopulateScan<'a> {
         PopulateScan {
             table,
             conditions: resolve_conditions(sumy, table),
-            scratch: ScratchPool::new(),
         }
     }
 
@@ -219,15 +215,7 @@ impl<'a> PopulateScan<'a> {
     /// Prune the library range `[lo, hi)` with the serial columnar kernel:
     /// the surviving libraries (ascending) and the condition rows read.
     pub(crate) fn prune(&self, lo: usize, hi: usize) -> (Vec<LibraryId>, usize) {
-        let mut candidates = self.scratch.take();
-        let rows_processed =
-            columnar_prune_with(&self.conditions, self.table, lo, hi, &mut candidates);
-        let hits = candidates
-            .iter()
-            .map(|&l| LibraryId((lo + l as usize) as u32))
-            .collect();
-        self.scratch.put(candidates);
-        (hits, rows_processed)
+        columnar_prune_range(&self.conditions, self.table, lo, hi)
     }
 }
 
@@ -261,24 +249,6 @@ pub fn populate_columnar_sharded(
         ..PopulateStats::default()
     };
     (hits, stats, exec)
-}
-
-/// Materialize `(libraries, tags)` groups as clusters numbered from
-/// `first`, in group order — the per-range kernel of `mine`, and the tail
-/// of the miners whose search is not range-shaped.
-pub(crate) fn materialize_groups(
-    table: &EnumTable,
-    base_name: &str,
-    first: usize,
-    groups: impl IntoIterator<Item = (Vec<usize>, Vec<usize>)>,
-) -> Vec<MinedCluster> {
-    groups
-        .into_iter()
-        .enumerate()
-        .map(|(off, (records, attrs))| {
-            materialize_cluster(table, base_name, first + off, records, attrs)
-        })
-        .collect()
 }
 
 /// Sharded [`gea_core::mine::mine`]: the clustering pass
@@ -323,26 +293,6 @@ pub(crate) fn isa_clusters(
     modules: Vec<Option<IsaModule>>,
 ) -> Vec<MinedCluster> {
     materialize_groups(table, base_name, 0, dedupe_modules(modules))
-}
-
-/// Sharded [`gea_mine::IsaBackend`]: the z-scored views are built once
-/// (read-only, shared), the *seed range* is partitioned, and each shard
-/// iterates its seeds with [`converge_seeds`]. Seeds never interact, so
-/// concatenating the per-shard module lists in shard order is the serial
-/// seed order; the shared `dedupe_modules` then collapses duplicates
-/// identically — byte-identical to `IsaBackend::mine`.
-pub fn isa_mine_sharded(
-    table: &EnumTable,
-    base_name: &str,
-    params: &IsaParams,
-    cfg: &ExecConfig,
-) -> (Vec<MinedCluster>, ExecStats) {
-    let scores = IsaScores::build(table);
-    let plan = ShardPlan::new(params.seeds, cfg.shards);
-    let (shards, stats) = run_sharded(cfg, &plan, |_, lo, hi| {
-        converge_seeds(&scores, params, lo, hi)
-    });
-    (isa_clusters(table, base_name, merge_shards(shards)), stats)
 }
 
 /// Sharded [`gea_mine::SimplexBackend`]: medoid initialization and updates

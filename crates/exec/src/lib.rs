@@ -36,17 +36,15 @@
 pub mod drivers;
 pub mod pool;
 pub mod scatter;
-pub mod scratch;
 pub mod shard;
 
 pub use drivers::{
-    aggregate_sharded, aggregate_tags_sharded, isa_mine_sharded, merge_shards, mine_sharded,
+    aggregate_sharded, aggregate_tags_sharded, merge_shards, mine_sharded,
     populate_columnar_sharded, simplex_mine_sharded,
 };
 pub use gea_core::session::{ExecConfig, ExecEvent};
 pub use pool::run_jobs;
-pub use scatter::{mine_with_backend_sharded, Partial, Prepared, ScatterOp};
-pub use scratch::ScratchPool;
+pub use scatter::{mine_simplex_sharded, Partial, Prepared, ScatterOp};
 pub use shard::ShardPlan;
 
 /// Wall/busy accounting for one sharded execution. `busy_us` sums the

@@ -13,8 +13,10 @@
 //! 2. [`Prepared::partial`] runs the *serial* per-item kernel over one
 //!    plan range and returns that range's [`Partial`];
 //! 3. [`install`] concatenates the partials in shard order (shard order
-//!    is serial order) and hands the result to the session method that
-//!    does the bookkeeping (lineage, relational tables, naming).
+//!    is serial order) and hands the result, as plain data, to the
+//!    session's install method, which looks its own inputs up, validates
+//!    everything and only then commits (lineage, tables, naming) — so a
+//!    refused install leaves nothing behind.
 //!
 //! [`run`] is the in-process executor: step 2 fans out over the session's
 //! pool. `gea-server`'s `xpart` verb is steps 1–2 for the one range a
@@ -24,21 +26,19 @@
 //! produce the same bytes, the same lineage and the same errors in the
 //! same order.
 
-use std::collections::VecDeque;
-
-use gea_cluster::FascicleParams;
-use gea_core::mine::{generate_metadata, mine_groups, MinedCluster, Miner};
+use gea_core::mine::{generate_metadata, materialize_groups, mine_groups, MinedCluster, Miner};
 use gea_core::session::{ControlGroupInputs, GeaError, GeaSession};
-use gea_core::sumy::{aggregate_tag_rows_with, SumyRow, SumyTable};
+use gea_core::sumy::{aggregate_tag_rows, SumyRow};
 use gea_core::{EnumTable, ExecConfig};
 use gea_mine::isa::{IsaModule, IsaParams, IsaScores};
 use gea_mine::simplex::SimplexParams;
-use gea_mine::{IsaBackend, MineBackend, ResolvedParams, SimplexBackend, WIDTH_FRACTION};
+use gea_mine::{
+    fascicle_params, IsaBackend, MineBackend, ResolvedParams, SimplexBackend, WIDTH_FRACTION,
+};
 use gea_sage::library::{LibraryId, LibraryProperty};
 
 use crate::drivers::{
-    converge_seeds, isa_clusters, materialize_groups, run_sharded, simplex_mine_sharded,
-    tag_rows_sharded, PopulateScan,
+    converge_seeds, isa_clusters, run_sharded, simplex_mine_sharded, tag_rows_sharded, PopulateScan,
 };
 use crate::shard::ShardPlan;
 use crate::ExecStats;
@@ -95,21 +95,6 @@ impl ScatterOp {
             ScatterOp::Fascicles { .. } | ScatterOp::Isa { .. } => "mine",
             ScatterOp::Populate { .. } => "populate",
             ScatterOp::Groups { .. } => "aggregate",
-        }
-    }
-
-    /// The one place a `mine`'s `<k%> <min> <batch>` become the miner's
-    /// parameters: the compact floor is `n_tags × k% / 100`.
-    fn fascicle_params(
-        n_tags: usize,
-        k_pct: usize,
-        min_records: usize,
-        batch: usize,
-    ) -> FascicleParams {
-        FascicleParams {
-            min_compact_attrs: n_tags * k_pct / 100,
-            min_records,
-            batch_size: batch,
         }
     }
 }
@@ -193,7 +178,7 @@ pub fn prepare<'a>(session: &'a GeaSession, op: &'a ScatterOp) -> Result<Prepare
         } => {
             let table = session.enum_table(dataset)?;
             let tolerance = generate_metadata(table, WIDTH_FRACTION);
-            let params = ScatterOp::fascicle_params(table.n_tags(), *k_pct, *min_records, *batch);
+            let params = fascicle_params(table.n_tags(), *k_pct, *min_records, *batch);
             Kind::Clusters {
                 table,
                 base_name: out,
@@ -256,13 +241,10 @@ impl Prepared<'_> {
                 Partial::Modules(converge_seeds(scores, params, lo, hi))
             }
             Kind::Populate(scan) => Partial::Hits(scan.prune(lo, hi).0),
-            Kind::Groups(inputs) => Partial::Rows3(group_tables(inputs).map(|table| {
-                let mut rows = Vec::with_capacity(hi - lo);
-                aggregate_tag_rows_with(&table.matrix, &inputs.compact_ids[lo..hi], &mut |row| {
-                    rows.push(row)
-                });
-                rows
-            })),
+            Kind::Groups(inputs) => Partial::Rows3(
+                group_tables(inputs)
+                    .map(|table| aggregate_tag_rows(&table.matrix, &inputs.compact_ids[lo..hi])),
+            ),
         }
     }
 
@@ -290,11 +272,11 @@ impl Prepared<'_> {
     }
 }
 
-/// Merge `parts` (one per shard, in shard order) and install the result
-/// through the session method that owns the bookkeeping. Returns the names
-/// of the tables created, in creation order: the fascicles of a `mine`,
-/// the ENUM of a `populate`, the in-fascicle / outside / contrast SUMYs of
-/// a `groups`.
+/// Merge `parts` (one per shard, in shard order) and hand the result to
+/// the session's install method for `op`, which commits whole or not at
+/// all. Returns the names of the tables created, in creation order: the
+/// fascicles of a `mine`, the ENUM of a `populate`, the in-fascicle /
+/// outside / contrast SUMYs of a `groups`.
 ///
 /// # Panics
 ///
@@ -317,9 +299,9 @@ pub fn install(
             },
             Some(Partial::Clusters(clusters)),
         ) => {
-            let table = session.enum_table(dataset)?.clone();
-            let params = ScatterOp::fascicle_params(table.n_tags(), *k_pct, *min_records, *batch);
-            session.install_mined_fascicles(dataset, WIDTH_FRACTION, &params, &table, clusters)
+            let n_tags = session.enum_table(dataset)?.n_tags();
+            let params = fascicle_params(n_tags, *k_pct, *min_records, *batch);
+            session.install_mined_fascicles(dataset, WIDTH_FRACTION, &params, clusters)
         }
         (
             ScatterOp::Isa {
@@ -329,17 +311,8 @@ pub fn install(
             },
             Some(Partial::Modules(modules)),
         ) => {
-            let table = session.enum_table(dataset)?.clone();
-            let clusters = isa_clusters(&table, out, modules);
-            install_backend_clusters(
-                session,
-                dataset,
-                "ISA",
-                &IsaBackend,
-                params,
-                &table,
-                clusters,
-            )
+            let clusters = isa_clusters(session.enum_table(dataset)?, out, modules);
+            install_backend_clusters(session, dataset, "ISA", &IsaBackend, params, clusters)
         }
         (
             ScatterOp::Populate {
@@ -349,16 +322,11 @@ pub fn install(
             },
             Some(Partial::Hits(hits)),
         ) => {
-            session.populate_from_sumy_with(name, sumy, dataset, |_, _| hits)?;
+            session.install_populate(name, sumy, dataset, &hits)?;
             Ok(vec![name.clone()])
         }
         (ScatterOp::Groups { fascicle, property }, Some(Partial::Rows3(rows))) => {
-            // The session aggregates in-fascicle, outside, contrast: the
-            // order the partials carry their rows in.
-            let mut rows = VecDeque::from(rows);
-            let groups = session.form_control_groups_with(fascicle, *property, |name, _, _| {
-                SumyTable::new(name, rows.pop_front().expect("three aggregator calls"))
-            })?;
+            let groups = session.install_control_groups(fascicle, *property, rows)?;
             Ok(vec![
                 groups.in_fascicle,
                 groups.outside_fascicle,
@@ -380,31 +348,33 @@ pub fn run(session: &mut GeaSession, op: &ScatterOp) -> Result<Vec<String>, GeaE
     install(session, op, parts)
 }
 
-/// Run a registry [`MineBackend`] that does not scatter — `simplex`,
-/// whose parallelism is a per-round assignment step rather than
-/// independent ranges — over `dataset` through its sharded driver, and
-/// install the clusters. (`isa` is [`ScatterOp::Isa`]; `fascicles` is
-/// [`ScatterOp::Fascicles`].)
-pub fn mine_with_backend_sharded(
+/// `mine <dataset> <out> with simplex …`, the one registry backend that
+/// does not scatter — its parallelism is a per-round assignment step
+/// rather than independent ranges — mined whole through its sharded
+/// driver, then installed. `params` are resolved against
+/// [`SimplexBackend`]'s schema. (`isa` is [`ScatterOp::Isa`]; `fascicles`
+/// is [`ScatterOp::Fascicles`].)
+pub fn mine_simplex_sharded(
     session: &mut GeaSession,
     dataset: &str,
     out: &str,
-    backend: &dyn MineBackend,
     params: &ResolvedParams,
 ) -> Result<Vec<String>, GeaError> {
-    if backend.name() != SimplexBackend.name() {
-        return Err(GeaError::NotFound {
-            kind: "mining backend",
-            name: backend.name().to_string(),
-        });
-    }
     let cfg = session.exec_config();
-    let table = session.enum_table(dataset)?.clone();
-    let (clusters, stats) =
-        simplex_mine_sharded(&table, out, &SimplexParams::from_resolved(params), &cfg);
+    let (clusters, stats) = simplex_mine_sharded(
+        session.enum_table(dataset)?,
+        out,
+        &SimplexParams::from_resolved(params),
+        &cfg,
+    );
     session.note_exec(stats.event("mine"));
     install_backend_clusters(
-        session, dataset, "Simplex", backend, params, &table, clusters,
+        session,
+        dataset,
+        "Simplex",
+        &SimplexBackend,
+        params,
+        clusters,
     )
 }
 
@@ -418,7 +388,6 @@ fn install_backend_clusters(
     operation: &str,
     backend: &dyn MineBackend,
     params: &ResolvedParams,
-    table: &EnumTable,
     clusters: Vec<MinedCluster>,
 ) -> Result<Vec<String>, GeaError> {
     let mut lineage_params = vec![("tissue_dataset".to_string(), dataset.to_string())];
@@ -429,7 +398,6 @@ fn install_backend_clusters(
         lineage_params,
         backend.name(),
         params.to_strings(),
-        table,
         clusters,
     )
 }
@@ -437,16 +405,20 @@ fn install_backend_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gea_core::sumy::aggregate_tags;
-    use gea_mine::ParamValue;
+    use gea_core::sumy::{aggregate_tags, SumyTable};
+    use gea_mine::{MineInput, ParamValue};
     use gea_sage::clean::CleaningConfig;
     use gea_sage::generate::{generate, GeneratorConfig};
     use gea_sage::TissueType;
 
+    /// Demo seed 42 with the brain data set `E` — and a second data set
+    /// squatting on `m_2`, the name an ISA mine under base name `m` wants
+    /// for its second cluster.
     fn brain_session() -> GeaSession {
         let (corpus, _) = generate(&GeneratorConfig::demo(42));
         let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
         s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        s.create_tissue_dataset("m_2", &TissueType::Brain).unwrap();
         s
     }
 
@@ -460,16 +432,21 @@ mod tests {
         }
     }
 
-    fn isa_op(out: &str) -> ScatterOp {
+    fn isa_params() -> ResolvedParams {
         let given = vec![
             ("seeds".to_string(), ParamValue::UInt(6)),
             ("t_tags".to_string(), ParamValue::Float(0.8)),
             ("t_libs".to_string(), ParamValue::Float(0.8)),
         ];
+        gea_mine::resolve_params(IsaBackend.params(), &given).unwrap()
+    }
+
+    /// On demo seed 42 this ISA mine finds five clusters.
+    fn isa_op(out: &str) -> ScatterOp {
         ScatterOp::Isa {
             dataset: "E".into(),
             out: out.into(),
-            params: gea_mine::resolve_params(IsaBackend.params(), &given).unwrap(),
+            params: isa_params(),
         }
     }
 
@@ -506,7 +483,10 @@ mod tests {
                 sumy: "a_1CancerFasTbl".into(),
                 dataset: "E".into(),
             },
+            // Refused at its second cluster (`m_2` is taken), then retried
+            // under a free base name.
             isa_op("m"),
+            isa_op("n"),
             // Error paths: taken names and missing inputs.
             mine_op("a"),
             ScatterOp::Populate {
@@ -526,12 +506,37 @@ mod tests {
         ]
     }
 
+    /// Everything an install can leave behind.
+    fn footprint(s: &GeaSession) -> (usize, Vec<String>, Vec<String>, Vec<String>) {
+        let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect();
+        (
+            s.lineage().len(),
+            owned(s.relation_names()),
+            owned(s.fascicle_names()),
+            owned(s.enum_tables().keys().map(String::as_str).collect()),
+        )
+    }
+
+    /// `exec`'s reply to `op`; a refusal must leave the session as it was.
+    fn reply(
+        session: &mut GeaSession,
+        op: &ScatterOp,
+        exec: impl FnOnce(&mut GeaSession, &ScatterOp) -> Result<Vec<String>, GeaError>,
+    ) -> String {
+        let before = footprint(session);
+        let reply = exec(session, op);
+        if reply.is_err() {
+            assert_eq!(footprint(session), before, "refused {op:?} left tables");
+        }
+        format!("{reply:?}")
+    }
+
     #[test]
     fn pool_and_scattered_paths_agree_with_the_serial_session() {
         // The serial reference: the session's own macro operations.
         let mut serial = brain_session();
         let n_tags = serial.enum_table("E").unwrap().n_tags();
-        let params = ScatterOp::fascicle_params(n_tags, 50, 3, 6);
+        let params = fascicle_params(n_tags, 50, 3, 6);
         let names = serial
             .calculate_fascicles("E", "a", WIDTH_FRACTION, &params)
             .unwrap();
@@ -542,6 +547,21 @@ mod tests {
         serial
             .populate_from_sumy("P", &groups.in_fascicle, "E")
             .unwrap();
+        // `mine … with isa`, serially: the backend's own `mine`, installed
+        // the way every executor installs it.
+        let isa_serially = |s: &mut GeaSession, op: &ScatterOp| {
+            let ScatterOp::Isa { out, params, .. } = op else {
+                panic!("{op:?} is not an isa mine");
+            };
+            let clusters = IsaBackend.mine(&MineInput {
+                table: s.enum_table("E")?,
+                base_name: out,
+                params,
+            });
+            install_backend_clusters(s, "E", "ISA", &IsaBackend, params, clusters)
+        };
+        let refused = reply(&mut serial, &isa_op("m"), isa_serially);
+        let retried = reply(&mut serial, &isa_op("n"), isa_serially);
 
         let mut reference: Option<(Vec<String>, String)> = None;
         for (shards, threads) in [(1, 1), (3, 4)] {
@@ -549,18 +569,23 @@ mod tests {
             pooled.set_exec_config(ExecConfig { threads, shards });
             let replies: Vec<String> = script()
                 .iter()
-                .map(|op| format!("{:?}", run(&mut pooled, op)))
+                .map(|op| reply(&mut pooled, op, run))
                 .collect();
-            for name in ["a_1", &groups.in_fascicle, &groups.contrast] {
+            for name in ["a_1", "n_1", "n_5", &groups.in_fascicle, &groups.contrast] {
                 assert_eq!(pooled.sumy(name).unwrap(), serial.sumy(name).unwrap());
             }
-            assert_eq!(
-                pooled.enum_table("P").unwrap(),
-                serial.enum_table("P").unwrap()
-            );
+            for name in ["P", "n_1", "n_5"] {
+                assert_eq!(
+                    pooled.enum_table(name).unwrap(),
+                    serial.enum_table(name).unwrap()
+                );
+            }
             let ops: Vec<&str> = pooled.drain_exec_events().iter().map(|e| e.op).collect();
             // One event per op that got past `prepare`.
-            assert_eq!(ops, ["mine", "aggregate", "populate", "mine", "mine"]);
+            assert_eq!(
+                ops,
+                ["mine", "aggregate", "populate", "mine", "mine", "mine"]
+            );
             let lineage = pooled.lineage().render_tree();
             let (want_replies, want_lineage) =
                 reference.get_or_insert((replies.clone(), lineage.clone()));
@@ -568,10 +593,19 @@ mod tests {
             assert_eq!(&lineage, want_lineage, "shards={shards} threads={threads}");
         }
         let (want_replies, want_lineage) = reference.unwrap();
-        assert!(want_replies[4].contains("NameTaken"), "{want_replies:?}");
+        // A refused `mine` leaves nothing behind — not even the cluster
+        // that came before the one refused — and the retry installs all.
+        assert_eq!(want_replies[3], "Err(NameTaken(\"m_2\"))");
+        assert_eq!(
+            want_replies[4],
+            "Ok([\"n_1\", \"n_2\", \"n_3\", \"n_4\", \"n_5\"])"
+        );
+        assert_eq!([&refused, &retried], [&want_replies[3], &want_replies[4]]);
+        assert_eq!(serial.lineage().render_tree(), want_lineage);
         assert!(want_replies[5].contains("NameTaken"), "{want_replies:?}");
-        assert!(want_replies[6].contains("nosuchE"), "{want_replies:?}");
-        assert!(want_replies[7].contains("NameTaken"), "{want_replies:?}");
+        assert!(want_replies[6].contains("NameTaken"), "{want_replies:?}");
+        assert!(want_replies[7].contains("nosuchE"), "{want_replies:?}");
+        assert!(want_replies[8].contains("NameTaken"), "{want_replies:?}");
 
         // More backends than items: the plan clamps and the surplus
         // backends contribute empty partials.
@@ -579,12 +613,28 @@ mod tests {
             let mut scattered = brain_session();
             let replies: Vec<String> = script()
                 .iter()
-                .map(|op| format!("{:?}", run_scattered(&mut scattered, op, k)))
+                .map(|op| reply(&mut scattered, op, |s, op| run_scattered(s, op, k)))
                 .collect();
             assert_eq!(replies, want_replies, "k={k}");
             assert_eq!(scattered.lineage().render_tree(), want_lineage, "k={k}");
+            assert!(matches!(
+                scattered.fascicle("m_1"),
+                Err(GeaError::NotFound { .. })
+            ));
             assert!(scattered.drain_exec_events().is_empty());
         }
+    }
+
+    #[test]
+    fn a_batch_naming_one_cluster_twice_installs_nothing() {
+        // `xapply` decodes cluster names off the wire: two partials that
+        // both carry `a_1` are one refusal, not one fascicle and an error.
+        let mut s = brain_session();
+        let op = mine_op("a");
+        let prepared = prepare(&s, &op).unwrap();
+        let part = prepared.partial(0, prepared.n_items());
+        let twice = |s: &mut GeaSession, op: &ScatterOp| install(s, op, vec![part.clone(), part]);
+        assert_eq!(reply(&mut s, &op, twice), "Err(NameTaken(\"a_1\"))");
     }
 
     #[test]

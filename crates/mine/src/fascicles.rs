@@ -1,10 +1,10 @@
 //! The thesis's Fascicles miner, wrapped as mining backend #1. The
 //! algorithm itself stays in `gea-core`/`gea-cluster`; this adapter only
 //! maps the schema (`k_pct`/`min_records`/`batch`) onto [`FascicleParams`]
-//! exactly the way the engine's bare `mine` verb always has: the compact
-//! floor is `n_tags × k_pct / 100` and the tolerance metadata uses the
-//! fixed 10 % width fraction. `mine … with fascicles` therefore desugars
-//! to the classic path with byte-identical results.
+//! through [`fascicle_params`] — the mapping the engine's bare `mine`
+//! verb uses too — and the tolerance metadata uses the fixed 10 % width
+//! fraction. `mine … with fascicles` therefore desugars to the classic
+//! path with byte-identical results.
 
 use gea_cluster::FascicleParams;
 use gea_core::mine::{generate_metadata, mine, MinedCluster, Miner};
@@ -14,6 +14,21 @@ use crate::{MineBackend, MineInput, ParamDomain, ParamSpec, ParamValue};
 /// Width fraction the engine has always used for `mine`'s tolerance
 /// metadata (thesis §4.3).
 pub const WIDTH_FRACTION: f64 = 0.10;
+
+/// The one place a `mine`'s `<k%> <min> <batch>` become the miner's
+/// parameters: the compact floor is `n_tags × k% / 100`.
+pub fn fascicle_params(
+    n_tags: usize,
+    k_pct: usize,
+    min_records: usize,
+    batch: usize,
+) -> FascicleParams {
+    FascicleParams {
+        min_compact_attrs: n_tags * k_pct / 100,
+        min_records,
+        batch_size: batch,
+    }
+}
 
 /// Backend #1: the thesis's Fascicles algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,12 +73,12 @@ impl MineBackend for FasciclesBackend {
     }
 
     fn mine(&self, input: &MineInput<'_>) -> Vec<MinedCluster> {
-        let k_pct = input.params.uint("k_pct") as usize;
-        let miner = Miner::Fascicles(FascicleParams {
-            min_compact_attrs: input.table.n_tags() * k_pct / 100,
-            min_records: input.params.uint("min_records") as usize,
-            batch_size: input.params.uint("batch") as usize,
-        });
+        let miner = Miner::Fascicles(fascicle_params(
+            input.table.n_tags(),
+            input.params.uint("k_pct") as usize,
+            input.params.uint("min_records") as usize,
+            input.params.uint("batch") as usize,
+        ));
         let tolerance = generate_metadata(input.table, WIDTH_FRACTION);
         mine(input.table, input.base_name, &miner, Some(&tolerance))
     }

@@ -37,10 +37,10 @@ pub mod simplex;
 mod fascicles;
 mod params;
 
-pub use fascicles::{FasciclesBackend, FASCICLES_PARAMS, WIDTH_FRACTION};
+pub use fascicles::{fascicle_params, FasciclesBackend, FASCICLES_PARAMS, WIDTH_FRACTION};
 pub use params::{resolve_params, ParamDomain, ParamSpec, ParamValue, ResolvedParams};
 
-use gea_core::mine::{materialize_cluster, MinedCluster};
+use gea_core::mine::{materialize_groups, MinedCluster};
 use gea_core::EnumTable;
 
 /// Everything a backend sees: the table to mine, the base name for
@@ -121,7 +121,12 @@ impl MineBackend for IsaBackend {
 
     fn mine(&self, input: &MineInput<'_>) -> Vec<MinedCluster> {
         let params = isa::IsaParams::from_resolved(input.params);
-        materialize_groups(input, isa::mine_groups(input.table, &params))
+        materialize_groups(
+            input.table,
+            input.base_name,
+            0,
+            isa::mine_groups(input.table, &params),
+        )
     }
 }
 
@@ -168,23 +173,13 @@ impl MineBackend for SimplexBackend {
 
     fn mine(&self, input: &MineInput<'_>) -> Vec<MinedCluster> {
         let params = simplex::SimplexParams::from_resolved(input.params);
-        materialize_groups(input, simplex::mine_groups(input.table, &params))
+        materialize_groups(
+            input.table,
+            input.base_name,
+            0,
+            simplex::mine_groups(input.table, &params),
+        )
     }
-}
-
-/// Materialize `(libraries, tags)` groups into named clusters, in group
-/// order — the same naming and aggregation path every miner shares.
-pub fn materialize_groups(
-    input: &MineInput<'_>,
-    groups: Vec<(Vec<usize>, Vec<usize>)>,
-) -> Vec<MinedCluster> {
-    groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, (records, attrs))| {
-            materialize_cluster(input.table, input.base_name, i, records, attrs)
-        })
-        .collect()
 }
 
 /// The static backend registry, in registration order.

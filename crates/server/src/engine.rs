@@ -478,11 +478,17 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
             params,
         } => {
             // `with isa` took the scatter seam above and the parser
-            // desugars `with fascicles` to the bare `mine`; what reaches
-            // here mines whole, through its backend's own sharded driver.
+            // desugars `with fascicles` to the bare `mine`; what is left
+            // is `simplex`, mined whole through its own sharded driver.
             let (backend, resolved) = resolve_backend(algo, params)?;
-            let names =
-                gea_exec::mine_with_backend_sharded(session, dataset, out, backend, &resolved)?;
+            if backend.name() != gea_mine::SimplexBackend.name() {
+                return Err(GeaError::NotFound {
+                    kind: "mining backend",
+                    name: algo.clone(),
+                }
+                .into());
+            }
+            let names = gea_exec::mine_simplex_sharded(session, dataset, out, &resolved)?;
             render_mined(session, &names, Some(algo))?
         }
         GqlCommand::Gap { name, sumy1, sumy2 } => {

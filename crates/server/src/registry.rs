@@ -129,10 +129,11 @@ impl EvictionPolicy {
 ///
 /// Writer preference is itself bounded: a continuous chain of queued
 /// writers would otherwise park readers until their deadline. After
-/// [`Gate::admit_every`] consecutive writer→writer handoffs made with
+/// [`READER_ADMIT_EVERY`] consecutive writer→writer handoffs made with
 /// readers waiting, the release admits the *waiting reader cohort* (a
 /// snapshot of `waiting_readers`, so late-arriving readers cannot extend
 /// the break indefinitely) before the next queued writer runs.
+#[derive(Default)]
 struct Gate {
     readers: u32,
     writer: bool,
@@ -150,28 +151,11 @@ struct Gate {
     /// nonzero, readers may enter despite queued writers (each admission
     /// or reader timeout consumes one), and queued writers hold off.
     reader_break: u32,
-    /// The starvation bound K: the reader cohort is admitted after every
-    /// K writer handoffs made over waiting readers.
-    admit_every: u32,
 }
 
-/// Default starvation bound for [`Gate::admit_every`].
-const DEFAULT_READER_ADMIT_EVERY: u32 = 4;
-
-impl Default for Gate {
-    fn default() -> Gate {
-        Gate {
-            readers: 0,
-            writer: false,
-            writer_queue: VecDeque::new(),
-            next_ticket: 0,
-            waiting_readers: 0,
-            writer_handoffs: 0,
-            reader_break: 0,
-            admit_every: DEFAULT_READER_ADMIT_EVERY,
-        }
-    }
-}
+/// The starvation bound K: the waiting reader cohort is admitted after
+/// every K consecutive writer handoffs made over parked readers.
+const READER_ADMIT_EVERY: u32 = 4;
 
 static NEXT_ENTRY_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -257,17 +241,6 @@ impl SessionEntry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .elapsed()
-    }
-
-    /// Set the reader-starvation bound K for this entry: the waiting
-    /// reader cohort is admitted after every K consecutive writer
-    /// handoffs made over parked readers (default 4; clamped to at
-    /// least 1).
-    pub fn set_reader_admit_every(&self, k: u32) {
-        self.gate
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .admit_every = k.max(1);
     }
 
     /// Whether a request currently holds the lock (either side).
@@ -473,12 +446,12 @@ impl Drop for SessionWriteGuard<'_> {
         gate.writer = false;
         // Deterministic handoff: the writer queue is served before any
         // parked reader herd — but only up to the starvation bound. After
-        // `admit_every` consecutive writer→writer handoffs made over
+        // `READER_ADMIT_EVERY` consecutive writer→writer handoffs made over
         // waiting readers, the waiting cohort is admitted first.
         let writers_waiting = !gate.writer_queue.is_empty();
         if writers_waiting && gate.waiting_readers > 0 {
             gate.writer_handoffs += 1;
-            if gate.writer_handoffs >= gate.admit_every.max(1) {
+            if gate.writer_handoffs >= READER_ADMIT_EVERY {
                 gate.writer_handoffs = 0;
                 gate.reader_break = gate.waiting_readers;
                 drop(gate);
@@ -995,25 +968,27 @@ mod tests {
 
     #[test]
     fn reader_cohort_is_admitted_after_k_writer_handoffs() {
-        // The starvation bound on writer preference: with K = 2, a chain
-        // of six queued writers must not run to completion over parked
-        // readers — after two writer→writer handoffs the waiting reader
-        // cohort is admitted, then the chain resumes.
+        // The starvation bound on writer preference: a chain of K + 4
+        // queued writers must not run to completion over parked readers —
+        // after K writer→writer handoffs the waiting reader cohort is
+        // admitted, then the chain resumes.
+        let k = READER_ADMIT_EVERY as usize;
+        let writers: Vec<String> = (1..=k + 4).map(|w| format!("w{w}")).collect();
         for round in 0..10 {
             let reg = SessionRegistry::new();
             reg.open("a", demo_session());
             let shared = reg.get("a").unwrap();
-            shared.set_reader_admit_every(2);
             let order: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
             let held = shared.write_with_deadline(Duration::from_secs(1)).unwrap();
 
             let mut threads = Vec::new();
-            for w in 1..=6 {
+            for w in &writers {
                 let entry = Arc::clone(&shared);
                 let order = Arc::clone(&order);
+                let w = w.clone();
                 threads.push(std::thread::spawn(move || {
                     let g = entry.write_with_deadline(Duration::from_secs(10)).unwrap();
-                    order.lock().unwrap().push(format!("w{w}"));
+                    order.lock().unwrap().push(w);
                     std::thread::sleep(Duration::from_millis(2));
                     drop(g);
                 }));
@@ -1035,17 +1010,21 @@ mod tests {
                 t.join().expect("waiter thread");
             }
             let order = order.lock().unwrap();
-            assert_eq!(order.len(), 8, "round {round}: {order:?}");
+            assert_eq!(order.len(), writers.len() + 2, "round {round}: {order:?}");
             // The held guard's release over parked readers is handoff #1,
-            // w1's release is handoff #2 — so the cohort runs after w1.
-            assert_eq!(order[0], "w1", "round {round}: {order:?}");
+            // w1's release is #2, … — so the cohort runs after w(K−1).
+            assert_eq!(
+                &order[..k - 1],
+                &writers[..k - 1],
+                "round {round}: {order:?}"
+            );
             assert!(
-                order[1].starts_with('r') && order[2].starts_with('r'),
-                "round {round}: reader cohort not admitted after 2 handoffs: {order:?}"
+                order[k - 1].starts_with('r') && order[k].starts_with('r'),
+                "round {round}: reader cohort not admitted after {k} handoffs: {order:?}"
             );
             assert_eq!(
-                &order[3..],
-                ["w2", "w3", "w4", "w5", "w6"],
+                &order[k + 1..],
+                &writers[k - 1..],
                 "round {round}: writer chain did not resume in order: {order:?}"
             );
         }

@@ -21,7 +21,7 @@ cargo build --release --workspace
 step "thesis-scale pipeline, serial + sharded (ignored tier-1, release)"
 # Includes thesis_scale_pipeline_sharded: the sharded executor run side
 # by side with a serial session over the identical corpus, byte-identical
-# at full scale.
+# at full scale — the isa and simplex mining backends included.
 cargo test --release --test thesis_scale -- --ignored --nocapture
 
 step "cache transparency battery (release)"
@@ -44,12 +44,6 @@ step "hot-path kernel trajectories (release) -> BENCH_aggregate.json, BENCH_popu
 # clean: definition -> census) trajectory with its bit-identity verdicts.
 cargo run --release -p gea-bench --bin hotpath -- --full --threads 4
 
-step "mining-backend comparison (release) -> BENCH_mine_backends.json"
-# Every registry backend (fascicles/isa/simplex), serial vs its sharded
-# driver on the same corpus. Exits non-zero if any backend's sharded
-# output diverges from serial.
-cargo run --release -p gea-bench --bin mine_backends -- --threads 4
-
 step "optimizer rule audit, full enumeration (release)"
 # The complete small-term enumeration over three randomized corpora on
 # the full shard/thread grid: every shipped rule byte-identical to
@@ -63,14 +57,6 @@ step "router experiment (release) -> BENCH_router.json"
 # reference. Exits non-zero on any divergence. Scatter speedups need
 # multi-core runners; the JSON records host_parallelism for that reason.
 cargo run --release -p gea-bench --bin router
-
-step "static-analysis latency (release) -> BENCH_check.json"
-# The full gea-check pass (diagnostics + abstract cost interpretation)
-# timed over every example script — the latency the server's pre-flight
-# gate and `--max-cost` budget check add to each request. Re-verifies
-# the analyzer's clean/dirty verdicts on the fixtures while timing, so
-# a broken analyzer cannot post a fast number.
-cargo run --release -p gea-bench --bin check
 
 step "archive BENCH_*.json"
 # Keep a dated copy of every emitted measurement so the perf trajectory

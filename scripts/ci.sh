@@ -86,9 +86,11 @@ cargo run --release -p gea-bench --bin router -- --smoke
 # accept loop, worker hand-off, polled read and signal handler exist in
 # front.rs only; the session keeps one copy of every table (no
 # relational catalog beside the typed tables, no CSV read back by persist);
-# and a command reaches a session one way (no batch planner, no second
-# executor, no flag or config field that would choose between two).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor)"
+# a command reaches a session one way (no batch planner, no second
+# executor, no flag or config field that would choose between two); and
+# the session's installs take results (no table cloned to be handed back,
+# no closure threaded through the bookkeeping).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"
@@ -108,7 +110,8 @@ if [ "$mode" != "quick" ]; then
     cargo test --release --test front_conformance
 
     # The #[ignore]d thesis-scale tier: the serial and sharded pipelines
-    # plus open-equals-the-definition on the 100-library corpus. Seconds
+    # (fascicles, isa and simplex mined serial vs sharded) plus
+    # open-equals-the-definition on the 100-library corpus. Seconds
     # under --release now that opening a session is tens of milliseconds;
     # still ignored in the debug workspace run above.
     step "thesis-scale pipeline, serial + sharded (release)"

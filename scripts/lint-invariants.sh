@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Invariant lints for the server/router hot paths, the session's table
-# store and the command path, run by scripts/ci.sh.
+# store, the command path and the install seam, run by scripts/ci.sh.
 #
 # 1. unwrap()/expect( ban in non-test code under crates/server/src and
 #    crates/router/src. A worker thread that panics takes its connection
@@ -37,6 +37,15 @@
 #    executor (run_plan, optimize_checked, Fused, stop_on_error), no switch
 #    between two (set_optimize, a ServerConfig `optimize` field, --no-opt or
 #    --plan in gea-cli's or gea-server's argument parser).
+#
+# 6. Installs take results. The session's install half (install_mined_*,
+#    install_populate, install_control_groups) takes what an executor
+#    computed as plain data and looks its own inputs up, so no caller
+#    clones a table to hand it back and no closure is threaded through the
+#    bookkeeping. So, in non-test code of crates/core/src/session.rs and
+#    crates/exec/src/scatter.rs: no `enum_table(..)?.clone()` or
+#    `sumy(..)?.clone()`, no `pub fn .._with(` whose signature takes an
+#    `impl Fn..`, and no `&EnumTable` in an `install_mined_` signature.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -198,6 +207,31 @@ for bin in src/bin/gea-cli.rs crates/server/src/bin/gea-server.rs; do
 done
 if [ "$(nontest_hits -F crates/server/src/optexec.rs 'pub fn run_rewritten(')" -eq 0 ]; then
     echo "lint: crates/server/src/optexec.rs no longer contains 'pub fn run_rewritten(' — the one-executor check is looking for the wrong thing" >&2
+    fail=1
+fi
+
+# Installs take results: no whole-table clone to feed a callee, no closure
+# seam, no caller-supplied copy of the table an install can look up.
+# `sig` is set from a matching `fn` line to the `{` that ends its signature.
+for file in "$session" crates/exec/src/scatter.rs; do
+    if [ "$(nontest_hits -E "$file" '(enum_table|sumy)\([^)]*\)\?\.clone\(\)')" -gt 0 ]; then
+        echo "lint: $file clones a whole table it looked up in non-test code; borrow it, or let the install look it up" >&2
+        fail=1
+    fi
+    hits="$(nontest "$file" | awk '
+        /pub fn [a-z0-9_]+_with[(<]/ { sig = "with" }
+        /fn install_mined_/ { sig = "install" }
+        sig == "with" && /impl Fn/ { n++ }
+        sig == "install" && /&EnumTable/ { n++ }
+        sig && /\{$/ { sig = "" }
+        END { print n + 0 }')"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $file has a pub fn .._with( taking a closure, or an install_mined_ signature naming &EnumTable ($hits site(s)); installs take results and look their inputs up" >&2
+        fail=1
+    fi
+done
+if [ "$(nontest_hits -F "$session" 'pub fn install_mined_clusters(')" -eq 0 ]; then
+    echo "lint: $session no longer contains 'pub fn install_mined_clusters(' — the installs-take-results check is looking for the wrong thing" >&2
     fail=1
 fi
 

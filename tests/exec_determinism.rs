@@ -10,13 +10,11 @@ use proptest::prelude::*;
 use gea::cluster::FascicleParams;
 use gea::core::mine::{generate_metadata, mine, MinedCluster, Miner};
 use gea::core::populate::{materialize_populate, populate, populate_columnar};
+use gea::core::session::GeaSession;
 use gea::core::sumy::aggregate;
 use gea::core::{EnumTable, ExecConfig};
-use gea::exec::{
-    aggregate_sharded, isa_mine_sharded, mine_sharded, populate_columnar_sharded,
-    simplex_mine_sharded,
-};
-use gea::mine::isa::IsaParams;
+use gea::exec::scatter::{self, ScatterOp};
+use gea::exec::{aggregate_sharded, mine_sharded, populate_columnar_sharded, simplex_mine_sharded};
 use gea::mine::simplex::SimplexParams;
 use gea::mine::{backend, resolve_params, MineInput, ParamValue};
 use gea::sage::corpus::library_meta;
@@ -74,6 +72,28 @@ fn clusters_identical(a: &[MinedCluster], b: &[MinedCluster]) -> bool {
                 && x.libraries == y.libraries
                 && x.compact_tags == y.compact_tags
                 && x.sumy == y.sumy
+        })
+}
+
+/// Whether the fascicles `names` of `session` are `clusters` (mined from
+/// its root data set) installed: the same names in order, each with the
+/// cluster's SUMY, its member libraries and its compact tags.
+fn installed_identical(session: &GeaSession, names: &[String], clusters: &[MinedCluster]) -> bool {
+    let root = &session.base().matrix;
+    names.len() == clusters.len()
+        && names.iter().zip(clusters).all(|(name, c)| {
+            let record = session.fascicle(name).unwrap();
+            *name == c.name
+                && session.sumy(name).unwrap() == &c.sumy
+                && record
+                    .members
+                    .iter()
+                    .eq(c.libraries.iter().map(|&l| &root.library(l).name))
+                && record
+                    .compact_tags
+                    .iter()
+                    .copied()
+                    .eq(c.compact_tags.iter().map(|&t| root.tag_of(t)))
         })
 }
 
@@ -144,8 +164,10 @@ proptest! {
         }
     }
 
-    /// The ISA backend's sharded driver (seed-range fan-out) against the
-    /// serial `MineBackend::mine`, over the full shard × thread grid.
+    /// `mine … with isa` as the product runs it — `scatter::run` over
+    /// `ScatterOp::Isa`: seed-range fan-out on the session's pool, then
+    /// the one install — against the serial `MineBackend::mine`, over the
+    /// full shard × thread grid.
     #[test]
     fn isa_sharded_is_byte_identical(
         values in matrix_values(),
@@ -162,13 +184,15 @@ proptest! {
         ];
         let resolved = resolve_params(isa.params(), &given).unwrap();
         let serial = isa.mine(&MineInput { table: &table, base_name: "m", params: &resolved });
-        let params = IsaParams::from_resolved(&resolved);
+        let op = ScatterOp::Isa { dataset: "SAGE".into(), out: "m".into(), params: resolved };
         for &(shards, threads) in GRID {
-            let (sharded, _) = isa_mine_sharded(&table, "m", &params, &exec(shards, threads));
+            let mut session = GeaSession::open_matrix(table.matrix.clone(), "random").unwrap();
+            session.set_exec_config(exec(shards, threads));
+            let installed = scatter::run(&mut session, &op);
             prop_assert!(
-                clusters_identical(&serial, &sharded),
+                installed.as_ref().is_ok_and(|names| installed_identical(&session, names, &serial)),
                 "isa diverged at shards={} threads={}: {:?} vs {:?}",
-                shards, threads, serial, sharded
+                shards, threads, serial, installed
             );
         }
     }
@@ -207,7 +231,6 @@ proptest! {
 /// produce byte-identical replies and byte-identical materialized tables.
 #[test]
 fn gql_populate_is_byte_identical_across_executors() {
-    use gea::core::session::GeaSession;
     use gea::sage::clean::CleaningConfig;
     use gea::sage::generate::{generate, GeneratorConfig};
     use gea::server::engine;

@@ -95,6 +95,31 @@ impl Transcript {
             self.send(line);
         }
     }
+
+    /// [`Self::send`], returning the frame it appended.
+    fn reply(&mut self, line: &str) -> String {
+        let at = self.text.len();
+        self.send(line);
+        self.text[at..].to_string()
+    }
+
+    /// A refused `mine` leaves nothing behind. With a data set squatting
+    /// on `w_2`, the five-cluster ISA mine under base name `w` is refused
+    /// at its second cluster — and `fascicles` must not list a `w_1`.
+    fn refused_mine_is_atomic(&mut self) {
+        self.send("dataset w_2 brain");
+        let before = self.reply("fascicles");
+        let refused = self.reply("mine E w with isa seeds=6 t_tags=0.8 t_libs=0.8");
+        assert!(
+            refused.starts_with("ERR ECONFLICT") && refused.contains("\"w_2\""),
+            "{refused}"
+        );
+        assert_eq!(
+            self.reply("fascicles"),
+            before,
+            "a refused mine left tables"
+        );
+    }
 }
 
 /// The full-pipeline script: every routing class is represented.
@@ -182,6 +207,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
     let single = spawn_backend();
     let mut reference = Transcript::connect(single.addr);
     reference.run(&script);
+    reference.refused_mine_is_atomic();
     let ref_fingerprint = snapshot_fingerprint(single.addr);
     single.stop();
 
@@ -202,6 +228,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
         assert_eq!(admin.text.matches(" up").count(), n_backends);
 
         routed.run(&script);
+        routed.refused_mine_is_atomic();
         assert_eq!(
             routed.text, reference.text,
             "wire transcript diverged over {n_backends} backend(s)"

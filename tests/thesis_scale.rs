@@ -11,7 +11,9 @@ use gea::cluster::FascicleParams;
 use gea::core::persist::corpus_fingerprint;
 use gea::core::session::GeaSession;
 use gea::core::ExecConfig;
+use gea::exec::mine_simplex_sharded;
 use gea::exec::scatter::{run, ScatterOp};
+use gea::mine::{backend, resolve_params, MineInput, ParamValue};
 use gea::sage::clean::{reference, CleaningConfig};
 use gea::sage::generate::{generate, GeneratorConfig};
 use gea::sage::library::LibraryProperty;
@@ -255,4 +257,49 @@ fn thesis_scale_pipeline_sharded() {
         serial.gap("scale_gap").unwrap(),
         sharded.gap("scale_gap").unwrap()
     );
+
+    // The registry backends at scale: what the sharded session installs
+    // for `mine … with isa` (seed-range scatter) and `… with simplex`
+    // (per-round assignment fan-out) is the serial `MineBackend::mine`
+    // over the same data set — names, SUMY definitions, members × tags.
+    let uint = |key: &str, v| (key.to_string(), ParamValue::UInt(v));
+    let float = |key: &str, v| (key.to_string(), ParamValue::Float(v));
+    for (algo, given) in [
+        (
+            "isa",
+            vec![uint("seeds", 6), float("t_tags", 0.8), float("t_libs", 0.8)],
+        ),
+        ("simplex", vec![uint("k", 3)]),
+    ] {
+        let miner = backend(algo).unwrap();
+        let params = resolve_params(miner.params(), &given).unwrap();
+        let clusters = miner.mine(&MineInput {
+            table: serial.enum_table("deepBrain").unwrap(),
+            base_name: algo,
+            params: &params,
+        });
+        assert!(!clusters.is_empty(), "{algo} found nothing at scale");
+        let installed = if algo == "isa" {
+            let op = ScatterOp::Isa {
+                dataset: "deepBrain".into(),
+                out: algo.into(),
+                params,
+            };
+            run(&mut sharded, &op)
+        } else {
+            mine_simplex_sharded(&mut sharded, "deepBrain", algo, &params)
+        };
+        let names: Vec<&str> = clusters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(installed.unwrap(), names, "{algo} names diverged");
+        for c in &clusters {
+            assert_eq!(sharded.sumy(&c.name).unwrap(), &c.sumy, "{algo}");
+            let members = sharded.enum_table(&c.name).unwrap();
+            assert_eq!(
+                (members.n_libraries(), members.n_tags()),
+                (c.libraries.len(), c.compact_tags.len()),
+                "{algo} {}",
+                c.name
+            );
+        }
+    }
 }
