@@ -9,8 +9,14 @@
 //! validated against the bytes actually remaining *before* anything is
 //! allocated for them ([`Cur::ensure_elems`]). `f64` travels as its
 //! IEEE-754 bits, so every float round-trips bit-exactly.
+//!
+//! A [`Cur`] reads a slice, or a `Source` that produces the bytes on
+//! demand (the snapshot's inflater): then the reader holds a window of
+//! them, not the whole stream, and "the bytes remaining" are the ones the
+//! stream still declares.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 
 use gea_sage::tag::Tag;
 
@@ -78,10 +84,40 @@ pub fn put_str(out: &mut impl ByteSink, s: &str) {
     out.put(s.as_bytes());
 }
 
-/// Append a `u64`-length-prefixed byte blob.
-pub fn put_blob(out: &mut impl ByteSink, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.put(bytes);
+/// Append a `u64`-length-prefixed byte blob that `write` produces, without
+/// ever holding it: one pass counts its bytes, a second streams them into
+/// `out`. (`write` runs twice and must write the same bytes both times.)
+pub fn put_blob<S: ByteSink>(
+    out: &mut S,
+    write: impl Fn(&mut dyn Write) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut len = ByteCount(0);
+    write(&mut SinkWriter(&mut len))?;
+    put_u64(out, len.0);
+    write(&mut SinkWriter(out))
+}
+
+/// A sink that only counts: the length a blob will have, ahead of its bytes.
+struct ByteCount(u64);
+
+impl ByteSink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+/// Any sink as an [`io::Write`](Write), for the encoders that write one.
+struct SinkWriter<'s, S>(&'s mut S);
+
+impl<S: ByteSink> Write for SinkWriter<'_, S> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.put(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Append a `u32` row count and then each SUMY row: tag code, tag number,
@@ -108,9 +144,10 @@ pub fn put_sumy_rows(out: &mut impl ByteSink, rows: &[SumyRow]) {
 /// Read rows written by [`put_sumy_rows`]: the count is checked against the
 /// bytes remaining before anything is allocated, tag codes against the tag
 /// range, range ends against [`Interval::new`]. `ascending` also requires
-/// strictly ascending tags — what a whole table has, and the only thing
-/// that keeps duplicates from `SumyTable::new`, which panics on them; one
-/// shard's share of a scattered aggregation is exempt.
+/// strictly ascending tags — what a whole table has, and what keeps
+/// duplicates from `SumyTable::new`, which panics on them; one shard's
+/// share of a scattered aggregation is exempt, and the table the shares
+/// merge into is built with `SumyTable::try_new`.
 pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, CodecError> {
     let n = cur.count(44, "sumy row")?;
     let mut rows: Vec<SumyRow> = Vec::with_capacity(n);
@@ -145,22 +182,79 @@ pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, Co
     Ok(rows)
 }
 
+/// A byte stream a [`Cur`] reads as it is produced. The reader owns the
+/// buffer; the source appends to it and may read back into its tail.
+pub(crate) trait Source {
+    /// How far back from the end of the buffer [`Source::fill`] reads: the
+    /// reader keeps that many bytes when it drops what it has consumed.
+    fn history(&self) -> usize;
+
+    /// Bytes the stream declares it has yet to append.
+    fn pending(&self) -> usize;
+
+    /// Append to `buf` until it holds at least `len` bytes. Only called
+    /// with `len` within [`Source::pending`]; a stream that ends short of
+    /// what it declared is an error.
+    fn fill(&mut self, buf: &mut Vec<u8>, len: usize) -> Result<(), CodecError>;
+
+    /// Everything declared has been read: fail if the encoding has bytes
+    /// left over.
+    fn finish(&self) -> Result<(), CodecError>;
+}
+
+/// How much a streaming [`Cur`] asks its source for at a time, beyond the
+/// read that ran out.
+const FILL_CHUNK: usize = 256 << 10;
+
 /// A bounds-checked little-endian reader. The `what` argument of each
 /// method names the field being read, for the error message.
 pub struct Cur<'a> {
-    buf: &'a [u8],
+    buf: Buf<'a>,
     pos: usize,
+}
+
+enum Buf<'a> {
+    Slice(&'a [u8]),
+    Stream {
+        window: Vec<u8>,
+        source: Box<dyn Source + 'a>,
+    },
 }
 
 impl<'a> Cur<'a> {
     /// Start reading at the front of `buf`.
     pub fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
+        Cur {
+            buf: Buf::Slice(buf),
+            pos: 0,
+        }
+    }
+
+    /// Read what `source` produces, holding only a window of it.
+    pub(crate) fn streaming(source: impl Source + 'a) -> Cur<'a> {
+        Cur {
+            buf: Buf::Stream {
+                window: Vec::new(),
+                source: Box::new(source),
+            },
+            pos: 0,
+        }
+    }
+
+    fn held(&self) -> &[u8] {
+        match &self.buf {
+            Buf::Slice(bytes) => bytes,
+            Buf::Stream { window, .. } => window,
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        let pending = match &self.buf {
+            Buf::Slice(_) => 0,
+            Buf::Stream { source, .. } => source.pending(),
+        };
+        self.held().len() - self.pos + pending
     }
 
     /// Whether every byte has been consumed.
@@ -168,22 +262,37 @@ impl<'a> Cur<'a> {
         self.remaining() == 0
     }
 
-    /// The unread tail, without consuming it.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
+    /// Consume exactly `n` bytes.
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&[u8], CodecError> {
+        if self.held().len() - self.pos < n {
+            self.refill(n, what)?;
+        }
+        let start = self.pos;
+        self.pos += n;
+        Ok(&self.held()[start..start + n])
     }
 
-    /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
+    /// Make `n` bytes available past `pos`, or fail without consuming
+    /// anything. A stream first drops the consumed bytes its source no
+    /// longer reads, then fills at least `n` bytes (a chunk if it can).
+    #[cold]
+    fn refill(&mut self, n: usize, what: &str) -> Result<(), CodecError> {
+        let remaining = self.remaining();
+        if remaining < n {
             return Err(CodecError(format!(
-                "truncated input: {what} needs {n} bytes, {} left",
-                self.remaining()
+                "truncated input: {what} needs {n} bytes, {remaining} left"
             )));
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        if let Buf::Stream { window, source } = &mut self.buf {
+            let cut = self.pos.min(window.len().saturating_sub(source.history()));
+            window.drain(..cut);
+            self.pos -= cut;
+            source.fill(window, self.pos + n.max(FILL_CHUNK).min(remaining))?;
+            if window.len() - self.pos < n {
+                return Err(CodecError(format!("stream ended inside {what}")));
+            }
+        }
+        Ok(())
     }
 
     /// Reject an element count that could not possibly fit in the bytes
@@ -250,23 +359,82 @@ impl<'a> Cur<'a> {
     }
 
     /// Read a `u64`-length-prefixed byte blob.
-    pub fn blob(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
-        let len = self.u64(what)?;
-        let len = usize::try_from(len)
-            .map_err(|_| CodecError(format!("{what} length {len} implausible")))?;
+    pub fn blob(&mut self, what: &str) -> Result<&[u8], CodecError> {
+        let len = self.blob_len(what)?;
         self.take(len, what)
     }
 
-    /// Require that nothing is left over.
+    /// Hand a `u64`-length-prefixed byte blob to `decode` as an
+    /// [`io::Read`](Read) that ends where the blob does, so a decoder that
+    /// reads a stream never needs the blob whole. Whatever `decode` leaves
+    /// unread is skipped.
+    pub fn blob_reader<T>(
+        &mut self,
+        what: &str,
+        decode: impl FnOnce(&mut dyn Read) -> T,
+    ) -> Result<T, CodecError> {
+        let len = self.blob_len(what)?;
+        let mut reader = BlobReader {
+            cur: self,
+            left: len,
+        };
+        let decoded = decode(&mut reader);
+        let mut left = reader.left;
+        while left > 0 {
+            let n = left.min(FILL_CHUNK);
+            self.take(n, what)?;
+            left -= n;
+        }
+        Ok(decoded)
+    }
+
+    /// A blob's `u64` length, checked against the bytes remaining.
+    fn blob_len(&mut self, what: &str) -> Result<usize, CodecError> {
+        let len = self.u64(what)?;
+        let len = usize::try_from(len)
+            .map_err(|_| CodecError(format!("{what} length {len} implausible")))?;
+        let remaining = self.remaining();
+        if len > remaining {
+            return Err(CodecError(format!(
+                "truncated input: {what} needs {len} bytes, {remaining} left"
+            )));
+        }
+        Ok(len)
+    }
+
+    /// Require that nothing is left over — of what a stream declared, and
+    /// of the encoding it was produced from.
     pub fn finish(self, what: &str) -> Result<(), CodecError> {
-        if self.done() {
-            Ok(())
-        } else {
-            Err(CodecError(format!(
+        if !self.done() {
+            return Err(CodecError(format!(
                 "{} trailing bytes after {what}",
                 self.remaining()
-            )))
+            )));
         }
+        match &self.buf {
+            Buf::Slice(_) => Ok(()),
+            Buf::Stream { source, .. } => source.finish(),
+        }
+    }
+}
+
+/// The [`io::Read`](Read) view of one blob that [`Cur::blob_reader`] hands
+/// out.
+struct BlobReader<'c, 'a> {
+    cur: &'c mut Cur<'a>,
+    left: usize,
+}
+
+impl Read for BlobReader<'_, '_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = out.len().min(self.left);
+        let bytes = self
+            .cur
+            .take(n, "blob")
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        out[..n].copy_from_slice(bytes);
+        self.left -= n;
+        Ok(n)
     }
 }
 
@@ -283,7 +451,7 @@ mod tests {
         put_f64(&mut out, -0.0);
         put_f64(&mut out, f64::NAN);
         put_str(&mut out, "uni→code");
-        put_blob(&mut out, &[1, 2, 3]);
+        put_blob(&mut out, |w| w.write_all(&[1, 2, 3])).unwrap();
         let mut cur = Cur::new(&out);
         assert_eq!(cur.u8("a").unwrap(), 7);
         assert_eq!(cur.u32("b").unwrap(), 0xdead_beef);
@@ -293,6 +461,35 @@ mod tests {
         assert_eq!(cur.string("f").unwrap(), "uni→code");
         assert_eq!(cur.blob("g").unwrap(), &[1, 2, 3]);
         cur.finish("test").unwrap();
+    }
+
+    #[test]
+    fn a_blob_reader_ends_with_its_blob_and_skips_what_is_left() {
+        let mut out = Vec::new();
+        put_blob(&mut out, |w| w.write_all(b"hello world")).unwrap();
+        put_u8(&mut out, 9);
+        let mut cur = Cur::new(&out);
+        let head = cur
+            .blob_reader("b", |r| {
+                let mut head = [0u8; 5];
+                r.read_exact(&mut head).map(|_| head)
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(&head, b"hello");
+        assert_eq!(cur.u8("after").unwrap(), 9);
+        cur.finish("test").unwrap();
+        // Reading to the end stops at the blob's, not the input's.
+        let mut cur = Cur::new(&out);
+        let mut all = Vec::new();
+        cur.blob_reader("b", |r| r.read_to_end(&mut all))
+            .unwrap()
+            .unwrap();
+        assert_eq!(all, b"hello world");
+        // A blob longer than what is left is refused before `decode` runs.
+        assert!(Cur::new(&out[..12])
+            .blob_reader("b", |_| panic!("decoded a truncated blob"))
+            .is_err());
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //! The snapshot carries an FNV-1a fingerprint over its body; truncated,
 //! bit-flipped, or version-skewed files load as
 //! [`PersistError::Malformed`], never a panic.
+//!
+//! Neither direction holds the raw (uncompressed) body, which at thesis
+//! scale is several times the stored bytes. `save` encodes every field
+//! into the LZSS compressor (`LzWriter`), which keeps a 64 KiB history
+//! and a 261-byte look-ahead and writes tokens straight into the one output
+//! buffer; `load` checks the fingerprint over the stored bytes, then reads
+//! every field through one [`Cur`] whose source is the inflater
+//! (`Inflate`). The greedy parse never looks further than that window,
+//! so the stored bytes are the ones a whole-buffer compressor writes.
 
 use std::fs;
 use std::io::Write;
@@ -33,13 +42,15 @@ use gea_relstore::csv::export_csv;
 use gea_relstore::value::DataType;
 use gea_sage::clean::CleaningReport;
 use gea_sage::io::{read_corpus_binary, write_corpus_binary};
-use gea_sage::library::{LibraryMeta, LibraryProperty, NeoplasticState, TissueSource, TissueType};
-use gea_sage::tag::TagUniverse;
+use gea_sage::library::{
+    LibraryId, LibraryMeta, LibraryProperty, NeoplasticState, TissueSource, TissueType,
+};
+use gea_sage::tag::{TagId, TagUniverse};
 use gea_sage::ExpressionMatrix;
 
 use crate::codec::{
     put_blob, put_f64, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, ByteSink,
-    CodecError, Cur,
+    CodecError, Cur, Source,
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
@@ -334,11 +345,13 @@ pub const SNAPSHOT_FILE: &str = "session.gea";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
 /// The one snapshot version written and read. The LZSS-compressed body
-/// ([`lz_compress`]) is, in order: cleaning report, corpus blob, base ENUM
+/// ([`LzWriter`]) is, in order: cleaning report, corpus blob, base ENUM
 /// table, then the counted ENUM, SUMY and GAP tables and fascicle records
 /// (each with its mining backend and resolved parameters), then the lineage
 /// text blob.
 const SNAPSHOT_VERSION: u32 = 3;
+/// Magic, version and fingerprint; the stored body follows.
+const SNAPSHOT_HEADER: usize = 16;
 /// FNV-1a 64-bit over the snapshot body — cheap, dependency-free, and more
 /// than enough to catch truncation and bit rot (this is an integrity
 /// check, not an authenticity one).
@@ -368,31 +381,6 @@ impl ByteSink for Fnv1a {
     }
 }
 
-impl Write for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.put(bytes);
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A sink that only counts: the length a blob will have, ahead of its bytes.
-struct ByteCount(u64);
-
-impl Write for ByteCount {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.0 += bytes.len() as u64;
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 // ----- LZSS body compression ----------------------------------------------
 //
 // Dependency-free and fully deterministic: the encoder keeps a fixed
@@ -408,6 +396,14 @@ impl Write for ByteCount {
 // flag byte followed by up to eight tokens, LSB first; a clear bit is a
 // literal byte, a set bit is a match of `u16 LE offset` (distance back,
 // 1..=65535) and `u8 len-3` (match length 3..=258).
+//
+// Both ends stream. The greedy parse at position `i` compares at most 258
+// bytes against a candidate at most 65 535 bytes back and, after a match,
+// refreshes the table for prefixes up to `i + 260`. So an encoder that
+// parses `i` only once 261 bytes from `i` on are known (or the input has
+// ended) makes exactly the choices one holding the whole input would, and
+// keeps nothing older than 65 535 bytes. The decoder's matches reach the
+// same 65 535 bytes back.
 
 const LZ_MIN_MATCH: usize = 3;
 const LZ_MAX_MATCH: usize = 258;
@@ -427,107 +423,233 @@ fn lz_slot(buf: &[u8], i: usize) -> usize {
     (key.wrapping_mul(2_654_435_761) >> 16) as usize
 }
 
-fn lz_compress(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() / 2 + 16);
-    put_u64(&mut out, raw.len() as u64);
-    let mut table = vec![0usize; LZ_SLOTS];
-    let mut i = 0;
-    while i < raw.len() {
-        let flag_pos = out.len();
-        out.push(0);
-        let mut flags = 0u8;
-        let mut bit = 0;
-        while bit < 8 && i < raw.len() {
-            let mut emitted = false;
-            if i + LZ_MIN_MATCH <= raw.len() {
+/// Bytes from a parse position on that must be known before it is parsed.
+const LZ_LOOKAHEAD: usize = LZ_MAX_MATCH + LZ_MIN_MATCH;
+/// The encoder parses once it holds this much raw input, then drops all
+/// but the history: one 64 KiB move per ~190 KiB encoded.
+const LZ_WINDOW: usize = 256 << 10;
+
+/// The streaming LZSS encoder: a [`ByteSink`] whose tokens go straight
+/// into the output buffer it was given, after the `u64` raw length that
+/// [`LzWriter::finish`] patches in.
+struct LzWriter {
+    out: Vec<u8>,
+    len_at: usize,
+    /// Raw input from offset `base` on: history, then unparsed bytes.
+    window: Vec<u8>,
+    base: usize,
+    /// Raw offset of the next position to parse.
+    next: usize,
+    /// Per slot, the raw offset last seen with that prefix hash.
+    table: Vec<usize>,
+    flag_at: usize,
+    /// Tokens in the open flag group; 8 when none is open.
+    bit: u8,
+}
+
+impl LzWriter {
+    fn new(mut out: Vec<u8>) -> LzWriter {
+        let len_at = out.len();
+        put_u64(&mut out, 0);
+        LzWriter {
+            out,
+            len_at,
+            window: Vec::with_capacity(LZ_WINDOW + LZ_LOOKAHEAD),
+            base: 0,
+            next: 0,
+            table: vec![0; LZ_SLOTS],
+            flag_at: 0,
+            bit: 8,
+        }
+    }
+
+    /// Parse every position whose look-ahead is known — all of them once
+    /// the input has `ended` — then drop what no match can reach.
+    fn parse(&mut self, ended: bool) {
+        let LzWriter {
+            out,
+            window,
+            base,
+            next,
+            table,
+            flag_at,
+            bit,
+            ..
+        } = self;
+        let (raw, start) = (&window[..], *base);
+        let n = raw.len();
+        let end = if ended {
+            n
+        } else {
+            n.saturating_sub(LZ_LOOKAHEAD - 1)
+        };
+        let mut i = *next - start;
+        while i < end {
+            if *bit == 8 {
+                *flag_at = out.len();
+                out.push(0);
+                *bit = 0;
+            }
+            let mut len = 0;
+            if i + LZ_MIN_MATCH <= n {
                 let slot = lz_slot(raw, i);
-                let prev = table[slot];
-                let offset = i - prev;
+                let offset = start + i - table[slot];
                 if (1..=LZ_MAX_OFFSET).contains(&offset) {
-                    let limit = (raw.len() - i).min(LZ_MAX_MATCH);
-                    let mut len = 0;
+                    let prev = i - offset;
+                    let limit = (n - i).min(LZ_MAX_MATCH);
+                    // Eight bytes a compare, then byte by byte to the first
+                    // difference: the same length either way.
+                    while len + 8 <= limit && raw[prev + len..][..8] == raw[i + len..][..8] {
+                        len += 8;
+                    }
                     while len < limit && raw[prev + len] == raw[i + len] {
                         len += 1;
                     }
-                    if len >= LZ_MIN_MATCH {
-                        flags |= 1 << bit;
-                        out.extend_from_slice(&(offset as u16).to_le_bytes());
-                        out.push((len - LZ_MIN_MATCH) as u8);
-                        // Refresh the table for every covered position
-                        // so long runs keep finding nearby matches.
-                        let stop = (i + len).min(raw.len().saturating_sub(LZ_MIN_MATCH - 1));
-                        for j in i..stop {
-                            table[lz_slot(raw, j)] = j;
-                        }
-                        i += len;
-                        emitted = true;
-                    }
                 }
-                if !emitted {
-                    table[slot] = i;
+                if len >= LZ_MIN_MATCH {
+                    out[*flag_at] |= 1 << *bit;
+                    out.extend_from_slice(&(offset as u16).to_le_bytes());
+                    out.push((len - LZ_MIN_MATCH) as u8);
+                    // Refresh the table for every covered position so long
+                    // runs keep finding nearby matches.
+                    let stop = (i + len).min(n.saturating_sub(LZ_MIN_MATCH - 1));
+                    for j in i..stop {
+                        table[lz_slot(raw, j)] = start + j;
+                    }
+                } else {
+                    table[slot] = start + i;
                 }
             }
-            if !emitted {
+            if len >= LZ_MIN_MATCH {
+                i += len;
+            } else {
                 out.push(raw[i]);
                 i += 1;
             }
-            bit += 1;
+            *bit += 1;
         }
-        out[flag_pos] = flags;
+        *next = start + i;
+        let keep_from = next.saturating_sub(LZ_MAX_OFFSET);
+        if keep_from > start {
+            window.drain(..keep_from - start);
+            *base = keep_from;
+        }
     }
-    out
+
+    /// Parse what is left and patch in the raw length: the finished stream.
+    fn finish(mut self) -> Vec<u8> {
+        self.parse(true);
+        let raw_len = (self.base + self.window.len()) as u64;
+        self.out[self.len_at..self.len_at + 8].copy_from_slice(&raw_len.to_le_bytes());
+        self.out
+    }
 }
 
-/// Bounds-checked LZSS inflate: every malformed stream — truncated tokens,
-/// zero or out-of-window offsets, an implausible claimed length, trailing
-/// garbage — yields [`PersistError::Malformed`], never a panic and never an
-/// attacker-controlled allocation.
-fn lz_inflate(data: &[u8]) -> Result<Vec<u8>, PersistError> {
-    let mut cur = Cur::new(data);
-    let raw_len = cur.u64("compressed body length")?;
-    let raw_len = usize::try_from(raw_len)
-        .map_err(|_| malformed(format!("compressed body length {raw_len} implausible")))?;
-    match cur.remaining().checked_mul(LZ_MAX_EXPANSION) {
-        Some(cap) if raw_len <= cap => {}
-        _ => {
-            return Err(malformed(format!(
-                "compressed body claims {raw_len} bytes from {} stored",
-                cur.remaining()
-            )))
+impl ByteSink for LzWriter {
+    fn put(&mut self, bytes: &[u8]) {
+        self.window.extend_from_slice(bytes);
+        if self.window.len() >= LZ_WINDOW {
+            self.parse(false);
         }
     }
-    let mut out = Vec::with_capacity(raw_len);
-    while out.len() < raw_len {
-        let flags = cur.u8("lz flag byte")?;
-        let mut bit = 0;
-        while bit < 8 && out.len() < raw_len {
-            if flags & (1 << bit) != 0 {
-                let offset = cur.take(2, "lz match offset")?;
+}
+
+/// The streaming LZSS decoder, a [`Source`] for [`Cur`]: it appends whole
+/// flag groups to the reader's buffer and copies matches out of its tail.
+/// Bounds-checked throughout: truncated tokens, zero or out-of-window
+/// offsets, a match past the declared length, an implausible declared
+/// length and bytes after the last token are all errors, never a panic,
+/// and the declared length is capped by the stored bytes before the
+/// reader allocates anything for it.
+struct Inflate<'a> {
+    tokens: Cur<'a>,
+    /// Raw bytes declared and not yet produced.
+    left: usize,
+}
+
+impl<'a> Inflate<'a> {
+    /// Read the declared raw length off the front of `stored` and refuse
+    /// one the stored bytes could not expand to.
+    fn new(stored: &'a [u8]) -> Result<Inflate<'a>, PersistError> {
+        let mut tokens = Cur::new(stored);
+        let raw_len = tokens.u64("compressed body length")?;
+        let raw_len = usize::try_from(raw_len)
+            .map_err(|_| malformed(format!("compressed body length {raw_len} implausible")))?;
+        let stored = tokens.remaining();
+        match stored.checked_mul(LZ_MAX_EXPANSION) {
+            Some(cap) if raw_len <= cap => {}
+            _ => {
+                return Err(malformed(format!(
+                    "compressed body claims {raw_len} bytes from {stored} stored"
+                )))
+            }
+        }
+        Ok(Inflate {
+            tokens,
+            left: raw_len,
+        })
+    }
+}
+
+impl Source for Inflate<'_> {
+    fn history(&self) -> usize {
+        LZ_MAX_OFFSET
+    }
+
+    fn pending(&self) -> usize {
+        self.left
+    }
+
+    fn fill(&mut self, buf: &mut Vec<u8>, len: usize) -> Result<(), CodecError> {
+        while buf.len() < len && self.left > 0 {
+            let flags = self.tokens.u8("lz flag byte")?;
+            for bit in 0..8 {
+                if self.left == 0 {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    buf.push(self.tokens.u8("lz literal")?);
+                    self.left -= 1;
+                    continue;
+                }
+                let offset = self.tokens.take(2, "lz match offset")?;
                 let offset = u16::from_le_bytes([offset[0], offset[1]]) as usize;
-                let len = cur.u8("lz match length")? as usize + LZ_MIN_MATCH;
-                if offset == 0 || offset > out.len() {
-                    return Err(malformed(format!(
+                let n = self.tokens.u8("lz match length")? as usize + LZ_MIN_MATCH;
+                if offset == 0 || offset > buf.len() {
+                    return Err(CodecError(format!(
                         "lz match offset {offset} outside {}-byte window",
-                        out.len()
+                        buf.len()
                     )));
                 }
-                if out.len() + len > raw_len {
-                    return Err(malformed("lz match overruns declared body length"));
+                if n > self.left {
+                    return Err(CodecError(
+                        "lz match overruns declared body length".to_string(),
+                    ));
                 }
-                // Byte-at-a-time: matches may overlap their own output.
-                let start = out.len() - offset;
-                for j in 0..len {
-                    let b = out[start + j];
-                    out.push(b);
+                // A match that overlaps its own output repeats with period
+                // `offset`: copy what exists, which doubles each round. One
+                // that does not is one slice copy.
+                let start = buf.len() - offset;
+                let mut todo = n;
+                while todo > 0 {
+                    let k = todo.min(buf.len() - start);
+                    buf.extend_from_within(start..start + k);
+                    todo -= k;
                 }
-            } else {
-                out.push(cur.u8("lz literal")?);
+                self.left -= n;
             }
-            bit += 1;
+        }
+        Ok(())
+    }
+
+    fn finish(&self) -> Result<(), CodecError> {
+        match self.tokens.remaining() {
+            0 => Ok(()),
+            extra => Err(CodecError(format!(
+                "{extra} trailing bytes after compressed body"
+            ))),
         }
     }
-    cur.finish("compressed body")?;
-    Ok(out)
 }
 
 fn state_code(s: NeoplasticState) -> u8 {
@@ -637,22 +759,17 @@ fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, PersistError> {
         libraries.push(read_library_meta(cur)?);
     }
     cur.ensure_elems(n_tags.saturating_mul(n_libs), 8, "enum value")?;
-    let mut rows = Vec::with_capacity(n_tags);
-    for _ in 0..n_tags {
-        let mut row = Vec::with_capacity(n_libs);
-        for _ in 0..n_libs {
-            row.push(cur.f64("enum value")?);
+    // Straight into the matrix's one value buffer, tag-major as written.
+    let mut matrix = ExpressionMatrix::zeroed(TagUniverse::from_tags(tags), libraries);
+    for t in 0..n_tags as u32 {
+        for l in 0..n_libs as u32 {
+            matrix.set(TagId(t), LibraryId(l), cur.f64("enum value")?);
         }
-        rows.push(row);
     }
-    let universe = TagUniverse::from_tags(tags);
-    Ok(EnumTable::new(
-        &name,
-        ExpressionMatrix::from_rows(universe, libraries, rows),
-    ))
+    Ok(EnumTable::new(&name, matrix))
 }
 
-fn put_sumy_table(out: &mut Vec<u8>, table: &SumyTable) {
+fn put_sumy_table(out: &mut impl ByteSink, table: &SumyTable) {
     put_str(out, &table.name);
     put_sumy_rows(out, table.rows());
 }
@@ -662,7 +779,7 @@ fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, PersistError> {
     Ok(SumyTable::new(&name, read_sumy_rows(cur, true)?))
 }
 
-fn put_gap_table(out: &mut Vec<u8>, table: &GapTable) {
+fn put_gap_table(out: &mut impl ByteSink, table: &GapTable) {
     put_str(out, &table.name);
     put_u32(out, table.columns.len() as u32);
     for col in &table.columns {
@@ -719,7 +836,7 @@ fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
     Ok(GapTable::new(&name, columns, rows))
 }
 
-fn put_fascicle(out: &mut Vec<u8>, rec: &FascicleRecord) {
+fn put_fascicle(out: &mut impl ByteSink, rec: &FascicleRecord) {
     put_str(out, &rec.name);
     put_str(out, &rec.dataset);
     put_u32(out, rec.members.len() as u32);
@@ -782,7 +899,7 @@ fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, PersistError> {
     })
 }
 
-fn put_report(out: &mut Vec<u8>, report: &CleaningReport) {
+fn put_report(out: &mut impl ByteSink, report: &CleaningReport) {
     put_u64(out, report.raw_union_tags as u64);
     put_u64(out, report.kept_tags as u64);
     put_u32(out, report.min_tolerance);
@@ -827,33 +944,35 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
     })
 }
 
-fn encode_session(session: &GeaSession) -> Result<Vec<u8>, PersistError> {
-    let mut out = Vec::new();
-    put_report(&mut out, session.cleaning_report());
-    let mut corpus_blob = Vec::new();
-    write_corpus_binary(session.corpus(), &mut corpus_blob)?;
-    put_blob(&mut out, &corpus_blob);
-    put_enum_table(&mut out, session.base());
-    put_u32(&mut out, session.enum_tables().len() as u32);
+/// The snapshot body, field by field, into `out` — the compressor when
+/// saving, so the raw body is never held.
+fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
+    put_report(out, session.cleaning_report());
+    put_corpus_blob(out, session)?;
+    put_enum_table(out, session.base());
+    put_u32(out, session.enum_tables().len() as u32);
     for table in session.enum_tables().values() {
-        put_enum_table(&mut out, table);
+        put_enum_table(out, table);
     }
-    put_u32(&mut out, session.sumy_tables().len() as u32);
+    put_u32(out, session.sumy_tables().len() as u32);
     for table in session.sumy_tables().values() {
-        put_sumy_table(&mut out, table);
+        put_sumy_table(out, table);
     }
-    put_u32(&mut out, session.gap_tables().len() as u32);
+    put_u32(out, session.gap_tables().len() as u32);
     for table in session.gap_tables().values() {
-        put_gap_table(&mut out, table);
+        put_gap_table(out, table);
     }
-    put_u32(&mut out, session.fascicle_records().len() as u32);
+    put_u32(out, session.fascicle_records().len() as u32);
     for rec in session.fascicle_records().values() {
-        put_fascicle(&mut out, rec);
+        put_fascicle(out, rec);
     }
-    let mut lineage_text = Vec::new();
-    write_lineage(session.lineage(), &mut lineage_text)?;
-    put_blob(&mut out, &lineage_text);
-    Ok(out)
+    put_blob(out, |mut w| write_lineage(session.lineage(), &mut w))?;
+    Ok(())
+}
+
+/// The corpus in its binary format, as a length-prefixed blob.
+fn put_corpus_blob(out: &mut impl ByteSink, session: &GeaSession) -> std::io::Result<()> {
+    put_blob(out, |mut w| write_corpus_binary(session.corpus(), &mut w))
 }
 
 /// Fingerprint of a session's *source data*: the raw corpus plus the
@@ -864,55 +983,49 @@ fn encode_session(session: &GeaSession) -> Result<Vec<u8>, PersistError> {
 /// pure-read replies under.
 ///
 /// The bytes hashed are those [`encode_session`] writes for the two parts
-/// (corpus blob, then base table), fed to the hash as they are produced; the
-/// blob's length prefix precedes its bytes, so the corpus is encoded twice,
-/// once to count and once to hash.
+/// (corpus blob, then base table), fed to the hash as they are produced.
 pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
-    let mut blob_len = ByteCount(0);
-    write_corpus_binary(session.corpus(), &mut blob_len)?;
     let mut hash = Fnv1a::new();
-    put_u64(&mut hash, blob_len.0);
-    write_corpus_binary(session.corpus(), &mut hash)?;
+    put_corpus_blob(&mut hash, session)?;
     put_enum_table(&mut hash, session.base());
     Ok(hash.0)
 }
 
-fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
-    let mut cur = Cur::new(body);
-    let report = read_report(&mut cur)?;
-    let corpus_blob = cur.blob("corpus blob")?;
-    let corpus = read_corpus_binary(&mut &corpus_blob[..])
+/// Read what [`encode_session`] wrote; the caller checks nothing is left.
+fn decode_session(cur: &mut Cur) -> Result<SessionSnapshot, PersistError> {
+    let report = read_report(cur)?;
+    let corpus = cur
+        .blob_reader("corpus blob", |mut blob| read_corpus_binary(&mut blob))?
         .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
-    let base = read_enum_table(&mut cur)?;
+    let base = read_enum_table(cur)?;
     let n_enums = cur.count(12, "enum map entry")?;
     let mut enums = std::collections::BTreeMap::new();
     for _ in 0..n_enums {
-        let table = read_enum_table(&mut cur)?;
+        let table = read_enum_table(cur)?;
         enums.insert(table.name.clone(), table);
     }
     let n_sumys = cur.count(8, "sumy map entry")?;
     let mut sumys = std::collections::BTreeMap::new();
     for _ in 0..n_sumys {
-        let table = read_sumy_table(&mut cur)?;
+        let table = read_sumy_table(cur)?;
         sumys.insert(table.name.clone(), table);
     }
     let n_gaps = cur.count(12, "gap map entry")?;
     let mut gaps = std::collections::BTreeMap::new();
     for _ in 0..n_gaps {
-        let table = read_gap_table(&mut cur)?;
+        let table = read_gap_table(cur)?;
         gaps.insert(table.name.clone(), table);
     }
     let n_fascicles = cur.count(16, "fascicle map entry")?;
     let mut fascicles = std::collections::BTreeMap::new();
     for _ in 0..n_fascicles {
-        let rec = read_fascicle(&mut cur)?;
+        let rec = read_fascicle(cur)?;
         fascicles.insert(rec.name.clone(), rec);
     }
     let lineage_text = cur.blob("lineage blob")?;
     let lineage_text = std::str::from_utf8(lineage_text)
         .map_err(|e| malformed(format!("non-utf8 lineage: {e}")))?;
     let lineage = parse_lineage(lineage_text)?;
-    cur.finish("snapshot body")?;
     Ok(SessionSnapshot {
         corpus,
         base,
@@ -932,17 +1045,18 @@ fn decode_session(body: &[u8]) -> Result<SessionSnapshot, PersistError> {
 /// path) ship these bytes and install them with
 /// [`session_from_snapshot_bytes`], reusing the spill format end to end.
 pub fn snapshot_to_bytes(session: &GeaSession) -> Result<(Vec<u8>, u64), PersistError> {
-    let raw = encode_session(session)?;
-    let body = lz_compress(&raw);
+    let mut header = Vec::new();
+    header.extend_from_slice(SNAPSHOT_MAGIC);
+    put_u32(&mut header, SNAPSHOT_VERSION);
+    put_u64(&mut header, 0);
+    let mut body = LzWriter::new(header);
+    encode_session(session, &mut body)?;
+    let mut out = body.finish();
     // The fingerprint covers the *stored* (compressed) bytes, so integrity
     // is checked before any decompression of untrusted input — and it only
-    // holds because `lz_compress` is deterministic.
-    let fingerprint = fnv1a(&body);
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    put_u32(&mut out, SNAPSHOT_VERSION);
-    put_u64(&mut out, fingerprint);
-    out.extend_from_slice(&body);
+    // holds because the compressor is deterministic.
+    let fingerprint = fnv1a(&out[SNAPSHOT_HEADER..]);
+    out[SNAPSHOT_HEADER - 8..SNAPSHOT_HEADER].copy_from_slice(&fingerprint.to_le_bytes());
     Ok((out, fingerprint))
 }
 
@@ -965,7 +1079,7 @@ pub fn session_from_snapshot_bytes(
         return Err(malformed(format!("unsupported snapshot version {version}")));
     }
     let stored = cur.u64("snapshot fingerprint")?;
-    let body = cur.rest();
+    let body = &bytes[SNAPSHOT_HEADER..];
     if fnv1a(body) != stored {
         return Err(malformed("fingerprint mismatch; snapshot is corrupt"));
     }
@@ -976,7 +1090,9 @@ pub fn session_from_snapshot_bytes(
             )));
         }
     }
-    let snapshot = decode_session(&lz_inflate(body)?)?;
+    let mut cur = Cur::streaming(Inflate::new(body)?);
+    let snapshot = decode_session(&mut cur)?;
+    cur.finish("snapshot body")?;
     Ok(GeaSession::from_snapshot(snapshot))
 }
 
@@ -1274,6 +1390,16 @@ mod tests {
         assert_eq!(fp1, fp2, "same session must fingerprint identically");
         fs::remove_dir_all(&d1).unwrap();
         fs::remove_dir_all(&d2).unwrap();
+
+        // Pinned at the whole-buffer compressor's last commit: the
+        // streaming one stores the same bytes, so a session saved by either
+        // loads on the other.
+        let (bytes, fp) = snapshot_to_bytes(&session).unwrap();
+        assert_eq!((fp, bytes.len()), (0x1588_1007_e9ed_e1e4, 999_819));
+        // And those bytes are the oracle's over the raw body.
+        let mut raw = Vec::new();
+        encode_session(&session, &mut raw).unwrap();
+        assert_eq!(&bytes[SNAPSHOT_HEADER..], lz_compress(&raw));
     }
 
     #[test]
@@ -1285,7 +1411,8 @@ mod tests {
         let mut corpus_blob = Vec::new();
         write_corpus_binary(session.corpus(), &mut corpus_blob).unwrap();
         let mut bytes = Vec::new();
-        put_blob(&mut bytes, &corpus_blob);
+        put_u64(&mut bytes, corpus_blob.len() as u64);
+        bytes.extend_from_slice(&corpus_blob);
         put_enum_table(&mut bytes, session.base());
         assert_eq!(corpus_fingerprint(&session).unwrap(), fnv1a(&bytes));
 
@@ -1337,6 +1464,54 @@ mod tests {
             let _ = load_session(&dir); // must not panic
         }
 
+        // Bodies that are valid LZSS of a wrong raw body, or whose tokens
+        // disagree with the length they declare, re-fingerprinted so they
+        // reach the inflater and the decoder: each is Malformed.
+        let mut raw = Vec::new();
+        encode_session(&session, &mut raw).unwrap();
+        let declaring = |raw_len: usize| {
+            let mut body = lz_compress(&raw);
+            body[..8].copy_from_slice(&(raw_len as u64).to_le_bytes());
+            body
+        };
+        let mut past_the_end = lz_compress(&raw);
+        past_the_end.extend_from_slice(&[0, b'x']);
+        // The report's library-fraction count (8 bytes each), one element
+        // over what the declared body has left after it: refused against
+        // the declared length, not the few bytes inflated so far.
+        let count_at = 21 + 8 * session.cleaning_report().scale_to.is_some() as usize;
+        let over = (raw.len() - count_at - 4) / 8 + 1;
+        let mut count_over = raw.clone();
+        count_over[count_at..count_at + 4].copy_from_slice(&(over as u32).to_le_bytes());
+        // The lineage blob, the last field, one byte longer than what is left.
+        let mut lineage = Vec::new();
+        write_lineage(session.lineage(), &mut lineage).unwrap();
+        let len_at = raw.len() - lineage.len() - 8;
+        let mut blob_over = raw.clone();
+        blob_over[len_at..len_at + 8].copy_from_slice(&(lineage.len() as u64 + 1).to_le_bytes());
+        for (body, want) in [
+            (declaring(raw.len() + 1), "truncated input: lz"),
+            (
+                declaring(raw.len() - 1),
+                "lz match overruns declared body length",
+            ),
+            (past_the_end, "2 trailing bytes after compressed body"),
+            (
+                lz_compress(&count_over),
+                "implausible report fraction count",
+            ),
+            (lz_compress(&blob_over), "truncated input: lineage blob"),
+        ] {
+            let mut file = clean[..SNAPSHOT_HEADER].to_vec();
+            file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
+            file.extend_from_slice(&body);
+            match session_from_snapshot_bytes(&file, None) {
+                Err(PersistError::Malformed(m)) => assert!(m.contains(want), "{want:?}: {m}"),
+                Err(other) => panic!("{want:?}: expected Malformed, got {other:?}"),
+                Ok(_) => panic!("{want:?}: loaded"),
+            }
+        }
+
         // Wrong magic and unsupported version are rejected up front.
         let mut bad_magic = clean.clone();
         bad_magic[0] = b'X';
@@ -1371,8 +1546,100 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The whole-buffer LZSS compressor, kept as the reference the
+    /// streaming [`LzWriter`] must match byte for byte.
+    fn lz_compress(raw: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(raw.len() / 2 + 16);
+        put_u64(&mut out, raw.len() as u64);
+        let mut table = vec![0usize; LZ_SLOTS];
+        let mut i = 0;
+        while i < raw.len() {
+            let flag_pos = out.len();
+            out.push(0);
+            let mut flags = 0u8;
+            let mut bit = 0;
+            while bit < 8 && i < raw.len() {
+                let mut emitted = false;
+                if i + LZ_MIN_MATCH <= raw.len() {
+                    let slot = lz_slot(raw, i);
+                    let prev = table[slot];
+                    let offset = i - prev;
+                    if (1..=LZ_MAX_OFFSET).contains(&offset) {
+                        let limit = (raw.len() - i).min(LZ_MAX_MATCH);
+                        let mut len = 0;
+                        while len < limit && raw[prev + len] == raw[i + len] {
+                            len += 1;
+                        }
+                        if len >= LZ_MIN_MATCH {
+                            flags |= 1 << bit;
+                            out.extend_from_slice(&(offset as u16).to_le_bytes());
+                            out.push((len - LZ_MIN_MATCH) as u8);
+                            let stop = (i + len).min(raw.len().saturating_sub(LZ_MIN_MATCH - 1));
+                            for j in i..stop {
+                                table[lz_slot(raw, j)] = j;
+                            }
+                            i += len;
+                            emitted = true;
+                        }
+                    }
+                    if !emitted {
+                        table[slot] = i;
+                    }
+                }
+                if !emitted {
+                    out.push(raw[i]);
+                    i += 1;
+                }
+                bit += 1;
+            }
+            out[flag_pos] = flags;
+        }
+        out
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// A piece size from 1 byte to 256 KiB, log-uniform in scale.
+    fn piece(x: &mut u64) -> usize {
+        let scale = 1u64 << (xorshift(x) % 19);
+        (xorshift(x) % scale) as usize + 1
+    }
+
+    /// `raw` through the streaming encoder, fed in random-size pieces.
+    fn compress_in_pieces(raw: &[u8], seed: u64) -> Vec<u8> {
+        let mut writer = LzWriter::new(Vec::new());
+        let (mut x, mut rest) = (seed, raw);
+        while !rest.is_empty() {
+            let n = piece(&mut x).min(rest.len());
+            writer.put(&rest[..n]);
+            rest = &rest[n..];
+        }
+        writer.finish()
+    }
+
+    /// `stored` through the streaming reader, taken in random-size pieces.
+    fn inflate_in_pieces(stored: &[u8], seed: u64) -> Result<Vec<u8>, PersistError> {
+        let mut cur = Cur::streaming(Inflate::new(stored)?);
+        let (mut out, mut x) = (Vec::new(), seed);
+        while !cur.done() {
+            let n = piece(&mut x).min(cur.remaining());
+            out.extend_from_slice(cur.take(n, "piece")?);
+        }
+        cur.finish("compressed body")?;
+        Ok(out)
+    }
+
     #[test]
     fn lz_roundtrip_is_lossless_and_deterministic() {
+        let mut x = 0x9e37_79b9_7f4a_7c15;
+        let noise = |n: usize, x: &mut u64| (0..n).map(|_| xorshift(x) as u8).collect::<Vec<_>>();
+        let near = noise(65_000, &mut x);
+        let far = noise(70_000, &mut x);
         let cases: Vec<Vec<u8>> = vec![
             Vec::new(),
             vec![7],
@@ -1382,21 +1649,28 @@ mod tests {
             b"no repeats here: qwertyuiop".to_vec(),
             // Overlapping match territory: run-length data.
             [b"aaaaab".as_slice(), &[b'a'; 500], b"tail".as_slice()].concat(),
-            // Over a megabyte, zero-heavy like a snapshot body (a sparse
-            // f64 matrix): far more distinct prefixes than table slots
-            // would hold without collisions, and offsets past the window.
-            (0..150_000u64)
+            // Repeats just inside and just outside the 65 535-byte reach.
+            [&near[..], &near[..], &far[..], &far[..]].concat(),
+            // Over 2 MiB, so both windows drain many times: zero-heavy like
+            // a snapshot body (a sparse f64 matrix) — far more distinct
+            // prefixes than table slots — with runs of noise between.
+            (0..300_000u64)
                 .flat_map(|i| {
-                    let cell = if i % 7 == 0 { i * 2_654_435_761 } else { 0 };
+                    let cell = match i % 7 {
+                        0 => i * 2_654_435_761,
+                        3 if i % 5_000 < 300 => xorshift(&mut x),
+                        _ => 0,
+                    };
                     cell.to_le_bytes()
                 })
                 .collect(),
         ];
-        for raw in &cases {
-            let c1 = lz_compress(raw);
-            let c2 = lz_compress(raw);
-            assert_eq!(c1, c2, "compression must be deterministic");
-            assert_eq!(&lz_inflate(&c1).unwrap(), raw, "roundtrip lost data");
+        for (seed, raw) in (1u64..).zip(&cases) {
+            let oracle = lz_compress(raw);
+            let streamed = compress_in_pieces(raw, seed);
+            assert_eq!(streamed, oracle, "streaming differs from the oracle");
+            assert_eq!(compress_in_pieces(raw, seed + 99), oracle);
+            assert_eq!(&inflate_in_pieces(&oracle, seed).unwrap(), raw);
         }
         // Redundant data actually shrinks.
         let zeros = lz_compress(&vec![0u8; 10_000]);
@@ -1405,30 +1679,64 @@ mod tests {
 
     #[test]
     fn lz_inflate_rejects_garbage_without_panicking() {
+        let inflate = |stored: &[u8]| inflate_in_pieces(stored, 7);
         // Truncated header, implausible raw_len, bad offsets, overruns.
-        assert!(lz_inflate(&[]).is_err());
-        assert!(lz_inflate(&[1, 2, 3]).is_err());
+        assert!(inflate(&[]).is_err());
+        assert!(inflate(&[1, 2, 3]).is_err());
         let mut huge = Vec::new();
         put_u64(&mut huge, u64::MAX);
-        assert!(lz_inflate(&huge).is_err());
+        assert!(inflate(&huge).is_err());
         let mut claims_much = Vec::new();
         put_u64(&mut claims_much, 1_000_000);
         claims_much.push(0);
         claims_much.push(b'x');
-        assert!(lz_inflate(&claims_much).is_err());
+        assert!(inflate(&claims_much).is_err());
         // A match token pointing before the start of output.
         let mut bad_offset = Vec::new();
         put_u64(&mut bad_offset, 10);
         bad_offset.push(0b0000_0001); // first token is a match
         bad_offset.extend_from_slice(&5u16.to_le_bytes());
         bad_offset.push(0);
-        assert!(lz_inflate(&bad_offset).is_err());
+        assert!(inflate(&bad_offset).is_err());
+
+        let text = b"the quick brown fox jumps over the lazy dog, twice over";
+        let valid = lz_compress(text);
+        assert_eq!(inflate(&valid).unwrap(), text);
+        let declaring = |raw_len: u64| {
+            let mut stored = valid.clone();
+            stored[..8].copy_from_slice(&raw_len.to_le_bytes());
+            stored
+        };
+        // Tokens that end before the declared length.
+        let short = inflate(&declaring(text.len() as u64 + 1)).unwrap_err();
+        assert!(short.to_string().contains("truncated"), "{short}");
+        // Tokens that continue past it: a whole extra group, or the last
+        // token's bytes once the length is one short.
+        let mut extra = valid.clone();
+        extra.extend_from_slice(&[0, b'x']);
+        let long = inflate(&extra).unwrap_err();
+        assert!(long.to_string().contains("trailing"), "{long}");
+        assert!(inflate(&declaring(text.len() as u64 - 1)).is_err());
+
+        // An element count is checked against the raw bytes the stream
+        // still declares, not the few it has inflated: 25 four-byte
+        // elements need 100 bytes.
+        let counted = |body: usize| {
+            let mut raw = 25u32.to_le_bytes().to_vec();
+            raw.resize(4 + body, 0);
+            let stored = lz_compress(&raw);
+            let mut cur = Cur::streaming(Inflate::new(&stored).unwrap());
+            cur.count(4, "element").map(|_| ()).map_err(|e| e.0)
+        };
+        assert!(counted(100).is_ok());
+        let over = counted(99).unwrap_err();
+        assert!(over.contains("implausible element count 25"), "{over}");
+
         // Fuzz-ish: corrupt every byte of a valid stream in turn.
-        let valid = lz_compress(b"the quick brown fox jumps over the lazy dog, twice over");
         for i in 0..valid.len() {
             let mut evil = valid.clone();
             evil[i] ^= 0xff;
-            let _ = lz_inflate(&evil); // must not panic
+            let _ = inflate(&evil); // must not panic
         }
     }
 

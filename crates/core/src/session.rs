@@ -126,6 +126,10 @@ pub enum GeaError {
     /// A requested comparison query does not apply to the comparison
     /// operation (queries 6–13 under Difference).
     QueryNotApplicable,
+    /// Results handed to an install that no run of the operation produces
+    /// (a SUMY row list naming one tag twice; partials of another operation,
+    /// or none): bytes off the wire, refused whole.
+    Malformed(String),
 }
 
 impl From<LineageError> for GeaError {
@@ -160,6 +164,7 @@ impl fmt::Display for GeaError {
             GeaError::QueryNotApplicable => {
                 f.write_str("this query applies only to union/intersection comparisons")
             }
+            GeaError::Malformed(what) => write!(f, "malformed result: {what}"),
         }
     }
 }
@@ -1048,8 +1053,9 @@ impl GeaSession {
 
     /// The commit half of `formSUM`. `inputs` were validated by
     /// [`GeaSession::control_group_inputs`] against this very state — the
-    /// fascicle is recorded, the three (distinct) names are free — so no
-    /// node is refused and the commit is whole.
+    /// fascicle is recorded, the three (distinct) names are free — and the
+    /// three tables are built (a row list naming a tag twice is refused)
+    /// before the first node is recorded, so the commit is whole.
     fn commit_control_groups(
         &mut self,
         fascicle: &str,
@@ -1063,13 +1069,19 @@ impl GeaSession {
             contrast,
             ..
         } = inputs;
-        let parent = self.node(fascicle).expect("fascicle recorded");
+        let parent = self.node(fascicle).ok_or_else(|| GeaError::NotFound {
+            kind: "fascicle",
+            name: fascicle.to_string(),
+        })?;
         let sumy_names = [&names.in_fascicle, &names.outside_fascicle, &names.contrast];
-        let sumys: Vec<SumyTable> = sumy_names
+        let sumys = sumy_names
             .into_iter()
             .zip(rows)
-            .map(|(name, rows)| SumyTable::new(name, rows))
-            .collect();
+            .map(|(name, rows)| {
+                SumyTable::try_new(name, rows)
+                    .map_err(|tag| GeaError::Malformed(format!("{name} names tag {tag} twice")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         for sumy in sumys {
             self.record_node(
                 &sumy.name,

@@ -49,18 +49,32 @@ impl SumyTable {
     /// universe assigns ids in sorted order — one strictly-ascending pass
     /// then proves both sortedness and uniqueness at once, and the stable
     /// sort (with its scratch buffer and row moves) is skipped entirely.
-    pub fn new(name: &str, mut rows: Vec<SumyRow>) -> SumyTable {
+    ///
+    /// # Panics
+    ///
+    /// On a duplicate tag: for rows the caller built itself. Rows that came
+    /// from elsewhere go through [`SumyTable::try_new`].
+    pub fn new(name: &str, rows: Vec<SumyRow>) -> SumyTable {
+        match SumyTable::try_new(name, rows) {
+            Ok(table) => table,
+            Err(tag) => panic!("duplicate tag {tag} in SUMY table"),
+        }
+    }
+
+    /// [`SumyTable::new`] for rows off the wire: a duplicate tag is the
+    /// error, carrying that tag.
+    pub fn try_new(name: &str, mut rows: Vec<SumyRow>) -> Result<SumyTable, Tag> {
         let sorted_unique = rows.windows(2).all(|pair| pair[0].tag < pair[1].tag);
         if !sorted_unique {
             rows.sort_by_key(|r| r.tag);
-            for pair in rows.windows(2) {
-                assert_ne!(pair[0].tag, pair[1].tag, "duplicate tag in SUMY table");
+            if let Some(pair) = rows.windows(2).find(|pair| pair[0].tag == pair[1].tag) {
+                return Err(pair[0].tag);
             }
         }
-        SumyTable {
+        Ok(SumyTable {
             name: name.to_string(),
             rows,
-        }
+        })
     }
 
     /// Number of tags defined.
@@ -717,6 +731,10 @@ mod tests {
             std_dev: 0.1,
             extras: BTreeMap::new(),
         };
+        assert_eq!(
+            SumyTable::try_new("dup", vec![row.clone(), row.clone()]),
+            Err(row.tag)
+        );
         SumyTable::new("dup", vec![row.clone(), row]);
     }
 }

@@ -276,13 +276,9 @@ impl Prepared<'_> {
 /// the session's install method for `op`, which commits whole or not at
 /// all. Returns the names of the tables created, in creation order: the
 /// fascicles of a `mine`, the ENUM of a `populate`, the in-fascicle /
-/// outside / contrast SUMYs of a `groups`.
-///
-/// # Panics
-///
-/// If `parts` is empty or holds a kind of [`Partial`] `op` does not
-/// produce — [`Prepared::partial`] and the server's op-directed decoder
-/// both produce the op's own kind, so either is a caller bug.
+/// outside / contrast SUMYs of a `groups`. Partials that are empty or of a
+/// kind `op` does not produce are [`GeaError::Malformed`], like any other
+/// result no run of `op` produces.
 pub fn install(
     session: &mut GeaSession,
     op: &ScatterOp,
@@ -333,7 +329,9 @@ pub fn install(
                 groups.contrast,
             ])
         }
-        (op, _) => panic!("the scatter partials handed to install are not {op:?}'s"),
+        (op, _) => Err(GeaError::Malformed(format!(
+            "the scatter partials handed to install are not {op:?}'s"
+        ))),
     }
 }
 
@@ -626,15 +624,42 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_naming_one_cluster_twice_installs_nothing() {
-        // `xapply` decodes cluster names off the wire: two partials that
-        // both carry `a_1` are one refusal, not one fascicle and an error.
+    fn a_batch_no_run_produces_installs_nothing() {
+        // `xapply` decodes partials off the wire, so an install meets
+        // batches no executor computes: each is one refusal that leaves the
+        // session as it was. Here, every item arrives twice.
+        let twice = |s: &mut GeaSession, op: &ScatterOp| {
+            let part = {
+                let prepared = prepare(s, op)?;
+                prepared.partial(0, prepared.n_items())
+            };
+            install(s, op, vec![part.clone(), part])
+        };
         let mut s = brain_session();
-        let op = mine_op("a");
-        let prepared = prepare(&s, &op).unwrap();
-        let part = prepared.partial(0, prepared.n_items());
-        let twice = |s: &mut GeaSession, op: &ScatterOp| install(s, op, vec![part.clone(), part]);
-        assert_eq!(reply(&mut s, &op, twice), "Err(NameTaken(\"a_1\"))");
+        // Two clusters named `a_1`: one refusal, not a fascicle and an error.
+        assert_eq!(
+            reply(&mut s, &mine_op("a"), twice),
+            "Err(NameTaken(\"a_1\"))"
+        );
+        // One shard's share of a `groups` is decoded without table order,
+        // so every tag of all three tables twice first meets a table here.
+        run(&mut s, &mine_op("a")).unwrap();
+        let groups = ScatterOp::Groups {
+            fascicle: "a_1".into(),
+            property: LibraryProperty::Cancer,
+        };
+        let refused = reply(&mut s, &groups, twice);
+        assert!(
+            refused.starts_with("Err(Malformed(\"a_1CancerFasTbl names tag "),
+            "{refused}"
+        );
+        // No partials, or another op's, are refused the same way.
+        for parts in [Vec::new(), vec![Partial::Hits(Vec::new())]] {
+            let refused = reply(&mut s, &groups, |s, op| install(s, op, parts));
+            assert!(refused.starts_with("Err(Malformed("), "{refused}");
+        }
+        // The batch as computed still installs.
+        assert_eq!(run(&mut s, &groups).unwrap().len(), 3);
     }
 
     #[test]

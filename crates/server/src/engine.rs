@@ -69,6 +69,7 @@ impl From<GeaError> for EngineError {
             GeaError::EmptyGroup(_) => "EEMPTY",
             GeaError::Lineage(_) => "ELINEAGE",
             GeaError::QueryNotApplicable => "EQUERY",
+            GeaError::Malformed(_) => "EPARSE",
         };
         EngineError::new(code, e.to_string())
     }

@@ -46,6 +46,13 @@
 #    crates/exec/src/scatter.rs: no `enum_table(..)?.clone()` or
 #    `sumy(..)?.clone()`, no `pub fn .._with(` whose signature takes an
 #    `impl Fn..`, and no `&EnumTable` in an `install_mined_` signature.
+#
+# 7. The snapshot streams. `save` encodes into the LZSS compressor and
+#    `load` reads through the inflater, so neither holds the raw body. So,
+#    in non-test code of crates/core/src/persist.rs: no whole-buffer
+#    `fn lz_compress(` or `fn lz_inflate(` (the first lives on as the test
+#    oracle), no `encode_session` returning a `Vec<u8>`, and no
+#    `Vec<Vec<f64>>` (a matrix decodes into its flat value buffer).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -232,6 +239,29 @@ for file in "$session" crates/exec/src/scatter.rs; do
 done
 if [ "$(nontest_hits -F "$session" 'pub fn install_mined_clusters(')" -eq 0 ]; then
     echo "lint: $session no longer contains 'pub fn install_mined_clusters(' — the installs-take-results check is looking for the wrong thing" >&2
+    fail=1
+fi
+
+# The snapshot streams: no whole-buffer codec, no raw body, no row-of-rows
+# matrix on the way in.
+persist="crates/core/src/persist.rs"
+for construct in 'fn lz_compress(' 'fn lz_inflate(' 'Vec<Vec<f64>>'; do
+    if [ "$(nontest_hits -F "$persist" "$construct")" -gt 0 ]; then
+        echo "lint: $persist has '$construct' in non-test code; save and load stream the snapshot body" >&2
+        fail=1
+    fi
+done
+hits="$(nontest "$persist" | awk '
+    /fn encode_session[(<]/ { sig = 1 }
+    sig && /Vec<u8>/ { n++ }
+    sig && /\{$/ { sig = 0 }
+    END { print n + 0 }')"
+if [ "$hits" -gt 0 ]; then
+    echo "lint: $persist has an encode_session returning Vec<u8>; the body is encoded into the compressor" >&2
+    fail=1
+fi
+if [ "$(nontest_hits -F "$persist" 'Cur::streaming(')" -eq 0 ]; then
+    echo "lint: $persist no longer contains 'Cur::streaming(' — the snapshot-streams check is looking for the wrong thing" >&2
     fail=1
 fi
 
