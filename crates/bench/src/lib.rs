@@ -2,8 +2,8 @@
 //!
 //! Shared workloads and experiment drivers behind the `repro` binary (which
 //! regenerates every table and figure of the thesis's evaluation) and the
-//! Criterion benches. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! `parallel` / `hotpath` / `router` binaries. See `EXPERIMENTS.md` at the
+//! repository root for the paper-vs-measured record.
 
 #![warn(missing_docs)]
 

@@ -5,8 +5,9 @@
 //! Johnson, Lakshmanan & Ng):
 //!
 //! * the **extensional world** — [`enum_table::EnumTable`]: explicit
-//!   enumerations of libraries × tags, manipulated with relational algebra
-//!   (via `gea-relstore`);
+//!   enumerations of libraries × tags, manipulated by selecting libraries
+//!   and tags (their relational form, via `gea-relstore`, is what `save`
+//!   exports);
 //! * the **intensional world** — [`sumy::SumyTable`] (cluster definitions:
 //!   per-tag range / mean / std-dev) and [`gap::GapTable`] (per-tag
 //!   differences between two SUMY tables).
@@ -35,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-pub mod admin;
 pub mod codec;
 pub mod compare;
 pub mod enum_table;
 pub mod gap;
 pub mod interval;
-pub mod interval_algebra;
 pub mod lineage;
 pub mod mem;
 pub mod mine;
@@ -59,7 +58,6 @@ pub use compare::{compare_gaps, compare_gaps_self, CompareOp, CompareQuery};
 pub use enum_table::EnumTable;
 pub use gap::{diff, GapTable};
 pub use interval::{AllenRelation, Interval};
-pub use interval_algebra::{compose_basic, ConstraintChain, RelationSet};
 pub use lineage::{Lineage, NodeKind};
 pub use mem::ApproxMem;
 pub use mine::{materialize_cluster, mine, mine_groups, MinedCluster, Miner};

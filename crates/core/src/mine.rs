@@ -4,15 +4,11 @@
 //! `SUMY = mine(ENUM, fascicle)` runs the Fascicles algorithm over an ENUM
 //! table and represents each found fascicle intensionally as a SUMY table
 //! over its compact tags. "In the general case, the mining operation can be
-//! something other than fascicle production" — the [`Miner`] enum also
-//! exposes the baseline clusterers, which yield SUMY definitions for their
-//! flat clusters.
+//! something other than fascicle production" — other algorithms plug in as
+//! `gea_mine::MineBackend`s, which reuse [`materialize_groups`].
 
 use gea_cluster::dataset::AttrSource;
-use gea_cluster::{
-    agglomerate, kmeans, mine_greedy, FascicleParams, KMeansParams, Linkage, Metric,
-    ToleranceVector,
-};
+use gea_cluster::{mine_greedy, FascicleParams, ToleranceVector};
 use gea_sage::library::LibraryId;
 use gea_sage::tag::TagId;
 
@@ -80,26 +76,17 @@ pub struct MinedCluster {
     pub sumy: SumyTable,
 }
 
-/// Mining algorithms available behind mine().
+/// The mining algorithm behind mine().
 #[derive(Debug, Clone)]
 pub enum Miner {
     /// The Fascicles algorithm with the given parameters (the thesis's
     /// default and focus).
     Fascicles(FascicleParams),
-    /// k-means over libraries; every tag is reported as a "compact" tag of
-    /// each cluster (the baseline has no compactness notion).
-    KMeans(KMeansParams),
-    /// Hierarchical average-linkage with correlation distance, cut into
-    /// `k` clusters (the Eisen et al. baseline).
-    Hierarchical {
-        /// Number of flat clusters to cut the dendrogram into.
-        k: usize,
-    },
 }
 
-/// Run mine() over an ENUM table. `tolerance` is required for
-/// [`Miner::Fascicles`] and ignored otherwise. Returned clusters are named
-/// `{base_name}_{i}` with `i` starting at 1, as in the thesis's
+/// Run mine() over an ENUM table. `tolerance` is required: it is the
+/// per-tag compactness bound of [`generate_metadata`]. Returned clusters
+/// are named `{base_name}_{i}` with `i` starting at 1, as in the thesis's
 /// `brain35k_1 … brain35k_4`.
 pub fn mine(
     table: &EnumTable,
@@ -130,9 +117,9 @@ pub fn materialize_groups(
 
 /// The clustering half of [`mine`]: run the configured algorithm and
 /// return each cluster as `(record indices, compact attribute indices)`.
-/// Sequential by nature (the greedy/k-means/agglomerative passes are
-/// iterative); the per-cluster [`materialize_cluster`] step that follows
-/// is what parallel drivers fan out.
+/// Sequential by nature (the greedy pass is iterative); the per-cluster
+/// [`materialize_cluster`] step that follows is what parallel drivers fan
+/// out.
 pub fn mine_groups(
     table: &EnumTable,
     miner: &Miner,
@@ -145,40 +132,6 @@ pub fn mine_groups(
             mine_greedy(&view, tol, params)
                 .into_iter()
                 .map(|f| (f.records, f.compact_attrs))
-                .collect()
-        }
-        Miner::KMeans(params) => {
-            let result = kmeans(&view, params);
-            let all_tags: Vec<usize> = (0..table.n_tags()).collect();
-            (0..params.k)
-                .map(|c| {
-                    let members: Vec<usize> = result
-                        .assignments
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &a)| a == c)
-                        .map(|(r, _)| r)
-                        .collect();
-                    (members, all_tags.clone())
-                })
-                .filter(|(members, _)| !members.is_empty())
-                .collect()
-        }
-        Miner::Hierarchical { k } => {
-            let dendrogram = agglomerate(&view, Metric::Correlation, Linkage::Average);
-            let labels = dendrogram.cut(*k);
-            let all_tags: Vec<usize> = (0..table.n_tags()).collect();
-            (0..*k)
-                .map(|c| {
-                    let members: Vec<usize> = labels
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &l)| l == c)
-                        .map(|(r, _)| r)
-                        .collect();
-                    (members, all_tags.clone())
-                })
-                .filter(|(members, _)| !members.is_empty())
                 .collect()
         }
     }
@@ -288,33 +241,6 @@ mod tests {
         assert_eq!(a.average, 101.0);
         assert_eq!(a.range.lo(), 100.0);
         assert_eq!(a.range.hi(), 102.0);
-    }
-
-    #[test]
-    fn kmeans_mining_partitions_libraries() {
-        let table = table();
-        let clusters = mine(
-            &table,
-            "km",
-            &Miner::KMeans(KMeansParams {
-                k: 2,
-                max_iters: 50,
-                seed: 1,
-            }),
-            None,
-        );
-        assert_eq!(clusters.len(), 2);
-        let total: usize = clusters.iter().map(|c| c.libraries.len()).sum();
-        assert_eq!(total, 6);
-    }
-
-    #[test]
-    fn hierarchical_mining_cuts_to_k() {
-        let table = table();
-        let clusters = mine(&table, "hc", &Miner::Hierarchical { k: 3 }, None);
-        assert_eq!(clusters.len(), 3);
-        let total: usize = clusters.iter().map(|c| c.libraries.len()).sum();
-        assert_eq!(total, 6);
     }
 
     #[test]

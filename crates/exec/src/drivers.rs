@@ -252,8 +252,8 @@ pub fn populate_columnar_sharded(
 }
 
 /// Sharded [`gea_core::mine::mine`]: the clustering pass
-/// ([`mine_groups`]) stays serial — the greedy/k-means/agglomerative
-/// algorithms are iterative — but each found cluster's materialization
+/// ([`mine_groups`]) stays serial — the greedy fascicle search is
+/// iterative — but each found cluster's materialization
 /// (member submatrix selection plus compact-tag aggregation, the dominant
 /// cost at mining scale) is independent, so clusters are partitioned
 /// across the pool and concatenated in cluster order.

@@ -1,11 +1,11 @@
 //! Named-table catalog — the session's "database".
 //!
 //! GEA stores every intermediate result (ENUM/SUMY/GAP tables, metadata
-//! relations) as a named table in the underlying DBMS. The catalog supports
-//! the management operations of the thesis's GUI: create (with the
-//! Figure 4.28 redundancy check on name collisions), view, replace, and the
-//! two deletion modes of the lineage feature — drop contents only or drop
-//! entirely (§4.4.2).
+//! relations) as a named table in the underlying DBMS. Here the session
+//! keeps typed tables and builds this catalog as a read-only view of their
+//! relational form (for `save` and for browsing); the GUI's management
+//! operations — create with the Figure 4.28 redundancy check, and the
+//! lineage feature's two deletion modes (§4.4.2) — live on the session.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,10 +15,6 @@ use crate::table::Table;
 /// Catalog errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogError {
-    /// Create would overwrite an existing table (thesis Figure 4.28: "A
-    /// table already exists ... Do you want to replace the existing
-    /// table?").
-    AlreadyExists(String),
     /// The named table does not exist.
     NotFound(String),
 }
@@ -26,9 +22,6 @@ pub enum CatalogError {
 impl fmt::Display for CatalogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CatalogError::AlreadyExists(name) => {
-                write!(f, "table {name:?} already exists")
-            }
             CatalogError::NotFound(name) => write!(f, "no such table {name:?}"),
         }
     }
@@ -48,20 +41,6 @@ impl Database {
         Database::default()
     }
 
-    /// Register a new table; fails if the name is taken (redundancy check).
-    pub fn create(&mut self, name: &str, table: Table) -> Result<(), CatalogError> {
-        if self.tables.contains_key(name) {
-            return Err(CatalogError::AlreadyExists(name.to_string()));
-        }
-        self.tables.insert(name.to_string(), table);
-        Ok(())
-    }
-
-    /// Register or overwrite — the "Yes, replace" path of Figure 4.28.
-    pub fn create_or_replace(&mut self, name: &str, table: Table) {
-        self.tables.insert(name.to_string(), table);
-    }
-
     /// Look up a table.
     pub fn get(&self, name: &str) -> Result<&Table, CatalogError> {
         self.tables
@@ -72,25 +51,6 @@ impl Database {
     /// Whether a table exists.
     pub fn exists(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    /// Drop a table entirely, returning it.
-    pub fn drop_table(&mut self, name: &str) -> Result<Table, CatalogError> {
-        self.tables
-            .remove(name)
-            .ok_or_else(|| CatalogError::NotFound(name.to_string()))
-    }
-
-    /// Drop a table's *contents* but keep its schema registered — the
-    /// space-saving deletion mode of the lineage feature (§4.4.2), which
-    /// lets the table be regenerated later from its recorded metadata.
-    pub fn truncate(&mut self, name: &str) -> Result<(), CatalogError> {
-        let table = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| CatalogError::NotFound(name.to_string()))?;
-        *table = Table::new(table.schema().clone());
-        Ok(())
     }
 
     /// All table names, sorted.
@@ -107,16 +67,10 @@ impl Database {
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
     }
-
-    /// Remove everything — the thesis's "initialize database" operation
-    /// (Appendix III.2.1).
-    pub fn initialize(&mut self) {
-        self.tables.clear();
-    }
 }
 
 /// A database folded from `(name, table)` pairs; a repeated name keeps the
-/// last table, as [`Database::create_or_replace`] would.
+/// last table.
 impl FromIterator<(String, Table)> for Database {
     fn from_iter<I: IntoIterator<Item = (String, Table)>>(pairs: I) -> Database {
         Database {
@@ -131,53 +85,39 @@ mod tests {
     use crate::schema::Schema;
     use crate::value::DataType;
 
-    fn table() -> Table {
+    fn table(rows: i64) -> Table {
         let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
         let mut t = Table::new(schema);
-        t.push_row(vec![1.into()]).unwrap();
+        for r in 0..rows {
+            t.push_row(vec![r.into()]).unwrap();
+        }
         t
     }
 
     #[test]
-    fn create_and_get() {
-        let mut db = Database::new();
-        db.create("brainfile", table()).unwrap();
+    fn collect_and_get() {
+        let db: Database = [("brainfile".to_string(), table(1))].into_iter().collect();
         assert!(db.exists("brainfile"));
         assert_eq!(db.get("brainfile").unwrap().n_rows(), 1);
         assert!(matches!(db.get("nope"), Err(CatalogError::NotFound(_))));
     }
 
     #[test]
-    fn redundancy_check_blocks_overwrite() {
-        let mut db = Database::new();
-        db.create("t", table()).unwrap();
-        assert!(matches!(
-            db.create("t", table()),
-            Err(CatalogError::AlreadyExists(_))
-        ));
-        db.create_or_replace("t", table()); // explicit replace allowed
+    fn a_repeated_name_keeps_the_last_table() {
+        let db: Database = [("t".to_string(), table(1)), ("t".to_string(), table(2))]
+            .into_iter()
+            .collect();
         assert_eq!(db.len(), 1);
+        assert_eq!(db.get("t").unwrap().n_rows(), 2);
     }
 
     #[test]
-    fn truncate_keeps_schema() {
-        let mut db = Database::new();
-        db.create("t", table()).unwrap();
-        db.truncate("t").unwrap();
-        let t = db.get("t").unwrap();
-        assert_eq!(t.n_rows(), 0);
-        assert_eq!(t.n_cols(), 1);
-    }
-
-    #[test]
-    fn drop_and_initialize() {
-        let mut db = Database::new();
-        db.create("a", table()).unwrap();
-        db.create("b", table()).unwrap();
+    fn names_are_sorted() {
+        let db: Database = [("b".to_string(), table(1)), ("a".to_string(), table(1))]
+            .into_iter()
+            .collect();
         assert_eq!(db.names(), vec!["a", "b"]);
-        db.drop_table("a").unwrap();
-        assert_eq!(db.len(), 1);
-        db.initialize();
-        assert!(db.is_empty());
+        assert!(!db.is_empty());
+        assert!(Database::new().is_empty());
     }
 }

@@ -2,46 +2,32 @@
 //!
 //! The GEA thesis runs on IBM DB2 7.0 through JDBC; this crate replaces
 //! that stack with an in-process engine providing exactly what GEA's
-//! extensional world needs (§3.2.4): relations, relational algebra extended
-//! with aggregation and sorting, range indexes, and the physical-design
-//! tricks the thesis describes — the rotated TAGS layout (§4.6.1) and
-//! entropy-guided index selection for the high-dimensional populate()
-//! operator (§3.3.2, Tables 3.1/3.2).
+//! served path needs (§3.2.4): typed relations for the browsable `save`,
+//! range indexes, and the entropy-guided index selection of the
+//! high-dimensional populate() operator (§3.3.2, Tables 3.1/3.2).
 //!
 //! * [`value`] / [`schema`] / [`table`] — typed columnar relations;
-//! * [`predicate`] / [`algebra`] — selection, projection, join, union,
-//!   difference, sorting and group-by aggregation;
 //! * [`index`] — sorted range indexes and hit-list intersection;
 //! * [`entropy`] — the highest-entropy attribute-ranking heuristic;
 //! * [`index_analysis`] — the Table 3.1 index-budget math (binomial model
 //!   as in the thesis, plus the exact hypergeometric refinement);
-//! * [`rotate`] — Figure 4.30's physical rotation;
-//! * [`catalog`] — the named-table session database with the redundancy
-//!   check and the lineage feature's two deletion modes;
+//! * [`catalog`] — the read-only named-table view of a session;
 //! * [`csv`] — the LOAD/EXPORT file utilities of §4.6.2.
 
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod catalog;
 pub mod csv;
 pub mod entropy;
 pub mod index;
 pub mod index_analysis;
-pub mod predicate;
-pub mod rotate;
 pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use algebra::{
-    aggregate, difference, distinct, equi_join, project, rename, select, sort, union, AggExpr,
-    AggFunc, SortKey,
-};
 pub use catalog::{CatalogError, Database};
 pub use csv::{export_csv, import_csv, CsvError};
 pub use index::SortedIndex;
-pub use predicate::{CmpOp, Predicate};
 pub use schema::{Column, Schema, SchemaError};
 pub use table::{RowId, Table, TableError};
 pub use value::{DataType, Value};

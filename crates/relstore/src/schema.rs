@@ -96,16 +96,6 @@ impl Schema {
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
     }
-
-    /// A new schema containing only the named columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> Result<Schema, SchemaError> {
-        let mut cols = Vec::with_capacity(names.len());
-        for name in names {
-            let idx = self.index_of(name)?;
-            cols.push(self.columns[idx].clone());
-        }
-        Schema::new(cols)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -148,15 +138,6 @@ mod tests {
             s.index_of("nope"),
             Err(SchemaError::UnknownColumn(_))
         ));
-    }
-
-    #[test]
-    fn projection_reorders() {
-        let s = schema();
-        let p = s.project(&["GapValue", "TagName"]).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.column(0).name, "GapValue");
-        assert_eq!(p.column(1).name, "TagName");
     }
 
     #[test]

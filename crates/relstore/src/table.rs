@@ -134,17 +134,6 @@ impl Table {
         Ok(id)
     }
 
-    /// Append many rows.
-    pub fn extend_rows<I>(&mut self, rows: I) -> Result<(), TableError>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        for row in rows {
-            self.push_row(row)?;
-        }
-        Ok(())
-    }
-
     /// The value at `(row, column index)`.
     pub fn value(&self, row: RowId, col: usize) -> &Value {
         &self.columns[col][row]
@@ -175,20 +164,6 @@ impl Table {
     /// Iterate all rows, materializing each.
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.n_rows).map(|r| self.row(r))
-    }
-
-    /// A new table containing only the rows whose ids appear in `keep`, in
-    /// the given order.
-    pub fn gather(&self, keep: &[RowId]) -> Table {
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            columns.push(keep.iter().map(|&r| col[r].clone()).collect());
-        }
-        Table {
-            schema: self.schema.clone(),
-            columns,
-            n_rows: keep.len(),
-        }
     }
 
     /// Render the first `limit` rows as an aligned text grid (the thesis's
@@ -300,15 +275,6 @@ mod tests {
         t.push_row(vec![Value::Null, Value::Null, Value::Null])
             .unwrap();
         assert_eq!(t.n_rows(), 1);
-    }
-
-    #[test]
-    fn gather_preserves_order() {
-        let t = table();
-        let g = t.gather(&[2, 0]);
-        assert_eq!(g.n_rows(), 2);
-        assert_eq!(g.value(0, 0), &Value::Text("c".into()));
-        assert_eq!(g.value(1, 0), &Value::Text("a".into()));
     }
 
     #[test]

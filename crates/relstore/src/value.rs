@@ -2,11 +2,8 @@
 //!
 //! The GEA database (thesis Appendix IV) needs only a small type system:
 //! integers, doubles, strings — plus NULL, which the GAP structure uses for
-//! overlapping ranges (§3.2.2). Values compare with SQL-style semantics:
-//! NULL is incomparable to everything (including itself) under predicate
-//! evaluation, but sorts first under ordering so `ORDER BY` is total.
+//! overlapping ranges (§3.2.2).
 
-use std::cmp::Ordering;
 use std::fmt;
 
 /// The type of a column.
@@ -98,47 +95,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// SQL comparison: `None` when either side is NULL or the types are
-    /// incomparable; numeric types compare across Int/Float.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            _ => {
-                let (a, b) = (self.as_f64()?, other.as_f64()?);
-                a.partial_cmp(&b)
-            }
-        }
-    }
-
-    /// Total ordering for sorting: NULL first, then by type tag, then by
-    /// value (NaN sorts last among floats).
-    pub fn sort_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) | Value::Float(_) => 2,
-                Value::Text(_) => 3,
-            }
-        }
-        match rank(self).cmp(&rank(other)) {
-            Ordering::Equal => match (self, other) {
-                (Value::Null, Value::Null) => Ordering::Equal,
-                (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-                (Value::Text(a), Value::Text(b)) => a.cmp(b),
-                _ => {
-                    let a = self.as_f64().unwrap_or(f64::NAN);
-                    let b = other.as_f64().unwrap_or(f64::NAN);
-                    a.total_cmp(&b)
-                }
-            },
-            unequal => unequal,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -207,48 +163,6 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_is_incomparable_under_sql_semantics() {
-        assert_eq!(Value::Null.sql_cmp(&Value::Null), None);
-        assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Null), None);
-    }
-
-    #[test]
-    fn numeric_cross_type_comparison() {
-        assert_eq!(
-            Value::Int(2).sql_cmp(&Value::Float(2.5)),
-            Some(Ordering::Less)
-        );
-        assert_eq!(
-            Value::Float(3.0).sql_cmp(&Value::Int(3)),
-            Some(Ordering::Equal)
-        );
-    }
-
-    #[test]
-    fn incompatible_types_do_not_compare() {
-        assert_eq!(Value::Text("a".into()).sql_cmp(&Value::Int(1)), None);
-        assert_eq!(Value::Bool(true).sql_cmp(&Value::Float(1.0)), None);
-    }
-
-    #[test]
-    fn sort_order_is_total_with_null_first() {
-        let mut vals = [
-            Value::Int(5),
-            Value::Null,
-            Value::Text("z".into()),
-            Value::Float(1.5),
-            Value::Bool(false),
-        ];
-        vals.sort_by(|a, b| a.sort_cmp(b));
-        assert!(vals[0].is_null());
-        assert_eq!(vals[1], Value::Bool(false));
-        assert_eq!(vals[2], Value::Float(1.5));
-        assert_eq!(vals[3], Value::Int(5));
-        assert_eq!(vals[4], Value::Text("z".into()));
-    }
 
     #[test]
     fn conversions() {

@@ -102,7 +102,7 @@ impl ExpressionMatrix {
     }
 
     /// One library's levels gathered across all tags (a strided walk in this
-    /// layout — deliberately the slow direction; see `benches/layout.rs`).
+    /// layout — deliberately the slow direction).
     pub fn library_column(&self, lib: LibraryId) -> Vec<f64> {
         let w = self.libraries.len();
         (0..self.n_tags())

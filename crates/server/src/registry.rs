@@ -34,9 +34,13 @@
 //! disk under a read guard, then calls [`SessionRegistry::evict_to_spill`],
 //! which commits only if the entry is still the same one, unlocked, and at
 //! the generation the snapshot saw — otherwise the stale snapshot is
-//! abandoned and the session stays live.
+//! abandoned and the session stays live. A committed eviction **retires**
+//! the entry under its gate mutex: a request that looked the entry up
+//! before the commit is refused the lock ([`RETIRED`]) instead of writing
+//! to an orphan whose state the next request would never see, and resolves
+//! the name again.
 //!
-//! LOCK ORDER: registry map mutex -> entry gate mutex -> entry session RwLock; never two entries at once; atomics, cache, and metrics are lock-free and safe under any guard.
+//! LOCK ORDER: eviction pass mutex -> registry map mutex -> entry gate mutex -> entry session RwLock; never two entries at once; atomics, cache, and metrics are lock-free and safe under any guard.
 //!
 //! The line above is canonical. `scripts/lint-invariants.sh` requires every
 //! other lock-order comment in the server and router sources to quote it
@@ -44,7 +48,10 @@
 //! drift from what this module actually implements. The map mutex is held
 //! only long enough to clone the entry `Arc` (never across a gate wait),
 //! and eviction re-takes the map *after* dropping the entry guard — the
-//! two-phase spill commit exists precisely to make that safe.
+//! two-phase spill commit exists precisely to make that safe. The eviction
+//! pass mutex (the server's) serializes whole eviction passes, so two never
+//! snapshot the same victim at once; no request holds a guard while taking
+//! it.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -57,6 +64,10 @@ use gea_core::mem::ApproxMem;
 use gea_core::session::GeaSession;
 
 use crate::engine::EngineError;
+
+/// The error code of a lock request refused because the entry was retired
+/// by eviction; the caller resolves the session name again and retries.
+pub const RETIRED: &str = "ERETIRED";
 
 /// Why a session left the registry without an explicit `close`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +162,16 @@ struct Gate {
     /// nonzero, readers may enter despite queued writers (each admission
     /// or reader timeout consumes one), and queued writers hold off.
     reader_break: u32,
+    /// Set once by a committed eviction; every later lock request is
+    /// refused.
+    retired: bool,
+}
+
+impl Gate {
+    /// Whether a request holds the lock or is queued to write.
+    fn busy(&self) -> bool {
+        self.readers > 0 || self.writer || !self.writer_queue.is_empty()
+    }
 }
 
 /// The starvation bound K: the waiting reader cohort is admitted after
@@ -243,10 +264,28 @@ impl SessionEntry {
             .elapsed()
     }
 
-    /// Whether a request currently holds the lock (either side).
+    /// Whether a request currently holds the lock (either side) or is
+    /// queued to write.
     pub fn is_busy(&self) -> bool {
-        let gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        gate.readers > 0 || gate.writer
+        self.gate.lock().unwrap_or_else(|e| e.into_inner()).busy()
+    }
+
+    /// Retire the entry unless it is busy, already retired, or (when
+    /// `expected_generation` is given) past that generation. Checked and set
+    /// under the gate mutex, so no lock can be admitted in between, and
+    /// nobody is parked: readers park only behind a writer, held or queued.
+    fn retire(&self, expected_generation: Option<u64>) -> bool {
+        let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        // A writer bumps the generation while `gate.writer` is set, so with
+        // the gate idle the generation is stable.
+        if gate.retired
+            || gate.busy()
+            || expected_generation.is_some_and(|g| g != self.generation())
+        {
+            return false;
+        }
+        gate.retired = true;
+        true
     }
 
     /// Record request activity now (the idle sweep's input). Called on
@@ -260,15 +299,19 @@ impl SessionEntry {
 
     /// Acquire a shared read guard, parking on the gate's condvar until
     /// admitted or `timeout` elapses (`ETIMEOUT`). Readers yield to queued
-    /// writers (see [`Gate`]). A poisoned inner lock (a panicking writer)
-    /// is recovered: the algebra leaves the session consistent between
-    /// commands, so the state is still usable.
+    /// writers (see [`Gate`]). A retired entry refuses with [`RETIRED`]. A
+    /// poisoned inner lock (a panicking writer) is recovered: the algebra
+    /// leaves the session consistent between commands, so the state is
+    /// still usable.
     pub fn read_with_deadline(
         &self,
         timeout: Duration,
     ) -> Result<SessionReadGuard<'_>, EngineError> {
         let deadline = Instant::now() + timeout;
         let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        if gate.retired {
+            return Err(retired_err());
+        }
         let mut parked = false;
         while gate.writer || (!gate.writer_queue.is_empty() && gate.reader_break == 0) {
             let Some(left) = deadline
@@ -322,13 +365,17 @@ impl SessionEntry {
     /// `timeout` elapses. Writers are admitted strictly in arrival order
     /// (the gate's ticket queue). Bumps the generation **at acquisition**,
     /// so any cached reply stamped with an earlier generation is invalid
-    /// from this point on, before the writer mutates anything.
+    /// from this point on, before the writer mutates anything. A retired
+    /// entry refuses with [`RETIRED`].
     pub fn write_with_deadline(
         &self,
         timeout: Duration,
     ) -> Result<SessionWriteGuard<'_>, EngineError> {
         let deadline = Instant::now() + timeout;
         let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        if gate.retired {
+            return Err(retired_err());
+        }
         let ticket = gate.next_ticket;
         gate.next_ticket += 1;
         gate.writer_queue.push_back(ticket);
@@ -373,6 +420,13 @@ impl SessionEntry {
             entry: self,
         })
     }
+}
+
+fn retired_err() -> EngineError {
+    EngineError::new(
+        RETIRED,
+        "the session was evicted while this request waited for it; retry",
+    )
 }
 
 fn timeout_err(what: &str, timeout: Duration) -> EngineError {
@@ -676,9 +730,9 @@ impl SessionRegistry {
         out
     }
 
-    /// Commit a spill: atomically replace the live entry with a spill
-    /// tombstone, but only if `name` still maps to this exact entry, the
-    /// entry is unlocked, and its generation still equals
+    /// Commit a spill: atomically retire the entry and replace it with a
+    /// spill tombstone, but only if `name` still maps to this exact entry,
+    /// the entry is unlocked, and its generation still equals
     /// `expected_generation` (the generation the on-disk snapshot was
     /// taken under). Returns `false` — snapshot stale, session stays
     /// live — otherwise.
@@ -691,7 +745,7 @@ impl SessionRegistry {
     ) -> bool {
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let same = inner.live.get(name).is_some_and(|e| e.id() == entry.id());
-        if !same || entry.is_busy() || entry.generation() != expected_generation {
+        if !same || !entry.retire(Some(expected_generation)) {
             return false;
         }
         inner.live.remove(name);
@@ -702,12 +756,12 @@ impl SessionRegistry {
     }
 
     /// Evict one entry without persistence, leaving an `EEVICTED`
-    /// tombstone, with the same still-same-entry and not-busy checks as
-    /// [`SessionRegistry::evict_to_spill`].
+    /// tombstone, with the same still-same-entry and not-busy checks and
+    /// the same retirement as [`SessionRegistry::evict_to_spill`].
     pub fn evict(&self, name: &str, entry: &SharedSession, reason: EvictReason) -> bool {
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let same = inner.live.get(name).is_some_and(|e| e.id() == entry.id());
-        if !same || entry.is_busy() {
+        if !same || !entry.retire(None) {
             return false;
         }
         inner.live.remove(name);
@@ -1227,6 +1281,39 @@ mod tests {
         }
         // Committing again against the gone entry is refused.
         assert!(!reg.evict_to_spill("a", &shared, generation, spill_record("/tmp/x")));
+    }
+
+    #[test]
+    fn a_looked_up_entry_refuses_locks_once_spilled() {
+        // A request resolved the name, then the eviction committed before
+        // it took the lock: its write must not land on the orphaned entry
+        // (the spill holds the state the next request restores).
+        let reg = SessionRegistry::new();
+        reg.open("a", demo_session());
+        let Lookup::Found(looked_up) = reg.lookup("a") else {
+            panic!("expected a live session");
+        };
+        assert!(reg.evict_to_spill("a", &looked_up, 0, spill_record("/tmp/x")));
+        for result in [
+            looked_up
+                .write_with_deadline(Duration::from_secs(1))
+                .map(drop),
+            looked_up
+                .read_with_deadline(Duration::from_secs(1))
+                .map(drop),
+        ] {
+            match result {
+                Err(e) => assert_eq!(e.code, RETIRED, "{}", e.message),
+                Ok(()) => panic!("a lock on a spilled entry was admitted"),
+            }
+        }
+        assert_eq!(looked_up.generation(), 0, "no write was admitted");
+
+        // A plain (lossy) eviction retires the entry the same way.
+        reg.open("b", demo_session());
+        let b = reg.get("b").unwrap();
+        assert!(reg.evict("b", &b, EvictReason::OverBudget));
+        assert!(b.write_with_deadline(Duration::from_secs(1)).is_err());
     }
 
     #[test]

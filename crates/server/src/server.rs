@@ -28,11 +28,11 @@
 //! (canonical copy in [`crate::registry`], kept in sync by
 //! `scripts/lint-invariants.sh`):
 //!
-//! LOCK ORDER: registry map mutex -> entry gate mutex -> entry session RwLock; never two entries at once; atomics, cache, and metrics are lock-free and safe under any guard.
+//! LOCK ORDER: eviction pass mutex -> registry map mutex -> entry gate mutex -> entry session RwLock; never two entries at once; atomics, cache, and metrics are lock-free and safe under any guard.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gea_core::persist;
@@ -48,7 +48,7 @@ use crate::metrics::{Counter, Metrics};
 use crate::optexec;
 use crate::registry::{
     Adopt, EvictReason, EvictionPolicy, Lookup, SessionEntry, SessionRegistry, SharedSession,
-    SpillRecord,
+    SpillRecord, RETIRED,
 };
 use crate::wire::Reply;
 use crate::xverb::{self, Staging};
@@ -126,6 +126,9 @@ pub(crate) struct Shared {
     pub(crate) cache: ResponseCache,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: ServerHandle,
+    /// Held for the whole of an eviction pass, so the sweeper and the
+    /// eager check after a write never snapshot the same victim at once.
+    evicting: Mutex<()>,
 }
 
 /// A bound, not-yet-running server.
@@ -144,6 +147,7 @@ impl Server {
             cache: ResponseCache::new(config.cache_bytes),
             config,
             shutdown: front.handle(),
+            evicting: Mutex::new(()),
         });
         Ok(Server { front, shared })
     }
@@ -207,10 +211,12 @@ const SPILL_LOCK_TIMEOUT: Duration = Duration::from_millis(250);
 /// read-only, and each is committed out of it on its own, re-checked at
 /// the commit — with a spill directory after being persisted there, so a
 /// session that turned busy since it was chosen is skipped, not dropped.
+/// Passes run one at a time.
 fn evict_pass(shared: &Shared, policy: &EvictionPolicy) {
     if !policy.is_active() {
         return;
     }
+    let _pass = shared.evicting.lock().unwrap_or_else(|e| e.into_inner());
     for (name, entry, reason) in shared.registry.eviction_candidates(policy) {
         match &shared.config.spill_dir {
             Some(dir) => spill_one(shared, &name, &entry, reason, dir),
@@ -233,6 +239,11 @@ fn evict_one(shared: &Shared, name: &str, entry: &SharedSession, reason: EvictRe
 /// generation — a request that raced in invalidates the snapshot, which
 /// is abandoned and the session stays live. An unwritable spill falls
 /// back to a plain (lossy) eviction so the memory budget still holds.
+///
+/// The spill is stored under the name *and the entry id*, so every spill
+/// of a name has its own path: a restore that finishes late deletes its
+/// own snapshot, never a newer one, and its path no longer matches the
+/// tombstone's.
 fn spill_one(
     shared: &Shared,
     name: &str,
@@ -244,7 +255,7 @@ fn spill_one(
         return; // busy: no longer a victim, try again next pass
     };
     let generation = entry.generation();
-    let spilled = persist::spill_session(&guard, dir, name);
+    let spilled = persist::spill_session(&guard, dir, &format!("{name}-{}", entry.id()));
     drop(guard);
     match spilled {
         Ok(spill) => {
@@ -587,6 +598,29 @@ fn cache_scope(entry: &SessionEntry, generation: u64) -> CacheScope {
     }
 }
 
+/// How many times [`with_live_entry`] resolves a name again after the entry
+/// it found was evicted before the request locked it.
+const RETIRED_RETRIES: usize = 4;
+
+/// Run `f` against the live entry behind `name`. If the entry is evicted
+/// between the lookup and `f`'s lock, the lock is refused ([`RETIRED`]),
+/// and the name is resolved again — restoring the spill — and `f`
+/// retried, so no request acts on an entry the registry no longer holds.
+pub(crate) fn with_live_entry<T>(
+    shared: &Shared,
+    name: &str,
+    mut f: impl FnMut(&SharedSession) -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    let mut retries = 0;
+    loop {
+        let entry = live_entry(shared, name)?;
+        match f(&entry) {
+            Err(e) if e.code == RETIRED && retries < RETIRED_RETRIES => retries += 1,
+            result => return result,
+        }
+    }
+}
+
 /// Resolve a session name to its live entry, transparently restoring a
 /// spilled session; shared by the GQL path and the backend verbs.
 pub(crate) fn live_entry(shared: &Shared, name: &str) -> Result<SharedSession, EngineError> {
@@ -633,7 +667,6 @@ fn enforce_max_cost(
 }
 
 fn run_gql(cmd: &GqlCommand, current: &str, shared: &Shared) -> Result<String, EngineError> {
-    let entry = live_entry(shared, current)?;
     if cmd.is_read() {
         // The cache key is the *canonical* spelling of the command's
         // algebraic canonical form (gea-opt), so algebraically-equal
@@ -646,72 +679,86 @@ fn run_gql(cmd: &GqlCommand, current: &str, shared: &Shared) -> Result<String, E
             }
             key
         });
-        if let Some(key) = &key {
-            // The hit path never touches the session lock: the reply was
-            // computed under this generation, and serving it is
-            // linearized at the instant of the generation load.
-            let generation = entry.generation();
-            if let Some(reply) = shared
-                .cache
-                .get(cache_scope(&entry, generation), generation, key)
-            {
-                // A hit is still session activity: refresh the idle stamp
-                // here, since this path never acquires the session lock.
-                entry.touch();
-                shared.metrics.add(Counter::CacheHits, 1);
-                return Ok(reply);
-            }
-            shared.metrics.add(Counter::CacheMisses, 1);
-        }
-        let session = entry.read_with_deadline(shared.config.lock_timeout)?;
-        enforce_max_cost(shared, &session, cmd)?;
-        // Writers are excluded while the read guard is held, so this
-        // generation is the one the reply is computed under.
-        let generation = entry.generation();
-        let result = engine::execute_read(&session, cmd);
-        drop(session);
-        if let (Some(key), Ok(reply)) = (key, &result) {
-            match shared.cache.insert(
-                cache_scope(&entry, generation),
-                generation,
-                key,
-                reply.clone(),
-            ) {
-                Admission::Stored { evicted } => {
-                    shared.metrics.add(Counter::CacheEvictions, evicted)
-                }
-                Admission::Rejected => shared.metrics.add(Counter::CacheRejected, 1),
-                Admission::Superseded | Admission::Disabled => {}
-            }
-        }
-        result
+        with_live_entry(shared, current, |entry| {
+            run_read(cmd, key.as_deref(), entry, shared)
+        })
     } else {
         // The one way a command reaches a session, here as in `gea-cli`:
         // rewritten if a gea-opt rule matches, the literal engine otherwise.
         let rewritten = gea_opt::rewrite_command(0, cmd);
-        let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
-        enforce_max_cost(shared, &session, cmd)?;
-        let result = match &rewritten {
-            Some((step, _)) => {
-                shared.metrics.add(Counter::OptRewrites, 1);
-                optexec::run_rewritten(&mut session, step)
+        with_live_entry(shared, current, |entry| {
+            let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
+            enforce_max_cost(shared, &session, cmd)?;
+            let result = match &rewritten {
+                Some((step, _)) => {
+                    shared.metrics.add(Counter::OptRewrites, 1);
+                    optexec::run_rewritten(&mut session, step)
+                }
+                None => engine::execute_write(&mut session, cmd),
+            };
+            // Drain while still holding the guard so a concurrent writer's
+            // events are never attributed to this request.
+            let events = session.drain_exec_events();
+            // Release before enforcing: the guard's drop refreshes the
+            // entry's size estimate with whatever this write grew it to.
+            drop(session);
+            for ev in events {
+                shared
+                    .metrics
+                    .exec_op(ev.op, ev.shards as u64, ev.wall_us, ev.busy_us);
             }
-            None => engine::execute_write(&mut session, cmd),
-        };
-        // Drain while still holding the guard so a concurrent writer's
-        // events are never attributed to this request.
-        let events = session.drain_exec_events();
-        // Release before enforcing: the guard's drop refreshes the
-        // entry's size estimate with whatever this write grew it to.
-        drop(session);
-        for ev in events {
-            shared
-                .metrics
-                .exec_op(ev.op, ev.shards as u64, ev.wall_us, ev.busy_us);
-        }
-        enforce_budget(shared);
-        result
+            enforce_budget(shared);
+            result
+        })
     }
+}
+
+/// A read command against one live entry: served from the response cache
+/// when `key` has a slot at the entry's generation, else computed under a
+/// read guard and offered to the cache.
+fn run_read(
+    cmd: &GqlCommand,
+    key: Option<&str>,
+    entry: &SharedSession,
+    shared: &Shared,
+) -> Result<String, EngineError> {
+    if let Some(key) = key {
+        // The hit path never touches the session lock: the reply was
+        // computed under this generation, and serving it is
+        // linearized at the instant of the generation load.
+        let generation = entry.generation();
+        if let Some(reply) = shared
+            .cache
+            .get(cache_scope(entry, generation), generation, key)
+        {
+            // A hit is still session activity: refresh the idle stamp
+            // here, since this path never acquires the session lock.
+            entry.touch();
+            shared.metrics.add(Counter::CacheHits, 1);
+            return Ok(reply);
+        }
+        shared.metrics.add(Counter::CacheMisses, 1);
+    }
+    let session = entry.read_with_deadline(shared.config.lock_timeout)?;
+    enforce_max_cost(shared, &session, cmd)?;
+    // Writers are excluded while the read guard is held, so this
+    // generation is the one the reply is computed under.
+    let generation = entry.generation();
+    let result = engine::execute_read(&session, cmd);
+    drop(session);
+    if let (Some(key), Ok(reply)) = (key, &result) {
+        match shared.cache.insert(
+            cache_scope(entry, generation),
+            generation,
+            key.to_string(),
+            reply.clone(),
+        ) {
+            Admission::Stored { evicted } => shared.metrics.add(Counter::CacheEvictions, evicted),
+            Admission::Rejected => shared.metrics.add(Counter::CacheRejected, 1),
+            Admission::Superseded | Admission::Disabled => {}
+        }
+    }
+    result
 }
 
 #[cfg(test)]
@@ -846,6 +893,70 @@ mod tests {
         assert!(stats.contains("budget_rejected 1"), "{stats}");
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_eviction_passes_lose_no_session_and_no_write() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let dir = std::env::temp_dir().join(format!("gea_spill_race_{}", std::process::id()));
+        let mut config = test_config();
+        // Every quiescent session is over a 1-byte budget, so each pass
+        // that finds the session live spills it.
+        config.session_budget = Some(1);
+        config.spill_dir = Some(dir.clone());
+        let server = Server::bind(config).expect("bind");
+        let shared = &*server.shared;
+        let open = SessionCtl::OpenDemo {
+            name: "s".to_string(),
+            seed: 42,
+        };
+        session_ctl(&open, &mut String::new(), shared).expect("open");
+        let gql = |line: &str| match gql::parse(line) {
+            Ok(Some(Request::Gql(cmd))) => cmd,
+            other => panic!("{line:?} parsed to {other:?}"),
+        };
+
+        // Two passes race each other and the writer: each runs at least
+        // 200 times, and on until the writer is through.
+        const WRITES: usize = 8;
+        let writing = AtomicBool::new(true);
+        let written = std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut passes = 0;
+                    while passes < 200 || writing.load(Ordering::SeqCst) {
+                        enforce_budget(shared);
+                        assert!(
+                            !matches!(shared.registry.lookup("s"), Lookup::Evicted(_)),
+                            "a spilled session was dropped"
+                        );
+                        passes += 1;
+                        std::thread::sleep(Duration::from_micros(500));
+                    }
+                });
+            }
+            let written = (0..WRITES).try_for_each(|n| {
+                let line = format!("dataset E{n} brain");
+                run_gql(&gql(&line), "s", shared)
+                    .map(drop)
+                    .map_err(|e| format!("{line}: {} {}", e.code, e.message))
+            });
+            writing.store(false, Ordering::SeqCst);
+            written
+        });
+        written.expect("every write is acknowledged");
+
+        assert_eq!(shared.metrics.get(Counter::SpillErrors), 0);
+        // Every acknowledged write is in the session the next request sees.
+        let lineage = run_gql(&gql("lineage"), "s", shared).expect("lineage");
+        for n in 0..WRITES {
+            assert!(
+                lineage.contains(&format!("E{n} [ENUM]")),
+                "acknowledged write E{n} was lost:\n{lineage}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use gea_exec::ShardPlan;
 
 use crate::engine::{self, EngineError};
 use crate::gql::{self, Request};
-use crate::server::{enforce_budget, live_entry, Shared};
+use crate::server::{enforce_budget, live_entry, with_live_entry, Shared};
 use crate::xcodec;
 
 fn eparse(msg: impl Into<String>) -> EngineError {
@@ -155,17 +155,16 @@ fn xpart(rest: &str, current: &str, shared: &Shared) -> Result<String, EngineErr
         return Err(eparse(format!("shard {shard} of {shards} is out of range")));
     }
     let op = parse_scatter_op(text)?;
-    let entry = live_entry(shared, current)?;
-    let session = entry.read_with_deadline(shared.config.lock_timeout)?;
-    let prepared = scatter::prepare(&session, &op)?;
-    // The plan clamps to the item count: past its end this backend has
-    // nothing to compute and ships the op's empty partial.
-    let (lo, hi) = ShardPlan::new(prepared.n_items(), shards)
-        .get(shard)
-        .unwrap_or((0, 0));
-    let blob = xcodec::encode_partial(&prepared.partial(lo, hi));
-    drop(prepared);
-    drop(session);
+    let blob = with_live_entry(shared, current, |entry| {
+        let session = entry.read_with_deadline(shared.config.lock_timeout)?;
+        let prepared = scatter::prepare(&session, &op)?;
+        // The plan clamps to the item count: past its end this backend has
+        // nothing to compute and ships the op's empty partial.
+        let (lo, hi) = ShardPlan::new(prepared.n_items(), shards)
+            .get(shard)
+            .unwrap_or((0, 0));
+        Ok(xcodec::encode_partial(&prepared.partial(lo, hi)))
+    })?;
     Ok(xcodec::hex_encode(&blob))
 }
 
@@ -196,26 +195,32 @@ fn xapply(
         .map(|blob| xcodec::decode_partial(&op, blob))
         .collect::<Result<Vec<_>, _>>()
         .map_err(eparse)?;
-    let entry = live_entry(shared, current)?;
-    let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
-    let result = scatter::install(&mut session, &op, parts)
-        .map_err(EngineError::from)
-        .and_then(|created| engine::render_scattered(&session, &op, &created));
-    drop(session);
-    enforce_budget(shared);
-    result
+    let mut parts = Some(parts);
+    with_live_entry(shared, current, |entry| {
+        let mut session = entry.write_with_deadline(shared.config.lock_timeout)?;
+        // Admitted: this attempt is the one that installs.
+        let parts = parts.take().unwrap_or_default();
+        let result = scatter::install(&mut session, &op, parts)
+            .map_err(EngineError::from)
+            .and_then(|created| engine::render_scattered(&session, &op, &created));
+        drop(session);
+        enforce_budget(shared);
+        result
+    })
 }
 
 fn xsnapshot(rest: &str, shared: &Shared) -> Result<String, EngineError> {
     let name = single_token(rest, "usage: xsnapshot <session>")?;
-    let entry = live_entry(shared, name)?;
-    let session = entry.read_with_deadline(shared.config.lock_timeout)?;
-    // Writers are excluded while the read guard is held, so the snapshot
-    // is consistent with exactly this generation — the router's drift
-    // check (`xgen` after shipping) mirrors the spill path's refusal.
-    let generation = entry.generation();
-    let (bytes, fingerprint) = persist::snapshot_to_bytes(&session)?;
-    drop(session);
+    let (generation, bytes, fingerprint) = with_live_entry(shared, name, |entry| {
+        let session = entry.read_with_deadline(shared.config.lock_timeout)?;
+        // Writers are excluded while the read guard is held, so the
+        // snapshot is consistent with exactly this generation — the
+        // router's drift check (`xgen` after shipping) mirrors the spill
+        // path's refusal.
+        let generation = entry.generation();
+        let (bytes, fingerprint) = persist::snapshot_to_bytes(&session)?;
+        Ok((generation, bytes, fingerprint))
+    })?;
     Ok(format!(
         "{generation} {fingerprint}\n{}",
         xcodec::hex_encode(&bytes)

@@ -64,6 +64,19 @@ step "gea-opt rule audit (kick-tires)"
 step "sharded-execution determinism property suite"
 cargo test -q --test exec_determinism --test mine_backends
 
+# The thesis reproduction is an artifact: `repro` (every experiment, fixed
+# seeds) must print repro_output.txt byte for byte, apart from the three
+# wall-clock fields masked below — Table 3.2's time-saving column, its
+# `scan = … ms` line, and the §3.3.1 `… ms` timings.
+step "repro output matches repro_output.txt (wall-clock fields masked)"
+mask_wall_clock() {
+    sed -E -e 's/^( *[0-9]+ +[0-9]+ +[0-9]+\.[0-9]+) +-?[0-9]+\.[0-9]+( +[0-9]+)$/\1 <ms>\2/' \
+        -e 's/scan = [0-9.]+ ms/scan = <ms> ms/' \
+        -e 's/: +[0-9.]+ ms \(/: <ms> ms (/'
+}
+./target/release/repro > target/repro_output.txt
+diff -u <(mask_wall_clock < repro_output.txt) <(mask_wall_clock < target/repro_output.txt)
+
 # Kick-tires tier of the hot-path kernel bench: the aggregate and
 # populate perf trajectories (scalar reference -> blocked kernel ->
 # sharded driver) and the clean one (the 4.2 rule tag by tag -> one
@@ -89,8 +102,10 @@ cargo run --release -p gea-bench --bin router -- --smoke
 # a command reaches a session one way (no batch planner, no second
 # executor, no flag or config field that would choose between two); and
 # the session's installs take results (no table cloned to be handed back,
-# no closure threaded through the bookkeeping).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results)"
+# no closure threaded through the bookkeeping); save and load stream the
+# snapshot body; and the request path names no reproduction-only module
+# (baselines, compression, eval, index_analysis).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

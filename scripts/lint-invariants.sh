@@ -53,6 +53,15 @@
 #    `fn lz_compress(` or `fn lz_inflate(` (the first lives on as the test
 #    oracle), no `encode_session` returning a `Vec<u8>`, and no
 #    `Vec<Vec<f64>>` (a matrix decodes into its flat value buffer).
+#
+# 8. The request path names no reproduction-only module. The thesis's
+#    baselines (k-means, hierarchical clustering, SOM), fascicle semantic
+#    compression, the clustering-evaluation metrics and the Table 3.1
+#    index-budget math are what `repro` prints, and only crates/bench
+#    calls them. So, in the non-test code of crates/{core,exec,mine,server,
+#    router,opt,check}/src (bins included) and src/: no `kmeans`, `KMeans`,
+#    `agglomerate`, `Dendrogram`, `som`, `compression::`,
+#    `gea_cluster::eval` or `index_analysis`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -264,6 +273,17 @@ if [ "$(nontest_hits -F "$persist" 'Cur::streaming(')" -eq 0 ]; then
     echo "lint: $persist no longer contains 'Cur::streaming(' — the snapshot-streams check is looking for the wrong thing" >&2
     fail=1
 fi
+
+# The request path names no reproduction-only module.
+repro_only='\bkmeans\b|KMeans|agglomerate|Dendrogram|\bsom\b|compression::|gea_cluster::eval|index_analysis'
+while IFS= read -r file; do
+    hits="$(nontest_hits -E "$file" "$repro_only")"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $file names a reproduction-only module in non-test code ($hits line(s)); baselines, compression, eval and index_analysis are called from crates/bench only" >&2
+        fail=1
+    fi
+done < <(find crates/core/src crates/exec/src crates/mine/src crates/server/src \
+    crates/router/src crates/opt/src crates/check/src src -name '*.rs' | sort)
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2

@@ -275,32 +275,3 @@ fn gql_populate_is_byte_identical_across_executors() {
             .any(|e| e.op == "populate"));
     }
 }
-
-/// The k-means and hierarchical miners route through the same sharded
-/// materialization; pin them at a fixed corpus so all three algorithms
-/// stay covered.
-#[test]
-fn baseline_miners_shard_identically() {
-    let values: Vec<Vec<f64>> = (0..8)
-        .map(|t| (0..9).map(|l| ((t * 7 + l * 13) % 29) as f64).collect())
-        .collect();
-    let table = small_enum(values);
-    for miner in [
-        Miner::KMeans(gea::cluster::KMeansParams {
-            k: 3,
-            max_iters: 20,
-            seed: 9,
-        }),
-        Miner::Hierarchical { k: 3 },
-    ] {
-        let serial = mine(&table, "b", &miner, None);
-        for &(shards, threads) in GRID {
-            let (sharded, _) =
-                mine_sharded(&table, "b", &miner, None, &ExecConfig { threads, shards });
-            assert!(
-                clusters_identical(&serial, &sharded),
-                "{miner:?} diverged at shards={shards} threads={threads}"
-            );
-        }
-    }
-}
