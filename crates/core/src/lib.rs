@@ -62,13 +62,14 @@ pub use lineage::{Lineage, NodeKind};
 pub use mem::ApproxMem;
 pub use mine::{materialize_cluster, mine, mine_groups, MinedCluster, Miner};
 pub use persist::{
-    corpus_fingerprint, load_session, load_session_verified, remove_spill, save_results,
-    save_session, session_from_snapshot_bytes, snapshot_to_bytes, spill_session, PersistError,
-    SpillFile,
+    corpus_fingerprint, load_session, load_session_sharing, load_session_verified, remove_spill,
+    save_results, save_session, session_from_snapshot_bytes, snapshot_to_bytes, spill_session,
+    PersistError, SpillFile,
 };
 pub use populate::{populate, populate_columnar, populate_indexed, populate_scan, PopulateIndex};
 pub use session::{
-    ControlGroupInputs, ControlGroups, ExecConfig, ExecEvent, GeaError, GeaSession, SessionSnapshot,
+    ControlGroupInputs, ControlGroups, ExecConfig, ExecEvent, GeaError, GeaSession,
+    SessionSnapshot, SessionSource,
 };
 pub use sumy::{aggregate, aggregate_with_extras, ExtraAggregate, SumyTable};
 pub use topgap::{top_gaps, TopGapOrder};

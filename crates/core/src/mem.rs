@@ -162,6 +162,9 @@ impl<T: ApproxMem> ApproxMem for BTreeMap<String, T> {
 }
 
 impl ApproxMem for GeaSession {
+    /// Each session is charged its whole source (corpus, base matrix),
+    /// shared with another session or not, so eviction stays conservative
+    /// and the registry's byte figures do not move when a reload shares.
     fn approx_bytes(&self) -> usize {
         self.corpus().approx_bytes()
             + self.base().approx_bytes()

@@ -25,6 +25,11 @@
 //! bit-flipped, or version-skewed files load as
 //! [`PersistError::Malformed`], never a panic.
 //!
+//! A load that replaces a live session can offer that session's
+//! [`SessionSource`] ([`load_session_sharing`]): a snapshot whose corpus,
+//! cleaning report and base table are the same bytes shares it instead of
+//! decoding a second copy.
+//!
 //! Neither direction holds the raw (uncompressed) body, which at thesis
 //! scale is several times the stored bytes. `save` encodes every field
 //! into the LZSS compressor (`LzWriter`), which keeps a 64 KiB history
@@ -37,10 +42,12 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use gea_relstore::csv::export_csv;
 use gea_relstore::value::DataType;
 use gea_sage::clean::CleaningReport;
+use gea_sage::corpus::SageCorpus;
 use gea_sage::io::{read_corpus_binary, write_corpus_binary};
 use gea_sage::library::{
     LibraryId, LibraryMeta, LibraryProperty, NeoplasticState, TissueSource, TissueType,
@@ -55,7 +62,7 @@ use crate::codec::{
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
 use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
-use crate::session::{FascicleRecord, GeaSession, SessionSnapshot};
+use crate::session::{FascicleRecord, GeaSession, SessionSnapshot, SessionSource};
 use crate::sumy::SumyTable;
 
 /// Errors raised by persistence.
@@ -947,9 +954,7 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
 /// The snapshot body, field by field, into `out` — the compressor when
 /// saving, so the raw body is never held.
 fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
-    put_report(out, session.cleaning_report());
-    put_corpus_blob(out, session)?;
-    put_enum_table(out, session.base());
+    put_source(out, session.source())?;
     put_u32(out, session.enum_tables().len() as u32);
     for table in session.enum_tables().values() {
         put_enum_table(out, table);
@@ -970,9 +975,18 @@ fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), P
     Ok(())
 }
 
+/// The session's source, the body's first part: cleaning report, corpus
+/// blob, base table.
+fn put_source(out: &mut impl ByteSink, source: &SessionSource) -> std::io::Result<()> {
+    put_report(out, &source.report);
+    put_corpus_blob(out, &source.corpus)?;
+    put_enum_table(out, &source.base);
+    Ok(())
+}
+
 /// The corpus in its binary format, as a length-prefixed blob.
-fn put_corpus_blob(out: &mut impl ByteSink, session: &GeaSession) -> std::io::Result<()> {
-    put_blob(out, |mut w| write_corpus_binary(session.corpus(), &mut w))
+fn put_corpus_blob(out: &mut impl ByteSink, corpus: &SageCorpus) -> std::io::Result<()> {
+    put_blob(out, |mut w| write_corpus_binary(corpus, &mut w))
 }
 
 /// Fingerprint of a session's *source data*: the raw corpus plus the
@@ -986,18 +1000,74 @@ fn put_corpus_blob(out: &mut impl ByteSink, session: &GeaSession) -> std::io::Re
 /// (corpus blob, then base table), fed to the hash as they are produced.
 pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
     let mut hash = Fnv1a::new();
-    put_corpus_blob(&mut hash, session)?;
+    put_corpus_blob(&mut hash, session.corpus())?;
     put_enum_table(&mut hash, session.base());
     Ok(hash.0)
 }
 
-/// Read what [`encode_session`] wrote; the caller checks nothing is left.
-fn decode_session(cur: &mut Cur) -> Result<SessionSnapshot, PersistError> {
-    let report = read_report(cur)?;
-    let corpus = cur
-        .blob_reader("corpus blob", |mut blob| read_corpus_binary(&mut blob))?
-        .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
-    let base = read_enum_table(cur)?;
+/// A sink that checks what an encoder writes against the next bytes of a
+/// reader. Every encoder writes a field or a buffered chunk of at most a
+/// few KiB at a time, so neither side of a comparison is ever a whole
+/// table. After the first differing byte, or a stream that ends first, it
+/// only remembers that.
+struct SameBytes<'c, 'a> {
+    cur: &'c mut Cur<'a>,
+    same: bool,
+}
+
+impl ByteSink for SameBytes<'_, '_> {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.same {
+            self.same = self
+                .cur
+                .take(bytes.len(), "candidate source")
+                .is_ok_and(|held| held == bytes);
+        }
+    }
+}
+
+/// Whether the next bytes of `cur` are [`put_source`]'s encoding of
+/// `source`, consuming them if they are.
+fn holds_source(cur: &mut Cur, source: &SessionSource) -> bool {
+    let mut sink = SameBytes { cur, same: true };
+    put_source(&mut sink, source).is_ok() && sink.same
+}
+
+/// Read a stored body (the bytes after the header) through the inflater.
+/// A body whose source part — report, corpus blob, base table — is the
+/// `candidate`'s encoding byte for byte adopts the candidate's `Arc`
+/// instead of decoding a second copy. At the first differing byte the
+/// same stored bytes are decoded again with no candidate, and so they are
+/// after any error past an adopted source (the comparison fills the
+/// reader's window at other offsets, so a forged body could fail on
+/// another field first): the result, session or error, never depends on
+/// the shortcut. Bytes, not the FNV-1a fingerprint: that is an integrity
+/// check, not an identity, and a colliding file must never adopt another
+/// session's corpus.
+fn decode_session(
+    stored: &[u8],
+    candidate: Option<&Arc<SessionSource>>,
+) -> Result<SessionSnapshot, PersistError> {
+    let mut body = Cur::streaming(Inflate::new(stored)?);
+    let source = match candidate {
+        None => Arc::new(read_source(&mut body)?),
+        Some(candidate) if holds_source(&mut body, candidate) => Arc::clone(candidate),
+        Some(_) => return decode_session(stored, None),
+    };
+    match read_derived(body, source) {
+        Err(_) if candidate.is_some() => decode_session(stored, None),
+        read => read,
+    }
+}
+
+/// Read what [`encode_session`] writes after the source — the named
+/// tables, fascicle records and lineage — and require that nothing is
+/// left.
+fn read_derived(
+    mut body: Cur,
+    source: Arc<SessionSource>,
+) -> Result<SessionSnapshot, PersistError> {
+    let cur = &mut body;
     let n_enums = cur.count(12, "enum map entry")?;
     let mut enums = std::collections::BTreeMap::new();
     for _ in 0..n_enums {
@@ -1026,15 +1096,28 @@ fn decode_session(cur: &mut Cur) -> Result<SessionSnapshot, PersistError> {
     let lineage_text = std::str::from_utf8(lineage_text)
         .map_err(|e| malformed(format!("non-utf8 lineage: {e}")))?;
     let lineage = parse_lineage(lineage_text)?;
+    body.finish("snapshot body")?;
     Ok(SessionSnapshot {
-        corpus,
-        base,
-        report,
+        source,
         lineage,
         enums,
         sumys,
         gaps,
         fascicles,
+    })
+}
+
+/// Read what [`put_source`] wrote.
+fn read_source(cur: &mut Cur) -> Result<SessionSource, PersistError> {
+    let report = read_report(cur)?;
+    let corpus = cur
+        .blob_reader("corpus blob", |mut blob| read_corpus_binary(&mut blob))?
+        .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
+    let base = read_enum_table(cur)?;
+    Ok(SessionSource {
+        corpus,
+        report,
+        base,
     })
 }
 
@@ -1069,6 +1152,19 @@ pub fn session_from_snapshot_bytes(
     bytes: &[u8],
     expected: Option<u64>,
 ) -> Result<GeaSession, PersistError> {
+    session_from_snapshot_bytes_sharing(bytes, expected, None)
+}
+
+/// Like [`session_from_snapshot_bytes`], but a snapshot whose corpus,
+/// cleaning report and base table are `candidate`'s, byte for byte,
+/// shares the candidate's [`SessionSource`] instead of decoding a second
+/// copy. The session is the one the candidate-free decode returns, and so
+/// is any error.
+fn session_from_snapshot_bytes_sharing(
+    bytes: &[u8],
+    expected: Option<u64>,
+    candidate: Option<&Arc<SessionSource>>,
+) -> Result<GeaSession, PersistError> {
     let mut cur = Cur::new(bytes);
     let magic = cur.take(4, "snapshot magic")?;
     if magic != SNAPSHOT_MAGIC {
@@ -1090,10 +1186,7 @@ pub fn session_from_snapshot_bytes(
             )));
         }
     }
-    let mut cur = Cur::streaming(Inflate::new(body)?);
-    let snapshot = decode_session(&mut cur)?;
-    cur.finish("snapshot body")?;
-    Ok(GeaSession::from_snapshot(snapshot))
+    Ok(GeaSession::from_snapshot(decode_session(body, candidate)?))
 }
 
 fn write_snapshot_file(session: &GeaSession, path: &Path) -> Result<u64, PersistError> {
@@ -1111,9 +1204,13 @@ pub fn save_session(session: &GeaSession, dir: &Path) -> Result<u64, PersistErro
     write_snapshot_file(session, &dir.join(SNAPSHOT_FILE))
 }
 
-fn load_session_checked(dir: &Path, expected: Option<u64>) -> Result<GeaSession, PersistError> {
+fn load_session_checked(
+    dir: &Path,
+    expected: Option<u64>,
+    candidate: Option<&Arc<SessionSource>>,
+) -> Result<GeaSession, PersistError> {
     let bytes = fs::read(dir.join(SNAPSHOT_FILE))?;
-    session_from_snapshot_bytes(&bytes, expected)
+    session_from_snapshot_bytes_sharing(&bytes, expected, candidate)
 }
 
 /// Restore a full [`GeaSession`] from a directory written by
@@ -1121,7 +1218,18 @@ fn load_session_checked(dir: &Path, expected: Option<u64>) -> Result<GeaSession,
 /// truncation, bit flips, a foreign file — yields
 /// [`PersistError::Malformed`], never a panic.
 pub fn load_session(dir: &Path) -> Result<GeaSession, PersistError> {
-    load_session_checked(dir, None)
+    load_session_checked(dir, None, None)
+}
+
+/// Like [`load_session`], sharing `candidate` — the source of the session
+/// the load replaces — when the snapshot's corpus, cleaning report and
+/// base table are the same, byte for byte. The session is the one
+/// [`load_session`] returns, and so is any error.
+pub fn load_session_sharing(
+    dir: &Path,
+    candidate: &Arc<SessionSource>,
+) -> Result<GeaSession, PersistError> {
+    load_session_checked(dir, None, Some(candidate))
 }
 
 /// Like [`load_session`], but additionally require the snapshot's
@@ -1129,7 +1237,7 @@ pub fn load_session(dir: &Path) -> Result<GeaSession, PersistError> {
 /// fingerprint recorded at spill time, so a swapped or re-written file is
 /// detected even when internally consistent.
 pub fn load_session_verified(dir: &Path, expected: u64) -> Result<GeaSession, PersistError> {
-    load_session_checked(dir, Some(expected))
+    load_session_checked(dir, Some(expected), None)
 }
 
 /// Where a spilled session lives on disk, and the fingerprint to demand
@@ -1357,6 +1465,111 @@ mod tests {
         }
     }
 
+    /// The outcome of one load with no candidate and one with, which must
+    /// agree: the same snapshot bytes, or the same error. Returns the
+    /// second.
+    fn same_outcome(
+        plain: Result<GeaSession, PersistError>,
+        shared: Result<GeaSession, PersistError>,
+    ) -> Result<GeaSession, PersistError> {
+        match (&plain, &shared) {
+            (Ok(a), Ok(b)) => assert_eq!(
+                snapshot_to_bytes(a).unwrap(),
+                snapshot_to_bytes(b).unwrap(),
+                "the candidate changed the session"
+            ),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+            _ => panic!(
+                "the candidate changed the outcome: {:?} vs {:?}",
+                plain.err(),
+                shared.err()
+            ),
+        }
+        shared
+    }
+
+    fn load_both(dir: &Path, candidate: &Arc<SessionSource>) -> Result<GeaSession, PersistError> {
+        same_outcome(load_session(dir), load_session_sharing(dir, candidate))
+    }
+
+    fn decode_both(
+        bytes: &[u8],
+        candidate: &Arc<SessionSource>,
+    ) -> Result<GeaSession, PersistError> {
+        same_outcome(
+            session_from_snapshot_bytes(bytes, None),
+            session_from_snapshot_bytes_sharing(bytes, None, Some(candidate)),
+        )
+    }
+
+    #[test]
+    fn a_reload_of_its_own_save_shares_the_source() {
+        let session = rich_session();
+        let dir = temp_dir("share");
+        save_session(&session, &dir).unwrap();
+        let shared = load_session_sharing(&dir, session.source()).unwrap();
+        assert!(Arc::ptr_eq(shared.source(), session.source()));
+        let plain = load_session(&dir).unwrap();
+        assert!(!Arc::ptr_eq(plain.source(), session.source()));
+        assert_sessions_identical(&plain, &shared);
+        // Re-saving the session that shares writes the same file.
+        let again = temp_dir("share_again");
+        save_session(&shared, &again).unwrap();
+        assert!(
+            fs::read(dir.join(SNAPSHOT_FILE)).unwrap()
+                == fs::read(again.join(SNAPSHOT_FILE)).unwrap(),
+            "re-saved snapshot differs"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&again).unwrap();
+    }
+
+    #[test]
+    fn a_candidate_with_another_source_falls_back() {
+        let session = rich_session();
+        let (bytes, _) = snapshot_to_bytes(&session).unwrap();
+        let plain = session_from_snapshot_bytes(&bytes, None).unwrap();
+        let source = session.source();
+        // Another seed: a different corpus (and report and base).
+        let (corpus, _) = generate(&GeneratorConfig::demo(7));
+        let other_seed = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        // The same corpus and report under a stricter cleaning: only the
+        // base differs.
+        let stricter = CleaningConfig {
+            min_tolerance: 2,
+            ..CleaningConfig::default()
+        };
+        let stricter = GeaSession::open(source.corpus.clone(), &stricter).unwrap();
+        assert_ne!(stricter.base(), session.base());
+        let other_base = SessionSource {
+            corpus: source.corpus.clone(),
+            report: source.report.clone(),
+            base: stricter.base().clone(),
+        };
+        // Only the base's last cell differs: the last bytes compared.
+        let mut last_cell = source.base.clone();
+        let m = &mut last_cell.matrix;
+        let (t, l) = (
+            TagId(m.n_tags() as u32 - 1),
+            LibraryId(m.n_libraries() as u32 - 1),
+        );
+        m.set(t, l, m.value(t, l) + 1.0);
+        let last_cell = SessionSource {
+            corpus: source.corpus.clone(),
+            report: source.report.clone(),
+            base: last_cell,
+        };
+        for candidate in [
+            Arc::clone(other_seed.source()),
+            Arc::new(other_base),
+            Arc::new(last_cell),
+        ] {
+            let loaded = decode_both(&bytes, &candidate).unwrap();
+            assert!(!Arc::ptr_eq(loaded.source(), &candidate));
+            assert_sessions_identical(&plain, &loaded);
+        }
+    }
+
     #[test]
     fn session_snapshot_full_roundtrip() {
         let session = rich_session();
@@ -1430,12 +1643,15 @@ mod tests {
         save_session(&session, &dir).unwrap();
         let path = dir.join(SNAPSHOT_FILE);
         let clean = fs::read(&path).unwrap();
+        // Every case runs with and without the session's own source as the
+        // candidate, and must fail the same way both times.
+        let own = Arc::clone(session.source());
 
         // Truncations at assorted prefix lengths.
         for len in [0, 3, 4, 8, 15, 16, 40, clean.len() / 2, clean.len() - 1] {
             fs::write(&path, &clean[..len]).unwrap();
             assert!(
-                matches!(load_session(&dir), Err(PersistError::Malformed(_))),
+                matches!(load_both(&dir, &own), Err(PersistError::Malformed(_))),
                 "truncation to {len} bytes not rejected"
             );
         }
@@ -1445,7 +1661,7 @@ mod tests {
         let mid = 16 + (clean.len() - 16) / 2;
         flipped[mid] ^= 0xff;
         fs::write(&path, &flipped).unwrap();
-        match load_session(&dir) {
+        match load_both(&dir, &own) {
             Err(PersistError::Malformed(m)) => assert!(m.contains("fingerprint"), "{m}"),
             Err(other) => panic!("expected fingerprint mismatch, got {other:?}"),
             Ok(_) => panic!("corrupt snapshot loaded"),
@@ -1461,7 +1677,7 @@ mod tests {
             let fp = fnv1a(&evil[16..]);
             evil[8..16].copy_from_slice(&fp.to_le_bytes());
             fs::write(&path, &evil).unwrap();
-            let _ = load_session(&dir); // must not panic
+            let _ = load_both(&dir, &own); // must not panic
         }
 
         // Bodies that are valid LZSS of a wrong raw body, or whose tokens
@@ -1489,6 +1705,16 @@ mod tests {
         let len_at = raw.len() - lineage.len() - 8;
         let mut blob_over = raw.clone();
         blob_over[len_at..len_at + 8].copy_from_slice(&(lineage.len() as u64 + 1).to_le_bytes());
+        // Just past the source, the ENUM map count flipped to an
+        // implausible one, and a declared length one too long: the reader
+        // meets one error or the other depending on where it last
+        // refilled, and a candidate must not change which.
+        let mut source = Vec::new();
+        put_source(&mut source, session.source()).unwrap();
+        let mut past_source = raw.clone();
+        past_source[source.len()] ^= 0x5a;
+        let mut twice_wrong = lz_compress(&past_source);
+        twice_wrong[..8].copy_from_slice(&(raw.len() as u64 + 1).to_le_bytes());
         for (body, want) in [
             (declaring(raw.len() + 1), "truncated input: lz"),
             (
@@ -1501,11 +1727,12 @@ mod tests {
                 "implausible report fraction count",
             ),
             (lz_compress(&blob_over), "truncated input: lineage blob"),
+            (twice_wrong, "truncated input: lz flag byte"),
         ] {
             let mut file = clean[..SNAPSHOT_HEADER].to_vec();
             file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
             file.extend_from_slice(&body);
-            match session_from_snapshot_bytes(&file, None) {
+            match decode_both(&file, &own) {
                 Err(PersistError::Malformed(m)) => assert!(m.contains(want), "{want:?}: {m}"),
                 Err(other) => panic!("{want:?}: expected Malformed, got {other:?}"),
                 Ok(_) => panic!("{want:?}: loaded"),
@@ -1517,7 +1744,7 @@ mod tests {
         bad_magic[0] = b'X';
         fs::write(&path, &bad_magic).unwrap();
         assert!(matches!(
-            load_session(&dir),
+            load_both(&dir, &own),
             Err(PersistError::Malformed(_))
         ));
         // Version 2, the layout before this one, is refused like any other:
@@ -1526,7 +1753,7 @@ mod tests {
             let mut bad_version = clean.clone();
             bad_version[4..8].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bad_version).unwrap();
-            match load_session(&dir) {
+            match load_both(&dir, &own) {
                 Err(PersistError::Malformed(m)) => {
                     assert_eq!(m, format!("unsupported snapshot version {version}"))
                 }
@@ -1538,11 +1765,11 @@ mod tests {
         // A foreign file is malformed, and a missing one is Io.
         fs::write(&path, b"not a snapshot at all").unwrap();
         assert!(matches!(
-            load_session(&dir),
+            load_both(&dir, &own),
             Err(PersistError::Malformed(_))
         ));
         fs::remove_file(&path).unwrap();
-        assert!(matches!(load_session(&dir), Err(PersistError::Io(_))));
+        assert!(matches!(load_both(&dir, &own), Err(PersistError::Io(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

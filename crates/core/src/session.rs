@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use gea_cluster::{FascicleParams, ToleranceVector};
 use gea_relstore::{Database, Table};
@@ -228,18 +229,27 @@ pub struct ControlGroupInputs {
     pub contrast: EnumTable,
 }
 
+/// The immutable half of a [`GeaSession`]: what `open` builds and no
+/// operation changes. A session holds it behind an [`Arc`] and never
+/// mutates it, so sessions over byte-identical sources — a session and
+/// the one a `load` of its own save replaces it with — share one copy.
+pub struct SessionSource {
+    /// The raw corpus.
+    pub corpus: SageCorpus,
+    /// The cleaning report.
+    pub report: CleaningReport,
+    /// The cleaned root data set (`SAGE`).
+    pub base: EnumTable,
+}
+
 /// The complete state of a [`GeaSession`], decomposed into owned parts —
 /// the unit of persistence for `gea_core::persist`'s full-fidelity
 /// snapshot format. Everything a session holds is here except the
 /// name→node index, which is derivable from the lineage and rebuilt by
 /// [`GeaSession::from_snapshot`].
 pub struct SessionSnapshot {
-    /// The raw corpus.
-    pub corpus: SageCorpus,
-    /// The cleaned root data set (`SAGE`).
-    pub base: EnumTable,
-    /// The cleaning report.
-    pub report: CleaningReport,
+    /// The corpus, cleaning report and root data set.
+    pub source: Arc<SessionSource>,
     /// The lineage DAG.
     pub lineage: Lineage,
     /// Derived ENUM tables by name.
@@ -254,9 +264,7 @@ pub struct SessionSnapshot {
 
 /// One GEA analysis session.
 pub struct GeaSession {
-    corpus: SageCorpus,
-    base: EnumTable,
-    report: CleaningReport,
+    source: Arc<SessionSource>,
     lineage: Lineage,
     enums: BTreeMap<String, EnumTable>,
     sumys: BTreeMap<String, SumyTable>,
@@ -310,9 +318,11 @@ impl GeaSession {
         let mut nodes = BTreeMap::new();
         nodes.insert("SAGE".to_string(), root);
         Ok(GeaSession {
-            corpus,
-            base,
-            report,
+            source: Arc::new(SessionSource {
+                corpus,
+                report,
+                base,
+            }),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -347,16 +357,18 @@ impl GeaSession {
         let mut nodes = BTreeMap::new();
         nodes.insert("SAGE".to_string(), root);
         Ok(GeaSession {
-            corpus: SageCorpus::new(),
-            base,
-            report: CleaningReport {
-                raw_union_tags: n_tags,
-                kept_tags: n_tags,
-                removed_fraction_per_library: Vec::new(),
-                freq1_union_fraction: 0.0,
-                min_tolerance: 0,
-                scale_to: None,
-            },
+            source: Arc::new(SessionSource {
+                corpus: SageCorpus::new(),
+                report: CleaningReport {
+                    raw_union_tags: n_tags,
+                    kept_tags: n_tags,
+                    removed_fraction_per_library: Vec::new(),
+                    freq1_union_fraction: 0.0,
+                    min_tolerance: 0,
+                    scale_to: None,
+                },
+                base,
+            }),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -378,9 +390,7 @@ impl GeaSession {
             nodes.insert(node.name.clone(), node.id);
         }
         GeaSession {
-            corpus: snapshot.corpus,
-            base: snapshot.base,
-            report: snapshot.report,
+            source: snapshot.source,
             lineage: snapshot.lineage,
             enums: snapshot.enums,
             sumys: snapshot.sumys,
@@ -416,7 +426,13 @@ impl GeaSession {
 
     /// The raw corpus (for the §4.4.4.2 searches).
     pub fn corpus(&self) -> &SageCorpus {
-        &self.corpus
+        &self.source.corpus
+    }
+
+    /// The immutable half — corpus, cleaning report and root data set — as
+    /// the shared handle a reload may adopt (`gea_core::persist`).
+    pub fn source(&self) -> &Arc<SessionSource> {
+        &self.source
     }
 
     /// The session's parallel-execution configuration.
@@ -443,12 +459,12 @@ impl GeaSession {
 
     /// The cleaned root data set.
     pub fn base(&self) -> &EnumTable {
-        &self.base
+        &self.source.base
     }
 
     /// The cleaning report.
     pub fn cleaning_report(&self) -> &CleaningReport {
-        &self.report
+        &self.source.report
     }
 
     /// The lineage DAG.
@@ -505,7 +521,7 @@ impl GeaSession {
     /// Look up an ENUM table (the root `SAGE` included).
     pub fn enum_table(&self, name: &str) -> Result<&EnumTable, GeaError> {
         if name == "SAGE" {
-            return Ok(&self.base);
+            return Ok(self.base());
         }
         self.enums.get(name).ok_or(GeaError::NotFound {
             kind: "ENUM",
@@ -620,7 +636,7 @@ impl GeaSession {
         tissue: &TissueType,
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
-        let table = self.base.select_tissue(name, tissue);
+        let table = self.base().select_tissue(name, tissue);
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("tissue type {tissue}")));
         }
@@ -645,7 +661,7 @@ impl GeaSession {
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
         let table = self
-            .base
+            .base()
             .select_libraries(name, |m| library_names.contains(&m.name.as_str()));
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup("custom data set".to_string()));

@@ -532,9 +532,14 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
             // write: the whole session is replaced, so it runs under the
             // write lock and the generation bump invalidates every cached
             // reply for this session. The exec configuration is runtime
-            // tuning, not session state: carry it across the swap.
+            // tuning, not session state: carry it across the swap. A saved
+            // session of this one's corpus shares its source rather than
+            // decoding a second copy beside it.
             let exec = session.exec_config();
-            *session = gea_core::persist::load_session(std::path::Path::new(dir))?;
+            *session = gea_core::persist::load_session_sharing(
+                std::path::Path::new(dir),
+                session.source(),
+            )?;
             session.set_exec_config(exec);
             let mut out = format!(
                 "restored session from {dir}: {} table(s); operation history:\n",

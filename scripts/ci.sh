@@ -105,7 +105,7 @@ cargo run --release -p gea-bench --bin router -- --smoke
 # no closure threaded through the bookkeeping); save and load stream the
 # snapshot body; and the request path names no reproduction-only module
 # (baselines, compression, eval, index_analysis).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path)"
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path + a reload keeps one corpus)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

@@ -62,6 +62,12 @@
 #    router,opt,check}/src (bins included) and src/: no `kmeans`, `KMeans`,
 #    `agglomerate`, `Dendrogram`, `som`, `compression::`,
 #    `gea_cluster::eval` or `index_analysis`.
+#
+# 9. A reload keeps one corpus. `load` in crates/server/src/engine.rs
+#    replaces a live session from a snapshot, and it offers that session's
+#    source (corpus, cleaning report, base table) to load_session_sharing,
+#    not to a bare `load_session(`, which would decode a second copy of a
+#    corpus the session already holds.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -284,6 +290,17 @@ while IFS= read -r file; do
     fi
 done < <(find crates/core/src crates/exec/src crates/mine/src crates/server/src \
     crates/router/src crates/opt/src crates/check/src src -name '*.rs' | sort)
+
+# A reload offers the replaced session's source for sharing.
+engine=crates/server/src/engine.rs
+if [ "$(nontest_hits -E "$engine" '\bload_session\(')" -gt 0 ]; then
+    echo "lint: $engine calls a bare load_session(; offer the replaced session's source to load_session_sharing" >&2
+    fail=1
+fi
+if [ "$(nontest_hits -F "$engine" 'load_session_sharing(')" -eq 0 ]; then
+    echo "lint: $engine no longer calls 'load_session_sharing(' — the sharing check is looking for the wrong thing" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2

@@ -29,6 +29,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// What `sessions` charged the demo-42 `WRITE_SCRIPT` session before and
+/// after it loaded its own save, when every load decoded its own source.
+const PINNED_BYTES: u64 = 3_458_547;
+
 fn plain_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -198,6 +202,83 @@ fn save_load_round_trips_a_session_over_the_wire() {
     assert!(client.request("tagfreq F AAAAAAAAAA").unwrap().is_err());
 
     handle.stop();
+}
+
+/// The `~N bytes` figure `sessions` lists for session `name`.
+fn bytes_of(sessions: &str, name: &str) -> u64 {
+    let prefix = format!("{name}: ");
+    sessions
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .and_then(|l| l.rsplit_once('~'))
+        .and_then(|(_, n)| n.strip_suffix(" bytes"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no byte figure for {name} in {sessions:?}"))
+}
+
+/// `load` shares the replaced session's corpus only when the snapshot's is
+/// the same, byte for byte, and either way the session answers as one
+/// decoded from scratch: loading another seed's snapshot (the fallback)
+/// replies exactly as a fresh server whose session already holds that
+/// corpus (the shared path). Sharing moves no byte figure: each session
+/// is still charged its whole source.
+#[test]
+fn load_shares_only_a_matching_source_and_charges_it_whole() {
+    let (seed7, seed42) = (temp_dir("seed7"), temp_dir("seed42"));
+    let (mut client, handle) = common::serve(plain_config());
+    client.expect_ok("open other demo 7").expect("open");
+    client.expect_ok("dataset E brain").expect("dataset");
+    client
+        .expect_ok(&format!("save {}", seed7.display()))
+        .expect("save seed 7");
+    client.expect_ok("close other").expect("close");
+
+    client.expect_ok("open s demo 42").expect("open");
+    for line in WRITE_SCRIPT {
+        client.expect_ok(line).expect("build state");
+    }
+    client
+        .expect_ok(&format!("save {}", seed42.display()))
+        .expect("save seed 42");
+    let before = bytes_of(&client.expect_ok("sessions").unwrap(), "s");
+    client
+        .expect_ok(&format!("load {}", seed42.display()))
+        .expect("load own save");
+    let after = bytes_of(&client.expect_ok("sessions").unwrap(), "s");
+    // The figure a session reported here before sources were shared.
+    assert_eq!((before, after), (PINNED_BYTES, PINNED_BYTES));
+
+    let (mut fresh, fresh_handle) = common::serve(plain_config());
+    fresh.expect_ok("open s demo 7").expect("open");
+    let load = format!("load {}", seed7.display());
+    let loaded = client.request(&load).expect("transport");
+    assert!(loaded.is_ok(), "{loaded:?}");
+    assert_eq!(loaded, fresh.request(&load).expect("transport"));
+    for line in [
+        "tissues",
+        "cleaning",
+        "lineage",
+        "library 3",
+        "dataset F brain",
+        "mine F f 50 3 6",
+        "fascicles",
+    ] {
+        assert_eq!(
+            client.request(line).expect("transport"),
+            fresh.request(line).expect("transport"),
+            "the fallback load changed the reply to {line:?}"
+        );
+    }
+    assert_eq!(
+        bytes_of(&client.expect_ok("sessions").unwrap(), "s"),
+        bytes_of(&fresh.expect_ok("sessions").unwrap(), "s")
+    );
+
+    handle.stop();
+    fresh_handle.stop();
+    for dir in [seed7, seed42] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// `use` of a spilled name must not pay for the restore inline: it kicks
