@@ -453,17 +453,6 @@ pub fn aggregate_tags(name: &str, matrix: &ExpressionMatrix, tags: &[TagId]) -> 
     SumyTable::new(name, aggregate_tag_rows(matrix, tags))
 }
 
-/// The per-tag arithmetic of [`aggregate_tags`]. Historically this ran
-/// four separate fold passes per statistic
-/// ([`reference::aggregate_tags_row`]); the fused two-pass kernel is
-/// bit-identical to it because fusing only interleaves the *independent*
-/// min/max/sum accumulator chains — each chain still sees the same values
-/// in the same order. Exposed (like [`aggregate_row`]) so sharded drivers
-/// reproduce the serial operator bit for bit.
-pub fn aggregate_tags_row(matrix: &ExpressionMatrix, tid: TagId) -> SumyRow {
-    aggregate_row(matrix, tid)
-}
-
 /// The pre-change scalar kernels, kept verbatim as the bit-identity
 /// oracle: `tests/kernel_props.rs` pins the fused/blocked kernels (and the
 /// sharded drivers built on them) to these reference implementations for

@@ -79,9 +79,8 @@ pub(crate) fn run_sharded<T: Send>(
 /// skip the merge entirely ([`fill_rows_sharded`]).
 ///
 /// This *is* the determinism argument: concatenation in shard-index
-/// order equals serial iteration order, whether the shards were computed
-/// by this process's pool or shipped back from remote backends.
-pub fn merge_shards<T>(shards: Vec<Vec<T>>) -> Vec<T> {
+/// order equals serial iteration order.
+pub(crate) fn merge_shards<T>(shards: Vec<Vec<T>>) -> Vec<T> {
     let total = shards.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     for shard in shards {

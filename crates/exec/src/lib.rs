@@ -39,8 +39,8 @@ pub mod scatter;
 pub mod shard;
 
 pub use drivers::{
-    aggregate_sharded, aggregate_tags_sharded, merge_shards, mine_sharded,
-    populate_columnar_sharded, simplex_mine_sharded,
+    aggregate_sharded, aggregate_tags_sharded, mine_sharded, populate_columnar_sharded,
+    simplex_mine_sharded,
 };
 pub use gea_core::session::{ExecConfig, ExecEvent};
 pub use pool::run_jobs;

@@ -11,11 +11,12 @@
 //! stable-order shard of the work (`ShardPlan` semantics, via the
 //! server's `xpart` verb), the router gathers the partial blobs in shard
 //! order, and every backend then applies the identical merged result
-//! (`xapply`), which reuses `gea_exec::merge_shards` — the same seam the
-//! in-process sharded drivers use. Because the merge is concatenation of
-//! contiguous stable-order ranges, the gathered result is byte-identical
-//! to a single process executing the command serially, for **any** number
-//! of backends.
+//! (`xapply`) through `gea_exec::scatter::install`, whose `Partial::merge`
+//! concatenates the partials in shard order as the in-process sharded
+//! drivers do. Because the merge is concatenation of contiguous
+//! stable-order ranges, the gathered result is byte-identical to a single
+//! process executing the command serially, for **any** number of
+//! backends.
 //!
 //! Routing table:
 //!

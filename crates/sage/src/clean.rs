@@ -32,8 +32,7 @@
 //! O(entries · log entries). Each library is then walked once; a surviving
 //! entry's row id is resolved once and serves the removed fraction, the
 //! surviving total and the scaled fill. [`reference::clean`] keeps the
-//! tag-by-tag form as the oracle the tests and the `hotpath` bench hold
-//! this one to, bit for bit.
+//! tag-by-tag form as the oracle the tests hold this one to, bit for bit.
 
 #[doc(hidden)]
 pub mod reference;

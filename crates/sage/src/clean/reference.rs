@@ -1,9 +1,9 @@
 //! The §4.2 rule written as the thesis states it — one
 //! [`SageCorpus::max_count`] question per union tag — kept verbatim from
-//! before the census as the bit-identity oracle: `tests/sage_props.rs`,
-//! `tests/thesis_scale.rs` and the `hotpath` bench's `clean` row pin
-//! [`super::clean`] to it, matrix and report. It costs libraries × union
-//! map probes (seconds at thesis scale); nothing on a served path calls it.
+//! before the census as the bit-identity oracle: `tests/sage_props.rs`
+//! and `tests/thesis_scale.rs` pin [`super::clean`] to it, matrix and
+//! report. It costs libraries × union map probes (seconds at thesis
+//! scale); nothing on a served path calls it.
 
 use super::{CleaningConfig, CleaningReport};
 use crate::corpus::SageCorpus;

@@ -31,38 +31,21 @@ step "spill transparency battery (release)"
 cargo test --release --test server_spill -- --nocapture
 cargo test --release --test server_spill -- --ignored --nocapture
 
-step "serial-vs-sharded speedup (release) -> BENCH_parallel.json"
-# Thesis-scale corpus, 4-way executor. Also re-verifies byte identity on
-# the timed runs and exits non-zero on a determinism failure. The JSON
-# records host_parallelism: ~1x speedup is expected on single-core
-# runners and is not a failure.
-cargo run --release -p gea-bench --bin parallel -- --threads 4
-
-step "hot-path kernel trajectories (release) -> BENCH_aggregate.json, BENCH_populate.json, BENCH_clean.json"
-# Full tier: thesis-scale corpus, interleaved repetitions, one JSON per
-# operator recording the scalar-reference -> blocked -> sharded (for
-# clean: definition -> census) trajectory with its bit-identity verdicts.
-cargo run --release -p gea-bench --bin hotpath -- --full --threads 4
-
 step "optimizer rule audit, full enumeration (release)"
 # The complete small-term enumeration over three randomized corpora on
 # the full shard/thread grid: every shipped rule byte-identical to
 # serial at the wire, every tombstoned non-rule still refuted.
 GEA_OPT_AUDIT=full cargo run --release --bin gea-opt-audit
 
-step "router experiment (release) -> BENCH_router.json"
-# gea-router over 1/2/3 loopback backends vs a direct single server:
-# per-op-class latency and throughput, with every router arm's workload
-# and example-script transcripts byte-identity-gated against the direct
-# reference. Exits non-zero on any divergence. Scatter speedups need
-# multi-core runners; the JSON records host_parallelism for that reason.
-cargo run --release -p gea-bench --bin router
-
-step "archive BENCH_*.json"
-# Keep a dated copy of every emitted measurement so the perf trajectory
-# across nightlies stays reconstructible from the working tree.
+step "repo benchmark, traced (release) -> bench-archive/<date>/"
+# Every workload with per-layer attribution: the kernel rows
+# (core.sumy.aggregate_us, core.populate.*, sage.clean_us), the sharded
+# drivers (exec.*_sharded_us, exec.shards_per_op) and the router's
+# (router.*, routed_pipeline). A dated copy of each result keeps the
+# perf trajectory across nightlies reconstructible from the working tree.
+bash benchmark/run.sh --trace
 mkdir -p bench-archive/"$(date +%F)"
-cp BENCH_*.json bench-archive/"$(date +%F)"/
+cp benchmark/out/*.json bench-archive/"$(date +%F)"/
 
 printf '\nNightly lane passed.\n'
 

@@ -188,12 +188,12 @@ fn follow_up_script() -> Vec<&'static str> {
     ]
 }
 
-/// The fingerprint of session `s`'s snapshot on the server at `addr`,
+/// The fingerprint of `session`'s snapshot on the server at `addr`,
 /// asked directly (`xsnapshot` replies `<generation> <fingerprint>` and
 /// then the hex-armored bytes).
-fn snapshot_fingerprint(addr: SocketAddr) -> String {
+fn snapshot_fingerprint(addr: SocketAddr, session: &str) -> String {
     let mut direct = Transcript::connect(addr);
-    direct.send("xsnapshot s");
+    direct.send(&format!("xsnapshot {session}"));
     let header = direct.text.lines().nth(1).expect("xsnapshot header line");
     let fingerprint = header.split_whitespace().nth(1).expect("fingerprint");
     fingerprint.to_string()
@@ -208,7 +208,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
     let mut reference = Transcript::connect(single.addr);
     reference.run(&script);
     reference.refused_mine_is_atomic();
-    let ref_fingerprint = snapshot_fingerprint(single.addr);
+    let ref_fingerprint = snapshot_fingerprint(single.addr, "s");
     single.stop();
 
     for n_backends in 1..=3usize {
@@ -238,13 +238,83 @@ fn router_matches_single_server_over_1_2_3_backends() {
         // bytes the single server's session does.
         for backend in &backends {
             assert_eq!(
-                snapshot_fingerprint(backend.addr),
+                snapshot_fingerprint(backend.addr, "s"),
                 ref_fingerprint,
                 "snapshot of backend {} (of {n_backends}) diverged from the single server",
                 backend.addr
             );
         }
 
+        stop_fleet(router, backends);
+    }
+}
+
+/// The shipped example scripts, each replayed in a session named after it.
+const EXAMPLE_SCRIPTS: &[(&str, &str)] = &[
+    (
+        "brain_case_study",
+        include_str!("../examples/scripts/brain_case_study.gql"),
+    ),
+    (
+        "mine_backends",
+        include_str!("../examples/scripts/mine_backends.gql"),
+    ),
+];
+
+/// A script's wire-sendable lines: comments and blanks dropped (the
+/// server sends no reply for them), and the front end's `load-demo
+/// <seed>` spelled as its wire equivalent, `open <session> demo <seed>`.
+fn wire_lines(session: &str, text: &str) -> Vec<String> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| match l.strip_prefix("load-demo ") {
+            Some(seed) => format!("open {session} demo {seed}"),
+            None => l.to_string(),
+        })
+        .collect()
+}
+
+/// Every example script replayed on one connection to `addr`.
+fn replay_examples(addr: SocketAddr) -> String {
+    let mut client = Transcript::connect(addr);
+    for (session, text) in EXAMPLE_SCRIPTS {
+        for line in wire_lines(session, text) {
+            client.send(&line);
+        }
+    }
+    client.text
+}
+
+#[test]
+fn example_scripts_are_byte_identical_through_the_router() {
+    let single = spawn_backend();
+    let reference = replay_examples(single.addr);
+    let ref_fingerprints: Vec<String> = EXAMPLE_SCRIPTS
+        .iter()
+        .map(|(session, _)| snapshot_fingerprint(single.addr, session))
+        .collect();
+    single.stop();
+    assert!(!reference.contains("ERR "), "{reference}");
+
+    for n_backends in 1..=2usize {
+        let backends = spawn_backends(n_backends);
+        let router = spawn_router(&backends, 0);
+        assert_eq!(
+            replay_examples(router.addr),
+            reference,
+            "example transcript diverged over {n_backends} backend(s)"
+        );
+        for backend in &backends {
+            for ((session, _), fingerprint) in EXAMPLE_SCRIPTS.iter().zip(&ref_fingerprints) {
+                assert_eq!(
+                    &snapshot_fingerprint(backend.addr, session),
+                    fingerprint,
+                    "snapshot of {session} on backend {} (of {n_backends}) diverged",
+                    backend.addr
+                );
+            }
+        }
         stop_fleet(router, backends);
     }
 }
