@@ -149,7 +149,6 @@ fn exp_fig_3_5() {
         range: Interval::new(lo, hi).unwrap(),
         average: avg,
         std_dev: sd,
-        extras: Default::default(),
     };
     let sumy1 = SumyTable::new(
         "SUMY1",

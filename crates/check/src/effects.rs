@@ -1,70 +1,33 @@
-//! The verb-effect table: one statically-derived summary of what every
-//! GQL verb does to a session, exported as the single source of truth
-//! for every subsystem that used to hand-classify verbs.
+//! The verb-effect table: one summary of what every GQL verb does to a
+//! session, exported as the single source of truth for the subsystems that
+//! used to hand-classify verbs.
 //!
-//! Three consumers used to keep overlapping match arms in sync by hand:
+//! Two consumers used to keep overlapping match arms in sync by hand:
 //!
 //! * `gea-server`'s locking and response-cache admission (read vs write,
 //!   cacheable vs always-execute);
 //! * `gea-router`'s dispatch (affine read vs replicated write vs
-//!   scatter/gather across shards);
-//! * `gea-opt`'s rewrite safety conditions.
+//!   scatter/gather across shards).
 //!
-//! All three now consume [`EffectTable`]. The table has two faces: a
-//! `const` row per verb ([`EffectTable::ROWS`]) for table-driven
-//! consumers and documentation, and [`EffectTable::of`] which resolves a
-//! *specific* command to its [`Effect`] — necessary because two verbs
-//! are form-dependent (`populate` only scatters in its operator form,
-//! `mine` only for range-sharded backends). `of` is an exhaustive match
-//! with no wildcard arm, so adding a `GqlCommand` variant without
-//! deciding its effects is a compile error; the unit test below closes
-//! the remaining gap by checking every parseable verb has a `ROWS` entry
+//! Both now consume [`EffectTable`]. The table has two faces: a `const`
+//! row per verb ([`EffectTable::rows`]) carrying the facts true of every
+//! form of the verb, and [`EffectTable::of`], which resolves a *specific*
+//! command to its [`Effect`] and is the one place scatterability is
+//! decided — it is form-dependent (`populate` only scatters in its
+//! operator form, `mine` only for range-sharded backends). `of` is an
+//! exhaustive match with no wildcard arm, so adding a `GqlCommand` variant
+//! without deciding its effects is a compile error; the unit test below
+//! closes the remaining gap by checking every parseable verb has a row
 //! that agrees with `of`.
 
 use crate::gql::GqlCommand;
-use crate::world::{World, WorldSet};
-
-const ENUM: WorldSet = WorldSet::of(World::Enum);
-const SUMY: WorldSet = WorldSet::of(World::Sumy);
-const GAP: WorldSet = WorldSet::of(World::Gap);
-const FASC: WorldSet = WorldSet::of(World::Fascicle);
-const NONE: WorldSet = WorldSet::EMPTY;
-const ALL: WorldSet = ENUM
-    .with(World::Sumy)
-    .with(World::Gap)
-    .with(World::Fascicle);
-/// `mine` defines its output in three worlds at once (the 3W model).
-const MINED: WorldSet = ENUM.with(World::Sumy).with(World::Fascicle);
-
-/// When a verb may be scattered across shard backends instead of being
-/// executed whole on every replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scatter {
-    /// Never shard-split; reads route affine, writes replicate.
-    Never,
-    /// Every form of the verb is scan-shaped over contiguous library
-    /// ranges (`groups`).
-    Always,
-    /// Only the thesis operator form (`populate <name> <sumy> <dataset>`)
-    /// scans; the lineage re-materialization form does not.
-    OperatorFormOnly,
-    /// Only backends whose kernel is a contiguous-range scan (the classic
-    /// fascicle miner and `isa`); `simplex` mines in rotated tag space,
-    /// which has no library-range decomposition.
-    RangeShardedBackendsOnly,
-}
 
 /// The static effect row for one verb: the most general summary true of
-/// every form of the verb. Form-dependent refinement (scatter) lives in
-/// [`EffectTable::of`].
+/// every form of the verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerbEffect {
     /// The verb string, as [`GqlCommand::verb`] reports it.
     pub verb: &'static str,
-    /// Worlds the verb resolves operands in.
-    pub reads: WorldSet,
-    /// Worlds the verb defines or replaces names in.
-    pub writes: WorldSet,
     /// Whether executing mutates the session (tables, lineage, or the
     /// whole state for `load`). `!mutates_session` is exactly the
     /// server's read-lock class.
@@ -78,8 +41,6 @@ pub struct VerbEffect {
     /// seeded); kept explicit so a future stochastic backend has a place
     /// to declare itself.
     pub deterministic: bool,
-    /// Shard-scatter policy.
-    pub scatter: Scatter,
 }
 
 /// The effect of one *specific* command, with form-dependent fields
@@ -106,43 +67,38 @@ impl Effect {
 
 /// One row per verb. Row order follows the `help` text.
 const ROWS: &[VerbEffect] = &[
-    row("tissues", NONE, NONE, READ, PURE),
-    row("dataset", NONE, ENUM, WRITE, PURE),
-    row("custom", NONE, ENUM, WRITE, PURE),
-    row("select", ENUM, ENUM, WRITE, PURE),
-    row("project", ENUM, ENUM, WRITE, PURE),
-    scatter_row("mine", ENUM, MINED, Scatter::RangeShardedBackendsOnly),
-    row("fascicles", FASC, NONE, READ, PURE),
-    row("purity", FASC, NONE, READ, PURE),
-    scatter_row("groups", FASC, SUMY, Scatter::Always),
-    row("gap", SUMY, GAP, WRITE, PURE),
-    row("topgap", GAP, GAP, WRITE, PURE),
-    row("compare", GAP, GAP, WRITE, PURE),
-    row("show", SUMY.with(World::Gap), NONE, READ, PURE),
-    row("plot", ENUM.with(World::Fascicle), NONE, READ, PURE),
-    row("library", NONE, NONE, READ, PURE),
-    row("tagfreq", ENUM, NONE, READ, PURE),
+    row("tissues", READ, PURE),
+    row("dataset", WRITE, PURE),
+    row("custom", WRITE, PURE),
+    row("select", WRITE, PURE),
+    row("project", WRITE, PURE),
+    row("mine", WRITE, PURE),
+    row("fascicles", READ, PURE),
+    row("purity", READ, PURE),
+    row("groups", WRITE, PURE),
+    row("gap", WRITE, PURE),
+    row("topgap", WRITE, PURE),
+    row("compare", WRITE, PURE),
+    row("show", READ, PURE),
+    row("plot", READ, PURE),
+    row("library", READ, PURE),
+    row("tagfreq", READ, PURE),
     // Reads for locking purposes, but the reply lands on the filesystem,
     // which the session generation does not cover: never cached.
-    row("export", ALL, NONE, READ, IMPURE),
+    row("export", READ, IMPURE),
     // Annotation lands in the lineage, which `lineage` then reports:
     // a session mutation even though no table changes.
-    row("comment", ALL, NONE, WRITE, PURE),
-    row("delete", ALL, ALL, WRITE, PURE),
-    scatter_row(
-        "populate",
-        SUMY.with(World::Enum),
-        ENUM,
-        Scatter::OperatorFormOnly,
-    ),
+    row("comment", WRITE, PURE),
+    row("delete", WRITE, PURE),
+    row("populate", WRITE, PURE),
     // Analyzes the pipeline against the symbol table without executing
     // it: a pure, cacheable read.
-    row("check", ALL, NONE, READ, PURE),
-    row("lineage", NONE, NONE, READ, PURE),
-    row("cleaning", NONE, NONE, READ, PURE),
-    row("xprofiler", ENUM, NONE, READ, PURE),
-    row("save", ALL, NONE, READ, IMPURE),
-    row("load", NONE, ALL, WRITE, PURE),
+    row("check", READ, PURE),
+    row("lineage", READ, PURE),
+    row("cleaning", READ, PURE),
+    row("xprofiler", READ, PURE),
+    row("save", READ, IMPURE),
+    row("load", WRITE, PURE),
 ];
 
 const READ: bool = false;
@@ -150,38 +106,12 @@ const WRITE: bool = true;
 const PURE: bool = true;
 const IMPURE: bool = false;
 
-const fn row(
-    verb: &'static str,
-    reads: WorldSet,
-    writes: WorldSet,
-    mutates_session: bool,
-    pure: bool,
-) -> VerbEffect {
+const fn row(verb: &'static str, mutates_session: bool, pure: bool) -> VerbEffect {
     VerbEffect {
         verb,
-        reads,
-        writes,
         mutates_session,
         pure,
         deterministic: true,
-        scatter: Scatter::Never,
-    }
-}
-
-const fn scatter_row(
-    verb: &'static str,
-    reads: WorldSet,
-    writes: WorldSet,
-    scatter: Scatter,
-) -> VerbEffect {
-    VerbEffect {
-        verb,
-        reads,
-        writes,
-        mutates_session: true,
-        pure: true,
-        deterministic: true,
-        scatter,
     }
 }
 
@@ -332,29 +262,10 @@ mod tests {
         assert!(EffectTable::of(&parse_cmd("populate e2 s1 e")).scatterable);
         assert!(!EffectTable::of(&parse_cmd("populate e2")).scatterable);
         assert!(!EffectTable::of(&parse_cmd("gap g s1 s2")).scatterable);
-        // The static rows agree with the policy enum.
-        assert_eq!(
-            EffectTable::row("mine").unwrap().scatter,
-            Scatter::RangeShardedBackendsOnly
-        );
-        assert_eq!(EffectTable::row("groups").unwrap().scatter, Scatter::Always);
-        assert_eq!(
-            EffectTable::row("populate").unwrap().scatter,
-            Scatter::OperatorFormOnly
-        );
     }
 
     #[test]
     fn cacheable_is_pure_deterministic_read() {
-        for r in EffectTable::rows() {
-            if !r.mutates_session && r.pure && r.deterministic {
-                continue; // cacheable; nothing more to check
-            }
-            // Writes must not be cacheable even if pure.
-            if r.mutates_session {
-                assert!(!r.writes.is_empty() || r.verb == "comment", "{}", r.verb);
-            }
-        }
         // The filesystem-touching reads are exactly save and export.
         let impure: Vec<&str> = EffectTable::rows()
             .iter()

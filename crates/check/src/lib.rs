@@ -34,7 +34,7 @@ pub use cost::{
     cost_pipeline, cost_script, CommandCost, CostModel, CostReport, CostSeed, Interval,
 };
 pub use diag::{CheckReport, Diagnostic, Severity};
-pub use effects::{Effect, EffectTable, Scatter, VerbEffect};
+pub use effects::{Effect, EffectTable, VerbEffect};
 pub use fix::{fix_script, FixOutcome};
 pub use symbols::{SymbolSeed, SymbolTable};
 pub use world::{World, WorldSet};

@@ -40,22 +40,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Build from attribute-major storage. `values.len()` must equal
-    /// `n_attrs * n_records`.
-    pub fn from_attr_major(values: Vec<f64>, n_records: usize) -> Dataset {
-        assert!(
-            n_records > 0 && values.len().is_multiple_of(n_records),
-            "values length {} not divisible by record count {}",
-            values.len(),
-            n_records
-        );
-        Dataset {
-            n_records,
-            n_attrs: values.len() / n_records,
-            values,
-        }
-    }
-
     /// Build from record-major rows (each row one record).
     pub fn from_records(rows: &[Vec<f64>]) -> Dataset {
         assert!(!rows.is_empty(), "need at least one record");
@@ -102,13 +86,6 @@ mod tests {
         assert_eq!(d.attr_values(1), &[2.0, 5.0]);
         assert_eq!(d.record_vector(0), vec![1.0, 2.0, 3.0]);
         assert_eq!(d.value(1, 2), 6.0);
-    }
-
-    #[test]
-    fn attr_major_roundtrip() {
-        let d = Dataset::from_attr_major(vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0], 2);
-        assert_eq!(d.n_attrs(), 3);
-        assert_eq!(d.record_vector(1), vec![4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! them, not the whole stream, and "the bytes remaining" are the ones the
 //! stream still declares.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 use gea_sage::tag::Tag;
@@ -121,9 +120,10 @@ impl<S: ByteSink> Write for SinkWriter<'_, S> {
 }
 
 /// Append a `u32` row count and then each SUMY row: tag code, tag number,
-/// range ends, average, standard deviation, and the counted extras. The one
-/// SUMY row layout — a snapshot's SUMY tables and a scatter partial's rows
-/// are these bytes.
+/// range ends, average, standard deviation, and a `u32` `0`: the v3 layout
+/// kept a count of extra aggregate columns there, and no row has any. The
+/// one SUMY row layout — a snapshot's SUMY tables and a scatter partial's
+/// rows are these bytes.
 pub fn put_sumy_rows(out: &mut impl ByteSink, rows: &[SumyRow]) {
     put_u32(out, rows.len() as u32);
     for row in rows {
@@ -133,21 +133,17 @@ pub fn put_sumy_rows(out: &mut impl ByteSink, rows: &[SumyRow]) {
         put_f64(out, row.range.hi());
         put_f64(out, row.average);
         put_f64(out, row.std_dev);
-        put_u32(out, row.extras.len() as u32);
-        for (k, &v) in &row.extras {
-            put_str(out, k);
-            put_f64(out, v);
-        }
+        put_u32(out, 0);
     }
 }
 
 /// Read rows written by [`put_sumy_rows`]: the count is checked against the
 /// bytes remaining before anything is allocated, tag codes against the tag
-/// range, range ends against [`Interval::new`]. `ascending` also requires
-/// strictly ascending tags — what a whole table has, and what keeps
-/// duplicates from `SumyTable::new`, which panics on them; one shard's
-/// share of a scattered aggregation is exempt, and the table the shares
-/// merge into is built with `SumyTable::try_new`.
+/// range, range ends against [`Interval::new`], and the extras count must
+/// be `0`. `ascending` also requires strictly ascending tags — what a
+/// whole table has, and what keeps duplicates from `SumyTable::new`, which
+/// panics on them; one shard's share of a scattered aggregation is exempt,
+/// and the table the shares merge into is built with `SumyTable::try_new`.
 pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, CodecError> {
     let n = cur.count(44, "sumy row")?;
     let mut rows: Vec<SumyRow> = Vec::with_capacity(n);
@@ -163,12 +159,11 @@ pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, Co
             Interval::new(lo, hi).map_err(|e| CodecError(format!("bad sumy range: {e}")))?;
         let average = cur.f64("sumy average")?;
         let std_dev = cur.f64("sumy std dev")?;
-        let n_extras = cur.count(12, "sumy extra")?;
-        let mut extras = BTreeMap::new();
-        for _ in 0..n_extras {
-            let k = cur.string("sumy extra name")?;
-            let v = cur.f64("sumy extra value")?;
-            extras.insert(k, v);
+        let n_extras = cur.u32("sumy extras count")?;
+        if n_extras != 0 {
+            return Err(CodecError(format!(
+                "sumy row carries {n_extras} extra aggregates; none are defined"
+            )));
         }
         rows.push(SumyRow {
             tag,
@@ -176,7 +171,6 @@ pub fn read_sumy_rows(cur: &mut Cur, ascending: bool) -> Result<Vec<SumyRow>, Co
             range,
             average,
             std_dev,
-            extras,
         });
     }
     Ok(rows)
@@ -505,5 +499,34 @@ mod tests {
         assert!(Cur::new(&[0; 8])
             .ensure_elems(usize::MAX, 2, "elem")
             .is_err());
+    }
+
+    /// One SUMY row block whose row declares `n_extras` extra aggregates,
+    /// with one name/value pair behind it, so a reader that took extras
+    /// would decode a count of 1.
+    fn row_block_with_extras(n_extras: u32) -> Vec<u8> {
+        let row = SumyRow {
+            tag: Tag::from_code(5).unwrap(),
+            tag_no: 5,
+            range: Interval::new(1.0, 2.0).unwrap(),
+            average: 1.5,
+            std_dev: 0.5,
+        };
+        let mut out = Vec::new();
+        put_sumy_rows(&mut out, std::slice::from_ref(&row));
+        let at = out.len() - 4;
+        out[at..].copy_from_slice(&n_extras.to_le_bytes());
+        put_str(&mut out, "median");
+        put_f64(&mut out, 1.5);
+        out
+    }
+
+    #[test]
+    fn a_nonzero_extras_count_is_refused() {
+        for n in [1, u32::MAX] {
+            let bytes = row_block_with_extras(n);
+            let err = read_sumy_rows(&mut Cur::new(&bytes), true).unwrap_err();
+            assert!(err.0.contains("extra aggregates"), "{n}: {err}");
+        }
     }
 }

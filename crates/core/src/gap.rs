@@ -116,18 +116,6 @@ impl GapTable {
         self.select(name, |r| r.gap().is_some())
     }
 
-    /// Keep rows with a negative first gap (lower expression in the first
-    /// SUMY table) — Case 3's "selection to keep only the tags with
-    /// negative gap values".
-    pub fn negative_gaps(&self, name: &str) -> GapTable {
-        self.select(name, |r| matches!(r.gap(), Some(g) if g < 0.0))
-    }
-
-    /// Keep rows with a positive first gap.
-    pub fn positive_gaps(&self, name: &str) -> GapTable {
-        self.select(name, |r| matches!(r.gap(), Some(g) if g > 0.0))
-    }
-
     /// π on GAP: only the tag list survives (Case 3 "applied 'projection'
     /// to retain only the tags").
     pub fn project_tags(&self) -> Vec<Tag> {
@@ -173,7 +161,6 @@ pub fn gap_value(first: &SumyRow, second: &SumyRow) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::interval::Interval;
-    use std::collections::BTreeMap;
 
     fn row(tag: &str, no: u32, lo: f64, hi: f64, avg: f64, sd: f64) -> SumyRow {
         SumyRow {
@@ -182,7 +169,6 @@ mod tests {
             range: Interval::new(lo, hi).unwrap(),
             average: avg,
             std_dev: sd,
-            extras: BTreeMap::new(),
         }
     }
 
@@ -259,8 +245,6 @@ mod tests {
         let (s1, s2) = figure_3_5_tables();
         let gap = diff("g", &s1, &s2);
         assert_eq!(gap.drop_null_gaps("nn").len(), 2);
-        assert_eq!(gap.negative_gaps("neg").len(), 1);
-        assert_eq!(gap.positive_gaps("pos").len(), 1);
         assert_eq!(gap.project_tags().len(), 3);
     }
 

@@ -18,9 +18,10 @@
 //! definition), [`gap::diff`], the [`setops`] (minus/intersect/union at the
 //! tag level), selection with Allen [`interval`] relations, and
 //! [`topgap`] extraction. [`compare`] implements the thirteen GAP-analysis
-//! queries; [`lineage`] tracks the operation history; [`search`] provides
-//! the general database searches; [`session::GeaSession`] strings it all
-//! together as the thesis's macro operations.
+//! queries; [`lineage`] tracks the operation history; [`search`] answers
+//! the library-information and tag-frequency searches;
+//! [`session::GeaSession`] strings it all together as the thesis's macro
+//! operations.
 //!
 //! ```
 //! use gea_core::session::GeaSession;
@@ -71,6 +72,6 @@ pub use session::{
     ControlGroupInputs, ControlGroups, ExecConfig, ExecEvent, GeaError, GeaSession,
     SessionSnapshot, SessionSource,
 };
-pub use sumy::{aggregate, aggregate_with_extras, ExtraAggregate, SumyTable};
+pub use sumy::{aggregate, SumyTable};
 pub use topgap::{top_gaps, TopGapOrder};
 pub use xprofiler::{compare_pools, XProfilerResult, XProfilerRow};

@@ -46,20 +46,6 @@ pub fn generate_metadata(table: &EnumTable, width_fraction: f64) -> ToleranceVec
     ToleranceVector::from_width_fraction(&MatrixView::new(table), width_fraction)
 }
 
-/// Number of tags that are *constant* across every library of the table
-/// (typically tags never expressed in this tissue). Constant tags are
-/// compact in any record subset, so they set a floor on fascicle
-/// compactness: a meaningful `k` must exceed this count — which is why the
-/// thesis mines brain at `k = 25,000–35,000` out of ~60,000 tags.
-pub fn constant_tag_count(table: &EnumTable) -> usize {
-    (0..table.n_tags())
-        .filter(|&a| {
-            let vals = table.matrix.tag_row(TagId(a as u32));
-            vals.windows(2).all(|w| w[0] == w[1])
-        })
-        .count()
-}
-
 /// One mined cluster, in both identities: its member libraries
 /// (extensional) and its SUMY definition over the compact tags
 /// (intensional).
@@ -203,16 +189,6 @@ mod tests {
                 ],
             ),
         )
-    }
-
-    #[test]
-    fn constant_tag_counting() {
-        let table = table();
-        // Neither demo tag is constant across the six libraries.
-        assert_eq!(constant_tag_count(&table), 0);
-        // Restrict to a single library: every tag is trivially constant.
-        let solo = table.with_libraries("solo", &[LibraryId(0)]);
-        assert_eq!(constant_tag_count(&solo), 2);
     }
 
     #[test]

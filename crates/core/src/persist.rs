@@ -61,7 +61,7 @@ use crate::codec::{
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
-use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
+use crate::lineage::{Lineage, NodeId, NodeKind};
 use crate::session::{FascicleRecord, GeaSession, SessionSnapshot, SessionSource};
 use crate::sumy::SumyTable;
 
@@ -328,21 +328,6 @@ struct ParsedNode {
     comment: String,
     parents: Vec<u32>,
     materialized: bool,
-}
-
-/// Render one reloaded node the way Figure 4.18's detail panel does.
-pub fn describe_node(node: &LineageNode) -> String {
-    let mut out = format!(
-        "Operation Name: {}\nOperation Type: {}\n",
-        node.name, node.operation
-    );
-    for (k, v) in &node.params {
-        out.push_str(&format!("{k}: {v}\n"));
-    }
-    if !node.comment.is_empty() {
-        out.push_str(&format!("User Comment: {}\n", node.comment));
-    }
-    out
 }
 
 // ----- fidelity-complete binary snapshots (`session.gea`) -----------------
@@ -1389,7 +1374,6 @@ mod tests {
         }
         let node = lineage.find_by_name(dropped).unwrap();
         assert!(!node.materialized);
-        assert!(describe_node(node).contains("Fascicles"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -466,7 +466,6 @@ mod tests {
                 range: crate::interval::Interval::new(0.0, 1.0).unwrap(),
                 average: 0.5,
                 std_dev: 0.1,
-                extras: Default::default(),
             }],
         );
         let (libs, _) = populate_scan(&foreign, &table);
@@ -480,7 +479,6 @@ mod tests {
                 range: crate::interval::Interval::new(2.0, 3.0).unwrap(),
                 average: 2.5,
                 std_dev: 0.1,
-                extras: Default::default(),
             }],
         );
         let (libs, _) = populate_scan(&strict, &table);
@@ -521,7 +519,6 @@ mod tests {
                 range: crate::interval::Interval::new(-5.0, -1.0).unwrap(),
                 average: -3.0,
                 std_dev: 0.5,
-                extras: Default::default(),
             }],
         );
         let (hits, stats) = populate_columnar(&impossible, &table);

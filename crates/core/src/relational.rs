@@ -107,7 +107,6 @@ pub fn sumy_from_relation(name: &str, table: &Table) -> Result<SumyTable, Conver
             range: Interval::new(lo, hi).map_err(|e| ConvertError::Malformed(e.to_string()))?,
             average: f("Average")?,
             std_dev: f("STDV")?,
-            extras: Default::default(),
         });
     }
     Ok(SumyTable::new(name, rows))

@@ -1,19 +1,15 @@
-//! Search operations (thesis §4.4.4).
-//!
-//! Two families: general database searches over the SAGE data (library
-//! information, tissue-type membership, tag frequencies, tag-range
-//! retrieval — Figures 4.23–4.26) and range-arithmetic searches over SUMY
-//! tables (Figures 4.16/4.17), whose per-tag results are `NO` (relation not
-//! satisfied), `NE` (tag not in the table) or the satisfied range.
+//! The database searches the `library` and `tagfreq` verbs answer (thesis
+//! §4.4.4): library information by id or name (Figure 4.23) and one tag's
+//! expression values over a data set's libraries (Figure 4.26). The range
+//! searches over SUMY tables (Figures 4.16/4.17) are
+//! [`SumyTable::select_range`](crate::sumy::SumyTable::select_range) and
+//! [`SumyTable::select_intersecting`](crate::sumy::SumyTable::select_intersecting).
 
 use gea_sage::corpus::SageCorpus;
 use gea_sage::library::{LibraryId, LibraryMeta};
 use gea_sage::tag::Tag;
-use gea_sage::TissueType;
 
 use crate::enum_table::EnumTable;
-use crate::interval::{AllenRelation, Interval};
-use crate::sumy::SumyTable;
 
 /// Figure 4.23's library-information search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,15 +43,6 @@ pub fn library_info_by_name(corpus: &SageCorpus, name: &str) -> Option<LibraryIn
     corpus
         .find_by_name(name)
         .and_then(|id| library_info_by_id(corpus, id))
-}
-
-/// Figure 4.24's tissue-type search: member library names and their count.
-pub fn tissue_members(corpus: &SageCorpus, tissue: &TissueType) -> Vec<String> {
-    corpus
-        .libraries_of_tissue(tissue)
-        .into_iter()
-        .map(|id| corpus.meta(id).name.clone())
-        .collect()
 }
 
 /// One row of the tag-frequency search (Figures 4.25/4.26): a tag, its
@@ -98,123 +85,13 @@ pub fn tag_frequency(
     })
 }
 
-/// Expression values for every tag in the inclusive tag range `lo..=hi`
-/// over the chosen libraries — Figure 4.25's
-/// `AAAAAAAAAC-AAAAAAACCC` search.
-pub fn tag_range_frequency(
-    table: &EnumTable,
-    lo: Tag,
-    hi: Tag,
-    libraries: &[LibraryId],
-) -> Vec<TagFrequencyRow> {
-    table
-        .matrix
-        .universe()
-        .ids_in_range(lo, hi)
-        .filter_map(|tid| tag_frequency(table, table.matrix.tag_of(tid), libraries))
-        .collect()
-}
-
-/// The §4.4.4.2 "Range Search for Library": libraries of a data set whose
-/// expression of `tag` lies within `lo..=hi` (inclusive).
-pub fn libraries_with_tag_in_range(
-    table: &EnumTable,
-    tag: Tag,
-    lo: f64,
-    hi: f64,
-) -> Vec<(String, f64)> {
-    let Some(tid) = table.matrix.id_of(tag) else {
-        return Vec::new();
-    };
-    table
-        .matrix
-        .library_ids()
-        .filter_map(|lib| {
-            let v = table.matrix.value(tid, lib);
-            (v >= lo && v <= hi).then(|| (table.matrix.library(lib).name.clone(), v))
-        })
-        .collect()
-}
-
-/// Per-tag outcome of a range-arithmetic search over one SUMY table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RangeSearchOutcome {
-    /// The tag's range satisfies the relation; carries the range.
-    Satisfied(Interval),
-    /// The tag exists but its range does not satisfy the relation —
-    /// displayed as `NO`.
-    NotSatisfied,
-    /// The tag does not exist in the SUMY table — displayed as `NE`.
-    NotInTable,
-}
-
-impl RangeSearchOutcome {
-    /// The thesis's display token.
-    pub fn display(&self) -> String {
-        match self {
-            RangeSearchOutcome::Satisfied(iv) => format!("({}-{})", iv.lo(), iv.hi()),
-            RangeSearchOutcome::NotSatisfied => "NO".to_string(),
-            RangeSearchOutcome::NotInTable => "NE".to_string(),
-        }
-    }
-}
-
-/// Figure 4.16's search: probe specific tags against multiple SUMY tables
-/// under the *loose overlap* test the thesis's Overlaps search uses.
-/// Returns one outcome per `(tag, table)` pair, table-major per tag.
-pub fn range_search_tags(
-    tables: &[&SumyTable],
-    tags: &[Tag],
-    query: Interval,
-) -> Vec<(Tag, Vec<RangeSearchOutcome>)> {
-    tags.iter()
-        .map(|&tag| {
-            let outcomes = tables
-                .iter()
-                .map(|table| match table.row_for(tag) {
-                    None => RangeSearchOutcome::NotInTable,
-                    Some(row) => {
-                        if row.range.intersects(query) {
-                            RangeSearchOutcome::Satisfied(row.range)
-                        } else {
-                            RangeSearchOutcome::NotSatisfied
-                        }
-                    }
-                })
-                .collect();
-            (tag, outcomes)
-        })
-        .collect()
-}
-
-/// Figure 4.17's "any tag" search: all tags of one SUMY table whose range
-/// stands in `rel` to `query` (strict Allen semantics), or — with
-/// `rel = None` — whose range merely intersects it (the thesis's Overlaps
-/// button).
-pub fn range_search_any(
-    table: &SumyTable,
-    rel: Option<AllenRelation>,
-    query: Interval,
-) -> Vec<(Tag, Interval)> {
-    table
-        .rows()
-        .iter()
-        .filter(|row| match rel {
-            Some(rel) => row.range.satisfies(rel, query),
-            None => row.range.intersects(query),
-        })
-        .map(|row| (row.tag, row.range))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sumy::aggregate;
     use gea_sage::corpus::library_meta;
     use gea_sage::library::{NeoplasticState, SageLibrary, TissueSource};
     use gea_sage::tag::TagUniverse;
-    use gea_sage::ExpressionMatrix;
+    use gea_sage::{ExpressionMatrix, TissueType};
 
     fn corpus() -> SageCorpus {
         let mut c = SageCorpus::new();
@@ -295,16 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn tissue_membership() {
-        let c = corpus();
-        assert_eq!(
-            tissue_members(&c, &TissueType::Brain),
-            vec!["SAGE_Duke_H1020", "SAGE_Br_N"]
-        );
-        assert!(tissue_members(&c, &TissueType::Skin).is_empty());
-    }
-
-    #[test]
     fn single_tag_frequency_matches_figure_4_26() {
         // "the tag number for AAAAAAAAAC is 2, and the expression values for
         // the selected libraries are 13 and 8" — our universe numbers from
@@ -324,76 +191,5 @@ mod tests {
             ]
         );
         assert!(tag_frequency(&t, "GGGGGGGGGG".parse().unwrap(), &[]).is_none());
-    }
-
-    #[test]
-    fn tag_range_frequency_walks_the_range() {
-        let t = enum_table();
-        let rows = tag_range_frequency(
-            &t,
-            "AAAAAAAAAC".parse().unwrap(),
-            "AAAAAAAAAT".parse().unwrap(),
-            &[],
-        );
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].tag.to_string(), "AAAAAAAAAC");
-        assert_eq!(rows[2].tag.to_string(), "AAAAAAAAAT");
-        // Empty library list = all three libraries.
-        assert_eq!(rows[1].values.len(), 3);
-        assert_eq!(rows[1].values[2].1, 7.0);
-    }
-
-    #[test]
-    fn library_range_search() {
-        let t = enum_table();
-        let hits = libraries_with_tag_in_range(&t, "AAAAAAAAAG".parse().unwrap(), 5.0, 30.0);
-        assert_eq!(
-            hits,
-            vec![
-                ("SAGE_293-IND".to_string(), 26.0),
-                ("SAGE_95-260".to_string(), 7.0)
-            ]
-        );
-        assert!(
-            libraries_with_tag_in_range(&t, "GGGGGGGGGG".parse().unwrap(), 0.0, 1.0).is_empty()
-        );
-    }
-
-    #[test]
-    fn range_search_specific_tags() {
-        let t = enum_table();
-        let sumy = aggregate("s", &t.matrix);
-        let query = Interval::new(10.0, 700.0).unwrap();
-        let results = range_search_tags(
-            &[&sumy],
-            &[
-                "AAAAAAAAAG".parse().unwrap(), // range [0, 26] → intersects
-                "AAAAAAAAAT".parse().unwrap(), // range [0, 3] → NO
-                "GGGGGGGGGG".parse().unwrap(), // not in table → NE
-            ],
-            query,
-        );
-        assert!(matches!(results[0].1[0], RangeSearchOutcome::Satisfied(_)));
-        assert_eq!(results[1].1[0], RangeSearchOutcome::NotSatisfied);
-        assert_eq!(results[2].1[0], RangeSearchOutcome::NotInTable);
-        assert_eq!(results[1].1[0].display(), "NO");
-        assert_eq!(results[2].1[0].display(), "NE");
-    }
-
-    #[test]
-    fn range_search_any_tag() {
-        let t = enum_table();
-        let sumy = aggregate("s", &t.matrix);
-        // Strict Allen 'during' [−1, 30]: every tag's range sits inside.
-        let hits = range_search_any(
-            &sumy,
-            Some(AllenRelation::During),
-            Interval::new(-1.0, 30.0).unwrap(),
-        );
-        assert_eq!(hits.len(), 4);
-        // Loose overlap with [6, 9]: CAAAAAAAAA is [5,5] → no; AAAAAAAAAT
-        // [0,3] → no; the other two ranges reach into [6, 9].
-        let loose = range_search_any(&sumy, None, Interval::new(6.0, 9.0).unwrap());
-        assert_eq!(loose.len(), 2);
     }
 }

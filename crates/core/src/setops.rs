@@ -226,14 +226,12 @@ mod tests {
     fn sumy_set_ops() {
         use crate::interval::Interval;
         use crate::sumy::SumyRow;
-        use std::collections::BTreeMap;
         let row = |tag: &str, no: u32, avg: f64| SumyRow {
             tag: tag.parse().unwrap(),
             tag_no: no,
             range: Interval::new(0.0, avg * 2.0).unwrap(),
             average: avg,
             std_dev: 1.0,
-            extras: BTreeMap::new(),
         };
         let s1 = SumyTable::new(
             "s1",

@@ -2,12 +2,9 @@
 //!
 //! In the intensional world a cluster is represented by its *definition*:
 //! for each compact tag, the range, mean and standard deviation of its
-//! expression levels over the cluster's libraries (Figure 3.3a). Additional
-//! aggregate columns are supported as the thesis allows ("a SUMY table can
-//! have more aggregate columns than the ones shown, so long as it has those
-//! columns").
-
-use std::collections::BTreeMap;
+//! expression levels over the cluster's libraries (Figure 3.3a). The thesis
+//! allows more aggregate columns than these (§3.1.2); nothing here computes
+//! one, so a row carries exactly these.
 
 use gea_sage::tag::{Tag, TagId};
 use gea_sage::ExpressionMatrix;
@@ -28,8 +25,6 @@ pub struct SumyRow {
     pub average: f64,
     /// Population standard deviation.
     pub std_dev: f64,
-    /// Optional extra aggregates, name → value (e.g. a median column).
-    pub extras: BTreeMap<String, f64>,
 }
 
 /// A SUMY table: a named set of tag definitions, sorted by tag.
@@ -125,27 +120,6 @@ impl SumyTable {
     /// which is Allen-*during*, not Allen-*overlaps*).
     pub fn select_intersecting(&self, name: &str, query: Interval) -> SumyTable {
         self.select(name, |r| r.range.intersects(query))
-    }
-
-    /// π on SUMY: drop the named extra aggregate columns ("the standard
-    /// projection operator to remove unwanted columns", §3.2.3). The core
-    /// columns (range/average/std-dev) are structural and always kept.
-    pub fn project_away_extras(&self, name: &str, drop: &[&str]) -> SumyTable {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = r.clone();
-                for d in drop {
-                    row.extras.remove(*d);
-                }
-                row
-            })
-            .collect();
-        SumyTable {
-            name: name.to_string(),
-            rows,
-        }
     }
 }
 
@@ -295,7 +269,6 @@ fn aggregate_rows_sink(
                 range: Interval::new(lo, hi).expect("finite expression levels"),
                 average: avg[l],
                 std_dev: (sq[l] / nf).sqrt(),
-                extras: BTreeMap::new(),
             });
         }
         i += LANES;
@@ -358,88 +331,7 @@ pub fn aggregate_row(matrix: &ExpressionMatrix, tid: TagId) -> SumyRow {
         range: Interval::new(lo, hi).expect("finite expression levels"),
         average: avg,
         std_dev: var.sqrt(),
-        extras: BTreeMap::new(),
     }
-}
-
-/// Additional per-tag aggregates for SUMY extras columns. The thesis
-/// allows extra aggregate columns (§3.1.2) and notes their cost: "if the
-/// aggregation is more complex (e.g., finding the median), the complexity
-/// can be higher (e.g., O(n log n))" (§3.3.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExtraAggregate {
-    /// The median expression level (O(n log n) per tag).
-    Median,
-    /// A percentile in `[0, 1]` (nearest-rank).
-    Percentile(f64),
-    /// Sum of levels over the cluster's libraries.
-    Sum,
-    /// Number of libraries expressing the tag (level > 0).
-    ExpressingLibraries,
-}
-
-impl ExtraAggregate {
-    /// Column name used in the extras map.
-    pub fn column_name(&self) -> String {
-        match self {
-            ExtraAggregate::Median => "median".to_string(),
-            // Integral percentages keep the canonical zero-padded form
-            // ("p25"); everything else renders the exact value ("p5.4"),
-            // which f64's shortest-roundtrip Display keeps injective —
-            // the old `{:02.0}` rounding collapsed q=0.054 and q=0.056
-            // into the same column name.
-            ExtraAggregate::Percentile(q) => {
-                let p = q * 100.0;
-                if p.fract() == 0.0 && (0.0..=100.0).contains(&p) {
-                    format!("p{:02}", p as u32)
-                } else {
-                    format!("p{p}")
-                }
-            }
-            ExtraAggregate::Sum => "sum".to_string(),
-            ExtraAggregate::ExpressingLibraries => "expressing".to_string(),
-        }
-    }
-
-    fn compute(&self, values: &[f64]) -> f64 {
-        match self {
-            ExtraAggregate::Median => percentile(values, 0.5),
-            ExtraAggregate::Percentile(q) => percentile(values, *q),
-            ExtraAggregate::Sum => values.iter().sum(),
-            ExtraAggregate::ExpressingLibraries => {
-                values.iter().filter(|&&v| v > 0.0).count() as f64
-            }
-        }
-    }
-}
-
-/// Nearest-rank percentile of a non-empty slice.
-fn percentile(values: &[f64], q: f64) -> f64 {
-    debug_assert!(!values.is_empty());
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// [`aggregate`] with additional extras columns attached to every row.
-pub fn aggregate_with_extras(
-    name: &str,
-    matrix: &ExpressionMatrix,
-    extras: &[ExtraAggregate],
-) -> SumyTable {
-    let sumy = aggregate(name, matrix);
-    let mut rows = sumy.rows().to_vec();
-    for row in &mut rows {
-        let tid = matrix.id_of(row.tag).expect("row tag in matrix");
-        let values = matrix.tag_row(tid);
-        for extra in extras {
-            row.extras
-                .insert(extra.column_name(), extra.compute(values));
-        }
-    }
-    SumyTable::new(name, rows)
 }
 
 /// Aggregate only a subset of the matrix's tags — used when forming the
@@ -483,7 +375,6 @@ pub mod reference {
             range: Interval::new(lo, hi).expect("finite expression levels"),
             average: avg,
             std_dev: var.sqrt(),
-            extras: BTreeMap::new(),
         }
     }
 
@@ -502,7 +393,6 @@ pub mod reference {
             range: Interval::new(lo, hi).expect("finite expression levels"),
             average: avg,
             std_dev: var.sqrt(),
-            extras: BTreeMap::new(),
         }
     }
 }
@@ -594,61 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_drops_extras_only() {
-        let mut rows = aggregate("test", &matrix()).rows().to_vec();
-        rows[0].extras.insert("median".to_string(), 4.0);
-        let sumy = SumyTable::new("with_extras", rows);
-        let projected = sumy.project_away_extras("clean", &["median"]);
-        assert!(projected.rows()[0].extras.is_empty());
-        assert_eq!(projected.len(), sumy.len());
-    }
-
-    #[test]
-    fn extras_aggregates() {
-        let m = matrix();
-        let sumy = aggregate_with_extras(
-            "x",
-            &m,
-            &[
-                ExtraAggregate::Median,
-                ExtraAggregate::Percentile(0.25),
-                ExtraAggregate::Sum,
-                ExtraAggregate::ExpressingLibraries,
-            ],
-        );
-        let a = sumy.row_for("AAAAAAAAAA".parse().unwrap()).unwrap();
-        // Values 2, 4, 4, 6: nearest-rank median = 4, p25 = 2, sum = 16.
-        assert_eq!(a.extras["median"], 4.0);
-        assert_eq!(a.extras["p25"], 2.0);
-        assert_eq!(a.extras["sum"], 16.0);
-        assert_eq!(a.extras["expressing"], 4.0);
-        let g = sumy.row_for("GGGGGGGGGG".parse().unwrap()).unwrap();
-        // Values 0, 1, 2, 3: one zero.
-        assert_eq!(g.extras["expressing"], 3.0);
-        assert_eq!(g.extras["median"], 1.0);
-    }
-
-    #[test]
-    fn percentile_column_names_are_collision_free() {
-        // Canonical integral names keep their zero-padded form.
-        assert_eq!(ExtraAggregate::Percentile(0.25).column_name(), "p25");
-        assert_eq!(ExtraAggregate::Percentile(0.5).column_name(), "p50");
-        assert_eq!(ExtraAggregate::Percentile(0.05).column_name(), "p05");
-        assert_eq!(ExtraAggregate::Percentile(1.0).column_name(), "p100");
-        // The old `{:02.0}` rounding mapped these to the same name.
-        let a = ExtraAggregate::Percentile(0.054).column_name();
-        let b = ExtraAggregate::Percentile(0.056).column_name();
-        assert_ne!(a, b, "distinct quantiles collided: {a}");
-        assert_eq!(a, "p5.4");
-        assert!(b.starts_with("p5.6"), "unexpected name {b}");
-        // Dense nearby quantiles all stay distinct.
-        let names: std::collections::HashSet<String> = (0..100)
-            .map(|i| ExtraAggregate::Percentile(0.05 + i as f64 * 1e-4).column_name())
-            .collect();
-        assert_eq!(names.len(), 100);
-    }
-
-    #[test]
     fn blocked_kernel_matches_scalar_reference() {
         // A shape that exercises both the 4-lane blocks and the scalar
         // tail (7 tags = one block + 3), with awkward values.
@@ -702,14 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_edges() {
-        assert_eq!(super::percentile(&[5.0], 0.5), 5.0);
-        assert_eq!(super::percentile(&[1.0, 2.0, 3.0], 0.0), 1.0);
-        assert_eq!(super::percentile(&[1.0, 2.0, 3.0], 1.0), 3.0);
-        assert_eq!(super::percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate tag")]
     fn duplicate_tags_rejected() {
         let row = SumyRow {
@@ -718,7 +545,6 @@ mod tests {
             range: Interval::new(0.0, 1.0).unwrap(),
             average: 0.5,
             std_dev: 0.1,
-            extras: BTreeMap::new(),
         };
         assert_eq!(
             SumyTable::try_new("dup", vec![row.clone(), row.clone()]),

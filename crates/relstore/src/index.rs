@@ -7,7 +7,7 @@
 //! indexed attributes appear in the query and verifies the remaining
 //! conditions by scan.
 
-use crate::table::{RowId, Table, TableError};
+use crate::table::RowId;
 
 /// A sorted `(value, row)` index over one numeric attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,20 +30,6 @@ impl SortedIndex {
         SortedIndex { entries }
     }
 
-    /// Build over a numeric column of a table. NULL and non-numeric cells
-    /// are skipped.
-    pub fn build_on_column(table: &Table, column: &str) -> Result<SortedIndex, TableError> {
-        let col = table.column_by_name(column)?;
-        let mut entries: Vec<(f64, RowId)> = col
-            .iter()
-            .enumerate()
-            .filter_map(|(r, v)| v.as_f64().map(|f| (f, r)))
-            .filter(|(v, _)| v.is_finite())
-            .collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SortedIndex { entries })
-    }
-
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -64,17 +50,6 @@ impl SortedIndex {
         let mut rows: Vec<RowId> = self.entries[start..end].iter().map(|&(_, r)| r).collect();
         rows.sort_unstable();
         rows
-    }
-
-    /// Number of rows in `lo..=hi` without materializing them — the
-    /// selectivity estimate.
-    pub fn count_range(&self, lo: f64, hi: f64) -> usize {
-        if lo > hi {
-            return 0;
-        }
-        let start = self.entries.partition_point(|&(v, _)| v < lo);
-        let end = self.entries.partition_point(|&(v, _)| v <= hi);
-        end - start
     }
 }
 
@@ -110,8 +85,6 @@ pub fn intersect_row_lists(mut lists: Vec<Vec<RowId>>) -> Vec<RowId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
-    use crate::value::{DataType, Value};
 
     #[test]
     fn range_queries() {
@@ -119,7 +92,6 @@ mod tests {
         assert_eq!(idx.range(3.0, 5.0), vec![0, 2, 3]);
         assert_eq!(idx.range(0.0, 0.5), Vec::<usize>::new());
         assert_eq!(idx.range(9.0, 9.0), vec![4]);
-        assert_eq!(idx.count_range(1.0, 9.0), 5);
         assert_eq!(idx.range(5.0, 3.0), Vec::<usize>::new());
     }
 
@@ -128,18 +100,6 @@ mod tests {
         let idx = SortedIndex::build(&[1.0, f64::NAN, f64::INFINITY, 2.0]);
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.range(0.0, 10.0), vec![0, 3]);
-    }
-
-    #[test]
-    fn column_index_skips_nulls() {
-        let schema = Schema::from_pairs(&[("x", DataType::Float)]).unwrap();
-        let mut t = Table::new(schema);
-        t.push_row(vec![2.0.into()]).unwrap();
-        t.push_row(vec![Value::Null]).unwrap();
-        t.push_row(vec![7.0.into()]).unwrap();
-        let idx = SortedIndex::build_on_column(&t, "x").unwrap();
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.range(0.0, 5.0), vec![0]);
     }
 
     #[test]

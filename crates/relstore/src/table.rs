@@ -145,17 +145,6 @@ impl Table {
         Ok(self.value(row, idx))
     }
 
-    /// One whole column by index.
-    pub fn column(&self, col: usize) -> &[Value] {
-        &self.columns[col]
-    }
-
-    /// One whole column by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&[Value], TableError> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.column(idx))
-    }
-
     /// Materialize one row as a `Vec<Value>`.
     pub fn row(&self, row: RowId) -> Vec<Value> {
         self.columns.iter().map(|c| c[row].clone()).collect()

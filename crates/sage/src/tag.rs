@@ -127,15 +127,6 @@ impl Tag {
         self.0
     }
 
-    /// Construct from the ten bases, most significant first.
-    pub fn from_bases(bases: [Base; TAG_LEN]) -> Tag {
-        let mut code = 0u32;
-        for b in bases {
-            code = (code << 2) | b as u32;
-        }
-        Tag(code)
-    }
-
     /// The ten bases, most significant first.
     pub fn bases(self) -> [Base; TAG_LEN] {
         let mut out = [Base::A; TAG_LEN];
@@ -144,17 +135,6 @@ impl Tag {
             *slot = Base::from_code(self.0 >> shift);
         }
         out
-    }
-
-    /// The tag that follows this one lexicographically, or `None` at
-    /// [`Tag::MAX`]. Used by tag-range iteration.
-    pub fn succ(self) -> Option<Tag> {
-        Tag::from_code(self.0 + 1)
-    }
-
-    /// Iterate every tag in the inclusive range `lo..=hi`.
-    pub fn range_inclusive(lo: Tag, hi: Tag) -> impl Iterator<Item = Tag> {
-        (lo.0..=hi.0).map(Tag)
     }
 }
 
@@ -249,14 +229,6 @@ impl TagUniverse {
         self.sorted[id.index()]
     }
 
-    /// Ids covering the inclusive tag range `lo..=hi` — a contiguous id span
-    /// because the universe is sorted.
-    pub fn ids_in_range(&self, lo: Tag, hi: Tag) -> impl Iterator<Item = TagId> + '_ {
-        let start = self.sorted.partition_point(|t| *t < lo);
-        let end = self.sorted.partition_point(|t| *t <= hi);
-        (start..end).map(|i| TagId(i as u32))
-    }
-
     /// Iterate `(id, tag)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, Tag)> + '_ {
         self.sorted
@@ -333,19 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn succ_walks_the_space() {
-        let t: Tag = "AAAAAAAAAA".parse().unwrap();
-        assert_eq!(t.succ().unwrap().to_string(), "AAAAAAAAAC");
-        assert_eq!(Tag::MAX.succ(), None);
-    }
-
-    #[test]
-    fn bases_roundtrip() {
-        let t: Tag = "GATTACAGAT".parse().unwrap();
-        assert_eq!(Tag::from_bases(t.bases()), t);
-    }
-
-    #[test]
     fn universe_assigns_sorted_dense_ids() {
         let tags: Vec<Tag> = ["GGGGGGGGGG", "AAAAAAAAAA", "CCCCCCCCCC", "GGGGGGGGGG"]
             .iter()
@@ -357,19 +316,6 @@ mod tests {
         assert_eq!(u.tag_of(TagId(2)).to_string(), "GGGGGGGGGG");
         assert_eq!(u.id_of("CCCCCCCCCC".parse().unwrap()), Some(TagId(1)));
         assert_eq!(u.id_of("TTTTTTTTTT".parse().unwrap()), None);
-    }
-
-    #[test]
-    fn universe_range_query_is_contiguous() {
-        let tags: Vec<Tag> = ["AAAAAAAAAA", "AAAAAAAAAG", "AAAAAAAAGT", "CAAAAAAAAA"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let u = TagUniverse::from_tags(tags);
-        let lo: Tag = "AAAAAAAAAC".parse().unwrap();
-        let hi: Tag = "AAAAAAAGTT".parse().unwrap();
-        let hits: Vec<u32> = u.ids_in_range(lo, hi).map(|id| id.0).collect();
-        assert_eq!(hits, vec![1, 2]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod client;
 pub mod engine;
 pub mod front;
 pub use gea_check::gql;
-pub use gea_check::{Effect, EffectTable, Scatter, VerbEffect};
+pub use gea_check::{Effect, EffectTable, VerbEffect};
 pub mod linebuf;
 pub mod metrics;
 pub mod optexec;

@@ -274,19 +274,16 @@ pub fn decode_partial(op: &ScatterOp, bytes: &[u8]) -> Result<Partial, CodecErro
 mod tests {
     use super::*;
     use gea_core::Interval;
+    use gea_sage::library::LibraryProperty;
     use gea_sage::tag::Tag;
-    use std::collections::BTreeMap;
 
     fn row(tag_no: u32) -> SumyRow {
-        let mut extras = BTreeMap::new();
-        extras.insert("median".to_string(), 1.5);
         SumyRow {
             tag: Tag::from_code(tag_no).unwrap(),
             tag_no,
             range: Interval::new(-1.25, 7.5).unwrap(),
             average: 0.1 + f64::EPSILON,
             std_dev: 2.0f64.sqrt(),
-            extras,
         }
     }
 
@@ -398,5 +395,16 @@ mod tests {
         nested.push(1); // ... present ...
         nested.extend_from_slice(&huge); // ... with 4 billion libraries
         assert!(decode_modules(&nested).is_err());
+        // A `groups` share whose one row declares 4 billion extra
+        // aggregates: the count must be 0.
+        let mut forged = encode_rows3(&[vec![row(1)], Vec::new(), Vec::new()]);
+        let at = 4 + 44 - 4;
+        forged[at..at + 4].copy_from_slice(&huge);
+        let groups = ScatterOp::Groups {
+            fascicle: "a_1".into(),
+            property: LibraryProperty::Cancer,
+        };
+        let err = decode_partial(&groups, &forged).unwrap_err();
+        assert!(err.contains("extra aggregates"), "{err}");
     }
 }

@@ -6,10 +6,11 @@
 //! framework: ENUM tables (explicit library enumerations) in the
 //! extensional world, SUMY and GAP tables (cluster definitions and their
 //! differences) in the intensional world, and operators — `mine`,
-//! `populate`, `aggregate`, `diff`, set operations, Allen-interval range
-//! selection — moving results between them.
+//! `populate`, `aggregate`, `diff`, the minus/intersect/union set
+//! operations, Allen-interval range selection — moving results between
+//! them.
 //!
-//! This facade re-exports the four crates:
+//! This facade re-exports the nine crates:
 //!
 //! * [`sage`] — the SAGE substrate: tags, libraries, cleaning,
 //!   normalization, the synthetic corpus generator, and the annotation
@@ -17,7 +18,8 @@
 //! * [`relstore`] — the embedded relational engine with entropy-guided
 //!   range indexing;
 //! * [`cluster`] — the Fascicles algorithm and baseline clusterers;
-//! * [`core`] — the GEA algebra, session, lineage and search operations;
+//! * [`core`] — the GEA algebra, session, lineage, and the library and
+//!   tag-frequency searches behind the `library` and `tagfreq` verbs;
 //! * [`mine`] — the pluggable mining-backend subsystem: the
 //!   [`MineBackend`](gea_mine::MineBackend) trait, its typed parameter
 //!   schemas, and the `fascicles`/`isa`/`simplex` registry behind GQL's

@@ -80,7 +80,6 @@ fn sumy_row(tag_code: u32, avg: f64, sd: f64) -> SumyRow {
         range: Interval::spanning(avg - 2.0 * sd, avg + 2.0 * sd),
         average: avg,
         std_dev: sd,
-        extras: Default::default(),
     }
 }
 
