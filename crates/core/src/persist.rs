@@ -48,7 +48,7 @@ use gea_relstore::csv::export_csv;
 use gea_relstore::value::DataType;
 use gea_sage::clean::CleaningReport;
 use gea_sage::corpus::SageCorpus;
-use gea_sage::io::{read_corpus_binary, write_corpus_binary};
+use gea_sage::io::{put_corpus, read_corpus};
 use gea_sage::library::{
     LibraryId, LibraryMeta, LibraryProperty, NeoplasticState, TissueSource, TissueType,
 };
@@ -56,8 +56,8 @@ use gea_sage::tag::{TagId, TagUniverse};
 use gea_sage::ExpressionMatrix;
 
 use crate::codec::{
-    put_blob, put_f64, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, ByteSink,
-    CodecError, Cur, Source,
+    fnv1a, put_blob, put_f64, put_list, put_str, put_sumy_rows, put_u32, put_u64, put_u8,
+    read_sumy_rows, ByteSink, CodecError, Cur, Fnv1a, Source,
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
@@ -342,36 +342,9 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
 /// (each with its mining backend and resolved parameters), then the lineage
 /// text blob.
 const SNAPSHOT_VERSION: u32 = 3;
-/// Magic, version and fingerprint; the stored body follows.
+/// Magic, version and fingerprint (FNV-1a over the stored body); the
+/// stored body follows.
 const SNAPSHOT_HEADER: usize = 16;
-/// FNV-1a 64-bit over the snapshot body — cheap, dependency-free, and more
-/// than enough to catch truncation and bit rot (this is an integrity
-/// check, not an authenticity one).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.put(bytes);
-    hash.0
-}
-
-/// The running FNV-1a state. It folds byte by byte, so it is a sink the
-/// encoders can write straight into: what [`corpus_fingerprint`] hashes is
-/// never materialized.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl ByteSink for Fnv1a {
-    fn put(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 // ----- LZSS body compression ----------------------------------------------
 //
@@ -651,11 +624,11 @@ fn state_code(s: NeoplasticState) -> u8 {
     }
 }
 
-fn parse_state_code(c: u8) -> Result<NeoplasticState, PersistError> {
+fn parse_state_code(c: u8) -> Result<NeoplasticState, CodecError> {
     Ok(match c {
         0 => NeoplasticState::Cancerous,
         1 => NeoplasticState::Normal,
-        other => return Err(malformed(format!("unknown neoplastic state code {other}"))),
+        other => return Err(CodecError(format!("unknown neoplastic state code {other}"))),
     })
 }
 
@@ -666,11 +639,11 @@ fn source_code(s: TissueSource) -> u8 {
     }
 }
 
-fn parse_source_code(c: u8) -> Result<TissueSource, PersistError> {
+fn parse_source_code(c: u8) -> Result<TissueSource, CodecError> {
     Ok(match c {
         0 => TissueSource::BulkTissue,
         1 => TissueSource::CellLine,
-        other => return Err(malformed(format!("unknown tissue source code {other}"))),
+        other => return Err(CodecError(format!("unknown tissue source code {other}"))),
     })
 }
 
@@ -683,13 +656,13 @@ fn property_code(p: LibraryProperty) -> u8 {
     }
 }
 
-fn parse_property_code(c: u8) -> Result<LibraryProperty, PersistError> {
+fn parse_property_code(c: u8) -> Result<LibraryProperty, CodecError> {
     Ok(match c {
         0 => LibraryProperty::Cancer,
         1 => LibraryProperty::Normal,
         2 => LibraryProperty::BulkTissue,
         3 => LibraryProperty::CellLine,
-        other => return Err(malformed(format!("unknown library property code {other}"))),
+        other => return Err(CodecError(format!("unknown library property code {other}"))),
     })
 }
 
@@ -831,54 +804,33 @@ fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
 fn put_fascicle(out: &mut impl ByteSink, rec: &FascicleRecord) {
     put_str(out, &rec.name);
     put_str(out, &rec.dataset);
-    put_u32(out, rec.members.len() as u32);
-    for m in &rec.members {
-        put_str(out, m);
-    }
-    put_u32(out, rec.compact_tags.len() as u32);
-    for t in &rec.compact_tags {
-        put_u32(out, t.code());
-    }
+    put_list(out, &rec.members, |out, m| put_str(out, m));
+    put_list(out, &rec.compact_tags, |out, t| put_u32(out, t.code()));
     put_str(out, &rec.sumy_name);
-    put_u32(out, rec.purity.len() as u32);
-    for &p in &rec.purity {
-        put_u8(out, property_code(p));
-    }
+    put_list(out, &rec.purity, |out, &p| put_u8(out, property_code(p)));
     put_str(out, &rec.backend);
-    put_u32(out, rec.params.len() as u32);
-    for (k, v) in &rec.params {
+    put_list(out, &rec.params, |out, (k, v)| {
         put_str(out, k);
         put_str(out, v);
-    }
+    });
 }
 
 fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, PersistError> {
     let name = cur.string("fascicle name")?;
     let dataset = cur.string("fascicle dataset")?;
-    let n_members = cur.count(4, "fascicle member")?;
-    let mut members = Vec::with_capacity(n_members);
-    for _ in 0..n_members {
-        members.push(cur.string("fascicle member")?);
-    }
-    let n_tags = cur.count(4, "fascicle tag")?;
-    let mut compact_tags = Vec::with_capacity(n_tags);
-    for _ in 0..n_tags {
-        compact_tags.push(cur.tag("fascicle tag")?);
-    }
+    let members = cur.list(4, "fascicle member", |cur| cur.string("fascicle member"))?;
+    let compact_tags = cur.list(4, "fascicle tag", |cur| cur.tag("fascicle tag"))?;
     let sumy_name = cur.string("fascicle sumy name")?;
-    let n_props = cur.count(1, "fascicle purity")?;
-    let mut purity = Vec::with_capacity(n_props);
-    for _ in 0..n_props {
-        purity.push(parse_property_code(cur.u8("fascicle purity")?)?);
-    }
+    let purity = cur.list(1, "fascicle purity", |cur| {
+        parse_property_code(cur.u8("fascicle purity")?)
+    })?;
     let backend = cur.string("fascicle backend")?;
-    let n_params = cur.count(8, "fascicle param")?;
-    let mut params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
-        let k = cur.string("fascicle param key")?;
-        let v = cur.string("fascicle param value")?;
-        params.push((k, v));
-    }
+    let params = cur.list(8, "fascicle param", |cur| {
+        Ok((
+            cur.string("fascicle param key")?,
+            cur.string("fascicle param value")?,
+        ))
+    })?;
     Ok(FascicleRecord {
         name,
         dataset,
@@ -902,10 +854,9 @@ fn put_report(out: &mut impl ByteSink, report: &CleaningReport) {
         }
         None => put_u8(out, 0),
     }
-    put_u32(out, report.removed_fraction_per_library.len() as u32);
-    for &f in &report.removed_fraction_per_library {
-        put_f64(out, f);
-    }
+    put_list(out, &report.removed_fraction_per_library, |out, &f| {
+        put_f64(out, f)
+    });
     put_f64(out, report.freq1_union_fraction);
 }
 
@@ -920,11 +871,8 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
         1 => Some(cur.f64("report scale")?),
         other => return Err(malformed(format!("bad report scale flag {other}"))),
     };
-    let n = cur.count(8, "report fraction")?;
-    let mut removed_fraction_per_library = Vec::with_capacity(n);
-    for _ in 0..n {
-        removed_fraction_per_library.push(cur.f64("report fraction")?);
-    }
+    let removed_fraction_per_library =
+        cur.list(8, "report fraction", |cur| cur.f64("report fraction"))?;
     let freq1_union_fraction = cur.f64("report freq1 fraction")?;
     Ok(CleaningReport {
         raw_union_tags,
@@ -939,7 +887,7 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
 /// The snapshot body, field by field, into `out` — the compressor when
 /// saving, so the raw body is never held.
 fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
-    put_source(out, session.source())?;
+    put_source(out, session.source());
     put_u32(out, session.enum_tables().len() as u32);
     for table in session.enum_tables().values() {
         put_enum_table(out, table);
@@ -956,22 +904,24 @@ fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), P
     for rec in session.fascicle_records().values() {
         put_fascicle(out, rec);
     }
-    put_blob(out, |mut w| write_lineage(session.lineage(), &mut w))?;
+    // The lineage text is small: it is written once, then copied in.
+    let mut lineage = Vec::new();
+    write_lineage(session.lineage(), &mut lineage)?;
+    put_blob(out, |w| w.put(&lineage));
     Ok(())
 }
 
 /// The session's source, the body's first part: cleaning report, corpus
 /// blob, base table.
-fn put_source(out: &mut impl ByteSink, source: &SessionSource) -> std::io::Result<()> {
+fn put_source(out: &mut impl ByteSink, source: &SessionSource) {
     put_report(out, &source.report);
-    put_corpus_blob(out, &source.corpus)?;
+    put_corpus_blob(out, &source.corpus);
     put_enum_table(out, &source.base);
-    Ok(())
 }
 
 /// The corpus in its binary format, as a length-prefixed blob.
-fn put_corpus_blob(out: &mut impl ByteSink, corpus: &SageCorpus) -> std::io::Result<()> {
-    put_blob(out, |mut w| write_corpus_binary(corpus, &mut w))
+fn put_corpus_blob(out: &mut impl ByteSink, corpus: &SageCorpus) {
+    put_blob(out, |w| put_corpus(w, corpus));
 }
 
 /// Fingerprint of a session's *source data*: the raw corpus plus the
@@ -984,8 +934,8 @@ fn put_corpus_blob(out: &mut impl ByteSink, corpus: &SageCorpus) -> std::io::Res
 /// The bytes hashed are those [`encode_session`] writes for the two parts
 /// (corpus blob, then base table), fed to the hash as they are produced.
 pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
-    let mut hash = Fnv1a::new();
-    put_corpus_blob(&mut hash, session.corpus())?;
+    let mut hash = Fnv1a::default();
+    put_corpus_blob(&mut hash, session.corpus());
     put_enum_table(&mut hash, session.base());
     Ok(hash.0)
 }
@@ -1015,7 +965,8 @@ impl ByteSink for SameBytes<'_, '_> {
 /// `source`, consuming them if they are.
 fn holds_source(cur: &mut Cur, source: &SessionSource) -> bool {
     let mut sink = SameBytes { cur, same: true };
-    put_source(&mut sink, source).is_ok() && sink.same
+    put_source(&mut sink, source);
+    sink.same
 }
 
 /// Read a stored body (the bytes after the header) through the inflater.
@@ -1096,7 +1047,7 @@ fn read_derived(
 fn read_source(cur: &mut Cur) -> Result<SessionSource, PersistError> {
     let report = read_report(cur)?;
     let corpus = cur
-        .blob_reader("corpus blob", |mut blob| read_corpus_binary(&mut blob))?
+        .blob_with("corpus blob", read_corpus)
         .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
     let base = read_enum_table(cur)?;
     Ok(SessionSource {
@@ -1606,7 +1557,7 @@ mod tests {
         // lays them out.
         let session = rich_session();
         let mut corpus_blob = Vec::new();
-        write_corpus_binary(session.corpus(), &mut corpus_blob).unwrap();
+        put_corpus(&mut corpus_blob, session.corpus());
         let mut bytes = Vec::new();
         put_u64(&mut bytes, corpus_blob.len() as u64);
         bytes.extend_from_slice(&corpus_blob);
@@ -1694,11 +1645,23 @@ mod tests {
         // meets one error or the other depending on where it last
         // refilled, and a candidate must not change which.
         let mut source = Vec::new();
-        put_source(&mut source, session.source()).unwrap();
+        put_source(&mut source, session.source());
         let mut past_source = raw.clone();
         past_source[source.len()] ^= 0x5a;
         let mut twice_wrong = lz_compress(&past_source);
         twice_wrong[..8].copy_from_slice(&(raw.len() as u64 + 1).to_le_bytes());
+        // A corpus blob that declares 4 bytes more than the corpus encoding
+        // holds, the 4 being zeros after it: the corpus must end where its
+        // blob says.
+        let mut report = Vec::new();
+        put_report(&mut report, session.cleaning_report());
+        let mut corpus = Vec::new();
+        put_corpus(&mut corpus, session.corpus());
+        let mut padded_corpus = report.clone();
+        put_u64(&mut padded_corpus, corpus.len() as u64 + 4);
+        padded_corpus.extend_from_slice(&corpus);
+        padded_corpus.extend_from_slice(&[0; 4]);
+        padded_corpus.extend_from_slice(&raw[report.len() + 8 + corpus.len()..]);
         for (body, want) in [
             (declaring(raw.len() + 1), "truncated input: lz"),
             (
@@ -1712,6 +1675,10 @@ mod tests {
             ),
             (lz_compress(&blob_over), "truncated input: lineage blob"),
             (twice_wrong, "truncated input: lz flag byte"),
+            (
+                lz_compress(&padded_corpus),
+                "bad embedded corpus: 4 unread bytes inside corpus blob",
+            ),
         ] {
             let mut file = clean[..SNAPSHOT_HEADER].to_vec();
             file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());

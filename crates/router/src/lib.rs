@@ -239,24 +239,14 @@ impl Router {
     }
 }
 
-/// FNV-1a over the session name: the stable hash behind home-backend
-/// affinity.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Whether this command is worth scattering: the scan-shaped verbs whose
 /// per-shard kernels the server exposes via `xpart`. The classification
-/// is NOT maintained here — it is the `scatter` column of the one
-/// verb-effect table `gea-check` exports ([`EffectTable`]), with the
-/// form-dependent resolution (`populate` with a from-clause, `mine with
-/// isa` but not simplex) applied by `EffectTable::of`. The exhaustiveness
-/// test in `gea-check` guarantees a new verb cannot land without a row.
+/// is NOT maintained here — it is the `scatterable` fact of the verb's
+/// effect, `EffectTable::of(cmd).scatterable` ([`EffectTable`], exported
+/// by `gea-check`), which resolves the form-dependent cases (`populate`
+/// with a from-clause, `mine with isa` but not simplex). The
+/// exhaustiveness test in `gea-check` guarantees a new verb cannot land
+/// without an effect.
 fn scatterable(cmd: &GqlCommand) -> bool {
     EffectTable::of(cmd).scatterable
 }
@@ -525,7 +515,9 @@ fn forward_home(
     if healthy.is_empty() {
         return ebackend("no healthy backend available");
     }
-    let home = [healthy[(fnv1a(current) % healthy.len() as u64) as usize]];
+    // FNV-1a over the session name: the stable hash behind home-backend
+    // affinity.
+    let home = [healthy[(xcodec::fnv1a(current.as_bytes()) % healthy.len() as u64) as usize]];
     let unreachable = || ebackend(format!("backend {} unreachable", shared.pool.addr(home[0])));
     if align {
         match align_sessions(conns, shared, &home, current) {
@@ -883,6 +875,7 @@ fn health_loop(shared: &RouterShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gea_server::xcodec::fnv1a;
     use std::sync::mpsc;
 
     #[test]
@@ -962,15 +955,15 @@ mod tests {
     #[test]
     fn home_affinity_is_stable_and_in_range() {
         for n in 1..=5u64 {
-            let h = (fnv1a("default") % n) as usize;
+            let h = (fnv1a(b"default") % n) as usize;
             assert!(h < n as usize);
-            assert_eq!(h, (fnv1a("default") % n) as usize);
+            assert_eq!(h, (fnv1a(b"default") % n) as usize);
         }
         // Different sessions can land on different homes (not a strict
         // requirement, but the hash must at least not be constant).
         let spread: std::collections::BTreeSet<u64> = ["a", "b", "c", "d", "e", "f"]
             .iter()
-            .map(|s| fnv1a(s) % 4)
+            .map(|s| fnv1a(s.as_bytes()) % 4)
             .collect();
         assert!(spread.len() > 1);
     }

@@ -9,14 +9,16 @@
 //! * **Library text format** — one `TAG<TAB>count` line per tag.
 //! * **Index format** — one line per library:
 //!   `name<TAB>tissue<TAB>state<TAB>source<TAB>filename`.
-//! * **Corpus binary format** — a single little-endian file with magic
-//!   `GEAB`, holding every library's metadata and packed `(tag code, count)`
-//!   pairs.
+//! * **Corpus binary format** — a blob in the [`crate::codec`] primitives
+//!   with magic `GEAB`, holding every library's metadata and packed
+//!   `(tag code, count)` pairs: what `session.gea`, spill files and router
+//!   resync embed.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+use crate::codec::{put_str, put_u32, ByteSink, CodecError, Cur};
 use crate::corpus::SageCorpus;
 use crate::library::{
     CountOverflow, LibraryMeta, NeoplasticState, SageLibrary, TissueSource, TissueType,
@@ -140,19 +142,19 @@ fn source_token(s: TissueSource) -> &'static str {
     }
 }
 
-fn parse_state(s: &str, context: &str) -> Result<NeoplasticState, IoError> {
+fn parse_state(s: &str) -> Result<NeoplasticState, String> {
     match s {
         "cancer" => Ok(NeoplasticState::Cancerous),
         "normal" => Ok(NeoplasticState::Normal),
-        other => Err(malformed(context, format!("unknown state {other:?}"))),
+        other => Err(format!("unknown state {other:?}")),
     }
 }
 
-fn parse_source(s: &str, context: &str) -> Result<TissueSource, IoError> {
+fn parse_source(s: &str) -> Result<TissueSource, String> {
     match s {
         "bulk" => Ok(TissueSource::BulkTissue),
         "cellline" => Ok(TissueSource::CellLine),
-        other => Err(malformed(context, format!("unknown source {other:?}"))),
+        other => Err(format!("unknown source {other:?}")),
     }
 }
 
@@ -199,8 +201,8 @@ pub fn read_corpus_dir(dir: &Path) -> Result<SageCorpus, IoError> {
         let meta = LibraryMeta {
             name: fields[0].to_string(),
             tissue: TissueType::parse(fields[1]),
-            state: parse_state(fields[2], &context)?,
-            source: parse_source(fields[3], &context)?,
+            state: parse_state(fields[2]).map_err(|d| malformed(&context, d))?,
+            source: parse_source(fields[3]).map_err(|d| malformed(&context, d))?,
         };
         let lib_path = dir.join(fields[4]);
         let mut f = fs::File::open(&lib_path)?;
@@ -212,101 +214,64 @@ pub fn read_corpus_dir(dir: &Path) -> Result<SageCorpus, IoError> {
 
 const BINARY_MAGIC: &[u8; 4] = b"GEAB";
 const BINARY_VERSION: u32 = 1;
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
-    write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_u32(r: &mut impl Read, context: &str) -> Result<u32, IoError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)
-        .map_err(|e| malformed(context, format!("truncated: {e}")))?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_str(r: &mut impl Read, context: &str) -> Result<String, IoError> {
-    let len = read_u32(r, context)? as usize;
-    if len > 1 << 20 {
-        return Err(malformed(
-            context,
-            format!("string length {len} implausible"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)
-        .map_err(|e| malformed(context, format!("truncated string: {e}")))?;
-    String::from_utf8(buf).map_err(|e| malformed(context, format!("non-utf8: {e}")))
-}
+/// A library record is at least four empty strings and a tag count.
+const MIN_LIBRARY_BYTES: usize = 20;
+/// The most a library record hands the sink at once.
+const PIECE: usize = 8 << 10;
 
 /// Write the corpus in the compact binary format (the thesis's `file.b`).
-pub fn write_corpus_binary(corpus: &SageCorpus, w: &mut impl Write) -> io::Result<()> {
-    let mut out = io::BufWriter::new(w);
-    out.write_all(BINARY_MAGIC)?;
-    write_u32(&mut out, BINARY_VERSION)?;
-    write_u32(&mut out, corpus.len() as u32)?;
+/// Each library record is staged whole and handed over in pieces of at
+/// most 8 KiB, so a sink that hashes, compresses or compares sees neither
+/// one field at a time nor a whole corpus.
+pub fn put_corpus(out: &mut (impl ByteSink + ?Sized), corpus: &SageCorpus) {
+    out.put(BINARY_MAGIC);
+    put_u32(out, BINARY_VERSION);
+    put_u32(out, corpus.len() as u32);
+    let mut record = Vec::new();
     for (_, lib) in corpus.iter() {
-        write_str(&mut out, &lib.meta.name)?;
-        write_str(&mut out, lib.meta.tissue.name())?;
-        write_str(&mut out, state_token(lib.meta.state))?;
-        write_str(&mut out, source_token(lib.meta.source))?;
-        write_u32(&mut out, lib.unique_tags() as u32)?;
+        record.clear();
+        put_str(&mut record, &lib.meta.name);
+        put_str(&mut record, lib.meta.tissue.name());
+        put_str(&mut record, state_token(lib.meta.state));
+        put_str(&mut record, source_token(lib.meta.source));
+        put_u32(&mut record, lib.unique_tags() as u32);
         for (tag, count) in lib.iter() {
-            write_u32(&mut out, tag.code())?;
-            write_u32(&mut out, count)?;
+            put_u32(&mut record, tag.code());
+            put_u32(&mut record, count);
+        }
+        for piece in record.chunks(PIECE) {
+            out.put(piece);
         }
     }
-    out.flush()
 }
 
-/// Read a corpus from the binary format. The blob is what `session.gea`,
+/// Read a corpus [`put_corpus`] wrote. The blob is what `session.gea`,
 /// spill files and router resync carry, so it is checked like the text
-/// format: repeated tags accumulate, and a tag whose counts sum past
-/// `u32::MAX` is malformed input.
-pub fn read_corpus_binary(r: &mut impl Read) -> Result<SageCorpus, IoError> {
-    let context = "binary corpus";
-    let mut reader = io::BufReader::new(r);
-    let mut magic = [0u8; 4];
-    reader
-        .read_exact(&mut magic)
-        .map_err(|e| malformed(context, format!("missing magic: {e}")))?;
-    if &magic != BINARY_MAGIC {
-        return Err(malformed(context, "bad magic; not a GEA binary corpus"));
+/// format: library and tag-pair counts are checked against the bytes
+/// remaining before anything is allocated, repeated tags accumulate, and
+/// a tag whose counts sum past `u32::MAX` is malformed input.
+pub fn read_corpus(cur: &mut Cur) -> Result<SageCorpus, CodecError> {
+    if cur.take(4, "corpus magic")? != BINARY_MAGIC {
+        return Err(CodecError("bad magic; not a GEA binary corpus".into()));
     }
-    let version = read_u32(&mut reader, context)?;
+    let version = cur.u32("corpus version")?;
     if version != BINARY_VERSION {
-        return Err(malformed(context, format!("unsupported version {version}")));
+        return Err(CodecError(format!("unsupported corpus version {version}")));
     }
-    let n_libs = read_u32(&mut reader, context)?;
+    let n_libs = cur.count(MIN_LIBRARY_BYTES, "corpus library")?;
     let mut corpus = SageCorpus::new();
     for _ in 0..n_libs {
-        let name = read_str(&mut reader, context)?;
-        let tissue = TissueType::parse(&read_str(&mut reader, context)?);
-        let state = parse_state(&read_str(&mut reader, context)?, context)?;
-        let source = parse_source(&read_str(&mut reader, context)?, context)?;
-        let n_tags = read_u32(&mut reader, context)?;
         let meta = LibraryMeta {
-            name,
-            tissue,
-            state,
-            source,
+            name: cur.string("library name")?,
+            tissue: TissueType::parse(&cur.string("library tissue")?),
+            state: parse_state(&cur.string("library state")?).map_err(CodecError)?,
+            source: parse_source(&cur.string("library source")?).map_err(CodecError)?,
         };
-        // `n_tags` is unchecked input: the vector grows with the entries
-        // actually read, never with the count claimed.
-        let mut pairs = Vec::new();
-        for _ in 0..n_tags {
-            let code = read_u32(&mut reader, context)?;
-            let count = read_u32(&mut reader, context)?;
-            let tag = Tag::from_code(code)
-                .ok_or_else(|| malformed(context, format!("tag code {code} out of range")))?;
-            pairs.push((tag, count));
-        }
+        let pairs = cur.list(8, "library tag pair", |cur| {
+            Ok((cur.tag("library tag")?, cur.u32("library tag count")?))
+        })?;
         let lib = SageLibrary::try_from_counts(meta, pairs)
-            .map_err(|overflow| malformed(context, overflow.to_string()))?;
+            .map_err(|overflow| CodecError(overflow.to_string()))?;
         corpus.add(lib);
     }
     Ok(corpus)
@@ -364,34 +329,57 @@ mod tests {
         assert!(malformed_detail("AAAAAAAAAA\t4294967296\n").starts_with("line 1: bad count"));
     }
 
-    #[test]
-    fn binary_reader_rejects_a_count_that_overflows() {
-        // A hand-built blob: one library, two entries for tag code 0
-        // summing past u32::MAX. The tag is named, never saturated.
+    /// A hand-built blob: one library of the given tag pairs, declaring
+    /// `n_tags` of them.
+    fn one_library_blob(n_tags: u32, pairs: &[(u32, u32)]) -> Vec<u8> {
         let mut blob = Vec::new();
         blob.extend_from_slice(BINARY_MAGIC);
-        write_u32(&mut blob, BINARY_VERSION).unwrap();
-        write_u32(&mut blob, 1).unwrap();
+        put_u32(&mut blob, BINARY_VERSION);
+        put_u32(&mut blob, 1);
         for field in ["lib", "brain", "cancer", "bulk"] {
-            write_str(&mut blob, field).unwrap();
+            put_str(&mut blob, field);
         }
-        write_u32(&mut blob, 2).unwrap();
-        for count in [u32::MAX, 1] {
-            write_u32(&mut blob, 0).unwrap();
-            write_u32(&mut blob, count).unwrap();
+        put_u32(&mut blob, n_tags);
+        for &(code, count) in pairs {
+            put_u32(&mut blob, code);
+            put_u32(&mut blob, count);
         }
-        match read_corpus_binary(&mut blob.as_slice()).unwrap_err() {
-            IoError::Malformed { detail, .. } => {
-                assert_eq!(detail, "counts of AAAAAAAAAA sum past 4294967295");
-            }
-            other => panic!("expected Malformed, got {other}"),
-        }
+        blob
+    }
+
+    #[test]
+    fn binary_reader_rejects_a_count_that_overflows() {
+        // Two entries for tag code 0 summing past u32::MAX. The tag is
+        // named, never saturated.
+        let mut blob = one_library_blob(2, &[(0, u32::MAX), (0, 1)]);
+        let err = read_corpus(&mut Cur::new(&blob)).unwrap_err();
+        assert_eq!(err.0, "counts of AAAAAAAAAA sum past 4294967295");
         // Repeated entries that fit still accumulate.
         let at = blob.len() - 12;
         blob[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-        let corpus = read_corpus_binary(&mut blob.as_slice()).unwrap();
+        let corpus = read_corpus(&mut Cur::new(&blob)).unwrap();
         let (_, lib) = corpus.iter().next().unwrap();
         assert_eq!(lib.count(Tag::from_code(0).unwrap()), u32::MAX);
+    }
+
+    #[test]
+    fn binary_reader_refuses_implausible_counts_up_front() {
+        // A library count, then a tag-pair count, of u32::MAX: refused as
+        // implausible before anything is read for them, not read on until
+        // the input runs out.
+        let mut blob = one_library_blob(1, &[(0, 5)]);
+        blob[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_corpus(&mut Cur::new(&blob)).unwrap_err();
+        assert!(
+            err.0.starts_with("implausible corpus library count"),
+            "{err}"
+        );
+        let blob = one_library_blob(u32::MAX, &[(0, 5)]);
+        let err = read_corpus(&mut Cur::new(&blob)).unwrap_err();
+        assert!(
+            err.0.starts_with("implausible library tag pair count"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -439,8 +427,10 @@ mod tests {
     fn corpus_binary_roundtrip() {
         let corpus = small_corpus();
         let mut buf = Vec::new();
-        write_corpus_binary(&corpus, &mut buf).unwrap();
-        let back = read_corpus_binary(&mut buf.as_slice()).unwrap();
+        put_corpus(&mut buf, &corpus);
+        let mut cur = Cur::new(&buf);
+        let back = read_corpus(&mut cur).unwrap();
+        cur.finish("corpus").unwrap();
         assert_eq!(back.len(), corpus.len());
         for (id, lib) in corpus.iter() {
             assert_eq!(back.library(id), lib);
@@ -450,7 +440,7 @@ mod tests {
     #[test]
     fn binary_reader_rejects_bad_magic() {
         let bytes = b"NOPE\x01\x00\x00\x00";
-        let err = read_corpus_binary(&mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, IoError::Malformed { .. }));
+        let err = read_corpus(&mut Cur::new(bytes)).unwrap_err();
+        assert_eq!(err.0, "bad magic; not a GEA binary corpus");
     }
 }

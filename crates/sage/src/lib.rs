@@ -20,12 +20,15 @@
 //!   SWISSPROT / PFAM / KEGG / GENBANK / OMIM / PUBMED join queries);
 //! * [`microarray`] — microarray samples and their conversion to the
 //!   same expression matrix (the §2.4 generality claim);
+//! * [`codec`] — the one little-endian byte codec every binary format
+//!   uses, and FNV-1a;
 //! * [`io`] — the thesis's text and binary on-disk formats.
 
 #![warn(missing_docs)]
 
 pub mod annotation;
 pub mod clean;
+pub mod codec;
 pub mod corpus;
 pub mod generate;
 pub mod io;

@@ -4,10 +4,9 @@
 use proptest::prelude::*;
 
 use gea_sage::clean::{clean, reference, CleaningConfig, MRNAS_PER_CELL};
+use gea_sage::codec::Cur;
 use gea_sage::corpus::{library_meta, SageCorpus};
-use gea_sage::io::{
-    read_corpus_binary, read_library_text, write_corpus_binary, write_library_text,
-};
+use gea_sage::io::{put_corpus, read_corpus, read_library_text, write_library_text};
 use gea_sage::library::{NeoplasticState, SageLibrary, TissueSource};
 use gea_sage::tag::{Tag, TagUniverse, TAG_SPACE};
 use gea_sage::TissueType;
@@ -148,8 +147,8 @@ proptest! {
     #[test]
     fn corpus_binary_roundtrip(corpus in corpus_strategy()) {
         let mut buf = Vec::new();
-        write_corpus_binary(&corpus, &mut buf).unwrap();
-        let back = read_corpus_binary(&mut buf.as_slice()).unwrap();
+        put_corpus(&mut buf, &corpus);
+        let back = read_corpus(&mut Cur::new(&buf)).unwrap();
         prop_assert_eq!(back.len(), corpus.len());
         for (id, lib) in corpus.iter() {
             prop_assert_eq!(back.library(id), lib);

@@ -43,6 +43,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
+use gea_sage::codec::{ByteSink, Fnv1a};
+
 /// Fixed per-slot charge on top of the text payload (key struct, map
 /// node, and allocation overhead).
 const SLOT_OVERHEAD: usize = 96;
@@ -167,20 +169,15 @@ impl FrequencySketch {
 
 /// FNV-1a over the scope and command — the slot key, see the module doc.
 fn freq_hash(scope: CacheScope, command: &str) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let (tag, id) = match scope {
         CacheScope::Entry(id) => (1u8, id),
         CacheScope::Corpus(id) => (2u8, id),
     };
-    h = (h ^ tag as u64).wrapping_mul(PRIME);
-    for b in id.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    for &b in command.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
-    }
-    h
+    let mut hash = Fnv1a::default();
+    hash.put(&[tag]);
+    hash.put(&id.to_le_bytes());
+    hash.put(command.as_bytes());
+    hash.0
 }
 
 struct Inner {

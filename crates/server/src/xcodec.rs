@@ -3,10 +3,11 @@
 //! A router scattering a macro operation across backends needs each
 //! backend's *partial result* shipped back over the line protocol and
 //! re-fed to the applying backend. Partials are encoded here as compact
-//! little-endian binary with `gea_core::codec`'s primitives and its SUMY
-//! row layout (strings as length-prefixed UTF-8, `f64` via `to_bits` so
-//! every float round-trips bit-exactly; element counts checked against the
-//! bytes remaining before anything is allocated for them), hex-armored
+//! little-endian binary with the workspace's one byte codec and its SUMY
+//! row layout, `gea_core::codec` (strings as length-prefixed UTF-8, `f64`
+//! via `to_bits` so every float round-trips bit-exactly; element counts
+//! checked against the bytes remaining before anything is allocated for
+//! them; [`CodecError`] for every decode failure), hex-armored
 //! onto the single-line wire. The router treats the blobs as opaque: its
 //! only codec work is [`frame`]/[`unframe`] — concatenating per-shard blobs
 //! in shard order with `u32` length prefixes — plus the hex armor.
@@ -15,16 +16,17 @@
 //! on byte-identical replies, and a decimal round-trip of a standard
 //! deviation would be the one place the bits could drift.
 
-use gea_core::codec::{put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, Cur};
+pub use gea_core::codec::{fnv1a, CodecError};
+
+use gea_core::codec::{
+    put_list, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, Cur,
+};
 use gea_core::mine::MinedCluster;
 use gea_core::sumy::{SumyRow, SumyTable};
 use gea_exec::{Partial, ScatterOp};
 use gea_mine::isa::IsaModule;
 use gea_sage::library::LibraryId;
 use gea_sage::tag::TagId;
-
-/// A decode failure: the blob did not match the expected shape.
-pub type CodecError = String;
 
 /// Hex-armor bytes for single-line transport.
 pub fn hex_encode(bytes: &[u8]) -> String {
@@ -41,7 +43,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, CodecError> {
     let s = s.trim();
     if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex blob".to_string());
+        return Err(CodecError("odd-length hex blob".to_string()));
     }
     let mut out = Vec::with_capacity(s.len() / 2);
     let bytes = s.as_bytes();
@@ -58,7 +60,7 @@ fn hex_nibble(b: u8) -> Result<u8, CodecError> {
         b'0'..=b'9' => Ok(b - b'0'),
         b'a'..=b'f' => Ok(b - b'a' + 10),
         b'A'..=b'F' => Ok(b - b'A' + 10),
-        other => Err(format!("bad hex byte {other:#04x}")),
+        other => Err(CodecError(format!("bad hex byte {other:#04x}"))),
     }
 }
 
@@ -116,49 +118,34 @@ pub fn decode_rows3(bytes: &[u8]) -> Result<[Vec<SumyRow>; 3], CodecError> {
 /// Encode a shard's materialized clusters (`mine` scatter partial).
 fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, clusters.len() as u32);
-    for c in clusters {
-        put_str(&mut out, &c.name);
-        put_u32(&mut out, c.libraries.len() as u32);
-        for l in &c.libraries {
-            put_u32(&mut out, l.0);
-        }
-        put_u32(&mut out, c.compact_tags.len() as u32);
-        for t in &c.compact_tags {
-            put_u32(&mut out, t.0);
-        }
-        put_str(&mut out, &c.sumy.name);
-        put_sumy_rows(&mut out, c.sumy.rows());
-    }
+    put_list(&mut out, clusters, |out, c| {
+        put_str(out, &c.name);
+        put_list(out, &c.libraries, |out, l| put_u32(out, l.0));
+        put_list(out, &c.compact_tags, |out, t| put_u32(out, t.0));
+        put_str(out, &c.sumy.name);
+        put_sumy_rows(out, c.sumy.rows());
+    });
     out
 }
 
 /// Decode a blob produced by [`encode_clusters`].
 fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.count(20, "cluster")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    let out = cur.list(20, "cluster", |cur| {
         let name = cur.string("cluster name")?;
-        let n_libs = cur.count(4, "cluster library")?;
-        let mut libraries = Vec::with_capacity(n_libs);
-        for _ in 0..n_libs {
-            libraries.push(LibraryId(cur.u32("cluster library")?));
-        }
-        let n_tags = cur.count(4, "cluster tag")?;
-        let mut compact_tags = Vec::with_capacity(n_tags);
-        for _ in 0..n_tags {
-            compact_tags.push(TagId(cur.u32("cluster tag")?));
-        }
+        let libraries = cur.list(4, "cluster library", |cur| {
+            Ok(LibraryId(cur.u32("cluster library")?))
+        })?;
+        let compact_tags = cur.list(4, "cluster tag", |cur| Ok(TagId(cur.u32("cluster tag")?)))?;
         let sumy_name = cur.string("cluster sumy name")?;
-        let rows = read_sumy_rows(&mut cur, true)?;
-        out.push(MinedCluster {
+        let rows = read_sumy_rows(cur, true)?;
+        Ok(MinedCluster {
             name,
             libraries,
             compact_tags,
             sumy: SumyTable::new(&sumy_name, rows),
-        });
-    }
+        })
+    })?;
     cur.finish("clusters blob")?;
     Ok(out)
 }
@@ -170,54 +157,36 @@ fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
 /// full seed-order list, exactly like the in-process driver.
 fn encode_modules(modules: &[Option<IsaModule>]) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, modules.len() as u32);
-    for m in modules {
-        match m {
-            None => put_u8(&mut out, 0),
-            Some(m) => {
-                put_u8(&mut out, 1);
-                put_u32(&mut out, m.libs.len() as u32);
-                for &l in &m.libs {
-                    put_u64(&mut out, l as u64);
-                }
-                put_u32(&mut out, m.tags.len() as u32);
-                for &t in &m.tags {
-                    put_u64(&mut out, t as u64);
-                }
-                put_u8(&mut out, m.converged as u8);
-            }
+    put_list(&mut out, modules, |out, m| match m {
+        None => put_u8(out, 0),
+        Some(m) => {
+            put_u8(out, 1);
+            put_list(out, &m.libs, |out, &l| put_u64(out, l as u64));
+            put_list(out, &m.tags, |out, &t| put_u64(out, t as u64));
+            put_u8(out, m.converged as u8);
         }
-    }
+    });
     out
 }
 
 /// Decode a blob produced by [`encode_modules`].
 fn decode_modules(bytes: &[u8]) -> Result<Vec<Option<IsaModule>>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.count(1, "module")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    let out = cur.list(1, "module", |cur| {
         if cur.u8("module flag")? == 0 {
-            out.push(None);
-            continue;
+            return Ok(None);
         }
-        let n_libs = cur.count(8, "module library")?;
-        let mut libs = Vec::with_capacity(n_libs);
-        for _ in 0..n_libs {
-            libs.push(cur.u64("module library")? as usize);
-        }
-        let n_tags = cur.count(8, "module tag")?;
-        let mut tags = Vec::with_capacity(n_tags);
-        for _ in 0..n_tags {
-            tags.push(cur.u64("module tag")? as usize);
-        }
+        let libs = cur.list(8, "module library", |cur| {
+            Ok(cur.u64("module library")? as usize)
+        })?;
+        let tags = cur.list(8, "module tag", |cur| Ok(cur.u64("module tag")? as usize))?;
         let converged = cur.u8("module converged flag")? != 0;
-        out.push(Some(IsaModule {
+        Ok(Some(IsaModule {
             libs,
             tags,
             converged,
-        }));
-    }
+        }))
+    })?;
     cur.finish("modules blob")?;
     Ok(out)
 }
@@ -227,21 +196,14 @@ fn decode_modules(bytes: &[u8]) -> Result<Vec<Option<IsaModule>>, CodecError> {
 /// Encode a shard's qualifying libraries (`populate` scatter partial).
 fn encode_libs(libs: &[LibraryId]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + libs.len() * 4);
-    put_u32(&mut out, libs.len() as u32);
-    for l in libs {
-        put_u32(&mut out, l.0);
-    }
+    put_list(&mut out, libs, |out, l| put_u32(out, l.0));
     out
 }
 
 /// Decode a blob produced by [`encode_libs`].
 fn decode_libs(bytes: &[u8]) -> Result<Vec<LibraryId>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let n = cur.count(4, "library")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(LibraryId(cur.u32("library")?));
-    }
+    let out = cur.list(4, "library", |cur| Ok(LibraryId(cur.u32("library")?)))?;
     cur.finish("libraries blob")?;
     Ok(out)
 }
@@ -374,7 +336,7 @@ mod tests {
         put_str(&mut blob, "brain_1");
         put_sumy_rows(&mut blob, &[row(3), row(3)]);
         let err = decode_clusters(&blob).unwrap_err();
-        assert!(err.contains("out of order"), "{err}");
+        assert!(err.0.contains("out of order"), "{err}");
         // One shard's share of a `groups` is not a table and is not held
         // to table order.
         let share = [vec![row(3), row(3)], Vec::new(), Vec::new()];
@@ -405,6 +367,6 @@ mod tests {
             property: LibraryProperty::Cancer,
         };
         let err = decode_partial(&groups, &forged).unwrap_err();
-        assert!(err.contains("extra aggregates"), "{err}");
+        assert!(err.0.contains("extra aggregates"), "{err}");
     }
 }

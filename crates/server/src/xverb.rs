@@ -70,7 +70,7 @@ impl Staging {
     fn push(&mut self, hex: &str) -> Result<String, EngineError> {
         self.check()?;
         let chunk = if hex.is_empty() {
-            Err("usage: xstage <hex>".to_string())
+            Err(xcodec::CodecError("usage: xstage <hex>".to_string()))
         } else {
             xcodec::hex_decode(hex)
         };

@@ -89,9 +89,11 @@ diff -u <(mask_wall_clock < repro_output.txt) <(mask_wall_clock < target/repro_o
 # executor, no flag or config field that would choose between two); and
 # the session's installs take results (no table cloned to be handed back,
 # no closure threaded through the bookkeeping); save and load stream the
-# snapshot body; and the request path names no reproduction-only module
-# (baselines, compression, eval, index_analysis).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path + a reload keeps one corpus)"
+# snapshot body; the request path names no reproduction-only module
+# (baselines, compression, eval, index_analysis); a reload keeps one
+# corpus; and every binary format uses the one byte codec (one FNV-1a, no
+# private u32/str codec, no io::Read/io::Write bridge).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path + a reload keeps one corpus + one byte codec)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

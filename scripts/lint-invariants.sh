@@ -68,6 +68,15 @@
 #    source (corpus, cleaning report, base table) to load_session_sharing,
 #    not to a bare `load_session(`, which would decode a second copy of a
 #    corpus the session already holds.
+#
+# 10. One byte codec. Every binary format (the corpus blob, the snapshot,
+#    the scatter partials) writes and reads with crates/sage/src/codec.rs,
+#    and nothing bridges it to a second one. So, in the non-test code of
+#    crates/*/src and src/ (bins included): the FNV-1a offset basis and
+#    prime appear in crates/sage/src/codec.rs only, no file defines
+#    `fn write_u32(`, `fn read_u32(`, `fn write_str(` or `fn read_str(`,
+#    and crates/{sage,core}/src/codec.rs have no `impl Read for` or
+#    `impl Write for`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -301,6 +310,30 @@ if [ "$(nontest_hits -F "$engine" 'load_session_sharing(')" -eq 0 ]; then
     echo "lint: $engine no longer calls 'load_session_sharing(' — the sharing check is looking for the wrong thing" >&2
     fail=1
 fi
+
+# One byte codec: one FNV-1a, no private primitive codec, no io bridge.
+codec=crates/sage/src/codec.rs
+fnv_constants='cbf29ce484222325|100000001b3'
+while IFS= read -r file; do
+    hits="$(nontest "$file" | tr -d _ | grep -ciE "$fnv_constants" || true)"
+    if [ "$file" = "$codec" ] && [ "$hits" -ne 2 ]; then
+        echo "lint: $codec no longer holds the FNV-1a offset basis and prime — the one-codec check is looking for the wrong thing" >&2
+        fail=1
+    elif [ "$file" != "$codec" ] && [ "$hits" -gt 0 ]; then
+        echo "lint: $file spells an FNV-1a constant in non-test code; hash with the Fnv1a/fnv1a of $codec" >&2
+        fail=1
+    fi
+    if [ "$(nontest_hits -E "$file" 'fn (write|read)_(u32|str)\(')" -gt 0 ]; then
+        echo "lint: $file defines a private write_/read_ u32 or str codec; use the put_* writers and Cur of $codec" >&2
+        fail=1
+    fi
+done < <(find crates/*/src src -name '*.rs' | sort)
+for file in "$codec" crates/core/src/codec.rs; do
+    if [ "$(nontest_hits -E "$file" 'impl(<[^>]*>)? ([a-z_]+::)*(Read|Write)(<[^>]*>)? for')" -gt 0 ]; then
+        echo "lint: $file bridges the codec to io::Read/io::Write; formats write to a ByteSink and read a Cur" >&2
+        fail=1
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2
