@@ -497,8 +497,17 @@ mod tests {
         let small = cost_pipeline(&model, &seed, &cmds("mine e m 50 3 2\n"));
         let large = cost_pipeline(&model, &seed, &cmds("mine e m 50 3 64\n"));
         assert!(large.total > small.total);
-        // A pathological batch saturates instead of wrapping.
-        let huge = cost_pipeline(&model, &seed, &cmds("mine e m 50 3 18446744073709551615\n"));
+        // A pathological batch saturates instead of wrapping. The parser
+        // refuses one past the `batch` domain, so build the command.
+        assert!(gql::parse("mine e m 50 3 18446744073709551615").is_err());
+        let huge = GqlCommand::Mine {
+            dataset: "e".to_string(),
+            out: "m".to_string(),
+            k_pct: 50,
+            min_records: 3,
+            batch: usize::MAX,
+        };
+        let huge = cost_pipeline(&model, &seed, &[huge]);
         assert_eq!(huge.per_command.len(), 1);
         assert!(huge.total >= large.total);
     }

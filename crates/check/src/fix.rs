@@ -214,10 +214,10 @@ mod tests {
 
     #[test]
     fn domain_clamps_reach_fixpoint() {
-        let out = fix_script("load-demo 1\ndataset E brain\nmine E f 150 0 0\nexport E e.csv\n");
+        let out = fix_script("load-demo 1\ndataset E brain\nmine E f 150 0 6\nexport E e.csv\n");
         assert!(out.report.is_clean(), "{}", out.report.render());
         assert!(out.changed);
-        assert!(out.text.contains("mine E f 100 1 1\n"), "{}", out.text);
+        assert!(out.text.contains("mine E f 100 1 6\n"), "{}", out.text);
         // The untouched lines are byte-identical.
         assert!(out.text.starts_with("load-demo 1\ndataset E brain\n"));
         assert!(out.text.ends_with("export E e.csv\n"));

@@ -31,7 +31,7 @@ GQL commands (thesis chapter 4's menus, served):
     select <name> <dataset> <lib> [<lib>...]   sigma_libraries(dataset)
     project <name> <dataset> <tag> [<tag>...]  pi_tags(dataset)
   mining and gaps
-    mine <dataset> <out> <k%> <min> <batch>   calculate fascicles     [Fig 4.6]
+    mine <dataset> <out> <k%> <min> <batch>   calculate fascicles, batch >= 1   [Fig 4.6]
     mine <dataset> <out> with <algo> [key=val ...]   pluggable backends: fascicles, isa, simplex
     fascicles                           list mined fascicles
     purity <fascicle>                   purity check                  [Fig 4.8]
@@ -808,12 +808,18 @@ fn parse_gql(cmd: &str, args: &[&str]) -> Result<Option<GqlCommand>, ParseError>
                 let [dataset, out, kpct, min, batch] = args[..] else {
                     return Err(usage("mine <dataset> <out> <k%> <min> <batch>"));
                 };
+                let k_pct = parse_num("k%", kpct)?;
+                let min_records = parse_num("min", min)?;
+                // `batch` has the domain `with fascicles batch=…` checks.
+                let batch = parse_num("batch", batch)?;
+                let given = [("batch".to_string(), ParamValue::UInt(batch))];
+                gea_mine::resolve_params(gea_mine::FASCICLES_PARAMS, &given).map_err(ParseError)?;
                 GqlCommand::Mine {
                     dataset: dataset.to_string(),
                     out: out.to_string(),
-                    k_pct: parse_num("k%", kpct)?,
-                    min_records: parse_num("min", min)?,
-                    batch: parse_num("batch", batch)?,
+                    k_pct,
+                    min_records,
+                    batch: batch as usize,
                 }
             }
         }
@@ -1105,6 +1111,10 @@ mod tests {
         assert!(parse("mine E f with isa seeds=abc").is_err());
         assert!(parse("mine E f with isa t_tags=NaN").is_err());
         assert!(parse("mine E f with isa seeds=2 seeds=3").is_err());
+        assert_eq!(
+            parse("mine E f 50 3 0"),
+            parse("mine E f with fascicles batch=0")
+        );
         assert!(parse("bogus").is_err());
         assert!(parse("open x demo notanumber").is_err());
         assert!(parse("compare a b c union 99").is_err());

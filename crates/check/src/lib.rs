@@ -389,7 +389,7 @@ impl Analyzer {
                 out,
                 k_pct,
                 min_records,
-                batch,
+                ..
             } => {
                 self.read_as(line, dataset, World::Enum, "mine");
                 if *k_pct > 100 {
@@ -426,16 +426,6 @@ impl Analyzer {
                             from: "0".to_string(),
                             with: "1".to_string(),
                         }),
-                    );
-                }
-                if *batch == 0 {
-                    self.push(
-                        Diagnostic::error(line, "param-domain", "batch = 0 mines nothing")
-                            .with_fix(diag::Fix::ReplaceToken {
-                                index: 5,
-                                from: "0".to_string(),
-                                with: "1".to_string(),
-                            }),
                     );
                 }
                 if let Some(prev) = self.symbols.note_mine(line, out, dataset) {
@@ -888,18 +878,20 @@ mod tests {
         let report = check_script(
             "load-demo 1\n\
              dataset E brain\n\
-             mine E f 150 0 0\n\
+             mine E f 150 0 6\n\
+             mine E g 50 3 0\n\
              mine E h 50 3 6\n\
              topgap q 0\n",
         );
         let errs = error_codes(&report);
-        // k% > 100, min = 0, batch = 0, then topgap: undefined gap + x = 0.
+        // k% > 100, min = 0, batch = 0 (refused by the parser, as
+        // `with fascicles batch=0` is), then topgap: undefined gap + x = 0.
         assert_eq!(
             errs,
             vec![
                 "param-domain",
                 "param-domain",
-                "param-domain",
+                "parse",
                 "undefined-name",
                 "param-domain"
             ]

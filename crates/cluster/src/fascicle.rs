@@ -12,17 +12,25 @@
 //!
 //! * [`mine_greedy`] — the production algorithm: seed-and-grow. Every
 //!   record seeds a candidate fascicle, which greedily absorbs whichever
-//!   remaining record keeps the most compact attributes, as long as at
-//!   least `k` remain; duplicate grown sets are collapsed. Each growth
-//!   round is linear in records × attributes, matching the §3.3.1
-//!   complexity claim. Seeds are processed in batches of `batch_size`
-//!   (the memory-bounded phase structure of the VLDB paper, surfaced in
-//!   the thesis's GUI as "how big of a chunk phase 1 would use").
-//!   Fascicles may overlap — "a library may be included in multiple
-//!   clusters" (§3.1.1).
+//!   remaining record keeps the most compact attributes (the first such
+//!   record on a tie), as long as at least `k` remain; duplicate grown
+//!   sets are collapsed. Each growth round is linear in records ×
+//!   attributes, matching the §3.3.1 complexity claim. Seeds are grown in
+//!   record order. Scoring copies nothing per candidate: the table is
+//!   copied once, record-major, and each seed keeps one per-attribute
+//!   `lo`/`hi` envelope. A growth round scores every available record
+//!   against it in place, stopping once the record can no longer win, and
+//!   the absorbed record merges into the envelope in place.
+//!   [`reference::mine_greedy`] keeps the first draft, which built a
+//!   one-record candidate for every record it scored, as the oracle the
+//!   tests hold this one to, bit for bit. Fascicles may overlap — "a
+//!   library may be included in multiple clusters" (§3.1.1).
 //! * [`mine_exact`] — exhaustive enumeration of record subsets, feasible
 //!   only for small inputs; used to cross-validate the greedy miner in
 //!   tests. Reports all *maximal* qualifying fascicles, which may overlap.
+
+#[doc(hidden)]
+pub mod reference;
 
 use crate::dataset::AttrSource;
 use crate::tolerance::ToleranceVector;
@@ -35,7 +43,12 @@ pub struct FascicleParams {
     /// Minimum number of records in a reported fascicle ("min size = the
     /// minimum # of tuples per set").
     pub min_records: usize,
-    /// Records ingested per phase-1 batch.
+    /// Records ingested per phase-1 batch: the VLDB paper's memory-bounded
+    /// phase structure, surfaced in the thesis's GUI as "how big of a chunk
+    /// phase 1 would use". It is kept for the GQL schema and the lineage;
+    /// it never changed the result, since the batches covered the seeds in
+    /// record order, and [`mine_greedy`] grows them in that order without
+    /// batching.
     pub batch_size: usize,
 }
 
@@ -104,108 +117,118 @@ impl Fascicle {
     }
 }
 
-/// Internal candidate: member records plus the per-attribute envelope.
-#[derive(Debug, Clone)]
-struct Candidate {
-    records: Vec<usize>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    compact: usize,
+/// Attributes scored between two early-exit checks: long enough for the
+/// count to vectorize, short enough to drop a hopeless record early.
+const CHUNK: usize = 256;
+
+/// The mined table, copied once record-major (`values[record * n_attrs +
+/// attr]`), so scoring a record reads one contiguous row.
+struct Rows {
+    values: Vec<f64>,
+    n_records: usize,
+    n_attrs: usize,
 }
 
-impl Candidate {
-    fn singleton<D: AttrSource>(data: &D, record: usize) -> Candidate {
-        let n_attrs = data.n_attrs();
-        let mut lo = Vec::with_capacity(n_attrs);
+impl Rows {
+    fn copy<D: AttrSource>(data: &D) -> Rows {
+        let (n_records, n_attrs) = (data.n_records(), data.n_attrs());
+        let mut values = vec![0.0; n_records * n_attrs];
         for a in 0..n_attrs {
-            lo.push(data.attr_values(a)[record]);
+            for (r, &v) in data.attr_values(a).iter().enumerate() {
+                values[r * n_attrs + a] = v;
+            }
         }
-        let hi = lo.clone();
-        Candidate {
-            records: vec![record],
-            compact: n_attrs,
-            lo,
-            hi,
+        Rows {
+            values,
+            n_records,
+            n_attrs,
         }
     }
 
-    /// Compact attributes the union of `self` and `other` would retain.
-    fn union_compact(&self, other: &Candidate, tol: &ToleranceVector) -> usize {
-        let mut count = 0;
-        for a in 0..self.lo.len() {
-            let lo = self.lo[a].min(other.lo[a]);
-            let hi = self.hi[a].max(other.hi[a]);
-            if tol.is_compact(a, lo, hi) {
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn merge(&mut self, other: Candidate, tol: &ToleranceVector) {
-        self.records.extend(other.records);
-        self.records.sort_unstable();
-        let mut compact = 0;
-        for a in 0..self.lo.len() {
-            self.lo[a] = self.lo[a].min(other.lo[a]);
-            self.hi[a] = self.hi[a].max(other.hi[a]);
-            if tol.is_compact(a, self.lo[a], self.hi[a]) {
-                compact += 1;
-            }
-        }
-        self.compact = compact;
-    }
-
-    fn into_fascicle(self, tol: &ToleranceVector) -> Fascicle {
-        let mut compact_attrs = Vec::new();
-        let mut compact_ranges = Vec::new();
-        for a in 0..self.lo.len() {
-            if tol.is_compact(a, self.lo[a], self.hi[a]) {
-                compact_attrs.push(a);
-                compact_ranges.push((self.lo[a], self.hi[a]));
-            }
-        }
-        Fascicle {
-            records: self.records,
-            compact_attrs,
-            compact_ranges,
-        }
+    fn row(&self, record: usize) -> &[f64] {
+        &self.values[record * self.n_attrs..(record + 1) * self.n_attrs]
     }
 }
 
-/// Grow one seed: repeatedly absorb the record whose addition keeps the
-/// most compact attributes, while at least `k` remain.
-fn grow_seed<D: AttrSource>(data: &D, tol: &ToleranceVector, k: usize, seed: usize) -> Candidate {
-    let mut grown = Candidate::singleton(data, seed);
-    let mut available: Vec<bool> = vec![true; data.n_records()];
+/// Compact attributes the envelope `lo`/`hi` keeps with `row` added, or
+/// `None` if fewer than `need` would. Scoring stops as soon as the
+/// attributes still unscored cannot make up the difference.
+fn score(lo: &[f64], hi: &[f64], row: &[f64], tol: &[f64], need: usize) -> Option<usize> {
+    let mut count = 0;
+    let mut remaining = row.len();
+    let chunks = lo.chunks(CHUNK).zip(hi.chunks(CHUNK));
+    for ((lo, hi), (row, tol)) in chunks.zip(row.chunks(CHUNK).zip(tol.chunks(CHUNK))) {
+        if count + remaining < need {
+            return None;
+        }
+        count += lo
+            .iter()
+            .zip(hi)
+            .zip(row.iter().zip(tol))
+            .map(|((&lo, &hi), (&v, &t))| (hi.max(v) - lo.min(v) <= t) as usize)
+            .sum::<usize>();
+        remaining -= row.len();
+    }
+    (count >= need).then_some(count)
+}
+
+/// Grow one seed, leaving its envelope in `lo`/`hi`: repeatedly absorb the
+/// first available record that keeps the most compact attributes, while at
+/// least `k` remain. Returns the members, ascending, and the compact count;
+/// a seed that absorbs nothing counts every attribute compact.
+fn grow_seed(
+    rows: &Rows,
+    tol: &[f64],
+    k: usize,
+    seed: usize,
+    lo: &mut [f64],
+    hi: &mut [f64],
+) -> (Vec<usize>, usize) {
+    lo.copy_from_slice(rows.row(seed));
+    hi.copy_from_slice(rows.row(seed));
+    let mut available = vec![true; rows.n_records];
     available[seed] = false;
+    let mut members = vec![seed];
+    let mut compact = rows.n_attrs;
     loop {
         let mut best: Option<(usize, usize)> = None; // (record, compact)
-        for (r, &avail) in available.iter().enumerate() {
-            if !avail {
-                continue;
-            }
-            let other = Candidate::singleton(data, r);
-            let compact = grown.union_compact(&other, tol);
-            if compact >= k && best.map(|(_, c)| compact > c).unwrap_or(true) {
-                best = Some((r, compact));
+        for r in (0..rows.n_records).filter(|&r| available[r]) {
+            let need = best.map_or(k, |(_, c)| c + 1);
+            if let Some(c) = score(lo, hi, rows.row(r), tol, need) {
+                best = Some((r, c));
             }
         }
-        match best {
-            Some((r, _)) => {
-                available[r] = false;
-                grown.merge(Candidate::singleton(data, r), tol);
-            }
-            None => break,
+        let Some((r, c)) = best else { break };
+        available[r] = false;
+        members.push(r);
+        for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(rows.row(r)) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
         }
+        compact = c;
     }
-    grown
+    members.sort_unstable();
+    (members, compact)
 }
 
-/// The batched seed-and-grow miner. Returns qualifying fascicles sorted by
+/// The fascicle a grown envelope describes: its compact attributes and
+/// their ranges.
+fn envelope_fascicle(records: Vec<usize>, lo: &[f64], hi: &[f64], tol: &[f64]) -> Fascicle {
+    let (compact_attrs, compact_ranges) = (0..lo.len())
+        .filter(|&a| hi[a] - lo[a] <= tol[a])
+        .map(|a| (a, (lo[a], hi[a])))
+        .unzip();
+    Fascicle {
+        records,
+        compact_attrs,
+        compact_ranges,
+    }
+}
+
+/// The seed-and-grow miner. Returns qualifying fascicles sorted by
 /// descending member count (ties by first record id); duplicate grown sets
 /// are collapsed, and a fascicle that is a subset of another reported
-/// fascicle is dropped.
+/// fascicle is dropped. `params.batch_size` does not change the result.
 pub fn mine_greedy<D: AttrSource>(
     data: &D,
     tol: &ToleranceVector,
@@ -216,22 +239,20 @@ pub fn mine_greedy<D: AttrSource>(
         data.n_attrs(),
         "tolerance vector must cover every attribute"
     );
-    assert!(params.batch_size > 0, "batch size must be positive");
+    let rows = Rows::copy(data);
+    let tol = tol.as_slice();
     let k = params.min_compact_attrs;
-    let mut grown: Vec<Candidate> = Vec::new();
-    let mut batch_start = 0;
-    while batch_start < data.n_records() {
-        let batch_end = (batch_start + params.batch_size).min(data.n_records());
-        for seed in batch_start..batch_end {
-            let candidate = grow_seed(data, tol, k, seed);
-            if candidate.records.len() >= params.min_records
-                && candidate.compact >= k
-                && !grown.iter().any(|g| g.records == candidate.records)
-            {
-                grown.push(candidate);
-            }
+    let mut lo = vec![0.0; rows.n_attrs];
+    let mut hi = vec![0.0; rows.n_attrs];
+    let mut grown: Vec<Fascicle> = Vec::new();
+    for seed in 0..rows.n_records {
+        let (records, compact) = grow_seed(&rows, tol, k, seed, &mut lo, &mut hi);
+        if records.len() >= params.min_records
+            && compact >= k
+            && !grown.iter().any(|g| g.records == records)
+        {
+            grown.push(envelope_fascicle(records, &lo, &hi, tol));
         }
-        batch_start = batch_end;
     }
     // Drop fascicles subsumed by a larger one.
     let sets: Vec<Vec<usize>> = grown.iter().map(|g| g.records.clone()).collect();
@@ -242,7 +263,6 @@ pub fn mine_greedy<D: AttrSource>(
                 other.len() > c.records.len() && c.records.iter().all(|r| other.contains(r))
             })
         })
-        .map(|c| c.into_fascicle(tol))
         .collect();
     fascicles.sort_by(|a, b| {
         b.len()

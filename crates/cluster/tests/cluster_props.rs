@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use gea_cluster::compression::compress;
 use gea_cluster::dataset::{AttrSource, Dataset};
 use gea_cluster::eval::{n_clusters, purity, rand_index};
+use gea_cluster::fascicle::reference;
 use gea_cluster::{
     agglomerate, kmeans, mine_greedy, som, FascicleParams, KMeansParams, Linkage, Metric,
     SomParams, ToleranceVector,
@@ -115,5 +116,47 @@ proptest! {
         }
         let max_frac = *counts.iter().max().unwrap() as f64 / n as f64;
         prop_assert!(p >= max_frac - 1e-12);
+    }
+}
+
+/// Small matrices with tied cells (a six-value alphabet) and NaN cells,
+/// half of them hundreds of attributes wide so that the greedy's early exit
+/// fires partway through a record.
+fn tied_nan_matrix() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..9, 1usize..8, any::<bool>()).prop_flat_map(|(n_records, n_attrs, wide)| {
+        let n_attrs = if wide { n_attrs * 100 } else { n_attrs };
+        let cell = (0u8..7).prop_map(|c| if c == 6 { f64::NAN } else { f64::from(c) });
+        prop::collection::vec(prop::collection::vec(cell, n_attrs), n_records)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The in-place greedy returns what the first-draft greedy it replaced
+    /// returns, compared through `Debug` so that NaN ranges compare too.
+    #[test]
+    fn greedy_matches_the_reference_kernel(
+        rows in tied_nan_matrix(),
+        tols in prop::collection::vec(0u8..4, 700),
+        k_permille in 0usize..1000,
+        min_records in 1usize..5,
+        batch_size in 1usize..12,
+    ) {
+        let data = Dataset::from_records(&rows);
+        let n_attrs = data.n_attrs();
+        let tol = ToleranceVector::from_values(
+            tols[..n_attrs].iter().map(|&t| f64::from(t)).collect(),
+        );
+        let params = FascicleParams {
+            // 0 ..= n_attrs + 1.
+            min_compact_attrs: (n_attrs + 2) * k_permille / 1000,
+            min_records,
+            batch_size,
+        };
+        prop_assert_eq!(
+            format!("{:?}", mine_greedy(&data, &tol, &params)),
+            format!("{:?}", reference::mine_greedy(&data, &tol, &params))
+        );
     }
 }

@@ -77,6 +77,12 @@
 #    `fn write_u32(`, `fn read_u32(`, `fn write_str(` or `fn read_str(`,
 #    and crates/{sage,core}/src/codec.rs have no `impl Read for` or
 #    `impl Write for`.
+#
+# 11. Reference kernels stay oracles. fascicle::reference, sumy::reference
+#    and clean::reference keep the first-draft kernels only so that tests
+#    can pin the fast ones to them bit for bit. So, in the non-test code of
+#    crates/*/src and src/ (bins included): no `reference::` path outside
+#    a `//` comment line.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -331,6 +337,21 @@ done < <(find crates/*/src src -name '*.rs' | sort)
 for file in "$codec" crates/core/src/codec.rs; do
     if [ "$(nontest_hits -E "$file" 'impl(<[^>]*>)? ([a-z_]+::)*(Read|Write)(<[^>]*>)? for')" -gt 0 ]; then
         echo "lint: $file bridges the codec to io::Read/io::Write; formats write to a ByteSink and read a Cur" >&2
+        fail=1
+    fi
+done
+
+# Reference kernels stay oracles: no non-test code calls one.
+while IFS= read -r file; do
+    hits="$(nontest "$file" | grep -v '^[[:space:]]*//' | grep -c 'reference::' || true)"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $file names a reference:: kernel in non-test code ($hits line(s)); reference kernels are test oracles" >&2
+        fail=1
+    fi
+done < <(find crates/*/src src -name '*.rs' | sort)
+for file in crates/cluster/src/fascicle.rs crates/core/src/sumy.rs crates/sage/src/clean.rs; do
+    if [ "$(nontest_hits -F "$file" 'pub mod reference')" -eq 0 ]; then
+        echo "lint: $file no longer declares 'pub mod reference' — the oracle check is looking for the wrong thing" >&2
         fail=1
     fi
 done

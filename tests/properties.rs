@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use gea::cluster::dataset::Dataset;
+use gea::cluster::dataset::{AttrSource, Dataset};
 use gea::cluster::{mine_exact, mine_greedy, FascicleParams, ToleranceVector};
 use gea::core::gap::{diff, gap_value, GapRow, GapTable};
 use gea::core::interval::{AllenRelation, Interval};
@@ -286,6 +286,17 @@ proptest! {
             prop_assert!(f.verify(&data, &tol));
             prop_assert!(f.compact_attrs.len() >= k);
             prop_assert!(f.len() >= 2);
+            // ... and they are *all* the compact attributes: exactly those
+            // whose range over the members is within tolerance.
+            let compact: Vec<usize> = (0..data.n_attrs())
+                .filter(|&a| {
+                    let vals = data.attr_values(a);
+                    let lo = f.records.iter().map(|&r| vals[r]).fold(f64::INFINITY, f64::min);
+                    let hi = f.records.iter().map(|&r| vals[r]).fold(f64::NEG_INFINITY, f64::max);
+                    tol.is_compact(a, lo, hi)
+                })
+                .collect();
+            prop_assert_eq!(&f.compact_attrs, &compact);
             // Every greedy fascicle is a qualifying set, hence a subset of
             // some maximal exact fascicle.
             prop_assert!(
@@ -293,6 +304,23 @@ proptest! {
                 "greedy fascicle {:?} not within any exact maximal fascicle",
                 f.records
             );
+        }
+        // No reported fascicle's record set is a subset of another's.
+        for (i, f) in greedy.iter().enumerate() {
+            for (j, g) in greedy.iter().enumerate() {
+                prop_assert!(
+                    i == j || !f.records.iter().all(|r| g.records.contains(r)),
+                    "fascicle {:?} is a subset of {:?}",
+                    f.records,
+                    g.records
+                );
+            }
+        }
+        // The batch size is a phase-structure knob, not a result knob.
+        let n = data.n_records();
+        for batch_size in [1, 2, n, n + 1] {
+            let batched = mine_greedy(&data, &tol, &FascicleParams { batch_size, ..params.clone() });
+            prop_assert_eq!(&batched, &greedy, "batch_size {}", batch_size);
         }
     }
 }

@@ -265,6 +265,64 @@ fn open_dir_rejects_overflowing_and_three_field_count_lines() {
     serving.join().expect("server thread");
 }
 
+/// A `mine` whose batch is outside the `batch` domain is refused by the
+/// parser on every path to the kernel, as `with fascicles batch=0` is, and
+/// the worker survives it. On a one-worker server each connection holds the
+/// only worker, so a worker lost to a panic would leave every later
+/// connection unanswered; the read timeout turns that into a failure.
+#[test]
+fn out_of_domain_mine_batch_is_refused_and_the_worker_survives() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 4,
+        lock_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let serving = thread::spawn(move || server.run().expect("serve"));
+    let connect = || {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        GeaClient::from_stream(stream).expect("client")
+    };
+
+    connect().request("open s demo 42").unwrap().expect("open");
+    let refused = Err((
+        "EPARSE".to_string(),
+        "parameter batch = 0 out of domain (integer 1..=1048576)".to_string(),
+    ));
+    for line in [
+        "mine SAGE f 50 3 0",
+        "xpart 0 2 :: mine SAGE f 50 3 0",
+        "mine SAGE f with fascicles batch=0",
+    ] {
+        let mut client = connect();
+        client.request("use s").unwrap().expect("use");
+        assert_eq!(client.request(line).unwrap(), refused, "{line}");
+        assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+    }
+    // k% and min keep their replies: each of these mines.
+    let mut client = connect();
+    client.request("use s").unwrap().expect("use");
+    for line in [
+        "mine SAGE a 101 3 6",
+        "mine SAGE b 0 3 6",
+        "mine SAGE c 50 0 6",
+    ] {
+        client.request(line).unwrap().expect(line);
+    }
+    assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+    drop(client);
+
+    handle.shutdown();
+    serving.join().expect("server thread");
+}
+
 /// The `check` verb validates a pipeline against the *live* session's
 /// symbol table without mutating it: a table created over the wire
 /// resolves, a fresh session rejects the same reference, and checking a

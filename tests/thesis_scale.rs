@@ -7,7 +7,9 @@
 //! cargo test --release --test thesis_scale -- --ignored
 //! ```
 
-use gea::cluster::FascicleParams;
+use gea::cluster::fascicle::reference as greedy_reference;
+use gea::cluster::{mine_greedy, FascicleParams};
+use gea::core::mine::{generate_metadata, MatrixView};
 use gea::core::persist::corpus_fingerprint;
 use gea::core::session::GeaSession;
 use gea::core::ExecConfig;
@@ -133,6 +135,50 @@ fn thesis_scale_open_is_the_definition() {
     assert_eq!(session.base().matrix, matrix);
     assert_eq!(session.cleaning_report(), &report);
     assert_eq!(corpus_fingerprint(&session).unwrap(), 0xd6eb_547b_4674_c3f9);
+}
+
+/// The in-place fascicle greedy returns, bit for bit, what the first-draft
+/// greedy kept in `fascicle::reference` returns, on the data set the repo
+/// benchmark mines: the 12 deepest brain libraries, in corpus order, at the
+/// two top rungs of its k ladder.
+#[test]
+#[ignore = "thesis-scale corpus; run with --release -- --ignored"]
+fn thesis_scale_greedy_is_the_reference() {
+    let (corpus, _) = generate(&GeneratorConfig::thesis_scale(42));
+    let mut brain: Vec<_> = corpus
+        .iter()
+        .filter(|(_, l)| l.meta.tissue == TissueType::Brain)
+        .map(|(id, l)| (std::cmp::Reverse(l.total_tags()), id))
+        .collect();
+    brain.sort();
+    brain.truncate(12);
+    brain.sort_by_key(|&(_, id)| id);
+    let deep: Vec<String> = brain
+        .into_iter()
+        .map(|(_, id)| corpus.library(id).meta.name.clone())
+        .collect();
+    let mut session = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+    let refs: Vec<&str> = deep.iter().map(|x| x.as_str()).collect();
+    session.create_custom_dataset("D", &refs).unwrap();
+    let table = session.enum_table("D").unwrap();
+    let tol = generate_metadata(table, 0.10);
+    for pct in [80, 85] {
+        let params = FascicleParams {
+            min_compact_attrs: table.n_tags() * pct / 100,
+            min_records: 3,
+            batch_size: 6,
+        };
+        let mined = mine_greedy(&MatrixView::new(table), &tol, &params);
+        assert!(!mined.is_empty(), "k = {pct}% mined nothing");
+        assert_eq!(
+            format!("{mined:?}"),
+            format!(
+                "{:?}",
+                greedy_reference::mine_greedy(&MatrixView::new(table), &tol, &params)
+            ),
+            "k = {pct}%"
+        );
+    }
 }
 
 /// The same pipeline with mining and control-group aggregation routed
