@@ -141,7 +141,7 @@ impl CostSeed {
 pub struct CostModel {
     /// Cost per library visited by a corpus scan (dataset/custom/select).
     pub scan_weight: u64,
-    /// Cost per candidate×batch cell visited by `mine`.
+    /// Cost per seed×record scoring by `mine`.
     pub mine_weight: u64,
     /// Cost per row written to or read from the filesystem.
     pub io_weight: u64,
@@ -276,12 +276,15 @@ fn cost_command(
             env.insert(name.clone(), rows);
             (rows, rows.hi.saturating_mul(model.scan_weight))
         }
-        GqlCommand::Mine { dataset, batch, .. } => {
+        GqlCommand::Mine { dataset, .. } => {
+            // Every record seeds one growth that scores the other records
+            // and yields at most one fascicle; `batch` changes neither the
+            // result nor the work.
             let input = seed.lookup(env, dataset);
-            let rows = Interval::range(0, *batch as u64);
+            let rows = Interval::range(0, input.hi);
             let cost = input
                 .hi
-                .saturating_mul((*batch as u64).max(1))
+                .saturating_mul(input.hi)
                 .saturating_mul(model.mine_weight);
             (rows, cost)
         }
@@ -456,15 +459,15 @@ mod tests {
         assert_eq!(report.per_command[0].rows, Interval::range(1, 250));
         // select keeps at most its listed libraries.
         assert!(report.per_command[1].rows.hi <= 2);
-        // mine yields at most `batch` fascicles.
-        assert_eq!(report.per_command[2].rows, Interval::range(0, 6));
+        // mine yields at most one fascicle per library of its input.
+        assert_eq!(report.per_command[2].rows, Interval::range(0, 250));
         // topgap of an unknown gap still caps at x.
         assert!(report.per_command[3].rows.hi <= 5);
         assert!(report.total > 0);
         let rendered = report.render();
         assert!(rendered.contains("predicted cost"));
         assert!(rendered.contains("total:"));
-        assert!(rendered.contains("rows 0..6"));
+        assert!(rendered.contains("rows 0..250"));
     }
 
     #[test]
@@ -488,28 +491,30 @@ mod tests {
         let n = session.enum_tables()["Eb"].n_libraries() as u64;
         assert_eq!(report.per_command[0].rows, Interval::point(n));
         assert_eq!(report.per_command[0].cost, n * model.io_weight);
+        // And bounds what a `mine` over it can yield, whatever its batch.
+        let report = cost_pipeline(&model, &seed, &cmds("mine Eb g 50 2 1\n"));
+        assert_eq!(report.per_command[0].rows, Interval::range(0, n));
     }
 
     #[test]
-    fn costs_are_monotone_in_batch_and_saturate() {
+    fn mine_costs_ignore_batch_and_saturate() {
         let model = CostModel::default_coefficients();
         let seed = CostSeed::script_default();
-        let small = cost_pipeline(&model, &seed, &cmds("mine e m 50 3 2\n"));
-        let large = cost_pipeline(&model, &seed, &cmds("mine e m 50 3 64\n"));
-        assert!(large.total > small.total);
-        // A pathological batch saturates instead of wrapping. The parser
-        // refuses one past the `batch` domain, so build the command.
-        assert!(gql::parse("mine e m 50 3 18446744073709551615").is_err());
-        let huge = GqlCommand::Mine {
-            dataset: "e".to_string(),
-            out: "m".to_string(),
-            k_pct: 50,
-            min_records: 3,
-            batch: usize::MAX,
+        let script = |batch: usize| format!("dataset e brain\nmine e m 50 3 {batch}\n");
+        let one = cost_pipeline(&model, &seed, &cmds(&script(1)));
+        for batch in [2, 64, 1_048_576] {
+            assert_eq!(cost_pipeline(&model, &seed, &cmds(&script(batch))), one);
+        }
+        assert_eq!(one.per_command[1].rows, Interval::range(0, 250));
+        assert_eq!(one.per_command[1].cost, 250 * 250 * model.mine_weight);
+        // An input too large to square saturates instead of wrapping.
+        let vast = CostSeed {
+            libraries: u64::MAX,
+            ..CostSeed::script_default()
         };
-        let huge = cost_pipeline(&model, &seed, &[huge]);
-        assert_eq!(huge.per_command.len(), 1);
-        assert!(huge.total >= large.total);
+        let huge = cost_pipeline(&model, &vast, &cmds("mine e m 50 3 6\n"));
+        assert_eq!(huge.per_command[0].rows, Interval::range(0, u64::MAX));
+        assert_eq!(huge.total, u64::MAX);
     }
 
     #[test]

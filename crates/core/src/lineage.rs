@@ -83,6 +83,10 @@ pub enum LineageError {
     DuplicateName(String),
     /// A parent id does not exist.
     MissingParent(u32),
+    /// A stored node's id does not follow the one before it.
+    IdOutOfOrder(u32),
+    /// A stored node's id was never issued: it is not below the next id.
+    IdNotIssued(u32),
 }
 
 impl fmt::Display for LineageError {
@@ -94,6 +98,12 @@ impl fmt::Display for LineageError {
             }
             LineageError::MissingParent(id) => {
                 write!(f, "parent node {id} does not exist")
+            }
+            LineageError::IdOutOfOrder(id) => {
+                write!(f, "node {id} does not follow the node before it")
+            }
+            LineageError::IdNotIssued(id) => {
+                write!(f, "node {id} is not below the next id")
             }
         }
     }
@@ -112,6 +122,49 @@ impl Lineage {
     /// Create an empty tracker.
     pub fn new() -> Lineage {
         Lineage::default()
+    }
+
+    /// Reinstall a stored DAG exactly as it was: the nodes keep their ids
+    /// and the next table recorded gets `next_id`. Refuses ids that do not
+    /// ascend strictly or are not below `next_id`, a name that repeats, and
+    /// a parent that is not an earlier node — none of which a tracker can
+    /// reach, since a cascade delete takes every descendant with it.
+    pub fn from_parts(nodes: Vec<LineageNode>, next_id: u32) -> Result<Lineage, LineageError> {
+        let mut lineage = Lineage {
+            nodes: BTreeMap::new(),
+            next_id,
+        };
+        let mut names = std::collections::BTreeSet::new();
+        for node in nodes {
+            let id = node.id.0;
+            if lineage
+                .nodes
+                .last_key_value()
+                .is_some_and(|(&prev, _)| id <= prev)
+            {
+                return Err(LineageError::IdOutOfOrder(id));
+            }
+            if id >= next_id {
+                return Err(LineageError::IdNotIssued(id));
+            }
+            if !names.insert(node.name.clone()) {
+                return Err(LineageError::DuplicateName(node.name));
+            }
+            if let Some(p) = node
+                .parents
+                .iter()
+                .find(|p| !lineage.nodes.contains_key(&p.0))
+            {
+                return Err(LineageError::MissingParent(p.0));
+            }
+            lineage.nodes.insert(id, node);
+        }
+        Ok(lineage)
+    }
+
+    /// The id the next recorded table will get.
+    pub fn next_id(&self) -> u32 {
+        self.next_id
     }
 
     /// Record a new derived table.
@@ -243,7 +296,7 @@ impl Lineage {
     }
 
     /// Iterate live nodes in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &LineageNode> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &LineageNode> {
         self.nodes.values()
     }
 

@@ -17,9 +17,17 @@
 //!   report, derived ENUM/SUMY/GAP tables, fascicle records and lineage,
 //!   each once: the relational form is derived from these, so it is not
 //!   stored — and [`load_session`] reassembles a live session from it. This
-//!   is the format the server's eviction spill/restore path uses
-//!   ([`spill_session`]): replies answered by a restored session are
-//!   byte-identical to the pre-eviction ones.
+//!   is the format the server's eviction spill/restore path and the
+//!   router's resync use ([`spill_session`], [`snapshot_to_bytes`]):
+//!   replies answered by a restored session are byte-identical to the
+//!   pre-eviction ones, and so is its next save.
+//!
+//! Every field of the snapshot, the lineage included, is written with the
+//! `put_*` writers of `gea_sage::codec` and read back through its bounded
+//! [`Cur`]; there is no text decoder on the load path. The lineage's node
+//! ids and next id are stored, not re-derived, and
+//! [`Lineage::from_parts`] reinstalls them only if they form a DAG a
+//! tracker could hold.
 //!
 //! The snapshot carries an FNV-1a fingerprint over its body; truncated,
 //! bit-flipped, or version-skewed files load as
@@ -39,6 +47,7 @@
 //! (`Inflate`). The greedy parse never looks further than that window,
 //! so the stored bytes are the ones a whole-buffer compressor writes.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -61,7 +70,7 @@ use crate::codec::{
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
-use crate::lineage::{Lineage, NodeId, NodeKind};
+use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
 use crate::session::{FascicleRecord, GeaSession, SessionSnapshot, SessionSource};
 use crate::sumy::SumyTable;
 
@@ -97,8 +106,8 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn malformed(detail: impl Into<String>) -> PersistError {
-    PersistError::Malformed(detail.into())
+fn malformed(detail: impl Into<String>) -> CodecError {
+    CodecError(detail.into())
 }
 
 fn kind_token(kind: NodeKind) -> &'static str {
@@ -112,7 +121,7 @@ fn kind_token(kind: NodeKind) -> &'static str {
     }
 }
 
-fn parse_kind(token: &str) -> Result<NodeKind, PersistError> {
+fn parse_kind(token: &str) -> Result<NodeKind, CodecError> {
     Ok(match token {
         "enum" => NodeKind::Enum,
         "fascicle" => NodeKind::Fascicle,
@@ -147,22 +156,6 @@ fn encode_name(name: &str) -> String {
     out
 }
 
-fn decode_name(stem: &str) -> Result<String, PersistError> {
-    let mut out = String::new();
-    let mut chars = stem.chars();
-    while let Some(c) = chars.next() {
-        if c == '%' {
-            let hex: String = chars.by_ref().take(4).collect();
-            let code = u32::from_str_radix(&hex, 16)
-                .map_err(|e| malformed(format!("bad escape {hex:?}: {e}")))?;
-            out.push(char::from_u32(code).ok_or_else(|| malformed("bad escape code"))?);
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
 /// Save the relational form of the session's tables and its lineage into
 /// `dir`, converting and writing one table at a time.
 pub fn save_results(session: &GeaSession, dir: &Path) -> Result<(), PersistError> {
@@ -186,8 +179,9 @@ pub fn save_results(session: &GeaSession, dir: &Path) -> Result<(), PersistError
     Ok(())
 }
 
-/// Serialize the lineage DAG in the tagged-record text format shared by
-/// `lineage.txt` and the binary session snapshot.
+/// Write the lineage DAG as `lineage.txt`'s tagged-record text, for
+/// reading outside the toolkit; the snapshot stores it as binary records
+/// ([`put_lineage`]).
 fn write_lineage(lineage: &Lineage, out: &mut impl Write) -> std::io::Result<()> {
     for node in lineage.iter() {
         writeln!(out, "node\t{}", node.id.0)?;
@@ -208,128 +202,6 @@ fn write_lineage(lineage: &Lineage, out: &mut impl Write) -> std::io::Result<()>
     Ok(())
 }
 
-/// Parse the tagged-record lineage text back into a replayed [`Lineage`].
-fn parse_lineage(text: &str) -> Result<Lineage, PersistError> {
-    let mut lineage = Lineage::new();
-    {
-        let mut pending: Vec<ParsedNode> = Vec::new();
-        let mut current: Option<ParsedNode> = None;
-        for line in text.lines() {
-            let mut parts = line.splitn(3, '\t');
-            let tag = parts.next().unwrap_or("");
-            match tag {
-                "node" => {
-                    let id: u32 = parts
-                        .next()
-                        .ok_or_else(|| malformed("node line missing id"))?
-                        .parse()
-                        .map_err(|e| malformed(format!("bad node id: {e}")))?;
-                    current = Some(ParsedNode {
-                        id,
-                        ..ParsedNode::default()
-                    });
-                }
-                "name" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("name outside node"))?;
-                    cur.name = decode_name(parts.next().unwrap_or(""))?;
-                }
-                "kind" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("kind outside node"))?;
-                    cur.kind = Some(parse_kind(parts.next().unwrap_or(""))?);
-                }
-                "op" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("op outside node"))?;
-                    cur.operation = parts.next().unwrap_or("").to_string();
-                }
-                "param" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("param outside node"))?;
-                    let k = parts.next().unwrap_or("").to_string();
-                    let v = parts.next().unwrap_or("").to_string();
-                    cur.params.push((k, v));
-                }
-                "comment" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("comment outside node"))?;
-                    cur.comment = parts.next().unwrap_or("").to_string();
-                }
-                "parents" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("parents outside node"))?;
-                    let list = parts.next().unwrap_or("");
-                    if !list.is_empty() {
-                        for p in list.split(',') {
-                            cur.parents.push(
-                                p.parse()
-                                    .map_err(|e| malformed(format!("bad parent id: {e}")))?,
-                            );
-                        }
-                    }
-                }
-                "materialized" => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| malformed("materialized outside node"))?;
-                    cur.materialized = parts.next() == Some("1");
-                }
-                "end" => {
-                    pending.push(
-                        current
-                            .take()
-                            .ok_or_else(|| malformed("end outside node"))?,
-                    );
-                }
-                "" => {}
-                other => return Err(malformed(format!("unknown record tag {other:?}"))),
-            }
-        }
-        pending.sort_by_key(|n| n.id);
-        // Replay; saved ids are dense-by-construction in a fresh tracker,
-        // but deletes can leave gaps — map old ids to new.
-        let mut id_map: std::collections::BTreeMap<u32, NodeId> = Default::default();
-        for node in pending {
-            let kind = node.kind.ok_or_else(|| malformed("node missing kind"))?;
-            let parents: Vec<NodeId> = node
-                .parents
-                .iter()
-                .filter_map(|p| id_map.get(p).copied())
-                .collect();
-            let new_id = lineage
-                .record(&node.name, kind, &node.operation, node.params, &parents)
-                .map_err(|e| malformed(format!("replay failed: {e}")))?;
-            if !node.comment.is_empty() {
-                let _ = lineage.set_comment(new_id, &node.comment);
-            }
-            if !node.materialized {
-                let _ = lineage.delete_contents(new_id);
-            }
-            id_map.insert(node.id, new_id);
-        }
-    }
-    Ok(lineage)
-}
-
-#[derive(Debug, Default)]
-struct ParsedNode {
-    id: u32,
-    name: String,
-    kind: Option<NodeKind>,
-    operation: String,
-    params: Vec<(String, String)>,
-    comment: String,
-    parents: Vec<u32>,
-    materialized: bool,
-}
-
 // ----- fidelity-complete binary snapshots (`session.gea`) -----------------
 
 /// File name of the binary snapshot inside a saved-session directory.
@@ -338,10 +210,13 @@ pub const SNAPSHOT_FILE: &str = "session.gea";
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
 /// The one snapshot version written and read. The LZSS-compressed body
 /// ([`LzWriter`]) is, in order: cleaning report, corpus blob, base ENUM
-/// table, then the counted ENUM, SUMY and GAP tables and fascicle records
-/// (each with its mining backend and resolved parameters), then the lineage
-/// text blob.
-const SNAPSHOT_VERSION: u32 = 3;
+/// table, then the counted lists of ENUM, SUMY and GAP tables and fascicle
+/// records (each with its mining backend and resolved parameters), then the
+/// lineage: the next node id and the counted list of live nodes
+/// ([`put_lineage`]). Node ids and the next id are restored verbatim, so a
+/// loaded session records its next table under the id the saved one would
+/// have used.
+const SNAPSHOT_VERSION: u32 = 4;
 /// Magic, version and fingerprint (FNV-1a over the stored body); the
 /// stored body follows.
 const SNAPSHOT_HEADER: usize = 16;
@@ -535,7 +410,7 @@ struct Inflate<'a> {
 impl<'a> Inflate<'a> {
     /// Read the declared raw length off the front of `stored` and refuse
     /// one the stored bytes could not expand to.
-    fn new(stored: &'a [u8]) -> Result<Inflate<'a>, PersistError> {
+    fn new(stored: &'a [u8]) -> Result<Inflate<'a>, CodecError> {
         let mut tokens = Cur::new(stored);
         let raw_len = tokens.u64("compressed body length")?;
         let raw_len = usize::try_from(raw_len)
@@ -673,7 +548,7 @@ fn put_library_meta(out: &mut impl ByteSink, meta: &LibraryMeta) {
     put_u8(out, source_code(meta.source));
 }
 
-fn read_library_meta(cur: &mut Cur) -> Result<LibraryMeta, PersistError> {
+fn read_library_meta(cur: &mut Cur) -> Result<LibraryMeta, CodecError> {
     Ok(LibraryMeta {
         name: cur.string("library name")?,
         tissue: TissueType::parse(&cur.string("library tissue")?),
@@ -700,7 +575,7 @@ fn put_enum_table(out: &mut impl ByteSink, table: &EnumTable) {
     }
 }
 
-fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, PersistError> {
+fn read_enum_table(cur: &mut Cur) -> Result<EnumTable, CodecError> {
     let name = cur.string("enum table name")?;
     let n_tags = cur.u32("enum tag count")? as usize;
     let n_libs = cur.u32("enum library count")? as usize;
@@ -739,17 +614,14 @@ fn put_sumy_table(out: &mut impl ByteSink, table: &SumyTable) {
     put_sumy_rows(out, table.rows());
 }
 
-fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, PersistError> {
+fn read_sumy_table(cur: &mut Cur) -> Result<SumyTable, CodecError> {
     let name = cur.string("sumy table name")?;
     Ok(SumyTable::new(&name, read_sumy_rows(cur, true)?))
 }
 
 fn put_gap_table(out: &mut impl ByteSink, table: &GapTable) {
     put_str(out, &table.name);
-    put_u32(out, table.columns.len() as u32);
-    for col in &table.columns {
-        put_str(out, col);
-    }
+    put_list(out, &table.columns, |out, col| put_str(out, col));
     put_u32(out, table.rows().len() as u32);
     for row in table.rows() {
         put_u32(out, row.tag.code());
@@ -766,16 +638,12 @@ fn put_gap_table(out: &mut impl ByteSink, table: &GapTable) {
     }
 }
 
-fn read_gap_table(cur: &mut Cur) -> Result<GapTable, PersistError> {
+fn read_gap_table(cur: &mut Cur) -> Result<GapTable, CodecError> {
     let name = cur.string("gap table name")?;
-    let n_cols = cur.u32("gap column count")? as usize;
+    let columns = cur.list(4, "gap column", |cur| cur.string("gap column name"))?;
+    let n_cols = columns.len();
     if n_cols == 0 {
         return Err(malformed("gap table without columns"));
-    }
-    cur.ensure_elems(n_cols, 4, "gap column")?;
-    let mut columns = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        columns.push(cur.string("gap column name")?);
     }
     let n = cur.u32("gap row count")? as usize;
     cur.ensure_elems(n, 8 + n_cols, "gap row")?;
@@ -815,7 +683,7 @@ fn put_fascicle(out: &mut impl ByteSink, rec: &FascicleRecord) {
     });
 }
 
-fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, PersistError> {
+fn read_fascicle(cur: &mut Cur) -> Result<FascicleRecord, CodecError> {
     let name = cur.string("fascicle name")?;
     let dataset = cur.string("fascicle dataset")?;
     let members = cur.list(4, "fascicle member", |cur| cur.string("fascicle member"))?;
@@ -860,7 +728,7 @@ fn put_report(out: &mut impl ByteSink, report: &CleaningReport) {
     put_f64(out, report.freq1_union_fraction);
 }
 
-fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
+fn read_report(cur: &mut Cur) -> Result<CleaningReport, CodecError> {
     let raw_union_tags = usize::try_from(cur.u64("report raw tags")?)
         .map_err(|_| malformed("report raw tag count implausible"))?;
     let kept_tags = usize::try_from(cur.u64("report kept tags")?)
@@ -888,27 +756,82 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, PersistError> {
 /// saving, so the raw body is never held.
 fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
     put_source(out, session.source());
-    put_u32(out, session.enum_tables().len() as u32);
-    for table in session.enum_tables().values() {
-        put_enum_table(out, table);
-    }
-    put_u32(out, session.sumy_tables().len() as u32);
-    for table in session.sumy_tables().values() {
-        put_sumy_table(out, table);
-    }
-    put_u32(out, session.gap_tables().len() as u32);
-    for table in session.gap_tables().values() {
-        put_gap_table(out, table);
-    }
-    put_u32(out, session.fascicle_records().len() as u32);
-    for rec in session.fascicle_records().values() {
-        put_fascicle(out, rec);
-    }
-    // The lineage text is small: it is written once, then copied in.
-    let mut lineage = Vec::new();
-    write_lineage(session.lineage(), &mut lineage)?;
-    put_blob(out, |w| w.put(&lineage));
+    put_list(out, session.enum_tables().values(), put_enum_table);
+    put_list(out, session.sumy_tables().values(), put_sumy_table);
+    put_list(out, session.gap_tables().values(), put_gap_table);
+    put_list(out, session.fascicle_records().values(), put_fascicle);
+    put_lineage(out, session.lineage());
     Ok(())
+}
+
+/// The lineage as binary records: the next id, then each live node in id
+/// order — id, name, kind, operation, parameters, comment, parent ids and
+/// the materialized flag — so a load reinstalls the DAG with its own ids.
+fn put_lineage(out: &mut impl ByteSink, lineage: &Lineage) {
+    put_u32(out, lineage.next_id());
+    put_list(out, lineage.iter(), put_node);
+}
+
+fn put_node(out: &mut impl ByteSink, node: &LineageNode) {
+    put_u32(out, node.id.0);
+    put_str(out, &node.name);
+    put_str(out, kind_token(node.kind));
+    put_str(out, &node.operation);
+    put_list(out, &node.params, |out, (k, v)| {
+        put_str(out, k);
+        put_str(out, v);
+    });
+    put_str(out, &node.comment);
+    put_list(out, &node.parents, |out, p| put_u32(out, p.0));
+    put_u8(out, node.materialized as u8);
+}
+
+/// Read what [`put_lineage`] wrote and reinstall it through
+/// [`Lineage::from_parts`], which refuses ids, names or parents no tracker
+/// could hold.
+fn read_lineage(cur: &mut Cur) -> Result<Lineage, CodecError> {
+    let next_id = cur.u32("lineage next id")?;
+    let nodes = cur.list(29, "lineage node", |cur| {
+        Ok(LineageNode {
+            id: NodeId(cur.u32("lineage node id")?),
+            name: cur.string("lineage node name")?,
+            kind: parse_kind(&cur.string("lineage node kind")?)?,
+            operation: cur.string("lineage node operation")?,
+            params: cur.list(8, "lineage node param", |cur| {
+                Ok((
+                    cur.string("lineage param key")?,
+                    cur.string("lineage param value")?,
+                ))
+            })?,
+            comment: cur.string("lineage node comment")?,
+            parents: cur.list(4, "lineage node parent", |cur| {
+                Ok(NodeId(cur.u32("lineage node parent")?))
+            })?,
+            materialized: match cur.u8("lineage materialized flag")? {
+                0 => false,
+                1 => true,
+                other => return Err(malformed(format!("bad materialized flag {other}"))),
+            },
+        })
+    })?;
+    Lineage::from_parts(nodes, next_id).map_err(|e| malformed(format!("bad lineage: {e}")))
+}
+
+/// Key decoded tables by name, refusing a name that repeats.
+fn by_name<T>(
+    items: Vec<T>,
+    name: impl Fn(&T) -> &str,
+    what: &str,
+) -> Result<BTreeMap<String, T>, CodecError> {
+    let mut map = BTreeMap::new();
+    for item in items {
+        let key = name(&item).to_string();
+        if map.contains_key(&key) {
+            return Err(malformed(format!("duplicate {what} {key:?}")));
+        }
+        map.insert(key, item);
+    }
+    Ok(map)
 }
 
 /// The session's source, the body's first part: cleaning report, corpus
@@ -1004,34 +927,15 @@ fn read_derived(
     source: Arc<SessionSource>,
 ) -> Result<SessionSnapshot, PersistError> {
     let cur = &mut body;
-    let n_enums = cur.count(12, "enum map entry")?;
-    let mut enums = std::collections::BTreeMap::new();
-    for _ in 0..n_enums {
-        let table = read_enum_table(cur)?;
-        enums.insert(table.name.clone(), table);
-    }
-    let n_sumys = cur.count(8, "sumy map entry")?;
-    let mut sumys = std::collections::BTreeMap::new();
-    for _ in 0..n_sumys {
-        let table = read_sumy_table(cur)?;
-        sumys.insert(table.name.clone(), table);
-    }
-    let n_gaps = cur.count(12, "gap map entry")?;
-    let mut gaps = std::collections::BTreeMap::new();
-    for _ in 0..n_gaps {
-        let table = read_gap_table(cur)?;
-        gaps.insert(table.name.clone(), table);
-    }
-    let n_fascicles = cur.count(16, "fascicle map entry")?;
-    let mut fascicles = std::collections::BTreeMap::new();
-    for _ in 0..n_fascicles {
-        let rec = read_fascicle(cur)?;
-        fascicles.insert(rec.name.clone(), rec);
-    }
-    let lineage_text = cur.blob("lineage blob")?;
-    let lineage_text = std::str::from_utf8(lineage_text)
-        .map_err(|e| malformed(format!("non-utf8 lineage: {e}")))?;
-    let lineage = parse_lineage(lineage_text)?;
+    let enums = cur.list(12, "enum map entry", read_enum_table)?;
+    let enums = by_name(enums, |t| &t.name, "enum table")?;
+    let sumys = cur.list(8, "sumy map entry", read_sumy_table)?;
+    let sumys = by_name(sumys, |t| &t.name, "sumy table")?;
+    let gaps = cur.list(12, "gap map entry", read_gap_table)?;
+    let gaps = by_name(gaps, |t| &t.name, "gap table")?;
+    let fascicles = cur.list(16, "fascicle map entry", read_fascicle)?;
+    let fascicles = by_name(fascicles, |r| &r.name, "fascicle")?;
+    let lineage = read_lineage(cur)?;
     body.finish("snapshot body")?;
     Ok(SessionSnapshot {
         source,
@@ -1104,22 +1008,23 @@ fn session_from_snapshot_bytes_sharing(
     let mut cur = Cur::new(bytes);
     let magic = cur.take(4, "snapshot magic")?;
     if magic != SNAPSHOT_MAGIC {
-        return Err(malformed("bad magic; not a GEA session snapshot"));
+        return Err(malformed("bad magic; not a GEA session snapshot").into());
     }
     let version = cur.u32("snapshot version")?;
     if version != SNAPSHOT_VERSION {
-        return Err(malformed(format!("unsupported snapshot version {version}")));
+        return Err(malformed(format!("unsupported snapshot version {version}")).into());
     }
     let stored = cur.u64("snapshot fingerprint")?;
     let body = &bytes[SNAPSHOT_HEADER..];
     if fnv1a(body) != stored {
-        return Err(malformed("fingerprint mismatch; snapshot is corrupt"));
+        return Err(malformed("fingerprint mismatch; snapshot is corrupt").into());
     }
     if let Some(want) = expected {
         if want != stored {
             return Err(malformed(format!(
                 "snapshot fingerprint {stored:#018x} does not match expected {want:#018x}"
-            )));
+            ))
+            .into());
         }
     }
     Ok(GeaSession::from_snapshot(decode_session(body, candidate)?))
@@ -1257,12 +1162,24 @@ mod tests {
     }
 
     #[test]
-    fn name_encoding_roundtrip() {
-        for name in ["plain", "with space", "uni→code", "a%b", "Ebrain/2"] {
-            let encoded = encode_name(name);
-            assert!(!encoded.contains('/') && !encoded.contains(' '));
-            assert_eq!(decode_name(&encoded).unwrap(), name);
+    fn name_encoding_is_safe_and_distinct() {
+        let names = [
+            "plain",
+            "with space",
+            "uni→code",
+            "a%b",
+            "Ebrain/2",
+            "a%0025b",
+        ];
+        let stems: std::collections::BTreeSet<String> =
+            names.iter().map(|name| encode_name(name)).collect();
+        assert_eq!(stems.len(), names.len(), "two names share a stem");
+        for stem in &stems {
+            assert!(stem
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || "_-%".contains(c)));
         }
+        assert_eq!(encode_name("uni→code"), "uni%2192code");
     }
 
     /// Re-import one exported table: the CSV under the exported schema
@@ -1314,17 +1231,23 @@ mod tests {
             reimport(&dir, dropped, db.get(dropped).unwrap().schema()).n_rows(),
             0
         );
-        // lineage.txt is the same text the snapshot embeds, and replays to
-        // the same history.
-        let lineage = parse_lineage(&fs::read_to_string(dir.join("lineage.txt")).unwrap()).unwrap();
-        assert_eq!(lineage.render_tree(), session.lineage().render_tree());
-        let node = lineage.find_by_name(&names[0]).unwrap();
-        assert_eq!(node.operation, "Fascicles");
+        // lineage.txt is the saved session's lineage as `write_lineage`
+        // renders it, comment and dematerialized node included.
+        let mut want = Vec::new();
+        write_lineage(session.lineage(), &mut want).unwrap();
+        let text = fs::read_to_string(dir.join("lineage.txt")).unwrap();
+        assert_eq!(text.as_bytes(), want);
+        let record = |name: &str| {
+            let start = text
+                .find(&format!("name\t{}\n", encode_name(name)))
+                .unwrap();
+            text[start..].split("end\n").next().unwrap().to_string()
+        };
+        assert!(record(&names[0]).contains("op\tFascicles\n"));
         if dropped != &names[0] {
-            assert_eq!(node.comment, "persisted comment");
+            assert!(record(&names[0]).contains("comment\tpersisted comment\n"));
         }
-        let node = lineage.find_by_name(dropped).unwrap();
-        assert!(!node.materialized);
+        assert!(record(dropped).contains("materialized\t0\n"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1529,6 +1452,29 @@ mod tests {
     }
 
     #[test]
+    fn a_restored_session_keeps_its_lineage_ids() {
+        // A cascade delete leaves a gap in the ids: `F` and its node go,
+        // and `next_id` stays past them.
+        let mut session = rich_session();
+        session
+            .create_tissue_dataset("F", &TissueType::Breast)
+            .unwrap();
+        session.delete("F", true).unwrap();
+        let (saved, _) = snapshot_to_bytes(&session).unwrap();
+        let mut restored = session_from_snapshot_bytes(&saved, None).unwrap();
+        let (resaved, _) = snapshot_to_bytes(&restored).unwrap();
+        assert!(saved == resaved, "save -> load -> save changed the bytes");
+        assert_eq!(restored.lineage().next_id(), session.lineage().next_id());
+        // The next table gets the id it gets in the session never saved.
+        for s in [&mut session, &mut restored] {
+            s.create_tissue_dataset("C", &TissueType::Colon).unwrap();
+        }
+        let id = |s: &GeaSession| s.lineage().find_by_name("C").unwrap().id;
+        assert_eq!(id(&restored), id(&session));
+        assert!(snapshot_to_bytes(&restored).unwrap() == snapshot_to_bytes(&session).unwrap());
+    }
+
+    #[test]
     fn snapshot_fingerprint_is_deterministic() {
         let session = rich_session();
         let d1 = temp_dir("fp1");
@@ -1539,11 +1485,9 @@ mod tests {
         fs::remove_dir_all(&d1).unwrap();
         fs::remove_dir_all(&d2).unwrap();
 
-        // Pinned at the whole-buffer compressor's last commit: the
-        // streaming one stores the same bytes, so a session saved by either
-        // loads on the other.
+        // Pinned at snapshot version 4, whose lineage is binary records.
         let (bytes, fp) = snapshot_to_bytes(&session).unwrap();
-        assert_eq!((fp, bytes.len()), (0x1588_1007_e9ed_e1e4, 999_819));
+        assert_eq!((fp, bytes.len()), (0xe2e1_cf02_bd45_5368, 999_765));
         // And those bytes are the oracle's over the raw body.
         let mut raw = Vec::new();
         encode_session(&session, &mut raw).unwrap();
@@ -1625,6 +1569,30 @@ mod tests {
             body[..8].copy_from_slice(&(raw_len as u64).to_le_bytes());
             body
         };
+        // One byte short of where the body's last match token ends: the
+        // inflater meets a match running past the declared length.
+        let inside_last_match = {
+            let stored = lz_compress(&raw);
+            let (mut at, mut inflated, mut cut) = (8, 0, 0);
+            while at < stored.len() {
+                let flags = stored[at];
+                at += 1;
+                for bit in 0..8 {
+                    if at == stored.len() {
+                        break;
+                    }
+                    if flags & (1 << bit) == 0 {
+                        at += 1;
+                        inflated += 1;
+                    } else {
+                        inflated += stored[at + 2] as usize + LZ_MIN_MATCH;
+                        at += 3;
+                        cut = inflated - 1;
+                    }
+                }
+            }
+            cut
+        };
         let mut past_the_end = lz_compress(&raw);
         past_the_end.extend_from_slice(&[0, b'x']);
         // The report's library-fraction count (8 bytes each), one element
@@ -1634,12 +1602,69 @@ mod tests {
         let over = (raw.len() - count_at - 4) / 8 + 1;
         let mut count_over = raw.clone();
         count_over[count_at..count_at + 4].copy_from_slice(&(over as u32).to_le_bytes());
-        // The lineage blob, the last field, one byte longer than what is left.
-        let mut lineage = Vec::new();
-        write_lineage(session.lineage(), &mut lineage).unwrap();
-        let len_at = raw.len() - lineage.len() - 8;
-        let mut blob_over = raw.clone();
-        blob_over[len_at..len_at + 8].copy_from_slice(&(lineage.len() as u64 + 1).to_le_bytes());
+        // The lineage, the last field, rewritten: `with_lineage` puts
+        // `next_id` and `nodes` in place of the session's own, as
+        // `put_lineage` would lay them out, without checking them.
+        let mut stored_lineage = Vec::new();
+        put_lineage(&mut stored_lineage, session.lineage());
+        let before_lineage = &raw[..raw.len() - stored_lineage.len()];
+        let with_lineage = |next_id: u32, nodes: &[LineageNode]| {
+            let mut body = before_lineage.to_vec();
+            put_u32(&mut body, next_id);
+            put_list(&mut body, nodes, put_node);
+            lz_compress(&body)
+        };
+        let nodes: Vec<LineageNode> = session.lineage().iter().cloned().collect();
+        let next_id = session.lineage().next_id();
+        let last = nodes.len() - 1;
+        let edited = |edit: &dyn Fn(&mut Vec<LineageNode>)| {
+            let mut nodes = nodes.clone();
+            edit(&mut nodes);
+            nodes
+        };
+        // A parent that names no node at all, and one that names a node
+        // the child precedes.
+        let dangling = edited(&|n| n[last].parents.push(NodeId(next_id + 7)));
+        let (id1, id2) = (nodes[1].id, nodes[2].id);
+        let later_parent = edited(&|n| n[1].parents.push(id2));
+        let own_parent = edited(&|n| n[1].parents.push(id1));
+        let duplicate_id = edited(&|n| n[2].id = id1);
+        // Two SUMYs of one fascicle in the wrong order.
+        let sumy_at = nodes.iter().position(|n| n.kind == NodeKind::Sumy).unwrap();
+        let swapped = edited(&|n| n.swap(sumy_at, sumy_at + 1));
+        let duplicate_name = edited(&|n| n[2].name = n[1].name.clone());
+        // An unknown kind token (the root's `enum`, respelled), a node
+        // count no body could hold, and a materialized flag that is
+        // neither 0 nor 1 (the body's last byte).
+        let mut unknown_kind = raw.clone();
+        let kind_at = before_lineage.len()
+            + stored_lineage
+                .windows(8)
+                .position(|w| w == b"\x04\0\0\0enum")
+                .unwrap();
+        unknown_kind[kind_at + 4..kind_at + 8].copy_from_slice(b"mune");
+        let mut count_max = raw.clone();
+        let count_at = before_lineage.len() + 4;
+        count_max[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bad_flag = raw.clone();
+        *bad_flag.last_mut().unwrap() = 2;
+        // A SUMY table listed twice: the map would keep only one.
+        let sumy = session.sumy_tables().values().next().unwrap();
+        let mut twin_sumy = Vec::new();
+        put_source(&mut twin_sumy, session.source());
+        put_list(
+            &mut twin_sumy,
+            session.enum_tables().values(),
+            put_enum_table,
+        );
+        put_list(&mut twin_sumy, [sumy, sumy], put_sumy_table);
+        put_list(&mut twin_sumy, session.gap_tables().values(), put_gap_table);
+        put_list(
+            &mut twin_sumy,
+            session.fascicle_records().values(),
+            put_fascicle,
+        );
+        put_lineage(&mut twin_sumy, session.lineage());
         // Just past the source, the ENUM map count flipped to an
         // implausible one, and a declared length one too long: the reader
         // meets one error or the other depending on where it last
@@ -1665,7 +1690,7 @@ mod tests {
         for (body, want) in [
             (declaring(raw.len() + 1), "truncated input: lz"),
             (
-                declaring(raw.len() - 1),
+                declaring(inside_last_match),
                 "lz match overruns declared body length",
             ),
             (past_the_end, "2 trailing bytes after compressed body"),
@@ -1673,8 +1698,57 @@ mod tests {
                 lz_compress(&count_over),
                 "implausible report fraction count",
             ),
-            (lz_compress(&blob_over), "truncated input: lineage blob"),
-            (twice_wrong, "truncated input: lz flag byte"),
+            (
+                with_lineage(next_id, &dangling),
+                &format!("bad lineage: parent node {} does not exist", next_id + 7),
+            ),
+            (
+                with_lineage(next_id, &later_parent),
+                &format!("bad lineage: parent node {} does not exist", nodes[2].id.0),
+            ),
+            (
+                with_lineage(next_id, &own_parent),
+                &format!("bad lineage: parent node {} does not exist", nodes[1].id.0),
+            ),
+            (
+                with_lineage(next_id, &duplicate_id),
+                &format!(
+                    "bad lineage: node {} does not follow the node before it",
+                    nodes[1].id.0
+                ),
+            ),
+            (
+                with_lineage(next_id, &swapped),
+                &format!(
+                    "bad lineage: node {} does not follow the node before it",
+                    nodes[sumy_at].id.0
+                ),
+            ),
+            (
+                with_lineage(next_id, &duplicate_name),
+                &format!(
+                    "bad lineage: lineage already tracks a table named {:?}",
+                    nodes[1].name
+                ),
+            ),
+            (
+                with_lineage(nodes[last].id.0, &nodes),
+                &format!(
+                    "bad lineage: node {} is not below the next id",
+                    nodes[last].id.0
+                ),
+            ),
+            (lz_compress(&unknown_kind), "unknown node kind \"mune\""),
+            (
+                lz_compress(&count_max),
+                "implausible lineage node count 4294967295",
+            ),
+            (lz_compress(&bad_flag), "bad materialized flag 2"),
+            (
+                lz_compress(&twin_sumy),
+                &format!("duplicate sumy table {:?}", sumy.name),
+            ),
+            (twice_wrong, "truncated input: lz"),
             (
                 lz_compress(&padded_corpus),
                 "bad embedded corpus: 4 unread bytes inside corpus blob",
@@ -1698,9 +1772,9 @@ mod tests {
             load_both(&dir, &own),
             Err(PersistError::Malformed(_))
         ));
-        // Version 2, the layout before this one, is refused like any other:
-        // there is one version, not a reader per past layout.
-        for version in [99u32, 2] {
+        // Versions 3 and 2, the layouts before this one, are refused like
+        // any other: there is one version, not a reader per past layout.
+        for version in [99u32, 3, 2] {
             let mut bad_version = clean.clone();
             bad_version[4..8].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bad_version).unwrap();

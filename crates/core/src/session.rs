@@ -382,8 +382,8 @@ impl GeaSession {
 
     /// Reassemble a session from a [`SessionSnapshot`] (the persistence
     /// path). The name→node index is rebuilt from the lineage: live node
-    /// names are unique (enforced by `Lineage::record`), so the last
-    /// occurrence wins harmlessly.
+    /// names are unique (enforced by `Lineage::record` and
+    /// `Lineage::from_parts`), so the last occurrence wins harmlessly.
     pub fn from_snapshot(snapshot: SessionSnapshot) -> GeaSession {
         let mut nodes = BTreeMap::new();
         for node in snapshot.lineage.iter() {

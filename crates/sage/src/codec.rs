@@ -88,7 +88,14 @@ pub fn put_str(out: &mut (impl ByteSink + ?Sized), s: &str) {
 
 /// Append a `u32` count and then each item as `put` writes it: what
 /// [`Cur::list`] reads.
-pub fn put_list<S: ByteSink + ?Sized, T>(out: &mut S, items: &[T], put: impl Fn(&mut S, &T)) {
+pub fn put_list<S: ByteSink + ?Sized, I: IntoIterator>(
+    out: &mut S,
+    items: I,
+    put: impl Fn(&mut S, I::Item),
+) where
+    I::IntoIter: ExactSizeIterator,
+{
+    let items = items.into_iter();
     put_u32(out, items.len() as u32);
     for item in items {
         put(out, item);
@@ -346,12 +353,6 @@ impl<'a> Cur<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(format!("non-utf8 {what}: {e}")))
     }
 
-    /// Read a `u64`-length-prefixed byte blob.
-    pub fn blob(&mut self, what: &str) -> Result<&[u8], CodecError> {
-        let len = self.blob_len(what)?;
-        self.take(len, what)
-    }
-
     /// Decode a `u64`-length-prefixed byte blob in place with `decode`,
     /// which reads it from this reader and must end exactly where the blob
     /// does: stopping short of its declared length, or running past it, is
@@ -423,7 +424,8 @@ mod tests {
         assert_eq!(cur.f64("d").unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(cur.f64("e").unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(cur.string("f").unwrap(), "uni→code");
-        assert_eq!(cur.blob("g").unwrap(), &[1, 2, 3]);
+        let blob = cur.blob_with("g", |c| Ok(c.take(3, "g")?.to_vec()));
+        assert_eq!(blob.unwrap(), [1, 2, 3]);
         assert_eq!(cur.list(4, "h", |c| c.u32("h")).unwrap(), vec![5, 6]);
         cur.finish("test").unwrap();
     }
@@ -471,7 +473,7 @@ mod tests {
         let list = Cur::new(&[0xff; 8]).list(1, "elem", |_| -> Result<u8, _> { panic!("read") });
         assert!(list.unwrap_err().0.starts_with("implausible elem count"));
         assert!(Cur::new(&[0xff; 12]).string("s").is_err());
-        assert!(Cur::new(&[0xff; 8]).blob("b").is_err());
+        assert!(Cur::new(&[0xff; 8]).blob_with("b", |_| Ok(())).is_err());
         assert!(Cur::new(&[0]).finish("blob").is_err());
         // usize overflow in the size product is rejected, not wrapped.
         assert!(Cur::new(&[0; 8])

@@ -76,7 +76,9 @@
 #    prime appear in crates/sage/src/codec.rs only, no file defines
 #    `fn write_u32(`, `fn read_u32(`, `fn write_str(` or `fn read_str(`,
 #    and crates/{sage,core}/src/codec.rs have no `impl Read for` or
-#    `impl Write for`.
+#    `impl Write for`. And no text decoder returns to the snapshot: the
+#    non-test code of crates/core/src/persist.rs has no `from_utf8(`,
+#    `.lines()` or `splitn(` (lineage.txt is written, never read back).
 #
 # 11. Reference kernels stay oracles. fascicle::reference, sumy::reference
 #    and clean::reference keep the first-draft kernels only so that tests
@@ -340,6 +342,10 @@ for file in "$codec" crates/core/src/codec.rs; do
         fail=1
     fi
 done
+if [ "$(nontest_hits -E "$persist" 'from_utf8\(|\.lines\(\)|splitn\(')" -gt 0 ]; then
+    echo "lint: $persist decodes text in non-test code (from_utf8( / .lines() / splitn(); every snapshot field is read through the Cur of $codec" >&2
+    fail=1
+fi
 
 # Reference kernels stay oracles: no non-test code calls one.
 while IFS= read -r file; do

@@ -184,3 +184,93 @@ fn batch_errors_without_static_cause_still_carry_lines() {
         stderr(&out)
     );
 }
+
+/// Every `mine` the example scripts run, plus one at batch 1 that mines
+/// eight fascicles on demo seed 42, mines a count inside the row interval
+/// the cost model predicts for it: from the script alone (what `--check
+/// --cost` prints) and from the live session (what the server's `check`
+/// and `--max-cost` gate use).
+#[test]
+fn mined_counts_fall_inside_the_predicted_rows() {
+    use gea::check::cost::{cost_pipeline, cost_script, CostModel, CostSeed};
+    use gea::check::gql::{self, GqlCommand, Request, SessionCtl};
+    use gea::core::session::GeaSession;
+    use gea::sage::clean::CleaningConfig;
+    use gea::sage::generate::{generate, GeneratorConfig};
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scripts");
+    let mut scripts: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("examples/scripts")
+        .map(|entry| entry.expect("script entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "gql"))
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("read script");
+            (path.display().to_string(), text)
+        })
+        .collect();
+    scripts.sort();
+    scripts.push((
+        "batch 1".to_string(),
+        "load-demo 42\ndataset Ebrain brain\nmine Ebrain g 50 2 1\n".to_string(),
+    ));
+
+    let model = CostModel::default_coefficients();
+    let mut mined_lines = 0;
+    for (name, text) in &scripts {
+        let predicted = cost_script(&model, &CostSeed::script_default(), text);
+        let mut session = None;
+        for (i, line) in text.lines().enumerate() {
+            let cmd = match gql::parse(line.trim()) {
+                Ok(Some(Request::Session(SessionCtl::OpenDemo { seed, .. }))) => {
+                    let (corpus, _) = generate(&GeneratorConfig::demo(seed));
+                    session = Some(GeaSession::open(corpus, &CleaningConfig::default()).unwrap());
+                    continue;
+                }
+                Ok(Some(Request::Gql(cmd))) => cmd,
+                _ => continue,
+            };
+            // These write files; nothing a `mine` reads depends on them.
+            if matches!(
+                cmd,
+                GqlCommand::Export { .. } | GqlCommand::Save(_) | GqlCommand::Load(_)
+            ) {
+                continue;
+            }
+            let session = session.as_mut().expect("load-demo comes first");
+            let live = cost_pipeline(
+                &model,
+                &CostSeed::from_session(session),
+                std::slice::from_ref(&cmd),
+            );
+            let Ok(reply) = gea::server::engine::execute(session, &cmd) else {
+                continue;
+            };
+            if !matches!(cmd, GqlCommand::Mine { .. } | GqlCommand::MineWith { .. }) {
+                continue;
+            }
+            let mined: u64 = reply
+                .split_whitespace()
+                .next()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{name}: no count in {reply:?}"));
+            let script_rows = predicted
+                .per_command
+                .iter()
+                .find(|c| c.index == i + 1)
+                .expect("a costed mine")
+                .rows;
+            for rows in [script_rows, live.per_command[0].rows] {
+                assert!(
+                    rows.lo <= mined && mined <= rows.hi,
+                    "{name} line {}: {line:?} mined {mined}, predicted rows {}",
+                    i + 1,
+                    rows.render()
+                );
+            }
+            mined_lines += 1;
+        }
+    }
+    // The eight `mine` lines of the example scripts (the two at k% = 150
+    // run too, and mine nothing), plus batch 1.
+    assert_eq!(mined_lines, 9);
+}

@@ -297,6 +297,12 @@ fn backend_lost_after_compute_is_resynced_behind_a_normal_reply() {
     let mut client = GeaClient::connect(router.addr).expect("connect client");
     client.expect_ok("open s demo 42").expect("open session");
     client.expect_ok("dataset E brain").expect("dataset");
+    // A cascade delete leaves a gap in the lineage ids: the resynced
+    // replica must keep the survivor's ids, not renumber past the gap.
+    client.expect_ok("dataset F breast").expect("dataset");
+    client
+        .expect_ok("delete F --cascade")
+        .expect("cascade delete");
 
     relay_b.set(DIE_AFTER_XPART);
     let mined = client

@@ -204,6 +204,42 @@ fn save_load_round_trips_a_session_over_the_wire() {
     handle.stop();
 }
 
+/// A session restored from a spill is the session that was spilled: after
+/// a cascade delete has left a gap in its lineage ids, its `save` writes
+/// the same `session.gea` and `lineage.txt` as a twin that never left
+/// memory.
+#[test]
+fn a_restored_session_saves_what_its_never_spilled_twin_saves() {
+    let (mut spilly, spill_handle) = common::serve(spill_config(temp_dir("twin_spill")));
+    let (mut reference, ref_handle) = common::serve(plain_config());
+    let (spilled_dir, twin_dir) = (temp_dir("twin_a"), temp_dir("twin_b"));
+    for (client, dir) in [(&mut spilly, &spilled_dir), (&mut reference, &twin_dir)] {
+        for line in [
+            "open t demo 42",
+            "dataset E brain",
+            "dataset F breast",
+            "delete F --cascade",
+            "mine E a 50 3 6",
+            "dataset C colon",
+            &format!("save {}", dir.display()),
+        ] {
+            client.expect_ok(line).expect(line);
+        }
+    }
+    let stats = spilly.expect_ok("stats").expect("stats");
+    assert!(stat(&stats, "sessions_restored") >= 1, "{stats}");
+    for file in ["session.gea", "lineage.txt"] {
+        let restored = std::fs::read(spilled_dir.join(file)).expect("spilled save");
+        let twin = std::fs::read(twin_dir.join(file)).expect("twin save");
+        assert!(restored == twin, "{file} of the restored session differs");
+    }
+    spill_handle.stop();
+    ref_handle.stop();
+    for dir in [spilled_dir, twin_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// The `~N bytes` figure `sessions` lists for session `name`.
 fn bytes_of(sessions: &str, name: &str) -> u64 {
     let prefix = format!("{name}: ");
