@@ -276,26 +276,24 @@ fn cost_command(
             env.insert(name.clone(), rows);
             (rows, rows.hi.saturating_mul(model.scan_weight))
         }
-        GqlCommand::Mine { dataset, .. } => {
-            // Every record seeds one growth that scores the other records
-            // and yields at most one fascicle; `batch` changes neither the
-            // result nor the work.
+        GqlCommand::MineWith { dataset, algo, .. } => {
             let input = seed.lookup(env, dataset);
             let rows = Interval::range(0, input.hi);
-            let cost = input
-                .hi
-                .saturating_mul(input.hi)
-                .saturating_mul(model.mine_weight);
-            (rows, cost)
-        }
-        GqlCommand::MineWith { dataset, .. } => {
-            let input = seed.lookup(env, dataset);
-            let rows = Interval::range(0, input.hi);
-            let cost = input
-                .hi
-                .saturating_mul(seed.tags.max(1))
-                .saturating_mul(model.mine_weight)
-                / 8; // backends batch internally; charge an amortized pass
+            let cost = if algo == "fascicles" {
+                // Every record seeds one growth that scores the other
+                // records and yields at most one fascicle; `batch` changes
+                // neither the result nor the work.
+                input
+                    .hi
+                    .saturating_mul(input.hi)
+                    .saturating_mul(model.mine_weight)
+            } else {
+                input
+                    .hi
+                    .saturating_mul(seed.tags.max(1))
+                    .saturating_mul(model.mine_weight)
+                    / 8 // backends batch internally; charge an amortized pass
+            };
             (rows, cost)
         }
         GqlCommand::Fascicles => (Interval::range(0, seed.libraries), 1),

@@ -27,7 +27,8 @@ impl fmt::Display for Severity {
 /// --fix` can apply. Fixes are token-level so the fixer never has to
 /// re-serialize a whole command: the line is re-tokenized, the edit is
 /// applied if its guard still matches, and the line is re-rendered with
-/// canonical quoting.
+/// canonical quoting. (An out-of-domain parameter has no fix: it is a
+/// parse error, and the fixer comments the line out.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fix {
     /// Replace every argument token equal to `from` with `to` (the verb
@@ -37,16 +38,6 @@ pub enum Fix {
         from: String,
         /// The suggested name.
         to: String,
-    },
-    /// Replace the token at `index` (0 = the verb) with `with`, but only
-    /// if it still equals `from`. Used for domain clamps.
-    ReplaceToken {
-        /// Token position on the line.
-        index: usize,
-        /// Expected current spelling (the guard).
-        from: String,
-        /// Replacement spelling.
-        with: String,
     },
 }
 
@@ -133,12 +124,8 @@ impl Diagnostic {
             out.push_str(&format!(r#","help":"{}""#, json_escape(help)));
         }
         if let Some(fix) = &self.fix {
-            let described = match fix {
-                Fix::ReplaceName { from, to } => format!("replace {from:?} with {to:?}"),
-                Fix::ReplaceToken { index, from, with } => {
-                    format!("replace token {index} ({from:?}) with {with:?}")
-                }
-            };
+            let Fix::ReplaceName { from, to } = fix;
+            let described = format!("replace {from:?} with {to:?}");
             out.push_str(&format!(r#","fix":"{}""#, json_escape(&described)));
         }
         out.push('}');

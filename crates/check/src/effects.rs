@@ -137,10 +137,10 @@ impl EffectTable {
     pub fn of(cmd: &GqlCommand) -> Effect {
         let scatterable = match cmd {
             // Contiguous library-range scans: always scatterable.
-            GqlCommand::Mine { .. } | GqlCommand::Groups(_) => true,
+            GqlCommand::Groups(_) => true,
             // Only backends with a range-sharded kernel; `simplex`
             // clusters in rotated tag space and must run whole.
-            GqlCommand::MineWith { algo, .. } => algo == "isa",
+            GqlCommand::MineWith { algo, .. } => matches!(algo.as_str(), "fascicles" | "isa"),
             // The operator form scans `dataset`'s libraries; the lineage
             // re-materialization form replays history instead.
             GqlCommand::Populate { from, .. } => from.is_some(),
@@ -256,6 +256,7 @@ mod tests {
     #[test]
     fn scatter_resolution_is_form_dependent() {
         assert!(EffectTable::of(&parse_cmd("mine e m 50 3 6")).scatterable);
+        assert!(EffectTable::of(&parse_cmd("mine e m with fascicles")).scatterable);
         assert!(EffectTable::of(&parse_cmd("mine e m with isa")).scatterable);
         assert!(!EffectTable::of(&parse_cmd("mine e m with simplex")).scatterable);
         assert!(EffectTable::of(&parse_cmd("groups m_1")).scatterable);

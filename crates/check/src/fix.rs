@@ -3,8 +3,8 @@
 //!
 //! Two tiers, per round:
 //!
-//! 1. **token fixes** — every error diagnostic carrying a [`Fix`]
-//!    (nearest-name replacement, domain clamp) is applied to its line.
+//! 1. **token fixes** — every error diagnostic carrying a [`Fix`] (a
+//!    nearest-name replacement) is applied to its line.
 //!    Fixes are token-level with applicability guards: the line is
 //!    re-tokenized, the edit only fires if the guard still matches, and
 //!    only edited lines are re-rendered (untouched lines stay
@@ -12,7 +12,9 @@
 //! 2. **removal** — if a round has errors but no applicable token fix,
 //!    every erroring line is commented out as
 //!    `# gea-fix: removed (<code>): <original>`, preserving the original
-//!    text for the author.
+//!    text for the author. A line that does not parse — an out-of-domain
+//!    `mine` parameter or `topgap … 0` among them — is fixed this way:
+//!    the grammar, not the fixer, owns parameter domains.
 //!
 //! Each round strictly reduces the script's error surface, so the loop
 //! reaches an analyzer-clean fixpoint; a hard cap of 8 rounds backstops
@@ -109,10 +111,8 @@ pub fn fix_script(text: &str) -> FixOutcome {
 }
 
 fn describe(fix: &Fix) -> String {
-    match fix {
-        Fix::ReplaceName { from, to } => format!("replaced {from:?} with {to:?}"),
-        Fix::ReplaceToken { from, with, .. } => format!("clamped {from} to {with}"),
-    }
+    let Fix::ReplaceName { from, to } = fix;
+    format!("replaced {from:?} with {to:?}")
 }
 
 /// Apply one fix to one line, returning the rewritten line, or `None`
@@ -124,27 +124,13 @@ fn apply_fix(line: &str, fix: &Fix) -> Option<String> {
         return None;
     }
     let mut hit = false;
-    match fix {
-        Fix::ReplaceName { from, to } => {
-            // Never rewrite the verb: a name that happens to equal a verb
-            // is still an argument everywhere past position 0.
-            for token in tokens.iter_mut().skip(1) {
-                if token == from {
-                    *token = to.clone();
-                    hit = true;
-                }
-            }
-        }
-        Fix::ReplaceToken { index, from, with } => {
-            if *index == 0 {
-                return None;
-            }
-            if let Some(token) = tokens.get_mut(*index) {
-                if token == from {
-                    *token = with.clone();
-                    hit = true;
-                }
-            }
+    let Fix::ReplaceName { from, to } = fix;
+    // Never rewrite the verb: a name that happens to equal a verb is
+    // still an argument everywhere past position 0.
+    for token in tokens.iter_mut().skip(1) {
+        if token == from {
+            *token = to.clone();
+            hit = true;
         }
     }
     if !hit {
@@ -213,11 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn domain_clamps_reach_fixpoint() {
+    fn out_of_domain_lines_are_commented_out() {
         let out = fix_script("load-demo 1\ndataset E brain\nmine E f 150 0 6\nexport E e.csv\n");
         assert!(out.report.is_clean(), "{}", out.report.render());
         assert!(out.changed);
-        assert!(out.text.contains("mine E f 100 1 6\n"), "{}", out.text);
+        assert!(
+            out.text
+                .contains("# gea-fix: removed (parse): mine E f 150 0 6\n"),
+            "{}",
+            out.text
+        );
         // The untouched lines are byte-identical.
         assert!(out.text.starts_with("load-demo 1\ndataset E brain\n"));
         assert!(out.text.ends_with("export E e.csv\n"));

@@ -9,7 +9,8 @@
 use std::fmt;
 
 use gea_core::compare::{CompareOp, CompareQuery};
-use gea_mine::ParamValue;
+use gea_mine::{ParamDomain, ParamValue};
+use gea_sage::tag::TAG_SPACE;
 use gea_sage::{Tag, TissueType};
 
 /// The command reference printed by `help` (the thesis chapter 4 menus plus
@@ -31,13 +32,13 @@ GQL commands (thesis chapter 4's menus, served):
     select <name> <dataset> <lib> [<lib>...]   sigma_libraries(dataset)
     project <name> <dataset> <tag> [<tag>...]  pi_tags(dataset)
   mining and gaps
-    mine <dataset> <out> <k%> <min> <batch>   calculate fascicles, batch >= 1   [Fig 4.6]
+    mine <dataset> <out> <k%> <min> <batch>   calculate fascicles: k% 1..=100, min and batch 1..=1048576   [Fig 4.6]
     mine <dataset> <out> with <algo> [key=val ...]   pluggable backends: fascicles, isa, simplex
     fascicles                           list mined fascicles
     purity <fascicle>                   purity check                  [Fig 4.8]
     groups <fascicle>                   form control-group SUMYs      [Fig 4.7]
     gap <name> <sumy1> <sumy2>          GAP = diff(S1, S2)            [Fig 4.9]
-    topgap <gap> <x>                    calculate top gaps            [Fig 4.19]
+    topgap <gap> <x>                    calculate top gaps, x >= 1    [Fig 4.19]
     compare <name> <g1> <g2> <union|intersect|difference> <query#>    [Fig 4.13]
   inspection
     show gap|sumy <name> [n]            view a table's first rows
@@ -179,34 +180,19 @@ pub enum GqlCommand {
         /// Tags to keep.
         tags: Vec<Tag>,
     },
-    /// Calculate fascicles.
-    Mine {
-        /// Source data set.
-        dataset: String,
-        /// Output name prefix.
-        out: String,
-        /// Compactness threshold as a percentage of the data set's tags.
-        k_pct: usize,
-        /// Minimum fascicle size.
-        min_records: usize,
-        /// Candidate batch size.
-        batch: usize,
-    },
-    /// Calculate clusters with a named `gea-mine` backend
-    /// (`mine <dataset> <out> with <algo> [key=val ...]`). The classic
-    /// positional form and `with fascicles` both parse to [`Mine`];
-    /// this variant only carries the new backends.
-    ///
-    /// [`Mine`]: GqlCommand::Mine
+    /// Calculate clusters with a named `gea-mine` backend: `mine
+    /// <dataset> <out> with <algo> [key=val ...]`, or the thesis's
+    /// positional `mine <dataset> <out> <k%> <min> <batch>`, which is
+    /// `with fascicles k_pct=… min_records=… batch=…`.
     MineWith {
         /// Source data set.
         dataset: String,
         /// Output name prefix.
         out: String,
-        /// Backend registry name (`isa`, `simplex`).
+        /// Backend registry name (`fascicles`, `isa`, `simplex`).
         algo: String,
-        /// Explicit `key=val` overrides, sorted by key (unmentioned keys
-        /// take the backend's defaults at execution time).
+        /// The backend's whole parameter list, resolved against its
+        /// schema (in domain, defaults filled), in schema order.
         params: Vec<(String, ParamValue)>,
     },
     /// List mined fascicles.
@@ -394,22 +380,6 @@ impl GqlCommand {
                 args.extend(tags.iter().map(|s| s.as_str()));
                 join("project", &args)
             }
-            GqlCommand::Mine {
-                dataset,
-                out,
-                k_pct,
-                min_records,
-                batch,
-            } => join(
-                "mine",
-                &[
-                    dataset,
-                    out,
-                    &k_pct.to_string(),
-                    &min_records.to_string(),
-                    &batch.to_string(),
-                ],
-            ),
             GqlCommand::MineWith {
                 dataset,
                 out,
@@ -502,7 +472,7 @@ impl GqlCommand {
             GqlCommand::Custom { .. } => "custom",
             GqlCommand::Select { .. } => "select",
             GqlCommand::Project { .. } => "project",
-            GqlCommand::Mine { .. } | GqlCommand::MineWith { .. } => "mine",
+            GqlCommand::MineWith { .. } => "mine",
             GqlCommand::Fascicles => "fascicles",
             GqlCommand::Purity(_) => "purity",
             GqlCommand::Groups(_) => "groups",
@@ -604,13 +574,20 @@ fn parse_tag(token: &str) -> Result<Tag, ParseError> {
         .map_err(|e| ParseError(format!("bad tag: {e}")))
 }
 
-/// Parse `mine <dataset> <out> with <algo> [key=val ...]`. The backend
-/// name and parameter *types* are checked here against the `gea-mine`
-/// registry (unknown backends, unknown keys, duplicates, and non-numeric
-/// values are parse errors); parameter *ranges* are the analyzer's and
-/// engine's job. `with fascicles` desugars to the classic positional
-/// [`GqlCommand::Mine`], so the bare verb and the sugared form share one
-/// canonical spelling, one cache key, and one execution path.
+/// `topgap`'s `x`: at least one row, and no more than a GAP can hold
+/// (one row per tag of the 20-bit tag space).
+const TOPGAP_X: ParamDomain = ParamDomain::UInt {
+    min: 1,
+    max: TAG_SPACE as u64,
+};
+
+/// Parse `mine <dataset> <out> with <algo> [key=val ...]`, the one
+/// grammar of every `mine` spelling, against the `gea-mine` registry:
+/// unknown backends, unknown keys, duplicates, non-numeric and
+/// out-of-domain values are parse errors. The command carries the
+/// backend's whole resolved parameter list, so the positional form and
+/// `with fascicles` share one canonical spelling, one cache key, and one
+/// execution path.
 fn parse_mine_with(
     dataset: &str,
     out: &str,
@@ -639,31 +616,19 @@ fn parse_mine_with(
                 known.join(", ")
             )));
         };
-        if params.iter().any(|(k, _)| k == key) {
-            return Err(ParseError(format!("duplicate parameter {key:?}")));
-        }
         let value = spec
             .domain
             .parse_token(value)
             .map_err(|e| ParseError(format!("parameter {key}: {e}")))?;
         params.push((key.to_string(), value));
     }
-    params.sort_by(|a, b| a.0.cmp(&b.0));
-    if backend.name() == "fascicles" {
-        let resolved = gea_mine::resolve_params(specs, &params).map_err(ParseError)?;
-        return Ok(GqlCommand::Mine {
-            dataset: dataset.to_string(),
-            out: out.to_string(),
-            k_pct: resolved.uint("k_pct") as usize,
-            min_records: resolved.uint("min_records") as usize,
-            batch: resolved.uint("batch") as usize,
-        });
-    }
+    // Duplicates and ranges, in token order; defaults for the rest.
+    let resolved = gea_mine::resolve_params(specs, &params).map_err(ParseError)?;
     Ok(GqlCommand::MineWith {
         dataset: dataset.to_string(),
         out: out.to_string(),
         algo: backend.name().to_string(),
-        params,
+        params: resolved.iter().map(|(k, v)| (k.to_string(), v)).collect(),
     })
 }
 
@@ -805,22 +770,16 @@ fn parse_gql(cmd: &str, args: &[&str]) -> Result<Option<GqlCommand>, ParseError>
                 };
                 parse_mine_with(dataset, out, algo, params)?
             } else {
-                let [dataset, out, kpct, min, batch] = args[..] else {
+                let [dataset, out, k_pct, min_records, batch] = args[..] else {
                     return Err(usage("mine <dataset> <out> <k%> <min> <batch>"));
                 };
-                let k_pct = parse_num("k%", kpct)?;
-                let min_records = parse_num("min", min)?;
-                // `batch` has the domain `with fascicles batch=…` checks.
-                let batch = parse_num("batch", batch)?;
-                let given = [("batch".to_string(), ParamValue::UInt(batch))];
-                gea_mine::resolve_params(gea_mine::FASCICLES_PARAMS, &given).map_err(ParseError)?;
-                GqlCommand::Mine {
-                    dataset: dataset.to_string(),
-                    out: out.to_string(),
-                    k_pct,
-                    min_records,
-                    batch: batch as usize,
-                }
+                let params = [
+                    format!("k_pct={k_pct}"),
+                    format!("min_records={min_records}"),
+                    format!("batch={batch}"),
+                ];
+                let params: Vec<&str> = params.iter().map(String::as_str).collect();
+                parse_mine_with(dataset, out, "fascicles", &params)?
             }
         }
         "fascicles" => GqlCommand::Fascicles,
@@ -850,9 +809,13 @@ fn parse_gql(cmd: &str, args: &[&str]) -> Result<Option<GqlCommand>, ParseError>
             let [gap, x] = args[..] else {
                 return Err(usage("topgap <gap> <x>"));
             };
+            let x: u64 = parse_num("x", x)?;
+            TOPGAP_X
+                .admit("x", ParamValue::UInt(x))
+                .map_err(ParseError)?;
             GqlCommand::TopGap {
                 gap: gap.to_string(),
-                x: parse_num("x", x)?,
+                x: x as usize,
             }
         }
         "compare" => {
@@ -888,7 +851,10 @@ fn parse_gql(cmd: &str, args: &[&str]) -> Result<Option<GqlCommand>, ParseError>
                 "sumy" => ShowKind::Sumy,
                 other => return Err(ParseError(format!("unknown table kind {other:?}"))),
             };
-            let n = rest.first().unwrap_or(&"10").parse().unwrap_or(10);
+            let n = match rest.first() {
+                Some(n) => parse_num("n", n)?,
+                None => 10,
+            };
             GqlCommand::Show {
                 kind,
                 name: name.to_string(),
@@ -1046,26 +1012,24 @@ mod tests {
             Some(Request::Session(SessionCtl::OpenDemo { ref name, seed: 7 }))
                 if name == "default"
         ));
-        assert!(matches!(
-            parse("mine E f 50 3 6").unwrap(),
-            Some(Request::Gql(GqlCommand::Mine {
-                k_pct: 50,
-                min_records: 3,
-                batch: 6,
-                ..
-            }))
-        ));
-        // `with fascicles` is sugar for the classic positional verb:
-        // identical command, identical canonical spelling.
+        // The positional form is `with fascicles`: identical command,
+        // identical canonical spelling.
+        match parse("mine E f 50 3 6").unwrap() {
+            Some(Request::Gql(cmd @ GqlCommand::MineWith { .. })) => assert_eq!(
+                cmd.canonical(),
+                "mine E f with fascicles k_pct=50 min_records=3 batch=6"
+            ),
+            other => panic!("unexpected: {other:?}"),
+        }
         assert_eq!(
             parse("mine E f with fascicles").unwrap(),
             parse("mine E f 50 3 6").unwrap()
         );
         assert_eq!(
-            parse("mine E f with fascicles k_pct=70 min_records=2 batch=4").unwrap(),
+            parse("mine E f with fascicles batch=4 min_records=2 k_pct=70").unwrap(),
             parse("mine E f 70 2 4").unwrap()
         );
-        // The new backends carry their overrides sorted by key.
+        // Every backend carries its whole resolved list, in schema order.
         match parse("mine E f with isa t_tags=2.5 seeds=4").unwrap() {
             Some(Request::Gql(GqlCommand::MineWith {
                 ref algo,
@@ -1078,6 +1042,8 @@ mod tests {
                     &vec![
                         ("seeds".to_string(), ParamValue::UInt(4)),
                         ("t_tags".to_string(), ParamValue::Float(2.5)),
+                        ("t_libs".to_string(), ParamValue::Float(1.5)),
+                        ("max_iters".to_string(), ParamValue::UInt(50)),
                     ]
                 );
             }
@@ -1111,10 +1077,54 @@ mod tests {
         assert!(parse("mine E f with isa seeds=abc").is_err());
         assert!(parse("mine E f with isa t_tags=NaN").is_err());
         assert!(parse("mine E f with isa seeds=2 seeds=3").is_err());
+        // One domain per parameter, whatever the spelling.
+        for (positional, sugared, message) in [
+            (
+                "mine E f 150 3 6",
+                "mine E f with fascicles k_pct=150",
+                "parameter k_pct = 150 out of domain (integer 1..=100)",
+            ),
+            (
+                "mine E f 0 3 6",
+                "mine E f with fascicles k_pct=0",
+                "parameter k_pct = 0 out of domain (integer 1..=100)",
+            ),
+            (
+                "mine E f 50 0 6",
+                "mine E f with fascicles min_records=0",
+                "parameter min_records = 0 out of domain (integer 1..=1048576)",
+            ),
+            (
+                "mine E f 50 3 0",
+                "mine E f with fascicles batch=0",
+                "parameter batch = 0 out of domain (integer 1..=1048576)",
+            ),
+        ] {
+            let refused = Err(ParseError(message.to_string()));
+            assert_eq!(parse(positional), refused, "{positional}");
+            assert_eq!(parse(sugared), refused, "{sugared}");
+        }
         assert_eq!(
-            parse("mine E f 50 3 0"),
-            parse("mine E f with fascicles batch=0")
+            parse("mine E f with isa seeds=0"),
+            Err(ParseError(
+                "parameter seeds = 0 out of domain (integer 1..=4096)".to_string()
+            ))
         );
+        assert!(parse("mine E f with simplex zero_repl=0").is_err());
+        assert!(parse("mine E f abc 3 6").is_err());
+        assert_eq!(
+            parse("topgap g 0"),
+            Err(ParseError(
+                "parameter x = 0 out of domain (integer 1..=1048576)".to_string()
+            ))
+        );
+        assert!(parse("show gap g abc")
+            .unwrap_err()
+            .0
+            .starts_with("bad n: "));
+        assert!(parse("custom C").is_err());
+        assert!(parse("select S E").is_err());
+        assert!(parse("project P E").is_err());
         assert!(parse("bogus").is_err());
         assert!(parse("open x demo notanumber").is_err());
         assert!(parse("compare a b c union 99").is_err());

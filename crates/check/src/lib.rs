@@ -10,12 +10,18 @@
 //!    mine-dependent verbs (`purity`, `groups`, `plot`) before any `mine`;
 //! 2. a **dataflow pass** — dead assignments, definitions discarded by a
 //!    session-replacing `load`, and mutation-after-`export` hazards;
-//! 3. a **parameter-domain pass** — `k% > 100`, `min = 0`, `topgap 0`,
-//!    empty library/tag lists, export paths escaping the working
-//!    directory, and compare queries inapplicable to `difference`.
+//! 3. a **query pass** — compare queries inapplicable to `difference`,
+//!    export paths escaping the working directory, and suspicious values
+//!    (`show … 0`, an unknown tissue).
+//!
+//! Parameter domains are not a pass: the grammar ([`gql::parse`]) checks
+//! every `mine` parameter against its backend's schema, `topgap`'s `x`
+//! and the library/tag lists, so a line out of domain is a `parse` error
+//! and never reaches the analyzer.
 //!
 //! Diagnostics carry 1-based line numbers and a severity; only errors
-//! make a script unrunnable. Front-ends: `gea-cli --check <script>` and
+//! make a script unrunnable, and an error always means the engine would
+//! refuse the line. Front-ends: `gea-cli --check <script>` and
 //! the batch pre-flight gate analyze whole scripts with
 //! [`check_script`]; the server's `check` GQL verb validates a pipeline
 //! against a live session's actual name population with
@@ -344,146 +350,19 @@ impl Analyzer {
                 }
                 self.define(line, name, World::Enum.into(), &["SAGE"], true);
             }
-            GqlCommand::Custom { name, libraries } => {
-                if libraries.is_empty() {
-                    self.push(Diagnostic::error(
-                        line,
-                        "param-domain",
-                        "custom needs at least one library",
-                    ));
-                }
+            GqlCommand::Custom { name, .. } => {
                 self.define(line, name, World::Enum.into(), &["SAGE"], true);
             }
-            GqlCommand::Select {
-                name,
-                dataset,
-                libraries,
-            } => {
+            GqlCommand::Select { name, dataset, .. } => {
                 self.read_as(line, dataset, World::Enum, "select");
-                if libraries.is_empty() {
-                    self.push(Diagnostic::error(
-                        line,
-                        "param-domain",
-                        "select needs at least one library",
-                    ));
-                }
                 self.define(line, name, World::Enum.into(), &[dataset.as_str()], true);
             }
-            GqlCommand::Project {
-                name,
-                dataset,
-                tags,
-            } => {
+            GqlCommand::Project { name, dataset, .. } => {
                 self.read_as(line, dataset, World::Enum, "project");
-                if tags.is_empty() {
-                    self.push(Diagnostic::error(
-                        line,
-                        "param-domain",
-                        "project needs at least one tag",
-                    ));
-                }
                 self.define(line, name, World::Enum.into(), &[dataset.as_str()], true);
             }
-            GqlCommand::Mine {
-                dataset,
-                out,
-                k_pct,
-                min_records,
-                ..
-            } => {
+            GqlCommand::MineWith { dataset, out, .. } => {
                 self.read_as(line, dataset, World::Enum, "mine");
-                if *k_pct > 100 {
-                    self.push(
-                        Diagnostic::error(
-                            line,
-                            "param-domain",
-                            format!(
-                                "k% = {k_pct}: a compactness threshold above 100% of the data set's tags can never be met"
-                            ),
-                        )
-                        .with_fix(diag::Fix::ReplaceToken {
-                            index: 3,
-                            from: k_pct.to_string(),
-                            with: "100".to_string(),
-                        }),
-                    );
-                } else if *k_pct == 0 {
-                    self.push(Diagnostic::warning(
-                        line,
-                        "param-suspect",
-                        "k% = 0 makes every record trivially compact",
-                    ));
-                }
-                if *min_records == 0 {
-                    self.push(
-                        Diagnostic::error(
-                            line,
-                            "param-domain",
-                            "min = 0: a fascicle needs at least one record",
-                        )
-                        .with_fix(diag::Fix::ReplaceToken {
-                            index: 4,
-                            from: "0".to_string(),
-                            with: "1".to_string(),
-                        }),
-                    );
-                }
-                if let Some(prev) = self.symbols.note_mine(line, out, dataset) {
-                    self.push(Diagnostic::warning(
-                        line,
-                        "redefinition",
-                        format!(
-                            "`mine … {out}` already ran at line {prev}; identically-numbered fascicle names will conflict"
-                        ),
-                    ));
-                }
-            }
-            GqlCommand::MineWith {
-                dataset,
-                out,
-                algo,
-                params,
-            } => {
-                self.read_as(line, dataset, World::Enum, "mine");
-                // The parser only accepts registered backends and typed
-                // keys; the *ranges* are validated here, per the backend's
-                // published schema.
-                match gea_mine::backend(algo) {
-                    Some(backend) => {
-                        for (key, value) in params {
-                            let Some(spec) =
-                                backend.params().iter().find(|s| s.key == key.as_str())
-                            else {
-                                self.push(Diagnostic::error(
-                                    line,
-                                    "param-domain",
-                                    format!("backend {algo} has no parameter {key:?}"),
-                                ));
-                                continue;
-                            };
-                            if !spec.domain.contains(value) {
-                                self.push(Diagnostic::error(
-                                    line,
-                                    "param-domain",
-                                    format!(
-                                        "{key} = {value} out of domain for `with {algo}` ({})",
-                                        spec.domain.describe()
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                    None => {
-                        self.push(Diagnostic::error(
-                            line,
-                            "param-domain",
-                            format!(
-                                "unknown mining backend {algo:?} (available: {})",
-                                gea_mine::backend_names()
-                            ),
-                        ));
-                    }
-                }
                 if let Some(prev) = self.symbols.note_mine(line, out, dataset) {
                     self.push(Diagnostic::warning(
                         line,
@@ -535,24 +414,13 @@ impl Analyzer {
             }
             GqlCommand::TopGap { gap, x } => {
                 self.read_as(line, gap, World::Gap, "topgap");
-                if *x == 0 {
-                    self.push(
-                        Diagnostic::error(line, "param-domain", "topgap 0 selects no gaps")
-                            .with_fix(diag::Fix::ReplaceToken {
-                                index: 2,
-                                from: "0".to_string(),
-                                with: "1".to_string(),
-                            }),
-                    );
-                } else {
-                    self.define(
-                        line,
-                        &format!("{gap}_{x}"),
-                        World::Gap.into(),
-                        &[gap.as_str()],
-                        false,
-                    );
-                }
+                self.define(
+                    line,
+                    &format!("{gap}_{x}"),
+                    World::Gap.into(),
+                    &[gap.as_str()],
+                    false,
+                );
             }
             GqlCommand::Compare {
                 name,
@@ -883,18 +751,12 @@ mod tests {
              mine E h 50 3 6\n\
              topgap q 0\n",
         );
-        let errs = error_codes(&report);
-        // k% > 100, min = 0, batch = 0 (refused by the parser, as
-        // `with fascicles batch=0` is), then topgap: undefined gap + x = 0.
+        // The grammar refuses every out-of-domain value, one `parse`
+        // error per line, as the engine's front ends do.
+        assert_eq!(error_codes(&report), vec!["parse", "parse", "parse"]);
         assert_eq!(
-            errs,
-            vec![
-                "param-domain",
-                "param-domain",
-                "parse",
-                "undefined-name",
-                "param-domain"
-            ]
+            report.diagnostics[0].message,
+            "parameter k_pct = 150 out of domain (integer 1..=100)"
         );
     }
 
@@ -957,7 +819,7 @@ mod tests {
              export E e.csv\n",
         );
         assert_eq!(error_codes(&report), vec!["world-mismatch"]);
-        // Out-of-domain values parse (the type is right) but are flagged.
+        // Out-of-domain values do not parse.
         let report = check_script(
             "load-demo 1\n\
              dataset E brain\n\
@@ -965,10 +827,7 @@ mod tests {
              mine E g with simplex k=0 max_iters=0\n\
              export E e.csv\n",
         );
-        assert_eq!(
-            error_codes(&report),
-            vec!["param-domain", "param-domain", "param-domain"]
-        );
+        assert_eq!(error_codes(&report), vec!["parse", "parse"]);
         // Reusing a prefix across backends still warns.
         let report = check_script(
             "load-demo 1\n\
@@ -1039,6 +898,10 @@ mod tests {
             .iter()
             .any(|d| d.code == "export-path" && d.line == 5));
         assert_eq!(error_codes(&report), vec!["undefined-name"]);
+        // So does one that climbs out of the working directory.
+        let report = check_script("load-demo 1\ndataset E brain\nexport E ../e.csv\n");
+        assert!(report.is_clean());
+        assert_eq!(codes(&report), vec![("export-path", 3, Severity::Warning)]);
     }
 
     #[test]
@@ -1095,44 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_library_and_tag_lists_are_domain_errors() {
-        // The parser already rejects these on the surface; defend the
-        // analyzer against directly-constructed commands.
-        let seed = SymbolSeed::default();
-        let report = check_pipeline(
-            &seed,
-            &[
-                GqlCommand::Custom {
-                    name: "C".into(),
-                    libraries: vec![],
-                },
-                GqlCommand::Select {
-                    name: "S".into(),
-                    dataset: "SAGE".into(),
-                    libraries: vec![],
-                },
-                GqlCommand::Project {
-                    name: "P".into(),
-                    dataset: "SAGE".into(),
-                    tags: vec![],
-                },
-                GqlCommand::Export {
-                    name: "C".into(),
-                    path: "../escape.csv".into(),
-                },
-            ],
-        );
-        assert_eq!(
-            error_codes(&report),
-            vec!["param-domain", "param-domain", "param-domain"]
-        );
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "export-path" && d.line == 4));
-    }
-
-    #[test]
     fn session_fragment_definitions_do_not_false_positive() {
         // `check dataset X brain ; mine X b 50 3 6` against a live
         // session: X is defined only inside the checked pipeline. It must
@@ -1146,12 +971,11 @@ mod tests {
                     name: "X".into(),
                     tissue: TissueType::Brain,
                 },
-                GqlCommand::Mine {
+                GqlCommand::MineWith {
                     dataset: "X".into(),
                     out: "b".into(),
-                    k_pct: 50,
-                    min_records: 3,
-                    batch: 6,
+                    algo: "fascicles".into(),
+                    params: vec![],
                 },
             ],
         );

@@ -1124,9 +1124,6 @@ impl GeaSession {
         second_sumy: &str,
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
-        if self.gaps.contains_key(name) {
-            return Err(GeaError::NameTaken(name.to_string()));
-        }
         let s1 = self.sumy(first_sumy)?;
         let s2 = self.sumy(second_sumy)?;
         let gap = diff(name, s1, s2);
@@ -1155,12 +1152,9 @@ impl GeaSession {
         x: usize,
         order: TopGapOrder,
     ) -> Result<String, GeaError> {
-        let source = self.gap(gap)?;
-        let top = top_gaps(source, x, order);
-        let top_name = top.name.clone();
-        if self.gaps.contains_key(&top_name) {
-            return Err(GeaError::NameTaken(top_name));
-        }
+        let top_name = format!("{gap}_{x}");
+        self.check_name_free(&top_name)?;
+        let top = top_gaps(self.gap(gap)?, x, order);
         gap_schema(&top)?;
         let parent = self.node(gap).into_iter().collect::<Vec<_>>();
         self.record_node(
@@ -1673,5 +1667,35 @@ mod tests {
         assert!(s.gap("g_10").unwrap().len() <= 10);
         // And it has a relational form.
         assert!(s.database().exists("g_10"));
+    }
+
+    /// `topgap` refuses a name any table holds, as every defining
+    /// operation does: `ECONFLICT`, not a lineage error, and nothing
+    /// recorded.
+    #[test]
+    fn top_gap_refuses_a_name_an_enum_holds() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let params = FascicleParams {
+            min_compact_attrs: s.enum_table("E").unwrap().n_tags() / 2,
+            min_records: 3,
+            batch_size: 6,
+        };
+        let mined = s.calculate_fascicles("E", "a", 0.10, &params).unwrap();
+        assert_eq!(mined, ["a_1"]);
+        let groups = s
+            .form_control_groups("a_1", LibraryProperty::Cancer)
+            .unwrap();
+        s.create_gap("g", &groups.in_fascicle, &groups.contrast)
+            .unwrap();
+        s.create_tissue_dataset("g_20", &TissueType::Brain).unwrap();
+        let lineage = s.lineage().render_tree();
+        assert!(matches!(
+            s.calculate_top_gap("g", 20, TopGapOrder::LargestMagnitude),
+            Err(GeaError::NameTaken(name)) if name == "g_20"
+        ));
+        assert!(s.gap("g_20").is_err());
+        assert_eq!(s.lineage().render_tree(), lineage);
     }
 }

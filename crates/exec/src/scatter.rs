@@ -46,19 +46,18 @@ use crate::ExecStats;
 /// One scatterable macro operation, with its operands as written.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScatterOp {
-    /// `mine <dataset> <out> <k%> <min> <batch>`: the thesis's fascicle
-    /// miner. The greedy search is serial; the found clusters are the items.
+    /// `mine <dataset> <out> with fascicles …` (positionally, `mine
+    /// <dataset> <out> <k%> <min> <batch>`): the thesis's fascicle miner.
+    /// The greedy search is serial; the found clusters are the items.
     Fascicles {
         /// The ENUM table to mine.
         dataset: String,
         /// Base name of the fascicles (`{out}_1`, `{out}_2`, …).
         out: String,
-        /// Compact-attribute floor, as a percentage of the tag count.
-        k_pct: usize,
-        /// Minimum member libraries per fascicle.
-        min_records: usize,
-        /// Candidate batch size of the greedy search.
-        batch: usize,
+        /// Parameters resolved against [`FasciclesBackend`]'s schema.
+        ///
+        /// [`FasciclesBackend`]: gea_mine::FasciclesBackend
+        params: ResolvedParams,
     },
     /// `mine <dataset> <out> with isa …`: the seeds are the items.
     Isa {
@@ -172,13 +171,11 @@ pub fn prepare<'a>(session: &'a GeaSession, op: &'a ScatterOp) -> Result<Prepare
         ScatterOp::Fascicles {
             dataset,
             out,
-            k_pct,
-            min_records,
-            batch,
+            params,
         } => {
             let table = session.enum_table(dataset)?;
             let tolerance = generate_metadata(table, WIDTH_FRACTION);
-            let params = fascicle_params(table.n_tags(), *k_pct, *min_records, *batch);
+            let params = fascicle_params(table.n_tags(), params);
             Kind::Clusters {
                 table,
                 base_name: out,
@@ -287,16 +284,12 @@ pub fn install(
     match (op, Partial::merge(parts)) {
         (
             ScatterOp::Fascicles {
-                dataset,
-                k_pct,
-                min_records,
-                batch,
-                ..
+                dataset, params, ..
             },
             Some(Partial::Clusters(clusters)),
         ) => {
             let n_tags = session.enum_table(dataset)?.n_tags();
-            let params = fascicle_params(n_tags, *k_pct, *min_records, *batch);
+            let params = fascicle_params(n_tags, params);
             session.install_mined_fascicles(dataset, WIDTH_FRACTION, &params, clusters)
         }
         (
@@ -420,13 +413,16 @@ mod tests {
         s
     }
 
+    /// `k_pct=50 min_records=3 batch=6`: the schema's defaults.
+    fn fascicles_params() -> ResolvedParams {
+        gea_mine::resolve_params(gea_mine::FASCICLES_PARAMS, &[]).unwrap()
+    }
+
     fn mine_op(out: &str) -> ScatterOp {
         ScatterOp::Fascicles {
             dataset: "E".into(),
             out: out.into(),
-            k_pct: 50,
-            min_records: 3,
-            batch: 6,
+            params: fascicles_params(),
         }
     }
 
@@ -534,7 +530,7 @@ mod tests {
         // The serial reference: the session's own macro operations.
         let mut serial = brain_session();
         let n_tags = serial.enum_table("E").unwrap().n_tags();
-        let params = fascicle_params(n_tags, 50, 3, 6);
+        let params = fascicle_params(n_tags, &fascicles_params());
         let names = serial
             .calculate_fascicles("E", "a", WIDTH_FRACTION, &params)
             .unwrap();

@@ -1,32 +1,29 @@
 //! The thesis's Fascicles miner, wrapped as mining backend #1. The
 //! algorithm itself stays in `gea-core`/`gea-cluster`; this adapter only
 //! maps the schema (`k_pct`/`min_records`/`batch`) onto [`FascicleParams`]
-//! through [`fascicle_params`] — the mapping the engine's bare `mine`
-//! verb uses too — and the tolerance metadata uses the fixed 10 % width
-//! fraction. `mine … with fascicles` therefore desugars to the classic
-//! path with byte-identical results.
+//! through [`fascicle_params`] — the mapping `gea-exec`'s scatter seam
+//! uses too — and the tolerance metadata uses the fixed 10 % width
+//! fraction. The positional `mine <d> <o> <k%> <min> <batch>` parses to
+//! `with fascicles k_pct=… min_records=… batch=…`, so every spelling
+//! mines through the same mapping.
 
 use gea_cluster::FascicleParams;
 use gea_core::mine::{generate_metadata, mine, MinedCluster, Miner};
 
-use crate::{MineBackend, MineInput, ParamDomain, ParamSpec, ParamValue};
+use crate::{MineBackend, MineInput, ParamDomain, ParamSpec, ParamValue, ResolvedParams};
 
 /// Width fraction the engine has always used for `mine`'s tolerance
 /// metadata (thesis §4.3).
 pub const WIDTH_FRACTION: f64 = 0.10;
 
-/// The one place a `mine`'s `<k%> <min> <batch>` become the miner's
-/// parameters: the compact floor is `n_tags × k% / 100`.
-pub fn fascicle_params(
-    n_tags: usize,
-    k_pct: usize,
-    min_records: usize,
-    batch: usize,
-) -> FascicleParams {
+/// The one place a `mine`'s resolved `k_pct`/`min_records`/`batch`
+/// become the miner's parameters: the compact floor is
+/// `n_tags × k_pct / 100`.
+pub fn fascicle_params(n_tags: usize, params: &ResolvedParams) -> FascicleParams {
     FascicleParams {
-        min_compact_attrs: n_tags * k_pct / 100,
-        min_records,
-        batch_size: batch,
+        min_compact_attrs: n_tags * params.uint("k_pct") as usize / 100,
+        min_records: params.uint("min_records") as usize,
+        batch_size: params.uint("batch") as usize,
     }
 }
 
@@ -34,8 +31,8 @@ pub fn fascicle_params(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FasciclesBackend;
 
-/// Parameter schema shared with the GQL grammar (the bare `mine` verb's
-/// positional `<k%> <min> <batch>` map onto these keys).
+/// Parameter schema shared with the GQL grammar (the positional
+/// `<k%> <min> <batch>` of `mine` map onto these keys).
 pub const FASCICLES_PARAMS: &[ParamSpec] = &[
     ParamSpec {
         key: "k_pct",
@@ -73,12 +70,7 @@ impl MineBackend for FasciclesBackend {
     }
 
     fn mine(&self, input: &MineInput<'_>) -> Vec<MinedCluster> {
-        let miner = Miner::Fascicles(fascicle_params(
-            input.table.n_tags(),
-            input.params.uint("k_pct") as usize,
-            input.params.uint("min_records") as usize,
-            input.params.uint("batch") as usize,
-        ));
+        let miner = Miner::Fascicles(fascicle_params(input.table.n_tags(), input.params));
         let tolerance = generate_metadata(input.table, WIDTH_FRACTION);
         mine(input.table, input.base_name, &miner, Some(&tolerance))
     }

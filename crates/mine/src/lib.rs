@@ -16,9 +16,10 @@
 //!   ([`simplex`]).
 //!
 //! GQL reaches the registry through `mine <E> <name> with <algo>
-//! [key=val …]`; `gea-check` validates parameter domains statically; and
-//! `gea-exec` ships sharded drivers for both new backends that are
-//! byte-identical to the serial `MineBackend::mine` paths here.
+//! [key=val …]`, whose grammar resolves every parameter against the
+//! backend's schema and refuses out-of-domain values; and `gea-exec`
+//! ships sharded drivers for both new backends that are byte-identical
+//! to the serial `MineBackend::mine` paths here.
 //!
 //! ## Determinism rules
 //!

@@ -1,13 +1,14 @@
 //! Typed parameter schemas for mining backends.
 //!
 //! Every backend publishes a static `&[ParamSpec]` — key, typed domain,
-//! default, and a help line. The GQL grammar parses `key=val` tokens
-//! against the schema (so `mine … with isa seeds=oops` is a *parse*
-//! error), `gea-check` validates domains statically, and the engine
-//! resolves explicit overrides against defaults with [`resolve_params`]
-//! before any work runs. Values are deliberately restricted to unsigned
-//! integers and finite floats: both have canonical textual forms, which
-//! keeps `GqlCommand::canonical()` a fixpoint and cache keys stable.
+//! default, and a help line. The GQL grammar parses every spelling of
+//! `mine` against the schema and resolves it with [`resolve_params`], so
+//! a mistyped *or* out-of-domain value (`seeds=oops`, `seeds=0`) is a
+//! *parse* error and a parsed command carries the backend's whole
+//! resolved parameter list. Values are deliberately restricted to
+//! unsigned integers and finite floats: both have canonical textual
+//! forms, which keeps `GqlCommand::canonical()` a fixpoint and cache
+//! keys stable.
 
 use std::fmt;
 
@@ -72,9 +73,21 @@ impl ParamDomain {
         }
     }
 
-    /// Parse a `key=val` right-hand side against the domain's *type* (the
-    /// range is checked separately so the analyzer can report it with its
-    /// own diagnostic code).
+    /// `Ok` if the domain contains `value`, else the one message an
+    /// out-of-domain `key` gets, whichever command and spelling carried it.
+    pub fn admit(&self, key: &str, value: ParamValue) -> Result<(), String> {
+        if self.contains(&value) {
+            Ok(())
+        } else {
+            Err(format!(
+                "parameter {key} = {value} out of domain ({})",
+                self.describe()
+            ))
+        }
+    }
+
+    /// Parse a `key=val` right-hand side against the domain's *type*; the
+    /// range is [`ParamDomain::admit`]'s.
     pub fn parse_token(&self, token: &str) -> Result<ParamValue, String> {
         match self {
             ParamDomain::UInt { .. } => token
@@ -165,12 +178,7 @@ pub fn resolve_params(
         if given[..i].iter().any(|(k, _)| k == key) {
             return Err(format!("duplicate parameter {key:?}"));
         }
-        if !spec.domain.contains(value) {
-            return Err(format!(
-                "parameter {key} = {value} out of domain ({})",
-                spec.domain.describe()
-            ));
-        }
+        spec.domain.admit(key, *value)?;
     }
     let values = specs
         .iter()

@@ -880,12 +880,11 @@ mod tests {
 
     #[test]
     fn scatterable_covers_exactly_the_scan_shaped_verbs() {
-        assert!(scatterable(&GqlCommand::Mine {
+        assert!(scatterable(&GqlCommand::MineWith {
             dataset: "d".into(),
             out: "f".into(),
-            k_pct: 10,
-            min_records: 2,
-            batch: 8,
+            algo: "fascicles".into(),
+            params: vec![],
         }));
         assert!(scatterable(&GqlCommand::Groups("f_1".into())));
         assert!(scatterable(&GqlCommand::Populate {

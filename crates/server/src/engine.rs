@@ -104,22 +104,24 @@ fn not_found(message: String) -> EngineError {
 }
 
 /// Look `algo` up in the gea-mine registry and resolve the `key=value`
-/// parameters against its typed schema.
+/// parameters against its typed schema. A parsed `mine` always resolves
+/// (the grammar resolved it already); a command built by hand that does
+/// not gets the grammar's `EPARSE`.
 fn resolve_backend(
     algo: &str,
     params: &[(String, gea_mine::ParamValue)],
 ) -> Result<(&'static dyn MineBackend, gea_mine::ResolvedParams), EngineError> {
     let backend = gea_mine::backend(algo).ok_or_else(|| {
         EngineError::new(
-            "EQUERY",
+            "EPARSE",
             format!(
-                "unknown mining backend {algo:?}; available: {}",
+                "unknown mining backend {algo:?} (available: {})",
                 gea_mine::backend_names()
             ),
         )
     })?;
     let resolved = gea_mine::resolve_params(backend.params(), params)
-        .map_err(|e| EngineError::new("EQUERY", e))?;
+        .map_err(|e| EngineError::new("EPARSE", e))?;
     Ok((backend, resolved))
 }
 
@@ -132,30 +134,29 @@ pub(crate) fn scatter_op(cmd: &GqlCommand) -> Result<Option<ScatterOp>, EngineEr
         return Ok(None);
     }
     Ok(Some(match cmd {
-        GqlCommand::Mine {
-            dataset,
-            out,
-            k_pct,
-            min_records,
-            batch,
-        } => ScatterOp::Fascicles {
-            dataset: dataset.clone(),
-            out: out.clone(),
-            k_pct: *k_pct,
-            min_records: *min_records,
-            batch: *batch,
-        },
-        // The only backend the table scatters is the range-sharded one.
+        // The table scatters the two range-sharded backends.
         GqlCommand::MineWith {
             dataset,
             out,
             algo,
             params,
-        } => ScatterOp::Isa {
-            dataset: dataset.clone(),
-            out: out.clone(),
-            params: resolve_backend(algo, params)?.1,
-        },
+        } => {
+            let (backend, params) = resolve_backend(algo, params)?;
+            let (dataset, out) = (dataset.clone(), out.clone());
+            if backend.name() == gea_mine::FasciclesBackend.name() {
+                ScatterOp::Fascicles {
+                    dataset,
+                    out,
+                    params,
+                }
+            } else {
+                ScatterOp::Isa {
+                    dataset,
+                    out,
+                    params,
+                }
+            }
+        }
         GqlCommand::Populate {
             name,
             from: Some((sumy, dataset)),
@@ -215,8 +216,8 @@ pub(crate) fn render_scattered(
     }
 }
 
-/// Reply for just-mined tables: fascicles of the bare `mine`, clusters of
-/// `mine … with <algo>`.
+/// Reply for just-mined tables: fascicles of `fascicles`, clusters of
+/// the other backends.
 fn render_mined(
     session: &GeaSession,
     names: &[String],
@@ -478,9 +479,9 @@ pub fn execute_write(session: &mut GeaSession, cmd: &GqlCommand) -> Result<Strin
             algo,
             params,
         } => {
-            // `with isa` took the scatter seam above and the parser
-            // desugars `with fascicles` to the bare `mine`; what is left
-            // is `simplex`, mined whole through its own sharded driver.
+            // `with fascicles` and `with isa` took the scatter seam above;
+            // what is left is `simplex`, mined whole through its own
+            // sharded driver.
             let (backend, resolved) = resolve_backend(algo, params)?;
             if backend.name() != gea_mine::SimplexBackend.name() {
                 return Err(GeaError::NotFound {
@@ -725,12 +726,27 @@ mod tests {
             let op = scatter_op(&cmd).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(op.is_some(), EffectTable::of(&cmd).scatterable, "{line}");
         }
-        // A scatterable form with bad parameters is an error, not a
-        // silent fall-through to whole execution.
-        let Request::Gql(bad) = parse("mine e m with isa seeds=0").unwrap().unwrap() else {
-            panic!("not an algebra command");
+        // A scatterable form with bad parameters (which only a command
+        // built around the grammar can carry) is the grammar's error, not
+        // a silent fall-through to whole execution.
+        let bad = GqlCommand::MineWith {
+            dataset: "e".into(),
+            out: "m".into(),
+            algo: "isa".into(),
+            params: vec![("seeds".into(), gea_mine::ParamValue::UInt(0))],
         };
-        assert_eq!(scatter_op(&bad).unwrap_err().code, "EQUERY");
+        let err = scatter_op(&bad).unwrap_err();
+        assert_eq!(
+            (err.code, err.message.as_str()),
+            (
+                "EPARSE",
+                "parameter seeds = 0 out of domain (integer 1..=4096)"
+            )
+        );
+        assert_eq!(
+            parse("mine e m with isa seeds=0").unwrap_err().0,
+            err.message
+        );
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! Static analysis (the `gea-check` crate) is wired in twice:
 //!
 //! * `gea-cli --check file.gql` lints a script without running it —
-//!   world-typing, dataflow, and parameter domains — exiting 1 if any
-//!   error-severity diagnostic fires (`--machine` emits JSON lines).
-//!   `--cost` appends the abstract cost interpretation (predicted row
-//!   intervals and cost units per command); `--fix` mechanically applies the
-//!   analyzer's suggestions (nearest-name replacements, parameter-domain
-//!   clamps) to fixpoint, rewriting the file in place, and comments out
-//!   error lines it cannot repair;
+//!   parsing (every parameter domain included), world-typing, dataflow
+//!   and query domains — exiting 1 if any error-severity diagnostic
+//!   fires (`--machine` emits JSON lines). `--cost` appends the abstract
+//!   cost interpretation (predicted row intervals and cost units per
+//!   command); `--fix` mechanically applies the analyzer's suggestions
+//!   (nearest-name replacements) to fixpoint, rewriting the file in
+//!   place, and comments out error lines it cannot repair;
 //! * both batch modes pre-flight the whole script with the same analyzer
 //!   and refuse to execute one with static errors; `--no-preflight`
 //!   skips the gate. A clean script's output is byte-identical with and

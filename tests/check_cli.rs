@@ -57,7 +57,7 @@ fn check_flags_every_defect_class_in_the_fixture() {
         "undefined-name",
         "world-mismatch",
         "redefinition",
-        "param-domain",
+        "parse",
         "dead-assignment",
     ] {
         assert!(
@@ -67,7 +67,68 @@ fn check_flags_every_defect_class_in_the_fixture() {
     }
     // Diagnostics are anchored to 1-based script lines.
     assert!(text.contains("line 13: error[mine-required]"), "{text}");
+    // An out-of-domain `mine` does not parse, whatever its spelling.
+    assert!(
+        text.contains(
+            "line 25: error[parse]: parameter k_pct = 150 out of domain (integer 1..=100)"
+        ),
+        "{text}"
+    );
+    assert!(!text.contains("param-domain"), "{text}");
     assert!(text.contains("line 28: warning[dead-assignment]"), "{text}");
+}
+
+/// The analyzer's contract: an `error` means the engine refuses the line.
+/// Every line `--check` flags as an error in the ill-typed fixture,
+/// executed after the fixture's error-free lines before it (the other
+/// flagged lines blanked, so line numbers hold), answers `ERR`.
+#[test]
+fn every_checker_error_in_the_fixture_is_refused_when_run() {
+    let path = example("ill_typed.gql");
+    let out = gea_cli()
+        .args(["--check", &path, "--machine"])
+        .output()
+        .expect("run --check --machine");
+    let flagged: std::collections::BTreeSet<usize> = stdout(&out)
+        .lines()
+        .filter(|l| l.contains(r#""severity":"error""#))
+        .map(|l| {
+            let digits: String = l["{\"line\":".len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("a line number")
+        })
+        .collect();
+    assert!(flagged.len() >= 5, "{flagged:?}");
+    let text = std::fs::read_to_string(&path).expect("read fixture");
+    let lines: Vec<&str> = text.lines().collect();
+    for &target in &flagged {
+        let script: String = lines[..target]
+            .iter()
+            .enumerate()
+            .map(|(i, line)| {
+                let n = i + 1;
+                if n != target && flagged.contains(&n) {
+                    "\n".to_string()
+                } else {
+                    format!("{line}\n")
+                }
+            })
+            .collect();
+        let run = run_stdin(&["--no-preflight"], &script);
+        assert_eq!(
+            run.status.code(),
+            Some(1),
+            "line {target}: {}",
+            stdout(&run)
+        );
+        assert!(
+            stderr(&run).contains(&format!("ERR line {target}:")),
+            "line {target} was flagged but ran: {}",
+            stderr(&run)
+        );
+    }
 }
 
 #[test]
@@ -245,7 +306,7 @@ fn mined_counts_fall_inside_the_predicted_rows() {
             let Ok(reply) = gea::server::engine::execute(session, &cmd) else {
                 continue;
             };
-            if !matches!(cmd, GqlCommand::Mine { .. } | GqlCommand::MineWith { .. }) {
+            if !matches!(cmd, GqlCommand::MineWith { .. }) {
                 continue;
             }
             let mined: u64 = reply
@@ -270,7 +331,7 @@ fn mined_counts_fall_inside_the_predicted_rows() {
             mined_lines += 1;
         }
     }
-    // The eight `mine` lines of the example scripts (the two at k% = 150
-    // run too, and mine nothing), plus batch 1.
-    assert_eq!(mined_lines, 9);
+    // The seven `mine` lines of the example scripts that parse (the one
+    // at k% = 150 does not), plus batch 1.
+    assert_eq!(mined_lines, 8);
 }

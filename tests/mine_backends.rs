@@ -80,14 +80,18 @@ fn mine_with_is_byte_identical_across_executors() {
     }
 }
 
-/// `with fascicles key=val` is parse-time sugar for the bare positional
-/// `mine`: same replies, same lineage, same fascicle records.
+/// The positional `mine` is `with fascicles key=val`: same command, same
+/// replies, same lineage, same fascicle records.
 #[test]
 fn with_fascicles_is_sugar_for_bare_mine() {
     let mut bare = session();
     let mut sugared = session();
     run(&mut bare, "dataset Eb brain");
     run(&mut sugared, "dataset Eb brain");
+    assert_eq!(
+        parse("mine Eb f 50 3 6").unwrap(),
+        parse("mine Eb f with fascicles k_pct=50 min_records=3 batch=6").unwrap()
+    );
     let a = run(&mut bare, "mine Eb f 50 3 6");
     let b = run(
         &mut sugared,
@@ -160,19 +164,24 @@ fn backend_provenance_survives_save_and_spill() {
     std::fs::remove_dir_all(&spill_dir).unwrap();
 }
 
-/// Registry misuse surfaces as engine errors, not panics: unknown
-/// algorithms and out-of-domain parameters are rejected with EQUERY.
+/// Registry misuse surfaces as errors, not panics: unknown algorithms,
+/// unknown keys and out-of-domain values never parse, and a command built
+/// by hand around the grammar gets the grammar's message as `EPARSE`.
 #[test]
 fn bad_backend_requests_are_engine_errors() {
     let mut s = session();
     run(&mut s, "dataset Eb brain");
-    // Out-of-domain value (seeds=0): parses (type-correct), engine rejects.
-    let Some(Request::Gql(cmd)) = parse("mine Eb x with isa seeds=0").unwrap() else {
-        panic!("not an algebra command");
+    let message = "parameter seeds = 0 out of domain (integer 1..=4096)";
+    assert_eq!(parse("mine Eb x with isa seeds=0").unwrap_err().0, message);
+    let cmd = gea::server::gql::GqlCommand::MineWith {
+        dataset: "Eb".into(),
+        out: "x".into(),
+        algo: "isa".into(),
+        params: vec![("seeds".into(), gea::mine::ParamValue::UInt(0))],
     };
     let err = engine::execute(&mut s, &cmd).unwrap_err();
-    assert_eq!(err.code, "EQUERY", "{err}");
-    // Unknown algorithm and unknown key never even parse.
+    assert_eq!((err.code, err.message.as_str()), ("EPARSE", message));
+    assert!(s.fascicle_records().is_empty(), "a refused mine installed");
     assert!(parse("mine Eb x with pca").is_err());
     assert!(parse("mine Eb x with isa bogus=1").is_err());
 }

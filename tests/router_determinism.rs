@@ -343,8 +343,9 @@ fn check_diagnostics_are_byte_identical_on_every_backend_and_mutate_nothing() {
         "check dataset X brain ; mine X b 50 3 6 ; purity b_1",
         // Error diagnostics: undefined names against the live session.
         "check purity nope ; groups also_nope",
-        // Parameter-domain diagnostics (k% > 100, min_records = 0).
-        "check mine E big 150 0 6",
+        // A query-domain diagnostic: query 7 needs both gap columns,
+        // which `difference` does not carry.
+        "check gap x a_1CancerFasTbl a_1NormalTable ; gap y a_1CancerFasTbl a_1CanNotInFasTbl ; compare c x y difference 7",
     ];
 
     let backends = spawn_backends(3);
@@ -392,7 +393,7 @@ fn check_diagnostics_are_byte_identical_on_every_backend_and_mutate_nothing() {
         check_replies[0]
     );
     assert!(check_replies[0].contains("error[undefined-name]"));
-    assert!(check_replies[0].contains("error[param-domain]"));
+    assert!(check_replies[0].contains("error[query-domain]"));
 
     stop_fleet(router, backends);
 }

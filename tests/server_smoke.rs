@@ -265,9 +265,10 @@ fn open_dir_rejects_overflowing_and_three_field_count_lines() {
     serving.join().expect("server thread");
 }
 
-/// A `mine` whose batch is outside the `batch` domain is refused by the
-/// parser on every path to the kernel, as `with fascicles batch=0` is, and
-/// the worker survives it. On a one-worker server each connection holds the
+/// A `mine` with any parameter outside its domain (`k_pct`, `min_records`
+/// or `batch`) is refused by the parser on every path to the kernel —
+/// positional, inside `xpart`, and `with fascicles` — with one message
+/// per parameter, and the worker survives it. On a one-worker server each connection holds the
 /// only worker, so a worker lost to a panic would leave every later
 /// connection unanswered; the read timeout turns that into a failure.
 #[test]
@@ -292,31 +293,47 @@ fn out_of_domain_mine_batch_is_refused_and_the_worker_survives() {
     };
 
     connect().request("open s demo 42").unwrap().expect("open");
-    let refused = Err((
-        "EPARSE".to_string(),
-        "parameter batch = 0 out of domain (integer 1..=1048576)".to_string(),
-    ));
-    for line in [
-        "mine SAGE f 50 3 0",
-        "xpart 0 2 :: mine SAGE f 50 3 0",
-        "mine SAGE f with fascicles batch=0",
+    for (positional, sugared, message) in [
+        (
+            "mine SAGE f 50 3 0",
+            "mine SAGE f with fascicles batch=0",
+            "parameter batch = 0 out of domain (integer 1..=1048576)",
+        ),
+        (
+            "mine SAGE a 101 3 6",
+            "mine SAGE a with fascicles k_pct=101",
+            "parameter k_pct = 101 out of domain (integer 1..=100)",
+        ),
+        (
+            "mine SAGE b 0 3 6",
+            "mine SAGE b with fascicles k_pct=0",
+            "parameter k_pct = 0 out of domain (integer 1..=100)",
+        ),
+        (
+            "mine SAGE c 50 0 6",
+            "mine SAGE c with fascicles min_records=0",
+            "parameter min_records = 0 out of domain (integer 1..=1048576)",
+        ),
     ] {
-        let mut client = connect();
-        client.request("use s").unwrap().expect("use");
-        assert_eq!(client.request(line).unwrap(), refused, "{line}");
-        assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+        let refused = Err(("EPARSE".to_string(), message.to_string()));
+        for line in [
+            positional.to_string(),
+            format!("xpart 0 2 :: {positional}"),
+            sugared.to_string(),
+        ] {
+            let mut client = connect();
+            client.request("use s").unwrap().expect("use");
+            assert_eq!(client.request(&line).unwrap(), refused, "{line}");
+            assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+        }
     }
-    // k% and min keep their replies: each of these mines.
+    // Nothing was mined.
     let mut client = connect();
     client.request("use s").unwrap().expect("use");
-    for line in [
-        "mine SAGE a 101 3 6",
-        "mine SAGE b 0 3 6",
-        "mine SAGE c 50 0 6",
-    ] {
-        client.request(line).unwrap().expect(line);
-    }
-    assert_eq!(client.request("ping").unwrap().expect("ping"), "pong");
+    assert_eq!(
+        client.request("fascicles").unwrap().expect("fascicles"),
+        "no fascicles mined yet"
+    );
     drop(client);
 
     handle.shutdown();

@@ -231,9 +231,11 @@ fn thesis_scale_pipeline_sharded() {
             &ScatterOp::Fascicles {
                 dataset: "deepBrain".into(),
                 out: base.clone(),
-                k_pct: pct,
-                min_records: 3,
-                batch: 6,
+                params: resolve_params(
+                    gea::mine::FASCICLES_PARAMS,
+                    &[("k_pct".to_string(), ParamValue::UInt(pct as u64))],
+                )
+                .unwrap(),
             },
         )
         .unwrap();
