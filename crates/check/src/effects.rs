@@ -9,9 +9,10 @@
 //! * `gea-router`'s dispatch (affine read vs replicated write vs
 //!   scatter/gather across shards).
 //!
-//! Both now consume [`EffectTable`]. The table has two faces: a `const`
-//! row per verb ([`EffectTable::rows`]) carrying the facts true of every
-//! form of the verb, and [`EffectTable::of`], which resolves a *specific*
+//! Both now consume [`EffectTable`]. The table has two faces: a row per
+//! algebra verb ([`EffectTable::rows`]), declared beside the verb's syntax
+//! in the grammar table [`VERBS`], carrying the facts true of every form
+//! of the verb, and [`EffectTable::of`], which resolves a *specific*
 //! command to its [`Effect`] and is the one place scatterability is
 //! decided — it is form-dependent (`populate` only scatters in its
 //! operator form, `mine` only for range-sharded backends). `of` is an
@@ -20,7 +21,9 @@
 //! closes the remaining gap by checking every parseable verb has a row
 //! that agrees with `of`.
 
-use crate::gql::GqlCommand;
+use std::sync::LazyLock;
+
+use crate::gql::{GqlCommand, VERBS};
 
 /// The static effect row for one verb: the most general summary true of
 /// every form of the verb.
@@ -65,64 +68,18 @@ impl Effect {
     }
 }
 
-/// One row per verb. Row order follows the `help` text.
-const ROWS: &[VerbEffect] = &[
-    row("tissues", READ, PURE),
-    row("dataset", WRITE, PURE),
-    row("custom", WRITE, PURE),
-    row("select", WRITE, PURE),
-    row("project", WRITE, PURE),
-    row("mine", WRITE, PURE),
-    row("fascicles", READ, PURE),
-    row("purity", READ, PURE),
-    row("groups", WRITE, PURE),
-    row("gap", WRITE, PURE),
-    row("topgap", WRITE, PURE),
-    row("compare", WRITE, PURE),
-    row("show", READ, PURE),
-    row("plot", READ, PURE),
-    row("library", READ, PURE),
-    row("tagfreq", READ, PURE),
-    // Reads for locking purposes, but the reply lands on the filesystem,
-    // which the session generation does not cover: never cached.
-    row("export", READ, IMPURE),
-    // Annotation lands in the lineage, which `lineage` then reports:
-    // a session mutation even though no table changes.
-    row("comment", WRITE, PURE),
-    row("delete", WRITE, PURE),
-    row("populate", WRITE, PURE),
-    // Analyzes the pipeline against the symbol table without executing
-    // it: a pure, cacheable read.
-    row("check", READ, PURE),
-    row("lineage", READ, PURE),
-    row("cleaning", READ, PURE),
-    row("xprofiler", READ, PURE),
-    row("save", READ, IMPURE),
-    row("load", WRITE, PURE),
-];
-
-const READ: bool = false;
-const WRITE: bool = true;
-const PURE: bool = true;
-const IMPURE: bool = false;
-
-const fn row(verb: &'static str, mutates_session: bool, pure: bool) -> VerbEffect {
-    VerbEffect {
-        verb,
-        mutates_session,
-        pure,
-        deterministic: true,
-    }
-}
+/// One row per algebra verb, read off the grammar table in its order.
+static ROWS: LazyLock<Vec<VerbEffect>> =
+    LazyLock::new(|| VERBS.iter().filter_map(|spec| spec.effect).collect());
 
 /// The verb-effect table. Stateless; both associated functions index the
-/// `const` rows.
+/// rows the grammar table declares.
 pub struct EffectTable;
 
 impl EffectTable {
-    /// Every verb's static row, in `help` order.
+    /// Every algebra verb's static row, in [`VERBS`] order.
     pub fn rows() -> &'static [VerbEffect] {
-        ROWS
+        &ROWS
     }
 
     /// The static row for a verb string, if the verb exists.
@@ -132,8 +89,8 @@ impl EffectTable {
 
     /// Resolve one command to its effect. Exhaustive over `GqlCommand` —
     /// no wildcard arm — so a new variant cannot compile without an
-    /// effects decision here *and* a row above (the unit test cross-checks
-    /// the two).
+    /// effects decision here *and* a row in [`VERBS`] (the unit test
+    /// cross-checks the two).
     pub fn of(cmd: &GqlCommand) -> Effect {
         let scatterable = match cmd {
             // Contiguous library-range scans: always scatterable.

@@ -5,65 +5,43 @@
 //! quotes group an argument containing spaces (`comment g1 "looks real"`).
 //! Parsing is front-end independent: the same [`parse`] feeds the REPL's
 //! single session and the server's named shared sessions.
+//!
+//! The grammar is one table, [`VERBS`]. Each verb is declared there once:
+//! its forms' typed argument [`Slot`]s, each form's `help` line, the build
+//! from slot values to a [`Request`] and its reverse, and, for an algebra
+//! verb, its effect row. [`parse`], [`GqlCommand::canonical`], both
+//! `verb()`s, [`HELP`] and [`crate::effects::EffectTable`] all read it, so
+//! a surplus or a missing token is `usage: …` on every verb.
 
+use std::cmp::Reverse;
 use std::fmt;
+use std::sync::LazyLock;
 
 use gea_core::compare::{CompareOp, CompareQuery};
 use gea_mine::{ParamDomain, ParamValue};
 use gea_sage::tag::TAG_SPACE;
 use gea_sage::{Tag, TissueType};
 
+use crate::effects::VerbEffect;
+
 /// The command reference printed by `help` (the thesis chapter 4 menus plus
-/// the serving layer).
-pub const HELP: &str = "\
-GQL commands (thesis chapter 4's menus, served):
-  session control
-    open <name> demo <seed>             create/replace a named session from a demo corpus
-    open <name> dir <dir>               create/replace a named session from a corpus directory
-    load-demo <seed>                    shorthand: open the default session from a demo corpus
-    load-dir <dir>                      shorthand: open the default session from a directory
-    use <name>                          attach this connection to a named session
-    sessions                            list open sessions
-    close <name>                        drop a named session
-  data sets
-    tissues                             list tissue types and their libraries
-    dataset <name> <tissue>             E = sigma_tissue(SAGE)        [Fig 4.4]
-    custom <name> <lib> [<lib>...]      user-defined data set         [Fig 4.15]
-    select <name> <dataset> <lib> [<lib>...]   sigma_libraries(dataset)
-    project <name> <dataset> <tag> [<tag>...]  pi_tags(dataset)
-  mining and gaps
-    mine <dataset> <out> <k%> <min> <batch>   calculate fascicles: k% 1..=100, min and batch 1..=1048576   [Fig 4.6]
-    mine <dataset> <out> with <algo> [key=val ...]   pluggable backends: fascicles, isa, simplex
-    fascicles                           list mined fascicles
-    purity <fascicle>                   purity check                  [Fig 4.8]
-    groups <fascicle>                   form control-group SUMYs      [Fig 4.7]
-    gap <name> <sumy1> <sumy2>          GAP = diff(S1, S2)            [Fig 4.9]
-    topgap <gap> <x>                    calculate top gaps, x >= 1    [Fig 4.19]
-    compare <name> <g1> <g2> <union|intersect|difference> <query#>    [Fig 4.13]
-  inspection
-    show gap|sumy <name> [n]            view a table's first rows
-    plot <dataset> <tag> <fascicle>     tag distribution              [Fig 4.10]
-    library <name|id>                   library information           [Fig 4.23]
-    tagfreq <dataset> <tag>             expression values of a tag    [Fig 4.26]
-    lineage                             operation history             [Fig 4.18]
-    cleaning                            cleaning report               [Fig 4.1]
-    xprofiler <dataset>                 pooled cancer-vs-normal comparison  [sec 2.3.3]
-  static analysis
-    check <cmd> [; <cmd>]...            validate a pipeline against this session without running it
-  persistence and admin
-    export <name> <file.csv>            EXPORT a table to CSV
-    comment <name> <text...>            annotate a lineage node
-    delete <name> [--cascade]           drop contents / cascade       [Fig 4.18]
-    populate <name> [<sumy> <dataset>]  re-materialize (§4.4.2), or populate(SUMY, ENUM) -> ENUM
-    save <dir>                          persist the full session (tables, lineage, snapshot)
-    load <dir>                          restore a saved session in place (replaces current state)
-    gen-corpus <seed> <dir>             write a demo corpus as SAGE text files
-  server
-    ping                                liveness check
-    stats                               request counts, latencies, connections
-    shutdown                            stop the server gracefully
-    help                                this text
-    quit";
+/// the serving layer): every form of [`VERBS`], grouped by section.
+pub static HELP: LazyLock<String> = LazyLock::new(|| {
+    let mut out = String::from("GQL commands (thesis chapter 4's menus, served):");
+    for section in SECTIONS {
+        out.push_str("\n  ");
+        out.push_str(section);
+        for spec in VERBS.iter().filter(|v| v.section == section) {
+            for form in spec.forms {
+                // Descriptions start in column 40; a longer usage line
+                // carries its own gap at the head of its description.
+                let line = format!("\n    {:<36}{}", spec.usage(form), form.help);
+                out.push_str(line.trim_end());
+            }
+        }
+    }
+    out
+});
 
 /// A parse failure: the offending message, reported as `ERR EPARSE …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,10 +54,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-fn usage(text: &str) -> ParseError {
-    ParseError(format!("usage: {text}"))
-}
 
 /// Session-registry control commands, handled by the hosting front-end
 /// (the server's connection loop or the REPL), not the engine.
@@ -326,174 +300,25 @@ impl GqlCommand {
     }
 
     /// The normalized command line: the canonical spelling that parses
-    /// back to this command. Used as the response-cache key component, so
-    /// surface variants (`show gap g` vs `show gap g 10`, extra
-    /// whitespace, `difference` vs `diff`) share one cache slot.
+    /// back to this command, rendered through the slots of the form that
+    /// spells it. Used as the response-cache key component, so surface
+    /// variants (`show gap g` vs `show gap g 10`, extra whitespace,
+    /// `difference` vs `diff`) share one cache slot.
     pub fn canonical(&self) -> String {
-        fn quote(token: &str) -> String {
-            if !token.is_empty() && !token.contains(|c: char| c.is_whitespace() || c == '"') {
-                return token.to_string();
-            }
-            let mut out = String::with_capacity(token.len() + 2);
-            out.push('"');
-            for c in token.chars() {
-                if c == '"' || c == '\\' {
-                    out.push('\\');
-                }
-                out.push(c);
-            }
-            out.push('"');
-            out
+        let Some((spec, form, args)) = spelled(Cmd::Gql(self)) else {
+            return String::new();
+        };
+        let mut out = spec.name.to_string();
+        let mut args = args.into_iter();
+        for slot in form.slots {
+            render(slot, &mut args, &mut out);
         }
-        fn join(verb: &str, args: &[&str]) -> String {
-            let mut out = verb.to_string();
-            for arg in args {
-                out.push(' ');
-                out.push_str(&quote(arg));
-            }
-            out
-        }
-        match self {
-            GqlCommand::Tissues => "tissues".to_string(),
-            GqlCommand::Dataset { name, tissue } => join("dataset", &[name, &tissue.to_string()]),
-            GqlCommand::Custom { name, libraries } => {
-                let mut args: Vec<&str> = vec![name];
-                args.extend(libraries.iter().map(|s| s.as_str()));
-                join("custom", &args)
-            }
-            GqlCommand::Select {
-                name,
-                dataset,
-                libraries,
-            } => {
-                let mut args: Vec<&str> = vec![name, dataset];
-                args.extend(libraries.iter().map(|s| s.as_str()));
-                join("select", &args)
-            }
-            GqlCommand::Project {
-                name,
-                dataset,
-                tags,
-            } => {
-                let tags: Vec<String> = tags.iter().map(|t| t.to_string()).collect();
-                let mut args: Vec<&str> = vec![name, dataset];
-                args.extend(tags.iter().map(|s| s.as_str()));
-                join("project", &args)
-            }
-            GqlCommand::MineWith {
-                dataset,
-                out,
-                algo,
-                params,
-            } => {
-                let rendered: Vec<String> =
-                    params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                let mut args: Vec<&str> = vec![dataset, out, "with", algo];
-                args.extend(rendered.iter().map(|s| s.as_str()));
-                join("mine", &args)
-            }
-            GqlCommand::Fascicles => "fascicles".to_string(),
-            GqlCommand::Purity(f) => join("purity", &[f]),
-            GqlCommand::Groups(f) => join("groups", &[f]),
-            GqlCommand::Gap { name, sumy1, sumy2 } => join("gap", &[name, sumy1, sumy2]),
-            GqlCommand::TopGap { gap, x } => join("topgap", &[gap, &x.to_string()]),
-            GqlCommand::Compare {
-                name,
-                g1,
-                g2,
-                op,
-                query,
-            } => {
-                let op = match op {
-                    CompareOp::Union => "union",
-                    CompareOp::Intersect => "intersect",
-                    CompareOp::Difference => "difference",
-                };
-                let qnum = CompareQuery::ALL
-                    .iter()
-                    .position(|q| q == query)
-                    .map_or(0, |i| i + 1);
-                join("compare", &[name, g1, g2, op, &qnum.to_string()])
-            }
-            GqlCommand::Show { kind, name, n } => {
-                let kind = match kind {
-                    ShowKind::Gap => "gap",
-                    ShowKind::Sumy => "sumy",
-                };
-                join("show", &[kind, name, &n.to_string()])
-            }
-            GqlCommand::Plot {
-                dataset,
-                tag,
-                fascicle,
-            } => join("plot", &[dataset, &tag.to_string(), fascicle]),
-            GqlCommand::Library(key) => join("library", &[key]),
-            GqlCommand::TagFreq { dataset, tag } => join("tagfreq", &[dataset, &tag.to_string()]),
-            GqlCommand::Export { name, path } => join("export", &[name, path]),
-            GqlCommand::Comment { name, text } => join("comment", &[name, text]),
-            GqlCommand::Delete { name, cascade } => {
-                if *cascade {
-                    join("delete", &[name, "--cascade"])
-                } else {
-                    join("delete", &[name])
-                }
-            }
-            GqlCommand::Populate { name, from: None } => join("populate", &[name]),
-            GqlCommand::Populate {
-                name,
-                from: Some((sumy, dataset)),
-            } => join("populate", &[name, sumy, dataset]),
-            GqlCommand::Check(cmds) => {
-                // The separator stays a bare `;` token so the canonical
-                // line re-splits into the same sub-commands.
-                let mut out = "check".to_string();
-                for (i, c) in cmds.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(" ;");
-                    }
-                    out.push(' ');
-                    out.push_str(&c.canonical());
-                }
-                out
-            }
-            GqlCommand::Lineage => "lineage".to_string(),
-            GqlCommand::Cleaning => "cleaning".to_string(),
-            GqlCommand::Xprofiler(dataset) => join("xprofiler", &[dataset]),
-            GqlCommand::Save(dir) => join("save", &[dir]),
-            GqlCommand::Load(dir) => join("load", &[dir]),
-        }
+        out
     }
 
     /// The verb, for metrics labels.
     pub fn verb(&self) -> &'static str {
-        match self {
-            GqlCommand::Tissues => "tissues",
-            GqlCommand::Dataset { .. } => "dataset",
-            GqlCommand::Custom { .. } => "custom",
-            GqlCommand::Select { .. } => "select",
-            GqlCommand::Project { .. } => "project",
-            GqlCommand::MineWith { .. } => "mine",
-            GqlCommand::Fascicles => "fascicles",
-            GqlCommand::Purity(_) => "purity",
-            GqlCommand::Groups(_) => "groups",
-            GqlCommand::Gap { .. } => "gap",
-            GqlCommand::TopGap { .. } => "topgap",
-            GqlCommand::Compare { .. } => "compare",
-            GqlCommand::Show { .. } => "show",
-            GqlCommand::Plot { .. } => "plot",
-            GqlCommand::Library(_) => "library",
-            GqlCommand::TagFreq { .. } => "tagfreq",
-            GqlCommand::Export { .. } => "export",
-            GqlCommand::Comment { .. } => "comment",
-            GqlCommand::Delete { .. } => "delete",
-            GqlCommand::Populate { .. } => "populate",
-            GqlCommand::Check(_) => "check",
-            GqlCommand::Lineage => "lineage",
-            GqlCommand::Cleaning => "cleaning",
-            GqlCommand::Xprofiler(_) => "xprofiler",
-            GqlCommand::Save(_) => "save",
-            GqlCommand::Load(_) => "load",
-        }
+        spelled(Cmd::Gql(self)).map_or("", |(spec, ..)| spec.name)
     }
 }
 
@@ -501,20 +326,450 @@ impl Request {
     /// The verb, for metrics labels.
     pub fn verb(&self) -> &'static str {
         match self {
-            Request::Help => "help",
-            Request::Quit => "quit",
-            Request::Ping => "ping",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-            Request::GenCorpus { .. } => "gen-corpus",
-            Request::Session(SessionCtl::OpenDemo { .. })
-            | Request::Session(SessionCtl::OpenDir { .. }) => "open",
-            Request::Session(SessionCtl::Use(_)) => "use",
-            Request::Session(SessionCtl::List) => "sessions",
-            Request::Session(SessionCtl::Close(_)) => "close",
             Request::Gql(cmd) => cmd.verb(),
+            req => spelled(Cmd::Req(req)).map_or("", |(spec, ..)| spec.name),
         }
     }
+}
+
+/// One typed argument slot of a verb form. Single-token slots come first;
+/// an `Opt` or `Many` slot, if any, is last and takes the rest of the
+/// line.
+#[derive(Debug, Clone, Copy)]
+pub enum Slot {
+    /// A free-form word: a table, session, library, file, directory,
+    /// backend or `key=val` parameter.
+    Name(&'static str),
+    /// A fixed token (`with`, `demo`, `--cascade`); it has no value.
+    Lit(&'static str),
+    /// One of `words`, valued by its index; `what` names it in errors.
+    /// Each word's first spelling comes first, aliases after.
+    Alt {
+        /// Placeholder in the usage line.
+        show: &'static str,
+        /// What an unknown token is called in its error.
+        what: &'static str,
+        /// The accepted spellings.
+        words: &'static [&'static str],
+    },
+    /// An unsigned integer `what`, admitted by `domain`.
+    Num {
+        /// Placeholder in the usage line.
+        show: &'static str,
+        /// The number's name in errors.
+        what: &'static str,
+        /// The values it may take.
+        domain: ParamDomain,
+    },
+    /// A SAGE tag.
+    Tag(&'static str),
+    /// All of `slots`, or none (the build supplies any default).
+    Opt {
+        /// Placeholder in the usage line.
+        show: &'static str,
+        /// The optional slots.
+        slots: &'static [Slot],
+    },
+    /// `min` or more of `each`.
+    Many {
+        /// Placeholder in the usage line.
+        show: &'static str,
+        /// The fewest values the line may give.
+        min: usize,
+        /// The repeated slot.
+        each: &'static Slot,
+    },
+}
+
+impl Slot {
+    /// The slot as the usage line shows it.
+    fn show(&self) -> &'static str {
+        match *self {
+            Slot::Name(show) | Slot::Lit(show) | Slot::Tag(show) => show,
+            Slot::Alt { show, .. } | Slot::Num { show, .. } => show,
+            Slot::Opt { show, .. } | Slot::Many { show, .. } => show,
+        }
+    }
+
+    /// How many of `left` tokens the slot takes.
+    fn width(&self, left: usize) -> usize {
+        match self {
+            Slot::Opt { .. } | Slot::Many { .. } => left,
+            _ => left.min(1),
+        }
+    }
+}
+
+/// One form of a verb: its slots, its `help` line, and the two directions
+/// between a line's tokens and the request.
+pub struct Form {
+    /// The typed argument slots, in line order.
+    pub slots: &'static [Slot],
+    /// The description `help` prints after the usage line.
+    pub help: &'static str,
+    build: fn(&mut Args<'_>) -> Result<Request, ParseError>,
+    spell: for<'a> fn(Cmd<'a>) -> Option<Vec<Arg<'a>>>,
+}
+
+/// One verb of the grammar.
+pub struct VerbSpec {
+    /// The verb, as lines spell it and metrics label it.
+    pub name: &'static str,
+    /// Other spellings of the verb.
+    pub aliases: &'static [&'static str],
+    /// The `help` section listing it.
+    pub section: &'static str,
+    /// Its forms; a line is parsed by the one with the most literals
+    /// among those that fit it.
+    pub forms: &'static [Form],
+    /// The effect row of an algebra verb (`None` for session and server
+    /// verbs, which the engine never sees).
+    pub effect: Option<VerbEffect>,
+}
+
+impl VerbSpec {
+    /// The usage line of one of the verb's forms.
+    pub fn usage(&self, form: &Form) -> String {
+        let mut out = self.name.to_string();
+        for slot in form.slots {
+            out.push(' ');
+            out.push_str(slot.show());
+        }
+        out
+    }
+
+    /// Parse a line's arguments with the most specific form that fits
+    /// them. If none does, the error is the usage of the most specific
+    /// form whose literals the line gives, or of every form.
+    fn parse(&self, args: &[&str]) -> Result<Request, ParseError> {
+        let mut forms: Vec<&'static Form> = self
+            .forms
+            .iter()
+            .filter(|f| literals_match(f.slots, args))
+            .collect();
+        forms
+            .sort_by_key(|f| Reverse(f.slots.iter().filter(|s| matches!(s, Slot::Lit(_))).count()));
+        if let Some(form) = forms.iter().find(|f| fits(f.slots, args)) {
+            let slots = form.slots.iter().rev().collect();
+            return (form.build)(&mut Args { slots, toks: args });
+        }
+        let usages: Vec<String> = match forms.first() {
+            Some(form) => vec![self.usage(form)],
+            None => self.forms.iter().map(|f| self.usage(f)).collect(),
+        };
+        Err(ParseError(format!("usage: {}", usages.join(" | "))))
+    }
+}
+
+/// Whether every literal among the leading single-token `slots` is the
+/// line's token at its position.
+fn literals_match(slots: &[Slot], args: &[&str]) -> bool {
+    let lit = |(i, slot): (usize, &Slot)| matches!(slot, Slot::Lit(w) if args.get(i) != Some(w));
+    !slots.iter().enumerate().any(lit)
+}
+
+/// Whether `args` has as many tokens as `slots` takes, and an optional
+/// group that is there gives its literals.
+fn fits(slots: &[Slot], args: &[&str]) -> bool {
+    let Some((last, singles)) = slots.split_last() else {
+        return args.is_empty();
+    };
+    let Some(rest) = args.get(singles.len()..) else {
+        return false;
+    };
+    match last {
+        Slot::Opt { slots, .. } => {
+            rest.is_empty() || (rest.len() == slots.len() && literals_match(slots, rest))
+        }
+        Slot::Many { min, .. } => rest.len() >= *min,
+        _ => rest.len() == 1,
+    }
+}
+
+/// A fitting line's tokens, taken slot by slot by its form's build, which
+/// checks each value as it takes it. A build asking a slot for the wrong
+/// kind of value is a table bug the round-trip tests catch; it answers a
+/// parse error here rather than panic a worker.
+struct Args<'a> {
+    /// The slots still to take, the next one last.
+    slots: Vec<&'static Slot>,
+    toks: &'a [&'a str],
+}
+
+impl<'a> Args<'a> {
+    /// The next slot with a value, and the tokens it takes.
+    fn next(&mut self) -> (&'static Slot, &'a [&'a str]) {
+        while let Some(slot) = self.slots.pop() {
+            let (taken, rest) = self.toks.split_at(slot.width(self.toks.len()));
+            self.toks = rest;
+            if !matches!(slot, Slot::Lit(_)) {
+                return (slot, taken);
+            }
+        }
+        (&Slot::Lit("<end of line>"), &[])
+    }
+
+    fn word(&mut self) -> Result<String, ParseError> {
+        match self.next() {
+            (Slot::Name(_), [token]) => Ok(token.to_string()),
+            (slot, _) => Err(misfit(slot)),
+        }
+    }
+
+    fn num(&mut self) -> Result<u64, ParseError> {
+        let (slot, toks) = self.next();
+        let (Slot::Num { what, domain, .. }, [token]) = (slot, toks) else {
+            return Err(misfit(slot));
+        };
+        let n: u64 = token
+            .parse()
+            .map_err(|e| ParseError(format!("bad {what}: {e}")))?;
+        domain
+            .admit(what, ParamValue::UInt(n))
+            .map_err(ParseError)?;
+        Ok(n)
+    }
+
+    fn alt(&mut self) -> Result<usize, ParseError> {
+        let (slot, toks) = self.next();
+        let (Slot::Alt { what, words, .. }, [token]) = (slot, toks) else {
+            return Err(misfit(slot));
+        };
+        words
+            .iter()
+            .position(|w| w == token)
+            .ok_or_else(|| ParseError(format!("unknown {what} {token:?}")))
+    }
+
+    fn tag(&mut self) -> Result<Tag, ParseError> {
+        match self.next() {
+            (Slot::Tag(_), [token]) => parse_tag(token),
+            (slot, _) => Err(misfit(slot)),
+        }
+    }
+
+    /// Whether an `Opt` group is there; if it is, its slots come next.
+    fn opt(&mut self) -> Result<bool, ParseError> {
+        match self.next() {
+            (Slot::Opt { slots, .. }, toks) if !toks.is_empty() => {
+                self.toks = toks;
+                self.slots.extend(slots.iter().rev());
+                Ok(true)
+            }
+            (Slot::Opt { .. }, _) => Ok(false),
+            (slot, _) => Err(misfit(slot)),
+        }
+    }
+
+    /// A list slot's tokens.
+    fn rest(&mut self) -> Result<&'a [&'a str], ParseError> {
+        match self.next() {
+            (Slot::Many { .. }, toks) => Ok(toks),
+            (slot, _) => Err(misfit(slot)),
+        }
+    }
+
+    fn words(&mut self) -> Result<Vec<String>, ParseError> {
+        Ok(self.rest()?.iter().map(|t| t.to_string()).collect())
+    }
+
+    fn tags(&mut self) -> Result<Vec<Tag>, ParseError> {
+        self.rest()?.iter().map(|t| parse_tag(t)).collect()
+    }
+}
+
+fn misfit(slot: &Slot) -> ParseError {
+    ParseError(format!("grammar table: {} misread", slot.show()))
+}
+
+fn parse_tag(token: &str) -> Result<Tag, ParseError> {
+    token
+        .parse()
+        .map_err(|e| ParseError(format!("bad tag: {e}")))
+}
+
+/// One slot's value, as a command spells it back for
+/// [`GqlCommand::canonical`].
+enum Arg<'a> {
+    /// A `Name` value, or a list spelt as one token (`comment`'s text).
+    Word(&'a str),
+    /// A `Num`.
+    Num(u64),
+    /// A `Tag`.
+    Tag(Tag),
+    /// An `Alt`: the index of its spelling.
+    Alt(usize),
+    /// A `Many` slot's values, or an `Opt` group that is there.
+    Many(Vec<Arg<'a>>),
+    /// An `Opt` group that is not.
+    Absent,
+    /// `mine`'s resolved `key=val` list.
+    Params(&'a [(String, ParamValue)]),
+    /// `check`'s pipeline, one canonical line per command.
+    Cmds(&'a [GqlCommand]),
+}
+
+/// What a form spells: a whole request, or an algebra command.
+#[derive(Clone, Copy)]
+enum Cmd<'a> {
+    Req(&'a Request),
+    Gql(&'a GqlCommand),
+}
+
+/// The verb and form that spell `cmd`, with its slot values.
+fn spelled(cmd: Cmd<'_>) -> Option<(&'static VerbSpec, &'static Form, Vec<Arg<'_>>)> {
+    VERBS.iter().find_map(|spec| {
+        spec.forms
+            .iter()
+            .find_map(|form| (form.spell)(cmd).map(|args| (spec, form, args)))
+    })
+}
+
+/// Append `slot`'s canonical tokens, taking its values from `args`.
+fn render<'a>(slot: &Slot, args: &mut impl Iterator<Item = Arg<'a>>, out: &mut String) {
+    if let Slot::Lit(word) = slot {
+        return push_token(out, word);
+    }
+    match (slot, args.next()) {
+        (Slot::Opt { slots, .. }, Some(Arg::Many(group))) => {
+            let mut group = group.into_iter();
+            for slot in *slots {
+                render(slot, &mut group, out);
+            }
+        }
+        (Slot::Many { each, .. }, Some(Arg::Many(items))) => {
+            for item in items {
+                render(each, &mut std::iter::once(item), out);
+            }
+        }
+        (_, Some(Arg::Params(params))) => {
+            for (key, value) in params {
+                push_token(out, &format!("{key}={value}"));
+            }
+        }
+        // Each sub-command spells its own canonical line; the separator
+        // stays a bare `;` token so the line re-splits into the same
+        // pipeline.
+        (_, Some(Arg::Cmds(cmds))) => {
+            for (i, cmd) in cmds.iter().enumerate() {
+                out.push_str(if i == 0 { " " } else { " ; " });
+                out.push_str(&cmd.canonical());
+            }
+        }
+        (Slot::Alt { words, .. }, Some(Arg::Alt(i))) => {
+            push_token(out, words.get(i).copied().unwrap_or_default());
+        }
+        (_, Some(Arg::Word(w))) => push_token(out, w),
+        (_, Some(Arg::Num(n))) => push_token(out, &n.to_string()),
+        (_, Some(Arg::Tag(tag))) => push_token(out, &tag.to_string()),
+        _ => {}
+    }
+}
+
+/// Append one token, quoted when it is empty or holds whitespace or a
+/// quote, so it re-tokenizes to itself.
+fn push_token(out: &mut String, token: &str) {
+    out.push(' ');
+    if !token.is_empty() && !token.contains(|c: char| c.is_whitespace() || c == '"') {
+        return out.push_str(token);
+    }
+    out.push('"');
+    for c in token.chars() {
+        if c == '"' || c == '\\' {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
+}
+
+fn words(items: &[String]) -> Arg<'_> {
+    Arg::Many(items.iter().map(|s| Arg::Word(s)).collect())
+}
+
+/// The thesis query numbered `n` (the slot's domain admits 1..=13).
+fn query(n: u64) -> Result<CompareQuery, ParseError> {
+    let query = (n as usize)
+        .checked_sub(1)
+        .and_then(|i| CompareQuery::ALL.get(i));
+    query
+        .copied()
+        .ok_or_else(|| ParseError(format!("no thesis query {n}")))
+}
+
+/// `mine` through the `gea-mine` registry: unknown backends, unknown
+/// keys, duplicates, non-numeric and out-of-domain values are parse
+/// errors. The command carries the backend's whole resolved parameter
+/// list, so the positional form and `with fascicles` share one canonical
+/// spelling, one cache key, and one execution path.
+fn mine(
+    dataset: String,
+    out: String,
+    algo: &str,
+    tokens: Vec<String>,
+) -> Result<Request, ParseError> {
+    let Some(backend) = gea_mine::backend(algo) else {
+        return Err(ParseError(format!(
+            "unknown mining backend {algo:?} (available: {})",
+            gea_mine::backend_names()
+        )));
+    };
+    let specs = backend.params();
+    let mut params: Vec<(String, ParamValue)> = Vec::new();
+    for token in &tokens {
+        let Some((key, value)) = token.split_once('=') else {
+            return Err(ParseError(format!(
+                "expected key=val after `with {algo}`, got {token:?}"
+            )));
+        };
+        let Some(spec) = specs.iter().find(|s| s.key == key) else {
+            let known: Vec<&str> = specs.iter().map(|s| s.key).collect();
+            return Err(ParseError(format!(
+                "backend {} has no parameter {key:?} (expected: {})",
+                backend.name(),
+                known.join(", ")
+            )));
+        };
+        let value = spec
+            .domain
+            .parse_token(value)
+            .map_err(|e| ParseError(format!("parameter {key}: {e}")))?;
+        params.push((key.to_string(), value));
+    }
+    // Duplicates and ranges, in token order; defaults for the rest.
+    let resolved = gea_mine::resolve_params(specs, &params).map_err(ParseError)?;
+    Ok(Request::Gql(GqlCommand::MineWith {
+        dataset,
+        out,
+        algo: backend.name().to_string(),
+        params: resolved.iter().map(|(k, v)| (k.to_string(), v)).collect(),
+    }))
+}
+
+/// `check`'s pipeline: each `;`-separated segment parsed as an algebra
+/// command with the same table.
+fn pipeline(tokens: &[&str]) -> Result<Request, ParseError> {
+    let mut cmds = Vec::new();
+    for segment in tokens.split(|t| *t == ";") {
+        let Some((&sub, args)) = segment.split_first() else {
+            return Err(ParseError(
+                "check: empty command in pipeline (stray `;`)".to_string(),
+            ));
+        };
+        if sub == "check" {
+            return Err(ParseError("check cannot nest".to_string()));
+        }
+        let spec = VERBS.iter().find(|v| v.effect.is_some() && v.name == sub);
+        match spec.map(|spec| spec.parse(args)).transpose()? {
+            Some(Request::Gql(cmd)) => cmds.push(cmd),
+            _ => {
+                return Err(ParseError(format!(
+                    "check validates algebra commands only; {sub:?} is a session/server command"
+                )))
+            }
+        }
+    }
+    Ok(Request::Gql(GqlCommand::Check(cmds)))
 }
 
 /// Split a request line into tokens. Double quotes group a token with
@@ -559,423 +814,322 @@ pub fn tokenize(line: &str) -> Result<Vec<String>, ParseError> {
     Ok(tokens)
 }
 
-fn parse_num<T: std::str::FromStr>(what: &str, token: &str) -> Result<T, ParseError>
-where
-    T::Err: fmt::Display,
-{
-    token
-        .parse()
-        .map_err(|e| ParseError(format!("bad {what}: {e}")))
-}
-
-fn parse_tag(token: &str) -> Result<Tag, ParseError> {
-    token
-        .parse()
-        .map_err(|e| ParseError(format!("bad tag: {e}")))
-}
-
-/// `topgap`'s `x`: at least one row, and no more than a GAP can hold
-/// (one row per tag of the 20-bit tag space).
-const TOPGAP_X: ParamDomain = ParamDomain::UInt {
-    min: 1,
-    max: TAG_SPACE as u64,
-};
-
-/// Parse `mine <dataset> <out> with <algo> [key=val ...]`, the one
-/// grammar of every `mine` spelling, against the `gea-mine` registry:
-/// unknown backends, unknown keys, duplicates, non-numeric and
-/// out-of-domain values are parse errors. The command carries the
-/// backend's whole resolved parameter list, so the positional form and
-/// `with fascicles` share one canonical spelling, one cache key, and one
-/// execution path.
-fn parse_mine_with(
-    dataset: &str,
-    out: &str,
-    algo: &str,
-    tokens: &[&str],
-) -> Result<GqlCommand, ParseError> {
-    let Some(backend) = gea_mine::backend(algo) else {
-        return Err(ParseError(format!(
-            "unknown mining backend {algo:?} (available: {})",
-            gea_mine::backend_names()
-        )));
-    };
-    let specs = backend.params();
-    let mut params: Vec<(String, ParamValue)> = Vec::new();
-    for token in tokens {
-        let Some((key, value)) = token.split_once('=') else {
-            return Err(ParseError(format!(
-                "expected key=val after `with {algo}`, got {token:?}"
-            )));
-        };
-        let Some(spec) = specs.iter().find(|s| s.key == key) else {
-            let known: Vec<&str> = specs.iter().map(|s| s.key).collect();
-            return Err(ParseError(format!(
-                "backend {} has no parameter {key:?} (expected: {})",
-                backend.name(),
-                known.join(", ")
-            )));
-        };
-        let value = spec
-            .domain
-            .parse_token(value)
-            .map_err(|e| ParseError(format!("parameter {key}: {e}")))?;
-        params.push((key.to_string(), value));
-    }
-    // Duplicates and ranges, in token order; defaults for the rest.
-    let resolved = gea_mine::resolve_params(specs, &params).map_err(ParseError)?;
-    Ok(GqlCommand::MineWith {
-        dataset: dataset.to_string(),
-        out: out.to_string(),
-        algo: backend.name().to_string(),
-        params: resolved.iter().map(|(k, v)| (k.to_string(), v)).collect(),
-    })
-}
-
 /// Parse one request line. `Ok(None)` means the line was blank.
 pub fn parse(line: &str) -> Result<Option<Request>, ParseError> {
     let tokens = tokenize(line)?;
-    let Some((cmd, args)) = tokens.split_first() else {
+    let Some((verb, args)) = tokens.split_first() else {
         return Ok(None);
     };
-    let args: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    let req = match cmd.as_str() {
-        "help" => Request::Help,
-        "quit" | "exit" => Request::Quit,
-        "ping" => Request::Ping,
-        "stats" => Request::Stats,
-        "shutdown" => Request::Shutdown,
-        "sessions" => Request::Session(SessionCtl::List),
-        "use" => {
-            let [name] = args[..] else {
-                return Err(usage("use <name>"));
-            };
-            Request::Session(SessionCtl::Use(name.to_string()))
-        }
-        "close" => {
-            let [name] = args[..] else {
-                return Err(usage("close <name>"));
-            };
-            Request::Session(SessionCtl::Close(name.to_string()))
-        }
-        "open" => match args[..] {
-            [name, "demo", seed] => Request::Session(SessionCtl::OpenDemo {
-                name: name.to_string(),
-                seed: parse_num("seed", seed)?,
-            }),
-            [name, "dir", dir] => Request::Session(SessionCtl::OpenDir {
-                name: name.to_string(),
-                dir: dir.to_string(),
-            }),
-            _ => return Err(usage("open <name> demo <seed> | open <name> dir <dir>")),
-        },
-        "load-demo" => {
-            let seed = match args[..] {
-                [] => 42,
-                [seed] => parse_num("seed", seed)?,
-                _ => return Err(usage("load-demo <seed>")),
-            };
-            Request::Session(SessionCtl::OpenDemo {
-                name: "default".to_string(),
-                seed,
-            })
-        }
-        "load-dir" => {
-            let [dir] = args[..] else {
-                return Err(usage("load-dir <dir>"));
-            };
-            Request::Session(SessionCtl::OpenDir {
-                name: "default".to_string(),
-                dir: dir.to_string(),
-            })
-        }
-        "gen-corpus" => {
-            let [seed, dir] = args[..] else {
-                return Err(usage("gen-corpus <seed> <dir>"));
-            };
-            Request::GenCorpus {
-                seed: parse_num("seed", seed)?,
-                dir: dir.to_string(),
-            }
-        }
-        other => match parse_gql(cmd, &args)? {
-            Some(gql) => Request::Gql(gql),
-            None => return Err(ParseError(format!("unknown command {other:?}; try `help`"))),
-        },
-    };
-    Ok(Some(req))
+    let (verb, args): (&str, Vec<&str>) = (verb, args.iter().map(String::as_str).collect());
+    let spec = VERBS
+        .iter()
+        .find(|v| v.name == verb || v.aliases.contains(&verb))
+        .ok_or_else(|| ParseError(format!("unknown command {verb:?}; try `help`")))?;
+    spec.parse(&args).map(Some)
 }
 
-/// Parse one algebra (table-level) command. `Ok(None)` means the verb is
-/// not a GQL table command (it may still be a session/server verb handled
-/// by [`parse`]). Factored out of [`parse`] so the `check` verb can parse
-/// each sub-command of its `;`-separated pipeline with the same grammar.
-fn parse_gql(cmd: &str, args: &[&str]) -> Result<Option<GqlCommand>, ParseError> {
-    let gql = match cmd {
-        "tissues" => GqlCommand::Tissues,
-        "dataset" => {
-            let [name, tissue] = args[..] else {
-                return Err(usage("dataset <name> <tissue>"));
-            };
-            GqlCommand::Dataset {
-                name: name.to_string(),
-                tissue: TissueType::parse(tissue),
-            }
-        }
-        "custom" => {
-            let Some((&name, libs)) = args.split_first() else {
-                return Err(usage("custom <name> <lib> [<lib>...]"));
-            };
-            if libs.is_empty() {
-                return Err(ParseError("need at least one library".to_string()));
-            }
-            GqlCommand::Custom {
-                name: name.to_string(),
-                libraries: libs.iter().map(|s| s.to_string()).collect(),
-            }
-        }
-        "select" => {
-            let [name, dataset, libs @ ..] = args else {
-                return Err(usage("select <name> <dataset> <lib> [<lib>...]"));
-            };
-            if libs.is_empty() {
-                return Err(ParseError("need at least one library".to_string()));
-            }
-            GqlCommand::Select {
-                name: name.to_string(),
-                dataset: dataset.to_string(),
-                libraries: libs.iter().map(|s| s.to_string()).collect(),
-            }
-        }
-        "project" => {
-            let [name, dataset, tags @ ..] = args else {
-                return Err(usage("project <name> <dataset> <tag> [<tag>...]"));
-            };
-            if tags.is_empty() {
-                return Err(ParseError("need at least one tag".to_string()));
-            }
-            GqlCommand::Project {
-                name: name.to_string(),
-                dataset: dataset.to_string(),
-                tags: tags
-                    .iter()
-                    .map(|t| parse_tag(t))
-                    .collect::<Result<_, _>>()?,
-            }
-        }
-        "mine" => {
-            if args.get(2).copied() == Some("with") {
-                let [dataset, out, _with, algo, params @ ..] = args else {
-                    return Err(usage("mine <dataset> <out> with <algo> [key=val ...]"));
-                };
-                parse_mine_with(dataset, out, algo, params)?
-            } else {
-                let [dataset, out, k_pct, min_records, batch] = args[..] else {
-                    return Err(usage("mine <dataset> <out> <k%> <min> <batch>"));
-                };
-                let params = [
-                    format!("k_pct={k_pct}"),
-                    format!("min_records={min_records}"),
-                    format!("batch={batch}"),
-                ];
-                let params: Vec<&str> = params.iter().map(String::as_str).collect();
-                parse_mine_with(dataset, out, "fascicles", &params)?
-            }
-        }
-        "fascicles" => GqlCommand::Fascicles,
-        "purity" => {
-            let [f] = args[..] else {
-                return Err(usage("purity <fascicle>"));
-            };
-            GqlCommand::Purity(f.to_string())
-        }
-        "groups" => {
-            let [f] = args[..] else {
-                return Err(usage("groups <fascicle>"));
-            };
-            GqlCommand::Groups(f.to_string())
-        }
-        "gap" => {
-            let [name, s1, s2] = args[..] else {
-                return Err(usage("gap <name> <sumy1> <sumy2>"));
-            };
-            GqlCommand::Gap {
-                name: name.to_string(),
-                sumy1: s1.to_string(),
-                sumy2: s2.to_string(),
-            }
-        }
-        "topgap" => {
-            let [gap, x] = args[..] else {
-                return Err(usage("topgap <gap> <x>"));
-            };
-            let x: u64 = parse_num("x", x)?;
-            TOPGAP_X
-                .admit("x", ParamValue::UInt(x))
-                .map_err(ParseError)?;
-            GqlCommand::TopGap {
-                gap: gap.to_string(),
-                x: x as usize,
-            }
-        }
-        "compare" => {
-            let [name, g1, g2, op, query] = args[..] else {
-                return Err(usage(
-                    "compare <name> <g1> <g2> <union|intersect|difference> <query#>",
-                ));
-            };
-            let op = match op {
-                "union" => CompareOp::Union,
-                "intersect" => CompareOp::Intersect,
-                "difference" | "diff" => CompareOp::Difference,
-                other => return Err(ParseError(format!("unknown op {other:?}"))),
-            };
-            let qnum: usize = parse_num("query #", query)?;
-            let query = *CompareQuery::ALL
-                .get(qnum.wrapping_sub(1))
-                .ok_or_else(|| ParseError("query # must be 1-13".to_string()))?;
-            GqlCommand::Compare {
-                name: name.to_string(),
-                g1: g1.to_string(),
-                g2: g2.to_string(),
-                op,
-                query,
-            }
-        }
-        "show" => {
-            let [kind, name, rest @ ..] = args else {
-                return Err(usage("show gap|sumy <name> [n]"));
-            };
-            let kind = match *kind {
-                "gap" => ShowKind::Gap,
-                "sumy" => ShowKind::Sumy,
-                other => return Err(ParseError(format!("unknown table kind {other:?}"))),
-            };
-            let n = match rest.first() {
-                Some(n) => parse_num("n", n)?,
-                None => 10,
-            };
-            GqlCommand::Show {
-                kind,
-                name: name.to_string(),
-                n,
-            }
-        }
-        "plot" => {
-            let [dataset, tag, fascicle] = args[..] else {
-                return Err(usage("plot <dataset> <tag> <fascicle>"));
-            };
-            GqlCommand::Plot {
-                dataset: dataset.to_string(),
-                tag: parse_tag(tag)?,
-                fascicle: fascicle.to_string(),
-            }
-        }
-        "library" => {
-            let [key] = args[..] else {
-                return Err(usage("library <name|id>"));
-            };
-            GqlCommand::Library(key.to_string())
-        }
-        "tagfreq" => {
-            let [dataset, tag] = args[..] else {
-                return Err(usage("tagfreq <dataset> <tag>"));
-            };
-            GqlCommand::TagFreq {
-                dataset: dataset.to_string(),
-                tag: parse_tag(tag)?,
-            }
-        }
-        "export" => {
-            let [name, path] = args[..] else {
-                return Err(usage("export <name> <file.csv>"));
-            };
-            GqlCommand::Export {
-                name: name.to_string(),
-                path: path.to_string(),
-            }
-        }
-        "comment" => {
-            let Some((&name, words)) = args.split_first() else {
-                return Err(usage("comment <name> <text...>"));
-            };
-            if words.is_empty() {
-                return Err(usage("comment <name> <text...>"));
-            }
-            GqlCommand::Comment {
-                name: name.to_string(),
-                text: words.join(" "),
-            }
-        }
-        "delete" => {
-            let Some((&name, flags)) = args.split_first() else {
-                return Err(usage("delete <name> [--cascade]"));
-            };
-            GqlCommand::Delete {
-                name: name.to_string(),
-                cascade: flags.contains(&"--cascade"),
-            }
-        }
-        "populate" => match args[..] {
-            [name] => GqlCommand::Populate {
-                name: name.to_string(),
-                from: None,
-            },
-            [name, sumy, dataset] => GqlCommand::Populate {
-                name: name.to_string(),
-                from: Some((sumy.to_string(), dataset.to_string())),
-            },
-            _ => return Err(usage("populate <name> [<sumy> <dataset>]")),
-        },
-        "check" => {
-            if args.is_empty() {
-                return Err(usage("check <cmd> [; <cmd>]..."));
-            }
-            let mut cmds = Vec::new();
-            for segment in args.split(|t| *t == ";") {
-                let Some((&sub, subargs)) = segment.split_first() else {
-                    return Err(ParseError(
-                        "check: empty command in pipeline (stray `;`)".to_string(),
-                    ));
-                };
-                if sub == "check" {
-                    return Err(ParseError("check cannot nest".to_string()));
-                }
-                match parse_gql(sub, subargs)? {
-                    Some(c) => cmds.push(c),
-                    None => {
-                        return Err(ParseError(format!(
-                            "check validates algebra commands only; {sub:?} is a session/server command"
-                        )))
-                    }
-                }
-            }
-            GqlCommand::Check(cmds)
-        }
-        "lineage" => GqlCommand::Lineage,
-        "cleaning" => GqlCommand::Cleaning,
-        "xprofiler" => {
-            let [dataset] = args[..] else {
-                return Err(usage("xprofiler <dataset>"));
-            };
-            GqlCommand::Xprofiler(dataset.to_string())
-        }
-        "save" => {
-            let [dir] = args[..] else {
-                return Err(usage("save <dir>"));
-            };
-            GqlCommand::Save(dir.to_string())
-        }
-        "load" => {
-            let [dir] = args[..] else {
-                return Err(usage("load <dir>"));
-            };
-            GqlCommand::Load(dir.to_string())
-        }
-        _ => return Ok(None),
+const SESSION: &str = "session control";
+const DATA: &str = "data sets";
+const MINING: &str = "mining and gaps";
+const INSPECT: &str = "inspection";
+const ANALYSIS: &str = "static analysis";
+const ADMIN: &str = "persistence and admin";
+const SERVER: &str = "server";
+
+/// `help`'s sections, in the order it lists them.
+const SECTIONS: [&str; 7] = [SESSION, DATA, MINING, INSPECT, ANALYSIS, ADMIN, SERVER];
+
+/// An algebra verb's `(mutates_session, pure)`; `CONTROL` marks a session
+/// or server verb, which the engine never sees.
+type Effects = Option<(bool, bool)>;
+const CONTROL: Effects = None;
+const READ: Effects = Some((false, true));
+const WRITE: Effects = Some((true, true));
+/// Reads for locking purposes, but the reply lands on the filesystem,
+/// which the session generation does not cover: never cached.
+const FS_READ: Effects = Some((false, false));
+
+const fn verb(
+    name: &'static str,
+    section: &'static str,
+    effects: Effects,
+    forms: &'static [Form],
+) -> VerbSpec {
+    let effect = match effects {
+        Some((mutates_session, pure)) => Some(VerbEffect {
+            verb: name,
+            mutates_session,
+            pure,
+            deterministic: true,
+        }),
+        None => None,
     };
-    Ok(Some(gql))
+    let aliases = &[];
+    VerbSpec {
+        name,
+        aliases,
+        section,
+        forms,
+        effect,
+    }
 }
+
+/// The reverse of a form's build: the slot values of the command it
+/// spells, `None` for any other.
+macro_rules! spell {
+    ($pat:pat => $args:expr) => {
+        |cmd| match cmd {
+            $pat => Some($args),
+            _ => None,
+        }
+    };
+}
+
+/// Every verb, once. Algebra verbs are in effect-row order
+/// ([`crate::effects::EffectTable::rows`]); `help` regroups the table by
+/// section. A form that spells nothing (`load-demo`, positional `mine`)
+/// parses to a command another form spells.
+#[rustfmt::skip]
+pub const VERBS: &[VerbSpec] = {
+    use GqlCommand as G;
+    use Request as R;
+    use SessionCtl as S;
+    /// `topgap`'s `x`: at least one row, and no more than a GAP can hold
+    /// (one row per tag of the 20-bit tag space).
+    const TOPGAP_X: ParamDomain = ParamDomain::UInt { min: 1, max: TAG_SPACE as u64 };
+    const QUERY: ParamDomain = ParamDomain::UInt { min: 1, max: CompareQuery::ALL.len() as u64 };
+    const ANY: ParamDomain = ParamDomain::UInt { min: 0, max: u64::MAX };
+    const ROWS: ParamDomain = ParamDomain::UInt { min: 0, max: usize::MAX as u64 };
+    const NAME: Slot = Slot::Name("<name>");
+    const DATASET: Slot = Slot::Name("<dataset>");
+    const FASCICLE: Slot = Slot::Name("<fascicle>");
+    const DIR: Slot = Slot::Name("<dir>");
+    const OUT: Slot = Slot::Name("<out>");
+    const TAG: Slot = Slot::Tag("<tag>");
+    const LIBS: Slot = Slot::Many { show: "<lib> [<lib>...]", min: 1, each: &Slot::Name("<lib>") };
+    const SEED: Slot = Slot::Num { show: "<seed>", what: "seed", domain: ANY };
+    &[
+    verb("open", SESSION, CONTROL, &[Form {
+        slots: &[NAME, Slot::Lit("demo"), SEED], help: "create/replace a named session from a demo corpus",
+        build: |a| Ok(R::Session(S::OpenDemo { name: a.word()?, seed: a.num()? })),
+        spell: spell!(Cmd::Req(R::Session(S::OpenDemo { name, seed })) => vec![Arg::Word(name), Arg::Num(*seed)]),
+    }, Form {
+        slots: &[NAME, Slot::Lit("dir"), DIR], help: "create/replace a named session from a corpus directory",
+        build: |a| Ok(R::Session(S::OpenDir { name: a.word()?, dir: a.word()? })),
+        spell: spell!(Cmd::Req(R::Session(S::OpenDir { name, dir })) => vec![Arg::Word(name), Arg::Word(dir)]),
+    }]),
+    verb("load-demo", SESSION, CONTROL, &[Form {
+        slots: &[Slot::Opt { show: "<seed>", slots: &[SEED] }],
+        help: "shorthand: open the default session from a demo corpus",
+        build: |a| Ok(R::Session(S::OpenDemo { name: "default".to_string(), seed: if a.opt()? { a.num()? } else { 42 } })),
+        spell: |_| None,
+    }]),
+    verb("load-dir", SESSION, CONTROL, &[Form {
+        slots: &[DIR], help: "shorthand: open the default session from a directory",
+        build: |a| Ok(R::Session(S::OpenDir { name: "default".to_string(), dir: a.word()? })),
+        spell: |_| None,
+    }]),
+    verb("use", SESSION, CONTROL, &[Form {
+        slots: &[NAME], help: "attach this connection to a named session",
+        build: |a| Ok(R::Session(S::Use(a.word()?))),
+        spell: spell!(Cmd::Req(R::Session(S::Use(name))) => vec![Arg::Word(name)]),
+    }]),
+    verb("sessions", SESSION, CONTROL, &[Form {
+        slots: &[], help: "list open sessions",
+        build: |_| Ok(R::Session(S::List)), spell: spell!(Cmd::Req(R::Session(S::List)) => vec![]),
+    }]),
+    verb("close", SESSION, CONTROL, &[Form {
+        slots: &[NAME], help: "drop a named session",
+        build: |a| Ok(R::Session(S::Close(a.word()?))),
+        spell: spell!(Cmd::Req(R::Session(S::Close(name))) => vec![Arg::Word(name)]),
+    }]),
+    verb("tissues", DATA, READ, &[Form {
+        slots: &[], help: "list tissue types and their libraries",
+        build: |_| Ok(R::Gql(G::Tissues)), spell: spell!(Cmd::Gql(G::Tissues) => vec![]),
+    }]),
+    verb("dataset", DATA, WRITE, &[Form {
+        slots: &[NAME, Slot::Name("<tissue>")], help: "E = sigma_tissue(SAGE)        [Fig 4.4]",
+        build: |a| Ok(R::Gql(G::Dataset { name: a.word()?, tissue: TissueType::parse(&a.word()?) })),
+        spell: spell!(Cmd::Gql(G::Dataset { name, tissue }) => vec![Arg::Word(name), Arg::Word(tissue.name())]),
+    }]),
+    verb("custom", DATA, WRITE, &[Form {
+        slots: &[NAME, LIBS], help: "user-defined data set         [Fig 4.15]",
+        build: |a| Ok(R::Gql(G::Custom { name: a.word()?, libraries: a.words()? })),
+        spell: spell!(Cmd::Gql(G::Custom { name, libraries }) => vec![Arg::Word(name), words(libraries)]),
+    }]),
+    verb("select", DATA, WRITE, &[Form {
+        slots: &[NAME, DATASET, LIBS], help: "   sigma_libraries(dataset)",
+        build: |a| Ok(R::Gql(G::Select { name: a.word()?, dataset: a.word()?, libraries: a.words()? })),
+        spell: spell!(Cmd::Gql(G::Select { name, dataset, libraries }) =>
+            vec![Arg::Word(name), Arg::Word(dataset), words(libraries)]),
+    }]),
+    verb("project", DATA, WRITE, &[Form {
+        slots: &[NAME, DATASET, Slot::Many { show: "<tag> [<tag>...]", min: 1, each: &TAG }],
+        help: "  pi_tags(dataset)",
+        build: |a| Ok(R::Gql(G::Project { name: a.word()?, dataset: a.word()?, tags: a.tags()? })),
+        spell: spell!(Cmd::Gql(G::Project { name, dataset, tags }) =>
+            vec![Arg::Word(name), Arg::Word(dataset), Arg::Many(tags.iter().map(|t| Arg::Tag(*t)).collect())]),
+    }]),
+    // One command: the positional form is `with fascicles`, its values
+    // checked by that backend's schema.
+    verb("mine", MINING, WRITE, &[Form {
+        slots: &[DATASET, OUT, Slot::Name("<k%>"), Slot::Name("<min>"), Slot::Name("<batch>")],
+        help: "   calculate fascicles: k% 1..=100, min and batch 1..=1048576   [Fig 4.6]",
+        build: |a| mine(a.word()?, a.word()?, "fascicles", vec![format!("k_pct={}", a.word()?),
+            format!("min_records={}", a.word()?), format!("batch={}", a.word()?)]),
+        spell: |_| None,
+    }, Form {
+        slots: &[DATASET, OUT, Slot::Lit("with"), Slot::Name("<algo>"),
+            Slot::Many { show: "[key=val ...]", min: 0, each: &Slot::Name("key=val") }],
+        help: "   pluggable backends: fascicles, isa, simplex",
+        build: |a| mine(a.word()?, a.word()?, &a.word()?, a.words()?),
+        spell: spell!(Cmd::Gql(G::MineWith { dataset, out, algo, params }) =>
+            vec![Arg::Word(dataset), Arg::Word(out), Arg::Word(algo), Arg::Params(params)]),
+    }]),
+    verb("fascicles", MINING, READ, &[Form {
+        slots: &[], help: "list mined fascicles",
+        build: |_| Ok(R::Gql(G::Fascicles)), spell: spell!(Cmd::Gql(G::Fascicles) => vec![]),
+    }]),
+    verb("purity", MINING, READ, &[Form {
+        slots: &[FASCICLE], help: "purity check                  [Fig 4.8]",
+        build: |a| Ok(R::Gql(G::Purity(a.word()?))), spell: spell!(Cmd::Gql(G::Purity(f)) => vec![Arg::Word(f)]),
+    }]),
+    verb("groups", MINING, WRITE, &[Form {
+        slots: &[FASCICLE], help: "form control-group SUMYs      [Fig 4.7]",
+        build: |a| Ok(R::Gql(G::Groups(a.word()?))), spell: spell!(Cmd::Gql(G::Groups(f)) => vec![Arg::Word(f)]),
+    }]),
+    verb("gap", MINING, WRITE, &[Form {
+        slots: &[NAME, Slot::Name("<sumy1>"), Slot::Name("<sumy2>")], help: "GAP = diff(S1, S2)            [Fig 4.9]",
+        build: |a| Ok(R::Gql(G::Gap { name: a.word()?, sumy1: a.word()?, sumy2: a.word()? })),
+        spell: spell!(Cmd::Gql(G::Gap { name, sumy1, sumy2 }) => vec![Arg::Word(name), Arg::Word(sumy1), Arg::Word(sumy2)]),
+    }]),
+    verb("topgap", MINING, WRITE, &[Form {
+        slots: &[Slot::Name("<gap>"), Slot::Num { show: "<x>", what: "x", domain: TOPGAP_X }],
+        help: "calculate top gaps, x >= 1    [Fig 4.19]",
+        build: |a| Ok(R::Gql(G::TopGap { gap: a.word()?, x: a.num()? as usize })),
+        spell: spell!(Cmd::Gql(G::TopGap { gap, x }) => vec![Arg::Word(gap), Arg::Num(*x as u64)]),
+    }]),
+    verb("compare", MINING, WRITE, &[Form {
+        slots: &[NAME, Slot::Name("<g1>"), Slot::Name("<g2>"), Slot::Alt {
+            show: "<union|intersect|difference>", what: "op", words: &["union", "intersect", "difference", "diff"],
+        }, Slot::Num { show: "<query#>", what: "query #", domain: QUERY }],
+        help: "    [Fig 4.13]",
+        build: |a| Ok(R::Gql(G::Compare {
+            name: a.word()?, g1: a.word()?, g2: a.word()?,
+            op: [CompareOp::Union, CompareOp::Intersect, CompareOp::Difference][a.alt()?.min(2)],
+            query: query(a.num()?)?,
+        })),
+        spell: spell!(Cmd::Gql(G::Compare { name, g1, g2, op, query }) => vec![Arg::Word(name), Arg::Word(g1), Arg::Word(g2),
+            Arg::Alt(*op as usize), Arg::Num(CompareQuery::ALL.iter().position(|q| q == query).map_or(0, |i| i as u64 + 1))]),
+    }]),
+    verb("show", INSPECT, READ, &[Form {
+        slots: &[Slot::Alt { show: "gap|sumy", what: "table kind", words: &["gap", "sumy"] }, NAME,
+            Slot::Opt { show: "[n]", slots: &[Slot::Num { show: "n", what: "n", domain: ROWS }] }],
+        help: "view a table's first rows",
+        build: |a| Ok(R::Gql(G::Show {
+            kind: [ShowKind::Gap, ShowKind::Sumy][a.alt()?.min(1)], name: a.word()?, n: if a.opt()? { a.num()? as usize } else { 10 },
+        })),
+        spell: spell!(Cmd::Gql(G::Show { kind, name, n }) =>
+            vec![Arg::Alt(*kind as usize), Arg::Word(name), Arg::Many(vec![Arg::Num(*n as u64)])]),
+    }]),
+    verb("plot", INSPECT, READ, &[Form {
+        slots: &[DATASET, TAG, FASCICLE], help: "tag distribution              [Fig 4.10]",
+        build: |a| Ok(R::Gql(G::Plot { dataset: a.word()?, tag: a.tag()?, fascicle: a.word()? })),
+        spell: spell!(Cmd::Gql(G::Plot { dataset, tag, fascicle }) => vec![Arg::Word(dataset), Arg::Tag(*tag), Arg::Word(fascicle)]),
+    }]),
+    verb("library", INSPECT, READ, &[Form {
+        slots: &[Slot::Name("<name|id>")], help: "library information           [Fig 4.23]",
+        build: |a| Ok(R::Gql(G::Library(a.word()?))), spell: spell!(Cmd::Gql(G::Library(key)) => vec![Arg::Word(key)]),
+    }]),
+    verb("tagfreq", INSPECT, READ, &[Form {
+        slots: &[DATASET, TAG], help: "expression values of a tag    [Fig 4.26]",
+        build: |a| Ok(R::Gql(G::TagFreq { dataset: a.word()?, tag: a.tag()? })),
+        spell: spell!(Cmd::Gql(G::TagFreq { dataset, tag }) => vec![Arg::Word(dataset), Arg::Tag(*tag)]),
+    }]),
+    verb("export", ADMIN, FS_READ, &[Form {
+        slots: &[NAME, Slot::Name("<file.csv>")], help: "EXPORT a table to CSV",
+        build: |a| Ok(R::Gql(G::Export { name: a.word()?, path: a.word()? })),
+        spell: spell!(Cmd::Gql(G::Export { name, path }) => vec![Arg::Word(name), Arg::Word(path)]),
+    }]),
+    // Annotation lands in the lineage, which `lineage` then reports: a
+    // session mutation even though no table changes.
+    verb("comment", ADMIN, WRITE, &[Form {
+        slots: &[NAME, Slot::Many { show: "<text...>", min: 1, each: &Slot::Name("<word>") }],
+        help: "annotate a lineage node",
+        build: |a| Ok(R::Gql(G::Comment { name: a.word()?, text: a.rest()?.join(" ") })),
+        spell: spell!(Cmd::Gql(G::Comment { name, text }) => vec![Arg::Word(name), Arg::Word(text)]),
+    }]),
+    verb("delete", ADMIN, WRITE, &[Form {
+        slots: &[NAME, Slot::Opt { show: "[--cascade]", slots: &[Slot::Lit("--cascade")] }],
+        help: "drop contents / cascade       [Fig 4.18]",
+        build: |a| Ok(R::Gql(G::Delete { name: a.word()?, cascade: a.opt()? })),
+        spell: spell!(Cmd::Gql(G::Delete { name, cascade }) =>
+            vec![Arg::Word(name), if *cascade { Arg::Many(Vec::new()) } else { Arg::Absent }]),
+    }]),
+    verb("populate", ADMIN, WRITE, &[Form {
+        slots: &[NAME, Slot::Opt { show: "[<sumy> <dataset>]", slots: &[Slot::Name("<sumy>"), DATASET] }],
+        help: "re-materialize (§4.4.2), or populate(SUMY, ENUM) -> ENUM",
+        build: |a| Ok(R::Gql(G::Populate { name: a.word()?, from: if a.opt()? { Some((a.word()?, a.word()?)) } else { None } })),
+        spell: spell!(Cmd::Gql(G::Populate { name, from }) => vec![Arg::Word(name), match from {
+            Some((sumy, dataset)) => Arg::Many(vec![Arg::Word(sumy), Arg::Word(dataset)]),
+            None => Arg::Absent,
+        }]),
+    }]),
+    // Analyzes the pipeline against the symbol table without executing
+    // it: a pure, cacheable read.
+    verb("check", ANALYSIS, READ, &[Form {
+        slots: &[Slot::Many { show: "<cmd> [; <cmd>]...", min: 1, each: &Slot::Name("<token>") }],
+        help: "validate a pipeline against this session without running it",
+        build: |a| pipeline(a.rest()?),
+        spell: spell!(Cmd::Gql(G::Check(cmds)) => vec![Arg::Cmds(cmds)]),
+    }]),
+    verb("lineage", INSPECT, READ, &[Form {
+        slots: &[], help: "operation history             [Fig 4.18]",
+        build: |_| Ok(R::Gql(G::Lineage)), spell: spell!(Cmd::Gql(G::Lineage) => vec![]),
+    }]),
+    verb("cleaning", INSPECT, READ, &[Form {
+        slots: &[], help: "cleaning report               [Fig 4.1]",
+        build: |_| Ok(R::Gql(G::Cleaning)), spell: spell!(Cmd::Gql(G::Cleaning) => vec![]),
+    }]),
+    verb("xprofiler", INSPECT, READ, &[Form {
+        slots: &[DATASET], help: "pooled cancer-vs-normal comparison  [sec 2.3.3]",
+        build: |a| Ok(R::Gql(G::Xprofiler(a.word()?))), spell: spell!(Cmd::Gql(G::Xprofiler(dataset)) => vec![Arg::Word(dataset)]),
+    }]),
+    verb("save", ADMIN, FS_READ, &[Form {
+        slots: &[DIR], help: "persist the full session (tables, lineage, snapshot)",
+        build: |a| Ok(R::Gql(G::Save(a.word()?))), spell: spell!(Cmd::Gql(G::Save(dir)) => vec![Arg::Word(dir)]),
+    }]),
+    verb("load", ADMIN, WRITE, &[Form {
+        slots: &[DIR], help: "restore a saved session in place (replaces current state)",
+        build: |a| Ok(R::Gql(G::Load(a.word()?))), spell: spell!(Cmd::Gql(G::Load(dir)) => vec![Arg::Word(dir)]),
+    }]),
+    verb("gen-corpus", ADMIN, CONTROL, &[Form {
+        slots: &[SEED, DIR], help: "write a demo corpus as SAGE text files",
+        build: |a| Ok(R::GenCorpus { seed: a.num()?, dir: a.word()? }),
+        spell: spell!(Cmd::Req(R::GenCorpus { seed, dir }) => vec![Arg::Num(*seed), Arg::Word(dir)]),
+    }]),
+    verb("ping", SERVER, CONTROL, &[Form {
+        slots: &[], help: "liveness check",
+        build: |_| Ok(R::Ping), spell: spell!(Cmd::Req(R::Ping) => vec![]),
+    }]),
+    verb("stats", SERVER, CONTROL, &[Form {
+        slots: &[], help: "request counts, latencies, connections",
+        build: |_| Ok(R::Stats), spell: spell!(Cmd::Req(R::Stats) => vec![]),
+    }]),
+    verb("shutdown", SERVER, CONTROL, &[Form {
+        slots: &[], help: "stop the server gracefully",
+        build: |_| Ok(R::Shutdown), spell: spell!(Cmd::Req(R::Shutdown) => vec![]),
+    }]),
+    verb("help", SERVER, CONTROL, &[Form {
+        slots: &[], help: "this text",
+        build: |_| Ok(R::Help), spell: spell!(Cmd::Req(R::Help) => vec![]),
+    }]),
+    VerbSpec { aliases: &["exit"], ..verb("quit", SERVER, CONTROL, &[Form {
+        slots: &[], help: "",
+        build: |_| Ok(R::Quit), spell: spell!(Cmd::Req(R::Quit) => vec![]),
+    }]) },
+    ]
+};
 
 #[cfg(test)]
 mod tests {
@@ -1284,47 +1438,11 @@ mod tests {
 
     #[test]
     fn help_covers_every_verb() {
-        for verb in [
-            "open",
-            "use",
-            "sessions",
-            "close",
-            "load-demo",
-            "load-dir",
-            "gen-corpus",
-            "tissues",
-            "dataset",
-            "custom",
-            "select",
-            "project",
-            "mine",
-            "fascicles",
-            "purity",
-            "groups",
-            "gap",
-            "topgap",
-            "compare",
-            "show",
-            "plot",
-            "library",
-            "tagfreq",
-            "export",
-            "comment",
-            "check",
-            "delete",
-            "populate",
-            "lineage",
-            "cleaning",
-            "xprofiler",
-            "save",
-            "load",
-            "ping",
-            "stats",
-            "shutdown",
-            "help",
-            "quit",
-        ] {
-            assert!(HELP.contains(verb), "help missing {verb}");
+        for spec in VERBS {
+            for form in spec.forms {
+                let usage = spec.usage(form);
+                assert!(HELP.contains(&usage), "help missing {usage:?}");
+            }
         }
     }
 }

@@ -9,9 +9,12 @@
 //! new generation, finds a slot stamped with an older one, and misses. No
 //! invalidation traffic, no session lock on the hit path — a hit is a map
 //! probe under the cache's own mutex. The recomputed reply then *replaces*
-//! the stale slot, so a write never strands dead replies: the cache holds
-//! at most one slot per command per scope, and the byte budget holds live
-//! text.
+//! the stale slot, and the first insert an entry scope sees at a newer
+//! generation drops every older slot of that scope, since none of them can
+//! hit again. So a write never strands dead replies, even for commands no
+//! one repeats (a pipeline naming fresh tables every iteration): the cache
+//! holds at most one slot per command per scope, and the byte budget holds
+//! live text.
 //!
 //! The scope component names *whose* replies a slot holds. The default
 //! scope, [`CacheScope::Entry`], carries the session's entry id (unique
@@ -191,6 +194,8 @@ struct Inner {
     /// Access-frequency sketch feeding the scan-resistant admission
     /// decision on over-budget inserts.
     sketch: FrequencySketch,
+    /// The newest generation inserted per entry scope, by entry id.
+    newest: HashMap<u64, u64>,
 }
 
 impl Inner {
@@ -201,7 +206,25 @@ impl Inner {
             bytes: 0,
             clock: 0,
             sketch: FrequencySketch::for_budget(budget),
+            newest: HashMap::new(),
         }
+    }
+
+    /// Drop every slot `stale` picks, returning how many went.
+    fn drop_slots(&mut self, stale: impl Fn(&Key, &Slot) -> bool) -> usize {
+        let victims: Vec<(u64, Key)> = self
+            .map
+            .iter()
+            .filter(|(key, slot)| stale(key, slot))
+            .map(|(key, slot)| (slot.stamp, key.clone()))
+            .collect();
+        for (stamp, key) in &victims {
+            if let Some(slot) = self.map.remove(key) {
+                self.bytes -= slot.cost;
+            }
+            self.order.remove(stamp);
+        }
+        victims.len()
     }
 }
 
@@ -310,6 +333,16 @@ impl ResponseCache {
         let hash = freq_hash(scope, &command);
         inner.sketch.record(hash);
         let newcomer = inner.sketch.estimate(hash);
+        // The first reply of a newer generation strands the scope's older
+        // slots, which no lookup can hit again: reclaim them, once per
+        // generation. They were dead, not evicted, so they go uncounted.
+        if let CacheScope::Entry(entry) = scope {
+            let newest = inner.newest.entry(entry).or_insert(generation);
+            if generation > *newest {
+                *newest = generation;
+                inner.drop_slots(|k, slot| k.scope == scope && slot.generation < generation);
+            }
+        }
         let key = Key { scope, command };
         // A slow reader must not overwrite a fresher reply.
         if inner
@@ -377,20 +410,8 @@ impl ResponseCache {
     /// pristine twins.
     pub fn purge_entry(&self, entry: u64) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<(u64, Key)> = inner
-            .map
-            .iter()
-            .filter(|(k, _)| k.scope == CacheScope::Entry(entry))
-            .map(|(k, slot)| (slot.stamp, k.clone()))
-            .collect();
-        let n = victims.len();
-        for (stamp, key) in victims {
-            if let Some(slot) = inner.map.remove(&key) {
-                inner.bytes -= slot.cost;
-            }
-            inner.order.remove(&stamp);
-        }
-        n
+        inner.newest.remove(&entry);
+        inner.drop_slots(|k, _| k.scope == CacheScope::Entry(entry))
     }
 
     /// Bytes currently held (command + reply text + per-slot overhead).
@@ -524,8 +545,10 @@ mod tests {
     #[test]
     fn purge_drops_only_the_named_entry() {
         let cache = ResponseCache::new(4096);
-        cache.insert(e(1), 0, "a".into(), "1".into());
+        // Two generations of entry 1 resident at once: a slow reader's
+        // older reply lands after a newer one.
         cache.insert(e(1), 3, "b".into(), "2".into());
+        cache.insert(e(1), 0, "a".into(), "1".into());
         cache.insert(e(2), 0, "a".into(), "3".into());
         assert_eq!(cache.purge_entry(1), 2);
         assert_eq!(cache.len(), 1);
@@ -641,14 +664,15 @@ mod tests {
 
         // A write bumps the generation; the re-read misses structurally
         // and the reply recomputed under generation 1 takes over the gen-0
-        // slot in place — at budget, without evicting a neighbour.
+        // slot in place, evicting nothing; the dead gen-0 neighbours are
+        // reclaimed.
         assert_eq!(cache.get(e(1), 1, "hot"), None);
         assert_eq!(
             cache.insert(e(1), 1, "hot".into(), payload.clone()),
             Admission::Stored { evicted: 0 }
         );
         assert!(cache.get(e(1), 1, "hot").is_some());
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 1);
 
         // And it still out-ranks a fresh cold scan.
         let mut rejected = 0;
@@ -690,6 +714,30 @@ mod tests {
         let one = SLOT_OVERHEAD + "r9".len();
         let text: usize = lines.iter().map(|l| l.len()).sum();
         assert_eq!(cache.bytes(), lines.len() * one + text);
+    }
+
+    #[test]
+    fn a_newer_generation_reclaims_fresh_commands_of_older_ones() {
+        // Ten writes, each followed by a read no later iteration repeats
+        // (the pipeline shape: `show gap g00000_20 20`, then `g00001_20`,
+        // …): the older slots can never hit again, so each new generation
+        // reclaims them, uncounted as evictions.
+        let cache = ResponseCache::new(1 << 20);
+        for generation in 0..10 {
+            let line = format!("show gap g{generation} 20");
+            assert_eq!(
+                cache.insert(e(1), generation, line, "rows".into()),
+                Admission::Stored { evicted: 0 }
+            );
+            assert_eq!(cache.len(), 1);
+        }
+        assert_eq!(cache.bytes(), SLOT_OVERHEAD + "show gap g9 20rows".len());
+        // Other scopes keep their slots.
+        cache.insert(e(2), 0, "lineage".into(), "n".into());
+        cache.insert(CacheScope::Corpus(7), 0, "tissues".into(), "t".into());
+        cache.insert(e(1), 10, "lineage".into(), "n".into());
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.get(e(2), 0, "lineage"), Some("n".to_string()));
     }
 
     #[test]

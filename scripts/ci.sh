@@ -4,7 +4,8 @@
 #     scripts/ci.sh          # full gate
 #     scripts/ci.sh quick    # skip clippy + bench smokes
 #
-# Steps: release build, workspace tests (which carry the kernel identity
+# Steps: release build (the workspace, then the separately-locked
+# benchmark crate), workspace tests (which carry the kernel identity
 # properties in kernel_props, exec_determinism and gea-sage's sage_props,
 # and the router's byte-identity gate over the example scripts in
 # router_determinism), formatting, lints, a bench smoke (the loopback
@@ -21,6 +22,13 @@ step() { printf '\n== %s ==\n' "$*"; }
 
 step "cargo build --release --workspace"
 cargo build --release --workspace
+
+# The benchmark is its own workspace, so the build above never compiles
+# it; building it here makes a change to the API it calls fail CI instead
+# of the next benchmark run. It shares the workspace's target directory,
+# as benchmark/run.sh does.
+step "cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 step "cargo test -q --workspace"
 cargo test -q --workspace

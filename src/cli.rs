@@ -379,37 +379,8 @@ mod tests {
     fn help_covers_every_command() {
         let mut cli = Cli::new();
         let help = run(&mut cli, "help");
-        for cmd in [
-            "load-demo",
-            "tissues",
-            "dataset",
-            "custom",
-            "select",
-            "project",
-            "mine",
-            "fascicles",
-            "purity",
-            "groups",
-            "gap",
-            "topgap",
-            "compare",
-            "show",
-            "plot",
-            "library",
-            "tagfreq",
-            "export",
-            "comment",
-            "delete",
-            "populate",
-            "lineage",
-            "cleaning",
-            "save",
-            "load",
-            "gen-corpus",
-            "load-dir",
-            "xprofiler",
-        ] {
-            assert!(help.contains(cmd), "help missing {cmd}");
+        for spec in gql::VERBS {
+            assert!(help.contains(spec.name), "help missing {}", spec.name);
         }
     }
 }

@@ -1,8 +1,11 @@
-//! Spawn helpers shared by the integration tests: a `gea-server` or a
-//! `gea-router` serving on a loopback port from a background thread.
+//! Helpers shared by the integration tests: a `gea-server` or a
+//! `gea-router` serving on a loopback port from a background thread, and
+//! [`gql_gen`], well-formed GQL lines generated from the grammar table.
 
 // Each test binary compiles its own copy and few use both daemons.
 #![allow(dead_code)]
+
+pub mod gql_gen;
 
 use std::net::SocketAddr;
 use std::sync::mpsc::{self, Receiver};

@@ -11,9 +11,16 @@
 //! would otherwise split or alias entries, breaking cross-spelling
 //! unification).
 
+mod common;
+
+use std::time::Duration;
+
 use proptest::prelude::*;
 
-use gea::server::gql::{parse, tokenize, Request};
+use common::gql_gen::{self, GqlGen, Shape};
+use gea::server::gql::{parse, tokenize, Form, Request, Slot, VerbSpec, VERBS};
+use gea_router::RouterConfig;
+use gea_server::{GeaClient, ServerConfig};
 
 /// A corpus of valid spellings covering every verb and arm of the grammar,
 /// used as mutation seeds: bit-flipped, spliced, and truncated variants of
@@ -216,44 +223,153 @@ proptest! {
     }
 }
 
-/// The seed corpus really covers the grammar: every GQL verb in `HELP`
-/// appears, so the mutation battery reaches every arm.
+/// The seed corpus really covers the grammar: every verb of the grammar
+/// table appears, so the mutation battery reaches every arm.
 #[test]
 fn seed_corpus_covers_every_verb() {
     let verbs: std::collections::BTreeSet<&str> = SEEDS
         .iter()
         .filter_map(|s| s.split_whitespace().next())
         .collect();
-    for verb in [
-        "help",
-        "quit",
-        "dataset",
-        "custom",
-        "select",
-        "project",
-        "mine",
-        "fascicles",
-        "purity",
-        "groups",
-        "gap",
-        "topgap",
-        "compare",
-        "show",
-        "plot",
-        "library",
-        "tagfreq",
-        "xprofiler",
-        "export",
-        "comment",
-        "delete",
-        "populate",
-        "lineage",
-        "cleaning",
-        "tissues",
-        "save",
-        "load",
-        "check",
-    ] {
-        assert!(verbs.contains(verb), "no seed exercises {verb:?}");
+    for spec in VERBS {
+        assert!(
+            verbs.contains(spec.name),
+            "no seed exercises {:?}",
+            spec.name
+        );
+    }
+}
+
+/// Generated lines per form and shape.
+const DRAWS: u64 = 24;
+
+/// Every form of every verb, `DRAWS` times, as tokens of `shape`, with the
+/// form's verb.
+fn generated(shape: Shape) -> Vec<(&'static VerbSpec, &'static Form, Vec<String>)> {
+    let names: Vec<String> = ["t0", "E", "f_1", "my table"].map(String::from).into();
+    let mut gen = GqlGen::new(0x6E4);
+    let mut out = Vec::new();
+    for spec in VERBS {
+        for form in spec.forms {
+            for _ in 0..DRAWS {
+                out.push((spec, form, gen.tokens(form, &names, shape)));
+            }
+        }
+    }
+    out
+}
+
+/// Whether a form's last slot takes a bounded number of tokens, so one
+/// more token is surplus rather than another list item.
+fn bounded(form: &Form) -> bool {
+    !matches!(form.slots.last(), Some(Slot::Many { .. }))
+}
+
+/// Every generated line parses, to a command of its own verb, and an
+/// algebra command round-trips: `parse(canonical(parse(l))) == parse(l)`.
+#[test]
+fn generated_lines_parse_and_round_trip_canonically() {
+    for shape in [Shape::Minimal, Shape::Full, Shape::Random] {
+        for (spec, _, tokens) in generated(shape) {
+            let line = gql_gen::join(spec.name, &tokens);
+            let parsed = parse(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            let Some(Request::Gql(cmd)) = &parsed else {
+                continue;
+            };
+            assert_eq!(cmd.verb(), spec.name, "{line:?}");
+            let canon = cmd.canonical();
+            assert_eq!(parse(&canon), Ok(parsed.clone()), "{line:?} -> {canon:?}");
+        }
+    }
+}
+
+/// One token past a full line of a bounded form is `usage: …`.
+#[test]
+fn a_surplus_token_is_a_usage_error() {
+    for (spec, form, tokens) in generated(Shape::Full) {
+        if bounded(form) {
+            let line = format!("{} extra", gql_gen::join(spec.name, &tokens));
+            let err = parse(&line).expect_err(&line);
+            assert!(err.0.starts_with("usage: "), "{line:?}: {err}");
+        }
+    }
+}
+
+/// Any one token dropped from a minimal line is a parse error, and outside
+/// `check`'s pipeline it is `usage: …`.
+#[test]
+fn a_missing_token_is_a_usage_error() {
+    for (spec, _, tokens) in generated(Shape::Minimal) {
+        for i in 0..tokens.len() {
+            let mut short = tokens.clone();
+            short.remove(i);
+            let line = gql_gen::join(spec.name, &short);
+            let err = parse(&line).expect_err(&line);
+            assert!(
+                spec.name == "check" || err.0.starts_with("usage: "),
+                "{line:?}: {err}"
+            );
+        }
+    }
+}
+
+/// A line with a surplus token answers the same `ERR EPARSE usage: …` sent
+/// to a server directly, through a router over two backends, and (for an
+/// algebra verb) inside `check`.
+#[test]
+fn surplus_tokens_answer_one_eparse_everywhere() {
+    let server = || {
+        common::spawn_server(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+    };
+    let (direct, backends) = (server(), [server(), server()]);
+    let router = common::spawn_router(RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backends: backends.iter().map(|b| b.addr.to_string()).collect(),
+        health_interval: Duration::from_millis(100),
+        ..RouterConfig::default()
+    });
+    let mut direct_client = GeaClient::connect(direct.addr).expect("connect server");
+    let mut routed_client = GeaClient::connect(router.addr).expect("connect router");
+    // Hand-written ones first; a misspelt flag is a surplus token too.
+    let mut lines: Vec<(&VerbSpec, String)> = [
+        "delete E --cascde",
+        "show gap g 5 6 7",
+        "tissues foo",
+        "lineage x",
+        "fascicles x",
+        "cleaning x",
+        "ping pong",
+    ]
+    .map(|l| (gql_gen::spec(l.split(' ').next().unwrap()), l.to_string()))
+    .into();
+    let mut gen = GqlGen::new(0x5u64);
+    let names = ["t0".to_string()];
+    for spec in VERBS {
+        for form in spec.forms.iter().filter(|f| bounded(f)) {
+            let tokens = gen.tokens(form, &names, Shape::Full);
+            lines.push((spec, format!("{} extra", gql_gen::join(spec.name, &tokens))));
+        }
+    }
+    for (spec, line) in lines {
+        let want = direct_client.request(&line).expect("server transport");
+        let Err((code, message)) = &want else {
+            panic!("{line:?} answered {want:?}");
+        };
+        assert_eq!(code, "EPARSE", "{line:?}");
+        assert!(message.starts_with("usage: "), "{line:?}: {message}");
+        let routed = routed_client.request(&line).expect("router transport");
+        assert_eq!(routed, want, "router: {line:?}");
+        if spec.effect.is_some() {
+            let checked = direct_client.request(&format!("check {line}"));
+            assert_eq!(checked.expect("server transport"), want, "check {line:?}");
+        }
+    }
+    router.stop();
+    direct.stop();
+    for backend in &backends {
+        backend.stop();
     }
 }

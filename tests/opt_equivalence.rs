@@ -12,9 +12,9 @@ mod common;
 
 use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
+use common::gql_gen::GqlGen;
 use gea::audit;
 use gea::cli::Cli;
 use gea_core::session::GeaSession;
@@ -50,38 +50,38 @@ fn engine_reply(session: &mut GeaSession, line: &str) -> Reply {
         .map_err(|e| (e.code.to_string(), e.message))
 }
 
+/// The grammar's generator over the prelude's tables: compares draw their
+/// operands from `ga`/`gb` and gaps their SUMYs from `f_1`'s.
+fn generator(seed: u64) -> GqlGen {
+    GqlGen::new(seed)
+        .with("<g1>", &["ga", "gb"])
+        .with("<g2>", &["ga", "gb"])
+        .with("<sumy1>", &["f_1CancerFasTbl"])
+        .with("<sumy2>", &["f_1NormalTable", "f_1CanNotInFasTbl"])
+}
+
 /// One randomized GQL step. Most draws yield a single command; some yield
 /// an adjacent `gap` + `topgap` pair. Errors (name conflicts, inapplicable
 /// queries, unknown names) are drawn on purpose — equivalence covers error
 /// replies too.
-fn random_steps(rng: &mut SmallRng, round: usize, step: usize) -> Vec<String> {
-    let ops = ["union", "intersect", "difference"];
-    let op = ops[rng.gen_range(0..ops.len())];
-    let q = rng.gen_range(1..14usize);
-    let n = format!("t{round}_{step}");
-    match rng.gen_range(0..10u32) {
-        // Self-compares: the three single-command rewrite rules, queries
-        // drawn from the full menu (difference + 6..13 errs EQUERY).
-        0 | 1 => vec![format!("compare {n} ga ga {op} {q}")],
-        2 => vec![format!("compare {n} gb gb {op} {q}")],
-        // Two-operand compare: must never be rewritten (commutation is
-        // tombstoned).
-        3 => vec![format!("compare {n} ga gb {op} {q}")],
+fn random_steps(gen: &mut GqlGen, round: usize, step: usize) -> Vec<String> {
+    let fresh = [format!("t{round}_{step}")];
+    let ga = ["ga".to_string()];
+    match gen.rng().gen_range(0..10u32) {
+        // Compares over `ga`/`gb`, queries drawn from the full menu
+        // (difference + 6..13 errs EQUERY): half are self-compares, the
+        // three single-command rewrite rules; two-operand ones must never
+        // be rewritten (commutation is tombstoned).
+        0..=3 => vec![gen.line("compare", &fresh)],
         // An adjacent pair: gap + topgap on the fresh name.
-        4 | 5 => vec![
-            format!("gap {n} f_1CancerFasTbl f_1NormalTable"),
-            format!("topgap {n} {}", rng.gen_range(1..6usize)),
-        ],
+        4 | 5 => vec![gen.line("gap", &fresh), gen.line("topgap", &fresh)],
         // The same pair with a name conflict: `ga` always exists.
-        6 => vec![
-            "gap ga f_1CancerFasTbl f_1NormalTable".to_string(),
-            format!("topgap ga {}", rng.gen_range(1..4usize)),
-        ],
+        6 => vec![gen.line("gap", &ga), gen.line("topgap", &ga)],
         // World probes.
-        7 => vec!["show gap ga 3".to_string()],
-        8 => vec!["lineage".to_string()],
+        7 => vec![gen.line("show", &ga)],
+        8 => vec![gen.line("lineage", &[])],
         // Unknown-name errors.
-        _ => vec![format!("topgap nosuch_{n} 3")],
+        _ => vec![gen.line("topgap", &[format!("nosuch_{}", fresh[0])])],
     }
 }
 
@@ -113,11 +113,11 @@ fn randomized_batch_scripts_match_with_and_without_the_optimizer() {
         let prelude = PRELUDE.join("\n");
         assert_eq!(literal(&prelude), cli.run_script(&prelude));
 
-        let mut rng = SmallRng::seed_from_u64(0x0717_0000 + corpus_seed);
+        let mut gen = generator(0x0717_0000 + corpus_seed);
         for round in 0..ROUNDS_PER_CORPUS {
             let mut script = String::new();
             for step in 0..STEPS_PER_ROUND {
-                for line in random_steps(&mut rng, round, step) {
+                for line in random_steps(&mut gen, round, step) {
                     script.push_str(&line);
                     script.push('\n');
                 }
@@ -149,11 +149,11 @@ fn server_replies_match_the_in_process_engine() {
         );
     }
 
-    let mut rng = SmallRng::seed_from_u64(0xEC_41);
+    let mut gen = generator(0xEC_41);
     let mut compared = 0usize;
     for round in 0..4 {
         for step in 0..STEPS_PER_ROUND {
-            for line in random_steps(&mut rng, round, step) {
+            for line in random_steps(&mut gen, round, step) {
                 let got = client.request(&line).expect("transport");
                 assert_eq!(
                     got,

@@ -9,14 +9,15 @@ mod common;
 
 use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use common::gql_gen::GqlGen;
 use gea_server::client::reply_evicted;
 use gea_server::ServerConfig;
 
 const INTERLEAVINGS: usize = 100;
 const STEPS_PER_INTERLEAVING: usize = 8;
+
+/// `library` keys: library ids, two past the demo corpus's 21 libraries.
+const LIBRARY_IDS: [&str; 6] = ["1", "5", "9", "13", "21", "29"];
 
 fn config(cache_bytes: usize) -> ServerConfig {
     ServerConfig {
@@ -29,50 +30,23 @@ fn config(cache_bytes: usize) -> ServerConfig {
     }
 }
 
-/// One randomized command: reads (cacheable and not), writes, and
-/// deliberate failures, weighted so most steps are cache-eligible reads
-/// with writes interleaved to bump the generation. `live` tracks tables
-/// created this interleaving so some writes hit existing names.
-fn random_command(rng: &mut SmallRng, iter: usize, step: usize, live: &mut Vec<String>) -> String {
-    let tissues = ["brain", "breast", "prostate"];
-    let tags = ["AAAAAAAAAA", "ACGTACGTAC", "TTTTTTTTTT"];
-    let target = |live: &Vec<String>, rng: &mut SmallRng| -> String {
-        if live.is_empty() || rng.gen_bool(0.3) {
-            "nosuch".to_string()
-        } else {
-            live[rng.gen_range(0..live.len())].clone()
-        }
-    };
-    match rng.gen_range(0..12u32) {
-        0 => "tissues".to_string(),
-        1 => "lineage".to_string(),
-        2 => "cleaning".to_string(),
-        3 => "fascicles".to_string(),
-        4 => {
-            let name = format!("d{iter}_{step}");
-            live.push(name.clone());
-            format!(
-                "dataset {name} {}",
-                tissues[rng.gen_range(0..tissues.len())]
-            )
-        }
-        5 => format!("comment {} \"pass {iter} step {step}\"", target(live, rng)),
-        6 => {
-            let name = target(live, rng);
-            live.retain(|n| *n != name);
-            format!("delete {name} --cascade")
-        }
-        7 => format!("show sumy {} 3", target(live, rng)),
-        8 => format!(
-            "tagfreq {} {}",
-            target(live, rng),
-            tags[rng.gen_range(0..tags.len())]
-        ),
-        9 => format!("library {}", rng.gen_range(1..30u32)),
-        10 => format!("purity {}", target(live, rng)),
-        _ => format!("xprofiler {}", target(live, rng)),
-    }
-}
+/// The verbs a pass draws from: nine reads (cacheable and not) to three
+/// writes, so most steps are cache-eligible reads with writes interleaved
+/// to bump the generation.
+const VERBS: [&str; 12] = [
+    "tissues",
+    "lineage",
+    "cleaning",
+    "fascicles",
+    "dataset",
+    "comment",
+    "delete",
+    "show",
+    "tagfreq",
+    "library",
+    "purity",
+    "xprofiler",
+];
 
 #[test]
 fn cache_is_transparent_over_randomized_interleavings() {
@@ -85,11 +59,11 @@ fn cache_is_transparent_over_randomized_interleavings() {
 
     let mut compared = 0usize;
     for iter in 0..INTERLEAVINGS {
-        let mut rng = SmallRng::seed_from_u64(0xCAC4E + iter as u64);
+        let mut gen = GqlGen::new(0xCAC4E + iter as u64).with("<name|id>", &LIBRARY_IDS);
         let mut live = Vec::new();
         let mut script = Vec::new();
         for step in 0..STEPS_PER_INTERLEAVING {
-            script.push(random_command(&mut rng, iter, step, &mut live));
+            script.push(gen.step(&VERBS, format!("d{iter}_{step}"), &mut live));
         }
         // Keep the session lean across 100 interleavings: every table this
         // pass created is cascade-deleted at the end of the pass (itself

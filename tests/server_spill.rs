@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use common::gql_gen::GqlGen;
 use gea_server::ServerConfig;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -357,39 +355,18 @@ fn use_of_spilled_session_prefetches_in_the_background() {
     handle.stop();
 }
 
-/// One randomized command, weighted toward reads with enough writes to
-/// keep the spill server churning through evict/restore cycles.
-fn random_command(rng: &mut SmallRng, iter: usize, step: usize, live: &mut Vec<String>) -> String {
-    let tissues = ["brain", "breast", "prostate"];
-    let target = |live: &Vec<String>, rng: &mut SmallRng| -> String {
-        if live.is_empty() || rng.gen_bool(0.3) {
-            "nosuch".to_string()
-        } else {
-            live[rng.gen_range(0..live.len())].clone()
-        }
-    };
-    match rng.gen_range(0..8u32) {
-        0 => "tissues".to_string(),
-        1 => "lineage".to_string(),
-        2 => "fascicles".to_string(),
-        3 => {
-            let name = format!("d{iter}_{step}");
-            live.push(name.clone());
-            format!(
-                "dataset {name} {}",
-                tissues[rng.gen_range(0..tissues.len())]
-            )
-        }
-        4 => format!("comment {} \"pass {iter} step {step}\"", target(live, rng)),
-        5 => {
-            let name = target(live, rng);
-            live.retain(|n| *n != name);
-            format!("delete {name} --cascade")
-        }
-        6 => format!("show sumy {} 3", target(live, rng)),
-        _ => format!("purity {}", target(live, rng)),
-    }
-}
+/// The verbs a pass draws from: reads, with enough writes to keep the
+/// spill server churning through evict/restore cycles.
+const VERBS: [&str; 8] = [
+    "tissues",
+    "lineage",
+    "fascicles",
+    "dataset",
+    "comment",
+    "delete",
+    "show",
+    "purity",
+];
 
 /// The nightly battery: randomized interleavings against a server whose
 /// session is evicted to disk between essentially every pair of commands
@@ -407,11 +384,11 @@ fn spill_battery_randomized_interleavings_stay_byte_identical() {
     }
 
     for iter in 0..INTERLEAVINGS {
-        let mut rng = SmallRng::seed_from_u64(0x5B111 + iter as u64);
+        let mut gen = GqlGen::new(0x5B111 + iter as u64);
         let mut live = Vec::new();
         let mut script = Vec::new();
         for step in 0..STEPS {
-            script.push(random_command(&mut rng, iter, step, &mut live));
+            script.push(gen.step(&VERBS, format!("d{iter}_{step}"), &mut live));
         }
         for name in live {
             script.push(format!("delete {name} --cascade"));
