@@ -119,7 +119,7 @@ impl CostSeed {
             names.entry(name.clone()).or_insert(Interval::point(1));
         }
         CostSeed {
-            libraries: session.corpus().len() as u64,
+            libraries: session.source().n_libraries() as u64,
             tags: if tags > 0 { tags } else { 1 },
             names,
         }
@@ -256,7 +256,8 @@ fn cost_command(
             (rows, seed.libraries.saturating_mul(model.scan_weight))
         }
         GqlCommand::Custom { name, libraries } => {
-            let rows = Interval::point(libraries.len() as u64).clamp_hi(seed.libraries);
+            // A name may repeat or match no library; one must match.
+            let rows = Interval::range(1, libraries.len() as u64).clamp_hi(seed.libraries);
             env.insert(name.clone(), rows);
             (rows, seed.libraries.saturating_mul(model.scan_weight))
         }
@@ -483,6 +484,14 @@ mod tests {
         let seed = CostSeed::from_session(&session);
         assert!(seed.libraries > 0);
         assert!(seed.tags > 0);
+        // A session over a prepared matrix has an empty corpus: its
+        // libraries are the matrix's.
+        let matrix = gea_core::session::GeaSession::open_matrix(
+            session.enum_table("SAGE").unwrap().matrix.clone(),
+            "demo 42",
+        )
+        .unwrap();
+        assert_eq!(CostSeed::from_session(&matrix).libraries, seed.libraries);
         let model = CostModel::default_coefficients();
         let report = cost_pipeline(&model, &seed, &cmds("export Eb out.csv\n"));
         // The live ENUM's exact row count flows in as a point interval.

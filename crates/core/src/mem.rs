@@ -22,7 +22,7 @@ use gea_sage::ExpressionMatrix;
 use crate::enum_table::EnumTable;
 use crate::gap::GapTable;
 use crate::lineage::Lineage;
-use crate::session::{FascicleRecord, GeaSession};
+use crate::session::{FascicleRecord, GeaSession, Root, SessionSource};
 use crate::sumy::SumyTable;
 
 /// Per-allocation bookkeeping charged for each owned heap object
@@ -75,11 +75,18 @@ impl ApproxMem for SageCorpus {
     }
 }
 
+/// A dense matrix over `universe` and these library columns, built or not.
+fn dense_bytes<'a>(
+    universe: &TagUniverse,
+    libraries: impl ExactSizeIterator<Item = &'a LibraryMeta>,
+) -> usize {
+    let cells = universe.len() * libraries.len() * std::mem::size_of::<f64>();
+    cells + universe.approx_bytes() + libraries.map(ApproxMem::approx_bytes).sum::<usize>()
+}
+
 impl ApproxMem for ExpressionMatrix {
     fn approx_bytes(&self) -> usize {
-        let cells = self.n_tags() * self.n_libraries() * std::mem::size_of::<f64>();
-        let metas: usize = self.libraries().iter().map(ApproxMem::approx_bytes).sum();
-        cells + self.universe().approx_bytes() + metas
+        dense_bytes(self.universe(), self.libraries().iter())
     }
 }
 
@@ -156,15 +163,29 @@ impl<T: ApproxMem> ApproxMem for BTreeMap<String, T> {
     }
 }
 
-impl ApproxMem for GeaSession {
-    /// Each session is charged its whole source (corpus, base matrix),
-    /// shared with another session or not, so eviction stays conservative
-    /// and the registry's byte figures do not move when a reload shares.
+impl ApproxMem for SessionSource {
+    /// The corpus plus the dense root matrix, whether the source holds the
+    /// matrix yet or not: a cleaned source is charged what its `SAGE`
+    /// costs once built, so a read that builds it never changes the
+    /// charge between the registry's re-measures, and eviction stays as
+    /// conservative as when every session held it.
     fn approx_bytes(&self) -> usize {
-        self.corpus().approx_bytes()
-            + self.base().approx_bytes()
-            + self.lineage().approx_bytes()
-            + self.named_tables_bytes()
+        let base = match &self.root {
+            Root::Cleaned { kept, .. } => {
+                string_bytes("SAGE") + dense_bytes(kept, self.libraries().into_iter())
+            }
+            Root::Matrix(base) => base.approx_bytes(),
+        };
+        self.corpus.approx_bytes() + base
+    }
+}
+
+impl ApproxMem for GeaSession {
+    /// Each session is charged its whole source, shared with another
+    /// session or not, so eviction stays conservative and the registry's
+    /// byte figures do not move when a reload shares.
+    fn approx_bytes(&self) -> usize {
+        self.source().approx_bytes() + self.lineage().approx_bytes() + self.named_tables_bytes()
     }
 }
 
@@ -189,6 +210,18 @@ mod tests {
         // Deleting with cascade shrinks it back below the grown size.
         s.delete("Eb", true).unwrap();
         assert!(s.approx_bytes() < grown);
+    }
+
+    #[test]
+    fn a_cleaned_source_is_charged_its_root_before_building_it() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        assert!(s.source().held_base().is_none());
+        let charged = s.approx_bytes();
+        let built = s.corpus().approx_bytes() + s.base().approx_bytes();
+        assert!(s.source().held_base().is_some());
+        assert_eq!(s.source().approx_bytes(), built);
+        assert_eq!(s.approx_bytes(), charged, "building SAGE moved the charge");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   regenerate them.
 //! * The fidelity-complete layer: [`save_session`] additionally writes a
 //!   versioned binary snapshot (`session.gea`) holding *everything* a
-//!   [`GeaSession`] owns — raw corpus, cleaned base matrix, cleaning
+//!   [`GeaSession`] owns that cannot be derived — raw corpus, cleaning
 //!   report, derived ENUM/SUMY/GAP tables, fascicle records and lineage,
-//!   each once: the relational form is derived from these, so it is not
+//!   each once: the relational form is derived from these, and so is the
+//!   cleaned base matrix of a session opened over a corpus, so neither is
 //!   stored — and [`load_session`] reassembles a live session from it. This
 //!   is the format the server's eviction spill/restore path and the
 //!   router's resync use ([`spill_session`], [`snapshot_to_bytes`]):
@@ -34,9 +35,9 @@
 //! [`PersistError::Malformed`], never a panic.
 //!
 //! A load that replaces a live session can offer that session's
-//! [`SessionSource`] ([`load_session_sharing`]): a snapshot whose corpus,
-//! cleaning report and base table are the same bytes shares it instead of
-//! decoding a second copy.
+//! [`SessionSource`] ([`load_session_sharing`]): a snapshot whose source
+//! part (cleaning report, corpus, base kind and any stored base table) is
+//! the same bytes shares it instead of decoding a second copy.
 //!
 //! Neither direction holds the raw (uncompressed) body, which at thesis
 //! scale is several times the stored bytes. `save` encodes every field
@@ -55,7 +56,7 @@ use std::sync::Arc;
 
 use gea_relstore::csv::export_csv;
 use gea_relstore::value::DataType;
-use gea_sage::clean::CleaningReport;
+use gea_sage::clean::{CleaningConfig, CleaningReport};
 use gea_sage::corpus::SageCorpus;
 use gea_sage::io::{put_corpus, read_corpus};
 use gea_sage::library::{
@@ -71,7 +72,7 @@ use crate::codec::{
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
 use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
-use crate::session::{FascicleRecord, GeaSession, SessionSnapshot, SessionSource};
+use crate::session::{FascicleRecord, GeaSession, Root, SessionSnapshot, SessionSource};
 use crate::sumy::SumyTable;
 
 /// Errors raised by persistence.
@@ -209,14 +210,15 @@ pub const SNAPSHOT_FILE: &str = "session.gea";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
 /// The one snapshot version written and read. The LZSS-compressed body
-/// ([`LzWriter`]) is, in order: cleaning report, corpus blob, base ENUM
-/// table, then the counted lists of ENUM, SUMY and GAP tables and fascicle
+/// ([`LzWriter`]) is, in order: cleaning report, corpus blob, the base kind
+/// byte ([`put_source`]; the base ENUM table follows it only for a session
+/// opened over a prepared matrix), then the counted lists of ENUM, SUMY and GAP tables and fascicle
 /// records (each with its mining backend and resolved parameters), then the
 /// lineage: the next node id and the counted list of live nodes
 /// ([`put_lineage`]). Node ids and the next id are restored verbatim, so a
 /// loaded session records its next table under the id the saved one would
 /// have used.
-const SNAPSHOT_VERSION: u32 = 4;
+const SNAPSHOT_VERSION: u32 = 5;
 /// Magic, version and fingerprint (FNV-1a over the stored body); the
 /// stored body follows.
 const SNAPSHOT_HEADER: usize = 16;
@@ -834,12 +836,25 @@ fn by_name<T>(
     Ok(map)
 }
 
+/// The base kind byte of a source cleaned from its corpus: the root is
+/// derived again on load, so it is not stored.
+const BASE_CLEANED: u8 = 0;
+/// The base kind byte of a source over a prepared matrix (`load_matrix`):
+/// the matrix follows, as there is no corpus to derive it from.
+const BASE_MATRIX: u8 = 1;
+
 /// The session's source, the body's first part: cleaning report, corpus
-/// blob, base table.
+/// blob, base kind, and the base table only when it cannot be derived.
 fn put_source(out: &mut impl ByteSink, source: &SessionSource) {
     put_report(out, &source.report);
     put_corpus_blob(out, &source.corpus);
-    put_enum_table(out, &source.base);
+    match &source.root {
+        Root::Cleaned { .. } => put_u8(out, BASE_CLEANED),
+        Root::Matrix(base) => {
+            put_u8(out, BASE_MATRIX);
+            put_enum_table(out, base);
+        }
+    }
 }
 
 /// The corpus in its binary format, as a length-prefixed blob.
@@ -847,19 +862,19 @@ fn put_corpus_blob(out: &mut impl ByteSink, corpus: &SageCorpus) {
     put_blob(out, |w| put_corpus(w, corpus));
 }
 
-/// Fingerprint of a session's *source data*: the raw corpus plus the
-/// cleaned base matrix, encoded with the snapshot codec and FNV-1a-hashed.
-/// Two sessions opened from the same corpus with the same cleaning
-/// configuration share this value no matter how their derived tables later
-/// diverge — the key the server's cross-session response cache shares
-/// pure-read replies under.
+/// Fingerprint of a session's *source data*: the cleaning report (which
+/// carries the cleaning configuration), the raw corpus and the base kind —
+/// with the base matrix itself when it cannot be derived — encoded with
+/// the snapshot codec and FNV-1a-hashed. Two sessions opened from the same
+/// corpus with the same cleaning configuration share this value no matter
+/// how their derived tables later diverge — the key the server's
+/// cross-session response cache shares pure-read replies under.
 ///
-/// The bytes hashed are those [`encode_session`] writes for the two parts
-/// (corpus blob, then base table), fed to the hash as they are produced.
+/// The bytes hashed are those [`encode_session`] writes for the source
+/// ([`put_source`]), fed to the hash as they are produced.
 pub fn corpus_fingerprint(session: &GeaSession) -> Result<u64, PersistError> {
     let mut hash = Fnv1a::default();
-    put_corpus_blob(&mut hash, session.corpus());
-    put_enum_table(&mut hash, session.base());
+    put_source(&mut hash, session.source());
     Ok(hash.0)
 }
 
@@ -893,7 +908,7 @@ fn holds_source(cur: &mut Cur, source: &SessionSource) -> bool {
 }
 
 /// Read a stored body (the bytes after the header) through the inflater.
-/// A body whose source part — report, corpus blob, base table — is the
+/// A body whose source part — report, corpus blob, base kind — is the
 /// `candidate`'s encoding byte for byte adopts the candidate's `Arc`
 /// instead of decoding a second copy. At the first differing byte the
 /// same stored bytes are decoded again with no candidate, and so they are
@@ -947,18 +962,35 @@ fn read_derived(
     })
 }
 
-/// Read what [`put_source`] wrote.
+/// Read what [`put_source`] wrote. A cleaned source is cleaned again from
+/// the stored corpus under the stored report's configuration, and the
+/// report it derives must be the stored one, byte for byte.
 fn read_source(cur: &mut Cur) -> Result<SessionSource, PersistError> {
     let report = read_report(cur)?;
     let corpus = cur
         .blob_with("corpus blob", read_corpus)
         .map_err(|e| malformed(format!("bad embedded corpus: {e}")))?;
-    let base = read_enum_table(cur)?;
-    Ok(SessionSource {
-        corpus,
-        report,
-        base,
-    })
+    match cur.u8("base kind")? {
+        BASE_CLEANED => {
+            let config = CleaningConfig {
+                min_tolerance: report.min_tolerance,
+                scale_to: report.scale_to,
+            };
+            let source = SessionSource::clean(corpus, &config);
+            let (mut stored, mut derived) = (Vec::new(), Vec::new());
+            put_report(&mut stored, &report);
+            put_report(&mut derived, &source.report);
+            if stored != derived {
+                return Err(malformed("stored cleaning report differs from its corpus").into());
+            }
+            Ok(source)
+        }
+        BASE_MATRIX if corpus.is_empty() => {
+            Ok(SessionSource::from_matrix(read_enum_table(cur)?, report))
+        }
+        BASE_MATRIX => Err(malformed("a prepared-matrix base beside a corpus").into()),
+        other => Err(malformed(format!("unknown base kind {other}")).into()),
+    }
 }
 
 /// Serialize a session into the exact byte stream a `session.gea` snapshot
@@ -995,8 +1027,8 @@ pub fn session_from_snapshot_bytes(
     session_from_snapshot_bytes_sharing(bytes, expected, None)
 }
 
-/// Like [`session_from_snapshot_bytes`], but a snapshot whose corpus,
-/// cleaning report and base table are `candidate`'s, byte for byte,
+/// Like [`session_from_snapshot_bytes`], but a snapshot whose source part
+/// ([`put_source`]) is `candidate`'s, byte for byte,
 /// shares the candidate's [`SessionSource`] instead of decoding a second
 /// copy. The session is the one the candidate-free decode returns, and so
 /// is any error.
@@ -1063,8 +1095,8 @@ pub fn load_session(dir: &Path) -> Result<GeaSession, PersistError> {
 }
 
 /// Like [`load_session`], sharing `candidate` — the source of the session
-/// the load replaces — when the snapshot's corpus, cleaning report and
-/// base table are the same, byte for byte. The session is the one
+/// the load replaces — when the snapshot's source part (report, corpus,
+/// base kind) is the same, byte for byte. The session is the one
 /// [`load_session`] returns, and so is any error.
 pub fn load_session_sharing(
     dir: &Path,
@@ -1382,50 +1414,73 @@ mod tests {
         fs::remove_dir_all(&again).unwrap();
     }
 
+    /// A session over a prepared matrix — the demo-42 root, opened as
+    /// `load_matrix` does — with a data set selected from it.
+    fn matrix_session() -> GeaSession {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let cleaned = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        let mut session =
+            GeaSession::open_matrix(cleaned.base().matrix.clone(), "demo 42").unwrap();
+        session
+            .create_tissue_dataset("E", &TissueType::Brain)
+            .unwrap();
+        session
+    }
+
     #[test]
     fn a_candidate_with_another_source_falls_back() {
+        // Cleaned sources store no base: a candidate differs in its corpus
+        // or, over the same corpus under a stricter cleaning, its report.
         let session = rich_session();
         let (bytes, _) = snapshot_to_bytes(&session).unwrap();
         let plain = session_from_snapshot_bytes(&bytes, None).unwrap();
-        let source = session.source();
-        // Another seed: a different corpus (and report and base).
         let (corpus, _) = generate(&GeneratorConfig::demo(7));
         let other_seed = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
-        // The same corpus and report under a stricter cleaning: only the
-        // base differs.
         let stricter = CleaningConfig {
             min_tolerance: 2,
             ..CleaningConfig::default()
         };
-        let stricter = GeaSession::open(source.corpus.clone(), &stricter).unwrap();
-        assert_ne!(stricter.base(), session.base());
-        let other_base = SessionSource {
-            corpus: source.corpus.clone(),
-            report: source.report.clone(),
-            base: stricter.base().clone(),
-        };
-        // Only the base's last cell differs: the last bytes compared.
-        let mut last_cell = source.base.clone();
+        let stricter = GeaSession::open(session.corpus().clone(), &stricter).unwrap();
+        assert_ne!(stricter.cleaning_report(), session.cleaning_report());
+        let matrix = matrix_session();
+        for candidate in [other_seed.source(), stricter.source(), matrix.source()] {
+            let loaded = decode_both(&bytes, candidate).unwrap();
+            assert!(!Arc::ptr_eq(loaded.source(), candidate));
+            assert_sessions_identical(&plain, &loaded);
+        }
+
+        // A prepared-matrix source stores its base, so a candidate may
+        // differ in the base alone: another matrix under the same report,
+        // or the same one with only the last cell changed, which is the
+        // last byte compared.
+        let (bytes, _) = snapshot_to_bytes(&matrix).unwrap();
+        let plain = session_from_snapshot_bytes(&bytes, None).unwrap();
+        let source = matrix.source();
+        let held = source.held_base().expect("a matrix source holds its base");
+        let mut last_cell = held.clone();
         let m = &mut last_cell.matrix;
         let (t, l) = (
             TagId(m.n_tags() as u32 - 1),
             LibraryId(m.n_libraries() as u32 - 1),
         );
         m.set(t, l, m.value(t, l) + 1.0);
-        let last_cell = SessionSource {
-            corpus: source.corpus.clone(),
-            report: source.report.clone(),
-            base: last_cell,
-        };
+        let stricter_base = EnumTable::new("SAGE", stricter.base().matrix.clone());
+        assert_ne!(&stricter_base, held);
         for candidate in [
-            Arc::clone(other_seed.source()),
-            Arc::new(other_base),
-            Arc::new(last_cell),
+            Arc::new(SessionSource::from_matrix(
+                stricter_base,
+                source.report.clone(),
+            )),
+            Arc::new(SessionSource::from_matrix(last_cell, source.report.clone())),
+            Arc::clone(session.source()),
         ] {
             let loaded = decode_both(&bytes, &candidate).unwrap();
             assert!(!Arc::ptr_eq(loaded.source(), &candidate));
             assert_sessions_identical(&plain, &loaded);
         }
+        let shared = decode_both(&bytes, source).unwrap();
+        assert!(Arc::ptr_eq(shared.source(), source));
+        assert_sessions_identical(&plain, &shared);
     }
 
     #[test]
@@ -1485,9 +1540,10 @@ mod tests {
         fs::remove_dir_all(&d1).unwrap();
         fs::remove_dir_all(&d2).unwrap();
 
-        // Pinned at snapshot version 4, whose lineage is binary records.
+        // Pinned at snapshot version 5, which derives the cleaned base
+        // instead of storing it.
         let (bytes, fp) = snapshot_to_bytes(&session).unwrap();
-        assert_eq!((fp, bytes.len()), (0xe2e1_cf02_bd45_5368, 999_765));
+        assert_eq!((fp, bytes.len()), (0x338d_b6b0_6e4b_1315, 910_754));
         // And those bytes are the oracle's over the raw body.
         let mut raw = Vec::new();
         encode_session(&session, &mut raw).unwrap();
@@ -1495,24 +1551,40 @@ mod tests {
     }
 
     #[test]
-    fn corpus_fingerprint_hashes_the_snapshot_bytes_of_its_two_parts() {
-        // The streamed hash against the materialized form it replaced:
-        // the corpus blob and the base table exactly as `encode_session`
-        // lays them out.
+    fn corpus_fingerprint_hashes_the_snapshot_bytes_of_the_source() {
+        // The streamed hash against the materialized form: the report, the
+        // corpus blob and the base kind exactly as `encode_session` lays
+        // them out, with the base table after the kind only for a matrix.
+        let materialized = |session: &GeaSession, kind: u8| {
+            let mut corpus_blob = Vec::new();
+            put_corpus(&mut corpus_blob, session.corpus());
+            let mut bytes = Vec::new();
+            put_report(&mut bytes, session.cleaning_report());
+            put_u64(&mut bytes, corpus_blob.len() as u64);
+            bytes.extend_from_slice(&corpus_blob);
+            bytes.push(kind);
+            if kind == BASE_MATRIX {
+                put_enum_table(&mut bytes, session.base());
+            }
+            bytes
+        };
         let session = rich_session();
-        let mut corpus_blob = Vec::new();
-        put_corpus(&mut corpus_blob, session.corpus());
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, corpus_blob.len() as u64);
-        bytes.extend_from_slice(&corpus_blob);
-        put_enum_table(&mut bytes, session.base());
-        assert_eq!(corpus_fingerprint(&session).unwrap(), fnv1a(&bytes));
+        assert_eq!(
+            corpus_fingerprint(&session).unwrap(),
+            fnv1a(&materialized(&session, BASE_CLEANED))
+        );
+        assert!(session.source().held_base().is_none());
+        let matrix = matrix_session();
+        assert_eq!(
+            corpus_fingerprint(&matrix).unwrap(),
+            fnv1a(&materialized(&matrix, BASE_MATRIX))
+        );
 
         // Pinned: the server's cross-session cache key for `open … demo 42`
         // (thesis-scale seed 42 is pinned in `tests/thesis_scale.rs`).
         let (corpus, _) = generate(&GeneratorConfig::demo(42));
         let demo = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
-        assert_eq!(corpus_fingerprint(&demo).unwrap(), 0x57db_2385_ae02_b849);
+        assert_eq!(corpus_fingerprint(&demo).unwrap(), 0x44f7_3170_95bc_5a67);
     }
 
     #[test]
@@ -1687,6 +1759,24 @@ mod tests {
         padded_corpus.extend_from_slice(&corpus);
         padded_corpus.extend_from_slice(&[0; 4]);
         padded_corpus.extend_from_slice(&raw[report.len() + 8 + corpus.len()..]);
+        // The base kind byte forged: to a prepared matrix, which a body
+        // with a corpus cannot hold, and to no kind at all.
+        let kind_at = report.len() + 8 + corpus.len();
+        assert_eq!(raw[kind_at], BASE_CLEANED);
+        let forged_kind = |kind: u8| {
+            let mut body = raw.clone();
+            body[kind_at] = kind;
+            lz_compress(&body)
+        };
+        // A stored report that its corpus does not derive: the tolerance
+        // (which keeps fewer tags) or the last bit of the frequency-1
+        // fraction changed.
+        let tolerance_at = 16;
+        let forged_report = |at: usize, edit: fn(u8) -> u8| {
+            let mut body = raw.clone();
+            body[at] = edit(body[at]);
+            lz_compress(&body)
+        };
         for (body, want) in [
             (declaring(raw.len() + 1), "truncated input: lz"),
             (
@@ -1753,6 +1843,19 @@ mod tests {
                 lz_compress(&padded_corpus),
                 "bad embedded corpus: 4 unread bytes inside corpus blob",
             ),
+            (
+                forged_kind(BASE_MATRIX),
+                "a prepared-matrix base beside a corpus",
+            ),
+            (forged_kind(7), "unknown base kind 7"),
+            (
+                forged_report(tolerance_at, |b| b + 1),
+                "stored cleaning report differs from its corpus",
+            ),
+            (
+                forged_report(report.len() - 8, |b| b ^ 1),
+                "stored cleaning report differs from its corpus",
+            ),
         ] {
             let mut file = clean[..SNAPSHOT_HEADER].to_vec();
             file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
@@ -1772,9 +1875,10 @@ mod tests {
             load_both(&dir, &own),
             Err(PersistError::Malformed(_))
         ));
-        // Versions 3 and 2, the layouts before this one, are refused like
-        // any other: there is one version, not a reader per past layout.
-        for version in [99u32, 3, 2] {
+        // Versions 4, 3 and 2, the layouts before this one, are refused
+        // like any other: there is one version, not a reader per past
+        // layout.
+        for version in [99u32, 4, 3, 2] {
             let mut bad_version = clean.clone();
             bad_version[4..8].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bad_version).unwrap();
@@ -1796,6 +1900,36 @@ mod tests {
         fs::remove_file(&path).unwrap();
         assert!(matches!(load_both(&dir, &own), Err(PersistError::Io(_))));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_matrix_snapshot_keeps_its_base_and_refuses_a_forged_kind() {
+        let session = matrix_session();
+        let (bytes, _) = snapshot_to_bytes(&session).unwrap();
+        let restored = session_from_snapshot_bytes(&bytes, None).unwrap();
+        assert!(restored.source().held_base().is_some());
+        assert_sessions_identical(&session, &restored);
+        // Called a cleaned base, the empty corpus derives another report.
+        let mut raw = Vec::new();
+        encode_session(&session, &mut raw).unwrap();
+        let mut report = Vec::new();
+        put_report(&mut report, session.cleaning_report());
+        let mut corpus = Vec::new();
+        put_corpus(&mut corpus, session.corpus());
+        let kind_at = report.len() + 8 + corpus.len();
+        assert_eq!(raw[kind_at], BASE_MATRIX);
+        raw[kind_at] = BASE_CLEANED;
+        let body = lz_compress(&raw);
+        let mut file = bytes[..SNAPSHOT_HEADER].to_vec();
+        file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
+        file.extend_from_slice(&body);
+        match session_from_snapshot_bytes(&file, None) {
+            Err(PersistError::Malformed(m)) => {
+                assert!(m.contains("stored cleaning report differs"), "{m}")
+            }
+            Err(other) => panic!("expected Malformed, got {other:?}"),
+            Ok(_) => panic!("a forged base kind loaded"),
+        }
     }
 
     /// The whole-buffer LZSS compressor, kept as the reference the

@@ -63,8 +63,20 @@ pub fn sumy_schema() -> Result<Schema, ConvertError> {
 
 /// Materialize a SUMY table under [`sumy_schema`].
 pub fn sumy_to_relation(sumy: &SumyTable) -> Result<Table, ConvertError> {
+    sumy_rows_relation(sumy.rows())
+}
+
+/// What `show sumy <T> <n>` prints: `sumy_to_relation(sumy)?.render(n)`,
+/// converting only the `n` rows it shows.
+pub fn render_sumy_head(sumy: &SumyTable, n: usize) -> Result<String, ConvertError> {
+    let rows = sumy.rows();
+    Ok(sumy_rows_relation(&rows[..n.min(rows.len())])?.render_head_of(rows.len()))
+}
+
+/// `rows` under [`sumy_schema`].
+fn sumy_rows_relation(rows: &[SumyRow]) -> Result<Table, ConvertError> {
     let mut table = Table::new(sumy_schema()?);
-    for row in sumy.rows() {
+    for row in rows {
         table.push_row(vec![
             row.tag.to_string().into(),
             row.tag_no.into(),
@@ -131,8 +143,20 @@ pub fn gap_schema(gap: &GapTable) -> Result<Schema, ConvertError> {
 
 /// Materialize a GAP table under [`gap_schema`].
 pub fn gap_to_relation(gap: &GapTable) -> Result<Table, ConvertError> {
+    gap_rows_relation(gap, gap.rows())
+}
+
+/// What `show gap <G> <n>` prints: `gap_to_relation(gap)?.render(n)`,
+/// converting only the `n` rows it shows.
+pub fn render_gap_head(gap: &GapTable, n: usize) -> Result<String, ConvertError> {
+    let rows = gap.rows();
+    Ok(gap_rows_relation(gap, &rows[..n.min(rows.len())])?.render_head_of(rows.len()))
+}
+
+/// `rows` of `gap` under its [`gap_schema`].
+fn gap_rows_relation(gap: &GapTable, rows: &[GapRow]) -> Result<Table, ConvertError> {
     let mut table = Table::new(gap_schema(gap)?);
-    for row in gap.rows() {
+    for row in rows {
         let mut values: Vec<Value> = vec![row.tag.to_string().into(), row.tag_no.into()];
         for g in &row.gaps {
             values.push(match g {
@@ -299,6 +323,48 @@ mod tests {
         assert_eq!(
             relation.value_by_name(0, "L1").unwrap().as_f64(),
             Some(20.0)
+        );
+    }
+
+    /// `show`'s head renders are the whole relation rendered, byte for
+    /// byte, at every cut that matters: none, one row, all but one, all,
+    /// and past the end; a schema the relation refuses is refused alike.
+    #[test]
+    fn head_renders_are_the_whole_relation_rendered() {
+        use gea_sage::clean::{clean, CleaningConfig};
+        use gea_sage::generate::{generate, GeneratorConfig};
+        use gea_sage::library::LibraryId;
+
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let (matrix, _) = clean(&corpus, &CleaningConfig::default());
+        let ids: Vec<LibraryId> = matrix.library_ids().collect();
+        let (left, right) = ids.split_at(ids.len() / 2);
+        let a = aggregate("a", &matrix.select_libraries(left));
+        let b = aggregate("b", &matrix.select_libraries(right));
+        let gap = crate::gap::diff("g", &a, &b);
+        assert!(gap
+            .rows()
+            .iter()
+            .any(|r| r.gaps.iter().any(Option::is_none)));
+        let cuts = |len: usize| [0, 1, len - 1, len, len + 1];
+        for n in cuts(a.len()) {
+            assert_eq!(
+                render_sumy_head(&a, n).unwrap(),
+                sumy_to_relation(&a).unwrap().render(n),
+                "sumy, n = {n}"
+            );
+        }
+        for n in cuts(gap.len()) {
+            assert_eq!(
+                render_gap_head(&gap, n).unwrap(),
+                gap_to_relation(&gap).unwrap().render(n),
+                "gap, n = {n}"
+            );
+        }
+        let twice = GapTable::new("t", vec!["G".into(), "G".into()], Vec::new());
+        assert_eq!(
+            render_gap_head(&twice, 5).unwrap_err().to_string(),
+            gap_to_relation(&twice).unwrap_err().to_string()
         );
     }
 

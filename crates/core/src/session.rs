@@ -13,14 +13,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gea_cluster::{FascicleParams, ToleranceVector};
 use gea_relstore::{Database, Table};
-use gea_sage::clean::{clean, CleaningConfig, CleaningReport};
+use gea_sage::clean::{clean_factors, cleaned_columns, CleaningConfig, CleaningReport};
 use gea_sage::corpus::SageCorpus;
-use gea_sage::library::{LibraryId, LibraryProperty};
-use gea_sage::tag::Tag;
+use gea_sage::library::{LibraryId, LibraryMeta, LibraryProperty};
+use gea_sage::tag::{Tag, TagUniverse};
 use gea_sage::TissueType;
 
 use crate::compare::{compare_gaps, compare_gaps_self, CompareOp, CompareQuery};
@@ -233,13 +233,120 @@ pub struct ControlGroupInputs {
 /// operation changes. A session holds it behind an [`Arc`] and never
 /// mutates it, so sessions over byte-identical sources — a session and
 /// the one a `load` of its own save replaces it with — share one copy.
+///
+/// The root data set `SAGE` of a session opened over a corpus is derived,
+/// not held: cleaning decides the kept tags and one scale factor per
+/// library, and a data set is built from the corpus columns it selects
+/// ([`SessionSource::dataset`]). The dense root matrix is built once, the
+/// first time something names `SAGE` ([`SessionSource::base`]).
 pub struct SessionSource {
     /// The raw corpus.
     pub corpus: SageCorpus,
     /// The cleaning report.
     pub report: CleaningReport,
-    /// The cleaned root data set (`SAGE`).
-    pub base: EnumTable,
+    pub(crate) root: Root,
+}
+
+/// Where a session's root data set comes from.
+pub(crate) enum Root {
+    /// Cleaned from the corpus: the kept tags, each library's scale factor
+    /// (by [`LibraryId`]), and the dense matrix once something asks for it.
+    Cleaned {
+        kept: TagUniverse,
+        factors: Vec<f64>,
+        base: OnceLock<EnumTable>,
+    },
+    /// A prepared matrix (the microarray path, `load_matrix`), held as
+    /// given: there is no corpus to derive it from.
+    Matrix(EnumTable),
+}
+
+impl SessionSource {
+    /// Clean `corpus` under `config` (§4.2), holding what the root's
+    /// columns derive from rather than the root itself.
+    pub fn clean(corpus: SageCorpus, config: &CleaningConfig) -> SessionSource {
+        let (kept, factors, report) = clean_factors(&corpus, config);
+        SessionSource {
+            corpus,
+            report,
+            root: Root::Cleaned {
+                kept,
+                factors,
+                base: OnceLock::new(),
+            },
+        }
+    }
+
+    /// A source over a prepared matrix, which becomes `SAGE` as given; the
+    /// corpus is empty.
+    pub fn from_matrix(base: EnumTable, report: CleaningReport) -> SessionSource {
+        SessionSource {
+            corpus: SageCorpus::new(),
+            report,
+            root: Root::Matrix(base),
+        }
+    }
+
+    /// The root data set `SAGE`, built from the corpus on the first call
+    /// when the source was cleaned.
+    pub fn base(&self) -> &EnumTable {
+        match &self.root {
+            Root::Cleaned {
+                kept,
+                factors,
+                base,
+            } => base.get_or_init(|| {
+                let all: Vec<LibraryId> = self.corpus.ids().collect();
+                EnumTable::new("SAGE", cleaned_columns(&self.corpus, kept, factors, &all))
+            }),
+            Root::Matrix(base) => base,
+        }
+    }
+
+    /// The dense root matrix if the source holds one: always for a
+    /// prepared matrix, and for a cleaned corpus only once something has
+    /// named `SAGE`.
+    pub fn held_base(&self) -> Option<&EnumTable> {
+        match &self.root {
+            Root::Cleaned { base, .. } => base.get(),
+            Root::Matrix(base) => Some(base),
+        }
+    }
+
+    /// The root's library metadata, in column order.
+    pub fn libraries(&self) -> Vec<&LibraryMeta> {
+        match &self.root {
+            Root::Cleaned { .. } => self.corpus.iter().map(|(_, l)| &l.meta).collect(),
+            Root::Matrix(base) => base.libraries().iter().collect(),
+        }
+    }
+
+    /// Number of libraries in the root data set.
+    pub fn n_libraries(&self) -> usize {
+        match &self.root {
+            Root::Cleaned { .. } => self.corpus.len(),
+            Root::Matrix(base) => base.n_libraries(),
+        }
+    }
+
+    /// `σ(SAGE)`: the root's libraries whose metadata satisfies `keep`, as
+    /// a data set named `name` — bit for bit what selecting them from
+    /// [`Self::base`] gives, built from their corpus columns alone when
+    /// the source was cleaned.
+    pub fn dataset(&self, name: &str, mut keep: impl FnMut(&LibraryMeta) -> bool) -> EnumTable {
+        match &self.root {
+            Root::Cleaned { kept, factors, .. } => {
+                let ids: Vec<LibraryId> = self
+                    .corpus
+                    .iter()
+                    .filter(|(_, l)| keep(&l.meta))
+                    .map(|(id, _)| id)
+                    .collect();
+                EnumTable::new(name, cleaned_columns(&self.corpus, kept, factors, &ids))
+            }
+            Root::Matrix(base) => base.select_libraries(name, keep),
+        }
+    }
 }
 
 /// The complete state of a [`GeaSession`], decomposed into owned parts —
@@ -293,8 +400,6 @@ impl GeaSession {
     /// Open a session: run the §4.2 cleaning pipeline over a raw corpus and
     /// register the cleaned data set as the root ENUM table `SAGE`.
     pub fn open(corpus: SageCorpus, config: &CleaningConfig) -> Result<GeaSession, GeaError> {
-        let (matrix, report) = clean(&corpus, config);
-        let base = EnumTable::new("SAGE", matrix);
         let mut lineage = Lineage::new();
         let root = lineage.record(
             "SAGE",
@@ -318,11 +423,7 @@ impl GeaSession {
         let mut nodes = BTreeMap::new();
         nodes.insert("SAGE".to_string(), root);
         Ok(GeaSession {
-            source: Arc::new(SessionSource {
-                corpus,
-                report,
-                base,
-            }),
+            source: Arc::new(SessionSource::clean(corpus, config)),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -357,9 +458,9 @@ impl GeaSession {
         let mut nodes = BTreeMap::new();
         nodes.insert("SAGE".to_string(), root);
         Ok(GeaSession {
-            source: Arc::new(SessionSource {
-                corpus: SageCorpus::new(),
-                report: CleaningReport {
+            source: Arc::new(SessionSource::from_matrix(
+                base,
+                CleaningReport {
                     raw_union_tags: n_tags,
                     kept_tags: n_tags,
                     removed_fraction_per_library: Vec::new(),
@@ -367,8 +468,7 @@ impl GeaSession {
                     min_tolerance: 0,
                     scale_to: None,
                 },
-                base,
-            }),
+            )),
             lineage,
             enums: BTreeMap::new(),
             sumys: BTreeMap::new(),
@@ -457,9 +557,10 @@ impl GeaSession {
         std::mem::take(&mut self.exec_events)
     }
 
-    /// The cleaned root data set.
+    /// The cleaned root data set, built from the corpus the first time
+    /// anything asks for it ([`SessionSource::base`]).
     pub fn base(&self) -> &EnumTable {
-        &self.source.base
+        self.source.base()
     }
 
     /// The cleaning report.
@@ -636,7 +737,7 @@ impl GeaSession {
         tissue: &TissueType,
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
-        let table = self.base().select_tissue(name, tissue);
+        let table = self.source.dataset(name, |m| &m.tissue == tissue);
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("tissue type {tissue}")));
         }
@@ -661,8 +762,8 @@ impl GeaSession {
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
         let table = self
-            .base()
-            .select_libraries(name, |m| library_names.contains(&m.name.as_str()));
+            .source
+            .dataset(name, |m| library_names.contains(&m.name.as_str()));
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup("custom data set".to_string()));
         }
@@ -1454,6 +1555,68 @@ mod tests {
             s.xprofiler("Ebrain", &["ghost"], &no),
             Err(GeaError::EmptyGroup(_))
         ));
+    }
+
+    /// A session that never names `SAGE` never builds it: not on open, not
+    /// for a data set, a custom data set, a mine or its control groups, and
+    /// not through save and load. The first `xprofiler` over `SAGE` builds
+    /// it once, and answers what the whole cleaned matrix answers.
+    #[test]
+    fn sage_is_built_only_when_named() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let (matrix, _) = gea_sage::clean::clean(&corpus, &CleaningConfig::default());
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        let unbuilt = |s: &GeaSession| s.source().held_base().is_none();
+        assert!(unbuilt(&s));
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let names: Vec<String> = s.enum_table("E").unwrap().library_names()[..2]
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        s.create_custom_dataset("C", &names).unwrap();
+        let n_tags = s.enum_table("E").unwrap().n_tags();
+        let mined = s
+            .calculate_fascicles(
+                "E",
+                "a",
+                0.10,
+                &FascicleParams {
+                    min_compact_attrs: n_tags * 50 / 100,
+                    min_records: 3,
+                    batch_size: 6,
+                },
+            )
+            .unwrap();
+        s.form_control_groups(&mined[0], LibraryProperty::Cancer)
+            .unwrap();
+        assert!(unbuilt(&s));
+        let (bytes, _) = crate::persist::snapshot_to_bytes(&s).unwrap();
+        let loaded = crate::persist::session_from_snapshot_bytes(&bytes, None).unwrap();
+        assert!(unbuilt(&s) && unbuilt(&loaded));
+
+        let base = EnumTable::new("SAGE", matrix);
+        let pool = |state| {
+            base.libraries()
+                .iter()
+                .filter(|m| m.tissue == TissueType::Brain && m.state == state)
+                .map(|m| m.name.as_str())
+                .collect::<Vec<_>>()
+        };
+        let (ca, no) = (
+            pool(gea_sage::NeoplasticState::Cancerous),
+            pool(gea_sage::NeoplasticState::Normal),
+        );
+        let want = crate::xprofiler::compare_pools(
+            &base,
+            &base.library_ids_where(|m| ca.contains(&m.name.as_str())),
+            &base.library_ids_where(|m| no.contains(&m.name.as_str())),
+        );
+        let got = loaded.xprofiler("SAGE", &ca, &no).unwrap();
+        let built = loaded.source().held_base().expect("xprofiler built SAGE");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert!(std::ptr::eq(built, loaded.base()), "SAGE was built twice");
+        assert_eq!(loaded.base(), &base);
     }
 
     #[test]

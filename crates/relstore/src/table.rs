@@ -158,13 +158,24 @@ impl Table {
     /// Render the first `limit` rows as an aligned text grid (the thesis's
     /// GUI lists, in terminal form).
     pub fn render(&self, limit: usize) -> String {
+        self.render_rows(self.n_rows.min(limit), self.n_rows)
+    }
+
+    /// Render every row of a table that holds the first rows of one with
+    /// `total` rows, exactly as that whole table renders them: `render(n)`
+    /// of the whole table is `render_head_of(total)` of its first `n`.
+    pub fn render_head_of(&self, total: usize) -> String {
+        self.render_rows(self.n_rows, total.max(self.n_rows))
+    }
+
+    /// The first `shown` rows, then a trailer counting the rest of `total`.
+    fn render_rows(&self, shown: usize, total: usize) -> String {
         let headers: Vec<String> = self
             .schema
             .columns()
             .iter()
             .map(|c| c.name.clone())
             .collect();
-        let shown = self.n_rows.min(limit);
         let mut cells: Vec<Vec<String>> = Vec::with_capacity(shown);
         for r in 0..shown {
             cells.push(
@@ -196,8 +207,8 @@ impl Table {
         for row in &cells {
             write_row(&mut out, row);
         }
-        if self.n_rows > shown {
-            out.push_str(&format!("... ({} more rows)\n", self.n_rows - shown));
+        if total > shown {
+            out.push_str(&format!("... ({} more rows)\n", total - shown));
         }
         out
     }

@@ -29,10 +29,13 @@
 //! frequency-1 population (`max <= 1`) — the same integers compared with
 //! the same thresholds, so it is the definition evaluated in a different
 //! order, not an approximation of it, and the cost is
-//! O(entries · log entries). Each library is then walked once; a surviving
-//! entry's row id is resolved once and serves the removed fraction, the
-//! surviving total and the scaled fill. [`reference::clean`] keeps the
-//! tag-by-tag form as the oracle the tests hold this one to, bit for bit.
+//! O(entries · log entries). Each library is then walked once for its
+//! removed fraction and surviving total, which fix its scale factor
+//! ([`clean_factors`]); the matrix is a second walk over any chosen
+//! libraries ([`cleaned_columns`]), which is how a session builds a data
+//! set without ever holding the whole cleaned matrix. [`reference::clean`]
+//! keeps the tag-by-tag form as the oracle the tests hold this one to, bit
+//! for bit.
 
 #[doc(hidden)]
 pub mod reference;
@@ -40,7 +43,7 @@ pub mod reference;
 use crate::corpus::SageCorpus;
 use crate::library::LibraryId;
 use crate::matrix::ExpressionMatrix;
-use crate::tag::{TagId, TagUniverse};
+use crate::tag::TagUniverse;
 
 /// Estimated mRNA transcripts per cell; the normalization target (§4.2).
 pub const MRNAS_PER_CELL: f64 = 300_000.0;
@@ -95,13 +98,27 @@ impl CleaningReport {
 }
 
 /// Run the §4.2 cleaning pipeline over a raw corpus, producing the cleaned,
-/// normalized expression matrix and a report of what was removed.
+/// normalized expression matrix and a report of what was removed: every
+/// library's columns ([`cleaned_columns`]) over what [`clean_factors`]
+/// derives.
 pub fn clean(corpus: &SageCorpus, config: &CleaningConfig) -> (ExpressionMatrix, CleaningReport) {
+    let (kept, factors, report) = clean_factors(corpus, config);
+    let all: Vec<LibraryId> = corpus.ids().collect();
+    (cleaned_columns(corpus, &kept, &factors, &all), report)
+}
+
+/// Everything cleaning decides, short of the matrix: the kept tags, each
+/// library's scale factor (indexed by [`LibraryId`]) and the report. A
+/// cell of the cleaned matrix is then `count as f64 * factor` for a kept
+/// tag and 0 otherwise, so any set of columns can be built from the
+/// corpus on demand ([`cleaned_columns`]) without the whole matrix.
+pub fn clean_factors(
+    corpus: &SageCorpus,
+    config: &CleaningConfig,
+) -> (TagUniverse, Vec<f64>, CleaningReport) {
     // Steps 1 and 2 off one census: the union is its length, a tag is kept
     // iff some library saw it more than `min_tolerance` times, and the
-    // report's frequency-1 population is the tags that never exceed 1. The
-    // census is dropped at the end of this block, before the matrix below
-    // is allocated, so the two never coexist.
+    // report's frequency-1 population is the tags that never exceed 1.
     let (raw_union_tags, freq1, kept) = {
         let census = corpus.tag_census();
         let freq1 = census.iter().filter(|&&(_, max)| max <= 1).count();
@@ -119,48 +136,67 @@ pub fn clean(corpus: &SageCorpus, config: &CleaningConfig) -> (ExpressionMatrix,
         freq1 as f64 / raw_union_tags as f64
     };
 
-    // Each library is walked once: every surviving entry's row id is
-    // resolved here and serves the removal fraction, the surviving total
-    // and the scaled fill.
-    let metas = corpus.iter().map(|(_, l)| l.meta.clone()).collect();
-    let mut matrix = ExpressionMatrix::zeroed(kept, metas);
+    // Each library is walked once for its surviving entries, which give
+    // both the removal fraction and the surviving total.
     let mut removed_fraction_per_library = Vec::with_capacity(corpus.len());
-    let mut survivors: Vec<(TagId, u32)> = Vec::new();
-    for (lib_id, lib) in corpus.iter() {
-        survivors.clear();
-        survivors.extend(
-            lib.iter()
-                .filter_map(|(tag, count)| matrix.id_of(tag).map(|tid| (tid, count))),
-        );
+    let mut factors = Vec::with_capacity(corpus.len());
+    for (_, lib) in corpus.iter() {
+        let (mut survivors, mut surviving_total) = (0usize, 0u64);
+        for (tag, count) in lib.iter() {
+            if kept.id_of(tag).is_some() {
+                survivors += 1;
+                surviving_total += count as u64;
+            }
+        }
         let before = lib.unique_tags();
         removed_fraction_per_library.push(if before == 0 {
             0.0
         } else {
-            1.0 - survivors.len() as f64 / before as f64
+            1.0 - survivors as f64 / before as f64
         });
         // Step 3: scale factor from *surviving* counts, so library totals in
         // the matrix land exactly on the target. ("We scale up the data sets
         // by proportionally increasing the count of genes that exist in the
         // library, and the genes that do not exist will remain as zero.")
-        let surviving_total: u64 = survivors.iter().map(|&(_, c)| c as u64).sum();
-        let factor = match config.scale_to {
+        factors.push(match config.scale_to {
             Some(target) if surviving_total > 0 => target / surviving_total as f64,
             _ => 1.0,
-        };
-        for &(tid, count) in &survivors {
-            matrix.set(tid, lib_id, count as f64 * factor);
-        }
+        });
     }
 
     let report = CleaningReport {
         raw_union_tags,
-        kept_tags: matrix.n_tags(),
+        kept_tags: kept.len(),
         removed_fraction_per_library,
         freq1_union_fraction,
         min_tolerance: config.min_tolerance,
         scale_to: config.scale_to,
     };
-    (matrix, report)
+    (kept, factors, report)
+}
+
+/// The cleaned matrix's columns for `libs`, in that order, over the `kept`
+/// tags and per-library `factors` of [`clean_factors`]: column `j` holds
+/// `count as f64 * factors[libs[j]]` for each kept tag of library
+/// `libs[j]` and 0 elsewhere — bit for bit the columns [`clean`] builds.
+/// It reads only the named libraries' entries.
+pub fn cleaned_columns(
+    corpus: &SageCorpus,
+    kept: &TagUniverse,
+    factors: &[f64],
+    libs: &[LibraryId],
+) -> ExpressionMatrix {
+    let metas = libs.iter().map(|&id| corpus.meta(id).clone()).collect();
+    let mut matrix = ExpressionMatrix::zeroed(kept.clone(), metas);
+    for (col, &id) in libs.iter().enumerate() {
+        let factor = factors[id.index()];
+        for (tag, count) in corpus.library(id).iter() {
+            if let Some(tid) = kept.id_of(tag) {
+                matrix.set(tid, LibraryId(col as u32), count as f64 * factor);
+            }
+        }
+    }
+    matrix
 }
 
 /// Normalize an already-clean matrix so every library column sums to

@@ -3,13 +3,16 @@
 
 use proptest::prelude::*;
 
-use gea_sage::clean::{clean, reference, CleaningConfig, MRNAS_PER_CELL};
+use gea_sage::clean::{
+    clean, clean_factors, cleaned_columns, reference, CleaningConfig, MRNAS_PER_CELL,
+};
 use gea_sage::codec::Cur;
 use gea_sage::corpus::{library_meta, SageCorpus};
+use gea_sage::generate::{generate, GeneratorConfig};
 use gea_sage::io::{put_corpus, read_corpus, read_library_text, write_library_text};
 use gea_sage::library::{NeoplasticState, SageLibrary, TissueSource};
 use gea_sage::tag::{Tag, TagUniverse, TAG_SPACE};
-use gea_sage::TissueType;
+use gea_sage::{LibraryId, TissueType};
 
 fn arbitrary_library(name: String, pairs: Vec<(u32, u32)>) -> SageLibrary {
     SageLibrary::from_counts(
@@ -102,6 +105,50 @@ fn clean_matches_definition_on_degenerate_inputs() {
     assert_eq!(report.removed_fraction_per_library, vec![0.0, 1.0]);
     for lib in matrix.library_ids() {
         assert_eq!(matrix.library_total(lib), 0.0);
+    }
+}
+
+/// `cleaned_columns` over `clean_factors`, for the whole roster and for
+/// every third library, against the same columns of `reference::clean`'s
+/// matrix, cell by cell as `f64` bits, with the reports equal.
+fn assert_columns_are_the_reference(corpus: &SageCorpus, config: &CleaningConfig) {
+    let (want, want_report) = reference::clean(corpus, config);
+    let (kept, factors, report) = clean_factors(corpus, config);
+    assert_eq!(report, want_report);
+    let all: Vec<LibraryId> = corpus.ids().collect();
+    let strided: Vec<LibraryId> = corpus.ids().step_by(3).collect();
+    for libs in [&all, &strided] {
+        let got = cleaned_columns(corpus, &kept, &factors, libs);
+        assert_eq!(got.universe(), want.universe());
+        assert_eq!(got.n_libraries(), libs.len());
+        for (col, &lib) in libs.iter().enumerate() {
+            let col = LibraryId(col as u32);
+            assert_eq!(got.library(col), want.library(lib));
+            for tag in want.tag_ids() {
+                assert_eq!(
+                    got.value(tag, col).to_bits(),
+                    want.value(tag, lib).to_bits(),
+                    "library {lib}, tag {tag:?}, {config:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The cleaned root is derived column by column from the corpus, and those
+/// columns are the definition's, on the demo corpora under the default
+/// cleaning and under a stricter, unnormalized one.
+#[test]
+fn derived_columns_are_the_reference_matrix() {
+    let strict = CleaningConfig {
+        min_tolerance: 3,
+        scale_to: None,
+    };
+    for seed in [42, 7] {
+        let (corpus, _) = generate(&GeneratorConfig::demo(seed));
+        for config in [CleaningConfig::default(), strict.clone()] {
+            assert_columns_are_the_reference(&corpus, &config);
+        }
     }
 }
 

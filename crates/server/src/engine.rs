@@ -10,7 +10,9 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use gea_core::relational::{enum_to_relation, gap_to_relation, sumy_to_relation};
+use gea_core::relational::{
+    enum_to_relation, gap_to_relation, render_gap_head, render_sumy_head, sumy_to_relation,
+};
 use gea_core::search::{library_info_by_id, library_info_by_name, tag_frequency};
 use gea_core::session::{GeaError, GeaSession};
 use gea_core::topgap::{series_means, TopGapOrder};
@@ -289,14 +291,8 @@ pub fn execute_read(session: &GeaSession, cmd: &GqlCommand) -> Result<String, En
             render_purity(fascicle, &purity)
         }
         GqlCommand::Show { kind, name, n } => match kind {
-            ShowKind::Gap => {
-                let g = session.gap(name)?;
-                gap_to_relation(g)?.render(*n)
-            }
-            ShowKind::Sumy => {
-                let t = session.sumy(name)?;
-                sumy_to_relation(t)?.render(*n)
-            }
+            ShowKind::Gap => render_gap_head(session.gap(name)?, *n)?,
+            ShowKind::Sumy => render_sumy_head(session.sumy(name)?, *n)?,
         },
         GqlCommand::Plot {
             dataset,

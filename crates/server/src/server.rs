@@ -544,7 +544,7 @@ fn install(
     // (same corpus, no writes yet) can share pure-read cache slots.
     let fingerprint = persist::corpus_fingerprint(&session).ok();
     let report = session.cleaning_report().clone();
-    let libs = session.base().n_libraries();
+    let libs = session.source().n_libraries();
     // A fresh open supersedes any spilled state under the name; delete
     // the snapshot so a later eviction can't resurrect stale data.
     if let Some(record) = shared.registry.take_spill(name) {

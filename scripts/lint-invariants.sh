@@ -70,7 +70,7 @@
 #
 # 9. A reload keeps one corpus. `load` in crates/server/src/engine.rs
 #    replaces a live session from a snapshot, and it offers that session's
-#    source (corpus, cleaning report, base table) to load_session_sharing,
+#    source (corpus, cleaning report, root) to load_session_sharing,
 #    not to a bare `load_session(`, which would decode a second copy of a
 #    corpus the session already holds.
 #
@@ -90,6 +90,16 @@
 #    can pin the fast ones to them bit for bit. So, in the non-test code of
 #    crates/*/src and src/ (bins included): no `reference::` path outside
 #    a `//` comment line.
+#
+# 12. SAGE is derived. A session opened over a corpus keeps the cleaning
+#    decisions (kept tags, per-library scale factors), builds data sets
+#    from the corpus columns they select, and builds the dense root matrix
+#    only when a command names `SAGE` (through enum_table). A front end
+#    that asks for the root directly would build that matrix for every
+#    session it touches. So, in the non-test code of crates/server/src,
+#    crates/exec/src, crates/router/src and src/ (bins included): no
+#    `.base()` call; library counts and names come from the source
+#    (`source().n_libraries()`, `source().libraries()`).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -371,6 +381,19 @@ for file in crates/cluster/src/fascicle.rs crates/core/src/sumy.rs crates/sage/s
         fail=1
     fi
 done
+
+# SAGE is derived: no front end asks for the dense root directly.
+while IFS= read -r file; do
+    hits="$(nontest_hits -F "$file" '.base()')"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $file calls .base() in non-test code ($hits line(s)); the root is built only when a command names SAGE — count or list libraries through source()" >&2
+        fail=1
+    fi
+done < <(find crates/server/src crates/exec/src crates/router/src src -name '*.rs' | sort)
+if [ "$(nontest_hits -F "$session" 'OnceLock<EnumTable>')" -eq 0 ]; then
+    echo "lint: $session no longer holds the root in a 'OnceLock<EnumTable>' — the SAGE-is-derived check is looking for the wrong thing" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "invariant lints FAILED" >&2

@@ -101,10 +101,10 @@ pub fn parse_lines(lines: &[&str]) -> Vec<GqlCommand> {
     lines.iter().map(|l| parse_one(l)).collect()
 }
 
-/// Every library name in the session's base corpus, for `select` shapes.
+/// Every library name of the session's root data set, for `select` shapes.
 pub fn library_names(session: &GeaSession) -> Vec<String> {
     session
-        .base()
+        .source()
         .libraries()
         .iter()
         .map(|m| m.name.clone())

@@ -51,7 +51,7 @@ impl Cli {
             session.set_exec_config(gea_core::session::ExecConfig::with_threads(n));
         }
         let report = session.cleaning_report().clone();
-        let libs = session.base().n_libraries();
+        let libs = session.source().n_libraries();
         self.session = Some(session);
         let what = match loaded_from {
             Some(dir) => format!("loaded {dir}"),

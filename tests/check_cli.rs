@@ -250,7 +250,9 @@ fn batch_errors_without_static_cause_still_carry_lines() {
 /// eight fascicles on demo seed 42, mines a count inside the row interval
 /// the cost model predicts for it: from the script alone (what `--check
 /// --cost` prints) and from the live session (what the server's `check`
-/// and `--max-cost` gate use).
+/// and `--max-cost` gate use). So does every data set they build with
+/// `dataset`, `custom` or `select`, plus a script whose `custom` and
+/// `select` lines repeat a library and name one no corpus holds.
 #[test]
 fn mined_counts_fall_inside_the_predicted_rows() {
     use gea::check::cost::{cost_pipeline, cost_script, CostModel, CostSeed};
@@ -273,6 +275,19 @@ fn mined_counts_fall_inside_the_predicted_rows() {
     scripts.push((
         "batch 1".to_string(),
         "load-demo 42\ndataset Ebrain brain\nmine Ebrain g 50 2 1\n".to_string(),
+    ));
+    scripts.push((
+        "data sets".to_string(),
+        [
+            "load-demo 42",
+            "dataset Ebrain brain",
+            "custom C SAGE_brain_C00 SAGE_brain_C01 SAGE_breast_C02",
+            "custom D SAGE_brain_C00 SAGE_brain_C00 ghost",
+            "select S Ebrain SAGE_brain_C00 SAGE_breast_C02 ghost",
+            "select T C SAGE_breast_C02",
+            "select U SAGE SAGE_brain_C01",
+        ]
+        .join("\n"),
     ));
 
     let model = CostModel::default_coefficients();
@@ -306,19 +321,25 @@ fn mined_counts_fall_inside_the_predicted_rows() {
             let Ok(reply) = gea::server::engine::execute(session, &cmd) else {
                 continue;
             };
-            if !matches!(cmd, GqlCommand::MineWith { .. }) {
-                continue;
-            }
+            // `N fascicle(s) …` for a mine, `<name>: N libraries …` or
+            // `<name>: N of M libraries kept` for a data set.
+            let count_word = match cmd {
+                GqlCommand::MineWith { .. } => 0,
+                GqlCommand::Dataset { .. }
+                | GqlCommand::Custom { .. }
+                | GqlCommand::Select { .. } => 1,
+                _ => continue,
+            };
             let mined: u64 = reply
                 .split_whitespace()
-                .next()
+                .nth(count_word)
                 .and_then(|n| n.parse().ok())
                 .unwrap_or_else(|| panic!("{name}: no count in {reply:?}"));
             let script_rows = predicted
                 .per_command
                 .iter()
                 .find(|c| c.index == i + 1)
-                .expect("a costed mine")
+                .expect("a costed command")
                 .rows;
             for rows in [script_rows, live.per_command[0].rows] {
                 assert!(
@@ -332,6 +353,7 @@ fn mined_counts_fall_inside_the_predicted_rows() {
         }
     }
     // The seven `mine` lines of the example scripts that parse (the one
-    // at k% = 150 does not), plus batch 1.
-    assert_eq!(mined_lines, 8);
+    // at k% = 150 does not), plus batch 1; the seven `dataset` lines of
+    // the example scripts, plus the six data sets of the last script.
+    assert_eq!(mined_lines, 8 + 7 + 6);
 }
