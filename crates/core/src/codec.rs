@@ -6,8 +6,8 @@
 //! re-exported here.
 
 pub use gea_sage::codec::{
-    fnv1a, put_blob, put_f64, put_list, put_str, put_u32, put_u64, put_u8, ByteSink, CodecError,
-    Cur, Fnv1a, Source,
+    fnv1a, put_blob, put_f64, put_list, put_str, put_u32, put_u64, put_u8, ByteCount, ByteSink,
+    CodecError, Cur, Fnv1a,
 };
 
 use crate::interval::Interval;

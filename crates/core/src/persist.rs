@@ -39,18 +39,16 @@
 //! part (cleaning report, corpus, base kind and any stored base table) is
 //! the same bytes shares it instead of decoding a second copy.
 //!
-//! Neither direction holds the raw (uncompressed) body, which at thesis
-//! scale is several times the stored bytes. `save` encodes every field
-//! into the LZSS compressor (`LzWriter`), which keeps a 64 KiB history
-//! and a 261-byte look-ahead and writes tokens straight into the one output
-//! buffer; `load` checks the fingerprint over the stored bytes, then reads
-//! every field through one [`Cur`] whose source is the inflater
-//! (`Inflate`). The greedy parse never looks further than that window,
-//! so the stored bytes are the ones a whole-buffer compressor writes.
+//! Neither direction holds the whole body. `save` encodes every field
+//! straight into the file through one buffered writer, folding the body
+//! into its fingerprint as it goes, and patches the fingerprint into the
+//! header last; `load` reads every field through one [`Cur`] that streams
+//! the file a window at a time and hashes what it reads, and returns a
+//! session only if that hash is the header's.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,8 +64,8 @@ use gea_sage::tag::{TagId, TagUniverse};
 use gea_sage::ExpressionMatrix;
 
 use crate::codec::{
-    fnv1a, put_blob, put_f64, put_list, put_str, put_sumy_rows, put_u32, put_u64, put_u8,
-    read_sumy_rows, ByteSink, CodecError, Cur, Fnv1a, Source,
+    put_blob, put_f64, put_list, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows,
+    ByteCount, ByteSink, CodecError, Cur, Fnv1a,
 };
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
@@ -209,290 +207,19 @@ fn write_lineage(lineage: &Lineage, out: &mut impl Write) -> std::io::Result<()>
 pub const SNAPSHOT_FILE: &str = "session.gea";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GEAS";
-/// The one snapshot version written and read. The LZSS-compressed body
-/// ([`LzWriter`]) is, in order: cleaning report, corpus blob, the base kind
-/// byte ([`put_source`]; the base ENUM table follows it only for a session
-/// opened over a prepared matrix), then the counted lists of ENUM, SUMY and GAP tables and fascicle
-/// records (each with its mining backend and resolved parameters), then the
-/// lineage: the next node id and the counted list of live nodes
-/// ([`put_lineage`]). Node ids and the next id are restored verbatim, so a
-/// loaded session records its next table under the id the saved one would
-/// have used.
-const SNAPSHOT_VERSION: u32 = 5;
-/// Magic, version and fingerprint (FNV-1a over the stored body); the
-/// stored body follows.
+/// The one snapshot version written and read. The body is the codec's
+/// bytes as [`encode_session`] writes them, in order: cleaning report,
+/// corpus blob, the base kind byte ([`put_source`]; the base ENUM table
+/// follows it only for a session opened over a prepared matrix), then the
+/// counted lists of ENUM, SUMY and GAP tables and fascicle records (each
+/// with its mining backend and resolved parameters), then the lineage: the
+/// next node id and the counted list of live nodes ([`put_lineage`]). Node
+/// ids and the next id are restored verbatim, so a loaded session records
+/// its next table under the id the saved one would have used.
+const SNAPSHOT_VERSION: u32 = 6;
+/// Magic, version and fingerprint (FNV-1a over the body); the body
+/// follows.
 const SNAPSHOT_HEADER: usize = 16;
-
-// ----- LZSS body compression ----------------------------------------------
-//
-// Dependency-free and fully deterministic: the encoder keeps a fixed
-// table of `LZ_SLOTS` recent positions, indexed by a multiplicative hash of
-// the 3-byte prefix there, so identical input always yields identical
-// output (a requirement — the snapshot fingerprint is computed over the
-// *stored* bytes, and re-spilling an unchanged session must reproduce the
-// same fingerprint). A slot is only a candidate: the byte compare that
-// measures the match also rejects a colliding or never-written slot
-// (which reads as position 0), so collisions cost ratio, not correctness.
-//
-// Stream layout: `u64 LE raw_len`, then token groups. Each group is one
-// flag byte followed by up to eight tokens, LSB first; a clear bit is a
-// literal byte, a set bit is a match of `u16 LE offset` (distance back,
-// 1..=65535) and `u8 len-3` (match length 3..=258).
-//
-// Both ends stream. The greedy parse at position `i` compares at most 258
-// bytes against a candidate at most 65 535 bytes back and, after a match,
-// refreshes the table for prefixes up to `i + 260`. So an encoder that
-// parses `i` only once 261 bytes from `i` on are known (or the input has
-// ended) makes exactly the choices one holding the whole input would, and
-// keeps nothing older than 65 535 bytes. The decoder's matches reach the
-// same 65 535 bytes back.
-
-const LZ_MIN_MATCH: usize = 3;
-const LZ_MAX_MATCH: usize = 258;
-const LZ_MAX_OFFSET: usize = 65535;
-/// A 3-byte match token can emit at most 258 bytes, so even ignoring flag
-/// bytes a stream cannot expand more than 86×. A claimed raw length beyond
-/// this bound is corruption, rejected before any allocation.
-const LZ_MAX_EXPANSION: usize = 128;
-
-/// Match-table slots: 2^16, a 512 KiB table whatever the input.
-const LZ_SLOTS: usize = 1 << 16;
-
-/// The table slot of the 3-byte prefix at `buf[i..]` (Knuth's
-/// multiplicative hash, top 16 bits).
-fn lz_slot(buf: &[u8], i: usize) -> usize {
-    let key = u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], 0]);
-    (key.wrapping_mul(2_654_435_761) >> 16) as usize
-}
-
-/// Bytes from a parse position on that must be known before it is parsed.
-const LZ_LOOKAHEAD: usize = LZ_MAX_MATCH + LZ_MIN_MATCH;
-/// The encoder parses once it holds this much raw input, then drops all
-/// but the history: one 64 KiB move per ~190 KiB encoded.
-const LZ_WINDOW: usize = 256 << 10;
-
-/// The streaming LZSS encoder: a [`ByteSink`] whose tokens go straight
-/// into the output buffer it was given, after the `u64` raw length that
-/// [`LzWriter::finish`] patches in.
-struct LzWriter {
-    out: Vec<u8>,
-    len_at: usize,
-    /// Raw input from offset `base` on: history, then unparsed bytes.
-    window: Vec<u8>,
-    base: usize,
-    /// Raw offset of the next position to parse.
-    next: usize,
-    /// Per slot, the raw offset last seen with that prefix hash.
-    table: Vec<usize>,
-    flag_at: usize,
-    /// Tokens in the open flag group; 8 when none is open.
-    bit: u8,
-}
-
-impl LzWriter {
-    fn new(mut out: Vec<u8>) -> LzWriter {
-        let len_at = out.len();
-        put_u64(&mut out, 0);
-        LzWriter {
-            out,
-            len_at,
-            window: Vec::with_capacity(LZ_WINDOW + LZ_LOOKAHEAD),
-            base: 0,
-            next: 0,
-            table: vec![0; LZ_SLOTS],
-            flag_at: 0,
-            bit: 8,
-        }
-    }
-
-    /// Parse every position whose look-ahead is known — all of them once
-    /// the input has `ended` — then drop what no match can reach.
-    fn parse(&mut self, ended: bool) {
-        let LzWriter {
-            out,
-            window,
-            base,
-            next,
-            table,
-            flag_at,
-            bit,
-            ..
-        } = self;
-        let (raw, start) = (&window[..], *base);
-        let n = raw.len();
-        let end = if ended {
-            n
-        } else {
-            n.saturating_sub(LZ_LOOKAHEAD - 1)
-        };
-        let mut i = *next - start;
-        while i < end {
-            if *bit == 8 {
-                *flag_at = out.len();
-                out.push(0);
-                *bit = 0;
-            }
-            let mut len = 0;
-            if i + LZ_MIN_MATCH <= n {
-                let slot = lz_slot(raw, i);
-                let offset = start + i - table[slot];
-                if (1..=LZ_MAX_OFFSET).contains(&offset) {
-                    let prev = i - offset;
-                    let limit = (n - i).min(LZ_MAX_MATCH);
-                    // Eight bytes a compare, then byte by byte to the first
-                    // difference: the same length either way.
-                    while len + 8 <= limit && raw[prev + len..][..8] == raw[i + len..][..8] {
-                        len += 8;
-                    }
-                    while len < limit && raw[prev + len] == raw[i + len] {
-                        len += 1;
-                    }
-                }
-                if len >= LZ_MIN_MATCH {
-                    out[*flag_at] |= 1 << *bit;
-                    out.extend_from_slice(&(offset as u16).to_le_bytes());
-                    out.push((len - LZ_MIN_MATCH) as u8);
-                    // Refresh the table for every covered position so long
-                    // runs keep finding nearby matches.
-                    let stop = (i + len).min(n.saturating_sub(LZ_MIN_MATCH - 1));
-                    for j in i..stop {
-                        table[lz_slot(raw, j)] = start + j;
-                    }
-                } else {
-                    table[slot] = start + i;
-                }
-            }
-            if len >= LZ_MIN_MATCH {
-                i += len;
-            } else {
-                out.push(raw[i]);
-                i += 1;
-            }
-            *bit += 1;
-        }
-        *next = start + i;
-        let keep_from = next.saturating_sub(LZ_MAX_OFFSET);
-        if keep_from > start {
-            window.drain(..keep_from - start);
-            *base = keep_from;
-        }
-    }
-
-    /// Parse what is left and patch in the raw length: the finished stream.
-    fn finish(mut self) -> Vec<u8> {
-        self.parse(true);
-        let raw_len = (self.base + self.window.len()) as u64;
-        self.out[self.len_at..self.len_at + 8].copy_from_slice(&raw_len.to_le_bytes());
-        self.out
-    }
-}
-
-impl ByteSink for LzWriter {
-    fn put(&mut self, bytes: &[u8]) {
-        self.window.extend_from_slice(bytes);
-        if self.window.len() >= LZ_WINDOW {
-            self.parse(false);
-        }
-    }
-}
-
-/// The streaming LZSS decoder, a [`Source`] for [`Cur`]: it appends whole
-/// flag groups to the reader's buffer and copies matches out of its tail.
-/// Bounds-checked throughout: truncated tokens, zero or out-of-window
-/// offsets, a match past the declared length, an implausible declared
-/// length and bytes after the last token are all errors, never a panic,
-/// and the declared length is capped by the stored bytes before the
-/// reader allocates anything for it.
-struct Inflate<'a> {
-    tokens: Cur<'a>,
-    /// Raw bytes declared and not yet produced.
-    left: usize,
-}
-
-impl<'a> Inflate<'a> {
-    /// Read the declared raw length off the front of `stored` and refuse
-    /// one the stored bytes could not expand to.
-    fn new(stored: &'a [u8]) -> Result<Inflate<'a>, CodecError> {
-        let mut tokens = Cur::new(stored);
-        let raw_len = tokens.u64("compressed body length")?;
-        let raw_len = usize::try_from(raw_len)
-            .map_err(|_| malformed(format!("compressed body length {raw_len} implausible")))?;
-        let stored = tokens.remaining();
-        match stored.checked_mul(LZ_MAX_EXPANSION) {
-            Some(cap) if raw_len <= cap => {}
-            _ => {
-                return Err(malformed(format!(
-                    "compressed body claims {raw_len} bytes from {stored} stored"
-                )))
-            }
-        }
-        Ok(Inflate {
-            tokens,
-            left: raw_len,
-        })
-    }
-}
-
-impl Source for Inflate<'_> {
-    fn history(&self) -> usize {
-        LZ_MAX_OFFSET
-    }
-
-    fn pending(&self) -> usize {
-        self.left
-    }
-
-    fn fill(&mut self, buf: &mut Vec<u8>, len: usize) -> Result<(), CodecError> {
-        while buf.len() < len && self.left > 0 {
-            let flags = self.tokens.u8("lz flag byte")?;
-            for bit in 0..8 {
-                if self.left == 0 {
-                    break;
-                }
-                if flags & (1 << bit) == 0 {
-                    buf.push(self.tokens.u8("lz literal")?);
-                    self.left -= 1;
-                    continue;
-                }
-                let offset = self.tokens.take(2, "lz match offset")?;
-                let offset = u16::from_le_bytes([offset[0], offset[1]]) as usize;
-                let n = self.tokens.u8("lz match length")? as usize + LZ_MIN_MATCH;
-                if offset == 0 || offset > buf.len() {
-                    return Err(CodecError(format!(
-                        "lz match offset {offset} outside {}-byte window",
-                        buf.len()
-                    )));
-                }
-                if n > self.left {
-                    return Err(CodecError(
-                        "lz match overruns declared body length".to_string(),
-                    ));
-                }
-                // A match that overlaps its own output repeats with period
-                // `offset`: copy what exists, which doubles each round. One
-                // that does not is one slice copy.
-                let start = buf.len() - offset;
-                let mut todo = n;
-                while todo > 0 {
-                    let k = todo.min(buf.len() - start);
-                    buf.extend_from_within(start..start + k);
-                    todo -= k;
-                }
-                self.left -= n;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Result<(), CodecError> {
-        match self.tokens.remaining() {
-            0 => Ok(()),
-            extra => Err(CodecError(format!(
-                "{extra} trailing bytes after compressed body"
-            ))),
-        }
-    }
-}
 
 fn state_code(s: NeoplasticState) -> u8 {
     match s {
@@ -754,16 +481,15 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, CodecError> {
     })
 }
 
-/// The snapshot body, field by field, into `out` — the compressor when
-/// saving, so the raw body is never held.
-fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
+/// The snapshot body, field by field, into `out` — the file itself when
+/// saving, so the body is never held.
+fn encode_session(session: &GeaSession, out: &mut impl ByteSink) {
     put_source(out, session.source());
     put_list(out, session.enum_tables().values(), put_enum_table);
     put_list(out, session.sumy_tables().values(), put_sumy_table);
     put_list(out, session.gap_tables().values(), put_gap_table);
     put_list(out, session.fascicle_records().values(), put_fascicle);
     put_lineage(out, session.lineage());
-    Ok(())
 }
 
 /// The lineage as binary records: the next id, then each live node in id
@@ -907,30 +633,38 @@ fn holds_source(cur: &mut Cur, source: &SessionSource) -> bool {
     sink.same
 }
 
-/// Read a stored body (the bytes after the header) through the inflater.
+/// Decode the body `open` opens, and require that the body's FNV-1a is
+/// the fingerprint it opens with. Every byte is read and hashed before
+/// anything is returned, decoded or not, so a body that fails the
+/// fingerprint answers that, whatever its decode did, and a session comes
+/// only from bytes that match it — even when the file changes between two
+/// opens.
+///
 /// A body whose source part — report, corpus blob, base kind — is the
 /// `candidate`'s encoding byte for byte adopts the candidate's `Arc`
-/// instead of decoding a second copy. At the first differing byte the
-/// same stored bytes are decoded again with no candidate, and so they are
-/// after any error past an adopted source (the comparison fills the
-/// reader's window at other offsets, so a forged body could fail on
-/// another field first): the result, session or error, never depends on
-/// the shortcut. Bytes, not the FNV-1a fingerprint: that is an integrity
-/// check, not an identity, and a colliding file must never adopt another
-/// session's corpus.
-fn decode_session(
-    stored: &[u8],
+/// instead of decoding a second copy. At the first differing byte the body
+/// is opened again and decoded from the start with no candidate, and so it
+/// is after any error past an adopted source: the result, session or
+/// error, never depends on the shortcut. Bytes, not the FNV-1a
+/// fingerprint: that is an integrity check, not an identity, and a
+/// colliding file must never adopt another session's corpus.
+fn decode_session<'a>(
+    open: &dyn Fn() -> Result<(Cur<'a>, u64), PersistError>,
     candidate: Option<&Arc<SessionSource>>,
 ) -> Result<SessionSnapshot, PersistError> {
-    let mut body = Cur::streaming(Inflate::new(stored)?);
-    let source = match candidate {
-        None => Arc::new(read_source(&mut body)?),
-        Some(candidate) if holds_source(&mut body, candidate) => Arc::clone(candidate),
-        Some(_) => return decode_session(stored, None),
-    };
-    match read_derived(body, source) {
-        Err(_) if candidate.is_some() => decode_session(stored, None),
-        read => read,
+    let (mut body, fingerprint) = open()?;
+    let decoded = match candidate {
+        None => read_source(&mut body).map(Arc::new),
+        Some(candidate) if holds_source(&mut body, candidate) => Ok(Arc::clone(candidate)),
+        Some(_) => return decode_session(open, None),
+    }
+    .and_then(|source| read_derived(&mut body, source));
+    if body.fingerprint()? != fingerprint {
+        return Err(malformed("fingerprint mismatch; snapshot is corrupt").into());
+    }
+    match decoded {
+        Err(_) if candidate.is_some() => decode_session(open, None),
+        decoded => decoded,
     }
 }
 
@@ -938,10 +672,9 @@ fn decode_session(
 /// tables, fascicle records and lineage — and require that nothing is
 /// left.
 fn read_derived(
-    mut body: Cur,
+    cur: &mut Cur,
     source: Arc<SessionSource>,
 ) -> Result<SessionSnapshot, PersistError> {
-    let cur = &mut body;
     let enums = cur.list(12, "enum map entry", read_enum_table)?;
     let enums = by_name(enums, |t| &t.name, "enum table")?;
     let sumys = cur.list(8, "sumy map entry", read_sumy_table)?;
@@ -951,7 +684,7 @@ fn read_derived(
     let fascicles = cur.list(16, "fascicle map entry", read_fascicle)?;
     let fascicles = by_name(fascicles, |r| &r.name, "fascicle")?;
     let lineage = read_lineage(cur)?;
-    body.finish("snapshot body")?;
+    cur.finish("snapshot body")?;
     Ok(SessionSnapshot {
         source,
         lineage,
@@ -993,26 +726,83 @@ fn read_source(cur: &mut Cur) -> Result<SessionSource, PersistError> {
     }
 }
 
-/// Serialize a session into the exact byte stream a `session.gea` snapshot
-/// file holds (magic, version, fingerprint header, compressed body), plus
-/// the body fingerprint. This is the wire form of a session: front-ends
-/// that migrate sessions between processes (the shard router's rebalance
-/// path) ship these bytes and install them with
-/// [`session_from_snapshot_bytes`], reusing the spill format end to end.
-pub fn snapshot_to_bytes(session: &GeaSession) -> Result<(Vec<u8>, u64), PersistError> {
-    let mut header = Vec::new();
-    header.extend_from_slice(SNAPSHOT_MAGIC);
+/// The header: magic, version and the body's fingerprint.
+fn header(fingerprint: u64) -> Vec<u8> {
+    let mut header = SNAPSHOT_MAGIC.to_vec();
     put_u32(&mut header, SNAPSHOT_VERSION);
-    put_u64(&mut header, 0);
-    let mut body = LzWriter::new(header);
-    encode_session(session, &mut body)?;
-    let mut out = body.finish();
-    // The fingerprint covers the *stored* (compressed) bytes, so integrity
-    // is checked before any decompression of untrusted input — and it only
-    // holds because the compressor is deterministic.
-    let fingerprint = fnv1a(&out[SNAPSHOT_HEADER..]);
-    out[SNAPSHOT_HEADER - 8..SNAPSHOT_HEADER].copy_from_slice(&fingerprint.to_le_bytes());
-    Ok((out, fingerprint))
+    put_u64(&mut header, fingerprint);
+    header
+}
+
+/// Read a header off the front of `cur`: the magic, the one supported
+/// version, and the fingerprint, which must be `expected` when one is
+/// given.
+fn read_header(cur: &mut Cur, expected: Option<u64>) -> Result<u64, PersistError> {
+    if cur.take(4, "snapshot magic")? != SNAPSHOT_MAGIC {
+        return Err(malformed("bad magic; not a GEA session snapshot").into());
+    }
+    let version = cur.u32("snapshot version")?;
+    if version != SNAPSHOT_VERSION {
+        return Err(malformed(format!("unsupported snapshot version {version}")).into());
+    }
+    let stored = cur.u64("snapshot fingerprint")?;
+    match expected {
+        Some(want) if want != stored => Err(malformed(format!(
+            "snapshot fingerprint {stored:#018x} does not match expected {want:#018x}"
+        ))
+        .into()),
+        _ => Ok(stored),
+    }
+}
+
+/// The sink a snapshot is written through: each byte goes to `out` and
+/// the body's into the fingerprint. The encoders cannot fail, so the
+/// first write error is kept and the bytes after it dropped.
+struct SnapshotSink<W: Write> {
+    out: W,
+    hash: Fnv1a,
+    failed: Option<std::io::Error>,
+}
+
+impl<W: Write> ByteSink for SnapshotSink<W> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.hash.put(bytes);
+        if self.failed.is_none() {
+            self.failed = self.out.write_all(bytes).err();
+        }
+    }
+}
+
+/// Write the header, with the fingerprint left 0, and the body into `out`.
+/// Returns `out` and the fingerprint, for the caller to patch in.
+fn write_snapshot<W: Write>(session: &GeaSession, mut out: W) -> Result<(W, u64), PersistError> {
+    out.write_all(&header(0))?;
+    let mut sink = SnapshotSink {
+        out,
+        hash: Fnv1a::default(),
+        failed: None,
+    };
+    encode_session(session, &mut sink);
+    match sink.failed {
+        Some(e) => Err(e.into()),
+        None => Ok((sink.out, sink.hash.0)),
+    }
+}
+
+/// Serialize a session into the exact byte stream a `session.gea` snapshot
+/// file holds (magic, version, fingerprint header, body), plus the body
+/// fingerprint. This is the wire form of a session: front-ends that
+/// migrate sessions between processes (the shard router's rebalance path)
+/// ship these bytes and install them with [`session_from_snapshot_bytes`],
+/// reusing the spill format end to end. A counting pass sizes the buffer
+/// first, so it is allocated once.
+pub fn snapshot_to_bytes(session: &GeaSession) -> Result<(Vec<u8>, u64), PersistError> {
+    let mut len = ByteCount::default();
+    encode_session(session, &mut len);
+    let exact = Vec::with_capacity(SNAPSHOT_HEADER + len.0 as usize);
+    let (mut bytes, fingerprint) = write_snapshot(session, exact)?;
+    bytes[..SNAPSHOT_HEADER].copy_from_slice(&header(fingerprint));
+    Ok((bytes, fingerprint))
 }
 
 /// Decode a session from snapshot bytes ([`snapshot_to_bytes`] output or a
@@ -1037,34 +827,21 @@ fn session_from_snapshot_bytes_sharing(
     expected: Option<u64>,
     candidate: Option<&Arc<SessionSource>>,
 ) -> Result<GeaSession, PersistError> {
-    let mut cur = Cur::new(bytes);
-    let magic = cur.take(4, "snapshot magic")?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(malformed("bad magic; not a GEA session snapshot").into());
-    }
-    let version = cur.u32("snapshot version")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(malformed(format!("unsupported snapshot version {version}")).into());
-    }
-    let stored = cur.u64("snapshot fingerprint")?;
-    let body = &bytes[SNAPSHOT_HEADER..];
-    if fnv1a(body) != stored {
-        return Err(malformed("fingerprint mismatch; snapshot is corrupt").into());
-    }
-    if let Some(want) = expected {
-        if want != stored {
-            return Err(malformed(format!(
-                "snapshot fingerprint {stored:#018x} does not match expected {want:#018x}"
-            ))
-            .into());
-        }
-    }
-    Ok(GeaSession::from_snapshot(decode_session(body, candidate)?))
+    let open = || {
+        let fingerprint = read_header(&mut Cur::new(bytes), expected)?;
+        Ok((Cur::new(&bytes[SNAPSHOT_HEADER..]), fingerprint))
+    };
+    Ok(GeaSession::from_snapshot(decode_session(&open, candidate)?))
 }
 
+/// Write a snapshot file: header and body streamed through one buffered
+/// writer, then the fingerprint patched into the header.
 fn write_snapshot_file(session: &GeaSession, path: &Path) -> Result<u64, PersistError> {
-    let (out, fingerprint) = snapshot_to_bytes(session)?;
-    fs::write(path, &out)?;
+    let file = BufWriter::with_capacity(1 << 16, fs::File::create(path)?);
+    let (file, fingerprint) = write_snapshot(session, file)?;
+    let mut file = file.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&header(fingerprint))?;
     Ok(fingerprint)
 }
 
@@ -1077,13 +854,25 @@ pub fn save_session(session: &GeaSession, dir: &Path) -> Result<u64, PersistErro
     write_snapshot_file(session, &dir.join(SNAPSHOT_FILE))
 }
 
+/// Load `dir`'s snapshot file, streaming the body from the file: the
+/// header is read first, then the declared rest through a [`Cur`] that
+/// holds a window of it.
 fn load_session_checked(
     dir: &Path,
     expected: Option<u64>,
     candidate: Option<&Arc<SessionSource>>,
 ) -> Result<GeaSession, PersistError> {
-    let bytes = fs::read(dir.join(SNAPSHOT_FILE))?;
-    session_from_snapshot_bytes_sharing(&bytes, expected, candidate)
+    let path = dir.join(SNAPSHOT_FILE);
+    let open = || {
+        let mut file = fs::File::open(&path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| malformed("snapshot file too large"))?;
+        let mut head = vec![0; len.min(SNAPSHOT_HEADER)];
+        file.read_exact(&mut head)?;
+        let fingerprint = read_header(&mut Cur::new(&head), expected)?;
+        Ok((Cur::streaming(file, len - SNAPSHOT_HEADER), fingerprint))
+    };
+    Ok(GeaSession::from_snapshot(decode_session(&open, candidate)?))
 }
 
 /// Restore a full [`GeaSession`] from a directory written by
@@ -1157,6 +946,7 @@ pub fn remove_spill(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv1a;
     use gea_cluster::FascicleParams;
     use gea_relstore::csv::import_csv;
     use gea_relstore::schema::Schema;
@@ -1540,14 +1330,15 @@ mod tests {
         fs::remove_dir_all(&d1).unwrap();
         fs::remove_dir_all(&d2).unwrap();
 
-        // Pinned at snapshot version 5, which derives the cleaned base
-        // instead of storing it.
+        // Pinned at snapshot version 6, whose body is the codec's bytes.
         let (bytes, fp) = snapshot_to_bytes(&session).unwrap();
-        assert_eq!((fp, bytes.len()), (0x338d_b6b0_6e4b_1315, 910_754));
-        // And those bytes are the oracle's over the raw body.
+        assert_eq!((fp, bytes.len()), (0x2d17_111f_1934_4970, 1_759_237));
+        // The body is exactly what `encode_session` writes, and the buffer
+        // was sized to it.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw).unwrap();
-        assert_eq!(&bytes[SNAPSHOT_HEADER..], lz_compress(&raw));
+        encode_session(&session, &mut raw);
+        assert!(bytes[SNAPSHOT_HEADER..] == raw);
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]
@@ -1618,58 +1409,16 @@ mod tests {
             Ok(_) => panic!("corrupt snapshot loaded"),
         }
 
-        // Structural corruption that *recomputes* the fingerprint must
-        // still never panic — decode either rejects it or reads it as
-        // different-but-valid data.
-        let step = (clean.len() - 16) / 37 + 1;
-        for offset in (16..clean.len()).step_by(step) {
-            let mut evil = clean.clone();
-            evil[offset] ^= 0xff;
-            let fp = fnv1a(&evil[16..]);
-            evil[8..16].copy_from_slice(&fp.to_le_bytes());
-            fs::write(&path, &evil).unwrap();
-            let _ = load_both(&dir, &own); // must not panic
-        }
-
-        // Bodies that are valid LZSS of a wrong raw body, or whose tokens
-        // disagree with the length they declare, re-fingerprinted so they
-        // reach the inflater and the decoder: each is Malformed.
+        // Bodies that are wrong where the decoder must notice, given their
+        // own fingerprint so they reach it: each is Malformed.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw).unwrap();
-        let declaring = |raw_len: usize| {
-            let mut body = lz_compress(&raw);
-            body[..8].copy_from_slice(&(raw_len as u64).to_le_bytes());
-            body
-        };
-        // One byte short of where the body's last match token ends: the
-        // inflater meets a match running past the declared length.
-        let inside_last_match = {
-            let stored = lz_compress(&raw);
-            let (mut at, mut inflated, mut cut) = (8, 0, 0);
-            while at < stored.len() {
-                let flags = stored[at];
-                at += 1;
-                for bit in 0..8 {
-                    if at == stored.len() {
-                        break;
-                    }
-                    if flags & (1 << bit) == 0 {
-                        at += 1;
-                        inflated += 1;
-                    } else {
-                        inflated += stored[at + 2] as usize + LZ_MIN_MATCH;
-                        at += 3;
-                        cut = inflated - 1;
-                    }
-                }
-            }
-            cut
-        };
-        let mut past_the_end = lz_compress(&raw);
-        past_the_end.extend_from_slice(&[0, b'x']);
+        encode_session(&session, &mut raw);
+        // Two bytes after the lineage, and the body one byte short.
+        let past_the_end = [&raw[..], &[0, b'x']].concat();
+        let short = raw[..raw.len() - 1].to_vec();
         // The report's library-fraction count (8 bytes each), one element
-        // over what the declared body has left after it: refused against
-        // the declared length, not the few bytes inflated so far.
+        // over what the body has left after it: refused against the
+        // declared length, not the window read so far.
         let count_at = 21 + 8 * session.cleaning_report().scale_to.is_some() as usize;
         let over = (raw.len() - count_at - 4) / 8 + 1;
         let mut count_over = raw.clone();
@@ -1684,7 +1433,7 @@ mod tests {
             let mut body = before_lineage.to_vec();
             put_u32(&mut body, next_id);
             put_list(&mut body, nodes, put_node);
-            lz_compress(&body)
+            body
         };
         let nodes: Vec<LineageNode> = session.lineage().iter().cloned().collect();
         let next_id = session.lineage().next_id();
@@ -1737,16 +1486,13 @@ mod tests {
             put_fascicle,
         );
         put_lineage(&mut twin_sumy, session.lineage());
-        // Just past the source, the ENUM map count flipped to an
-        // implausible one, and a declared length one too long: the reader
-        // meets one error or the other depending on where it last
-        // refilled, and a candidate must not change which.
+        // Just past the source, the ENUM map count flipped: the candidate's
+        // source is adopted before the reader meets it, and must not change
+        // the error.
         let mut source = Vec::new();
         put_source(&mut source, session.source());
         let mut past_source = raw.clone();
         past_source[source.len()] ^= 0x5a;
-        let mut twice_wrong = lz_compress(&past_source);
-        twice_wrong[..8].copy_from_slice(&(raw.len() as u64 + 1).to_le_bytes());
         // A corpus blob that declares 4 bytes more than the corpus encoding
         // holds, the 4 being zeros after it: the corpus must end where its
         // blob says.
@@ -1766,7 +1512,7 @@ mod tests {
         let forged_kind = |kind: u8| {
             let mut body = raw.clone();
             body[kind_at] = kind;
-            lz_compress(&body)
+            body
         };
         // A stored report that its corpus does not derive: the tolerance
         // (which keeps fewer tags) or the last bit of the frequency-1
@@ -1775,19 +1521,13 @@ mod tests {
         let forged_report = |at: usize, edit: fn(u8) -> u8| {
             let mut body = raw.clone();
             body[at] = edit(body[at]);
-            lz_compress(&body)
+            body
         };
         for (body, want) in [
-            (declaring(raw.len() + 1), "truncated input: lz"),
-            (
-                declaring(inside_last_match),
-                "lz match overruns declared body length",
-            ),
-            (past_the_end, "2 trailing bytes after compressed body"),
-            (
-                lz_compress(&count_over),
-                "implausible report fraction count",
-            ),
+            (past_the_end, "2 trailing bytes after snapshot body"),
+            (short, "truncated input: lineage materialized flag"),
+            (count_over, "implausible report fraction count"),
+            (past_source, "implausible enum tag count"),
             (
                 with_lineage(next_id, &dangling),
                 &format!("bad lineage: parent node {} does not exist", next_id + 7),
@@ -1828,19 +1568,12 @@ mod tests {
                     nodes[last].id.0
                 ),
             ),
-            (lz_compress(&unknown_kind), "unknown node kind \"mune\""),
+            (unknown_kind, "unknown node kind \"mune\""),
+            (count_max, "implausible lineage node count 4294967295"),
+            (bad_flag, "bad materialized flag 2"),
+            (twin_sumy, &format!("duplicate sumy table {:?}", sumy.name)),
             (
-                lz_compress(&count_max),
-                "implausible lineage node count 4294967295",
-            ),
-            (lz_compress(&bad_flag), "bad materialized flag 2"),
-            (
-                lz_compress(&twin_sumy),
-                &format!("duplicate sumy table {:?}", sumy.name),
-            ),
-            (twice_wrong, "truncated input: lz"),
-            (
-                lz_compress(&padded_corpus),
+                padded_corpus,
                 "bad embedded corpus: 4 unread bytes inside corpus blob",
             ),
             (
@@ -1857,8 +1590,7 @@ mod tests {
                 "stored cleaning report differs from its corpus",
             ),
         ] {
-            let mut file = clean[..SNAPSHOT_HEADER].to_vec();
-            file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
+            let mut file = header(fnv1a(&body));
             file.extend_from_slice(&body);
             match decode_both(&file, &own) {
                 Err(PersistError::Malformed(m)) => assert!(m.contains(want), "{want:?}: {m}"),
@@ -1875,10 +1607,10 @@ mod tests {
             load_both(&dir, &own),
             Err(PersistError::Malformed(_))
         ));
-        // Versions 4, 3 and 2, the layouts before this one, are refused
+        // Versions 5 to 2, the layouts before this one, are refused
         // like any other: there is one version, not a reader per past
         // layout.
-        for version in [99u32, 4, 3, 2] {
+        for version in [99u32, 5, 4, 3, 2] {
             let mut bad_version = clean.clone();
             bad_version[4..8].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bad_version).unwrap();
@@ -1911,7 +1643,7 @@ mod tests {
         assert_sessions_identical(&session, &restored);
         // Called a cleaned base, the empty corpus derives another report.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw).unwrap();
+        encode_session(&session, &mut raw);
         let mut report = Vec::new();
         put_report(&mut report, session.cleaning_report());
         let mut corpus = Vec::new();
@@ -1919,10 +1651,8 @@ mod tests {
         let kind_at = report.len() + 8 + corpus.len();
         assert_eq!(raw[kind_at], BASE_MATRIX);
         raw[kind_at] = BASE_CLEANED;
-        let body = lz_compress(&raw);
-        let mut file = bytes[..SNAPSHOT_HEADER].to_vec();
-        file[8..16].copy_from_slice(&fnv1a(&body).to_le_bytes());
-        file.extend_from_slice(&body);
+        let mut file = header(fnv1a(&raw));
+        file.extend_from_slice(&raw);
         match session_from_snapshot_bytes(&file, None) {
             Err(PersistError::Malformed(m)) => {
                 assert!(m.contains("stored cleaning report differs"), "{m}")
@@ -1932,56 +1662,8 @@ mod tests {
         }
     }
 
-    /// The whole-buffer LZSS compressor, kept as the reference the
-    /// streaming [`LzWriter`] must match byte for byte.
-    fn lz_compress(raw: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(raw.len() / 2 + 16);
-        put_u64(&mut out, raw.len() as u64);
-        let mut table = vec![0usize; LZ_SLOTS];
-        let mut i = 0;
-        while i < raw.len() {
-            let flag_pos = out.len();
-            out.push(0);
-            let mut flags = 0u8;
-            let mut bit = 0;
-            while bit < 8 && i < raw.len() {
-                let mut emitted = false;
-                if i + LZ_MIN_MATCH <= raw.len() {
-                    let slot = lz_slot(raw, i);
-                    let prev = table[slot];
-                    let offset = i - prev;
-                    if (1..=LZ_MAX_OFFSET).contains(&offset) {
-                        let limit = (raw.len() - i).min(LZ_MAX_MATCH);
-                        let mut len = 0;
-                        while len < limit && raw[prev + len] == raw[i + len] {
-                            len += 1;
-                        }
-                        if len >= LZ_MIN_MATCH {
-                            flags |= 1 << bit;
-                            out.extend_from_slice(&(offset as u16).to_le_bytes());
-                            out.push((len - LZ_MIN_MATCH) as u8);
-                            let stop = (i + len).min(raw.len().saturating_sub(LZ_MIN_MATCH - 1));
-                            for j in i..stop {
-                                table[lz_slot(raw, j)] = j;
-                            }
-                            i += len;
-                            emitted = true;
-                        }
-                    }
-                    if !emitted {
-                        table[slot] = i;
-                    }
-                }
-                if !emitted {
-                    out.push(raw[i]);
-                    i += 1;
-                }
-                bit += 1;
-            }
-            out[flag_pos] = flags;
-        }
-        out
-    }
+    /// Seeded mutations in the battery, spread over its four kinds.
+    const N_SEEDED: usize = 24;
 
     fn xorshift(x: &mut u64) -> u64 {
         *x ^= *x << 13;
@@ -1990,140 +1672,127 @@ mod tests {
         *x
     }
 
-    /// A piece size from 1 byte to 256 KiB, log-uniform in scale.
-    fn piece(x: &mut u64) -> usize {
-        let scale = 1u64 << (xorshift(x) % 19);
-        (xorshift(x) % scale) as usize + 1
+    /// Where each `put` of an encoding starts, and how many bytes it puts.
+    #[derive(Default)]
+    struct Fields {
+        at: Vec<(usize, usize)>,
+        len: usize,
     }
 
-    /// `raw` through the streaming encoder, fed in random-size pieces.
-    fn compress_in_pieces(raw: &[u8], seed: u64) -> Vec<u8> {
-        let mut writer = LzWriter::new(Vec::new());
-        let (mut x, mut rest) = (seed, raw);
-        while !rest.is_empty() {
-            let n = piece(&mut x).min(rest.len());
-            writer.put(&rest[..n]);
-            rest = &rest[n..];
+    impl ByteSink for Fields {
+        fn put(&mut self, bytes: &[u8]) {
+            self.at.push((self.len, bytes.len()));
+            self.len += bytes.len();
         }
-        writer.finish()
-    }
-
-    /// `stored` through the streaming reader, taken in random-size pieces.
-    fn inflate_in_pieces(stored: &[u8], seed: u64) -> Result<Vec<u8>, PersistError> {
-        let mut cur = Cur::streaming(Inflate::new(stored)?);
-        let (mut out, mut x) = (Vec::new(), seed);
-        while !cur.done() {
-            let n = piece(&mut x).min(cur.remaining());
-            out.extend_from_slice(cur.take(n, "piece")?);
-        }
-        cur.finish("compressed body")?;
-        Ok(out)
     }
 
     #[test]
-    fn lz_roundtrip_is_lossless_and_deterministic() {
-        let mut x = 0x9e37_79b9_7f4a_7c15;
-        let noise = |n: usize, x: &mut u64| (0..n).map(|_| xorshift(x) as u8).collect::<Vec<_>>();
-        let near = noise(65_000, &mut x);
-        let far = noise(70_000, &mut x);
-        let cases: Vec<Vec<u8>> = vec![
-            Vec::new(),
-            vec![7],
-            b"abcabcabcabcabcabc".to_vec(),
-            vec![0u8; 10_000],
-            (0..=255u8).cycle().take(4096).collect(),
-            b"no repeats here: qwertyuiop".to_vec(),
-            // Overlapping match territory: run-length data.
-            [b"aaaaab".as_slice(), &[b'a'; 500], b"tail".as_slice()].concat(),
-            // Repeats just inside and just outside the 65 535-byte reach.
-            [&near[..], &near[..], &far[..], &far[..]].concat(),
-            // Over 2 MiB, so both windows drain many times: zero-heavy like
-            // a snapshot body (a sparse f64 matrix) — far more distinct
-            // prefixes than table slots — with runs of noise between.
-            (0..300_000u64)
-                .flat_map(|i| {
-                    let cell = match i % 7 {
-                        0 => i * 2_654_435_761,
-                        3 if i % 5_000 < 300 => xorshift(&mut x),
-                        _ => 0,
-                    };
-                    cell.to_le_bytes()
-                })
-                .collect(),
-        ];
-        for (seed, raw) in (1u64..).zip(&cases) {
-            let oracle = lz_compress(raw);
-            let streamed = compress_in_pieces(raw, seed);
-            assert_eq!(streamed, oracle, "streaming differs from the oracle");
-            assert_eq!(compress_in_pieces(raw, seed + 99), oracle);
-            assert_eq!(&inflate_in_pieces(&oracle, seed).unwrap(), raw);
-        }
-        // Redundant data actually shrinks.
-        let zeros = lz_compress(&vec![0u8; 10_000]);
-        assert!(zeros.len() < 1_000, "10k zeros stored as {}", zeros.len());
-    }
-
-    #[test]
-    fn lz_inflate_rejects_garbage_without_panicking() {
-        let inflate = |stored: &[u8]| inflate_in_pieces(stored, 7);
-        // Truncated header, implausible raw_len, bad offsets, overruns.
-        assert!(inflate(&[]).is_err());
-        assert!(inflate(&[1, 2, 3]).is_err());
-        let mut huge = Vec::new();
-        put_u64(&mut huge, u64::MAX);
-        assert!(inflate(&huge).is_err());
-        let mut claims_much = Vec::new();
-        put_u64(&mut claims_much, 1_000_000);
-        claims_much.push(0);
-        claims_much.push(b'x');
-        assert!(inflate(&claims_much).is_err());
-        // A match token pointing before the start of output.
-        let mut bad_offset = Vec::new();
-        put_u64(&mut bad_offset, 10);
-        bad_offset.push(0b0000_0001); // first token is a match
-        bad_offset.extend_from_slice(&5u16.to_le_bytes());
-        bad_offset.push(0);
-        assert!(inflate(&bad_offset).is_err());
-
-        let text = b"the quick brown fox jumps over the lazy dog, twice over";
-        let valid = lz_compress(text);
-        assert_eq!(inflate(&valid).unwrap(), text);
-        let declaring = |raw_len: u64| {
-            let mut stored = valid.clone();
-            stored[..8].copy_from_slice(&raw_len.to_le_bytes());
-            stored
+    fn a_seeded_mutation_battery_loads_alike_from_the_file_and_the_bytes() {
+        let session = rich_session();
+        let own = Arc::clone(session.source());
+        let mut body = Vec::new();
+        encode_session(&session, &mut body);
+        let mut fields = Fields::default();
+        encode_session(&session, &mut fields);
+        let wide = |n: usize| -> Vec<usize> {
+            let at = fields.at.iter().filter(|&&(_, len)| len == n);
+            at.map(|&(at, _)| at).collect()
         };
-        // Tokens that end before the declared length.
-        let short = inflate(&declaring(text.len() as u64 + 1)).unwrap_err();
-        assert!(short.to_string().contains("truncated"), "{short}");
-        // Tokens that continue past it: a whole extra group, or the last
-        // token's bytes once the length is one short.
-        let mut extra = valid.clone();
-        extra.extend_from_slice(&[0, b'x']);
-        let long = inflate(&extra).unwrap_err();
-        assert!(long.to_string().contains("trailing"), "{long}");
-        assert!(inflate(&declaring(text.len() as u64 - 1)).is_err());
+        let (u32s, u64s) = (wide(4), wide(8));
+        // The report's `u32`s (before the corpus blob), the four table-map
+        // counts and a seeded sixth of the lineage's `u32`s (the last
+        // field): nearly all of them counts or string lengths.
+        let mut prefix = Vec::new();
+        put_report(&mut prefix, session.cleaning_report());
+        let corpus_at = prefix.len();
+        prefix.clear();
+        put_source(&mut prefix, session.source());
+        let mut counts = vec![prefix.len()];
+        put_list(&mut prefix, session.enum_tables().values(), put_enum_table);
+        counts.push(prefix.len());
+        put_list(&mut prefix, session.sumy_tables().values(), put_sumy_table);
+        counts.push(prefix.len());
+        put_list(&mut prefix, session.gap_tables().values(), put_gap_table);
+        counts.push(prefix.len());
+        put_list(
+            &mut prefix,
+            session.fascicle_records().values(),
+            put_fascicle,
+        );
+        let lineage_at = prefix.len();
+        counts.extend(u32s.iter().filter(|&&at| at < corpus_at));
+        let mut x = 0x2545_f491_4f6c_dd1d;
+        let lineage = u32s.iter().filter(|&&at| at >= lineage_at);
+        counts.extend(lineage.filter(|_| xorshift(&mut x).is_multiple_of(6)));
 
-        // An element count is checked against the raw bytes the stream
-        // still declares, not the few it has inflated: 25 four-byte
-        // elements need 100 bytes.
-        let counted = |body: usize| {
-            let mut raw = 25u32.to_le_bytes().to_vec();
-            raw.resize(4 + body, 0);
-            let stored = lz_compress(&raw);
-            let mut cur = Cur::streaming(Inflate::new(&stored).unwrap());
-            cur.count(4, "element").map(|_| ()).map_err(|e| e.0)
+        // Each mutated body gets its own fingerprint, so it reaches the
+        // decoder on both paths.
+        let dir = temp_dir("battery");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        // A loaded session is known by its snapshot fingerprint.
+        let outcome = |loaded: Result<GeaSession, PersistError>| match loaded {
+            Ok(s) => {
+                let mut hash = Fnv1a::default();
+                encode_session(&s, &mut hash);
+                Ok(hash.0)
+            }
+            Err(PersistError::Malformed(m)) => Err(m),
+            Err(other) => panic!("expected Malformed, got {other:?}"),
         };
-        assert!(counted(100).is_ok());
-        let over = counted(99).unwrap_err();
-        assert!(over.contains("implausible element count 25"), "{over}");
-
-        // Fuzz-ish: corrupt every byte of a valid stream in turn.
-        for i in 0..valid.len() {
-            let mut evil = valid.clone();
-            evil[i] ^= 0xff;
-            let _ = inflate(&evil); // must not panic
+        let pick = |x: &mut u64, n: usize| (xorshift(x) % n as u64) as usize;
+        let seeded = (0..N_SEEDED).map(|i| {
+            let mut evil = body.clone();
+            match i % 4 {
+                0 => evil[pick(&mut x, body.len())] ^= 1 << (xorshift(&mut x) % 8),
+                1 => evil.truncate(pick(&mut x, body.len())),
+                2 => {
+                    let at = u32s[pick(&mut x, u32s.len())];
+                    evil[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
+                _ => {
+                    let at = u64s[pick(&mut x, u64s.len())];
+                    evil[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+                }
+            }
+            evil
+        });
+        let maxed = counts.into_iter().map(|at| {
+            let mut evil = body.clone();
+            evil[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            evil
+        });
+        let corpus_len = {
+            let mut evil = body.clone();
+            evil[corpus_at..corpus_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            evil
+        };
+        let (mut loaded, mut refused) = (0, 0);
+        for (i, evil) in seeded.chain(maxed).chain([corpus_len]).enumerate() {
+            let mut file = header(fnv1a(&evil));
+            file.extend_from_slice(&evil);
+            fs::write(&path, &file).unwrap();
+            // Half the cases offer the session's own source on one path.
+            let candidate = (i % 2 == 0).then_some(&own);
+            let from_file = outcome(load_session_checked(&dir, None, candidate));
+            let from_bytes = outcome(session_from_snapshot_bytes_sharing(
+                &file,
+                None,
+                candidate.xor(Some(&own)),
+            ));
+            assert_eq!(from_file, from_bytes, "mutation {i}");
+            match from_file {
+                Ok(_) => loaded += 1,
+                Err(_) => refused += 1,
+            }
         }
+        // Some mutations are other valid data (a flipped value bit); most
+        // are refused.
+        assert!(
+            loaded > 0 && refused > loaded,
+            "{loaded} loaded, {refused} refused"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -20,7 +20,7 @@ use gea_relstore::{Database, Table};
 use gea_sage::clean::{clean_factors, cleaned_columns, CleaningConfig, CleaningReport};
 use gea_sage::corpus::SageCorpus;
 use gea_sage::library::{LibraryId, LibraryMeta, LibraryProperty};
-use gea_sage::tag::{Tag, TagUniverse};
+use gea_sage::tag::{Tag, TagId, TagUniverse};
 use gea_sage::TissueType;
 
 use crate::compare::{compare_gaps, compare_gaps_self, CompareOp, CompareQuery};
@@ -326,6 +326,29 @@ impl SessionSource {
         match &self.root {
             Root::Cleaned { .. } => self.corpus.len(),
             Root::Matrix(base) => base.n_libraries(),
+        }
+    }
+
+    /// The root's tags: the kept ones when the source was cleaned.
+    fn universe(&self) -> &TagUniverse {
+        match &self.root {
+            Root::Cleaned { kept, .. } => kept,
+            Root::Matrix(base) => base.matrix.universe(),
+        }
+    }
+
+    /// `π(SAGE)`: the root's rows for `ids` (ids into [`Self::universe`]),
+    /// as a data set named `name` — bit for bit what projecting
+    /// [`Self::base`] gives, built from every corpus column over those
+    /// tags alone when the source was cleaned.
+    fn projection(&self, name: &str, ids: &[TagId]) -> EnumTable {
+        match &self.root {
+            Root::Cleaned { kept, factors, .. } => {
+                let tags = TagUniverse::from_tags(ids.iter().map(|&id| kept.tag_of(id)));
+                let all: Vec<LibraryId> = self.corpus.ids().collect();
+                EnumTable::new(name, cleaned_columns(&self.corpus, &tags, factors, &all))
+            }
+            Root::Matrix(base) => base.select_tags(name, ids),
         }
     }
 
@@ -790,8 +813,11 @@ impl GeaSession {
         library_names: &[&str],
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
-        let source = self.enum_table(dataset)?;
-        let table = source.select_libraries(name, |m| library_names.contains(&m.name.as_str()));
+        let keep = |m: &LibraryMeta| library_names.contains(&m.name.as_str());
+        let table = match dataset {
+            "SAGE" => self.source.dataset(name, keep),
+            _ => self.enum_table(dataset)?.select_libraries(name, keep),
+        };
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("selection from {dataset}")));
         }
@@ -823,18 +849,21 @@ impl GeaSession {
         tags: &[Tag],
     ) -> Result<(), GeaError> {
         self.check_name_free(name)?;
-        let source = self.enum_table(dataset)?;
-        let ids: Vec<_> = tags
-            .iter()
-            .filter_map(|&t| source.matrix.id_of(t))
-            .collect();
+        let universe = match dataset {
+            "SAGE" => self.source.universe(),
+            _ => self.enum_table(dataset)?.matrix.universe(),
+        };
+        let ids: Vec<_> = tags.iter().filter_map(|&t| universe.id_of(t)).collect();
         if ids.is_empty() {
             return Err(GeaError::EmptyGroup(format!(
                 "projection of {dataset} onto {} tag(s)",
                 tags.len()
             )));
         }
-        let table = source.select_tags(name, &ids);
+        let table = match dataset {
+            "SAGE" => self.source.projection(name, &ids),
+            _ => self.enum_table(dataset)?.select_tags(name, &ids),
+        };
         let parent = self.node(dataset).ok_or_else(|| GeaError::NotFound {
             kind: "ENUM",
             name: dataset.to_string(),
@@ -1617,6 +1646,53 @@ mod tests {
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert!(std::ptr::eq(built, loaded.base()), "SAGE was built twice");
         assert_eq!(loaded.base(), &base);
+    }
+
+    #[test]
+    fn select_and_project_from_sage_leave_it_unbuilt() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let (matrix, _) = gea_sage::clean::clean(&corpus, &CleaningConfig::default());
+        let base = EnumTable::new("SAGE", matrix);
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        let unbuilt = |s: &GeaSession| s.source().held_base().is_none();
+        let bits = |t: &EnumTable| {
+            let m = &t.matrix;
+            let tags: Vec<u32> = m.universe().iter().map(|(_, t)| t.code()).collect();
+            let values: Vec<u64> = m
+                .tag_ids()
+                .flat_map(|tid| m.tag_row(tid).iter().map(|v| v.to_bits()))
+                .collect();
+            (t.name.clone(), tags, format!("{:?}", m.libraries()), values)
+        };
+
+        // Libraries named out of root order, plus one no library has.
+        let libs = base.library_names();
+        let picked = [libs[5], libs[1], "no such library"];
+        s.select_dataset_libraries("U", "SAGE", &picked).unwrap();
+        assert!(unbuilt(&s));
+        let want = base.select_libraries("U", |m| picked.contains(&m.name.as_str()));
+        assert_eq!(bits(s.enum_table("U").unwrap()), bits(&want));
+
+        // Kept tags out of order and repeated, plus one cleaning dropped.
+        let universe = base.matrix.universe();
+        let dropped = (0..)
+            .filter_map(Tag::from_code)
+            .find(|&t| universe.id_of(t).is_none())
+            .unwrap();
+        let tags: Vec<Tag> = [100, 3, 100, 1500]
+            .iter()
+            .map(|&i| universe.tag_of(TagId(i)))
+            .chain([dropped])
+            .collect();
+        s.project_dataset_tags("P", "SAGE", &tags).unwrap();
+        assert!(unbuilt(&s));
+        let ids: Vec<TagId> = tags.iter().filter_map(|&t| universe.id_of(t)).collect();
+        assert_eq!(
+            bits(s.enum_table("P").unwrap()),
+            bits(&base.select_tags("P", &ids))
+        );
+        let node = s.lineage().find_by_name("P").unwrap();
+        assert!(node.params.contains(&("tags".to_string(), "4".to_string())));
     }
 
     #[test]

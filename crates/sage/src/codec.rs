@@ -12,10 +12,12 @@
 //! allocated for them ([`Cur::ensure_elems`]). `f64` travels as its
 //! IEEE-754 bits, so every float round-trips bit-exactly.
 //!
-//! A [`Cur`] reads a slice, or a [`Source`] that produces the bytes on
-//! demand (the snapshot's inflater): then the reader holds a window of
-//! them, not the whole stream, and "the bytes remaining" are the ones the
-//! stream still declares.
+//! A [`Cur`] reads a slice, or a declared number of bytes from an
+//! [`std::io::Read`] (a `session.gea` file): then the reader holds a window
+//! of them, not the whole stream, and "the bytes remaining" are the ones
+//! the stream still declares.
+
+use std::io::Read;
 
 use crate::tag::Tag;
 
@@ -106,14 +108,16 @@ pub fn put_list<S: ByteSink + ?Sized, I: IntoIterator>(
 /// ever holding it: one pass counts its bytes, a second streams them into
 /// `out`. (`write` runs twice and must write the same bytes both times.)
 pub fn put_blob(out: &mut impl ByteSink, write: impl Fn(&mut dyn ByteSink)) {
-    let mut len = ByteCount(0);
+    let mut len = ByteCount::default();
     write(&mut len);
     put_u64(out, len.0);
     write(out);
 }
 
-/// A sink that only counts: the length a blob will have, ahead of its bytes.
-struct ByteCount(u64);
+/// A sink that only counts: the length an encoding will have, ahead of
+/// its bytes.
+#[derive(Default)]
+pub struct ByteCount(pub u64);
 
 impl ByteSink for ByteCount {
     fn put(&mut self, bytes: &[u8]) {
@@ -151,28 +155,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash.0
 }
 
-/// A byte stream a [`Cur`] reads as it is produced. The reader owns the
-/// buffer; the source appends to it and may read back into its tail.
-pub trait Source {
-    /// How far back from the end of the buffer [`Source::fill`] reads: the
-    /// reader keeps that many bytes when it drops what it has consumed.
-    fn history(&self) -> usize;
-
-    /// Bytes the stream declares it has yet to append.
-    fn pending(&self) -> usize;
-
-    /// Append to `buf` until it holds at least `len` bytes. Only called
-    /// with `len` within [`Source::pending`]; a stream that ends short of
-    /// what it declared is an error.
-    fn fill(&mut self, buf: &mut Vec<u8>, len: usize) -> Result<(), CodecError>;
-
-    /// Everything declared has been read: fail if the encoding has bytes
-    /// left over.
-    fn finish(&self) -> Result<(), CodecError>;
-}
-
-/// How much a streaming [`Cur`] asks its source for at a time, beyond the
-/// read that ran out.
+/// How much a streaming [`Cur`] reads at a time, beyond the read that ran
+/// out.
 const FILL_CHUNK: usize = 256 << 10;
 
 /// A bounds-checked little-endian reader. The `what` argument of each
@@ -186,7 +170,11 @@ enum Buf<'a> {
     Slice(&'a [u8]),
     Stream {
         window: Vec<u8>,
-        source: Box<dyn Source + 'a>,
+        reader: Box<dyn Read + 'a>,
+        /// Bytes declared and not yet read into the window.
+        left: usize,
+        /// FNV-1a of every byte read into the window so far.
+        hash: Fnv1a,
     },
 }
 
@@ -199,12 +187,16 @@ impl<'a> Cur<'a> {
         }
     }
 
-    /// Read what `source` produces, holding only a window of it.
-    pub fn streaming(source: impl Source + 'a) -> Cur<'a> {
+    /// Read the next `len` bytes of `reader`, holding only a window of
+    /// them and folding each into FNV-1a as it is read
+    /// ([`Cur::fingerprint`]).
+    pub fn streaming(reader: impl Read + 'a, len: usize) -> Cur<'a> {
         Cur {
             buf: Buf::Stream {
                 window: Vec::new(),
-                source: Box::new(source),
+                reader: Box::new(reader),
+                left: len,
+                hash: Fnv1a::default(),
             },
             pos: 0,
         }
@@ -220,11 +212,11 @@ impl<'a> Cur<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        let pending = match &self.buf {
+        let left = match &self.buf {
             Buf::Slice(_) => 0,
-            Buf::Stream { source, .. } => source.pending(),
+            Buf::Stream { left, .. } => *left,
         };
-        self.held().len() - self.pos + pending
+        self.held().len() - self.pos + left
     }
 
     /// Whether every byte has been consumed.
@@ -243,9 +235,17 @@ impl<'a> Cur<'a> {
         Ok(&self.held()[start..start + n])
     }
 
+    /// Consume exactly `N` bytes, as an array.
+    #[inline]
+    fn take_array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
     /// Make `n` bytes available past `pos`, or fail without consuming
-    /// anything. A stream first drops the consumed bytes its source no
-    /// longer reads, then fills at least `n` bytes (a chunk if it can).
+    /// anything. A stream first drops the bytes already consumed, then
+    /// reads at least `n` more (a chunk if that many are declared).
     #[cold]
     fn refill(&mut self, n: usize, what: &str) -> Result<(), CodecError> {
         let remaining = self.remaining();
@@ -254,16 +254,54 @@ impl<'a> Cur<'a> {
                 "truncated input: {what} needs {n} bytes, {remaining} left"
             )));
         }
-        if let Buf::Stream { window, source } = &mut self.buf {
-            let cut = self.pos.min(window.len().saturating_sub(source.history()));
-            window.drain(..cut);
-            self.pos -= cut;
-            source.fill(window, self.pos + n.max(FILL_CHUNK).min(remaining))?;
-            if window.len() - self.pos < n {
-                return Err(CodecError(format!("stream ended inside {what}")));
-            }
+        if let Buf::Stream { window, .. } = &mut self.buf {
+            window.drain(..self.pos);
+            self.pos = 0;
+            let want = n.max(FILL_CHUNK).min(remaining) - window.len();
+            self.read_more(want, what)?;
         }
         Ok(())
+    }
+
+    /// Append the next `k` declared bytes of a stream to its window,
+    /// folding them into its hash.
+    fn read_more(&mut self, k: usize, what: &str) -> Result<(), CodecError> {
+        if let Buf::Stream {
+            window,
+            reader,
+            left,
+            hash,
+        } = &mut self.buf
+        {
+            let from = window.len();
+            window.resize(from + k, 0);
+            if let Err(e) = reader.read_exact(&mut window[from..]) {
+                window.truncate(from);
+                return Err(CodecError(format!("stream ended inside {what}: {e}")));
+            }
+            hash.put(&window[from..]);
+            *left -= k;
+        }
+        Ok(())
+    }
+
+    /// The FNV-1a of the whole input, consumed or not: a stream reads what
+    /// is left of it (a chunk at a time, and never decodes it), so a
+    /// reader can check what it decoded against a fingerprint without
+    /// reading the bytes twice.
+    pub fn fingerprint(mut self) -> Result<u64, CodecError> {
+        loop {
+            let k = match &mut self.buf {
+                Buf::Slice(bytes) => return Ok(fnv1a(bytes)),
+                Buf::Stream { left: 0, hash, .. } => return Ok(hash.0),
+                Buf::Stream { window, left, .. } => {
+                    window.clear();
+                    FILL_CHUNK.min(*left)
+                }
+            };
+            self.pos = 0;
+            self.read_more(k, "fingerprinted input")?;
+        }
     }
 
     /// Reject an element count that could not possibly fit in the bytes
@@ -313,19 +351,13 @@ impl<'a> Cur<'a> {
     /// Read a little-endian `u32`.
     #[inline]
     pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
-        let bytes = self.take(4, what)?;
-        Ok(u32::from_le_bytes(
-            bytes.try_into().expect("take returned 4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.take_array(what)?))
     }
 
     /// Read a little-endian `u64`.
     #[inline]
     pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(
-            bytes.try_into().expect("take returned 8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.take_array(what)?))
     }
 
     /// Read a tag code and check it against the tag range.
@@ -386,18 +418,11 @@ impl<'a> Cur<'a> {
         Ok(len)
     }
 
-    /// Require that nothing is left over — of what a stream declared, and
-    /// of the encoding it was produced from.
-    pub fn finish(self, what: &str) -> Result<(), CodecError> {
-        if !self.done() {
-            return Err(CodecError(format!(
-                "{} trailing bytes after {what}",
-                self.remaining()
-            )));
-        }
-        match &self.buf {
-            Buf::Slice(_) => Ok(()),
-            Buf::Stream { source, .. } => source.finish(),
+    /// Require that nothing is left over.
+    pub fn finish(&self, what: &str) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(CodecError(format!("{extra} trailing bytes after {what}"))),
         }
     }
 }

@@ -6,9 +6,11 @@
 #    expect(, panic!(, unreachable!(, assert!(, assert_eq!( and
 #    assert_ne!( (debug_assert* is not counted) under crates/server/src
 #    and crates/router/src, in the grammar every request line meets
-#    (crates/check/src/gql.rs, crates/mine/src/params.rs), and in the
-#    files an x-verb's bytes reach (crates/core/src/{sumy,session,mine}.rs,
-#    crates/sage/src/codec.rs, crates/exec/src/pool.rs). A worker thread
+#    (crates/check/src/gql.rs, crates/mine/src/params.rs), in the files
+#    an x-verb's bytes reach (crates/core/src/{sumy,session,mine}.rs,
+#    crates/sage/src/codec.rs, crates/exec/src/pool.rs), and in the
+#    snapshot decoders that `xadopt` bytes and `load <dir>` files reach
+#    (crates/core/src/persist.rs, crates/sage/src/io.rs). A worker thread
 #    that panics takes its connection (and possibly a poisoned lock) with
 #    it, so every panic site on the request path must be deliberate and
 #    budgeted in scripts/lint-allowlist.txt. The budget ratchets both
@@ -52,12 +54,16 @@
 #    `sumy(..)?.clone()`, no `pub fn .._with(` whose signature takes an
 #    `impl Fn..`, and no `&EnumTable` in an `install_mined_` signature.
 #
-# 7. The snapshot streams. `save` encodes into the LZSS compressor and
-#    `load` reads through the inflater, so neither holds the raw body. So,
-#    in non-test code of crates/core/src/persist.rs: no whole-buffer
-#    `fn lz_compress(` or `fn lz_inflate(` (the first lives on as the test
-#    oracle), no `encode_session` returning a `Vec<u8>`, and no
-#    `Vec<Vec<f64>>` (a matrix decodes into its flat value buffer).
+# 7. The snapshot streams. `session.gea`'s body is the codec's own bytes:
+#    `save` and `spill` encode them straight into the file, and `load`
+#    reads them through a Cur over the file, so neither holds the whole
+#    body and no second codec sits between the fields and the file. So,
+#    in non-test code of crates/core/src/persist.rs: no `LzWriter`,
+#    `Inflate` or `fn lz_`; no `snapshot_to_bytes(` or `fs::write(` in
+#    write_snapshot_file, spill_session or save_session; no `fs::read(`
+#    (the load path streams the file); no `encode_session` returning a
+#    `Vec<u8>`; and no `Vec<Vec<f64>>` (a matrix decodes into its flat
+#    value buffer).
 #
 # 8. The request path names no reproduction-only module. The thesis's
 #    baselines (k-means, hierarchical clustering, SOM), fascicle semantic
@@ -136,7 +142,8 @@ budget_for() {
 sources="crates/server/src/*.rs crates/server/src/bin/*.rs crates/router/src/*.rs crates/router/src/bin/*.rs"
 panic_sources="$sources crates/check/src/gql.rs crates/mine/src/params.rs
     crates/core/src/sumy.rs crates/core/src/session.rs crates/core/src/mine.rs
-    crates/sage/src/codec.rs crates/exec/src/pool.rs"
+    crates/sage/src/codec.rs crates/exec/src/pool.rs
+    crates/core/src/persist.rs crates/sage/src/io.rs"
 
 for file in $panic_sources; do
     n="$(nontest_panics "$file")"
@@ -294,28 +301,40 @@ if [ "$(nontest_hits -F "$session" 'pub fn install_mined_clusters(')" -eq 0 ]; t
     fail=1
 fi
 
-# The snapshot streams: no whole-buffer codec, no raw body, no row-of-rows
-# matrix on the way in.
+# The snapshot streams: no second codec, no whole body on either side,
+# no row-of-rows matrix on the way in.
 persist="crates/core/src/persist.rs"
-for construct in 'fn lz_compress(' 'fn lz_inflate(' 'Vec<Vec<f64>>'; do
+for construct in 'LzWriter' 'Inflate' 'fn lz_' 'fs::read(' 'Vec<Vec<f64>>'; do
     if [ "$(nontest_hits -F "$persist" "$construct")" -gt 0 ]; then
-        echo "lint: $persist has '$construct' in non-test code; save and load stream the snapshot body" >&2
+        echo "lint: $persist has '$construct' in non-test code; the snapshot body is the codec's bytes, streamed to and from its file" >&2
         fail=1
     fi
 done
+# `body` is set from a writer's `fn` line to the `}` that closes it.
+hits="$(nontest "$persist" | awk '
+    /^(pub )?fn (write_snapshot_file|spill_session|save_session)[(<]/ { body = 1 }
+    body && /snapshot_to_bytes\(|fs::write\(/ { n++ }
+    body && /^}/ { body = 0 }
+    END { print n + 0 }')"
+if [ "$hits" -gt 0 ]; then
+    echo "lint: $persist writes a snapshot file through snapshot_to_bytes( or fs::write( ($hits site(s)); encode it straight into the file" >&2
+    fail=1
+fi
 hits="$(nontest "$persist" | awk '
     /fn encode_session[(<]/ { sig = 1 }
     sig && /Vec<u8>/ { n++ }
     sig && /\{$/ { sig = 0 }
     END { print n + 0 }')"
 if [ "$hits" -gt 0 ]; then
-    echo "lint: $persist has an encode_session returning Vec<u8>; the body is encoded into the compressor" >&2
+    echo "lint: $persist has an encode_session returning Vec<u8>; the body is encoded into its sink" >&2
     fail=1
 fi
-if [ "$(nontest_hits -F "$persist" 'Cur::streaming(')" -eq 0 ]; then
-    echo "lint: $persist no longer contains 'Cur::streaming(' — the snapshot-streams check is looking for the wrong thing" >&2
-    fail=1
-fi
+for construct in 'Cur::streaming(' 'fn write_snapshot_file('; do
+    if [ "$(nontest_hits -F "$persist" "$construct")" -eq 0 ]; then
+        echo "lint: $persist no longer contains '$construct' — the snapshot-streams check is looking for the wrong thing" >&2
+        fail=1
+    fi
+done
 
 # The request path names no reproduction-only module.
 repro_only='\bkmeans\b|KMeans|agglomerate|Dendrogram|\bsom\b|compression::|gea_cluster::eval|index_analysis'

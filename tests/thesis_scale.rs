@@ -10,7 +10,7 @@
 use gea::cluster::fascicle::reference as greedy_reference;
 use gea::cluster::{mine_greedy, FascicleParams};
 use gea::core::mine::{generate_metadata, MatrixView};
-use gea::core::persist::corpus_fingerprint;
+use gea::core::persist::{corpus_fingerprint, load_session, save_session, SNAPSHOT_FILE};
 use gea::core::session::GeaSession;
 use gea::core::ExecConfig;
 use gea::exec::mine_simplex_sharded;
@@ -221,6 +221,66 @@ fn thesis_scale_greedy_is_the_reference() {
             "k = {pct}%"
         );
     }
+}
+
+/// `save` → `load` → `save` at thesis scale, through the streaming writer
+/// and reader: a body many fill chunks long (the corpus, the brain data
+/// set, the 12 deepest brain libraries and what mining them at k = 80 %
+/// derives) loads as the session that was saved, and saving that again
+/// writes the same file.
+#[test]
+#[ignore = "thesis-scale corpus; run with --release -- --ignored"]
+fn thesis_scale_snapshot_round_trips_through_its_file() {
+    let (corpus, _) = generate(&GeneratorConfig::thesis_scale(42));
+    let mut brain: Vec<_> = corpus
+        .iter()
+        .filter(|(_, l)| l.meta.tissue == TissueType::Brain)
+        .map(|(id, l)| (std::cmp::Reverse(l.total_tags()), id))
+        .collect();
+    brain.sort();
+    let deep: Vec<String> = brain[..12]
+        .iter()
+        .map(|&(_, id)| corpus.library(id).meta.name.clone())
+        .collect();
+    let mut session = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+    session
+        .create_tissue_dataset("E", &TissueType::Brain)
+        .unwrap();
+    let refs: Vec<&str> = deep.iter().map(|x| x.as_str()).collect();
+    session.create_custom_dataset("D", &refs).unwrap();
+    let n_tags = session.enum_table("D").unwrap().n_tags();
+    let params = FascicleParams {
+        min_compact_attrs: n_tags * 80 / 100,
+        min_records: 3,
+        batch_size: 6,
+    };
+    let mined = session.calculate_fascicles("D", "f", 0.10, &params);
+    assert!(!mined.unwrap().is_empty());
+
+    let root = std::env::temp_dir().join(format!("gea_thesis_snapshot_{}", std::process::id()));
+    let (first, second) = (root.join("first"), root.join("second"));
+    let fingerprint = save_session(&session, &first).unwrap();
+    let saved = std::fs::read(first.join(SNAPSHOT_FILE)).unwrap();
+    assert!(saved.len() > 16 * (256 << 10), "{} bytes", saved.len());
+    let loaded = load_session(&first).unwrap();
+    assert_eq!(loaded.cleaning_report(), session.cleaning_report());
+    assert_eq!(loaded.enum_tables(), session.enum_tables());
+    assert_eq!(loaded.sumy_tables(), session.sumy_tables());
+    assert_eq!(loaded.gap_tables(), session.gap_tables());
+    assert_eq!(
+        format!("{:?}", loaded.fascicle_records()),
+        format!("{:?}", session.fascicle_records())
+    );
+    assert_eq!(
+        loaded.lineage().render_tree(),
+        session.lineage().render_tree()
+    );
+    assert!(loaded.source().held_base().is_none());
+    assert_eq!(loaded.base(), session.base());
+    assert_eq!(save_session(&loaded, &second).unwrap(), fingerprint);
+    let resaved = std::fs::read(second.join(SNAPSHOT_FILE)).unwrap();
+    assert!(resaved == saved, "the re-saved snapshot differs");
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The same pipeline with mining and control-group aggregation routed
