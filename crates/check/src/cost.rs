@@ -105,12 +105,16 @@ impl CostSeed {
     pub fn from_session(session: &GeaSession) -> CostSeed {
         let mut names = BTreeMap::new();
         let mut tags = 0u64;
-        for (name, table) in session.enum_tables() {
-            names.insert(name.clone(), Interval::point(table.n_libraries() as u64));
-            tags = tags.max(table.n_tags() as u64);
+        // Shapes only: a derived table is sized from its definition, so
+        // seeding builds nothing.
+        for name in session.enum_names() {
+            let n_libraries = session.enum_libraries(name).map_or(0, |l| l.len());
+            names.insert(name.to_string(), Interval::point(n_libraries as u64));
+            tags = tags.max(session.enum_n_tags(name).unwrap_or(0) as u64);
         }
-        for (name, table) in session.sumy_tables() {
-            names.insert(name.clone(), Interval::point(table.rows().len() as u64));
+        for name in session.sumy_names() {
+            let rows = session.sumy_len(name).unwrap_or(0);
+            names.insert(name.to_string(), Interval::point(rows as u64));
         }
         for (name, table) in session.gap_tables() {
             names.insert(name.clone(), Interval::point(table.rows().len() as u64));
@@ -495,7 +499,7 @@ mod tests {
         let model = CostModel::default_coefficients();
         let report = cost_pipeline(&model, &seed, &cmds("export Eb out.csv\n"));
         // The live ENUM's exact row count flows in as a point interval.
-        let n = session.enum_tables()["Eb"].n_libraries() as u64;
+        let n = session.enum_table("Eb").unwrap().n_libraries() as u64;
         assert_eq!(report.per_command[0].rows, Interval::point(n));
         assert_eq!(report.per_command[0].cost, n * model.io_weight);
         // And bounds what a `mine` over it can yield, whatever its batch.

@@ -54,8 +54,8 @@ impl SymbolSeed {
     /// session is untouched.
     pub fn from_session(session: &GeaSession) -> SymbolSeed {
         SymbolSeed {
-            enums: session.enum_tables().keys().cloned().collect(),
-            sumys: session.sumy_tables().keys().cloned().collect(),
+            enums: session.enum_names().map(String::from).collect(),
+            sumys: session.sumy_names().map(String::from).collect(),
             gaps: session.gap_tables().keys().cloned().collect(),
             fascicles: session.fascicle_records().keys().cloned().collect(),
         }

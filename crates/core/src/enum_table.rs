@@ -94,24 +94,35 @@ impl EnumTable {
         EnumTable::new(name, self.matrix.select_tags(|_, tag| keep.contains(&tag)))
     }
 
-    /// The purity check of Figure 4.8: `Some(property)` when every member
-    /// library has `property`.
-    pub fn is_pure(&self, property: LibraryProperty) -> bool {
-        !self.libraries().is_empty() && self.libraries().iter().all(|m| m.has_property(property))
-    }
-
-    /// All properties the table is pure on.
-    pub fn pure_properties(&self) -> Vec<LibraryProperty> {
-        LibraryProperty::ALL
-            .into_iter()
-            .filter(|&p| self.is_pure(p))
-            .collect()
-    }
-
     /// Member library names, in order.
     pub fn library_names(&self) -> Vec<&str> {
         self.libraries().iter().map(|m| m.name.as_str()).collect()
     }
+}
+
+/// The purity check of Figure 4.8, over library metadata alone — a
+/// table's or a selection's: whether there is a library and every one has
+/// `property` (an empty table is pure on nothing).
+pub fn is_pure<'a>(
+    libraries: impl IntoIterator<Item = &'a LibraryMeta>,
+    property: LibraryProperty,
+) -> bool {
+    let mut any = false;
+    libraries.into_iter().all(|m| {
+        any = true;
+        m.has_property(property)
+    }) && any
+}
+
+/// Every property these libraries are pure on ([`is_pure`]).
+pub fn pure_properties<'a>(
+    libraries: impl IntoIterator<Item = &'a LibraryMeta, IntoIter: Clone>,
+) -> Vec<LibraryProperty> {
+    let libraries = libraries.into_iter();
+    LibraryProperty::ALL
+        .into_iter()
+        .filter(|&p| is_pure(libraries.clone(), p))
+        .collect()
 }
 
 #[cfg(test)]
@@ -188,12 +199,15 @@ mod tests {
     fn purity_check() {
         let t = table();
         let cancerous = t.select_libraries("c", |m| m.state == NeoplasticState::Cancerous);
-        assert!(cancerous.is_pure(LibraryProperty::Cancer));
-        assert!(!cancerous.is_pure(LibraryProperty::BulkTissue));
-        assert_eq!(cancerous.pure_properties(), vec![LibraryProperty::Cancer]);
+        assert!(is_pure(cancerous.libraries(), LibraryProperty::Cancer));
+        assert!(!is_pure(cancerous.libraries(), LibraryProperty::BulkTissue));
+        assert_eq!(
+            pure_properties(cancerous.libraries()),
+            vec![LibraryProperty::Cancer]
+        );
         // An empty table is pure on nothing.
         let empty = t.select_libraries("e", |_| false);
-        assert!(empty.pure_properties().is_empty());
+        assert!(pure_properties(empty.libraries()).is_empty());
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use persist::{
 };
 pub use populate::{populate, populate_columnar, populate_indexed, populate_scan, PopulateIndex};
 pub use session::{
-    ControlGroupInputs, ControlGroups, ExecConfig, ExecEvent, GeaError, GeaSession,
-    SessionSnapshot, SessionSource,
+    ControlGroupInputs, ControlGroupSelection, ControlGroups, ExecConfig, ExecEvent, GeaError,
+    GeaSession, Selection, SessionSnapshot, SessionSource,
 };
 pub use sumy::{aggregate, SumyTable};
 pub use topgap::{top_gaps, TopGapOrder};

@@ -46,8 +46,7 @@ fn string_bytes(s: &str) -> usize {
 
 impl ApproxMem for TagUniverse {
     fn approx_bytes(&self) -> usize {
-        // A tag code (u32) plus its id-lookup entry.
-        ALLOC_OVERHEAD + self.len() * 12
+        universe_bytes(self.len())
     }
 }
 
@@ -75,33 +74,64 @@ impl ApproxMem for SageCorpus {
     }
 }
 
-/// A dense matrix over `universe` and these library columns, built or not.
+/// A tag universe of `n_tags` tags.
+fn universe_bytes(n_tags: usize) -> usize {
+    // A tag code (u32) plus its id-lookup entry.
+    ALLOC_OVERHEAD + n_tags * 12
+}
+
+/// A dense matrix over `n_tags` tags and these library columns, built or
+/// not.
 fn dense_bytes<'a>(
-    universe: &TagUniverse,
-    libraries: impl ExactSizeIterator<Item = &'a LibraryMeta>,
+    n_tags: usize,
+    libraries: impl IntoIterator<Item = &'a LibraryMeta, IntoIter: ExactSizeIterator>,
 ) -> usize {
-    let cells = universe.len() * libraries.len() * std::mem::size_of::<f64>();
-    cells + universe.approx_bytes() + libraries.map(ApproxMem::approx_bytes).sum::<usize>()
+    let libraries = libraries.into_iter();
+    let cells = n_tags * libraries.len() * std::mem::size_of::<f64>();
+    cells + universe_bytes(n_tags) + libraries.map(ApproxMem::approx_bytes).sum::<usize>()
+}
+
+/// What an ENUM table named `name` over `n_tags` tags and these library
+/// columns costs once built: its [`ApproxMem`] figure, before it exists.
+pub(crate) fn enum_table_bytes<'a>(
+    name: &str,
+    n_tags: usize,
+    libraries: impl IntoIterator<Item = &'a LibraryMeta, IntoIter: ExactSizeIterator>,
+) -> usize {
+    string_bytes(name) + dense_bytes(n_tags, libraries)
+}
+
+/// What a SUMY table named `name` with `rows` rows costs once built.
+pub(crate) fn sumy_table_bytes(name: &str, rows: usize) -> usize {
+    // tag + tag_no + range + average + std_dev: 48 bytes a row. The
+    // registry's eviction budget is compared against this figure, so
+    // changing it changes which sessions spill.
+    string_bytes(name) + 48 * rows
+}
+
+/// A name-keyed map of entries charged `bytes` each.
+pub(crate) fn map_bytes<'a>(entries: impl Iterator<Item = (&'a String, usize)>) -> usize {
+    ALLOC_OVERHEAD
+        + entries
+            .map(|(name, bytes)| string_bytes(name) + bytes)
+            .sum::<usize>()
 }
 
 impl ApproxMem for ExpressionMatrix {
     fn approx_bytes(&self) -> usize {
-        dense_bytes(self.universe(), self.libraries().iter())
+        dense_bytes(self.n_tags(), self.libraries())
     }
 }
 
 impl ApproxMem for EnumTable {
     fn approx_bytes(&self) -> usize {
-        string_bytes(&self.name) + self.matrix.approx_bytes()
+        enum_table_bytes(&self.name, self.n_tags(), self.libraries())
     }
 }
 
 impl ApproxMem for SumyTable {
     fn approx_bytes(&self) -> usize {
-        // tag + tag_no + range + average + std_dev: 48 bytes a row. The
-        // registry's eviction budget is compared against this figure, so
-        // changing it changes which sessions spill.
-        string_bytes(&self.name) + 48 * self.len()
+        sumy_table_bytes(&self.name, self.len())
     }
 }
 
@@ -155,11 +185,7 @@ impl ApproxMem for FascicleRecord {
 
 impl<T: ApproxMem> ApproxMem for BTreeMap<String, T> {
     fn approx_bytes(&self) -> usize {
-        ALLOC_OVERHEAD
-            + self
-                .iter()
-                .map(|(k, v)| string_bytes(k) + v.approx_bytes())
-                .sum::<usize>()
+        map_bytes(self.iter().map(|(k, v)| (k, v.approx_bytes())))
     }
 }
 
@@ -171,9 +197,7 @@ impl ApproxMem for SessionSource {
     /// conservative as when every session held it.
     fn approx_bytes(&self) -> usize {
         let base = match &self.root {
-            Root::Cleaned { kept, .. } => {
-                string_bytes("SAGE") + dense_bytes(kept, self.libraries().into_iter())
-            }
+            Root::Cleaned { kept, .. } => enum_table_bytes("SAGE", kept.len(), self.libraries()),
             Root::Matrix(base) => base.approx_bytes(),
         };
         self.corpus.approx_bytes() + base

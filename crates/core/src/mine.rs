@@ -2,10 +2,11 @@
 //! intensional world.
 //!
 //! `SUMY = mine(ENUM, fascicle)` runs the Fascicles algorithm over an ENUM
-//! table and represents each found fascicle intensionally as a SUMY table
-//! over its compact tags. "In the general case, the mining operation can be
-//! something other than fascicle production" — other algorithms plug in as
-//! `gea_mine::MineBackend`s, which reuse [`materialize_groups`].
+//! table and names each found fascicle by its member libraries and compact
+//! tags; a session holds its ENUM and SUMY as that definition. "In the
+//! general case, the mining operation can be something other than fascicle
+//! production" — other algorithms plug in as `gea_mine::MineBackend`s,
+//! which reuse [`materialize_groups`].
 
 use gea_cluster::dataset::AttrSource;
 use gea_cluster::{mine_greedy, FascicleParams, ToleranceVector};
@@ -13,7 +14,6 @@ use gea_sage::library::LibraryId;
 use gea_sage::tag::TagId;
 
 use crate::enum_table::EnumTable;
-use crate::sumy::{aggregate_tags, SumyTable};
 
 /// Adapter presenting an ENUM table's matrix as a clustering input:
 /// libraries are the records, tags the attributes.
@@ -40,16 +40,23 @@ impl AttrSource for MatrixView<'_> {
     }
 }
 
+/// The width fraction the thesis's fascicle runs use (Figure 4.5's
+/// metadata generator at 10 %), and what [`mine_groups`] mines under when
+/// no tolerance vector is given.
+pub const WIDTH_FRACTION: f64 = 0.10;
+
 /// The metadata generator of Figure 4.5: a tolerance vector from a
 /// width percentage over the ENUM table's tags.
 pub fn generate_metadata(table: &EnumTable, width_fraction: f64) -> ToleranceVector {
     ToleranceVector::from_width_fraction(&MatrixView::new(table), width_fraction)
 }
 
-/// One mined cluster, in both identities: its member libraries
-/// (extensional) and its SUMY definition over the compact tags
-/// (intensional).
-#[derive(Debug, Clone)]
+/// One mined cluster: its member libraries and compact tags, which
+/// determine both its identities — the extensional ENUM (members × compact
+/// tags) and the intensional SUMY (the members aggregated over the compact
+/// tags) — so a session holds them as this definition and builds each
+/// when first read.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinedCluster {
     /// Name assigned to the cluster (e.g. `brain35k_1`).
     pub name: String,
@@ -57,9 +64,6 @@ pub struct MinedCluster {
     pub libraries: Vec<LibraryId>,
     /// Compact tags, as ids within the mined ENUM table.
     pub compact_tags: Vec<TagId>,
-    /// The intensional definition: aggregates over the compact tags,
-    /// computed from the member libraries.
-    pub sumy: SumyTable,
 }
 
 /// The mining algorithm behind mine().
@@ -70,8 +74,9 @@ pub enum Miner {
     Fascicles(FascicleParams),
 }
 
-/// Run mine() over an ENUM table. `tolerance` is required: it is the
-/// per-tag compactness bound of [`generate_metadata`]. Returned clusters
+/// Run mine() over an ENUM table. `tolerance` is the per-tag compactness
+/// bound of [`generate_metadata`]; without one, the fascicle miner uses
+/// the table's own at [`WIDTH_FRACTION`]. Returned clusters
 /// are named `{base_name}_{i}` with `i` starting at 1, as in the thesis's
 /// `brain35k_1 … brain35k_4`.
 pub fn mine(
@@ -86,6 +91,7 @@ pub fn mine(
 /// Materialize `(records, attrs)` groups as clusters numbered from `first`
 /// (zero-based), in group order — the tail every miner shares, and the
 /// per-range kernel of the sharded `mine`, whose range starts at `first`.
+/// `table` is the mined table; a cluster's ids are within it.
 pub fn materialize_groups(
     table: &EnumTable,
     base_name: &str,
@@ -114,7 +120,14 @@ pub fn mine_groups(
     let view = MatrixView::new(table);
     match miner {
         Miner::Fascicles(params) => {
-            let tol = tolerance.expect("Fascicles mining needs a tolerance vector");
+            let own;
+            let tol = match tolerance {
+                Some(tol) => tol,
+                None => {
+                    own = generate_metadata(table, WIDTH_FRACTION);
+                    &own
+                }
+            };
             mine_greedy(&view, tol, params)
                 .into_iter()
                 .map(|f| (f.records, f.compact_attrs))
@@ -124,27 +137,23 @@ pub fn mine_groups(
 }
 
 /// The materialization half of [`mine`]: turn the `index`-th cluster of a
-/// [`mine_groups`] pass into a [`MinedCluster`] — name it, select the
-/// member submatrix, and aggregate the compact tags into the SUMY
-/// definition. Each cluster materializes independently, so this is the
-/// unit of work the sharded mine driver fans across its pool.
+/// [`mine_groups`] pass into a [`MinedCluster`] — name it and number its
+/// members and compact tags. It builds no table: the session builds the
+/// cluster's ENUM and SUMY from these ids when something reads them.
+/// Each cluster materializes independently, so this is the unit of work
+/// the sharded mine driver fans across its pool. (`table`, the mined
+/// table, is what the ids index.)
 pub fn materialize_cluster(
-    table: &EnumTable,
+    _table: &EnumTable,
     base_name: &str,
     index: usize,
     records: Vec<usize>,
     attrs: Vec<usize>,
 ) -> MinedCluster {
-    let name = format!("{base_name}_{}", index + 1);
-    let libraries: Vec<LibraryId> = records.iter().map(|&r| LibraryId(r as u32)).collect();
-    let compact_tags: Vec<TagId> = attrs.iter().map(|&a| TagId(a as u32)).collect();
-    let members = table.matrix.select_libraries(&libraries);
-    let sumy = aggregate_tags(&name, &members, &compact_tags);
     MinedCluster {
-        name,
-        libraries,
-        compact_tags,
-        sumy,
+        name: format!("{base_name}_{}", index + 1),
+        libraries: records.iter().map(|&r| LibraryId(r as u32)).collect(),
+        compact_tags: attrs.iter().map(|&a| TagId(a as u32)).collect(),
     }
 }
 
@@ -155,6 +164,12 @@ mod tests {
     use gea_sage::library::{NeoplasticState, TissueSource, TissueType};
     use gea_sage::tag::TagUniverse;
     use gea_sage::ExpressionMatrix;
+
+    /// A cluster's SUMY: its members aggregated over its compact tags.
+    fn cluster_sumy(table: &EnumTable, c: &MinedCluster) -> crate::sumy::SumyTable {
+        let members = table.matrix.select_libraries(&c.libraries);
+        crate::sumy::aggregate_tags(&c.name, &members, &c.compact_tags)
+    }
 
     /// Six libraries: 0–2 agree tightly on both tags (a plantable
     /// fascicle), 3–5 scattered.
@@ -212,8 +227,9 @@ mod tests {
         assert_eq!(c.compact_tags.len(), 2);
         // The SUMY definition covers exactly the compact tags with the
         // member-library aggregates.
-        assert_eq!(c.sumy.len(), 2);
-        let a = c.sumy.row_for("AAAAAAAAAA".parse().unwrap()).unwrap();
+        let sumy = cluster_sumy(&table, c);
+        assert_eq!(sumy.len(), 2);
+        let a = sumy.row_for("AAAAAAAAAA".parse().unwrap()).unwrap();
         assert_eq!(a.average, 101.0);
         assert_eq!(a.range.lo(), 100.0);
         assert_eq!(a.range.hi(), 102.0);
@@ -235,7 +251,7 @@ mod tests {
             Some(&tol),
         );
         let c = &clusters[0];
-        let (libs, _) = crate::populate::populate_scan(&c.sumy, &table);
+        let (libs, _) = crate::populate::populate_scan(&cluster_sumy(&table, c), &table);
         assert_eq!(libs, c.libraries);
     }
 }

@@ -70,7 +70,7 @@ use crate::codec::{
 use crate::enum_table::EnumTable;
 use crate::gap::{GapRow, GapTable};
 use crate::lineage::{Lineage, LineageNode, NodeId, NodeKind};
-use crate::session::{FascicleRecord, GeaSession, Root, SessionSnapshot, SessionSource};
+use crate::session::{FascicleRecord, GeaError, GeaSession, Root, SessionSnapshot, SessionSource};
 use crate::sumy::SumyTable;
 
 /// Errors raised by persistence.
@@ -91,6 +91,13 @@ impl From<std::io::Error> for PersistError {
 impl From<CodecError> for PersistError {
     fn from(e: CodecError) -> PersistError {
         PersistError::Malformed(e.0)
+    }
+}
+
+/// A derived table whose definition no longer resolves cannot be written.
+impl From<GeaError> for PersistError {
+    fn from(e: GeaError) -> PersistError {
+        PersistError::Malformed(e.to_string())
     }
 }
 
@@ -482,14 +489,23 @@ fn read_report(cur: &mut Cur) -> Result<CleaningReport, CodecError> {
 }
 
 /// The snapshot body, field by field, into `out` — the file itself when
-/// saving, so the body is never held.
-fn encode_session(session: &GeaSession, out: &mut impl ByteSink) {
+/// saving, so the body is never held. A derived ENUM or SUMY not built yet
+/// is built for its bytes and dropped before the next, so writing a
+/// session builds at most one table at a time and leaves it as it was.
+fn encode_session(session: &GeaSession, out: &mut impl ByteSink) -> Result<(), PersistError> {
     put_source(out, session.source());
-    put_list(out, session.enum_tables().values(), put_enum_table);
-    put_list(out, session.sumy_tables().values(), put_sumy_table);
+    put_u32(out, session.enum_names().len() as u32);
+    for name in session.enum_names() {
+        put_enum_table(out, &*session.enum_view(name)?);
+    }
+    put_u32(out, session.sumy_names().len() as u32);
+    for name in session.sumy_names() {
+        put_sumy_table(out, &*session.sumy_view(name)?);
+    }
     put_list(out, session.gap_tables().values(), put_gap_table);
     put_list(out, session.fascicle_records().values(), put_fascicle);
     put_lineage(out, session.lineage());
+    Ok(())
 }
 
 /// The lineage as binary records: the next id, then each live node in id
@@ -782,7 +798,7 @@ fn write_snapshot<W: Write>(session: &GeaSession, mut out: W) -> Result<(W, u64)
         hash: Fnv1a::default(),
         failed: None,
     };
-    encode_session(session, &mut sink);
+    encode_session(session, &mut sink)?;
     match sink.failed {
         Some(e) => Err(e.into()),
         None => Ok((sink.out, sink.hash.0)),
@@ -798,7 +814,7 @@ fn write_snapshot<W: Write>(session: &GeaSession, mut out: W) -> Result<(W, u64)
 /// first, so it is allocated once.
 pub fn snapshot_to_bytes(session: &GeaSession) -> Result<(Vec<u8>, u64), PersistError> {
     let mut len = ByteCount::default();
-    encode_session(session, &mut len);
+    encode_session(session, &mut len)?;
     let exact = Vec::with_capacity(SNAPSHOT_HEADER + len.0 as usize);
     let (mut bytes, fingerprint) = write_snapshot(session, exact)?;
     bytes[..SNAPSHOT_HEADER].copy_from_slice(&header(fingerprint));
@@ -1115,11 +1131,23 @@ mod tests {
         session
     }
 
+    /// Every ENUM table of `s` as a save writes it, derived ones built.
+    fn enums_of(s: &GeaSession) -> Vec<EnumTable> {
+        let view = |name| s.enum_view(name).unwrap().into_owned();
+        s.enum_names().map(view).collect()
+    }
+
+    /// Every SUMY table of `s` as a save writes it, derived ones built.
+    fn sumys_of(s: &GeaSession) -> Vec<SumyTable> {
+        let view = |name| s.sumy_view(name).unwrap().into_owned();
+        s.sumy_names().map(view).collect()
+    }
+
     fn assert_sessions_identical(a: &GeaSession, b: &GeaSession) {
         assert_eq!(b.base(), a.base(), "base matrix differs");
         assert_eq!(b.cleaning_report(), a.cleaning_report(), "report differs");
-        assert_eq!(b.enum_tables(), a.enum_tables(), "enum tables differ");
-        assert_eq!(b.sumy_tables(), a.sumy_tables(), "sumy tables differ");
+        assert_eq!(enums_of(b), enums_of(a), "enum tables differ");
+        assert_eq!(sumys_of(b), sumys_of(a), "sumy tables differ");
         assert_eq!(b.gap_tables(), a.gap_tables(), "gap tables differ");
         assert_eq!(
             format!("{:?}", b.fascicle_records()),
@@ -1336,7 +1364,7 @@ mod tests {
         // The body is exactly what `encode_session` writes, and the buffer
         // was sized to it.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw);
+        encode_session(&session, &mut raw).unwrap();
         assert!(bytes[SNAPSHOT_HEADER..] == raw);
         assert_eq!(bytes.capacity(), bytes.len());
     }
@@ -1412,7 +1440,7 @@ mod tests {
         // Bodies that are wrong where the decoder must notice, given their
         // own fingerprint so they reach it: each is Malformed.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw);
+        encode_session(&session, &mut raw).unwrap();
         // Two bytes after the lineage, and the body one byte short.
         let past_the_end = [&raw[..], &[0, b'x']].concat();
         let short = raw[..raw.len() - 1].to_vec();
@@ -1470,14 +1498,11 @@ mod tests {
         let mut bad_flag = raw.clone();
         *bad_flag.last_mut().unwrap() = 2;
         // A SUMY table listed twice: the map would keep only one.
-        let sumy = session.sumy_tables().values().next().unwrap();
+        let sumys = sumys_of(&session);
+        let sumy = &sumys[0];
         let mut twin_sumy = Vec::new();
         put_source(&mut twin_sumy, session.source());
-        put_list(
-            &mut twin_sumy,
-            session.enum_tables().values(),
-            put_enum_table,
-        );
+        put_list(&mut twin_sumy, &enums_of(&session), put_enum_table);
         put_list(&mut twin_sumy, [sumy, sumy], put_sumy_table);
         put_list(&mut twin_sumy, session.gap_tables().values(), put_gap_table);
         put_list(
@@ -1643,7 +1668,7 @@ mod tests {
         assert_sessions_identical(&session, &restored);
         // Called a cleaned base, the empty corpus derives another report.
         let mut raw = Vec::new();
-        encode_session(&session, &mut raw);
+        encode_session(&session, &mut raw).unwrap();
         let mut report = Vec::new();
         put_report(&mut report, session.cleaning_report());
         let mut corpus = Vec::new();
@@ -1691,9 +1716,9 @@ mod tests {
         let session = rich_session();
         let own = Arc::clone(session.source());
         let mut body = Vec::new();
-        encode_session(&session, &mut body);
+        encode_session(&session, &mut body).unwrap();
         let mut fields = Fields::default();
-        encode_session(&session, &mut fields);
+        encode_session(&session, &mut fields).unwrap();
         let wide = |n: usize| -> Vec<usize> {
             let at = fields.at.iter().filter(|&&(_, len)| len == n);
             at.map(|&(at, _)| at).collect()
@@ -1708,9 +1733,9 @@ mod tests {
         prefix.clear();
         put_source(&mut prefix, session.source());
         let mut counts = vec![prefix.len()];
-        put_list(&mut prefix, session.enum_tables().values(), put_enum_table);
+        put_list(&mut prefix, &enums_of(&session), put_enum_table);
         counts.push(prefix.len());
-        put_list(&mut prefix, session.sumy_tables().values(), put_sumy_table);
+        put_list(&mut prefix, &sumys_of(&session), put_sumy_table);
         counts.push(prefix.len());
         put_list(&mut prefix, session.gap_tables().values(), put_gap_table);
         counts.push(prefix.len());
@@ -1734,7 +1759,7 @@ mod tests {
         let outcome = |loaded: Result<GeaSession, PersistError>| match loaded {
             Ok(s) => {
                 let mut hash = Fnv1a::default();
-                encode_session(&s, &mut hash);
+                encode_session(&s, &mut hash).unwrap();
                 Ok(hash.0)
             }
             Err(PersistError::Malformed(m)) => Err(m),

@@ -339,16 +339,10 @@ pub fn populate(name: &str, sumy: &SumyTable, table: &EnumTable) -> EnumTable {
 }
 
 /// Materialize a populate() result: restrict `table` to the qualifying
-/// `libs`, then to the SUMY's tags. Shared by the serial macro-operation,
-/// the session bookkeeping, and the sharded driver so the result table is
-/// identical by construction on every path.
-///
-/// When the SUMY covers *every* tag of the table in row order — the common
-/// `populate(aggregate(E'), E)` closure, where the SUMY was aggregated from
-/// a same-universe table — the tag restriction is the identity: filtering a
-/// sorted universe with a keep-everything predicate rebuilds the same
-/// universe, and copying every row in order rebuilds the same value block.
-/// That copy is pure overhead at 25k–30k conditions, so it is skipped.
+/// `libs`, then to the SUMY's tags ([`populate_tags`]). Shared by the
+/// serial macro-operation and the sharded driver, and what a session's
+/// `populate` result is built as, so the result table is identical by
+/// construction on every path.
 pub fn materialize_populate(
     name: &str,
     sumy: &SumyTable,
@@ -356,17 +350,27 @@ pub fn materialize_populate(
     libs: &[LibraryId],
 ) -> EnumTable {
     let restricted = table.with_libraries(name, libs);
-    let tag_ids: Vec<TagId> = sumy
-        .tags()
-        .filter_map(|t| restricted.matrix.id_of(t))
-        .collect();
-    let identity = tag_ids.len() == restricted.matrix.n_tags()
-        && tag_ids.iter().enumerate().all(|(i, t)| t.index() == i);
-    if identity {
-        restricted
-    } else {
-        restricted.select_tags(name, &tag_ids)
+    match populate_tags(sumy, table) {
+        Some(tag_ids) => restricted.select_tags(name, &tag_ids),
+        None => restricted,
     }
+}
+
+/// The tags of `table` a populate() result keeps: the SUMY's, as ids
+/// within `table`, ascending — or `None` when that is every tag of the
+/// table in order.
+///
+/// That happens in the common `populate(aggregate(E'), E)` closure, where
+/// the SUMY was aggregated from a same-universe table, and there the tag
+/// restriction is the identity: filtering a sorted universe with a
+/// keep-everything predicate rebuilds the same universe, and copying every
+/// row in order rebuilds the same value block. That copy is pure overhead
+/// at 25k–30k conditions, so it is skipped.
+pub fn populate_tags(sumy: &SumyTable, table: &EnumTable) -> Option<Vec<TagId>> {
+    let tag_ids: Vec<TagId> = sumy.tags().filter_map(|t| table.matrix.id_of(t)).collect();
+    let identity =
+        tag_ids.len() == table.n_tags() && tag_ids.iter().enumerate().all(|(i, t)| t.index() == i);
+    (!identity).then_some(tag_ids)
 }
 
 #[cfg(test)]

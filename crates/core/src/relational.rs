@@ -14,6 +14,7 @@
 use gea_relstore::schema::{Column, Schema};
 use gea_relstore::table::{Table, TableError};
 use gea_relstore::value::{DataType, Value};
+use gea_sage::library::LibraryMeta;
 use gea_sage::tag::Tag;
 
 use crate::enum_table::EnumTable;
@@ -203,15 +204,18 @@ pub fn gap_from_relation(name: &str, table: &Table) -> Result<GapTable, ConvertE
     Ok(GapTable::new(name, columns, rows))
 }
 
-/// An ENUM table's schema in the rotated physical layout of Figure 4.30:
-/// one FLOAT column per library.
-pub fn enum_schema(table: &EnumTable) -> Result<Schema, ConvertError> {
-    tag_keyed_schema(table.libraries().iter().map(|meta| meta.name.as_str()))
+/// The schema of an ENUM table over these library columns, in the rotated
+/// physical layout of Figure 4.30: one FLOAT column per library. Only the
+/// libraries' names matter, so a table can be checked before it is built.
+pub fn enum_schema<'a>(
+    libraries: impl IntoIterator<Item = &'a LibraryMeta>,
+) -> Result<Schema, ConvertError> {
+    tag_keyed_schema(libraries.into_iter().map(|meta| meta.name.as_str()))
 }
 
 /// Materialize an ENUM table under [`enum_schema`]: one row per tag.
 pub fn enum_to_relation(table: &EnumTable) -> Result<Table, ConvertError> {
-    let mut out = Table::new(enum_schema(table)?);
+    let mut out = Table::new(enum_schema(table.libraries())?);
     for tid in table.matrix.tag_ids() {
         let mut row: Vec<Value> = vec![table.matrix.tag_of(tid).to_string().into(), tid.0.into()];
         row.extend(table.matrix.tag_row(tid).iter().map(|&v| Value::Float(v)));

@@ -11,6 +11,7 @@
 //! operation becomes the input of another", so each case study of Chapter 4
 //! is a short sequence of session calls (see `examples/brain_case_study.rs`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -24,7 +25,7 @@ use gea_sage::tag::{Tag, TagId, TagUniverse};
 use gea_sage::TissueType;
 
 use crate::compare::{compare_gaps, compare_gaps_self, CompareOp, CompareQuery};
-use crate::enum_table::EnumTable;
+use crate::enum_table::{is_pure, pure_properties, EnumTable};
 use crate::gap::{diff, GapTable};
 use crate::lineage::{Lineage, LineageError, LineageNode, NodeId, NodeKind};
 use crate::mine::{generate_metadata, mine, MinedCluster, Miner};
@@ -32,7 +33,7 @@ use crate::relational::{
     enum_schema, enum_to_relation, gap_schema, gap_to_relation, sumy_schema, sumy_to_relation,
     ConvertError,
 };
-use crate::sumy::{aggregate_tag_rows, SumyRow, SumyTable};
+use crate::sumy::{aggregate, aggregate_tag_rows, aggregate_tags, SumyRow, SumyTable};
 use crate::topgap::{tag_distribution, top_gaps, TagPlotPoint, TopGapOrder};
 
 /// Parallel-execution knobs carried by a session: how many worker threads
@@ -210,23 +211,110 @@ pub struct ControlGroups {
 /// The side-effect-free inputs of the `formSUM` macro operation
 /// ([`GeaSession::form_control_groups`]): the three result names, the
 /// compact-tag ids within the source data set, and the three library
-/// selections the SUMY aggregations run over. Computed under `&self`, so
-/// shard-scoped front-ends (the router's scatter verbs) can evaluate any
-/// tag range of the aggregations under a shared read lock and hand the
-/// merged rows back to [`GeaSession::install_control_groups`].
+/// selections the SUMY aggregations run over, as ids within that data set.
+/// Computed under `&self` without copying a table, so installs and
+/// shard-scoped front-ends (the router's scatter verbs) can re-validate
+/// against the session as it is.
+#[derive(Debug, Clone)]
+pub struct ControlGroupSelection {
+    /// The three result-table names.
+    pub names: ControlGroups,
+    /// The data set the fascicle was mined from.
+    pub dataset: String,
+    /// Compact-tag ids within the *data set* matrix, in record order.
+    pub compact_ids: Vec<TagId>,
+    /// The fascicle's members (the selection the in-fascicle SUMY
+    /// aggregates over; never installed as an ENUM).
+    pub in_members: Vec<LibraryId>,
+    /// ENUM₂: same property, outside the fascicle.
+    pub outside: Vec<LibraryId>,
+    /// ENUM₃: the contrasting property.
+    pub contrast: Vec<LibraryId>,
+}
+
+/// A [`ControlGroupSelection`] with its three library selections built as
+/// tables over the data set's every tag: what the aggregations read
+/// ([`GeaSession::control_group_inputs`]). Transient — nothing of it is
+/// installed.
 #[derive(Debug, Clone)]
 pub struct ControlGroupInputs {
     /// The three result-table names.
     pub names: ControlGroups,
     /// Compact-tag ids within the *data set* matrix, in record order.
-    pub compact_ids: Vec<gea_sage::tag::TagId>,
-    /// Fascicle members selected out of the data set (the temporary
-    /// selection the in-fascicle SUMY aggregates over; never installed).
+    pub compact_ids: Vec<TagId>,
+    /// Fascicle members selected out of the data set.
     pub in_members: EnumTable,
     /// ENUM₂: same property, outside the fascicle.
     pub outside: EnumTable,
     /// ENUM₃: the contrasting property.
     pub contrast: EnumTable,
+}
+
+/// The definition of a derived table: libraries of an ENUM table — its
+/// parent — and optionally some of its tags. A mined cluster's ENUM is
+/// its members over its compact tags, and its SUMY those members
+/// aggregated over the same tags; a control group's ENUM is a library
+/// selection over every tag; a `populate` result is the qualifying
+/// libraries over the SUMY's tags. The parent is named, and is always a
+/// lineage ancestor of the table defined over it, so `delete --cascade`
+/// removes the table with its parent; a lookup that fails all the same
+/// answers [`GeaError::NotFound`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    /// The ENUM table selected from.
+    pub parent: String,
+    /// Library ids within the parent, in the result's column order.
+    pub libraries: Vec<LibraryId>,
+    /// Tag ids within the parent, ascending and distinct; `None` keeps
+    /// every tag.
+    pub tags: Option<Vec<TagId>>,
+}
+
+impl Selection {
+    /// The ENUM table `name` this selection defines over `parent`.
+    fn enum_table(&self, name: &str, parent: &EnumTable) -> EnumTable {
+        let table = parent.with_libraries(name, &self.libraries);
+        match &self.tags {
+            Some(tags) => table.select_tags(name, tags),
+            None => table,
+        }
+    }
+
+    /// The SUMY `name` this selection defines over `parent`: its libraries
+    /// aggregated over its tags. Installs refuse an empty library list.
+    fn sumy(&self, name: &str, parent: &EnumTable) -> SumyTable {
+        let members = parent.matrix.select_libraries(&self.libraries);
+        match &self.tags {
+            Some(tags) => aggregate_tags(name, &members, tags),
+            None => aggregate(name, &members),
+        }
+    }
+}
+
+/// One named ENUM or SUMY table of a session: held as given, or held as
+/// the [`Selection`] it derives from and built on first read.
+pub(crate) enum Stored<T> {
+    /// A table nothing else determines: a data set, a SUMY the session was
+    /// handed rows for, anything a snapshot load restored.
+    Held(T),
+    /// A table its definition determines, built once something reads it;
+    /// a contents-only `delete` drops what was built.
+    Derived(Selection, OnceLock<T>),
+}
+
+impl<T> Stored<T> {
+    fn derived(def: Selection) -> Stored<T> {
+        Stored::Derived(def, OnceLock::new())
+    }
+
+    /// The table if it is held or has been built, or else the definition
+    /// it is built from.
+    fn state(&self) -> Result<&T, &Selection> {
+        match self {
+            Stored::Held(table) => Ok(table),
+            Stored::Derived(def, built) => built.get().ok_or(def),
+        }
+    }
 }
 
 /// The immutable half of a [`GeaSession`]: what `open` builds and no
@@ -382,9 +470,9 @@ pub struct SessionSnapshot {
     pub source: Arc<SessionSource>,
     /// The lineage DAG.
     pub lineage: Lineage,
-    /// Derived ENUM tables by name.
+    /// Derived ENUM tables by name, each as built.
     pub enums: BTreeMap<String, EnumTable>,
-    /// SUMY tables by name.
+    /// SUMY tables by name, each as built.
     pub sumys: BTreeMap<String, SumyTable>,
     /// GAP tables by name.
     pub gaps: BTreeMap<String, GapTable>,
@@ -396,8 +484,8 @@ pub struct SessionSnapshot {
 pub struct GeaSession {
     source: Arc<SessionSource>,
     lineage: Lineage,
-    enums: BTreeMap<String, EnumTable>,
-    sumys: BTreeMap<String, SumyTable>,
+    enums: BTreeMap<String, Stored<EnumTable>>,
+    sumys: BTreeMap<String, Stored<SumyTable>>,
     gaps: BTreeMap<String, GapTable>,
     fascicles: BTreeMap<String, FascicleRecord>,
     nodes: BTreeMap<String, NodeId>,
@@ -504,19 +592,26 @@ impl GeaSession {
     }
 
     /// Reassemble a session from a [`SessionSnapshot`] (the persistence
-    /// path). The name→node index is rebuilt from the lineage: live node
-    /// names are unique (enforced by `Lineage::record` and
-    /// `Lineage::from_parts`), so the last occurrence wins harmlessly.
+    /// path), every table held as the snapshot gives it. The name→node
+    /// index is rebuilt from the lineage: live node names are unique
+    /// (enforced by `Lineage::record` and `Lineage::from_parts`), so the
+    /// last occurrence wins harmlessly.
     pub fn from_snapshot(snapshot: SessionSnapshot) -> GeaSession {
         let mut nodes = BTreeMap::new();
         for node in snapshot.lineage.iter() {
             nodes.insert(node.name.clone(), node.id);
         }
+        fn held<T>(tables: BTreeMap<String, T>) -> BTreeMap<String, Stored<T>> {
+            tables
+                .into_iter()
+                .map(|(n, t)| (n, Stored::Held(t)))
+                .collect()
+        }
         GeaSession {
             source: snapshot.source,
             lineage: snapshot.lineage,
-            enums: snapshot.enums,
-            sumys: snapshot.sumys,
+            enums: held(snapshot.enums),
+            sumys: held(snapshot.sumys),
             gaps: snapshot.gaps,
             fascicles: snapshot.fascicles,
             nodes,
@@ -617,17 +712,20 @@ impl GeaSession {
     /// node's kind picks the identity a fascicle's shared ENUM/SUMY name
     /// means; a node whose contents were deleted yields its schema with no
     /// rows. Every install checks the schema first, so a conversion can only
-    /// fail for a table a hand-made snapshot slipped past them.
+    /// fail for a table a hand-made snapshot slipped past them. A derived
+    /// table not built yet is built for the conversion and dropped with it.
     pub fn relation(&self, name: &str) -> Option<Table> {
         let node = self.relation_node(self.node(name)?)?;
         use NodeKind::{Compare, Enum, Fascicle, Gap, Sumy, TopGap};
         let relation = match (node.kind, node.materialized) {
             (Gap | TopGap | Compare, true) => gap_to_relation(self.gaps.get(name)?),
             (Gap | TopGap | Compare, false) => gap_schema(self.gaps.get(name)?).map(Table::new),
-            (Sumy, true) => sumy_to_relation(self.sumys.get(name)?),
+            (Sumy, true) => sumy_to_relation(&*self.sumy_view(name).ok()?),
             (Sumy, false) => sumy_schema().map(Table::new),
-            (Enum | Fascicle, true) => enum_to_relation(self.enums.get(name)?),
-            (Enum | Fascicle, false) => enum_schema(self.enums.get(name)?).map(Table::new),
+            (Enum | Fascicle, true) => enum_to_relation(&*self.enum_view(name).ok()?),
+            (Enum | Fascicle, false) => {
+                enum_schema(self.enum_libraries(name).ok()?).map(Table::new)
+            }
         };
         relation.ok()
     }
@@ -642,23 +740,135 @@ impl GeaSession {
             .collect()
     }
 
-    /// Look up an ENUM table (the root `SAGE` included).
+    /// Look up an ENUM table (the root `SAGE` included), building a derived
+    /// one the first time it is read.
     pub fn enum_table(&self, name: &str) -> Result<&EnumTable, GeaError> {
         if name == "SAGE" {
             return Ok(self.base());
         }
+        self.build(self.enum_entry(name)?, name, Selection::enum_table)
+    }
+
+    /// Look up a SUMY table, building a derived one the first time it is
+    /// read.
+    pub fn sumy(&self, name: &str) -> Result<&SumyTable, GeaError> {
+        self.build(self.sumy_entry(name)?, name, Selection::sumy)
+    }
+
+    fn enum_entry(&self, name: &str) -> Result<&Stored<EnumTable>, GeaError> {
         self.enums.get(name).ok_or(GeaError::NotFound {
             kind: "ENUM",
             name: name.to_string(),
         })
     }
 
-    /// Look up a SUMY table.
-    pub fn sumy(&self, name: &str) -> Result<&SumyTable, GeaError> {
+    fn sumy_entry(&self, name: &str) -> Result<&Stored<SumyTable>, GeaError> {
         self.sumys.get(name).ok_or(GeaError::NotFound {
             kind: "SUMY",
             name: name.to_string(),
         })
+    }
+
+    /// `entry`'s table, built from its definition over its parent and kept
+    /// if it is derived and not built yet. The parent is read through
+    /// [`Self::enum_view`], so building one table keeps no other.
+    fn build<'a, T>(
+        &self,
+        entry: &'a Stored<T>,
+        name: &str,
+        define: fn(&Selection, &str, &EnumTable) -> T,
+    ) -> Result<&'a T, GeaError> {
+        match entry {
+            Stored::Held(table) => Ok(table),
+            Stored::Derived(def, built) => match built.get() {
+                Some(table) => Ok(table),
+                None => {
+                    let table = define(def, name, &*self.enum_view(&def.parent)?);
+                    Ok(built.get_or_init(|| table))
+                }
+            },
+        }
+    }
+
+    /// `entry`'s table as it is if held or built, or else built for the
+    /// caller alone and not kept: what `save`, spill and the relational
+    /// view read, so that writing a session leaves it as it was.
+    fn view<'a, T: Clone>(
+        &self,
+        entry: &'a Stored<T>,
+        name: &str,
+        define: fn(&Selection, &str, &EnumTable) -> T,
+    ) -> Result<Cow<'a, T>, GeaError> {
+        match entry.state() {
+            Ok(table) => Ok(Cow::Borrowed(table)),
+            Err(def) => Ok(Cow::Owned(define(
+                def,
+                name,
+                &*self.enum_view(&def.parent)?,
+            ))),
+        }
+    }
+
+    /// An ENUM table (the root `SAGE` included) as [`Self::view`] reads it.
+    pub(crate) fn enum_view(&self, name: &str) -> Result<Cow<'_, EnumTable>, GeaError> {
+        if name == "SAGE" {
+            return Ok(Cow::Borrowed(self.base()));
+        }
+        self.view(self.enum_entry(name)?, name, Selection::enum_table)
+    }
+
+    /// A SUMY table as [`Self::view`] reads it.
+    pub(crate) fn sumy_view(&self, name: &str) -> Result<Cow<'_, SumyTable>, GeaError> {
+        self.view(self.sumy_entry(name)?, name, Selection::sumy)
+    }
+
+    /// An ENUM table's library metadata (the root's included), in column
+    /// order — read from the selection, and its parent's metadata, when
+    /// the table is derived and not built, so nothing is built.
+    pub fn enum_libraries(&self, name: &str) -> Result<Vec<&LibraryMeta>, GeaError> {
+        if name == "SAGE" {
+            return Ok(self.source.libraries());
+        }
+        match self.enum_entry(name)?.state() {
+            Ok(table) => Ok(table.libraries().iter().collect()),
+            Err(def) => {
+                let parent = self.enum_libraries(&def.parent)?;
+                def.libraries
+                    .iter()
+                    .map(|id| parent.get(id.index()).copied())
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| {
+                        GeaError::Malformed(format!("{name} selects past {}", def.parent))
+                    })
+            }
+        }
+    }
+
+    /// How many tags an ENUM table (the root's included) has, without
+    /// building it.
+    pub fn enum_n_tags(&self, name: &str) -> Result<usize, GeaError> {
+        if name == "SAGE" {
+            return Ok(self.source.universe().len());
+        }
+        match self.enum_entry(name)?.state() {
+            Ok(table) => Ok(table.n_tags()),
+            Err(def) => self.n_selected_tags(def),
+        }
+    }
+
+    /// How many rows a SUMY table has, without building it.
+    pub fn sumy_len(&self, name: &str) -> Result<usize, GeaError> {
+        match self.sumy_entry(name)?.state() {
+            Ok(table) => Ok(table.len()),
+            Err(def) => self.n_selected_tags(def),
+        }
+    }
+
+    fn n_selected_tags(&self, def: &Selection) -> Result<usize, GeaError> {
+        match &def.tags {
+            Some(tags) => Ok(tags.len()),
+            None => self.enum_n_tags(&def.parent),
+        }
     }
 
     /// Look up a GAP table.
@@ -682,14 +892,32 @@ impl GeaSession {
         self.fascicles.keys().map(|s| s.as_str()).collect()
     }
 
-    /// All derived ENUM tables by name (the root `SAGE` excluded).
-    pub fn enum_tables(&self) -> &BTreeMap<String, EnumTable> {
-        &self.enums
+    /// Names of the ENUM tables, sorted (the root `SAGE` excluded).
+    pub fn enum_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.enums.keys().map(String::as_str)
     }
 
-    /// All SUMY tables by name.
-    pub fn sumy_tables(&self) -> &BTreeMap<String, SumyTable> {
-        &self.sumys
+    /// Names of the SUMY tables, sorted.
+    pub fn sumy_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.sumys.keys().map(String::as_str)
+    }
+
+    /// The ENUM and SUMY tables held as their definitions: `(kind, name,
+    /// built)` with kind `"ENUM"` or `"SUMY"`, the ENUMs first, each kind
+    /// by name.
+    pub fn derived_tables(&self) -> Vec<(&'static str, &str, bool)> {
+        fn derived<'a, T>(
+            kind: &'static str,
+            map: &'a BTreeMap<String, Stored<T>>,
+        ) -> impl Iterator<Item = (&'static str, &'a str, bool)> {
+            map.iter().filter_map(move |(name, entry)| match entry {
+                Stored::Held(_) => None,
+                Stored::Derived(_, built) => Some((kind, name.as_str(), built.get().is_some())),
+            })
+        }
+        derived("ENUM", &self.enums)
+            .chain(derived("SUMY", &self.sumys))
+            .collect()
     }
 
     /// All GAP tables by name.
@@ -705,13 +933,31 @@ impl GeaSession {
     /// Approximate heap bytes held by the named derived tables (ENUM,
     /// SUMY, GAP) and fascicle records — the part of the session only it
     /// can see; [`crate::mem::ApproxMem`] for `GeaSession` adds the
-    /// corpus, base matrix, and lineage on top.
+    /// corpus, base matrix, and lineage on top. A table held as its
+    /// definition is charged what it costs once built, from its shape
+    /// alone, so building it — or a contents-only `delete` dropping it —
+    /// never moves the charge.
     pub fn named_tables_bytes(&self) -> usize {
-        use crate::mem::ApproxMem;
-        self.enums.approx_bytes()
-            + self.sumys.approx_bytes()
-            + self.gaps.approx_bytes()
-            + self.fascicles.approx_bytes()
+        use crate::mem::{enum_table_bytes, map_bytes, sumy_table_bytes, ApproxMem};
+        let enums = map_bytes(self.enums.iter().map(|(name, entry)| {
+            let bytes = match entry.state() {
+                Ok(table) => table.approx_bytes(),
+                Err(def) => enum_table_bytes(
+                    name,
+                    self.n_selected_tags(def).unwrap_or(0),
+                    self.enum_libraries(name).unwrap_or_default(),
+                ),
+            };
+            (name, bytes)
+        }));
+        let sumys = map_bytes(self.sumys.iter().map(|(name, entry)| {
+            let bytes = match entry.state() {
+                Ok(table) => table.approx_bytes(),
+                Err(def) => sumy_table_bytes(name, self.n_selected_tags(def).unwrap_or(0)),
+            };
+            (name, bytes)
+        }));
+        enums + sumys + self.gaps.approx_bytes() + self.fascicles.approx_bytes()
     }
 
     /// Whether `name` is free to define: not `SAGE`, not already an ENUM,
@@ -736,6 +982,15 @@ impl GeaSession {
 
     fn node(&self, name: &str) -> Option<NodeId> {
         self.nodes.get(name).copied()
+    }
+
+    /// The lineage node of the root `SAGE`, which every session records on
+    /// open and no delete removes.
+    fn root_node(&self) -> Result<NodeId, GeaError> {
+        self.node("SAGE").ok_or(GeaError::NotFound {
+            kind: "lineage",
+            name: "SAGE".to_string(),
+        })
     }
 
     fn record_node(
@@ -764,7 +1019,7 @@ impl GeaSession {
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup(format!("tissue type {tissue}")));
         }
-        let parent = self.node("SAGE").expect("root exists");
+        let parent = self.root_node()?;
         self.record_node(
             name,
             NodeKind::Enum,
@@ -772,7 +1027,7 @@ impl GeaSession {
             vec![("tissue".to_string(), tissue.to_string())],
             &[parent],
         )?;
-        self.enums.insert(name.to_string(), table);
+        self.enums.insert(name.to_string(), Stored::Held(table));
         Ok(())
     }
 
@@ -790,7 +1045,7 @@ impl GeaSession {
         if table.n_libraries() == 0 {
             return Err(GeaError::EmptyGroup("custom data set".to_string()));
         }
-        let parent = self.node("SAGE").expect("root exists");
+        let parent = self.root_node()?;
         self.record_node(
             name,
             NodeKind::Enum,
@@ -798,7 +1053,7 @@ impl GeaSession {
             vec![("libraries".to_string(), library_names.join(","))],
             &[parent],
         )?;
-        self.enums.insert(name.to_string(), table);
+        self.enums.insert(name.to_string(), Stored::Held(table));
         Ok(())
     }
 
@@ -835,7 +1090,7 @@ impl GeaSession {
             ],
             &[parent],
         )?;
-        self.enums.insert(name.to_string(), table);
+        self.enums.insert(name.to_string(), Stored::Held(table));
         Ok(())
     }
 
@@ -878,7 +1133,7 @@ impl GeaSession {
             ],
             &[parent],
         )?;
-        self.enums.insert(name.to_string(), table);
+        self.enums.insert(name.to_string(), Stored::Held(table));
         Ok(())
     }
 
@@ -944,14 +1199,15 @@ impl GeaSession {
 
     /// Install mined clusters as fascicles of `dataset`, whole or not at
     /// all. The clusters are results — ids within `dataset`'s current
-    /// table, which this looks up itself — and the install runs in two
-    /// phases. First every cluster, in order, is validated: its name free
-    /// in the session and among the clusters before it, its member ENUM
-    /// (member libraries × compact tags) built from the borrowed source,
-    /// its relational schema accepted. Only then does each get its lineage
-    /// node (labelled `operation`), ENUM and SUMY tables and a fascicle
-    /// record carrying the backend provenance — so the first error is
-    /// reported with nothing installed. Returns the names in order.
+    /// table, which this looks up itself — and the install runs
+    /// in two phases. First every cluster, in order, is validated: its
+    /// name free in the session and among the clusters before it, its ids
+    /// within `dataset` (at least one library, no tag twice), the
+    /// relational schema of its member ENUM accepted. Only then does each
+    /// get its lineage node (labelled `operation`), its ENUM and SUMY —
+    /// held as their [`Selection`], built when first read — and a
+    /// fascicle record carrying the backend provenance, so the first error
+    /// is reported with nothing installed. Returns the names in order.
     pub fn install_mined_clusters(
         &mut self,
         dataset: &str,
@@ -966,39 +1222,54 @@ impl GeaSession {
             kind: "ENUM",
             name: dataset.to_string(),
         })?;
-        let mut staged: Vec<(EnumTable, SumyTable, FascicleRecord)> =
-            Vec::with_capacity(clusters.len());
+        let mut staged: Vec<(Selection, FascicleRecord)> = Vec::with_capacity(clusters.len());
         for cluster in clusters {
             self.check_name_free(&cluster.name)?;
-            if staged.iter().any(|(_, _, r)| r.name == cluster.name) {
+            if staged.iter().any(|(_, r)| r.name == cluster.name) {
                 return Err(GeaError::NameTaken(cluster.name));
             }
-            let members_enum = table
-                .with_libraries(&cluster.name, &cluster.libraries)
-                .select_tags(&cluster.name, &cluster.compact_tags);
-            enum_schema(&members_enum)?;
+            let malformed = |what: &str| GeaError::Malformed(format!("{} {what}", cluster.name));
+            if cluster.libraries.is_empty() {
+                return Err(malformed("has no libraries"));
+            }
+            let members = cluster
+                .libraries
+                .iter()
+                .map(|l| table.libraries().get(l.index()))
+                .collect::<Option<Vec<&LibraryMeta>>>()
+                .ok_or_else(|| malformed(&format!("names a library {dataset} lacks")))?;
+            enum_schema(members.iter().copied())?;
+            let compact_tags = cluster
+                .compact_tags
+                .iter()
+                .map(|&t| (t.index() < table.n_tags()).then(|| table.matrix.tag_of(t)))
+                .collect::<Option<Vec<Tag>>>()
+                .ok_or_else(|| malformed(&format!("names a tag {dataset} lacks")))?;
+            let mut tags = cluster.compact_tags.clone();
+            tags.sort_unstable();
+            tags.dedup();
+            if tags.len() != cluster.compact_tags.len() {
+                return Err(malformed("names a tag twice"));
+            }
             let record = FascicleRecord {
                 name: cluster.name.clone(),
                 dataset: dataset.to_string(),
-                members: members_enum
-                    .libraries()
-                    .iter()
-                    .map(|m| m.name.clone())
-                    .collect(),
-                compact_tags: cluster
-                    .compact_tags
-                    .iter()
-                    .map(|&t| table.matrix.tag_of(t))
-                    .collect(),
+                members: members.iter().map(|m| m.name.clone()).collect(),
+                compact_tags,
                 sumy_name: cluster.name,
                 purity: Vec::new(),
                 backend: backend.to_string(),
                 params: backend_params.clone(),
             };
-            staged.push((members_enum, cluster.sumy, record));
+            let def = Selection {
+                parent: dataset.to_string(),
+                libraries: cluster.libraries,
+                tags: Some(tags),
+            };
+            staged.push((def, record));
         }
         let mut names = Vec::with_capacity(staged.len());
-        for (members_enum, sumy, record) in staged {
+        for (def, record) in staged {
             let name = record.name.clone();
             self.record_node(
                 &name,
@@ -1007,8 +1278,9 @@ impl GeaSession {
                 lineage_params.clone(),
                 &[parent],
             )?;
-            self.enums.insert(name.clone(), members_enum);
-            self.sumys.insert(name.clone(), sumy);
+            self.enums
+                .insert(name.clone(), Stored::derived(def.clone()));
+            self.sumys.insert(name.clone(), Stored::derived(def));
             self.fascicles.insert(name.clone(), record);
             names.push(name);
         }
@@ -1038,10 +1310,12 @@ impl GeaSession {
     /// — the libraries of `dataset` satisfying `sumy`, ascending, exactly
     /// what [`crate::populate::populate_scan`] returns (the columnar kernel
     /// and `gea-exec`'s sharded drivers all do). Looks both tables up
-    /// itself, materializes the ENUM and does the bookkeeping
-    /// (relational-schema check, lineage, naming), so every executor's
-    /// result is identical by construction whenever the hits are. Returns
-    /// the number of libraries installed.
+    /// itself and does the bookkeeping (relational-schema check, lineage,
+    /// naming); the result is held as its [`Selection`] — the hits over
+    /// the SUMY's tags ([`crate::populate::populate_tags`]) — and built as
+    /// [`crate::populate::materialize_populate`] builds it when first
+    /// read, so every executor's result is identical by construction
+    /// whenever the hits are. Returns the number of libraries installed.
     pub fn install_populate(
         &mut self,
         name: &str,
@@ -1050,16 +1324,20 @@ impl GeaSession {
         hits: &[LibraryId],
     ) -> Result<usize, GeaError> {
         self.check_name_free(name)?;
-        let result = crate::populate::materialize_populate(
-            name,
-            self.sumy(sumy)?,
-            self.enum_table(dataset)?,
-            hits,
-        );
-        if result.n_libraries() == 0 {
+        let tags =
+            crate::populate::populate_tags(&*self.sumy_view(sumy)?, &*self.enum_view(dataset)?);
+        let libraries = self.enum_libraries(dataset)?;
+        let selected = hits
+            .iter()
+            .map(|l| libraries.get(l.index()).copied())
+            .collect::<Option<Vec<&LibraryMeta>>>()
+            .ok_or_else(|| {
+                GeaError::Malformed(format!("{name} names a library {dataset} lacks"))
+            })?;
+        if selected.is_empty() {
             return Err(GeaError::EmptyGroup(format!("populate({sumy}, {dataset})")));
         }
-        enum_schema(&result)?;
+        enum_schema(selected)?;
         let parents: Vec<NodeId> = [sumy, dataset]
             .iter()
             .filter_map(|n| self.node(n))
@@ -1069,9 +1347,13 @@ impl GeaSession {
             ("dataset".to_string(), dataset.to_string()),
         ];
         self.record_node(name, NodeKind::Enum, "populate", params, &parents)?;
-        let n_libraries = result.n_libraries();
-        self.enums.insert(name.to_string(), result);
-        Ok(n_libraries)
+        let def = Selection {
+            parent: dataset.to_string(),
+            libraries: hits.to_vec(),
+            tags,
+        };
+        self.enums.insert(name.to_string(), Stored::derived(def));
+        Ok(hits.len())
     }
 
     // ----- purity and control groups (§4.3.1.2 steps 4–5) ------------------
@@ -1079,16 +1361,17 @@ impl GeaSession {
     /// The purity check without the bookkeeping: which properties all of a
     /// fascicle's member libraries share. Unlike [`GeaSession::purity_check`]
     /// this takes `&self`, so concurrent front-ends (the query server) can
-    /// answer it under a shared read lock.
+    /// answer it under a shared read lock. It reads the members' metadata
+    /// only, so it builds nothing.
     pub fn purity_properties(&self, fascicle: &str) -> Result<Vec<LibraryProperty>, GeaError> {
         self.fascicle(fascicle)?;
-        Ok(self.enum_table(fascicle)?.pure_properties())
+        Ok(pure_properties(self.enum_libraries(fascicle)?))
     }
 
     /// The Figure 4.8 purity check: which properties all member libraries
     /// share. The result is remembered on the fascicle record.
     pub fn purity_check(&mut self, fascicle: &str) -> Result<Vec<LibraryProperty>, GeaError> {
-        let purity = self.enum_table(fascicle)?.pure_properties();
+        let purity = pure_properties(self.enum_libraries(fascicle)?);
         let record = self.fascicles.get_mut(fascicle).ok_or(GeaError::NotFound {
             kind: "fascicle",
             name: fascicle.to_string(),
@@ -1110,22 +1393,23 @@ impl GeaSession {
         // SUMY tables over the compact tags only.
         let rows = [&inputs.in_members, &inputs.outside, &inputs.contrast]
             .map(|table| aggregate_tag_rows(&table.matrix, &inputs.compact_ids));
-        self.commit_control_groups(fascicle, property, inputs, rows)
+        self.install_control_groups(fascicle, property, rows)
     }
 
     /// Compute the side-effect-free inputs of the `formSUM` macro operation:
     /// result-table names, the compact-tag ids within the data-set matrix,
-    /// and the three library selections (in-fascicle, outside, contrast).
-    /// Performs every validation `formSUM` does (purity, free names,
-    /// non-empty groups) but installs nothing, so distributed executors can
-    /// aggregate the selections shard-by-shard before committing results.
-    pub fn control_group_inputs(
+    /// and the three library selections (in-fascicle, outside, contrast) as
+    /// ids within it. Performs every validation `formSUM` does (purity,
+    /// free names, non-empty groups) but builds no table and installs
+    /// nothing, so installs can re-validate and distributed executors can
+    /// aggregate the selections shard by shard before committing results.
+    pub fn control_group_selection(
         &self,
         fascicle: &str,
         property: LibraryProperty,
-    ) -> Result<ControlGroupInputs, GeaError> {
+    ) -> Result<ControlGroupSelection, GeaError> {
         let record = self.fascicle(fascicle)?;
-        if !self.enum_table(fascicle)?.is_pure(property) {
+        if !is_pure(self.enum_libraries(fascicle)?, property) {
             return Err(GeaError::NotPure {
                 fascicle: fascicle.to_string(),
                 property,
@@ -1158,25 +1442,44 @@ impl GeaSession {
             .collect();
 
         // ENUM₂: same property, not in the fascicle.
-        let outside = dataset.select_libraries(&names.outside_fascicle, |m| {
-            m.has_property(property) && !members.contains(m.name.as_str())
-        });
+        let outside = dataset
+            .library_ids_where(|m| m.has_property(property) && !members.contains(m.name.as_str()));
         // ENUM₃: the contrasting property.
-        let contrast =
-            dataset.select_libraries(&names.contrast, |m| m.has_property(contrast_property));
-        for (label, table) in [("outside group", &outside), ("contrast group", &contrast)] {
-            if table.n_libraries() == 0 {
+        let contrast = dataset.library_ids_where(|m| m.has_property(contrast_property));
+        for (label, ids) in [("outside group", &outside), ("contrast group", &contrast)] {
+            if ids.is_empty() {
                 return Err(GeaError::EmptyGroup(label.to_string()));
             }
         }
 
-        let in_members = dataset.select_libraries("tmp", |m| members.contains(m.name.as_str()));
-        Ok(ControlGroupInputs {
+        let in_members = dataset.library_ids_where(|m| members.contains(m.name.as_str()));
+        Ok(ControlGroupSelection {
             names,
+            dataset: record.dataset.clone(),
             compact_ids,
             in_members,
             outside,
             contrast,
+        })
+    }
+
+    /// [`GeaSession::control_group_selection`] with its three library
+    /// selections built as tables over every tag of the data set — what
+    /// the aggregations of `formSUM` read, and nothing the session keeps.
+    pub fn control_group_inputs(
+        &self,
+        fascicle: &str,
+        property: LibraryProperty,
+    ) -> Result<ControlGroupInputs, GeaError> {
+        let selection = self.control_group_selection(fascicle, property)?;
+        let dataset = self.enum_table(&selection.dataset)?;
+        let names = selection.names;
+        Ok(ControlGroupInputs {
+            in_members: dataset.with_libraries("tmp", &selection.in_members),
+            outside: dataset.with_libraries(&names.outside_fascicle, &selection.outside),
+            contrast: dataset.with_libraries(&names.contrast, &selection.contrast),
+            compact_ids: selection.compact_ids,
+            names,
         })
     }
 
@@ -1193,28 +1496,31 @@ impl GeaSession {
         property: LibraryProperty,
         rows: [Vec<SumyRow>; 3],
     ) -> Result<ControlGroups, GeaError> {
-        let inputs = self.control_group_inputs(fascicle, property)?;
-        self.commit_control_groups(fascicle, property, inputs, rows)
+        let selection = self.control_group_selection(fascicle, property)?;
+        self.commit_control_groups(fascicle, property, selection, rows)
     }
 
-    /// The commit half of `formSUM`. `inputs` were validated by
-    /// [`GeaSession::control_group_inputs`] against this very state — the
-    /// fascicle is recorded, the three (distinct) names are free — and the
-    /// three tables are built (a row list naming a tag twice is refused)
-    /// before the first node is recorded, so the commit is whole.
+    /// The commit half of `formSUM`. `selection` was validated by
+    /// [`GeaSession::control_group_selection`] against this very state —
+    /// the fascicle is recorded, the three (distinct) names are free — and
+    /// the three SUMY tables are built (a row list naming a tag twice is
+    /// refused) before the first node is recorded, so the commit is whole.
+    /// The outside and contrast ENUMs are held as their [`Selection`]s of
+    /// the data set, built when first read.
     fn commit_control_groups(
         &mut self,
         fascicle: &str,
         property: LibraryProperty,
-        inputs: ControlGroupInputs,
+        selection: ControlGroupSelection,
         rows: [Vec<SumyRow>; 3],
     ) -> Result<ControlGroups, GeaError> {
-        let ControlGroupInputs {
+        let ControlGroupSelection {
             names,
+            dataset,
             outside,
             contrast,
             ..
-        } = inputs;
+        } = selection;
         let parent = self.node(fascicle).ok_or_else(|| GeaError::NotFound {
             kind: "fascicle",
             name: fascicle.to_string(),
@@ -1236,10 +1542,19 @@ impl GeaSession {
                 vec![("property".to_string(), property.to_string())],
                 &[parent],
             )?;
-            self.sumys.insert(sumy.name.clone(), sumy);
+            self.sumys.insert(sumy.name.clone(), Stored::Held(sumy));
         }
-        self.enums.insert(outside.name.clone(), outside);
-        self.enums.insert(contrast.name.clone(), contrast);
+        for (name, libraries) in [
+            (&names.outside_fascicle, outside),
+            (&names.contrast, contrast),
+        ] {
+            let def = Selection {
+                parent: dataset.clone(),
+                libraries,
+                tags: None,
+            };
+            self.enums.insert(name.clone(), Stored::derived(def));
+        }
         Ok(names)
     }
 
@@ -1413,17 +1728,28 @@ impl GeaSession {
     }
 
     /// Delete a table: cascade removes it and everything derived from it.
-    /// Otherwise only the lineage node is marked dematerialized: the
-    /// browsable export shows the table empty and the metadata survives for
-    /// [`Self::regenerate`], but no storage is freed — the typed table,
-    /// which every operator reads, stays.
+    /// Otherwise — the thesis's contents-only delete (§4.4.2) — the lineage
+    /// node is marked dematerialized, so the browsable export shows the
+    /// table empty and the metadata survives for [`Self::regenerate`];
+    /// an ENUM or SUMY held as its [`Selection`] drops its built table and
+    /// keeps the definition, which the next read builds again, bit for
+    /// bit. A held table stays: operators still read it.
     pub fn delete(&mut self, table: &str, cascade: bool) -> Result<Vec<String>, GeaError> {
         let id = self.node(table).ok_or(GeaError::NotFound {
             kind: "lineage",
             name: table.to_string(),
         })?;
         if !cascade {
-            return Ok(self.lineage.delete_contents(id)?);
+            let names = self.lineage.delete_contents(id)?;
+            for n in &names {
+                if let Some(Stored::Derived(_, built)) = self.enums.get_mut(n) {
+                    built.take();
+                }
+                if let Some(Stored::Derived(_, built)) = self.sumys.get_mut(n) {
+                    built.take();
+                }
+            }
+            return Ok(names);
         }
         let names = self.lineage.delete_cascade(id)?;
         for n in &names {
@@ -1695,6 +2021,287 @@ mod tests {
         assert!(node.params.contains(&("tags".to_string(), "4".to_string())));
     }
 
+    /// A table's every bit: name, tag codes, library metadata and values.
+    fn enum_bits(t: &EnumTable) -> (String, Vec<u32>, String, Vec<u64>) {
+        let m = &t.matrix;
+        let tags: Vec<u32> = m.universe().iter().map(|(_, t)| t.code()).collect();
+        let values: Vec<u64> = m
+            .tag_ids()
+            .flat_map(|tid| m.tag_row(tid).iter().map(|v| v.to_bits()))
+            .collect();
+        (t.name.clone(), tags, format!("{:?}", m.libraries()), values)
+    }
+
+    /// A SUMY's every bit.
+    fn sumy_bits(t: &SumyTable) -> (String, Vec<(u32, u32, [u64; 4])>) {
+        let rows = t.rows().iter().map(|r| {
+            let stats = [r.range.lo(), r.range.hi(), r.average, r.std_dev].map(f64::to_bits);
+            (r.tag.code(), r.tag_no, stats)
+        });
+        (t.name.clone(), rows.collect())
+    }
+
+    /// The derived tables of `s` and whether each is built.
+    fn derived(s: &GeaSession) -> Vec<(String, String, bool)> {
+        let owned = |(kind, name, built): (&str, &str, bool)| (kind.into(), name.into(), built);
+        s.derived_tables().into_iter().map(owned).collect()
+    }
+
+    /// Demo 42 through a thesis-shaped plan — a fascicle `mine`, two
+    /// clusters of the shapes `isa` (some libraries × some tags) and
+    /// `simplex` (some libraries × every tag) install, `fascicles`,
+    /// `purity`, `groups`, `gap`, `topgap`, `populate`, `lineage`, the
+    /// relational view, the charge, a save and a load — builds no cluster,
+    /// control-group or `populate` table. Each then builds, once read,
+    /// bit for bit what the install built before it was derived.
+    #[test]
+    fn mined_tables_stay_unbuilt() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let e = s.enum_table("E").unwrap().clone();
+        let params = FascicleParams {
+            min_compact_attrs: e.n_tags() / 2,
+            min_records: 3,
+            batch_size: 6,
+        };
+        assert_eq!(
+            s.calculate_fascicles("E", "a", 0.10, &params).unwrap(),
+            ["a_1"]
+        );
+        let some_tags: Vec<usize> = (0..e.n_tags()).step_by(7).collect();
+        let every_tag: Vec<usize> = (0..e.n_tags()).collect();
+        for (base, op, groups) in [
+            (
+                "m",
+                "ISA",
+                vec![(vec![4, 1, 7], some_tags), (vec![2, 3], vec![5, 0, 9])],
+            ),
+            (
+                "k",
+                "Simplex",
+                vec![(vec![0, 5, 6], every_tag.clone()), (vec![8, 9], every_tag)],
+            ),
+        ] {
+            let clusters = crate::mine::materialize_groups(&e, base, 0, groups);
+            s.install_mined_clusters("E", op, Vec::new(), base, Vec::new(), clusters)
+                .unwrap();
+        }
+        assert_eq!(s.fascicle_names(), ["a_1", "k_1", "k_2", "m_1", "m_2"]);
+        let pure = s.purity_properties("a_1").unwrap();
+        assert_eq!(s.purity_check("a_1").unwrap(), pure);
+        assert!(pure.contains(&LibraryProperty::Cancer));
+        let groups = s
+            .form_control_groups("a_1", LibraryProperty::Cancer)
+            .unwrap();
+        s.create_gap("g", &groups.in_fascicle, &groups.contrast)
+            .unwrap();
+        s.calculate_top_gap("g", 20, TopGapOrder::LargestMagnitude)
+            .unwrap();
+        assert_eq!(
+            s.populate_from_sumy("P", &groups.in_fascicle, "E").unwrap(),
+            3
+        );
+        let tree = s.lineage().render_tree();
+        assert!(tree.contains("P") && tree.contains("m_2"), "{tree}");
+        let charge = crate::mem::ApproxMem::approx_bytes(&s);
+        let relations = s.database();
+        let dir = std::env::temp_dir().join(format!("gea_unbuilt_{}", std::process::id()));
+        let fingerprint = crate::persist::save_session(&s, &dir).unwrap();
+        let loaded = crate::persist::load_session_verified(&dir, fingerprint).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        fn unbuilt(kind: &str, names: &[&str]) -> Vec<(String, String, bool)> {
+            let entry = |n: &&str| (kind.to_string(), n.to_string(), false);
+            names.iter().map(entry).collect()
+        }
+        let outside = groups.outside_fascicle.as_str();
+        let contrast = groups.contrast.as_str();
+        let clusters = ["a_1", "k_1", "k_2", "m_1", "m_2"];
+        let mut enums: Vec<&str> = clusters
+            .iter()
+            .copied()
+            .chain(["P", outside, contrast])
+            .collect();
+        enums.sort();
+        let want = [unbuilt("ENUM", &enums), unbuilt("SUMY", &clusters)].concat();
+        assert_eq!(derived(&s), want);
+        assert!(derived(&loaded).is_empty(), "a load holds every table");
+
+        // Read, each builds what the install built before it was derived.
+        let members = |name: &str| s.fascicle(name).unwrap().members.clone();
+        let ids = |names: Vec<String>| e.library_ids_where(|m| names.contains(&m.name));
+        for name in clusters {
+            let record = s.fascicle(name).unwrap();
+            let tags: Vec<TagId> = record
+                .compact_tags
+                .iter()
+                .map(|&t| e.matrix.id_of(t).unwrap())
+                .collect();
+            let libs: Vec<LibraryId> = {
+                let names = members(name);
+                names
+                    .iter()
+                    .map(|n| e.library_ids_where(|m| &m.name == n)[0])
+                    .collect()
+            };
+            let want_enum = e.with_libraries(name, &libs).select_tags(name, &tags);
+            let want_sumy = aggregate_tags(name, &e.matrix.select_libraries(&libs), &tags);
+            assert_eq!(
+                enum_bits(s.enum_table(name).unwrap()),
+                enum_bits(&want_enum)
+            );
+            assert_eq!(sumy_bits(s.sumy(name).unwrap()), sumy_bits(&want_sumy));
+            assert_eq!(
+                s.enum_table(name).unwrap(),
+                loaded.enum_table(name).unwrap()
+            );
+            assert_eq!(s.sumy(name).unwrap(), loaded.sumy(name).unwrap());
+        }
+        let a_1 = members("a_1");
+        let want_outside = e.select_libraries(outside, |m| {
+            m.has_property(LibraryProperty::Cancer) && !a_1.contains(&m.name)
+        });
+        let want_contrast =
+            e.select_libraries(contrast, |m| m.has_property(LibraryProperty::Normal));
+        let want_p = crate::populate::materialize_populate(
+            "P",
+            s.sumy(&groups.in_fascicle).unwrap(),
+            &e,
+            &ids(a_1.clone()),
+        );
+        for want in [want_outside, want_contrast, want_p] {
+            assert_eq!(
+                enum_bits(s.enum_table(&want.name).unwrap()),
+                enum_bits(&want)
+            );
+        }
+        assert!(derived(&s).iter().all(|(_, _, built)| *built));
+        assert_eq!(crate::mem::ApproxMem::approx_bytes(&s), charge);
+        let db = s.database();
+        assert_eq!(db.names(), relations.names());
+        for name in relations.names() {
+            assert_eq!(db.get(name), relations.get(name), "{name}");
+        }
+        assert_eq!(
+            crate::persist::snapshot_to_bytes(&s).unwrap(),
+            crate::persist::snapshot_to_bytes(&loaded).unwrap()
+        );
+    }
+
+    /// A contents-only `delete` of a derived table drops what was built and
+    /// keeps the definition: the next read builds it again bit for bit,
+    /// the charge does not move, and the CSV is empty until `regenerate`.
+    /// A held table stays as it was.
+    #[test]
+    fn a_contents_only_delete_frees_a_derived_table() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let params = FascicleParams {
+            min_compact_attrs: s.enum_table("E").unwrap().n_tags() / 2,
+            min_records: 3,
+            batch_size: 6,
+        };
+        s.calculate_fascicles("E", "a", 0.10, &params).unwrap();
+        let built = (
+            enum_bits(s.enum_table("a_1").unwrap()),
+            sumy_bits(s.sumy("a_1").unwrap()),
+        );
+        let charge = crate::mem::ApproxMem::approx_bytes(&s);
+        let relation = s.relation("a_1").unwrap();
+        assert!(derived(&s).iter().all(|(_, n, b)| n == "a_1" && *b));
+
+        assert_eq!(s.delete("a_1", false).unwrap(), ["a_1"]);
+        assert!(derived(&s).iter().all(|(_, _, b)| !b), "{:?}", derived(&s));
+        assert_eq!(crate::mem::ApproxMem::approx_bytes(&s), charge);
+        assert_eq!(s.relation("a_1").unwrap().n_rows(), 0);
+        assert!(
+            derived(&s).iter().all(|(_, _, b)| !b),
+            "the empty CSV built a_1"
+        );
+        let rebuilt = (
+            enum_bits(s.enum_table("a_1").unwrap()),
+            sumy_bits(s.sumy("a_1").unwrap()),
+        );
+        assert_eq!(rebuilt, built);
+        assert_eq!(crate::mem::ApproxMem::approx_bytes(&s), charge);
+        s.regenerate("a_1").unwrap();
+        assert_eq!(s.relation("a_1").unwrap(), relation);
+
+        // A held data set keeps its table through a contents-only delete.
+        let e = s.enum_table("E").unwrap() as *const EnumTable;
+        s.delete("E", false).unwrap();
+        assert!(std::ptr::eq(s.enum_table("E").unwrap(), e));
+    }
+
+    /// A derived table whose parent is gone — no session built through
+    /// these methods gets there, as only a cascade removes a parent, and
+    /// it removes the table too — answers an error on every read.
+    #[test]
+    fn a_derived_table_without_its_parent_answers_not_found() {
+        let (corpus, _) = generate(&GeneratorConfig::demo(42));
+        let mut s = GeaSession::open(corpus, &CleaningConfig::default()).unwrap();
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let e = s.enum_table("E").unwrap();
+        let clusters = crate::mine::materialize_groups(e, "c", 0, vec![(vec![0, 1], vec![0])]);
+        s.install_mined_clusters("E", "Test", Vec::new(), "test", Vec::new(), clusters)
+            .unwrap();
+        s.enums.remove("E");
+        let not_found = |r: Result<(), GeaError>| {
+            assert!(matches!(r, Err(GeaError::NotFound { kind: "ENUM", ref name }) if name == "E"))
+        };
+        not_found(s.enum_table("c_1").map(|_| ()));
+        not_found(s.sumy("c_1").map(|_| ()));
+        not_found(s.enum_libraries("c_1").map(|_| ()));
+        assert!(s.relation("c_1").is_none());
+        assert!(crate::persist::snapshot_to_bytes(&s).is_err());
+        let _ = crate::mem::ApproxMem::approx_bytes(&s);
+    }
+
+    /// Cluster results off the wire that no miner produces are refused
+    /// whole, before anything is built or recorded.
+    #[test]
+    fn a_cluster_outside_its_data_set_is_refused() {
+        let (mut s, _) = session();
+        s.create_tissue_dataset("E", &TissueType::Brain).unwrap();
+        let (n_libs, n_tags) = {
+            let e = s.enum_table("E").unwrap();
+            (e.n_libraries() as u32, e.n_tags() as u32)
+        };
+        let cluster = |libraries: Vec<u32>, tags: Vec<u32>| crate::mine::MinedCluster {
+            name: "c_1".to_string(),
+            libraries: libraries.into_iter().map(LibraryId).collect(),
+            compact_tags: tags.into_iter().map(TagId).collect(),
+        };
+        for bad in [
+            cluster(vec![], vec![0]),
+            cluster(vec![0, n_libs], vec![0]),
+            cluster(vec![0], vec![n_tags]),
+            cluster(vec![0], vec![3, 1, 3]),
+        ] {
+            let refused =
+                s.install_mined_clusters("E", "Test", Vec::new(), "test", Vec::new(), vec![bad]);
+            assert!(
+                matches!(refused, Err(GeaError::Malformed(_))),
+                "{refused:?}"
+            );
+            assert_eq!((s.lineage().len(), s.enum_names().len()), (2, 1));
+        }
+        let good = cluster(vec![0, 1], vec![0, 1]);
+        s.install_mined_clusters("E", "Test", Vec::new(), "test", Vec::new(), vec![good])
+            .unwrap();
+        assert!(matches!(
+            s.install_populate("P", "c_1", "E", &[LibraryId(0), LibraryId(n_libs)]),
+            Err(GeaError::Malformed(_))
+        ));
+        assert!(matches!(
+            s.install_populate("P", "c_1", "E", &[]),
+            Err(GeaError::EmptyGroup(_))
+        ));
+        assert!(s.enum_table("P").is_err() && s.lineage().find_by_name("P").is_none());
+    }
+
     #[test]
     fn duplicate_names_rejected() {
         let (mut s, _) = session();
@@ -1825,7 +2432,7 @@ mod tests {
         s.create_tissue_dataset("x_3", &TissueType::Brain).unwrap();
         s.record_node("y_2", NodeKind::Enum, "stray", Vec::new(), &[])
             .unwrap();
-        let before = (s.lineage().len(), s.enum_tables().len());
+        let before = (s.lineage().len(), s.enum_names().len());
         for (base, taken) in [("x", "x_3"), ("y", "y_2")] {
             let table = s.enum_table("Ebrain").unwrap();
             let clusters = crate::mine::materialize_groups(
@@ -1843,8 +2450,8 @@ mod tests {
                 clusters,
             );
             assert!(matches!(refused, Err(GeaError::NameTaken(n)) if n == taken));
-            assert_eq!((s.lineage().len(), s.enum_tables().len()), before);
-            assert!(s.fascicle_names().is_empty() && s.sumy_tables().is_empty());
+            assert_eq!((s.lineage().len(), s.enum_names().len()), before);
+            assert!(s.fascicle_names().is_empty() && (s.sumy_names().len() == 0));
         }
     }
 
@@ -1890,7 +2497,7 @@ mod tests {
             .iter()
             .find(|f| {
                 let t = s.enum_table(f).unwrap().clone();
-                t.is_pure(LibraryProperty::Cancer)
+                is_pure(t.libraries(), LibraryProperty::Cancer)
             })
             .cloned();
         let Some(target) = target else { return };

@@ -252,10 +252,10 @@ pub fn populate_columnar_sharded(
 
 /// Sharded [`gea_core::mine::mine`]: the clustering pass
 /// ([`mine_groups`]) stays serial — the greedy fascicle search is
-/// iterative — but each found cluster's materialization
-/// (member submatrix selection plus compact-tag aggregation, the dominant
-/// cost at mining scale) is independent, so clusters are partitioned
-/// across the pool and concatenated in cluster order.
+/// iterative — and each found cluster's materialization (naming it and
+/// numbering its ids; its tables are built when a session reads them) is
+/// independent, so clusters are partitioned across the pool and
+/// concatenated in cluster order.
 pub fn mine_sharded(
     table: &EnumTable,
     base_name: &str,

@@ -507,7 +507,7 @@ mod tests {
             s.lineage().len(),
             owned(s.relation_names()),
             owned(s.fascicle_names()),
-            owned(s.enum_tables().keys().map(String::as_str).collect()),
+            owned(s.enum_names().collect()),
         )
     }
 

@@ -8,13 +8,12 @@
 //! mines through the same mapping.
 
 use gea_cluster::FascicleParams;
+/// Width fraction the engine has always used for `mine`'s tolerance
+/// metadata (thesis §4.3).
+pub use gea_core::mine::WIDTH_FRACTION;
 use gea_core::mine::{generate_metadata, mine, MinedCluster, Miner};
 
 use crate::{MineBackend, MineInput, ParamDomain, ParamSpec, ParamValue, ResolvedParams};
-
-/// Width fraction the engine has always used for `mine`'s tolerance
-/// metadata (thesis §4.3).
-pub const WIDTH_FRACTION: f64 = 0.10;
 
 /// The one place a `mine`'s resolved `k_pct`/`min_records`/`batch`
 /// become the miner's parameters: the compact floor is

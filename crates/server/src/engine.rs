@@ -611,11 +611,10 @@ fn render_select_created(
     name: &str,
     dataset: &str,
 ) -> Result<String, EngineError> {
-    let t = session.enum_table(name)?;
     Ok(format!(
         "{name}: {} of {} libraries kept",
-        t.n_libraries(),
-        session.enum_table(dataset)?.n_libraries()
+        session.enum_libraries(name)?.len(),
+        session.enum_libraries(dataset)?.len()
     ))
 }
 
@@ -626,8 +625,9 @@ fn render_populate_created(
     sumy: &str,
     dataset: &str,
 ) -> Result<String, EngineError> {
-    let total = session.enum_table(dataset)?.n_libraries();
-    let hits = session.enum_table(name)?.n_libraries();
+    // Counts from metadata: the result is built when something reads it.
+    let total = session.enum_libraries(dataset)?.len();
+    let hits = session.enum_libraries(name)?.len();
     Ok(format!(
         "{name}: {hits} of {total} libraries in {dataset} satisfy {sumy}"
     ))

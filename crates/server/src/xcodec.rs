@@ -22,7 +22,7 @@ use gea_core::codec::{
     put_list, put_str, put_sumy_rows, put_u32, put_u64, put_u8, read_sumy_rows, Cur,
 };
 use gea_core::mine::MinedCluster;
-use gea_core::sumy::{SumyRow, SumyTable};
+use gea_core::sumy::SumyRow;
 use gea_exec::{Partial, ScatterOp};
 use gea_mine::isa::IsaModule;
 use gea_sage::library::LibraryId;
@@ -115,15 +115,15 @@ pub fn decode_rows3(bytes: &[u8]) -> Result<[Vec<SumyRow>; 3], CodecError> {
 
 // --- mined clusters --------------------------------------------------------
 
-/// Encode a shard's materialized clusters (`mine` scatter partial).
+/// Encode a shard's materialized clusters (`mine` scatter partial): each
+/// cluster's name, member ids and compact-tag ids — all the install needs,
+/// as its ENUM and SUMY derive from them.
 fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
     let mut out = Vec::new();
     put_list(&mut out, clusters, |out, c| {
         put_str(out, &c.name);
         put_list(out, &c.libraries, |out, l| put_u32(out, l.0));
         put_list(out, &c.compact_tags, |out, t| put_u32(out, t.0));
-        put_str(out, &c.sumy.name);
-        put_sumy_rows(out, c.sumy.rows());
     });
     out
 }
@@ -131,19 +131,16 @@ fn encode_clusters(clusters: &[MinedCluster]) -> Vec<u8> {
 /// Decode a blob produced by [`encode_clusters`].
 fn decode_clusters(bytes: &[u8]) -> Result<Vec<MinedCluster>, CodecError> {
     let mut cur = Cur::new(bytes);
-    let out = cur.list(20, "cluster", |cur| {
+    let out = cur.list(12, "cluster", |cur| {
         let name = cur.string("cluster name")?;
         let libraries = cur.list(4, "cluster library", |cur| {
             Ok(LibraryId(cur.u32("cluster library")?))
         })?;
         let compact_tags = cur.list(4, "cluster tag", |cur| Ok(TagId(cur.u32("cluster tag")?)))?;
-        let sumy_name = cur.string("cluster sumy name")?;
-        let rows = read_sumy_rows(cur, true)?;
         Ok(MinedCluster {
             name,
             libraries,
             compact_tags,
-            sumy: SumyTable::new(&sumy_name, rows),
         })
     })?;
     cur.finish("clusters blob")?;
@@ -281,19 +278,9 @@ mod tests {
             name: "brain_1".to_string(),
             libraries: vec![LibraryId(0), LibraryId(7)],
             compact_tags: vec![TagId(3), TagId(12)],
-            sumy: SumyTable::new("brain_1", vec![row(3), row(12)]),
         }];
         let decoded = decode_clusters(&encode_clusters(&clusters)).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].name, clusters[0].name);
-        assert_eq!(decoded[0].libraries, clusters[0].libraries);
-        assert_eq!(decoded[0].compact_tags, clusters[0].compact_tags);
-        assert_eq!(decoded[0].sumy, clusters[0].sumy);
-        // std_dev must round-trip to the exact same bits.
-        assert_eq!(
-            decoded[0].sumy.rows()[0].std_dev.to_bits(),
-            clusters[0].sumy.rows()[0].std_dev.to_bits()
-        );
+        assert_eq!(decoded, clusters);
     }
 
     #[test]
@@ -325,9 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn a_cluster_table_with_a_repeated_tag_is_refused() {
-        // `SumyTable::new` panics on a repeated tag, so the decoder has to
-        // say no first. No encoder writes this blob; spell it by hand.
+    fn a_cluster_blob_carrying_sumy_rows_is_refused() {
+        // A cluster is its ids; its SUMY is derived on install. A blob that
+        // still carries SUMY rows after them is refused whole. No encoder
+        // writes this blob; spell it by hand.
         let mut blob = Vec::new();
         put_u32(&mut blob, 1);
         put_str(&mut blob, "brain_1");
@@ -335,8 +323,7 @@ mod tests {
         put_u32(&mut blob, 0);
         put_str(&mut blob, "brain_1");
         put_sumy_rows(&mut blob, &[row(3), row(3)]);
-        let err = decode_clusters(&blob).unwrap_err();
-        assert!(err.0.contains("out of order"), "{err}");
+        assert!(decode_clusters(&blob).is_err());
         // One shard's share of a `groups` is not a table and is not held
         // to table order.
         let share = [vec![row(3), row(3)], Vec::new(), Vec::new()];

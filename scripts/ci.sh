@@ -101,9 +101,12 @@ diff -u <(mask_wall_clock < repro_output.txt) <(mask_wall_clock < target/repro_o
 # (baselines, compression, eval, index_analysis); a reload keeps one
 # corpus; every binary format uses the one byte codec (one FNV-1a, no
 # private u32/str codec, no io::Read/io::Write bridge, no text decoder
-# in persist); no non-test code calls a reference kernel; and SAGE is
-# derived (no front end calls .base(), which would build the dense root).
-step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path + a reload keeps one corpus + one byte codec + reference kernels stay oracles + SAGE is derived)"
+# in persist); no non-test code calls a reference kernel; SAGE is
+# derived (no front end calls .base(), which would build the dense root);
+# and clusters are derived (the installs of mined clusters, control groups
+# and populate results build no table, materialize_cluster aggregates
+# nothing).
+step "invariant lints (panic budget + lock-order sync + one front end + one table representation + one executor + installs take results + snapshot streams + no reproduction-only module on the request path + a reload keeps one corpus + one byte codec + reference kernels stay oracles + SAGE is derived + clusters are derived)"
 scripts/lint-invariants.sh
 
 step "cargo fmt --all --check"

@@ -106,6 +106,17 @@
 #    crates/exec/src, crates/router/src and src/ (bins included): no
 #    `.base()` call; library counts and names come from the source
 #    (`source().n_libraries()`, `source().libraries()`).
+#
+# 13. Clusters are derived. A mined cluster's ENUM and SUMY, the `groups`
+#    outside and contrast ENUMs and a `populate` result are held as the
+#    Selection they derive from and built when first read, so the installs
+#    that record them copy no table. So, in the non-test code of
+#    crates/core/src/session.rs: the bodies of install_mined_clusters,
+#    install_populate and commit_control_groups call no `with_libraries(`,
+#    `select_tags(`, `select_libraries(` or `aggregate_tags(`; and in
+#    crates/core/src/mine.rs the body of materialize_cluster names no
+#    `aggregate` kernel. `pub struct Selection {` and `Derived(Selection,`
+#    in session.rs are the sentinels.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -411,6 +422,39 @@ while IFS= read -r file; do
 done < <(find crates/server/src crates/exec/src crates/router/src src -name '*.rs' | sort)
 if [ "$(nontest_hits -F "$session" 'OnceLock<EnumTable>')" -eq 0 ]; then
     echo "lint: $session no longer holds the root in a 'OnceLock<EnumTable>' — the SAGE-is-derived check is looking for the wrong thing" >&2
+    fail=1
+fi
+
+# Clusters are derived: the installs build nothing, materialize_cluster
+# aggregates nothing. `body` runs from a function's `fn` line to the `}`
+# that closes it, at the indentation its `fn` line has.
+fn_body_hits() {
+    nontest "$1" | awk -v fn="$2" -v pat="$3" '
+        match($0, "fn " fn "[(<]") { body = 1; indent = $0; sub(/[^ ].*$/, "", indent); next }
+        body && $0 == indent "}" { body = 0 }
+        body && $0 ~ pat { n++ }
+        END { print n + 0 }'
+}
+for fn in install_mined_clusters install_populate commit_control_groups; do
+    hits="$(fn_body_hits "$session" "$fn" 'with_libraries[(]|select_tags[(]|select_libraries[(]|aggregate_tags[(]')"
+    if [ "$hits" -gt 0 ]; then
+        echo "lint: $session $fn builds a table ($hits site(s)); install the Selection it derives from" >&2
+        fail=1
+    fi
+done
+hits="$(fn_body_hits crates/core/src/mine.rs materialize_cluster 'aggregate')"
+if [ "$hits" -gt 0 ]; then
+    echo "lint: crates/core/src/mine.rs materialize_cluster aggregates ($hits site(s)); a cluster is its ids, its SUMY is built when read" >&2
+    fail=1
+fi
+for construct in 'pub struct Selection {' 'Derived(Selection,' 'fn install_mined_clusters(' 'fn install_populate(' 'fn commit_control_groups('; do
+    if [ "$(nontest_hits -F "$session" "$construct")" -eq 0 ]; then
+        echo "lint: $session no longer contains '$construct' — the clusters-are-derived check is looking for the wrong thing" >&2
+        fail=1
+    fi
+done
+if [ "$(nontest_hits -F crates/core/src/mine.rs 'pub fn materialize_cluster(')" -eq 0 ]; then
+    echo "lint: crates/core/src/mine.rs no longer contains 'pub fn materialize_cluster(' — the clusters-are-derived check is looking for the wrong thing" >&2
     fail=1
 fi
 

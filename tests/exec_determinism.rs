@@ -11,7 +11,7 @@ use gea::cluster::FascicleParams;
 use gea::core::mine::{generate_metadata, mine, MinedCluster, Miner};
 use gea::core::populate::{materialize_populate, populate, populate_columnar};
 use gea::core::session::GeaSession;
-use gea::core::sumy::aggregate;
+use gea::core::sumy::{aggregate, aggregate_tags};
 use gea::core::{EnumTable, ExecConfig};
 use gea::exec::scatter::{self, ScatterOp};
 use gea::exec::{aggregate_sharded, mine_sharded, populate_columnar_sharded, simplex_mine_sharded};
@@ -65,26 +65,27 @@ fn matrix_values() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
+/// A cluster is its name, member ids and compact-tag ids; its ENUM and
+/// SUMY are functions of those and the table both runs mined.
 fn clusters_identical(a: &[MinedCluster], b: &[MinedCluster]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
-            x.name == y.name
-                && x.libraries == y.libraries
-                && x.compact_tags == y.compact_tags
-                && x.sumy == y.sumy
+            x.name == y.name && x.libraries == y.libraries && x.compact_tags == y.compact_tags
         })
 }
 
 /// Whether the fascicles `names` of `session` are `clusters` (mined from
 /// its root data set) installed: the same names in order, each with the
-/// cluster's SUMY, its member libraries and its compact tags.
+/// cluster's SUMY — its members aggregated over its compact tags — its
+/// member libraries and its compact tags.
 fn installed_identical(session: &GeaSession, names: &[String], clusters: &[MinedCluster]) -> bool {
     let root = &session.base().matrix;
     names.len() == clusters.len()
         && names.iter().zip(clusters).all(|(name, c)| {
             let record = session.fascicle(name).unwrap();
+            let members = root.select_libraries(&c.libraries);
             *name == c.name
-                && session.sumy(name).unwrap() == &c.sumy
+                && session.sumy(name).unwrap() == &aggregate_tags(name, &members, &c.compact_tags)
                 && record
                     .members
                     .iter()

@@ -5,7 +5,7 @@
 use gea::cluster::FascicleParams;
 use gea::core::gap::diff;
 use gea::core::mine::{generate_metadata, mine, Miner};
-use gea::core::sumy::aggregate;
+use gea::core::sumy::{aggregate, aggregate_tags};
 use gea::core::topgap::{top_gaps, TopGapOrder};
 use gea::core::xprofiler::compare_cancer_vs_normal;
 use gea::core::EnumTable;
@@ -81,7 +81,9 @@ fn microarray_data_flows_through_the_whole_toolkit() {
     );
     for c in &clusters {
         assert!(c.libraries.len() >= 2);
-        assert_eq!(c.sumy.len(), c.compact_tags.len());
+        let members = table.matrix.select_libraries(&c.libraries);
+        let sumy = aggregate_tags(&c.name, &members, &c.compact_tags);
+        assert_eq!(sumy.len(), c.compact_tags.len());
     }
 }
 

@@ -12,6 +12,7 @@ use gea::cluster::{mine_greedy, FascicleParams};
 use gea::core::mine::{generate_metadata, MatrixView};
 use gea::core::persist::{corpus_fingerprint, load_session, save_session, SNAPSHOT_FILE};
 use gea::core::session::GeaSession;
+use gea::core::sumy::aggregate_tags;
 use gea::core::ExecConfig;
 use gea::exec::mine_simplex_sharded;
 use gea::exec::scatter::{run, ScatterOp};
@@ -264,8 +265,17 @@ fn thesis_scale_snapshot_round_trips_through_its_file() {
     assert!(saved.len() > 16 * (256 << 10), "{} bytes", saved.len());
     let loaded = load_session(&first).unwrap();
     assert_eq!(loaded.cleaning_report(), session.cleaning_report());
-    assert_eq!(loaded.enum_tables(), session.enum_tables());
-    assert_eq!(loaded.sumy_tables(), session.sumy_tables());
+    assert!(loaded.enum_names().eq(session.enum_names()));
+    for name in session.enum_names() {
+        assert_eq!(
+            loaded.enum_table(name).unwrap(),
+            session.enum_table(name).unwrap()
+        );
+    }
+    assert!(loaded.sumy_names().eq(session.sumy_names()));
+    for name in session.sumy_names() {
+        assert_eq!(loaded.sumy(name).unwrap(), session.sumy(name).unwrap());
+    }
     assert_eq!(loaded.gap_tables(), session.gap_tables());
     assert_eq!(
         format!("{:?}", loaded.fascicle_records()),
@@ -442,7 +452,10 @@ fn thesis_scale_pipeline_sharded() {
         let names: Vec<&str> = clusters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(installed.unwrap(), names, "{algo} names diverged");
         for c in &clusters {
-            assert_eq!(sharded.sumy(&c.name).unwrap(), &c.sumy, "{algo}");
+            let mined = serial.enum_table("deepBrain").unwrap();
+            let members = mined.matrix.select_libraries(&c.libraries);
+            let sumy = aggregate_tags(&c.name, &members, &c.compact_tags);
+            assert_eq!(sharded.sumy(&c.name).unwrap(), &sumy, "{algo}");
             let members = sharded.enum_table(&c.name).unwrap();
             assert_eq!(
                 (members.n_libraries(), members.n_tags()),
