@@ -680,7 +680,7 @@ fn exp_xprofiler(ctx: &Ctx) {
     };
 
     // 1. Naive xProfiler grouping: every cancerous vs every normal library.
-    let naive = compare_cancer_vs_normal(&brain);
+    let naive = compare_cancer_vs_normal(&brain).expect("brain holds both states");
     let naive_tags: Vec<_> = naive.significant(0.05).iter().map(|r| r.tag).collect();
     let (n, h, prec, rec) = score(naive_tags);
     println!("xProfiler, naive pools (all cancer vs all normal):");
@@ -690,7 +690,8 @@ fn exp_xprofiler(ctx: &Ctx) {
     let members = session.fascicle(&fascicle).unwrap().members.clone();
     let member_ids = brain.library_ids_where(|m| members.contains(&m.name));
     let normal_ids = brain.library_ids_where(|m| m.state == NeoplasticState::Normal);
-    let informed = compare_pools(&brain, &member_ids, &normal_ids);
+    let informed =
+        compare_pools(&brain, &member_ids, &normal_ids).expect("a fascicle and the normals");
     let informed_tags: Vec<_> = informed.significant(0.05).iter().map(|r| r.tag).collect();
     let (n, h, prec, rec) = score(informed_tags);
     println!("xProfiler, GEA-mined pools (fascicle vs normal):");

@@ -302,10 +302,10 @@ fn cost_command(
             (rows, cost)
         }
         GqlCommand::Fascicles => (Interval::range(0, seed.libraries), 1),
-        GqlCommand::Purity(f) => {
-            let rows = seed.lookup(env, f);
-            (rows, seed.libraries.saturating_mul(model.scan_weight))
-        }
+        // A cluster's libraries: at most the corpus. Not `lookup(f)`: a
+        // mined cluster's SUMY has the same name, and the seed keeps that
+        // table's tag count under it.
+        GqlCommand::Purity(_) => (libs, seed.libraries.saturating_mul(model.scan_weight)),
         GqlCommand::Groups(f) => {
             // Three derived SUMYs, each bounded by the tag universe.
             let rows = Interval::range(0, seed.tags);
@@ -368,8 +368,15 @@ fn cost_command(
             (input, input.hi.saturating_mul(model.scan_weight))
         }
         GqlCommand::Export { name, .. } => {
-            let rows = seed.lookup(env, name);
-            (rows, rows.hi.saturating_mul(model.io_weight))
+            // Every table's relational form has one row per tag (an ENUM's
+            // libraries are its columns), so the rows are bounded by the
+            // tag universe, not by the seeded size, which counts an ENUM's
+            // libraries. The charge stays the seeded size.
+            let size = seed.lookup(env, name);
+            (
+                Interval::range(0, seed.tags),
+                size.hi.saturating_mul(model.io_weight),
+            )
         }
         GqlCommand::Comment { .. } => (Interval::point(1), 1),
         GqlCommand::Delete { .. } => (Interval::point(0), 1),
@@ -397,9 +404,10 @@ fn cost_command(
         GqlCommand::Check(cmds) => (Interval::point(cmds.len() as u64), cmds.len() as u64 + 1),
         GqlCommand::Lineage | GqlCommand::Cleaning => (Interval::range(0, seed.libraries), 1),
         GqlCommand::Xprofiler(dataset) => {
+            // One row per tag either pool expresses.
             let input = seed.lookup(env, dataset);
             (
-                input,
+                Interval::range(0, seed.tags),
                 input
                     .hi
                     .saturating_mul(seed.tags.max(1))
@@ -497,10 +505,14 @@ mod tests {
         .unwrap();
         assert_eq!(CostSeed::from_session(&matrix).libraries, seed.libraries);
         let model = CostModel::default_coefficients();
-        let report = cost_pipeline(&model, &seed, &cmds("export Eb out.csv\n"));
-        // The live ENUM's exact row count flows in as a point interval.
+        let report = cost_pipeline(&model, &seed, &cmds("project Q Eb AAAAAAAAAA\n"));
+        // The live ENUM's exact library count flows in as a point interval.
         let n = session.enum_table("Eb").unwrap().n_libraries() as u64;
         assert_eq!(report.per_command[0].rows, Interval::point(n));
+        assert_eq!(report.per_command[0].cost, n * model.scan_weight);
+        // An export writes one row per tag, and is charged the table's size.
+        let report = cost_pipeline(&model, &seed, &cmds("export Eb out.csv\n"));
+        assert_eq!(report.per_command[0].rows, Interval::range(0, seed.tags));
         assert_eq!(report.per_command[0].cost, n * model.io_weight);
         // And bounds what a `mine` over it can yield, whatever its batch.
         let report = cost_pipeline(&model, &seed, &cmds("mine Eb g 50 2 1\n"));

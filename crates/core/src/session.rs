@@ -123,6 +123,8 @@ pub enum GeaError {
     },
     /// The operation produced or received an empty library set.
     EmptyGroup(String),
+    /// A library was placed in both pools of a two-pool comparison.
+    SharedLibrary(String),
     /// Lineage bookkeeping failed.
     Lineage(LineageError),
     /// A requested comparison query does not apply to the comparison
@@ -162,6 +164,9 @@ impl fmt::Display for GeaError {
                 "fascicle {fascicle:?} is not pure on property {property}"
             ),
             GeaError::EmptyGroup(what) => write!(f, "{what} selected no libraries"),
+            GeaError::SharedLibrary(name) => {
+                write!(f, "library {name:?} is in both xProfiler pools")
+            }
             GeaError::Lineage(e) => write!(f, "{e}"),
             GeaError::QueryNotApplicable => {
                 f.write_str("this query applies only to union/intersection comparisons")
@@ -632,12 +637,7 @@ impl GeaSession {
         let table = self.enum_table(dataset)?;
         let resolve =
             |names: &[&str]| table.library_ids_where(|m| names.contains(&m.name.as_str()));
-        let a = resolve(group_a);
-        let b = resolve(group_b);
-        if a.is_empty() || b.is_empty() {
-            return Err(GeaError::EmptyGroup("xProfiler pool".to_string()));
-        }
-        Ok(crate::xprofiler::compare_pools(table, &a, &b))
+        crate::xprofiler::compare_pools(table, &resolve(group_a), &resolve(group_b))
     }
 
     // ----- accessors ------------------------------------------------------
@@ -1966,7 +1966,8 @@ mod tests {
             &base,
             &base.library_ids_where(|m| ca.contains(&m.name.as_str())),
             &base.library_ids_where(|m| no.contains(&m.name.as_str())),
-        );
+        )
+        .unwrap();
         let got = loaded.xprofiler("SAGE", &ca, &no).unwrap();
         let built = loaded.source().held_base().expect("xprofiler built SAGE");
         assert_eq!(format!("{got:?}"), format!("{want:?}"));

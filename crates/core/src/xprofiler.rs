@@ -19,6 +19,7 @@ use gea_sage::library::LibraryId;
 use gea_sage::tag::Tag;
 
 use crate::enum_table::EnumTable;
+use crate::session::GeaError;
 
 /// One tag's pooled comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,20 +89,23 @@ fn two_sided_p(z: f64) -> f64 {
 
 /// Pool and compare two library groups over every tag of the table.
 ///
-/// Panics when either group is empty or the groups overlap.
+/// [`GeaError::EmptyGroup`] when either group is empty or holds no
+/// expression at all (a proportion of nothing is undefined), and
+/// [`GeaError::SharedLibrary`] when the groups overlap.
 pub fn compare_pools(
     table: &EnumTable,
     group_a: &[LibraryId],
     group_b: &[LibraryId],
-) -> XProfilerResult {
-    assert!(
-        !group_a.is_empty() && !group_b.is_empty(),
-        "both pools need libraries"
-    );
-    assert!(
-        group_a.iter().all(|a| !group_b.contains(a)),
-        "pools must be disjoint"
-    );
+) -> Result<XProfilerResult, GeaError> {
+    let refuse = |what: &str| Err(GeaError::EmptyGroup(what.to_string()));
+    if group_a.is_empty() || group_b.is_empty() {
+        return refuse("xProfiler pool");
+    }
+    if let Some(&shared) = group_a.iter().find(|a| group_b.contains(a)) {
+        let library = table.libraries().get(shared.index());
+        let name = library.map_or_else(|| shared.to_string(), |m| m.name.clone());
+        return Err(GeaError::SharedLibrary(name));
+    }
     let pool = |group: &[LibraryId], tid| -> f64 {
         group
             .iter()
@@ -118,7 +122,9 @@ pub fn compare_pools(
         total_b += b;
         raw.push((tid, a, b));
     }
-    assert!(total_a > 0.0 && total_b > 0.0, "pools must have mass");
+    if total_a <= 0.0 || total_b <= 0.0 {
+        return refuse("xProfiler pool with expression");
+    }
 
     let mut rows = Vec::with_capacity(raw.len());
     for (tid, a, b) in raw {
@@ -149,16 +155,17 @@ pub fn compare_pools(
             .then(y.z_score.abs().total_cmp(&x.z_score.abs()))
             .then(x.tag.cmp(&y.tag))
     });
-    XProfilerResult {
+    Ok(XProfilerResult {
         rows,
         total_a,
         total_b,
-    }
+    })
 }
 
 /// Convenience: pool by neoplastic state within a table — the "guess" a
-/// naive xProfiler user makes (all cancerous vs all normal).
-pub fn compare_cancer_vs_normal(table: &EnumTable) -> XProfilerResult {
+/// naive xProfiler user makes (all cancerous vs all normal). A table
+/// without both states is refused as [`compare_pools`] refuses it.
+pub fn compare_cancer_vs_normal(table: &EnumTable) -> Result<XProfilerResult, GeaError> {
     use gea_sage::NeoplasticState;
     let cancer: Vec<LibraryId> = table.library_ids_where(|m| m.state == NeoplasticState::Cancerous);
     let normal: Vec<LibraryId> = table.library_ids_where(|m| m.state == NeoplasticState::Normal);
@@ -226,7 +233,7 @@ mod tests {
     #[test]
     fn detects_differential_tags() {
         let t = table();
-        let result = compare_cancer_vs_normal(&t);
+        let result = compare_cancer_vs_normal(&t).unwrap();
         assert_eq!(result.rows.len(), 3);
         let a = result.row_for("AAAAAAAAAA".parse().unwrap()).unwrap();
         assert!(a.z_score > 2.0, "enriched tag z = {}", a.z_score);
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn significance_filter_is_bonferroni_corrected() {
         let t = table();
-        let result = compare_cancer_vs_normal(&t);
+        let result = compare_cancer_vs_normal(&t).unwrap();
         let hits = result.significant(0.05);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|r| r.p_value < 0.05 / 3.0));
@@ -253,8 +260,8 @@ mod tests {
         let t = table();
         let cancer: Vec<LibraryId> = (0..3).map(LibraryId).collect();
         let normal: Vec<LibraryId> = (3..6).map(LibraryId).collect();
-        let forward = compare_pools(&t, &cancer, &normal);
-        let backward = compare_pools(&t, &normal, &cancer);
+        let forward = compare_pools(&t, &cancer, &normal).unwrap();
+        let backward = compare_pools(&t, &normal, &cancer).unwrap();
         let tag = "AAAAAAAAAA".parse().unwrap();
         let f = forward.row_for(tag).unwrap();
         let b = backward.row_for(tag).unwrap();
@@ -262,17 +269,50 @@ mod tests {
         assert!((f.p_value - b.p_value).abs() < 1e-12);
     }
 
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn overlapping_pools_rejected() {
-        let t = table();
-        compare_pools(&t, &[LibraryId(0)], &[LibraryId(0)]);
+    fn refusal(result: Result<XProfilerResult, GeaError>) -> String {
+        match result {
+            Err(e @ GeaError::EmptyGroup(_)) => e.to_string(),
+            other => panic!("expected an EmptyGroup refusal, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "need libraries")]
+    fn overlapping_pools_rejected() {
+        let t = table();
+        let refused = compare_pools(&t, &[LibraryId(0), LibraryId(1)], &[LibraryId(1)]);
+        assert!(
+            matches!(&refused, Err(GeaError::SharedLibrary(name)) if name == "L1"),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
     fn empty_pool_rejected() {
         let t = table();
-        compare_pools(&t, &[], &[LibraryId(0)]);
+        assert_eq!(
+            refusal(compare_pools(&t, &[], &[LibraryId(0)])),
+            "xProfiler pool selected no libraries"
+        );
+        // A table of one neoplastic state has no second pool.
+        let cancer = t.with_libraries("C", &[LibraryId(0), LibraryId(1)]);
+        assert_eq!(
+            refusal(compare_cancer_vs_normal(&cancer)),
+            "xProfiler pool selected no libraries"
+        );
+    }
+
+    #[test]
+    fn a_pool_without_expression_is_rejected() {
+        let t = table();
+        let silent = EnumTable::new(
+            "Z",
+            ExpressionMatrix::from_rows(
+                t.matrix.universe().clone(),
+                t.matrix.libraries().to_vec(),
+                vec![vec![5.0, 5.0, 5.0, 0.0, 0.0, 0.0]; 3],
+            ),
+        );
+        let message = refusal(compare_cancer_vs_normal(&silent));
+        assert!(message.contains("with expression"), "{message}");
     }
 }

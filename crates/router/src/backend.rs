@@ -160,10 +160,19 @@ pub(crate) const WINDOW: usize = 16;
 
 impl BackendConn {
     /// Connect within `timeout`, so a black-holed backend cannot hang a
-    /// handler, and speak the protocol over that very socket.
+    /// handler, and speak the protocol over that very socket. The first
+    /// line is `xreset` (a no-op on a fresh connection): a backend verb
+    /// marks the link as a router's, and the backend then sends its
+    /// replies without Nagle's delay — broadcasts before the first
+    /// scatter included. A backend that answers it with `ERR` (`EBUSY`
+    /// from a saturated server) gives no usable link.
     pub(crate) fn connect(addr: &str, timeout: Duration) -> io::Result<BackendConn> {
+        let mut client = GeaClient::from_stream(connect_timeout(addr, timeout)?)?;
+        client
+            .request("xreset")?
+            .map_err(|(code, message)| io::Error::other(format!("{code} {message}")))?;
         Ok(BackendConn {
-            client: GeaClient::from_stream(connect_timeout(addr, timeout)?)?,
+            client,
             session: "default".to_string(),
             admission: 0,
         })
@@ -210,12 +219,13 @@ impl BackendConn {
     }
 }
 
-/// One short-lived liveness probe: connect and `ping`. Any parseable
-/// reply — even `ERR EBUSY` from a saturated server — counts as alive;
-/// only transport failures are death.
+/// One short-lived liveness probe: connect and `ping`, on a plain
+/// connection rather than a [`BackendConn`]. Any parseable reply — even
+/// `ERR EBUSY` from a saturated server — counts as alive; only transport
+/// failures are death.
 pub(crate) fn probe(addr: &str, timeout: Duration) -> bool {
-    let Ok(mut conn) = BackendConn::connect(addr, timeout) else {
-        return false;
-    };
-    conn.request("ping").is_ok()
+    connect_timeout(addr, timeout)
+        .and_then(GeaClient::from_stream)
+        .and_then(|mut client| client.request("ping"))
+        .is_ok()
 }

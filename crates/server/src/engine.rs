@@ -69,6 +69,7 @@ impl From<GeaError> for EngineError {
             GeaError::NameTaken(_) => "ECONFLICT",
             GeaError::NotPure { .. } => "EPURITY",
             GeaError::EmptyGroup(_) => "EEMPTY",
+            GeaError::SharedLibrary(_) => "ECONFLICT",
             GeaError::Lineage(_) => "ELINEAGE",
             GeaError::QueryNotApplicable => "EQUERY",
             GeaError::Malformed(_) => "EPARSE",
@@ -368,7 +369,7 @@ pub fn execute_read(session: &GeaSession, cmd: &GqlCommand) -> Result<String, En
         }
         GqlCommand::Xprofiler(dataset) => {
             let table = session.enum_table(dataset)?;
-            let result = gea_core::xprofiler::compare_cancer_vs_normal(table);
+            let result = gea_core::xprofiler::compare_cancer_vs_normal(table)?;
             let hits = result.significant(0.05);
             let mut out = format!(
                 "{} tags tested; {} significant at alpha = 0.05 (Bonferroni):\n",

@@ -43,6 +43,13 @@ pub trait Service: Send + Sync + 'static {
     /// that gets no reply frame: blank, or a comment.
     fn answer(&self, conn: &mut Self::Conn, line: &str) -> (Option<Reply>, After);
 
+    /// Whether replies on this connection leave without Nagle's delay.
+    /// Asked after every answer; the first `true` turns `TCP_NODELAY` on
+    /// for the rest of the connection.
+    fn nodelay(&self, _conn: &Self::Conn) -> bool {
+        false
+    }
+
     /// The connection [`Service::open`] was called for has ended.
     fn closed(&self) {}
 
@@ -170,6 +177,7 @@ fn serve<S: Service>(
     stream.set_read_timeout(Some(READ_POLL))?;
     let mut pending = LineBuf::default();
     let mut chunk = [0u8; 4096];
+    let mut nodelay = false;
     loop {
         let line = loop {
             if let Some(line) = pending.take_line() {
@@ -197,8 +205,15 @@ fn serve<S: Service>(
             }
         };
         let (reply, after) = service.answer(conn, line.trim_end_matches(['\n', '\r']));
-        // One frame per reply through `wire`, unbuffered: the write pattern
-        // is the benchmark's floor and changes only under ROADMAP 1B.
+        // One frame per reply through `wire`, unbuffered: on a client
+        // socket that write pattern is the benchmark's floor and changes
+        // only under ROADMAP 1B. A peer that pipelines requests (a router
+        // link) would wait out its delayed ACK behind every reply after
+        // the first, so the service may turn Nagle off for it.
+        if !nodelay && service.nodelay(conn) {
+            writer.set_nodelay(true)?;
+            nodelay = true;
+        }
         match reply {
             Some(Ok(payload)) => wire::write_ok(&mut writer, &payload)?,
             Some(Err((code, message))) => wire::write_err(&mut writer, &code, &message)?,

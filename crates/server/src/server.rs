@@ -378,6 +378,9 @@ pub(crate) struct Conn {
     /// Staging buffer for the backend verbs (`xstage`/`xapply`/`xadopt`):
     /// per-connection, so concurrent routers never interleave payloads.
     staged: Staging,
+    /// The connection has sent a backend verb, so its peer is a router
+    /// that pipelines requests: replies go out without Nagle's delay.
+    router_link: bool,
 }
 
 impl front::Service for Shared {
@@ -388,6 +391,7 @@ impl front::Service for Shared {
         Conn {
             current: "default".to_string(),
             staged: Staging::default(),
+            router_link: false,
         }
     }
 
@@ -397,7 +401,10 @@ impl front::Service for Shared {
         // GQL grammar; `xprofiler` and friends fall through to it.
         let (verb, result, after) = match xverb::handle(line, &mut conn.staged, &conn.current, self)
         {
-            Some((verb, result)) => (verb, result, After::Continue),
+            Some((verb, result)) => {
+                conn.router_link = true;
+                (verb, result, After::Continue)
+            }
             None => match gql::parse(line) {
                 Ok(None) => return (None, After::Continue),
                 Ok(Some(req)) => {
@@ -414,6 +421,10 @@ impl front::Service for Shared {
         self.metrics.record(verb, started.elapsed(), result.is_ok());
         let reply = result.map_err(|e| (e.code.to_string(), e.message));
         (Some(reply), after)
+    }
+
+    fn nodelay(&self, conn: &Conn) -> bool {
+        conn.router_link
     }
 
     fn closed(&self) {

@@ -10,7 +10,9 @@
 #    an x-verb's bytes reach (crates/core/src/{sumy,session,mine}.rs,
 #    crates/sage/src/codec.rs, crates/exec/src/pool.rs), and in the
 #    snapshot decoders that `xadopt` bytes and `load <dir>` files reach
-#    (crates/core/src/persist.rs, crates/sage/src/io.rs). A worker thread
+#    (crates/core/src/persist.rs, crates/sage/src/io.rs), and in the
+#    pooled comparison every `xprofiler` line reaches
+#    (crates/core/src/xprofiler.rs). A worker thread
 #    that panics takes its connection (and possibly a poisoned lock) with
 #    it, so every panic site on the request path must be deliberate and
 #    budgeted in scripts/lint-allowlist.txt. The budget ratchets both
@@ -154,7 +156,8 @@ sources="crates/server/src/*.rs crates/server/src/bin/*.rs crates/router/src/*.r
 panic_sources="$sources crates/check/src/gql.rs crates/mine/src/params.rs
     crates/core/src/sumy.rs crates/core/src/session.rs crates/core/src/mine.rs
     crates/sage/src/codec.rs crates/exec/src/pool.rs
-    crates/core/src/persist.rs crates/sage/src/io.rs"
+    crates/core/src/persist.rs crates/sage/src/io.rs
+    crates/core/src/xprofiler.rs"
 
 for file in $panic_sources; do
     n="$(nontest_panics "$file")"

@@ -246,13 +246,82 @@ fn batch_errors_without_static_cause_still_carry_lines() {
     );
 }
 
-/// Every `mine` the example scripts run, plus one at batch 1 that mines
-/// eight fascicles on demo seed 42, mines a count inside the row interval
-/// the cost model predicts for it: from the script alone (what `--check
+/// The rows a command's output holds, measured on the session after it
+/// ran and on its reply: an installed ENUM's libraries, an installed
+/// SUMY's or GAP's tags, or the entries of a listing (libraries, tissues,
+/// clusters, lineage nodes, tables saved). `groups` installs three SUMYs
+/// and measures each.
+fn output_rows(
+    session: &gea::core::session::GeaSession,
+    cmd: &gea::check::gql::GqlCommand,
+    reply: &str,
+) -> Vec<u64> {
+    use gea::check::gql::GqlCommand as G;
+    let word = |i: usize| -> u64 {
+        reply
+            .split_whitespace()
+            .nth(i)
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no count at word {i} of {reply:?}"))
+    };
+    let libraries = |name: &str| session.enum_libraries(name).map_or(0, |l| l.len() as u64);
+    let tags = |name: &str| session.sumy_len(name).map_or(0, |n| n as u64);
+    let lines = |keep: &dyn Fn(&str) -> bool| reply.lines().filter(|l| keep(l)).count() as u64;
+    let n = match cmd {
+        // `<name>: N libraries …`, `N fascicle(s) …`, `<name>: N tags …`,
+        // `<name>: N of M libraries …`, `exported N rows …`, `saved N
+        // table(s) …`, `checked N command(s) …`, `N tags tested; …`,
+        // `restored session from <dir>: N table(s) …`.
+        G::Dataset { .. }
+        | G::Custom { .. }
+        | G::Select { .. }
+        | G::Gap { .. }
+        | G::Compare { .. }
+        | G::Populate { from: Some(_), .. }
+        | G::Export { .. }
+        | G::Save(_)
+        | G::Check(_) => word(1),
+        G::MineWith { .. } | G::Xprofiler(_) => word(0),
+        G::Load(_) => word(4),
+        G::Project { name, .. } | G::Populate { name, from: None } | G::Purity(name) => {
+            libraries(name)
+        }
+        G::Groups(f) => {
+            return ["CancerFasTbl", "CanNotInFasTbl", "NormalTable"]
+                .map(|suffix| tags(&format!("{f}{suffix}")))
+                .to_vec()
+        }
+        // Installs nothing and lists nothing.
+        G::Delete { .. } => 0,
+        // A header line, then one line per row.
+        G::TopGap { .. } => lines(&|_| true) - 1,
+        // Two header lines and a `... (N more rows)` trailer around the rows.
+        G::Show { .. } => lines(&|l| !l.starts_with("... (")) - 2,
+        // One line per fascicle, naming its members.
+        G::Fascicles => lines(&|l| l.contains(": [")),
+        // One indented line per library.
+        G::Plot { .. } | G::TagFreq { .. } => lines(&|l| l.starts_with("  ")),
+        G::Library(_) => lines(&|l| l.contains(" (id ")),
+        G::Tissues | G::Comment { .. } | G::Cleaning => lines(&|_| true),
+        // One line per edge of the tree: count the nodes once.
+        G::Lineage => {
+            let mut nodes: Vec<&str> = reply.lines().map(str::trim).collect();
+            nodes.sort();
+            nodes.dedup();
+            nodes.len() as u64
+        }
+    };
+    vec![n]
+}
+
+/// Every command of every example script that runs, plus a script that
+/// runs the verbs the examples leave out, a `mine` at batch 1 that mines
+/// eight fascicles on demo seed 42, and a script whose `custom` and
+/// `select` lines repeat a library and name one no corpus holds: the rows
+/// its output holds ([`output_rows`]) fall inside the interval the cost
+/// model predicts for it, both from the script alone (what `--check
 /// --cost` prints) and from the live session (what the server's `check`
-/// and `--max-cost` gate use). So does every data set they build with
-/// `dataset`, `custom` or `select`, plus a script whose `custom` and
-/// `select` lines repeat a library and name one no corpus holds.
+/// and `--max-cost` gate use).
 #[test]
 fn mined_counts_fall_inside_the_predicted_rows() {
     use gea::check::cost::{cost_pipeline, cost_script, CostModel, CostSeed};
@@ -273,6 +342,29 @@ fn mined_counts_fall_inside_the_predicted_rows() {
         .collect();
     scripts.sort();
     scripts.push((
+        "other verbs".to_string(),
+        [
+            "load-demo 42",
+            "dataset E brain",
+            "mine E f 50 3 6",
+            "project Q E AAAAGCCGTT AAACTGTACA",
+            "plot E AAAAGCCGTT f_1",
+            "tagfreq E AAAAGCCGTT",
+            "library SAGE_brain_C00",
+            "xprofiler E",
+            "check dataset X brain ; mine X b 50 3 6 ; purity b_1",
+            "populate P f_1 E",
+            "delete P",
+            "populate P",
+            "export P p.csv",
+            "save sv",
+            "load sv",
+            "show sumy f_1 2000",
+            "delete E --cascade",
+        ]
+        .join("\n"),
+    ));
+    scripts.push((
         "batch 1".to_string(),
         "load-demo 42\ndataset Ebrain brain\nmine Ebrain g 50 2 1\n".to_string(),
     ));
@@ -290,13 +382,17 @@ fn mined_counts_fall_inside_the_predicted_rows() {
         .join("\n"),
     ));
 
+    // Files the scripts write land here, not in the working directory.
+    let out = std::env::temp_dir().join(format!("gea_check_cli_rows_{}", std::process::id()));
+    std::fs::create_dir_all(&out).expect("temporary directory");
+    let here = |path: &str| out.join(path).display().to_string();
     let model = CostModel::default_coefficients();
-    let mut mined_lines = 0;
+    let mut checked: Vec<&'static str> = Vec::new();
     for (name, text) in &scripts {
         let predicted = cost_script(&model, &CostSeed::script_default(), text);
         let mut session = None;
         for (i, line) in text.lines().enumerate() {
-            let cmd = match gql::parse(line.trim()) {
+            let mut cmd = match gql::parse(line.trim()) {
                 Ok(Some(Request::Session(SessionCtl::OpenDemo { seed, .. }))) => {
                     let (corpus, _) = generate(&GeneratorConfig::demo(seed));
                     session = Some(GeaSession::open(corpus, &CleaningConfig::default()).unwrap());
@@ -305,12 +401,11 @@ fn mined_counts_fall_inside_the_predicted_rows() {
                 Ok(Some(Request::Gql(cmd))) => cmd,
                 _ => continue,
             };
-            // These write files; nothing a `mine` reads depends on them.
-            if matches!(
-                cmd,
-                GqlCommand::Export { .. } | GqlCommand::Save(_) | GqlCommand::Load(_)
-            ) {
-                continue;
+            match &mut cmd {
+                GqlCommand::Export { path, .. }
+                | GqlCommand::Save(path)
+                | GqlCommand::Load(path) => *path = here(path),
+                _ => {}
             }
             let session = session.as_mut().expect("load-demo comes first");
             let live = cost_pipeline(
@@ -321,39 +416,28 @@ fn mined_counts_fall_inside_the_predicted_rows() {
             let Ok(reply) = gea::server::engine::execute(session, &cmd) else {
                 continue;
             };
-            // `N fascicle(s) …` for a mine, `<name>: N libraries …` or
-            // `<name>: N of M libraries kept` for a data set.
-            let count_word = match cmd {
-                GqlCommand::MineWith { .. } => 0,
-                GqlCommand::Dataset { .. }
-                | GqlCommand::Custom { .. }
-                | GqlCommand::Select { .. } => 1,
-                _ => continue,
-            };
-            let mined: u64 = reply
-                .split_whitespace()
-                .nth(count_word)
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| panic!("{name}: no count in {reply:?}"));
             let script_rows = predicted
                 .per_command
                 .iter()
                 .find(|c| c.index == i + 1)
                 .expect("a costed command")
                 .rows;
-            for rows in [script_rows, live.per_command[0].rows] {
-                assert!(
-                    rows.lo <= mined && mined <= rows.hi,
-                    "{name} line {}: {line:?} mined {mined}, predicted rows {}",
-                    i + 1,
-                    rows.render()
-                );
+            for n in output_rows(session, &cmd, &reply) {
+                for rows in [script_rows, live.per_command[0].rows] {
+                    assert!(
+                        rows.lo <= n && n <= rows.hi,
+                        "{name} line {}: {line:?} output {n} rows, predicted {}",
+                        i + 1,
+                        rows.render()
+                    );
+                }
             }
-            mined_lines += 1;
+            checked.push(cmd.verb());
         }
     }
-    // The seven `mine` lines of the example scripts that parse (the one
-    // at k% = 150 does not), plus batch 1; the seven `dataset` lines of
-    // the example scripts, plus the six data sets of the last script.
-    assert_eq!(mined_lines, 8 + 7 + 6);
+    let _ = std::fs::remove_dir_all(&out);
+    // Every algebra verb ran at least once.
+    checked.sort();
+    checked.dedup();
+    assert_eq!(checked.len(), 26, "{checked:?}");
 }

@@ -31,9 +31,8 @@ const PRELUDE: [&str; 6] = [
 ];
 
 /// The verbs a step draws from: every one that creates, reads or deletes
-/// a table of a session (files and sessions aside; `xprofiler` panics on a
-/// table without both cancerous and normal libraries, derived or not).
-const VERBS: [&str; 17] = [
+/// a table of a session (files and sessions aside).
+const VERBS: [&str; 18] = [
     "dataset",
     "select",
     "project",
@@ -51,6 +50,7 @@ const VERBS: [&str; 17] = [
     "populate",
     "check",
     "lineage",
+    "xprofiler",
 ];
 
 fn open(seed: u64) -> GeaSession {

@@ -61,7 +61,7 @@ fn microarray_data_flows_through_the_whole_toolkit() {
     }
 
     // The xProfiler baseline runs on it too.
-    let pooled = compare_cancer_vs_normal(&table);
+    let pooled = compare_cancer_vs_normal(&table).expect("both states");
     assert!(!pooled.significant(0.05).is_empty());
 
     // And the fascicle miner accepts the matrix (arrays have no planted

@@ -120,6 +120,18 @@ impl Transcript {
             "a refused mine left tables"
         );
     }
+
+    /// `xprofiler` pools the cancerous libraries against the normal ones;
+    /// the pure-cancer fascicle `a_1` has no normal pool, which is refused
+    /// as a session's own `xprofiler` refuses an empty pool, and the
+    /// connection keeps serving.
+    fn xprofiler_needs_both_pools(&mut self) {
+        assert_eq!(
+            self.reply("xprofiler a_1"),
+            "ERR EEMPTY xProfiler pool selected no libraries\n"
+        );
+        assert_eq!(self.reply("ping"), "OK 1\npong\n");
+    }
 }
 
 /// The full-pipeline script: every routing class is represented.
@@ -143,6 +155,7 @@ fn main_script() -> Vec<&'static str> {
         "topgap g 5",
         "show gap g 3",
         "show sumy a_1CancerFasTbl 3",
+        "xprofiler E",
         // Pluggable mining backends: isa scatters, simplex replicates.
         "mine E m with isa seeds=6 t_tags=0.8 t_libs=0.8",
         "mine E sx with simplex k=2",
@@ -208,6 +221,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
     let mut reference = Transcript::connect(single.addr);
     reference.run(&script);
     reference.refused_mine_is_atomic();
+    reference.xprofiler_needs_both_pools();
     let ref_fingerprint = snapshot_fingerprint(single.addr, "s");
     single.stop();
 
@@ -229,6 +243,7 @@ fn router_matches_single_server_over_1_2_3_backends() {
 
         routed.run(&script);
         routed.refused_mine_is_atomic();
+        routed.xprofiler_needs_both_pools();
         assert_eq!(
             routed.text, reference.text,
             "wire transcript diverged over {n_backends} backend(s)"

@@ -4,7 +4,8 @@
 //! compute and apply phases of a scatter costs the client nothing; a
 //! restarted backend is re-admitted by the health thread only after a
 //! full session resync, and participates in scatters again with
-//! byte-identical replica state.
+//! byte-identical replica state. A scattered write costs the client no
+//! more delayed-ACK waits than a `ping` does.
 
 mod common;
 
@@ -335,6 +336,50 @@ fn backend_lost_after_compute_is_resynced_behind_a_normal_reply() {
 
     router.stop();
     relay_b.stop();
+    backend_a.stop();
+    backend_b.stop();
+}
+
+/// The router pipelines a scatter's apply batch (`xreset`, `xstage`…,
+/// `xapply`) on each backend link. Were the backend to hold each reply
+/// behind the previous one's ACK (Nagle), the batch would wait out the
+/// router's delayed ACK (~40 ms on Linux) and a scattered write would
+/// take two of the client hop's floors instead of one. `ping` is answered
+/// by the router itself, so it measures that client hop alone.
+#[test]
+fn a_scattered_write_waits_on_no_backend_ack() {
+    let backend_a = spawn_backend_at("127.0.0.1:0");
+    let backend_b = spawn_backend_at("127.0.0.1:0");
+    let router = spawn_router(
+        vec![backend_a.addr.to_string(), backend_b.addr.to_string()],
+        Duration::from_secs(3600),
+    );
+
+    let mut client = GeaClient::connect(router.addr).expect("connect client");
+    client.expect_ok("open s demo 42").expect("open session");
+    client.expect_ok("dataset E brain").expect("dataset");
+    client.expect_ok("mine E a 50 3 6").expect("mine");
+    let mut timed = |line: String| {
+        let start = Instant::now();
+        client.expect_ok(&line).expect("reply");
+        start.elapsed()
+    };
+    let median = |mut samples: Vec<Duration>| {
+        samples.sort();
+        samples[samples.len() / 2]
+    };
+    let ping = median((0..7).map(|_| timed("ping".to_string())).collect());
+    let write = median(
+        (0..7)
+            .map(|i| timed(format!("populate P{i} a_1 E")))
+            .collect(),
+    );
+    assert!(
+        write.saturating_sub(ping) < Duration::from_millis(20),
+        "a scattered populate took {write:?} against {ping:?} for a ping"
+    );
+
+    router.stop();
     backend_a.stop();
     backend_b.stop();
 }
