@@ -123,8 +123,6 @@ pub enum GeaError {
     },
     /// The operation produced or received an empty library set.
     EmptyGroup(String),
-    /// A library was placed in both pools of a two-pool comparison.
-    SharedLibrary(String),
     /// Lineage bookkeeping failed.
     Lineage(LineageError),
     /// A requested comparison query does not apply to the comparison
@@ -164,9 +162,6 @@ impl fmt::Display for GeaError {
                 "fascicle {fascicle:?} is not pure on property {property}"
             ),
             GeaError::EmptyGroup(what) => write!(f, "{what} selected no libraries"),
-            GeaError::SharedLibrary(name) => {
-                write!(f, "library {name:?} is in both xProfiler pools")
-            }
             GeaError::Lineage(e) => write!(f, "{e}"),
             GeaError::QueryNotApplicable => {
                 f.write_str("this query applies only to union/intersection comparisons")

@@ -91,7 +91,7 @@ fn two_sided_p(z: f64) -> f64 {
 ///
 /// [`GeaError::EmptyGroup`] when either group is empty or holds no
 /// expression at all (a proportion of nothing is undefined), and
-/// [`GeaError::SharedLibrary`] when the groups overlap.
+/// [`GeaError::Malformed`] when the groups overlap.
 pub fn compare_pools(
     table: &EnumTable,
     group_a: &[LibraryId],
@@ -104,7 +104,9 @@ pub fn compare_pools(
     if let Some(&shared) = group_a.iter().find(|a| group_b.contains(a)) {
         let library = table.libraries().get(shared.index());
         let name = library.map_or_else(|| shared.to_string(), |m| m.name.clone());
-        return Err(GeaError::SharedLibrary(name));
+        return Err(GeaError::Malformed(format!(
+            "library {name:?} is in both xProfiler pools"
+        )));
     }
     let pool = |group: &[LibraryId], tid| -> f64 {
         group
@@ -281,7 +283,7 @@ mod tests {
         let t = table();
         let refused = compare_pools(&t, &[LibraryId(0), LibraryId(1)], &[LibraryId(1)]);
         assert!(
-            matches!(&refused, Err(GeaError::SharedLibrary(name)) if name == "L1"),
+            matches!(&refused, Err(GeaError::Malformed(what)) if what.contains("\"L1\"")),
             "{refused:?}"
         );
     }

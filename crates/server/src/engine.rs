@@ -69,7 +69,6 @@ impl From<GeaError> for EngineError {
             GeaError::NameTaken(_) => "ECONFLICT",
             GeaError::NotPure { .. } => "EPURITY",
             GeaError::EmptyGroup(_) => "EEMPTY",
-            GeaError::SharedLibrary(_) => "ECONFLICT",
             GeaError::Lineage(_) => "ELINEAGE",
             GeaError::QueryNotApplicable => "EQUERY",
             GeaError::Malformed(_) => "EPARSE",
