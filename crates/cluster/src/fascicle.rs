@@ -17,10 +17,13 @@
 //!   sets are collapsed. Each growth round is linear in records ×
 //!   attributes, matching the §3.3.1 complexity claim. Seeds are grown in
 //!   record order. Scoring copies nothing per candidate: the table is
-//!   copied once, record-major, and each seed keeps one per-attribute
-//!   `lo`/`hi` envelope. A growth round scores every available record
-//!   against it in place, stopping once the record can no longer win, and
-//!   the absorbed record merges into the envelope in place.
+//!   copied once, record-major, and the seed being grown keeps one
+//!   per-attribute `lo`/`hi` envelope. A growth round scores every
+//!   available record against it in place, stopping once the record can
+//!   no longer win, and the absorbed record merges into the envelope in
+//!   place. A grown seed keeps only its member list; the envelopes of the
+//!   fascicles that survive deduplication are rebuilt from their members'
+//!   rows.
 //!   [`reference::mine_greedy`] keeps the first draft, which built a
 //!   one-record candidate for every record it scored, as the oracle the
 //!   tests hold this one to, bit for bit. Fascicles may overlap — "a
@@ -211,9 +214,25 @@ fn grow_seed(
     (members, compact)
 }
 
-/// The fascicle a grown envelope describes: its compact attributes and
-/// their ranges.
-fn envelope_fascicle(records: Vec<usize>, lo: &[f64], hi: &[f64], tol: &[f64]) -> Fascicle {
+/// The fascicle a member set describes: its envelope rebuilt in `lo`/`hi`
+/// from the members' rows (min and max are order-free, so this is the
+/// envelope growth left behind), then its compact attributes and their
+/// ranges.
+fn envelope_fascicle(
+    rows: &Rows,
+    records: Vec<usize>,
+    tol: &[f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
+) -> Fascicle {
+    lo.copy_from_slice(rows.row(records[0]));
+    hi.copy_from_slice(rows.row(records[0]));
+    for &r in &records[1..] {
+        for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(rows.row(r)) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+    }
     let (compact_attrs, compact_ranges) = (0..lo.len())
         .filter(|&a| hi[a] - lo[a] <= tol[a])
         .map(|a| (a, (lo[a], hi[a])))
@@ -228,7 +247,9 @@ fn envelope_fascicle(records: Vec<usize>, lo: &[f64], hi: &[f64], tol: &[f64]) -
 /// The seed-and-grow miner. Returns qualifying fascicles sorted by
 /// descending member count (ties by first record id); duplicate grown sets
 /// are collapsed, and a fascicle that is a subset of another reported
-/// fascicle is dropped. `params.batch_size` does not change the result.
+/// fascicle is dropped. Only the member lists are kept while seeds grow;
+/// the envelopes are rebuilt for the survivors. `params.batch_size` does
+/// not change the result.
 pub fn mine_greedy<D: AttrSource>(
     data: &D,
     tol: &ToleranceVector,
@@ -244,25 +265,22 @@ pub fn mine_greedy<D: AttrSource>(
     let k = params.min_compact_attrs;
     let mut lo = vec![0.0; rows.n_attrs];
     let mut hi = vec![0.0; rows.n_attrs];
-    let mut grown: Vec<Fascicle> = Vec::new();
+    let mut grown: Vec<Vec<usize>> = Vec::new();
     for seed in 0..rows.n_records {
         let (records, compact) = grow_seed(&rows, tol, k, seed, &mut lo, &mut hi);
-        if records.len() >= params.min_records
-            && compact >= k
-            && !grown.iter().any(|g| g.records == records)
-        {
-            grown.push(envelope_fascicle(records, &lo, &hi, tol));
+        if records.len() >= params.min_records && compact >= k && !grown.contains(&records) {
+            grown.push(records);
         }
     }
-    // Drop fascicles subsumed by a larger one.
-    let sets: Vec<Vec<usize>> = grown.iter().map(|g| g.records.clone()).collect();
+    // Drop sets subsumed by a larger one.
     let mut fascicles: Vec<Fascicle> = grown
-        .into_iter()
+        .iter()
         .filter(|c| {
-            !sets.iter().any(|other| {
-                other.len() > c.records.len() && c.records.iter().all(|r| other.contains(r))
-            })
+            !grown
+                .iter()
+                .any(|other| other.len() > c.len() && c.iter().all(|r| other.contains(r)))
         })
+        .map(|records| envelope_fascicle(&rows, records.clone(), tol, &mut lo, &mut hi))
         .collect();
     fascicles.sort_by(|a, b| {
         b.len()

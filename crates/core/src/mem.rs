@@ -59,8 +59,9 @@ impl ApproxMem for LibraryMeta {
 
 impl ApproxMem for SageLibrary {
     fn approx_bytes(&self) -> usize {
-        // One (Tag, u32) map entry per distinct tag.
-        self.meta.approx_bytes() + self.unique_tags() * 16
+        // Two parallel vectors: a tag (u32) and a count (u32) per distinct
+        // tag.
+        self.meta.approx_bytes() + 2 * ALLOC_OVERHEAD + self.unique_tags() * 8
     }
 }
 

@@ -274,7 +274,7 @@ pub fn mine_sharded(
 /// The per-range kernel of ISA: converge the seeds `[lo, hi)` with the
 /// serial `converge_seed`, dead ones kept in place.
 pub(crate) fn converge_seeds(
-    scores: &IsaScores,
+    scores: &IsaScores<'_>,
     params: &IsaParams,
     lo: usize,
     hi: usize,

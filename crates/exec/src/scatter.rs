@@ -152,7 +152,7 @@ enum Kind<'a> {
     },
     /// Z-scored views, each seed converged independently.
     Isa {
-        scores: IsaScores,
+        scores: IsaScores<'a>,
         params: IsaParams,
     },
     /// Resolved conditions, each library range pruned independently.

@@ -18,8 +18,12 @@
 //! `gea-exec` shards the seed range and concatenates in seed order, which
 //! is byte-identical to the serial loop.
 
+#[doc(hidden)]
+pub mod reference;
+
 use gea_core::EnumTable;
 use gea_sage::tag::TagId;
+use gea_sage::ExpressionMatrix;
 
 use crate::ResolvedParams;
 
@@ -50,16 +54,19 @@ impl IsaParams {
     }
 }
 
-/// The two z-scored views of the expression matrix ISA iterates over,
-/// computed once per `mine` and shared (read-only) across seed workers.
+/// What ISA iterates over: the mined matrix, borrowed, with each tag row's
+/// and each library column's `(mean, sd)`, computed once per `mine` and
+/// shared (read-only) across seed workers. A cell's two z-scores are
+/// computed when read, so the scores hold no copy of the matrix.
 #[derive(Debug, Clone)]
-pub struct IsaScores {
-    /// `row_z[t][l]`: tag `t`'s expression in library `l`, z-scored
-    /// across libraries (the view that scores libraries).
-    row_z: Vec<Vec<f64>>,
-    /// `col_z[t][l]`: the same cell z-scored within library `l`'s column,
-    /// across tags (the view that scores tags).
-    col_z: Vec<Vec<f64>>,
+pub struct IsaScores<'a> {
+    matrix: &'a ExpressionMatrix,
+    /// Tag `t`'s row statistics, across libraries: the view that scores
+    /// libraries.
+    rows: Vec<(f64, f64)>,
+    /// Library `l`'s column statistics, across tags: the view that scores
+    /// tags.
+    cols: Vec<(f64, f64)>,
 }
 
 fn mean_sd(values: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
@@ -72,48 +79,46 @@ fn mean_sd(values: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-impl IsaScores {
-    /// Z-score the table's matrix both ways.
-    pub fn build(table: &EnumTable) -> IsaScores {
-        let n_tags = table.n_tags();
-        let n_libs = table.n_libraries();
-        let rows: Vec<&[f64]> = (0..n_tags)
-            .map(|t| table.matrix.tag_row(TagId(t as u32)))
-            .collect();
-
-        let mut row_z = Vec::with_capacity(n_tags);
-        for row in &rows {
-            let (mean, sd) = mean_sd(row.iter().copied());
-            row_z.push(zscore(row, mean, sd));
-        }
-
-        let mut col_z = vec![vec![0.0; n_libs]; n_tags];
-        for l in 0..n_libs {
-            let column = rows.iter().map(|row| row[l]);
-            let (mean, sd) = mean_sd(column);
-            if sd > 0.0 {
-                for (t, row) in rows.iter().enumerate() {
-                    col_z[t][l] = (row[l] - mean) / sd;
-                }
-            }
-        }
-        IsaScores { row_z, col_z }
-    }
-
-    fn n_tags(&self) -> usize {
-        self.row_z.len()
-    }
-
-    fn n_libs(&self) -> usize {
-        self.row_z.first().map_or(0, |r| r.len())
+/// `v` z-scored against `(mean, sd)`; 0 when the spread is 0.
+fn zscore(v: f64, (mean, sd): (f64, f64)) -> f64 {
+    if sd > 0.0 {
+        (v - mean) / sd
+    } else {
+        0.0
     }
 }
 
-fn zscore(row: &[f64], mean: f64, sd: f64) -> Vec<f64> {
-    if sd > 0.0 {
-        row.iter().map(|v| (v - mean) / sd).collect()
-    } else {
-        vec![0.0; row.len()]
+impl<'a> IsaScores<'a> {
+    /// The row and column statistics of the table's matrix.
+    pub fn build(table: &'a EnumTable) -> IsaScores<'a> {
+        let matrix = &table.matrix;
+        let row = |t: usize| matrix.tag_row(TagId(t as u32));
+        let n_tags = table.n_tags();
+        let rows = (0..n_tags)
+            .map(|t| mean_sd(row(t).iter().copied()))
+            .collect();
+        let cols = (0..table.n_libraries())
+            .map(|l| mean_sd((0..n_tags).map(move |t| row(t)[l])))
+            .collect();
+        IsaScores { matrix, rows, cols }
+    }
+
+    fn n_tags(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn n_libs(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Tag `t`'s expression in library `l`, z-scored across libraries.
+    pub fn row_z(&self, t: usize, l: usize) -> f64 {
+        zscore(self.matrix.tag_row(TagId(t as u32))[l], self.rows[t])
+    }
+
+    /// The same cell z-scored within library `l`'s column, across tags.
+    pub fn col_z(&self, t: usize, l: usize) -> f64 {
+        zscore(self.matrix.tag_row(TagId(t as u32))[l], self.cols[l])
     }
 }
 
@@ -137,7 +142,7 @@ fn threshold(scores: &[f64], t: f64) -> Vec<usize> {
 /// module). Public so the fixpoint-idempotence property can be tested
 /// directly: for a converged module, `isa_step` is the identity.
 pub fn isa_step(
-    scores: &IsaScores,
+    scores: &IsaScores<'_>,
     tags: &[usize],
     params: &IsaParams,
 ) -> (Vec<usize>, Vec<usize>) {
@@ -146,7 +151,7 @@ pub fn isa_step(
     }
     let inv = 1.0 / tags.len() as f64;
     let lib_scores: Vec<f64> = (0..scores.n_libs())
-        .map(|l| tags.iter().map(|&t| scores.row_z[t][l]).sum::<f64>() * inv)
+        .map(|l| tags.iter().map(|&t| scores.row_z(t, l)).sum::<f64>() * inv)
         .collect();
     let libs = threshold(&lib_scores, params.t_libs);
     if libs.is_empty() {
@@ -154,7 +159,7 @@ pub fn isa_step(
     }
     let inv = 1.0 / libs.len() as f64;
     let tag_scores: Vec<f64> = (0..scores.n_tags())
-        .map(|t| libs.iter().map(|&l| scores.col_z[t][l]).sum::<f64>() * inv)
+        .map(|t| libs.iter().map(|&l| scores.col_z(t, l)).sum::<f64>() * inv)
         .collect();
     (libs, threshold(&tag_scores, params.t_tags))
 }
@@ -173,19 +178,33 @@ pub struct IsaModule {
 /// Iterate seed `seed` (of `n_seeds` strided seed sets) to convergence.
 /// Returns `None` if the module dies (either projection empties out).
 pub fn converge_seed(
-    scores: &IsaScores,
+    scores: &IsaScores<'_>,
     seed: usize,
     n_seeds: usize,
     params: &IsaParams,
 ) -> Option<IsaModule> {
-    let mut tags: Vec<usize> = (seed..scores.n_tags()).step_by(n_seeds.max(1)).collect();
+    converge_with(scores.n_tags(), seed, n_seeds, params, |tags| {
+        isa_step(scores, tags, params)
+    })
+}
+
+/// [`converge_seed`]'s fixpoint loop over any step function, so
+/// [`reference`] iterates its own step the same way.
+fn converge_with(
+    n_tags: usize,
+    seed: usize,
+    n_seeds: usize,
+    params: &IsaParams,
+    step: impl Fn(&[usize]) -> (Vec<usize>, Vec<usize>),
+) -> Option<IsaModule> {
+    let mut tags: Vec<usize> = (seed..n_tags).step_by(n_seeds.max(1)).collect();
     if tags.is_empty() {
         return None;
     }
     let mut libs: Vec<usize> = Vec::new();
     let mut converged = false;
     for _ in 0..params.max_iters.max(1) {
-        let (next_libs, next_tags) = isa_step(scores, &tags, params);
+        let (next_libs, next_tags) = step(&tags);
         if next_tags.is_empty() || next_libs.is_empty() {
             return None;
         }

@@ -1,15 +1,16 @@
 //! Property tests for the mining backends' mathematical contracts:
 //! Aitchison-distance invariants for the simplex backend (permutation
 //! invariance, perturbation invariance, zero-replacement monotonicity)
-//! and fixpoint idempotence for ISA — a converged module must be exactly
-//! fixed by one more refinement step.
+//! and, for ISA, fixpoint idempotence — a converged module must be exactly
+//! fixed by one more refinement step — and agreement with
+//! `isa::reference`, which z-scores two stored copies of the matrix.
 
 // The proptest shim's macro recurses once per token of the block.
 #![recursion_limit = "1024"]
 
 use proptest::prelude::*;
 
-use gea_mine::isa::{converge_seed, isa_step, IsaParams, IsaScores};
+use gea_mine::isa::{converge_seed, isa_step, mine_groups, reference, IsaParams, IsaScores};
 use gea_mine::simplex::{aitchison, clr, zero_replace};
 
 use gea_core::EnumTable;
@@ -53,6 +54,37 @@ fn small_enum(values: Vec<Vec<f64>>) -> EnumTable {
         })
         .collect();
     EnumTable::new("E", ExpressionMatrix::from_rows(universe, libs, values))
+}
+
+/// Small matrices of small integers (ties and zeros are common), with row
+/// `const_row` and column `const_col` flattened to one value when they
+/// exist, so zero-spread rows and columns are always in play.
+fn isa_matrix() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..9, 1usize..9)
+        .prop_flat_map(|(t, l)| {
+            (
+                prop::collection::vec(prop::collection::vec(0u32..20, l), t),
+                0usize..12,
+                0usize..12,
+            )
+        })
+        .prop_map(|(cells, const_row, const_col)| {
+            let mut values: Vec<Vec<f64>> = cells
+                .into_iter()
+                .map(|row| row.into_iter().map(f64::from).collect())
+                .collect();
+            if let Some(row) = values.get_mut(const_row) {
+                let v = row[0];
+                row.fill(v);
+            }
+            if const_col < values[0].len() {
+                let v = values[0][const_col];
+                for row in &mut values {
+                    row[const_col] = v;
+                }
+            }
+            values
+        })
 }
 
 proptest! {
@@ -125,5 +157,41 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The z-scores computed on read are the two stored z-scored copies,
+    /// bit for bit, and give their steps, for every strided seed set and
+    /// for the whole tag set, and their modules.
+    #[test]
+    fn isa_matches_the_stored_z_score_reference(
+        values in isa_matrix(),
+        seeds in 1usize..6,
+        t_tags in 0.0f64..2.5,
+        t_libs in 0.0f64..2.5,
+    ) {
+        let table = small_enum(values);
+        let params = IsaParams { seeds, t_tags, t_libs, max_iters: 60 };
+        let scores = IsaScores::build(&table);
+        let stored = reference::IsaScores::build(&table);
+        let n_tags = table.n_tags();
+        for t in 0..n_tags {
+            for l in 0..table.n_libraries() {
+                prop_assert_eq!(scores.row_z(t, l).to_bits(), stored.row_z(t, l).to_bits());
+                prop_assert_eq!(scores.col_z(t, l).to_bits(), stored.col_z(t, l).to_bits());
+            }
+        }
+        let mut sets: Vec<Vec<usize>> = (0..seeds)
+            .map(|s| (s..n_tags).step_by(seeds).collect())
+            .collect();
+        sets.push((0..n_tags).collect());
+        for tags in &sets {
+            prop_assert_eq!(
+                isa_step(&scores, tags, &params),
+                reference::isa_step(&stored, tags, &params),
+                "tags {:?}",
+                tags
+            );
+        }
+        prop_assert_eq!(mine_groups(&table, &params), reference::mine_groups(&table, &params));
     }
 }

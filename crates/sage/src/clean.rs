@@ -20,16 +20,18 @@
 //!
 //! Steps 1 and 2 ask, for every union tag, "what is the largest count any
 //! library gave it?". Asked tag by tag ([`SageCorpus::max_count`]) that is
-//! one map probe per library per tag — libraries × union, 31 million probes
+//! one lookup per library per tag — libraries × union, 31 million probes
 //! at thesis scale (100 × 312,957), and the rule asks twice. But the answer
-//! to all of them at once is already in the corpus: its `(tag, count)`
-//! entries (504,654 at that scale), sorted by tag, with each run of equal
-//! tags folded to its maximum ([`SageCorpus::tag_census`]). That vector *is*
-//! the union (its tags), the keep set (`max > tolerance`) and the
-//! frequency-1 population (`max <= 1`) — the same integers compared with
-//! the same thresholds, so it is the definition evaluated in a different
-//! order, not an approximation of it, and the cost is
-//! O(entries · log entries). Each library is then walked once for its
+//! to all of them at once is already in the corpus: every library holds
+//! its `(tag, count)` entries sorted by tag, so a k-way merge of the
+//! libraries, folding each run of equal tags to its maximum, yields the
+//! union in tag order with each tag's maximum ([`SageCorpus::census`]).
+//! That stream *is* the union (its tags), the keep set (`max > tolerance`)
+//! and the frequency-1 population (`max <= 1`) — the same integers compared
+//! with the same thresholds, so it is the definition evaluated in a
+//! different order, not an approximation of it. The merge holds one cursor
+//! per library and no copy of the 504,654 entries, and costs
+//! O(entries · log libraries). Each library is then walked once for its
 //! removed fraction and surviving total, which fix its scale factor
 //! ([`clean_factors`]); the matrix is a second walk over any chosen
 //! libraries ([`cleaned_columns`]), which is how a session builds a data
@@ -116,20 +118,15 @@ pub fn clean_factors(
     corpus: &SageCorpus,
     config: &CleaningConfig,
 ) -> (TagUniverse, Vec<f64>, CleaningReport) {
-    // Steps 1 and 2 off one census: the union is its length, a tag is kept
-    // iff some library saw it more than `min_tolerance` times, and the
+    // Steps 1 and 2 off one census pass: the union is its length, a tag is
+    // kept iff some library saw it more than `min_tolerance` times, and the
     // report's frequency-1 population is the tags that never exceed 1.
-    let (raw_union_tags, freq1, kept) = {
-        let census = corpus.tag_census();
-        let freq1 = census.iter().filter(|&&(_, max)| max <= 1).count();
-        let kept = TagUniverse::from_tags(
-            census
-                .iter()
-                .filter(|&&(_, max)| max > config.min_tolerance)
-                .map(|&(tag, _)| tag),
-        );
-        (census.len(), freq1, kept)
-    };
+    let (mut raw_union_tags, mut freq1) = (0, 0);
+    let kept = TagUniverse::from_tags(corpus.census().filter_map(|(tag, max)| {
+        raw_union_tags += 1;
+        freq1 += usize::from(max <= 1);
+        (max > config.min_tolerance).then_some(tag)
+    }));
     let freq1_union_fraction = if raw_union_tags == 0 {
         0.0
     } else {

@@ -6,6 +6,9 @@
 //! collection and answers the descriptive queries of §4.4.4.2 (library
 //! information, tissue-type membership, frequency census).
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use crate::library::{LibraryId, LibraryMeta, NeoplasticState, SageLibrary, TissueType};
 use crate::tag::{Tag, TagUniverse};
 
@@ -92,14 +95,48 @@ impl SageCorpus {
     /// cleaning pipeline, §4.2: "we take the union of all the tags in the
     /// libraries").
     pub fn tag_union(&self) -> TagUniverse {
-        TagUniverse::from_tags(self.libraries.iter().flat_map(|l| l.tags()))
+        TagUniverse::from_tags(self.census().map(|(tag, _)| tag))
     }
 
-    /// The raw union with each tag's maximum per-library count, sorted by
-    /// tag and duplicate-free: every library's `(tag, count)` entries
-    /// gathered, sorted and folded. One pass over the corpus's entries
-    /// answers what [`SageCorpus::max_count`] answers one tag at a time —
-    /// the cleaning rule (§4.2) and the frequency-1 census both read it.
+    /// The raw union with each tag's maximum per-library count, in tag
+    /// order: a k-way merge of the libraries' sorted entries, holding one
+    /// cursor per library and no copy of the entries. One pass answers
+    /// what [`SageCorpus::max_count`] answers one tag at a time — the
+    /// cleaning rule (§4.2) and the frequency-1 census both read it.
+    pub fn census(&self) -> impl Iterator<Item = (Tag, u32)> + '_ {
+        // A min-heap of (next tag, library, position) cursors.
+        let mut heads: BinaryHeap<Reverse<(Tag, usize, usize)>> = self
+            .libraries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lib)| Some(Reverse((*lib.entries().0.first()?, i, 0))))
+            .collect();
+        std::iter::from_fn(move || {
+            let tag = heads.peek()?.0 .0;
+            let mut max = 0;
+            while let Some(mut top) = heads.peek_mut() {
+                let Reverse((t, i, pos)) = *top;
+                if t != tag {
+                    break;
+                }
+                let (tags, counts) = self.libraries[i].entries();
+                max = max.max(counts[pos]);
+                match tags.get(pos + 1) {
+                    Some(&next) => *top = Reverse((next, i, pos + 1)),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+            }
+            Some((tag, max))
+        })
+    }
+
+    /// [`SageCorpus::census`] by sort-and-fold: every library's entries
+    /// gathered into one vector, sorted and folded to each tag's maximum.
+    /// Kept as the oracle the tests hold the merge to; it holds a copy of
+    /// every entry, so nothing on a served path calls it.
+    #[doc(hidden)]
     pub fn tag_census(&self) -> Vec<(Tag, u32)> {
         let entries = self.libraries.iter().map(|l| l.unique_tags()).sum();
         let mut census: Vec<(Tag, u32)> = Vec::with_capacity(entries);
@@ -124,7 +161,7 @@ impl SageCorpus {
 
     /// Maximum per-library count of `tag` over every library. The cleaning
     /// rule keeps a tag iff this exceeds the tolerance; this is the point
-    /// query, [`SageCorpus::tag_census`] the whole-corpus form.
+    /// query, [`SageCorpus::census`] the whole-corpus form.
     pub fn max_count(&self, tag: Tag) -> u32 {
         self.libraries
             .iter()
@@ -146,11 +183,14 @@ impl SageCorpus {
         }
         // Tags whose count is exactly 1 in every library where they appear
         // at all — the error-candidate population of §4.2.
-        let census = self.tag_census();
-        let union_tags_max_freq1 = census.iter().filter(|&&(_, max)| max <= 1).count();
+        let (mut union_tags, mut union_tags_max_freq1) = (0, 0);
+        for (_, max) in self.census() {
+            union_tags += 1;
+            union_tags_max_freq1 += usize::from(max <= 1);
+        }
         CorpusStats {
             libraries: self.libraries.len(),
-            union_tags: census.len(),
+            union_tags,
             union_tags_max_freq1,
             per_library,
         }

@@ -630,7 +630,7 @@ fn synthesize_library(
         mass = expected.iter().map(|(_, l, _)| l).sum();
     }
 
-    let mut lib = SageLibrary::new(meta);
+    let mut pairs: Vec<(Tag, u32)> = Vec::with_capacity(expected.len() + error_total as usize);
     if mass > 0.0 {
         for (tag, level, in_signature) in expected {
             // In-fascicle signature tags agree tightly across the fascicle's
@@ -654,18 +654,17 @@ fn synthesize_library(
             // Biological noise modulates the transcript pool; the sequencer
             // then draws Poisson counts from it.
             let modulated = expected_count * g.noise(cv);
-            let count = g.poisson(modulated);
-            lib.add(tag, count);
+            pairs.push((tag, g.poisson(modulated)));
         }
     }
 
     // Frequency-1 sequencing errors.
     let mut added = 0u64;
     while added < error_total {
-        lib.add(g.error_tag(), 1);
+        pairs.push((g.error_tag(), 1));
         added += 1;
     }
-    lib
+    SageLibrary::from_counts(meta, pairs)
 }
 
 #[cfg(test)]

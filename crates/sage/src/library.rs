@@ -6,7 +6,6 @@
 //! tissue was cancerous or normal, and whether it came from bulk tissue or a
 //! cell line (thesis §4.4.4.2, "Search SAGE Library Information").
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::tag::Tag;
@@ -220,25 +219,20 @@ impl std::error::Error for CountOverflow {}
 
 /// A raw SAGE library: tag → observed count.
 ///
-/// Counts are kept sparse and sorted by tag; a library only records the tags
-/// actually sequenced in its sample (between ~1,000 and ~32,000 distinct
-/// tags in the thesis's data).
+/// Counts are kept sparse and sorted by tag, as two parallel vectors; a
+/// library only records the tags actually sequenced in its sample (between
+/// ~1,000 and ~32,000 distinct tags in the thesis's data).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SageLibrary {
     /// Descriptive metadata.
     pub meta: LibraryMeta,
-    counts: BTreeMap<Tag, u32>,
+    /// Distinct tags, ascending.
+    tags: Vec<Tag>,
+    /// `counts[i]` is the observed count of `tags[i]`; never 0.
+    counts: Vec<u32>,
 }
 
 impl SageLibrary {
-    /// Create an empty library with the given metadata.
-    pub fn new(meta: LibraryMeta) -> SageLibrary {
-        SageLibrary {
-            meta,
-            counts: BTreeMap::new(),
-        }
-    }
-
     /// Create a library from `(tag, count)` pairs. Duplicate tags accumulate
     /// (saturating at `u32::MAX`); zero counts are dropped.
     pub fn from_counts<I>(meta: LibraryMeta, pairs: I) -> SageLibrary
@@ -261,9 +255,9 @@ impl SageLibrary {
         }
     }
 
-    /// The one bulk construction path: collect, sort by tag, sum each tag's
-    /// run in place, and build the map from the sorted pairs in one go.
-    /// Returns the first tag whose sum saturated, if any.
+    /// The one construction path: collect, sort by tag, sum each tag's run
+    /// in place, and split the sorted pairs into the two vectors. Returns
+    /// the first tag whose sum saturated, if any.
     fn fold_counts<I>(meta: LibraryMeta, pairs: I) -> (SageLibrary, Option<Tag>)
     where
         I: IntoIterator<Item = (Tag, u32)>,
@@ -281,53 +275,45 @@ impl SageLibrary {
             }
             same_tag
         });
-        let counts = sorted.into_iter().collect();
-        (SageLibrary { meta, counts }, overflowed)
-    }
-
-    /// Add `count` observations of `tag`, saturating at `u32::MAX`.
-    pub fn add(&mut self, tag: Tag, count: u32) {
-        if count > 0 {
-            let entry = self.counts.entry(tag).or_insert(0);
-            *entry = entry.saturating_add(count);
-        }
-    }
-
-    /// Remove a tag entirely, returning its count if it was present.
-    pub fn remove(&mut self, tag: Tag) -> Option<u32> {
-        self.counts.remove(&tag)
+        let (tags, counts) = sorted.into_iter().unzip();
+        (SageLibrary { meta, tags, counts }, overflowed)
     }
 
     /// Observed count for `tag` (0 when absent).
     pub fn count(&self, tag: Tag) -> u32 {
-        self.counts.get(&tag).copied().unwrap_or(0)
+        self.tags.binary_search(&tag).map_or(0, |i| self.counts[i])
     }
 
     /// Number of *distinct* tags detected — the thesis's "unique number of
     /// tags".
     pub fn unique_tags(&self) -> usize {
-        self.counts.len()
+        self.tags.len()
     }
 
     /// Sum of all count values — the thesis's "total number of tags".
     pub fn total_tags(&self) -> u64 {
-        self.counts.values().map(|&c| c as u64).sum()
+        self.counts.iter().map(|&c| c as u64).sum()
     }
 
     /// Iterate `(tag, count)` pairs in tag order.
     pub fn iter(&self) -> impl Iterator<Item = (Tag, u32)> + '_ {
-        self.counts.iter().map(|(&t, &c)| (t, c))
+        self.tags.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// The distinct tags, ascending, and their counts, aligned.
+    pub(crate) fn entries(&self) -> (&[Tag], &[u32]) {
+        (&self.tags, &self.counts)
     }
 
     /// Iterate just the tags, in tag order.
     pub fn tags(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.counts.keys().copied()
+        self.tags.iter().copied()
     }
 
     /// Number of distinct tags whose observed count equals `freq`. The
     /// cleaning analysis of §4.2 is driven by the frequency-1 population.
     pub fn tags_with_frequency(&self, freq: u32) -> usize {
-        self.counts.values().filter(|&&c| c == freq).count()
+        self.counts.iter().filter(|&&c| c == freq).count()
     }
 }
 
@@ -350,10 +336,14 @@ mod tests {
 
     #[test]
     fn counts_accumulate_and_zero_is_dropped() {
-        let mut lib = SageLibrary::new(meta());
-        lib.add(tag("AAAAAAAAAA"), 3);
-        lib.add(tag("AAAAAAAAAA"), 2);
-        lib.add(tag("CCCCCCCCCC"), 0);
+        let lib = SageLibrary::from_counts(
+            meta(),
+            [
+                (tag("AAAAAAAAAA"), 3),
+                (tag("CCCCCCCCCC"), 0),
+                (tag("AAAAAAAAAA"), 2),
+            ],
+        );
         assert_eq!(lib.count(tag("AAAAAAAAAA")), 5);
         assert_eq!(lib.count(tag("CCCCCCCCCC")), 0);
         assert_eq!(lib.unique_tags(), 1);
@@ -369,9 +359,7 @@ mod tests {
         let lib = SageLibrary::from_counts(meta(), pairs);
         assert_eq!(lib.count(a), u32::MAX);
         assert_eq!(lib.count(c), 7);
-        let mut lib = SageLibrary::new(meta());
-        lib.add(a, u32::MAX);
-        lib.add(a, 5);
+        let lib = SageLibrary::from_counts(meta(), [(a, u32::MAX), (a, 5)]);
         assert_eq!(lib.count(a), u32::MAX);
         // ... and the checked form names the tag instead.
         assert_eq!(

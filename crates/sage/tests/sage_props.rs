@@ -1,6 +1,8 @@
 //! Property-based tests for the SAGE substrate: I/O round-trips and
 //! cleaning-pipeline invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use gea_sage::clean::{
@@ -171,6 +173,13 @@ proptest! {
     }
 
     #[test]
+    fn streamed_census_is_the_sort_and_fold_census(corpus in corpus_strategy()) {
+        // The k-way merge `clean_factors` and `stats` read, against the
+        // sort-and-fold of every entry.
+        prop_assert_eq!(corpus.census().collect::<Vec<_>>(), corpus.tag_census());
+    }
+
+    #[test]
     fn library_text_roundtrip(pairs in prop::collection::vec((0u32..10_000, 1u32..500), 0..40)) {
         let lib = arbitrary_library("L".to_string(), pairs);
         let mut buf = Vec::new();
@@ -181,14 +190,18 @@ proptest! {
 
     #[test]
     fn from_counts_is_add_per_pair(pairs in prop::collection::vec((0u32..50, 0u32..500), 0..60)) {
-        // The bulk path (sort, fold runs, build) against the incremental
-        // one: duplicates accumulate, zero counts never create an entry.
+        // The bulk path (sort, fold runs, split) against adding each pair
+        // to a map: duplicates accumulate, zero counts never create an
+        // entry.
         let bulk = arbitrary_library("L".to_string(), pairs.clone());
-        let mut one_by_one = SageLibrary::new(bulk.meta.clone());
+        let mut one_by_one: BTreeMap<Tag, u32> = BTreeMap::new();
         for (code, count) in pairs {
-            one_by_one.add(Tag::from_code(code).unwrap(), count);
+            if count > 0 {
+                let entry = one_by_one.entry(Tag::from_code(code).unwrap()).or_insert(0);
+                *entry = entry.saturating_add(count);
+            }
         }
-        prop_assert_eq!(bulk, one_by_one);
+        prop_assert_eq!(bulk.iter().collect::<Vec<_>>(), one_by_one.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -54,9 +54,7 @@ impl GeaClient {
     /// failures (including the server closing the connection before
     /// replying) are the outer `io::Error`.
     pub fn request(&mut self, line: &str) -> io::Result<Reply> {
-        single_line(line)?;
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.send_batch(&[line])?;
         self.recv()
     }
 

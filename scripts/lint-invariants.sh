@@ -93,11 +93,11 @@
 #    non-test code of crates/core/src/persist.rs has no `from_utf8(`,
 #    `.lines()` or `splitn(` (lineage.txt is written, never read back).
 #
-# 11. Reference kernels stay oracles. fascicle::reference, sumy::reference
-#    and clean::reference keep the first-draft kernels only so that tests
-#    can pin the fast ones to them bit for bit. So, in the non-test code of
-#    crates/*/src and src/ (bins included): no `reference::` path outside
-#    a `//` comment line.
+# 11. Reference kernels stay oracles. fascicle::reference, sumy::reference,
+#    clean::reference and isa::reference keep the first-draft kernels only
+#    so that tests can pin the fast ones to them bit for bit. So, in the
+#    non-test code of crates/*/src and src/ (bins included): no
+#    `reference::` path outside a `//` comment line.
 #
 # 12. SAGE is derived. A session opened over a corpus keeps the cleaning
 #    decisions (kept tags, per-library scale factors), builds data sets
@@ -408,7 +408,7 @@ while IFS= read -r file; do
         fail=1
     fi
 done < <(find crates/*/src src -name '*.rs' | sort)
-for file in crates/cluster/src/fascicle.rs crates/core/src/sumy.rs crates/sage/src/clean.rs; do
+for file in crates/cluster/src/fascicle.rs crates/core/src/sumy.rs crates/sage/src/clean.rs crates/mine/src/isa.rs; do
     if [ "$(nontest_hits -F "$file" 'pub mod reference')" -eq 0 ]; then
         echo "lint: $file no longer declares 'pub mod reference' — the oracle check is looking for the wrong thing" >&2
         fail=1
